@@ -21,7 +21,9 @@ interval ablation):
 For efficiency on multi-million-access traces, intervals are held
 column-wise in an :class:`IntervalSet` (numpy arrays) rather than as
 object lists; :class:`Interval` is the scalar view used at API edges and
-in tests.
+in tests.  Policies are priced on a population's
+:class:`LengthSpectrum` — its distinct lengths per class, with counts —
+which every :class:`IntervalSet` builds once and then reuses.
 """
 
 from __future__ import annotations
@@ -68,6 +70,45 @@ class Interval:
         return self.kind is IntervalKind.NORMAL
 
 
+@dataclass(frozen=True)
+class LengthSpectrum:
+    """An interval population reduced to its distinct lengths per class.
+
+    Row ``i`` stands for ``counts[i]`` intervals of ``lengths[i]`` cycles
+    whose *class* is (``kinds[i]``, ``prefetchable[i]``).  Rows are sorted
+    by length, then kind, then flag.  Every mode energy is affine in the
+    interval length (Equations 1 and 2), so pricing each row once and
+    weighting by its count prices the whole population; interval counts
+    and cycles stay exact integer sums.
+    """
+
+    lengths: np.ndarray
+    kinds: np.ndarray
+    prefetchable: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, lengths, kinds, prefetchable=None) -> "LengthSpectrum":
+        """Build from per-interval columns (``prefetchable`` defaults to False)."""
+        # One sortable key per interval: length, then 2 kind bits, then
+        # the flag bit.  Lengths stay far below 2**60 cycles.
+        key = (lengths << 3) | (kinds.astype(np.int64) << 1)
+        if prefetchable is not None:
+            key |= prefetchable
+        distinct, counts = np.unique(key, return_counts=True)
+        return cls(
+            lengths=distinct >> 3,
+            kinds=((distinct >> 1) & 3).astype(np.uint8),
+            prefetchable=(distinct & 1).astype(bool),
+            counts=counts.astype(np.int64),
+        )
+
+    @property
+    def cycles(self) -> np.ndarray:
+        """Interval cycles per row (``lengths * counts``)."""
+        return self.lengths * self.counts
+
+
 class IntervalSet:
     """Column-wise collection of intervals.
 
@@ -79,6 +120,10 @@ class IntervalSet:
         Optional parallel array of :class:`IntervalKind` values; defaults
         to all ``NORMAL``.
     """
+
+    # Spectra are derived data: built on first use, never pickled.
+    _spectrum: LengthSpectrum | None = None
+    _flagged: Tuple[np.ndarray, LengthSpectrum] | None = None
 
     def __init__(
         self,
@@ -209,6 +254,9 @@ class IntervalSet:
             and np.array_equal(self.kinds, other.kinds)
         )
 
+    def __getstate__(self) -> dict:
+        return {"lengths": self.lengths, "kinds": self.kinds}
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"IntervalSet(n={len(self)}, total={self.total_cycles}, "
@@ -241,6 +289,22 @@ class IntervalSet:
         """
         return IntervalSet(self.lengths, np.zeros(self.lengths.shape, dtype=np.uint8))
 
+    def spectrum(self, prefetchable: np.ndarray | None = None) -> LengthSpectrum:
+        """This population's :class:`LengthSpectrum`, built once and reused.
+
+        ``prefetchable`` (a mask aligned with the intervals) adds the
+        prefetch flag to every row's class; a later call with an equal
+        mask reuses the same spectrum.
+        """
+        if prefetchable is None:
+            if self._spectrum is None:
+                self._spectrum = LengthSpectrum.of(self.lengths, self.kinds)
+            return self._spectrum
+        mask = np.asarray(prefetchable, dtype=bool)
+        if self._flagged is None or not np.array_equal(self._flagged[0], mask):
+            self._flagged = (mask, LengthSpectrum.of(self.lengths, self.kinds, mask))
+        return self._flagged[1]
+
     def count_by_class(
         self, boundaries: Sequence[float]
     ) -> List[int]:
@@ -249,31 +313,32 @@ class IntervalSet:
         ``boundaries=[a, b]`` yields counts for ``(0, a]``, ``(a, b]``,
         ``(b, inf)`` — the three ranges of Figure 9.
         """
-        edges = self._edges(boundaries)
-        hist, _ = np.histogram(self.lengths, bins=edges)
-        return [int(v) for v in hist]
+        return [int(v) for v in self._class_sums(boundaries, cycles=False)]
 
     def cycle_mass_by_class(
         self, boundaries: Sequence[float]
     ) -> List[float]:
         """Fraction of total cycles falling in each length class."""
-        edges = self._edges(boundaries)
+        mass = self._class_sums(boundaries, cycles=True)
         total = float(self.lengths.sum())
         if total == 0:
-            return [0.0] * (len(edges) - 1)
-        mass, _ = np.histogram(self.lengths, bins=edges, weights=self.lengths)
+            return [0.0] * len(mass)
         return [float(v) / total for v in mass]
 
-    @staticmethod
-    def _edges(boundaries: Sequence[float]) -> np.ndarray:
+    def _class_sums(self, boundaries: Sequence[float], cycles: bool) -> np.ndarray:
+        """Exact per-class interval counts (or cycles) from the spectrum."""
         boundaries = list(boundaries)
         if any(b <= 0 for b in boundaries) or sorted(boundaries) != boundaries:
             raise IntervalError(
                 f"class boundaries must be positive and sorted, got {boundaries!r}"
             )
-        # np.histogram bins are half-open [lo, hi); the paper's classes are
-        # (lo, hi], so shift edges by one half-cycle around the integer grid.
-        return np.array([0.5] + [b + 0.5 for b in boundaries] + [np.inf])
+        spectrum = self.spectrum()
+        weights = spectrum.cycles if cycles else spectrum.counts
+        running = np.concatenate(([0], np.cumsum(weights)))
+        # The paper's classes are (lo, hi]: each edge sits half a cycle
+        # above its boundary, and searchsorted counts the rows below it.
+        edges = np.array([0.5] + [b + 0.5 for b in boundaries] + [np.inf])
+        return np.diff(running[np.searchsorted(spectrum.lengths, edges)])
 
     def statistics(self) -> "IntervalStatistics":
         """Summary statistics for reports."""

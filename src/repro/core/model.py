@@ -27,7 +27,7 @@ from ..power.technology import TechnologyNode
 from .energy import ModeEnergyModel, TransitionDurations
 from .intervals import IntervalSet
 from .modes import Mode
-from .policy import OptDrowsy, OptHybrid, OptSleep
+from .policy import trio_policies
 from .savings import SavingsReport, evaluate_policy
 
 
@@ -236,9 +236,8 @@ class StateMachineModel:
     ) -> Dict[str, SavingsReport]:
         """The three Table 2 columns for one interval population."""
         return {
-            "OPT-Drowsy": evaluate_policy(OptDrowsy(model, name="OPT-Drowsy"), intervals),
-            "OPT-Sleep": evaluate_policy(OptSleep(model, name="OPT-Sleep"), intervals),
-            "OPT-Hybrid": evaluate_policy(OptHybrid(model), intervals),
+            policy.name: evaluate_policy(policy, intervals)
+            for policy in trio_policies(model)
         }
 
 

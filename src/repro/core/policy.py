@@ -16,7 +16,9 @@ schemes the paper evaluates in Figures 7 and 8:
   with an optional raised sleep threshold for the Figure 7 sweep.
 
 Policies assign modes vectorially over numpy length arrays; per-interval
-energies come from the :class:`~repro.core.energy.ModeEnergyModel`.  The
+energies come from the :class:`~repro.core.energy.ModeEnergyModel`.
+Evaluation prices a population's distinct lengths (its
+:class:`~repro.core.intervals.LengthSpectrum`) rather than every interval.  The
 ``dead_aware`` evaluation path (used by the dead-interval ablation) prices
 ``DEAD``/``COLD`` intervals without the induced-miss re-fetch, since no
 live data is destroyed by sleeping them.
@@ -24,12 +26,14 @@ live data is destroyed by sleeping them.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 
 from ..errors import PolicyError
 from .energy import ModeEnergyModel
 from .inflection import InflectionPoints, inflection_points
-from .intervals import IntervalKind
+from .intervals import IntervalKind, IntervalSet, LengthSpectrum
 from .modes import Mode
 
 #: Integer codes used in vectorized mode arrays.
@@ -68,6 +72,17 @@ class Policy:
         """Scalar convenience wrapper around :meth:`modes`."""
         code = int(self.modes(np.array([length], dtype=np.int64))[0])
         return CODE_MODES[code]
+
+    def on_spectrum(
+        self, intervals: IntervalSet
+    ) -> Tuple["Policy", LengthSpectrum]:
+        """The spectrum to price ``intervals`` on, and the policy for its rows.
+
+        A policy whose modes depend on length alone prices the rows
+        itself; policies with per-interval inputs return a copy whose
+        inputs are the spectrum's class columns.
+        """
+        return self, intervals.spectrum()
 
     # ------------------------------------------------------------------
     # Pricing
@@ -267,6 +282,12 @@ class OptHybrid(Policy):
                 f"sleep-drowsy inflection point {floor:.1f}; sleeping there "
                 "would cost more energy than drowsy mode"
             )
+        if sleep_threshold < model.sleep_min_length:
+            raise PolicyError(
+                f"node {model.node.name}: hybrid sleep threshold "
+                f"{sleep_threshold:.1f} is below the sleep transition time "
+                f"of {model.sleep_min_length} cycles"
+            )
         self.sleep_threshold = float(sleep_threshold)
         if name is None:
             self.name = "OPT-Hybrid"
@@ -285,5 +306,18 @@ def standard_policies(model: ModeEnergyModel) -> list:
         OptDrowsy(model, name="OPT-Drowsy"),
         DecaySleep(model, decay_interval=10_000),
         OptSleep(model, threshold=10_000),
+        OptHybrid(model),
+    ]
+
+
+#: Table 2's oracle trio, in its column order.
+TRIO_SCHEMES: Tuple[str, str, str] = ("OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid")
+
+
+def trio_policies(model: ModeEnergyModel) -> List[Policy]:
+    """Table 2's oracle trio, ordered like :data:`TRIO_SCHEMES`."""
+    return [
+        OptDrowsy(model, name="OPT-Drowsy"),
+        OptSleep(model, name="OPT-Sleep"),
         OptHybrid(model),
     ]

@@ -15,14 +15,15 @@ experiments can explain *where* the savings come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from ..errors import IntervalError
+from .energy import ModeEnergyModel
 from .intervals import IntervalSet
 from .modes import Mode
-from .policy import CODE_MODES, Policy
+from .policy import CODE_MODES, TRIO_SCHEMES, Policy, trio_policies
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,12 @@ def evaluate_policy(
 ) -> SavingsReport:
     """Run the Figure 5 accumulation for one policy.
 
+    The policy prices each row of the population's
+    :class:`~repro.core.intervals.LengthSpectrum` once; interval counts
+    and cycles are exact integer sums weighted by the row counts, and
+    energies are count-weighted sums of the per-length energies (equal to
+    the per-interval sums up to float rounding).
+
     Parameters
     ----------
     policy:
@@ -103,11 +110,12 @@ def evaluate_policy(
     """
     if not len(intervals):
         raise IntervalError("cannot evaluate a policy over zero intervals")
-    lengths = intervals.lengths
-    energies = policy.energies(lengths, intervals.kinds, dead_aware=dead_aware)
-    codes = policy.modes(lengths)
-    baseline = float(policy.model.active_energy_array(lengths).sum())
-    total_cycles = int(lengths.sum())
+    rows, spectrum = policy.on_spectrum(intervals)
+    lengths, counts = spectrum.lengths, spectrum.counts
+    codes = rows.modes(lengths)
+    energies = rows.energies(lengths, spectrum.kinds, dead_aware=dead_aware) * counts
+    cycles = spectrum.cycles
+    total_cycles = int(cycles.sum())
     overhead = policy.overhead_power_fraction * float(total_cycles)
     breakdown: Dict[Mode, ModeBreakdown] = {}
     for code, mode in CODE_MODES.items():
@@ -116,14 +124,14 @@ def evaluate_policy(
             continue
         breakdown[mode] = ModeBreakdown(
             mode=mode,
-            interval_count=int(mask.sum()),
-            cycles=int(lengths[mask].sum()),
+            interval_count=int(counts[mask].sum()),
+            cycles=int(cycles[mask].sum()),
             energy=float(energies[mask].sum()),
             total_cycles=total_cycles,
         )
     return SavingsReport(
         policy_name=policy.name,
-        baseline_energy=baseline,
+        baseline_energy=policy.model.active_energy(total_cycles),
         policy_energy=float(energies.sum()),
         overhead_energy=overhead,
         breakdown=breakdown,
@@ -137,6 +145,21 @@ def evaluate_policies(
 ) -> List[SavingsReport]:
     """Evaluate several policies over the same interval population."""
     return [evaluate_policy(p, intervals, dead_aware=dead_aware) for p in policies]
+
+
+def trio_savings(
+    models: Sequence[ModeEnergyModel], intervals: IntervalSet
+) -> np.ndarray:
+    """Saving fractions of Table 2's oracle trio under every model.
+
+    ``grid[i, j]`` is scheme ``TRIO_SCHEMES[i]`` under ``models[j]``; all
+    cells share the population's spectrum.
+    """
+    grid = np.empty((len(TRIO_SCHEMES), len(models)))
+    for column, model in enumerate(models):
+        for row, policy in enumerate(trio_policies(model)):
+            grid[row, column] = evaluate_policy(policy, intervals).saving_fraction
+    return grid
 
 
 def average_saving(reports: Iterable[SavingsReport]) -> float:

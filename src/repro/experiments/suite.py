@@ -16,7 +16,7 @@ what a ``BenchmarkRun`` contains, only how long it took to obtain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..engine import ExecutionEngine, SimulationJob
@@ -38,15 +38,21 @@ class BenchmarkRun:
 
     name: str
     annotated: AnnotatedSimulationResult
+    _views: Dict[str, AnnotatedIntervals] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def intervals(self, cache: str) -> AnnotatedIntervals:
         """Annotated intervals for ``'icache'`` or ``'dcache'``.
 
         Kinds are re-labelled NORMAL — the paper's default treatment of
         live/dead intervals (§3.1); the dead-interval ablation asks for
-        the raw population via ``annotated`` directly.
+        the raw population via ``annotated`` directly.  Every call returns
+        the same view, so its length spectrum is built only once.
         """
-        return self.annotated.annotated_for(cache).as_normal()
+        if cache not in self._views:
+            self._views[cache] = self.annotated.annotated_for(cache).as_normal()
+        return self._views[cache]
 
 
 class SuiteRunner:

@@ -7,21 +7,22 @@ from typing import Dict
 import numpy as np
 
 from ..core.energy import ModeEnergyModel
-from ..core.stacked import stacked_trio_savings
+from ..core.policy import TRIO_SCHEMES
+from ..core.savings import trio_savings
 from ..power.technology import paper_nodes
 from . import paper_values
 from .reporting import ExperimentResult, Table, fmt_pct
 from .suite import SuiteRunner
 
-#: Table 2 scheme order (matches :data:`repro.core.stacked.TRIO_SCHEMES`).
-SCHEMES = ["OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid"]
+#: Table 2 scheme order.
+SCHEMES = list(TRIO_SCHEMES)
 
 
 def compute(suite: SuiteRunner) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Benchmark-average savings per cache, node and scheme.
 
-    All technology nodes are evaluated in one stacked array pass per
-    benchmark population (float-identical to the former per-node loop).
+    Every node prices the same per-population length spectrum, so each
+    cell costs a pass over distinct lengths, not over intervals.
     """
     results: Dict[str, Dict[int, Dict[str, float]]] = {}
     ordered = sorted(paper_nodes().items())
@@ -29,7 +30,7 @@ def compute(suite: SuiteRunner) -> Dict[str, Dict[int, Dict[str, float]]]:
     for cache in ("icache", "dcache"):
         populations = suite.intervals_by_benchmark(cache)
         grids = [
-            stacked_trio_savings(models, annotated.intervals)
+            trio_savings(models, annotated.intervals)
             for annotated in populations.values()
         ]
         results[cache] = {

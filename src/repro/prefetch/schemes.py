@@ -20,12 +20,15 @@ accepts are reported separately as a performance-cost estimate.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..core.energy import ModeEnergyModel
+from ..core.intervals import IntervalSet, LengthSpectrum
 from ..core.policy import DROWSY, SLEEP, Policy
 from ..core.savings import SavingsReport, evaluate_policy
 from ..errors import PolicyError
@@ -57,38 +60,63 @@ class PrefetchGuidedPolicy(Policy):
         super().__init__(model, name)
         self.prefetchable = np.asarray(prefetchable, dtype=bool)
         self.power_first = bool(power_first)
+        #: Non-prefetchable intervals longer than this go drowsy.
+        self.np_threshold = (
+            float(self.points.active_drowsy) if power_first else math.inf
+        )
         if name is None:
             self.name = "Prefetch-B" if power_first else "Prefetch-A"
 
-    def modes(self, lengths: np.ndarray) -> np.ndarray:
-        lengths = np.asarray(lengths)
-        if lengths.shape != self.prefetchable.shape:
+    def _check_aligned(self, count: int) -> None:
+        if count != self.prefetchable.shape[0]:
             raise PolicyError(
                 f"policy {self.name!r} was built for "
                 f"{self.prefetchable.shape[0]} intervals but asked about "
-                f"{lengths.shape[0]}"
+                f"{count}"
             )
+
+    def on_spectrum(
+        self, intervals: IntervalSet
+    ) -> Tuple["PrefetchGuidedPolicy", LengthSpectrum]:
+        """The spectrum classed by this mask, and a copy masked by its flags."""
+        self._check_aligned(len(intervals))
+        spectrum = intervals.spectrum(self.prefetchable)
+        rows = copy.copy(self)
+        rows.prefetchable = spectrum.prefetchable
+        return rows, spectrum
+
+    def modes(self, lengths: np.ndarray) -> np.ndarray:
+        lengths = np.asarray(lengths)
+        self._check_aligned(lengths.shape[0])
         codes = np.zeros(lengths.shape, dtype=np.uint8)
         mask = self.prefetchable
-        drowsy_ok = lengths > self.points.active_drowsy
-        codes[mask & drowsy_ok] = DROWSY
+        codes[mask & (lengths > self.points.active_drowsy)] = DROWSY
         codes[mask & (lengths > self.points.drowsy_sleep)] = SLEEP
-        if self.power_first:
-            codes[~mask & drowsy_ok] = DROWSY
+        codes[~mask & (lengths > self.np_threshold)] = DROWSY
         return codes
 
-    def wakeup_stall_cycles(self, lengths: np.ndarray) -> int:
+    def wakeup_stall_cycles(
+        self, lengths: np.ndarray, counts: np.ndarray | None = None
+    ) -> int:
         """Estimated stall cycles from unhidden drowsy wake-ups.
 
         Prefetchable intervals exit their mode behind a prefetch (no
         stall); non-prefetchable drowsy intervals each pay the ``d3``
-        ramp on their closing access.  Prefetch-A never stalls.
+        ramp on their closing access.  Prefetch-A never stalls.  With
+        ``counts``, entry ``i`` stands for ``counts[i]`` intervals.
         """
-        if not self.power_first:
-            return 0
         lengths = np.asarray(lengths)
-        unhidden = (~self.prefetchable) & (lengths > self.points.active_drowsy)
-        return int(unhidden.sum()) * self.model.durations.d3
+        unhidden = (~self.prefetchable) & (lengths > self.np_threshold)
+        stalled = unhidden.sum() if counts is None else counts[unhidden].sum()
+        return int(stalled) * self.model.durations.d3
+
+    def price(
+        self, intervals: IntervalSet, dead_aware: bool = False
+    ) -> Tuple[SavingsReport, int]:
+        """Savings and wake-up stall cycles over the mask's population."""
+        savings = evaluate_policy(self, intervals, dead_aware=dead_aware)
+        rows, spectrum = self.on_spectrum(intervals)
+        return savings, rows.wakeup_stall_cycles(spectrum.lengths, spectrum.counts)
 
 
 @dataclass(frozen=True)
@@ -115,10 +143,10 @@ def evaluate_prefetch_scheme(
 ) -> PrefetchSchemeReport:
     """Price Prefetch-A (``power_first=False``) or Prefetch-B over a run."""
     policy = PrefetchGuidedPolicy(model, annotated.prefetchable, power_first)
-    savings = evaluate_policy(policy, annotated.intervals, dead_aware=dead_aware)
+    savings, stalls = policy.price(annotated.intervals, dead_aware=dead_aware)
     return PrefetchSchemeReport(
         savings=savings,
-        wakeup_stall_cycles=policy.wakeup_stall_cycles(annotated.intervals.lengths),
+        wakeup_stall_cycles=stalls,
         total_cycles=annotated.intervals.total_cycles,
     )
 
@@ -215,26 +243,6 @@ class PrefetchTradeoff(PrefetchGuidedPolicy):
         if name is None:
             self.name = f"Prefetch-T({np_threshold:g})"
 
-    def modes(self, lengths: np.ndarray) -> np.ndarray:
-        lengths = np.asarray(lengths)
-        if lengths.shape != self.prefetchable.shape:
-            raise PolicyError(
-                f"policy {self.name!r} was built for "
-                f"{self.prefetchable.shape[0]} intervals but asked about "
-                f"{lengths.shape[0]}"
-            )
-        codes = np.zeros(lengths.shape, dtype=np.uint8)
-        mask = self.prefetchable
-        codes[mask & (lengths > self.points.active_drowsy)] = DROWSY
-        codes[mask & (lengths > self.points.drowsy_sleep)] = SLEEP
-        codes[~mask & (lengths > self.np_threshold)] = DROWSY
-        return codes
-
-    def wakeup_stall_cycles(self, lengths: np.ndarray) -> int:
-        lengths = np.asarray(lengths)
-        unhidden = (~self.prefetchable) & (lengths > self.np_threshold)
-        return int(unhidden.sum()) * self.model.durations.d3
-
 
 @dataclass(frozen=True)
 class TradeoffPoint:
@@ -257,12 +265,10 @@ def prefetch_tradeoff_curve(
     power/performance frontier the paper's §5.2 sketches.
     """
     points = []
-    lengths = annotated.intervals.lengths
     total = annotated.intervals.total_cycles
     for threshold in thresholds:
         policy = PrefetchTradeoff(model, annotated.prefetchable, threshold)
-        report = evaluate_policy(policy, annotated.intervals)
-        stalls = policy.wakeup_stall_cycles(lengths)
+        report, stalls = policy.price(annotated.intervals)
         points.append(
             TradeoffPoint(
                 np_threshold=float(threshold),

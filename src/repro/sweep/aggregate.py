@@ -27,15 +27,15 @@ from typing import Dict, List
 import numpy as np
 
 from ..core.energy import ModeEnergyModel
-from ..core.stacked import stacked_trio_savings
+from ..core.policy import TRIO_SCHEMES
+from ..core.savings import trio_savings
 from ..experiments.reporting import Table, fmt_pct
 from ..power.technology import paper_nodes
 from .grid import pipeline_label, suite_contexts, suite_for
 from .spec import SweepSpec
 
-#: Scheme order of every table and CSV row (matches
-#: :data:`repro.core.stacked.TRIO_SCHEMES`).
-SCHEMES = ("OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid")
+#: Scheme order of every table and CSV row.
+SCHEMES = TRIO_SCHEMES
 
 #: Pseudo-benchmark row carrying the suite mean.
 AVERAGE = "average"
@@ -79,13 +79,11 @@ def collect(spec: SweepSpec, engine=None) -> SweepResults:
         label = pipeline_label(pipeline)
         for cache in ("icache", "dcache"):
             populations = suite.intervals_by_benchmark(cache)
-            # One stacked pass per benchmark covers every node at once;
+            # One grid per benchmark covers every node on one spectrum;
             # cells still come out in the original deterministic order.
             models = [ModeEnergyModel(nodes[nm]) for nm in spec.nodes]
             grids = {
-                name: stacked_trio_savings(
-                    models, populations[name].intervals
-                )
+                name: trio_savings(models, populations[name].intervals)
                 for name in spec.benchmarks
             }
             for column, feature_nm in enumerate(spec.nodes):

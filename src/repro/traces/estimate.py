@@ -15,7 +15,7 @@ so one clustering pass buys estimates for every downstream analysis:
    supervision, and coalescing like any other job.  The window reader
    seeks past non-overlapping chunks, so each job touches O(window)
    disk bytes.
-3. **Reconstruct** — per-window leakage savings (the paper's stacked
+3. **Reconstruct** — per-window leakage savings (the paper's
    OPT-Drowsy / OPT-Sleep / OPT-Hybrid trio, per technology node) are
    combined as a weight-averaged estimate of the whole-trace savings.
 
@@ -36,7 +36,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.energy import ModeEnergyModel
-from ..core.stacked import TRIO_SCHEMES, stacked_trio_savings
+from ..core.policy import TRIO_SCHEMES
+from ..core.savings import trio_savings
 from ..cpu.pipeline import PipelineConfig
 from ..engine import ExecutionEngine, SimulationJob
 from ..errors import ConfigurationError, TraceError
@@ -245,7 +246,7 @@ def _models_for(nodes: Sequence[int]) -> List[ModeEnergyModel]:
 
 def _trio_grid(annotated, models: Sequence[ModeEnergyModel]) -> Dict[str, np.ndarray]:
     return {
-        cache: stacked_trio_savings(
+        cache: trio_savings(
             models, annotated.annotated_for(cache).as_normal().intervals
         )
         for cache in CACHES
@@ -268,7 +269,7 @@ def estimate_savings(
 ) -> SavingsEstimate:
     """Weight-averaged whole-trace savings from the plan's windows.
 
-    Each representative window is one engine job; the per-window stacked
+    Each representative window is one engine job; the per-window
     savings grids are combined with the plan's cluster weights — the
     SimPoint estimator applied cell-wise to the savings metric.
     """

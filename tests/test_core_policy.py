@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.inflection import InflectionPoints
 from repro.core.intervals import IntervalKind
 from repro.core.modes import Mode
 from repro.core.policy import (
@@ -111,6 +112,22 @@ class TestOptHybrid:
     def test_threshold_below_inflection_rejected(self, model70):
         with pytest.raises(PolicyError):
             OptHybrid(model70, sleep_threshold=500)
+
+    def test_infeasible_drowsy_sleep_point_rejected(self, model70, monkeypatch):
+        # solve_sleep_drowsy_point already refuses such nodes; the policy
+        # re-checks so a sleep region below the transition time can never
+        # be priced, whatever supplied the inflection points.
+        import repro.core.policy as policy_module
+
+        below = model70.sleep_min_length - 1
+        monkeypatch.setattr(
+            policy_module,
+            "inflection_points",
+            lambda model: InflectionPoints(active_drowsy=6, drowsy_sleep=below),
+        )
+        with pytest.raises(PolicyError, match="sleep transition time"):
+            OptHybrid(model70)
+        OptHybrid(model70, sleep_threshold=model70.sleep_min_length)
 
     def test_hybrid_energy_never_above_components(self, model70, rng):
         lengths = rng.integers(1, 10**6, size=2000)

@@ -15,14 +15,8 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.cache.kernel import BatchedCacheKernel, kernel_supported
-from repro.core.energy import ModeEnergyModel
-from repro.core.intervals import IntervalSet
-from repro.core.policy import OptDrowsy, OptHybrid, OptSleep
-from repro.core.savings import evaluate_policy
-from repro.core.stacked import TRIO_SCHEMES, stacked_trio_savings
 from repro.cpu.simulator import simulate_trace
 from repro.errors import SimulationError
-from repro.power.technology import paper_nodes
 from repro.prefetch.analysis import AnnotatingSimulator, _CacheAnnotator
 from repro.workloads import make_benchmark
 
@@ -220,26 +214,3 @@ class TestKernelSupport:
         hierarchy = MemoryHierarchy(HierarchyConfig.paper())
         hierarchy.fetch_instruction(0, 0)
         assert not kernel_supported(hierarchy)
-
-
-class TestStackedEvaluation:
-    def test_stacked_matches_per_node_loop_exactly(self, rng):
-        lengths = rng.integers(1, 300_000, size=20_000).astype(np.int64)
-        intervals = IntervalSet(lengths)
-        nodes = paper_nodes()
-        models = [ModeEnergyModel(node) for node in nodes.values()]
-        stacked = stacked_trio_savings(models, intervals)
-        assert stacked.shape == (3, len(models))
-        for column, model in enumerate(models):
-            reference = (
-                evaluate_policy(OptDrowsy(model, name="OPT-Drowsy"), intervals),
-                evaluate_policy(OptSleep(model, name="OPT-Sleep"), intervals),
-                evaluate_policy(OptHybrid(model), intervals),
-            )
-            for row, report in enumerate(reference):
-                # Exact float equality, not approx: same elementwise ops,
-                # same contiguous pairwise reductions.
-                assert float(stacked[row, column]) == report.saving_fraction, (
-                    TRIO_SCHEMES[row],
-                    model.node.name,
-                )

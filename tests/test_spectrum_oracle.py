@@ -1,0 +1,192 @@
+"""Spectrum pricing against the per-interval scalar oracle.
+
+``evaluate_policy`` prices each distinct (length, class) row of a
+population's :class:`~repro.core.intervals.LengthSpectrum` once and
+weights it by its count.  The oracle here prices every interval on its
+own — ``policy.energies(lengths, kinds, dead_aware)`` summed over the
+whole population, exactly as the Figure 5 loop is written — and the two
+must agree: interval counts and cycles per mode exactly, energies and
+saving fractions within a relative 1e-12.
+"""
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.energy import ModeEnergyModel
+from repro.core.intervals import IntervalSet, LengthSpectrum
+from repro.core.policy import (
+    CODE_MODES,
+    TRIO_SCHEMES,
+    DecaySleep,
+    OptDrowsy,
+    OptHybrid,
+    OptSleep,
+    trio_policies,
+)
+from repro.core.savings import evaluate_policy, trio_savings
+from repro.errors import PolicyError
+from repro.power.technology import paper_nodes
+from repro.prefetch.schemes import PrefetchGuidedPolicy, PrefetchTradeoff
+
+MODELS = {nm: ModeEnergyModel(node) for nm, node in paper_nodes().items()}
+REL = 1e-12
+
+
+def oracle(policy, intervals, dead_aware):
+    """Per-interval Figure 5 accumulation: (per-mode stats, saving)."""
+    lengths, kinds = intervals.lengths, intervals.kinds
+    energies = policy.energies(lengths, kinds, dead_aware=dead_aware)
+    codes = policy.modes(lengths)
+    stats = {}
+    for code, mode in CODE_MODES.items():
+        mask = codes == code
+        if np.any(mask):
+            stats[mode] = (
+                int(mask.sum()),
+                int(lengths[mask].sum()),
+                float(energies[mask].sum()),
+            )
+    baseline = float(policy.model.active_energy_array(lengths).sum())
+    total = float(energies.sum()) + policy.overhead_power_fraction * float(
+        lengths.sum()
+    )
+    return stats, 1.0 - total / baseline
+
+
+def assert_matches_oracle(policy, intervals, dead_aware):
+    report = evaluate_policy(policy, intervals, dead_aware=dead_aware)
+    stats, saving = oracle(policy, intervals, dead_aware)
+    assert set(report.breakdown) == set(stats)
+    for mode, (count, cycles, energy) in stats.items():
+        entry = report.breakdown[mode]
+        assert entry.interval_count == count
+        assert entry.cycles == cycles
+        assert entry.energy == pytest.approx(energy, rel=REL)
+    assert report.saving_fraction == pytest.approx(saving, rel=REL, abs=REL)
+
+
+# Lengths come from a small pool so populations repeat lengths, as real
+# ones do (0.5 M intervals over ~10 k distinct lengths).
+length_pool = st.lists(
+    st.integers(1, 400_000), min_size=1, max_size=12, unique=True
+)
+
+
+@st.composite
+def populations(draw):
+    pool = draw(length_pool)
+    n = draw(st.integers(1, 120))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return IntervalSet(picks, kinds), np.array(flags, dtype=bool)
+
+
+models = st.sampled_from(sorted(MODELS)).map(MODELS.get)
+
+
+@st.composite
+def policies(draw, prefetchable):
+    model = draw(models)
+    b = OptHybrid(model).sleep_threshold
+    choice = draw(st.integers(0, 6))
+    if choice == 0:
+        return OptDrowsy(model)
+    if choice == 1:
+        threshold = draw(
+            st.none() | st.floats(model.sleep_min_length, 200_000.0)
+        )
+        return OptSleep(model, threshold)
+    if choice == 2:
+        return DecaySleep(
+            model,
+            decay_interval=draw(st.floats(1.0, 50_000.0)),
+            counter_overhead=draw(st.floats(0.0, 0.05)),
+        )
+    if choice == 3:
+        return OptHybrid(model, draw(st.floats(b, 10 * b)))
+    if choice in (4, 5):
+        return PrefetchGuidedPolicy(model, prefetchable, power_first=choice == 5)
+    threshold = draw(
+        st.sampled_from([math.inf, float(model.drowsy_min_length)])
+        | st.floats(model.drowsy_min_length, 300_000.0)
+    )
+    return PrefetchTradeoff(model, prefetchable, threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dead_aware=st.booleans())
+def test_spectrum_pricing_matches_scalar_oracle(data, dead_aware):
+    intervals, prefetchable = data.draw(populations())
+    policy = data.draw(policies(prefetchable))
+    assert_matches_oracle(policy, intervals, dead_aware)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stalls_match_per_interval_count(data):
+    intervals, prefetchable = data.draw(populations())
+    policy = data.draw(policies(prefetchable))
+    if not isinstance(policy, PrefetchGuidedPolicy):
+        return
+    rows, spectrum = policy.on_spectrum(intervals)
+    assert rows.wakeup_stall_cycles(
+        spectrum.lengths, spectrum.counts
+    ) == policy.wakeup_stall_cycles(intervals.lengths)
+
+
+class TestTrioSavings:
+    def test_grid_matches_oracle_on_every_node(self, rng):
+        lengths = rng.integers(1, 300_000, size=20_000).astype(np.int64)
+        intervals = IntervalSet(lengths)
+        models = list(MODELS.values())
+        grid = trio_savings(models, intervals)
+        assert grid.shape == (len(TRIO_SCHEMES), len(models))
+        for column, model in enumerate(models):
+            for row, policy in enumerate(trio_policies(model)):
+                _, saving = oracle(policy, intervals, dead_aware=False)
+                assert grid[row, column] == pytest.approx(saving, rel=REL, abs=REL)
+
+
+class TestLengthSpectrum:
+    def test_rows_are_distinct_classes_with_counts(self):
+        intervals = IntervalSet([5, 9, 5, 5, 9], kinds=[0, 0, 1, 0, 0])
+        spectrum = intervals.spectrum(np.array([1, 0, 0, 1, 0], dtype=bool))
+        assert spectrum.lengths.tolist() == [5, 5, 9]
+        assert spectrum.kinds.tolist() == [0, 1, 0]
+        assert spectrum.prefetchable.tolist() == [True, False, False]
+        assert spectrum.counts.tolist() == [2, 1, 2]
+        assert int(spectrum.cycles.sum()) == intervals.total_cycles
+
+    def test_built_once_per_population_and_mask(self):
+        intervals = IntervalSet([3, 3, 7])
+        assert intervals.spectrum() is intervals.spectrum()
+        mask = np.array([True, False, False])
+        flagged = intervals.spectrum(mask)
+        assert intervals.spectrum(mask.copy()) is flagged
+        assert intervals.spectrum(~mask) is not flagged
+
+    def test_not_pickled_with_the_population(self):
+        intervals = IntervalSet([3, 3, 7])
+        intervals.spectrum()
+        intervals.spectrum(np.array([True, False, True]))
+        restored = pickle.loads(pickle.dumps(intervals))
+        assert restored == intervals
+        assert set(vars(restored)) == {"lengths", "kinds"}
+        assert pickle.dumps(restored) == pickle.dumps(IntervalSet([3, 3, 7]))
+
+    def test_misaligned_prefetch_policy_raises(self, model70):
+        policy = PrefetchGuidedPolicy(model70, np.array([True]), power_first=True)
+        with pytest.raises(PolicyError):
+            evaluate_policy(policy, IntervalSet([10, 20]))
+
+    def test_empty_spectrum(self):
+        spectrum = LengthSpectrum.of(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+        )
+        assert spectrum.counts.size == 0
