@@ -1,24 +1,27 @@
-"""Benches: remote-dispatch overhead over the loopback exec transport.
+"""Benches: framed-worker dispatch overhead over local exec hosts.
 
-Not paper artifacts — these price what the remote backend adds on top
-of the computation itself: connect + ready handshake, frame round-trips
-per job, and the digest trace-fetch path.  All measured against local
-loopback workers (real subprocesses speaking the real remote protocol),
-so the numbers isolate protocol cost from network cost.
+Not paper artifacts — these price what the framed-worker backend adds
+on top of the computation itself: connect + ready handshake, frame
+round-trips per job, and the digest trace-fetch path.  All measured
+against local ``exec`` hosts (real subprocesses speaking the real
+worker protocol), so the numbers isolate protocol cost from network
+cost.  On a host with two or fewer CPUs the two-host benches are
+overhead-only (``extra_info``): two workers cannot beat one process.
 """
 
 import os
 
 import pytest
 
+from conftest import label_overhead_only
 from repro.engine import (
     ExecutionEngine,
     NullStore,
-    RemoteBackend,
     RetryPolicy,
     SimulationJob,
-    parse_hosts,
+    WorkerBackend,
     default_retry_policy,
+    parse_hosts,
 )
 
 #: Small enough that dispatch overhead dominates the measurement.
@@ -56,12 +59,13 @@ def test_remote_dispatch_overhead(benchmark):
     """Wall cost of a two-job run over loopback exec hosts.
 
     Includes worker spawn, ready handshake, job/result frames and
-    teardown — the per-dispatch price of the remote rung.
+    teardown — the per-dispatch price of the worker rung.
     """
     jobs = [
         SimulationJob("gzip", scale=DISPATCH_SCALE),
         SimulationJob("ammp", scale=DISPATCH_SCALE),
     ]
+    label_overhead_only(benchmark)
     benchmark.pedantic(run_remote, args=(jobs,), rounds=3, iterations=1)
 
 
@@ -75,13 +79,12 @@ def test_serial_baseline_for_dispatch(benchmark):
 
 
 def test_remote_connect_handshake(benchmark):
-    """Connect + ready-frame latency for one loopback exec host."""
-    backend = RemoteBackend(parse_hosts("exec:bench"))
+    """Connect + ready-frame latency for one local exec host."""
+    backend = WorkerBackend("remote", parse_hosts("exec:bench"))
 
     def handshake():
         report = backend.run(
             [SimulationJob("gzip", scale=DISPATCH_SCALE)],
-            {},
             default_retry_policy(),
         )
         assert len(report.completed) == 1

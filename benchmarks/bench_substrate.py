@@ -26,6 +26,8 @@ from repro.simpoint.bbv import profile_trace
 from repro.traces.format import TraceRecording, record_benchmark
 from repro.workloads import make_gzip
 
+from conftest import label_overhead_only
+
 
 def test_simulator_throughput(benchmark):
     """Instructions per second through the trace-driven simulator."""
@@ -51,12 +53,19 @@ def test_annotating_simulator_throughput(benchmark):
 
 
 def test_engine_parallel_throughput(benchmark):
-    """Suite fan-out through the execution engine (uncached, 2 workers)."""
+    """Suite fan-out through the execution engine (uncached, 2 workers).
+
+    Overhead-only on a host with two or fewer CPUs (``extra_info``).
+    """
     jobs = [SimulationJob(name, scale=0.05) for name in ("gzip", "ammp")]
 
     def run():
-        return ExecutionEngine(jobs=2, store=NullStore()).run(jobs)
+        engine = ExecutionEngine(jobs=2, store=NullStore())
+        outcomes = engine.run(jobs)
+        assert all(o.source == "parallel" for o in outcomes.values())
+        return outcomes
 
+    label_overhead_only(benchmark)
     outcomes = benchmark.pedantic(run, rounds=2, iterations=1)
     assert all(o.annotated.result.instructions > 50_000 for o in outcomes.values())
 

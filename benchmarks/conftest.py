@@ -39,6 +39,17 @@ def warm_suite(suite):
     return suite
 
 
+def label_overhead_only(benchmark) -> None:
+    """Mark a worker-fan-out bench as overhead-only on a small host.
+
+    With two or fewer CPUs, two workers cannot run two simulations
+    faster than one process runs them back to back: such a bench then
+    prices worker start-up and dispatch, not a parallel speed-up.
+    """
+    benchmark.extra_info["overhead_only"] = (os.cpu_count() or 1) <= 2
+    benchmark.extra_info["cpus"] = os.cpu_count()
+
+
 def report(result) -> None:
     """Print an experiment's tables (the paper's rows/series)."""
     print()

@@ -20,12 +20,12 @@ The historical flat forms keep working — a bare experiment name implies
     repro-leakage all --resume nightly      # continue after a crash
 
 Simulations go through the execution engine: benchmark jobs fan out over
-worker processes (``--jobs`` / ``REPRO_JOBS``) on a supervised backend
-(``--backend`` / ``REPRO_BACKEND``: ``remote`` workers on peer hosts
-(``--hosts`` / ``REPRO_HOSTS``, connect/result deadlines via
-``REPRO_REMOTE_CONNECT_TIMEOUT`` / ``REPRO_REMOTE_DEADLINE``) degrade to
-the local ``pool``, which degrades to ``subprocess`` workers and then
-``serial``, so a run always completes), failed or
+framed worker processes (``--jobs`` / ``REPRO_JOBS``) selected by
+``--backend`` / ``REPRO_BACKEND`` — local workers (``pool`` when more
+than one worker and one job, ``subprocess`` always) or ``remote`` workers
+on peer hosts (``--hosts`` / ``REPRO_HOSTS``, connect deadline via
+``REPRO_REMOTE_CONNECT_TIMEOUT``) — and whatever the workers cannot
+finish runs in-process (``serial``), so a run always completes; failed or
 timed-out jobs are retried per job with deterministic backoff
 (``REPRO_RETRIES`` / ``REPRO_RETRY_DELAY``), every fresh result passes
 an invariant-validation gate before caching, results are cached on disk
@@ -209,9 +209,12 @@ def _add_run_parser(commands) -> None:
         "--backend",
         choices=BACKEND_NAMES,
         default=None,
-        help="primary execution backend (default: REPRO_BACKEND or 'pool'); "
-        "remote degrades to pool, pool to subprocess workers and then "
-        "serial, so a run always completes",
+        help="execution backend (default: REPRO_BACKEND or 'pool'): pool "
+        "runs --jobs local workers when --jobs > 1 and more than one job "
+        "is pending, else in-process; subprocess always ships jobs to "
+        "--jobs local workers; remote uses --hosts; serial runs every job "
+        "in-process.  Jobs workers cannot finish run in-process, so a run "
+        "always completes",
     )
     run.add_argument(
         "--hosts",
@@ -379,8 +382,8 @@ def _add_sweep_parser(commands) -> None:
     )
     run.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
-        help="primary execution backend for this shard "
-        "(default: REPRO_BACKEND or 'pool')",
+        help="execution backend for this shard "
+        "(default: REPRO_BACKEND or 'pool'; see 'run --help')",
     )
     run.add_argument(
         "--hosts", default=None, metavar="HOSTS",
@@ -412,7 +415,8 @@ def _add_sweep_parser(commands) -> None:
     )
     merge.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
-        help="primary execution backend for any remaining simulations",
+        help="execution backend for any remaining simulations "
+        "(see 'run --help')",
     )
     merge.add_argument(
         "--hosts", default=None, metavar="HOSTS",
@@ -595,7 +599,8 @@ def _add_serve_parser(commands) -> None:
     )
     serve.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
-        help="primary execution backend (default: REPRO_BACKEND or 'pool')",
+        help="execution backend (default: REPRO_BACKEND or 'pool'; see "
+        "'run --help')",
     )
     serve.add_argument(
         "--max-queue", type=int, default=256, metavar="N",

@@ -1,17 +1,15 @@
-"""Execution engine: supervised, multi-backend, cache-aware simulation.
+"""Execution engine: cache-aware simulation on framed workers.
 
 The substrate under every experiment.  Jobs (:mod:`~repro.engine.jobs`)
 name deterministic simulation points; :class:`ExecutionEngine`
 (:mod:`~repro.engine.parallel`) resolves them through a content-addressed
-on-disk cache (:mod:`~repro.engine.store`) and a supervised backend
-chain (:mod:`~repro.engine.backends`,
-:mod:`~repro.engine.supervise`): optionally remote hosts over SSH or a
-loopback exec transport (:mod:`~repro.engine.remote`), then the
-worker-process pool, then heartbeat-watched subprocess workers, then
-in-process serial execution,
-with per-job retry (:mod:`~repro.engine.retry`), per-backend circuit
-breakers, an invariant-validation gate on every fresh result
-(:mod:`~repro.engine.validate`), crash-safe run checkpoints
+on-disk cache (:mod:`~repro.engine.store`), then the framed-worker
+backend (:mod:`~repro.engine.backends`: local ``exec`` hosts, or peers
+over SSH, each running :mod:`~repro.engine.worker`), then in-process
+serial execution — with per-job retry (:mod:`~repro.engine.retry`),
+per-host circuit breakers and flap counters
+(:mod:`~repro.engine.supervise`), an invariant-validation gate on every
+fresh result (:mod:`~repro.engine.validate`), crash-safe run checkpoints
 (:mod:`~repro.engine.checkpoint`), and run telemetry
 (:mod:`~repro.engine.telemetry`).  A deterministic fault-injection
 harness (:mod:`~repro.engine.faults`, off unless ``REPRO_FAULTS`` is
@@ -31,13 +29,21 @@ from .backends import (
     BACKEND_NAMES,
     ENV_BACKEND,
     ENV_HEARTBEAT,
+    ENV_HOSTS,
+    ENV_JOB_TIMEOUT,
+    ENV_REMOTE_CONNECT_TIMEOUT,
     ENV_WATCHDOG,
-    PoolBackend,
-    SubprocessBackend,
+    HostSpec,
+    PoolReport,
     WorkerBackend,
-    build_chain,
+    build_backend,
+    default_connect_timeout,
     default_heartbeat_interval,
+    default_job_timeout,
     default_watchdog,
+    ladder,
+    merge_worker_sections,
+    parse_hosts,
     resolve_backend_name,
 )
 from .checkpoint import (
@@ -66,10 +72,8 @@ from .jobs import (
     SOURCE_FALLBACK,
     SOURCE_PARALLEL,
     SOURCE_REMOTE,
-    SOURCE_REMOTE_FALLBACK,
     SOURCE_SERIAL,
     SOURCE_SUBPROCESS,
-    SOURCE_SUBPROCESS_FALLBACK,
     JobOutcome,
     SimulationJob,
     execute_job,
@@ -80,28 +84,11 @@ from .parallel import (
     ExecutionEngine,
     resolve_worker_count,
 )
-from .remote import (
-    ENV_HOSTS,
-    ENV_REMOTE_CONNECT_TIMEOUT,
-    ENV_REMOTE_DEADLINE,
-    ENV_REMOTE_FETCH,
-    HostSpec,
-    RemoteBackend,
-    default_connect_timeout,
-    default_remote_deadline,
-    parse_hosts,
-)
 from .retry import (
     ENV_RETRIES,
     ENV_RETRY_DELAY,
     RetryPolicy,
     default_retry_policy,
-)
-from .robustness import (
-    ENV_JOB_TIMEOUT,
-    PoolReport,
-    attempt_parallel,
-    default_job_timeout,
 )
 from .store import (
     DEFAULT_CACHE_DIR,
@@ -113,17 +100,14 @@ from .store import (
     resolve_cache_limit,
 )
 from .supervise import (
-    ENV_BREAKER_COOLDOWN,
     ENV_BREAKER_THRESHOLD,
     CircuitBreaker,
     FlapCounter,
-    Supervisor,
-    default_breaker_cooldown,
     default_breaker_threshold,
-    merge_breaker_snapshots,
 )
 from .telemetry import MANIFEST_VERSION, JobRecord, RunTelemetry, Stopwatch
 from .validate import InvalidResultError, check_result
+from .worker import ENV_REMOTE_FETCH
 
 __all__ = [
     "BACKEND_NAMES",
@@ -131,7 +115,6 @@ __all__ = [
     "CircuitBreaker",
     "DEFAULT_CACHE_DIR",
     "ENV_BACKEND",
-    "ENV_BREAKER_COOLDOWN",
     "ENV_BREAKER_THRESHOLD",
     "ENV_CACHE_DIR",
     "ENV_CACHE_MAX_MB",
@@ -141,7 +124,6 @@ __all__ = [
     "ENV_JOBS",
     "ENV_JOB_TIMEOUT",
     "ENV_REMOTE_CONNECT_TIMEOUT",
-    "ENV_REMOTE_DEADLINE",
     "ENV_REMOTE_FETCH",
     "ENV_RETRIES",
     "ENV_RETRY_DELAY",
@@ -159,9 +141,7 @@ __all__ = [
     "JobRecord",
     "MANIFEST_VERSION",
     "NullStore",
-    "PoolBackend",
     "PoolReport",
-    "RemoteBackend",
     "ResultStore",
     "RUNS_SUBDIR",
     "RunJournal",
@@ -172,34 +152,28 @@ __all__ = [
     "SOURCE_FALLBACK",
     "SOURCE_PARALLEL",
     "SOURCE_REMOTE",
-    "SOURCE_REMOTE_FALLBACK",
     "SOURCE_SERIAL",
     "SOURCE_SUBPROCESS",
-    "SOURCE_SUBPROCESS_FALLBACK",
     "SWEEPS_SUBDIR",
     "SimulationJob",
     "Stopwatch",
-    "SubprocessBackend",
-    "Supervisor",
     "WorkerBackend",
     "active_plan",
     "apply_store_fault",
     "atomic_write_json",
-    "attempt_parallel",
-    "build_chain",
+    "build_backend",
     "check_result",
     "collect_sharing_stats",
-    "default_breaker_cooldown",
     "default_breaker_threshold",
     "default_connect_timeout",
     "default_heartbeat_interval",
     "default_job_timeout",
-    "default_remote_deadline",
     "default_retry_policy",
     "default_watchdog",
     "execute_job",
     "iter_run_manifests",
-    "merge_breaker_snapshots",
+    "ladder",
+    "merge_worker_sections",
     "parse_fault_plan",
     "parse_hosts",
     "resolve_backend_name",

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the execution engine.
 
-Every degradation path in :mod:`~repro.engine.robustness` and
+Every degradation path in :mod:`~repro.engine.backends` and
 :mod:`~repro.engine.store` exists to survive rare events — worker
 deaths, hung jobs, bit rot — that never occur in a normal test run.
 This module makes those events *schedulable*, so each path is exercised
@@ -37,22 +37,21 @@ truncated as if a non-atomic writer crashed mid-write).
 
 Fault kinds and the degradation path each one exercises:
 
-* ``crash``   — the worker process exits hard (``os._exit``), breaking
-  the pool: exercises ``BrokenProcessPool`` handling and the
-  harvest-then-finish-serially path.
-* ``timeout`` — the worker sleeps ``seconds`` before simulating:
-  exercises per-job timeout detection, requeueing, and zombie-slot
-  accounting.
+* ``crash``   — the worker process exits hard (``os._exit``): exercises
+  worker-death detection — the dead worker is respawned and its job
+  requeued.
+* ``timeout`` — the worker sleeps ``seconds`` before simulating (still
+  beating): exercises the per-dispatch deadline (``REPRO_JOB_TIMEOUT``),
+  which kills the worker and retries the job.
 * ``raise``   — the attempt raises :class:`InjectedFault`: exercises
-  per-job retry with backoff (pool and serial paths).
+  per-job retry with backoff (worker and serial paths).
 * ``hang``    — the worker goes silent: its heartbeat stops and it
-  stalls ``seconds`` before continuing.  Exercises the supervisor's
-  heartbeat watchdog (subprocess backend: the worker is killed and the
-  job requeued) and the pool's progress watchdog.
+  stalls ``seconds`` before continuing.  Exercises the heartbeat
+  watchdog, which kills the worker and requeues the job.
 * ``flap``    — the worker process exits hard on *every* matching
-  attempt (unless ``attempt=N`` narrows it): exercises the per-backend
-  circuit breaker, which must eventually stop handing work to a backend
-  whose workers keep dying.
+  attempt (unless ``attempt=N`` narrows it): exercises the per-host
+  circuit breaker and flap counter, which must eventually stop handing
+  work to a host whose workers keep dying.
 * ``garbage`` — the worker completes but returns a mangled result
   (negative cycle counts): exercises the invariant-validation gate,
   which must quarantine the result instead of caching it.
@@ -90,7 +89,7 @@ FLAP_EXIT_CODE = 86
 WORKER_KINDS = ("crash", "timeout", "raise", "hang", "flap")
 RESULT_KINDS = ("garbage",)
 STORE_KINDS = ("corrupt", "partial")
-#: Framing-layer fault classes for the remote backend.  Their target
+#: Framing-layer fault classes for the worker backend.  Their target
 #: token names a *host* (``"*"`` wildcards), not a benchmark:
 #:
 #: * ``conn-refused`` — the matching connect attempt to the host fails;
@@ -99,7 +98,7 @@ STORE_KINDS = ("corrupt", "partial")
 #: * ``stall``        — the host stops delivering frames at the matching
 #:   dispatch ordinal (heartbeats go silent; the watchdog must fire);
 #: * ``garble``       — the frame for the matching dispatch is corrupted
-#:   on the wire, so the remote reader sees undecodable bytes;
+#:   on the wire, so the worker's reader sees undecodable bytes;
 #: * ``partition``    — from the matching dispatch on, the host is
 #:   unreachable for the rest of the run (drops now, refuses forever).
 NETWORK_KINDS = ("conn-refused", "conn-drop", "stall", "garble", "partition")
@@ -140,7 +139,7 @@ class FaultSpec:
     attempt: Optional[int] = 1  #: ``None`` = every attempt (``attempt=*``).
     seconds: Optional[float] = None  #: default: 5 for timeout, 0 for crash.
     times: int = 1
-    host: str = "*"  #: Network kinds: which remote host ("*" = every).
+    host: str = "*"  #: Network kinds: which worker host ("*" = every).
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -186,7 +185,7 @@ class FaultSpec:
         framing-layer ``event`` (``"connect"``/``"dispatch"``) ordinal.
 
         Ordinals are per-host counters (1-based) maintained by the
-        remote backend, so network fault schedules are deterministic in
+        worker backend, so network fault schedules are deterministic in
         dispatch order, never in wall time.
         """
         if self.kind not in NETWORK_KINDS:
@@ -362,7 +361,7 @@ class FaultPlan:
     def matches_hang(self, job, attempt: int) -> bool:
         """Whether a ``hang`` fault fires for this (job, attempt).
 
-        The subprocess worker checks this *before* :meth:`inject_worker`
+        The worker checks this *before* :meth:`inject_worker`
         so it can silence its heartbeat thread first — a truly hung
         worker stops beating, which is exactly what the watchdog detects.
         """
@@ -398,7 +397,7 @@ class FaultPlan:
                 )
 
     # ------------------------------------------------------------------
-    # Network-side injection (remote backend framing layer)
+    # Network-side injection (worker backend framing layer)
     # ------------------------------------------------------------------
     def network_spec(
         self, host: str, event: str, ordinal: int
@@ -407,7 +406,7 @@ class FaultPlan:
 
         ``event`` is ``"connect"`` (connection attempts) or
         ``"dispatch"`` (job sends); ``ordinal`` is the host's 1-based
-        counter for that event.  The remote backend injects the returned
+        counter for that event.  The worker backend injects the returned
         spec at its framing layer and logs it via :meth:`record_network`.
         """
         for spec in self.specs:

@@ -32,15 +32,15 @@ from ..workloads.benchmarks import BENCHMARK_NAMES, make_benchmark
 #: clock's CPI quantization is at the 2**-20 level.
 SCHEMA_VERSION = 2
 
-#: ``JobOutcome.source`` values.
+#: ``JobOutcome.source`` values: a cache hit, a worker completion per
+#: backend (``pool`` → parallel), or the serial rung — planned, or a
+#: fallback after workers engaged.
 SOURCE_CACHED = "cached"
 SOURCE_PARALLEL = "parallel"
 SOURCE_SERIAL = "serial"
 SOURCE_FALLBACK = "serial-fallback"
 SOURCE_SUBPROCESS = "subprocess"
-SOURCE_SUBPROCESS_FALLBACK = "subprocess-fallback"
 SOURCE_REMOTE = "remote"
-SOURCE_REMOTE_FALLBACK = "remote-fallback"
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,13 @@ uses to obtain simulation results.  For every requested job it
 1. consults the on-disk :class:`~repro.engine.store.ResultStore`
    (content-addressed by job parameters — a warm cache run performs zero
    simulations);
-2. hands the misses to a :class:`~repro.engine.supervise.Supervisor`
-   that dispatches them down a backend chain
+2. hands the misses to the framed-worker backend
    (:mod:`~repro.engine.backends`, selected by ``--backend`` /
-   ``REPRO_BACKEND``): the process pool, then heartbeat-supervised
-   subprocess workers, then — always — the in-process serial executor,
-   with per-backend circuit breakers and per-job retry backoff
-   (:mod:`~repro.engine.retry`) deciding how work degrades;
+   ``REPRO_BACKEND``) when it is worth starting, and whatever the
+   workers leave behind — or everything, when they are not — to the
+   in-process serial executor, with per-host fault domains and per-job
+   retry backoff (:mod:`~repro.engine.retry`) deciding how work
+   degrades;
 3. passes every fresh result through the invariant-validation gate
    (:mod:`~repro.engine.validate`) — a result that violates the model's
    own accounting identities is quarantined and recomputed, never
@@ -20,12 +20,12 @@ uses to obtain simulation results.  For every requested job it
 4. writes validated results back to the store, journals them in the run
    checkpoint when one is attached (:mod:`~repro.engine.checkpoint`),
    and records everything — outcomes, retries, injected faults,
-   heartbeat/watchdog events, breaker transitions, quarantines — in a
-   :class:`~repro.engine.telemetry.RunTelemetry`.
+   per-host worker counters, hang events and breaker transitions,
+   quarantines — in a :class:`~repro.engine.telemetry.RunTelemetry`.
 
 Because :func:`~repro.engine.jobs.execute_job` is deterministic, serial,
-parallel, subprocess, retried, resumed, and fault-injected runs all
-produce bit-identical results; the engine only changes *when* and
+worker, retried, resumed, and fault-injected runs all produce
+bit-identical results; the engine only changes *when* and
 *where* simulations run, never what they compute.
 """
 
@@ -39,7 +39,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cache.kernel import resolve_kernel_mode
 from ..errors import EngineError
 from . import transport
-from .backends import build_chain, default_watchdog, resolve_backend_name
+from .backends import (
+    PoolReport,
+    build_backend,
+    default_job_timeout,
+    ladder,
+    merge_worker_sections,
+    parse_hosts,
+    resolve_backend_name,
+)
 from .checkpoint import RunJournal
 from .faults import FaultPlan, active_plan, apply_store_fault
 from .jobs import (
@@ -50,11 +58,8 @@ from .jobs import (
     SimulationJob,
     execute_job,
 )
-from .remote import parse_hosts
 from .retry import RetryPolicy, default_retry_policy
-from .robustness import default_job_timeout
 from .store import ResultStore
-from .supervise import Supervisor, merge_breaker_snapshots
 from .telemetry import RunTelemetry, Stopwatch
 from .validate import InvalidResultError, check_result
 
@@ -91,7 +96,7 @@ def resolve_worker_count(value: Optional[int] = None) -> int:
 
 
 class ExecutionEngine:
-    """Runs simulation jobs through the cache, the pool, and telemetry."""
+    """Runs simulation jobs through the cache, the workers, and telemetry."""
 
     def __init__(
         self,
@@ -116,16 +121,13 @@ class ExecutionEngine:
         self.hosts = (
             parse_hosts(hosts) if self.backend == "remote" else []
         )
-        self.supervisor = Supervisor(
-            build_chain(
-                self.backend,
-                self.max_workers,
-                self.timeout,
-                watchdog=default_watchdog(),
-                hosts=self.hosts,
-            ),
-            self.retry,
+        self.workers = build_backend(
+            self.backend, self.max_workers, self.timeout, hosts=self.hosts
         )
+        #: Descents to the serial rung and rungs that completed work,
+        #: across this engine's runs (the ``workers`` manifest section).
+        self._ladder: List[Dict] = []
+        self._rungs_used: List[str] = []
         self.journal = journal
         self._journaled: set = set()
         if journal is not None and resume:
@@ -141,7 +143,7 @@ class ExecutionEngine:
             {
                 "max_workers": self.max_workers,
                 "backend": self.backend,
-                "backend_chain": self.supervisor.describe_chain() + ["serial"],
+                "backend_chain": ladder(self.backend),
                 "hosts": [spec.describe() for spec in self.hosts],
                 "cache_dir": self.store.describe(),
                 "timeout_seconds": self.timeout,
@@ -178,7 +180,7 @@ class ExecutionEngine:
     def run(
         self, jobs: Sequence[SimulationJob]
     ) -> Dict[SimulationJob, JobOutcome]:
-        """Obtain every job's result; cache first, then parallel, then serial.
+        """Obtain every job's result; cache first, then workers, then serial.
 
         Results are keyed by job and independent of execution order, so
         callers see identical outputs whatever path produced them —
@@ -265,67 +267,47 @@ class ExecutionEngine:
             self.telemetry.emit(
                 "job-started", job=job.describe(), key=job.key()
             )
-        # Publish recorded traces into zero-copy arenas for the worker
-        # backends; the parent owns the segments and unlinks them when
-        # the dispatch completes, however workers fared.
-        published: List[str] = []
-        if self.supervisor.chain:
-            published = transport.publish_for_jobs(pending, self.transport)
-            for path in published:
-                self.telemetry.emit(
-                    "trace-published", path=path, transport=self.transport
-                )
-            if published:
-                self._traces_published += len(published)
-                self.telemetry.record_substrate(
-                    {"traces_published": self._traces_published}
-                )
-        try:
-            dispatch = self.supervisor.dispatch(pending)
-        finally:
-            transport.release_paths(published)
-        for note in dispatch.notes:
-            self.telemetry.note(note)
-        for entry in dispatch.retries:
-            self.telemetry.record_retry(entry)
-        for entry in dispatch.heartbeats:
-            self.telemetry.record_heartbeat(entry)
-
+        engaged = self.workers is not None and self.workers.worth_starting(
+            len(pending)
+        )
+        report = (
+            self._dispatch(pending)
+            if engaged
+            else PoolReport(leftovers=list(pending))
+        )
         # Serial work: (job, attempts already consumed, outcome source).
-        base_source = SOURCE_FALLBACK if dispatch.engaged else SOURCE_SERIAL
+        base_source = SOURCE_FALLBACK if engaged else SOURCE_SERIAL
         serial_work: List[Tuple[SimulationJob, int, str]] = [
-            (job, start, base_source) for job, start in dispatch.leftovers
+            (job, report.attempts.get(job, 0), base_source)
+            for job in report.leftovers
         ]
-        for job, completion in dispatch.completed.items():
-            violations = check_result(completion.annotated)
+        for job, (annotated, wall) in report.completed.items():
+            attempts = report.attempts.get(job, 1)
+            violations = check_result(annotated)
             if violations:
                 # Never cache an invalid result: quarantine it and give
                 # the job to the serial path, where the gate re-checks.
                 self.telemetry.record_quarantine(
-                    job, violations, where=completion.source
+                    job, violations, where=self.workers.source
                 )
                 self.telemetry.note(
                     f"job {job.describe()} result failed the validation "
                     f"gate ({violations[0]}); quarantined, re-running "
                     "serially"
                 )
-                serial_work.append((job, completion.attempts, SOURCE_FALLBACK))
+                serial_work.append((job, attempts, SOURCE_FALLBACK))
                 continue
             outcomes[job] = JobOutcome(
-                job,
-                completion.annotated,
-                completion.source,
-                completion.wall_seconds,
-                attempts=completion.attempts,
+                job, annotated, self.workers.source, wall, attempts=attempts
             )
             self.telemetry.emit(
                 "job-validated",
                 job=job.describe(),
                 key=job.key(),
-                source=completion.source,
-                attempts=completion.attempts,
+                source=self.workers.source,
+                attempts=attempts,
             )
-            self._commit(job, completion.annotated)
+            self._commit(job, annotated)
 
         try:
             for job, start, source in serial_work:
@@ -344,20 +326,68 @@ class ExecutionEngine:
                 )
                 self._commit(job, annotated)
         finally:
-            self.telemetry.record_breakers(self.supervisor.snapshot())
-            if dispatch.hosts or dispatch.descents or dispatch.rungs_used:
-                self.telemetry.record_fault_domains(
-                    {
-                        "hosts": dispatch.hosts,
-                        "ladder": dispatch.descents,
-                        "rungs_used": dispatch.rungs_used,
-                        "final_rung": (
-                            dispatch.rungs_used[-1]
-                            if dispatch.rungs_used
-                            else None
-                        ),
-                    }
-                )
+            if engaged:
+                if report.leftovers:
+                    self._ladder.append(
+                        {
+                            "from": self.backend,
+                            "to": "serial",
+                            "jobs": len(report.leftovers),
+                            "reason": (
+                                report.infra_failures[-1]
+                                if report.infra_failures
+                                else "jobs left unfinished"
+                            ),
+                        }
+                    )
+                if report.completed:
+                    self._rungs_used.append(self.backend)
+                if serial_work:
+                    self._rungs_used.append("serial")
+                self.telemetry.record_workers(self.workers_section())
+
+    def _dispatch(self, pending: List[SimulationJob]) -> PoolReport:
+        """Run pending jobs on the workers, with traces published for them."""
+        # Publish recorded traces into zero-copy arenas for the workers;
+        # the parent owns the segments and unlinks them when the dispatch
+        # settles, however the workers fared.
+        published = transport.publish_for_jobs(pending, self.transport)
+        for path in published:
+            self.telemetry.emit(
+                "trace-published", path=path, transport=self.transport
+            )
+        if published:
+            self._traces_published += len(published)
+            self.telemetry.record_substrate(
+                {"traces_published": self._traces_published}
+            )
+        try:
+            report = self.workers.run(pending, self.retry)
+        finally:
+            transport.release_paths(published)
+        for note in report.notes:
+            self.telemetry.note(note)
+        for entry in report.retries:
+            self.telemetry.record_retry(entry)
+        return report
+
+    def workers_section(self) -> Dict:
+        """The manifest's ``workers`` section; empty until workers engaged.
+
+        Per-host counters, hang events and breaker history (cumulative
+        over this engine's runs), the descents to the serial rung, the
+        rungs that completed work and the final rung.
+        """
+        if not self._rungs_used:
+            return {}
+        return {
+            "hosts": self.workers.snapshot(),
+            "ladder": [dict(d) for d in self._ladder],
+            "rungs_used": list(self._rungs_used),
+            "final_rung": (
+                self._rungs_used[-1] if self._rungs_used else None
+            ),
+        }
 
     def _execute_serial(
         self, job: SimulationJob, start_attempt: int = 0
@@ -435,15 +465,15 @@ class EngineFleet:
     """N single-slot engines sharing one store and one telemetry.
 
     :class:`ExecutionEngine` is built for one caller at a time — its
-    :class:`~repro.engine.supervise.Supervisor` mutates breaker state
-    per dispatch and is not thread-safe.  A daemon that wants to run
+    worker backend mutates per-host state per dispatch and is not
+    thread-safe.  A daemon that wants to run
     several WorkItems *concurrently* therefore cannot funnel them
     through one engine; it checks a slot engine out of this fleet per
     item instead.  Every slot shares the fleet's result store (so cache
     hits, coalescing and the coordination layer's guarded publishes see
     one source of truth) and the fleet's :class:`RunTelemetry` (which is
     lock-protected for exactly this arrangement); each slot owns its
-    own supervisor, journal-free and one worker wide.
+    own worker backend, journal-free and one worker wide.
 
     Slots are created lazily and recycled, so a mostly-idle daemon pays
     for one engine, a saturated one for ``slots``.
@@ -519,13 +549,13 @@ class EngineFleet:
         with self._lock:
             return list(self._all)
 
-    def breaker_snapshot(self) -> Dict:
-        """Every slot's breaker state merged into one manifest section."""
-        return merge_breaker_snapshots(
-            [engine.supervisor.snapshot() for engine in self.engines]
+    def workers_section(self) -> Dict:
+        """Every slot's ``workers`` section merged into one."""
+        return merge_worker_sections(
+            [engine.workers_section() for engine in self.engines]
         )
 
     def finalize(self) -> None:
-        """Record merged breakers + store counters into the telemetry."""
-        self.telemetry.record_breakers(self.breaker_snapshot())
+        """Record the merged workers section + store counters."""
+        self.telemetry.record_workers(self.workers_section())
         self.telemetry.record_store(self.store)

@@ -7,11 +7,11 @@ retries is exactly as reproducible as a run that does not: retries
 change *when* a deterministic simulation executes, never what it
 computes.
 
-The policy is shared by the pool supervisor
-(:func:`~repro.engine.robustness.attempt_parallel`), which requeues a
-failed or timed-out job instead of abandoning the whole pool, and by the
-serial executor, which re-attempts a job in-process before declaring it
-permanently failed.
+The policy is shared by the framed-worker backend
+(:class:`~repro.engine.backends.WorkerBackend`), which requeues a
+failed, timed-out or orphaned job instead of giving up on its host, and
+by the serial executor, which re-attempts a job in-process before
+declaring it permanently failed.
 """
 
 from __future__ import annotations

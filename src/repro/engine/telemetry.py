@@ -54,8 +54,12 @@ from .jobs import SOURCE_CACHED, JobOutcome
 #: the ``fault_domains`` section (the ``FaultDomainProfile`` of a
 #: remote-capable run: per-host dispatch/retry/breaker-transition
 #: counters, degradation-ladder descents in order, the rungs that
-#: completed work and the final rung — empty for purely local runs).
-MANIFEST_VERSION = 9
+#: completed work and the final rung — empty for purely local runs);
+#: version 10 merged ``heartbeats``, ``breakers`` and ``fault_domains``
+#: into one ``workers`` section (per-host counters, hang events and
+#: breaker transitions, the descents to serial, the rungs used and the
+#: final rung — empty for runs whose jobs all ran in-process).
+MANIFEST_VERSION = 10
 
 
 class Stopwatch:
@@ -120,8 +124,6 @@ class RunTelemetry:
     faults: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     quarantines: List[Dict] = field(default_factory=list)
-    heartbeats: List[Dict] = field(default_factory=list)
-    breakers: Dict = field(default_factory=dict)
     wall_seconds: float = 0.0
     context: Dict = field(default_factory=dict)
     store_stats: Dict = field(default_factory=dict)
@@ -135,10 +137,10 @@ class RunTelemetry:
     #: mode, residual implementation, trace transport mode and
     #: published-arena totals.
     substrate: Dict = field(default_factory=dict)
-    #: The ``FaultDomainProfile`` of a remote-capable run (manifest v9):
-    #: per-host counters and breaker transitions, ladder descents, rungs
-    #: used and the final rung.  Empty for purely local runs.
-    fault_domains: Dict = field(default_factory=dict)
+    #: The framed workers of the run (manifest v10): per-host counters,
+    #: hang events and breaker transitions, descents to the serial rung,
+    #: rungs used and the final rung.  Empty when no worker engaged.
+    workers: Dict = field(default_factory=dict)
     #: Live event observers (not part of the manifest).
     observers: List[Callable] = field(default_factory=list, repr=False)
     #: Guards the record lists when several engine slots of one fleet
@@ -250,17 +252,6 @@ class RunTelemetry:
             self.quarantines.append(entry)
         self.emit("result-quarantined", **entry)
 
-    def record_heartbeat(self, entry: Dict) -> None:
-        """Add one watchdog event (heartbeat gap or progress stall)."""
-        with self._lock:
-            self.heartbeats.append(dict(entry))
-        self.emit("heartbeat", **dict(entry))
-
-    def record_breakers(self, snapshot: Dict) -> None:
-        """Snapshot the supervisor's circuit breakers (idempotent)."""
-        with self._lock:
-            self.breakers = dict(snapshot)
-
     def record_service(self, profile: Dict) -> None:
         """Attach the daemon's ``ServiceProfile`` (manifest v6 section)."""
         self.service = dict(profile)
@@ -276,37 +267,14 @@ class RunTelemetry:
         """
         self.coordination = dict(profile)
 
-    def record_fault_domains(self, profile: Dict) -> None:
-        """Merge one dispatch's ``FaultDomainProfile`` (manifest v9).
+    def record_workers(self, section: Dict) -> None:
+        """Snapshot the ``workers`` section (manifest v10, idempotent).
 
-        The engine records a profile per dispatch that touched the
-        ladder; a run of several dispatches therefore *merges*: host
-        counters add (lists extend), ladder descents and used rungs
-        append in dispatch order, and the final rung reflects the most
-        recent dispatch that completed work.
+        The engine's section is cumulative over its runs, so each
+        dispatch replaces the previous snapshot.
         """
         with self._lock:
-            hosts = self.fault_domains.setdefault("hosts", {})
-            for host, counters in profile.get("hosts", {}).items():
-                merged = hosts.setdefault(host, {})
-                for key, value in counters.items():
-                    if isinstance(value, list):
-                        merged.setdefault(key, []).extend(value)
-                    elif isinstance(value, bool):
-                        merged[key] = value
-                    elif isinstance(value, (int, float)):
-                        merged[key] = merged.get(key, 0) + value
-                    else:
-                        merged[key] = value
-            self.fault_domains.setdefault("ladder", []).extend(
-                dict(d) for d in profile.get("ladder", [])
-            )
-            self.fault_domains.setdefault("rungs_used", []).extend(
-                profile.get("rungs_used", [])
-            )
-            final = profile.get("final_rung")
-            if final is not None:
-                self.fault_domains["final_rung"] = final
+            self.workers = dict(section)
 
     def record_substrate(self, profile: Dict) -> None:
         """Merge substrate facts (kernel + transport) into the manifest.
@@ -320,7 +288,7 @@ class RunTelemetry:
             self.substrate.update(profile)
 
     def note(self, message: str) -> None:
-        """Attach a free-form robustness note (pool fallbacks, evictions)."""
+        """Attach a free-form robustness note (fallbacks, evictions)."""
         with self._lock:
             self.notes.append(message)
         self.emit("note", message=message)
@@ -377,13 +345,26 @@ class RunTelemetry:
 
     @property
     def fallbacks(self) -> int:
-        """Jobs completed by a degraded path (any ``*-fallback`` source)."""
-        return sum(1 for r in self.records if r.source.endswith("-fallback"))
+        """Jobs completed by a degraded path: the workers' serial rung."""
+        return self.serial_fallbacks
 
     @property
     def breaker_trips(self) -> int:
-        """How many times a backend circuit breaker opened."""
-        return int(self.breakers.get("trips", 0))
+        """How many times a host circuit breaker opened."""
+        return sum(
+            1
+            for host in self.workers.get("hosts", {}).values()
+            for t in host.get("breaker_transitions", [])
+            if t["to"] == "open"
+        )
+
+    @property
+    def heartbeat_events(self) -> int:
+        """How many hung workers the heartbeat watchdog killed."""
+        return sum(
+            len(host.get("hangs", []))
+            for host in self.workers.get("hosts", {}).values()
+        )
 
     @property
     def retried(self) -> int:
@@ -440,7 +421,7 @@ class RunTelemetry:
                 "faults_injected": len(self.faults),
                 "quarantined_results": len(self.quarantines),
                 "cache_quarantined": self.store_stats.get("quarantined", 0),
-                "heartbeat_events": len(self.heartbeats),
+                "heartbeat_events": self.heartbeat_events,
                 "breaker_trips": self.breaker_trips,
                 "cache_hits_from_earlier_runs": self.store_stats.get(
                     "hits_from_earlier_runs", 0
@@ -481,13 +462,11 @@ class RunTelemetry:
             "faults": list(self.faults),
             "notes": list(self.notes),
             "quarantine": [dict(q) for q in self.quarantines],
-            "heartbeats": [dict(h) for h in self.heartbeats],
-            "breakers": dict(self.breakers),
             "store": dict(self.store_stats),
             "service": dict(self.service),
             "coordination": dict(self.coordination),
             "substrate": dict(self.substrate),
-            "fault_domains": dict(self.fault_domains),
+            "workers": dict(self.workers),
         }
 
     def write_manifest(self, path) -> str:

@@ -7,8 +7,8 @@ lets the *parent* engine publish a trace's decoded columns exactly once
 and hand workers a tiny handle instead:
 
 ``shm``
-    columns live in a ``multiprocessing.shared_memory`` segment; pool
-    and subprocess workers attach and build numpy views straight into
+    columns live in a ``multiprocessing.shared_memory`` segment; local
+    workers attach and build numpy views straight into
     the segment — zero copies, dispatch cost independent of trace size.
 ``disk``
     columns are spooled to a ``.npy``-style arena file; workers
@@ -22,7 +22,7 @@ The mode comes from ``REPRO_TRANSPORT`` (default ``auto`` = ``shm``
 where available, else ``disk``).  Publication is *advisory* and keyed
 through a process-wide refcounted registry: the parent writes one JSON
 handle per trace into a manifest directory pointed at by
-``REPRO_TRANSPORT_DIR`` (inherited by pool and subprocess workers), and
+``REPRO_TRANSPORT_DIR`` (inherited by local workers), and
 :func:`execute_job` consults :func:`overlay_chunks` — a worker that
 finds no handle, or fails to attach, falls back to the on-disk reader
 and produces bit-identical results.  The parent owns every segment: it

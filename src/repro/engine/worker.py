@@ -1,32 +1,43 @@
-"""Pipe-connected subprocess worker: ``python -m repro.engine.worker``.
+"""The framed worker loop: ``python -m repro.engine.worker``.
 
-The subprocess backend (:mod:`~repro.engine.backends`) talks to each
-worker over its stdin/stdout pipes using a tiny length-prefixed frame
-protocol — the stepping stone to remote workers, where the same frames
-would flow over a socket::
+Every worker of the framed-worker backend (:mod:`~repro.engine.backends`)
+runs this loop — a local ``exec`` host started as a child process, or a
+peer reached over ``ssh`` — and talks to the controller over its
+stdin/stdout using a tiny length-prefixed frame protocol::
 
     frame   := length(4 bytes, big-endian) || pickle((kind, payload))
     to worker   : ("job", (SimulationJob, attempt)) | ("exit", None)
+                | ("trace-meta", {"path", "digest", "file_bytes"} | {"path", "error"})
+                | ("trace-data", {"path", "data", "eof"})
     from worker : ("ready", {"pid": ...})
                 | ("heartbeat", monotonic_seconds)
                 | ("result", {"key", "wall", "payload"})
-                | ("error", {"key", "kind", "message"})
+                | ("error", {"kind", "message"})
+                | ("trace-fetch", {"path"}) | ("trace-need", {"path"})
 
-Unlike a ``ProcessPoolExecutor`` worker, a subprocess worker *beats*: a
-daemon thread emits a heartbeat frame every ``--heartbeat`` seconds, so
-the supervisor can tell a worker that is busy simulating (beating, no
-result yet) from one that is hung or dead (silent) — and kill exactly
-the right process instead of writing off a pool slot.
+A daemon thread emits a heartbeat frame every ``--heartbeat`` seconds,
+so the controller can tell a worker that is busy simulating (beating,
+no result yet) from one that is hung or dead (silent) — and kill
+exactly that process.
 
-The worker re-executes ``REPRO_FAULTS`` from its inherited environment,
-exactly like pool workers do: ``hang`` silences the heartbeat thread
-before stalling (so the watchdog sees a real hang), ``flap``/``crash``
-exit hard, ``raise`` turns into an error frame, and ``garbage`` mangles
-the result so the engine-side validation gate can catch it.
+A ``trace:`` job whose file is absent on the worker's machine (or every
+trace job, with ``REPRO_REMOTE_FETCH=always``) is fetched *by content
+digest* before it runs: the worker asks for the digest, serves itself
+from its staging directory when it can, and otherwise streams the bytes
+over ``trace-*`` frames, verifying chunk checksums and the whole-trace
+digest before first use (:mod:`repro.traces.fetch`).  A local worker
+finds every trace in place, so staging is a no-op there.
+
+The worker re-executes ``REPRO_FAULTS`` from its inherited environment:
+``hang`` silences the heartbeat thread before stalling (so the watchdog
+sees a real hang), ``flap``/``crash`` exit hard, ``raise`` turns into an
+error frame, and ``garbage`` mangles the result so the engine-side
+validation gate can catch it.
 
 On startup the worker duplicates its stdout file descriptor for the
 frame stream and re-points fd 1 at stderr, so stray ``print`` calls
-anywhere in the simulation stack cannot corrupt the protocol.
+anywhere in the simulation stack cannot corrupt the protocol.  After an
+``exit`` frame the loop returns normally, so ``atexit`` hooks still run.
 """
 
 from __future__ import annotations
@@ -38,10 +49,16 @@ import struct
 import sys
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Optional, Tuple
 
 #: Default heartbeat interval, seconds (overridable via --heartbeat).
 DEFAULT_HEARTBEAT_SECONDS = 0.5
+
+#: Environment variable: ``always`` makes workers fetch traces by digest
+#: even when the path resolves locally (loopback CI uses this to
+#: exercise the fetch path on one machine).
+ENV_REMOTE_FETCH = "REPRO_REMOTE_FETCH"
 
 _LENGTH = struct.Struct(">I")
 
@@ -68,6 +85,72 @@ def read_frame(stream) -> Optional[Tuple[str, Any]]:
         return None
 
 
+def _missing_trace_ref(job) -> Optional[object]:
+    """The parsed trace ref this job needs fetched, or ``None``."""
+    from ..traces.registry import is_trace_ref, parse_trace_ref
+
+    if not isinstance(job.benchmark, str) or not is_trace_ref(job.benchmark):
+        return None
+    ref = parse_trace_ref(job.benchmark)
+    if os.environ.get(ENV_REMOTE_FETCH, "").strip().lower() == "always":
+        return ref
+    return ref if not os.path.exists(ref.path) else None
+
+
+def _await_frame(protocol_in, wanted: str, path: str):
+    """The payload of the next ``wanted`` frame; raises if the pipe closes."""
+    from ..traces.fetch import TraceFetchError
+
+    while True:
+        frame = read_frame(protocol_in)
+        if frame is None:
+            raise TraceFetchError(
+                f"controller vanished while serving {wanted} for {path}"
+            )
+        if frame[0] == wanted:
+            return frame[1]
+
+
+def _stage_job_trace(job, protocol_in, emit):
+    """Fetch a job's missing trace by digest; returns the rewritten job.
+
+    The staged copy keeps the job's content address: trace identity is
+    digest- (or provenance-) based, never path-based, so substituting
+    the staged path leaves :meth:`SimulationJob.key` unchanged and the
+    controller's completion bookkeeping lines up.
+    """
+    from ..traces.fetch import TraceFetchError, TraceStager, staged_trace_path
+    from ..traces.registry import format_trace_ref
+
+    ref = _missing_trace_ref(job)
+    if ref is None:
+        return job
+    emit("trace-fetch", {"path": ref.path})
+    meta = _await_frame(protocol_in, "trace-meta", ref.path)
+    if meta.get("error") or not meta.get("digest"):
+        raise TraceFetchError(
+            f"controller cannot serve trace {ref.path}: "
+            f"{meta.get('error', 'no digest')}"
+        )
+    staged = staged_trace_path(meta["digest"])
+    if not staged.exists():
+        emit("trace-need", {"path": ref.path})
+        stager = TraceStager(meta["digest"], meta.get("file_bytes"))
+        try:
+            while True:
+                data = _await_frame(protocol_in, "trace-data", ref.path)
+                if data.get("data"):
+                    stager.feed(data["data"])
+                if data.get("eof"):
+                    break
+            staged = stager.finish()
+        except BaseException:
+            stager.abort()
+            raise
+    new_ref = format_trace_ref(staged, ref.window, ref.window_instructions)
+    return replace(job, benchmark=new_ref)
+
+
 def main(argv=None) -> int:
     """Worker loop: read job frames, simulate, write result frames."""
     parser = argparse.ArgumentParser(prog="repro.engine.worker")
@@ -91,7 +174,7 @@ def main(argv=None) -> int:
             with write_lock:
                 write_frame(protocol_out, kind, payload)
         except (OSError, ValueError):
-            # The supervisor went away; there is nobody left to serve.
+            # The controller went away; there is nobody left to serve.
             os._exit(0)
 
     silenced = threading.Event()
@@ -122,6 +205,7 @@ def main(argv=None) -> int:
         job, attempt = payload
         plan = active_plan()
         try:
+            job = _stage_job_trace(job, protocol_in, emit)
             if plan is not None:
                 if plan.matches_hang(job, attempt):
                     # A genuinely hung worker stops beating: silence the
@@ -140,16 +224,12 @@ def main(argv=None) -> int:
         except Exception as error:  # noqa: BLE001 — forwarded, not swallowed
             emit(
                 "error",
-                {
-                    "key": job.key(),
-                    "kind": type(error).__name__,
-                    "message": str(error),
-                },
+                {"kind": type(error).__name__, "message": str(error)},
             )
         finally:
             silenced.clear()  # hangs silence one job, not the worker
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover — exercised via the backend
+if __name__ == "__main__":  # pragma: no cover — exercised over pipes
     raise SystemExit(main())

@@ -4,7 +4,7 @@ Everything before this package was batch: one process, one run, exit.
 This package turns the substrate into a *served* system —
 ``repro-leakage serve`` starts a long-lived daemon owning one
 :class:`~repro.engine.ExecutionEngine` (and with it the
-content-addressed store, supervised backend chain and validation gate),
+content-addressed store, framed workers and validation gate),
 and any number of clients submit jobs and sweeps over HTTP:
 
 * :mod:`~repro.service.protocol` — the wire format: job specs, the

@@ -2,7 +2,7 @@
 
 ``repro-leakage serve`` starts a long-lived asyncio process that owns a
 single :class:`~repro.engine.ExecutionEngine` — and with it the
-content-addressed result store, the supervised backend chain, circuit
+content-addressed result store, the framed workers with their per-host
 breakers, validation gate and fault harness — and serves it over a
 hand-rolled HTTP/1.1 interface (stdlib only, ``asyncio.start_server``):
 
@@ -77,6 +77,7 @@ from ..engine import (
     ResultStore,
     SimulationJob,
     atomic_write_json,
+    ladder,
     resolve_backend_name,
     resolve_worker_count,
 )
@@ -955,6 +956,7 @@ class ServiceDaemon:
     # ------------------------------------------------------------------
     def status_payload(self) -> Dict:
         total = self.store.hits + self.store.misses
+        workers = self.fleet.workers_section().get("hosts", {})
         return {
             "protocol_version": PROTOCOL_VERSION,
             "service": {
@@ -963,7 +965,7 @@ class ServiceDaemon:
                 "peer_id": self.peer_id,
                 "engine": {
                     "backend": self.backend,
-                    "chain": self._backend_chain(),
+                    "chain": ladder(self.backend),
                     "max_workers": self.slots,
                     "slots": self.slots,
                 },
@@ -986,19 +988,16 @@ class ServiceDaemon:
                     "misses": self.store.misses,
                     "hit_rate": self.store.hits / total if total else 0.0,
                 },
-                "breakers": self.fleet.breaker_snapshot()["states"],
-                "heartbeat_events": len(self.telemetry.heartbeats),
+                "breakers": {
+                    name: host["breaker_state"]
+                    for name, host in workers.items()
+                },
+                "heartbeat_events": sum(
+                    len(host["hangs"]) for host in workers.values()
+                ),
             },
             "cache": cache_info_payload(self.store),
         }
-
-    def _backend_chain(self) -> List[str]:
-        engines = self.fleet.engines
-        if engines:
-            return engines[0].supervisor.describe_chain() + ["serial"]
-        # No slot has run yet: derive the chain a slot would build.
-        chain = {"pool": ["pool", "subprocess"], "subprocess": ["subprocess"]}
-        return chain.get(self.backend, []) + ["serial"]
 
     def service_profile(self) -> Dict:
         """The ``ServiceProfile`` manifest section (since v6)."""

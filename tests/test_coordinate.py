@@ -25,7 +25,7 @@ from repro.engine import (
     ExecutionEngine,
     ResultStore,
     SimulationJob,
-    merge_breaker_snapshots,
+    merge_worker_sections,
 )
 from repro.errors import EngineError
 from repro.service import ServiceConfig, ServiceThread
@@ -328,22 +328,47 @@ class TestEngineFleet:
             EngineFleet(0)
 
     def test_merge_breaker_snapshots_takes_the_most_degraded_state(self):
-        merged = merge_breaker_snapshots(
+        opened = {"breaker": "host:local0", "to": "open"}
+        merged = merge_worker_sections(
             [
-                {"states": {"pool": "closed"}, "transitions": [], "trips": 1},
                 {
-                    "states": {"pool": "open", "subprocess": "half-open"},
-                    "transitions": [{"backend": "pool", "to": "open"}],
-                    "trips": 2,
+                    "hosts": {
+                        "local0": {
+                            "breaker_state": "open",
+                            "breaker_transitions": [opened],
+                            "flaps": 3,
+                            "partitioned": False,
+                        }
+                    },
+                    "ladder": [{"from": "subprocess", "to": "serial"}],
+                    "rungs_used": ["subprocess", "serial"],
+                    "final_rung": "serial",
+                },
+                {},  # a slot whose workers never engaged
+                {
+                    "hosts": {
+                        "local0": {
+                            "breaker_state": "closed",
+                            "breaker_transitions": [],
+                            "flaps": 1,
+                            "partitioned": False,
+                        },
+                        "local1": {"breaker_state": "half-open"},
+                    },
+                    "ladder": [],
+                    "rungs_used": ["subprocess"],
+                    "final_rung": "subprocess",
                 },
             ]
         )
-        assert merged["states"] == {
-            "pool": "open",
-            "subprocess": "half-open",
-        }
-        assert merged["trips"] == 3
-        assert len(merged["transitions"]) == 1
+        hosts = merged["hosts"]
+        assert hosts["local0"]["breaker_state"] == "open"
+        assert hosts["local1"]["breaker_state"] == "half-open"
+        assert hosts["local0"]["breaker_transitions"] == [opened]
+        assert hosts["local0"]["flaps"] == 4
+        assert merged["rungs_used"] == ["subprocess", "serial", "subprocess"]
+        assert merged["final_rung"] == "subprocess"
+        assert merge_worker_sections([{}, {}]) == {}
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Tests for repro.engine — jobs, store, parallelism, robustness, telemetry."""
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -11,14 +10,14 @@ from repro.cpu.pipeline import PipelineConfig
 from repro.engine import (
     SCHEMA_VERSION,
     SOURCE_CACHED,
-    SOURCE_SUBPROCESS_FALLBACK,
+    SOURCE_FALLBACK,
     ExecutionEngine,
     NullStore,
     ResultStore,
     RetryPolicy,
     RunTelemetry,
     SimulationJob,
-    attempt_parallel,
+    build_backend,
     resolve_cache_dir,
     resolve_worker_count,
 )
@@ -192,69 +191,50 @@ class TestEngineCaching:
         assert engine.telemetry.simulated == 2
 
 
-def _slow_worker(job, attempt=1):
-    # Long enough to trip a 0.2s timeout, short enough that the orphaned
-    # workers (the pool cannot kill them) don't delay interpreter exit.
-    time.sleep(2)
-    return None, 0.0  # pragma: no cover
-
-
-def _crashing_worker(job, attempt=1):
-    raise ValueError("boom")
-
-
 class TestRobustness:
-    def test_timeout_exhausts_retries_then_leaves_serial_work(self):
+    def test_timeout_exhausts_retries_then_leaves_serial_work(
+        self, monkeypatch
+    ):
+        # Every attempt outlives the 0.2s deadline: each worker is killed
+        # and, with no retries left, its job is handed back for serial.
+        monkeypatch.setenv("REPRO_FAULTS", "timeout:*:attempt=*:seconds=2")
         jobs = small_jobs()
-        report = attempt_parallel(
-            jobs,
-            max_workers=2,
-            timeout=0.2,
-            worker=_slow_worker,
-            policy=RetryPolicy(max_attempts=1),
+        report = build_backend("subprocess", 2, timeout=0.2).run(
+            jobs, RetryPolicy(max_attempts=1)
         )
         assert report.completed == {}
         assert report.leftovers == jobs
         assert any("timeout" in note for note in report.notes)
+        assert any("retries exhausted" in note for note in report.notes)
 
-    def test_worker_exception_retried_then_left_for_serial(self):
+    def test_worker_exception_retried_then_left_for_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "raise:*:attempt=*")
         jobs = small_jobs()
-        report = attempt_parallel(
-            jobs,
-            max_workers=2,
-            timeout=None,
-            worker=_crashing_worker,
-            policy=RetryPolicy(max_attempts=2, base_delay=0.0),
+        report = build_backend("subprocess", 2).run(
+            jobs, RetryPolicy(max_attempts=2, base_delay=0.0)
         )
         assert report.completed == {}
         assert set(report.leftovers) == set(jobs)
-        assert any("raised in a worker" in note for note in report.notes)
+        assert any("raised on host" in note for note in report.notes)
         assert any("retries exhausted" in note for note in report.notes)
         # One retry per job was attempted before giving up.
         assert len(report.retries) == len(jobs)
-        assert all(r["where"] == "pool" for r in report.retries)
+        assert all(r["where"] == "subprocess" for r in report.retries)
         assert all(report.attempts[job] == 2 for job in jobs)
 
-    def test_pool_failure_falls_back_to_subprocess(self, monkeypatch):
-        import repro.engine.robustness as robustness_module
-        from repro.engine import PoolReport
+    def test_worker_start_failure_falls_back_to_serial(self, monkeypatch):
+        from repro.engine import backends
 
-        def broken_pool(
-            jobs, max_workers, timeout, worker=None, policy=None, **kwargs
-        ):
-            return PoolReport(
-                leftovers=list(jobs),
-                notes=["worker pool failed to start (test)"],
-            )
+        def no_fork(self, spec, heartbeat, inbox):
+            raise OSError("fork refused (test)")
 
-        monkeypatch.setattr(robustness_module, "attempt_parallel", broken_pool)
+        monkeypatch.setattr(backends._Connection, "__init__", no_fork)
         engine = ExecutionEngine(jobs=2, store=NullStore())
         outcomes = engine.run(small_jobs())
-        assert all(
-            o.source == SOURCE_SUBPROCESS_FALLBACK for o in outcomes.values()
-        )
+        assert all(o.source == SOURCE_FALLBACK for o in outcomes.values())
         assert engine.telemetry.fallbacks == len(outcomes)
         assert any("failed to start" in note for note in engine.telemetry.notes)
+        assert engine.telemetry.workers["final_rung"] == "serial"
 
     def test_timeout_env_validation(self, monkeypatch):
         from repro.engine import default_job_timeout
@@ -303,10 +283,10 @@ class TestTelemetry:
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == 9
+        assert manifest["manifest_version"] == 10
         assert manifest["service"] == {}
         assert manifest["coordination"] == {}
-        assert manifest["fault_domains"] == {}  # purely local run
+        assert manifest["workers"] == {}  # no worker engaged
         substrate = manifest["substrate"]
         assert substrate["kernel_mode"] in ("scalar", "batched", "compiled")
         assert substrate["residual_impl"] in ("python", "compiled", "scalar")
@@ -317,7 +297,8 @@ class TestTelemetry:
         assert manifest["retries"] == []
         assert manifest["faults"] == []
         assert manifest["quarantine"] == []
-        assert manifest["heartbeats"] == []
+        for merged in ("heartbeats", "breakers", "fault_domains"):
+            assert merged not in manifest  # folded into "workers"
         totals = manifest["totals"]
         for field in (
             "jobs",

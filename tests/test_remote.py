@@ -1,13 +1,13 @@
-"""Remote worker backend: fault domains, the ladder, digest trace fetch.
+"""Remote workers: fault domains, the ladder, digest trace fetch.
 
-The remote backend's standing invariant is the same one every other
-backend honours — reports are byte-identical whatever hosts, faults, or
-degradation rungs a run went through.  This module pins it down over
+Remote hosts run on the one framed-worker backend and honour its
+standing invariant — reports are byte-identical whatever hosts, faults,
+or degradation rungs a run went through.  This module pins it down over
 the loopback ``exec`` transport (local subprocesses speaking the exact
-remote protocol, no SSH needed):
+remote protocol, no SSH needed); the plain remote-vs-serial oracle check
+lives with the other backends in ``test_backends.py``:
 
 * host-spec grammar and environment knobs;
-* plain remote runs match the serial oracle bit for bit;
 * each ``REPRO_FAULTS`` network fault class lands the run on its
   expected ladder rung, results still byte-identical;
 * killing (partitioning) a host mid-sweep publishes each cache entry
@@ -31,12 +31,11 @@ from repro.engine import (
     FlapCounter,
     HostSpec,
     NullStore,
-    RemoteBackend,
     ResultStore,
     RetryPolicy,
     SimulationJob,
+    WorkerBackend,
     default_connect_timeout,
-    default_remote_deadline,
     parse_hosts,
     resolve_cache_dir,
 )
@@ -68,10 +67,8 @@ def isolated_env(tmp_path, monkeypatch):
         "REPRO_HEARTBEAT",
         "REPRO_WATCHDOG",
         "REPRO_BREAKER_THRESHOLD",
-        "REPRO_BREAKER_COOLDOWN",
         "REPRO_HOSTS",
         "REPRO_REMOTE_CONNECT_TIMEOUT",
-        "REPRO_REMOTE_DEADLINE",
         "REPRO_REMOTE_FETCH",
     ):
         monkeypatch.delenv(var, raising=False)
@@ -144,39 +141,26 @@ class TestHostSpecs:
         with pytest.raises(EngineError, match="REPRO_HOSTS"):
             ExecutionEngine(jobs=1, store=NullStore(), backend="remote")
         with pytest.raises(EngineError, match="at least one host"):
-            RemoteBackend([])
+            WorkerBackend("remote", [])
 
     def test_deadline_knobs(self, monkeypatch):
         assert default_connect_timeout() == 10.0
-        assert default_remote_deadline() is None
+        assert remote_engine(hosts="exec:a").workers.deadline is None
         monkeypatch.setenv("REPRO_REMOTE_CONNECT_TIMEOUT", "2.5")
-        monkeypatch.setenv("REPRO_REMOTE_DEADLINE", "7")
+        # The per-dispatch deadline is the engine's job timeout.
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "7")
         assert default_connect_timeout() == 2.5
-        assert default_remote_deadline() == 7.0
+        assert remote_engine(hosts="exec:a").workers.deadline == 7.0
 
 
 # ----------------------------------------------------------------------
 # Loopback equivalence
 # ----------------------------------------------------------------------
 class TestLoopbackExecution:
-    def test_remote_matches_serial_oracle(self, reference):
-        engine = remote_engine()
-        outcomes = engine.run(small_jobs())
-        for job in small_jobs():
-            assert outcomes[job].source == "remote"
-            assert_results_identical(
-                outcomes[job].annotated, reference[job].annotated
-            )
-        profile = engine.telemetry.manifest()["fault_domains"]
-        assert profile["rungs_used"] == ["remote"]
-        assert profile["final_rung"] == "remote"
-        assert profile["ladder"] == []
-        assert set(profile["hosts"]) == {"exec0", "exec1"}
-
     def test_host_counters_in_manifest(self):
         engine = remote_engine(hosts="exec:only")
         engine.run(small_jobs())
-        host = engine.telemetry.manifest()["fault_domains"]["hosts"]["only"]
+        host = engine.telemetry.manifest()["workers"]["hosts"]["only"]
         assert host["connects"] == 1
         assert host["dispatches"] == len(SUITE_NAMES)
         assert host["completions"] == len(SUITE_NAMES)
@@ -205,8 +189,8 @@ LADDER_CASES = [
     ("conn-drop:exec0:attempt=1", "remote", False),
     ("garble:exec0:attempt=1", "remote", False),
     ("partition:exec0", "remote", False),  # exec1 survives
-    ("conn-refused:exec0,conn-refused:exec1", "pool", True),
-    ("partition:exec0,partition:exec1", "pool", True),
+    ("conn-refused:exec0,conn-refused:exec1", "serial", True),
+    ("partition:exec0,partition:exec1", "serial", True),
 ]
 
 
@@ -221,7 +205,7 @@ class TestDegradationLadder:
             assert_results_identical(
                 outcomes[job].annotated, reference[job].annotated
             )
-        profile = engine.telemetry.manifest()["fault_domains"]
+        profile = engine.telemetry.manifest()["workers"]
         assert profile["final_rung"] == rung
         if descends:
             assert profile["ladder"], "expected a recorded ladder descent"
@@ -239,16 +223,17 @@ class TestDegradationLadder:
                 outcomes[job].annotated, reference[job].annotated
             )
         manifest = engine.telemetry.manifest()
-        assert manifest["fault_domains"]["final_rung"] == "remote"
-        hangs = [h for h in manifest["heartbeats"] if h["kind"] == "hang"]
-        assert hangs and hangs[0]["host"] == "exec0"
+        assert manifest["workers"]["final_rung"] == "remote"
+        hangs = manifest["workers"]["hosts"]["exec0"]["hangs"]
+        assert hangs and hangs[0]["kind"] == "hang"
+        assert manifest["totals"]["heartbeat_events"] == len(hangs)
 
     def test_descents_record_breaker_transitions(self):
         engine = remote_engine(
             faults="conn-refused:exec0,conn-refused:exec1"
         )
         engine.run(small_jobs())
-        profile = engine.telemetry.manifest()["fault_domains"]
+        profile = engine.telemetry.manifest()["workers"]
         transitions = [
             t
             for host in profile["hosts"].values()
@@ -271,7 +256,7 @@ class TestDegradationLadder:
                 outcomes[job].annotated, reference[job].annotated
             )
         assert len(list(store.directory.glob("*.pkl"))) == len(SUITE_NAMES)
-        profile = engine.telemetry.manifest()["fault_domains"]
+        profile = engine.telemetry.manifest()["workers"]
         assert profile["hosts"]["exec0"]["partitioned"]
         assert profile["final_rung"] == "remote"
         # The partitioned host stays benched on a later dispatch too.
@@ -304,7 +289,7 @@ class TestTraceFetch:
         engine = remote_engine(hosts="exec:fetcher", store=NullStore())
         outcome = engine.run_one(job)
         assert_results_identical(outcome.annotated, oracle.annotated)
-        host = engine.telemetry.manifest()["fault_domains"]["hosts"]["fetcher"]
+        host = engine.telemetry.manifest()["workers"]["hosts"]["fetcher"]
         assert host["trace_fetches"] == 1
         assert host["trace_bytes_sent"] == path.stat().st_size
         staged = tmp_path / "cache" / "remote-staging" / f"{info.digest}.rtr"
@@ -313,7 +298,7 @@ class TestTraceFetch:
         # Second run: the staged copy is served locally, no re-fetch.
         again = remote_engine(hosts="exec:fetcher", store=NullStore())
         again.run_one(job)
-        host = again.telemetry.manifest()["fault_domains"]["hosts"]["fetcher"]
+        host = again.telemetry.manifest()["workers"]["hosts"]["fetcher"]
         assert host["trace_fetches"] == 0
 
     def test_staged_bytes_count_against_the_cache_budget(
@@ -484,8 +469,8 @@ class TestRemoteChaos:
     Loopback exec hosts, every network fault class in one schedule,
     one fake host killed mid-sweep (sticky partition) — the report
     must still be byte-identical to a clean serial run, each cache
-    entry must be published exactly once, and manifest v9 must record
-    every breaker transition and ladder descent.
+    entry must be published exactly once, and the manifest's ``workers``
+    section must record every breaker transition and ladder descent.
     """
 
     def test_remote_chaos_run_matches_clean(self, capsys, monkeypatch):
@@ -526,7 +511,7 @@ class TestRemoteChaos:
         chaos = capsys.readouterr()
         assert chaos.out == clean
         manifest = json.loads(manifest_path.read_text())
-        profile = manifest["fault_domains"]
+        profile = manifest["workers"]
         assert profile["hosts"]["doomed"]["partitioned"]
         # The surviving hosts finished the sweep on the remote rung.
         assert profile["final_rung"] == "remote"
@@ -570,7 +555,7 @@ class TestRemoteChaos:
         )
         assert capsys.readouterr().out == clean
         manifest = json.loads(manifest_path.read_text())
-        profile = manifest["fault_domains"]
+        profile = manifest["workers"]
         assert profile["ladder"], "expected recorded ladder descents"
         assert profile["ladder"][0]["from"] == "remote"
-        assert profile["final_rung"] in ("pool", "subprocess", "serial")
+        assert profile["final_rung"] == "serial"

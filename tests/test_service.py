@@ -619,7 +619,7 @@ class TestDrainAndResume:
         asyncio.run(daemon.stop())
         manifest_path = tmp_path / "cache" / "service" / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert manifest["manifest_version"] == 9
+        assert manifest["manifest_version"] == 10
         assert manifest["coordination"]["peer_id"] == daemon.peer_id
         assert manifest["service"]["tickets"]["queued"] == 1
         assert manifest["service"]["draining"] is True

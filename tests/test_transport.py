@@ -232,7 +232,11 @@ class TestEngineEndToEnd:
         expected = self.reference(ref)
         monkeypatch.setenv(transport.ENV_TRANSPORT, mode)
         engine = ExecutionEngine(jobs=2, backend="pool", store=NullStore())
-        outcome = engine.run_one(SimulationJob(ref))
+        # Two pending jobs: the pool engages its workers (and publishes
+        # the trace); one job alone would run in-process.
+        job = SimulationJob(ref)
+        outcome = engine.run([job, SimulationJob("gzip", scale=SMALL)])[job]
+        assert outcome.source == "parallel"
         assert outcome.annotated.result == expected
         assert transport.REGISTRY.active_segments() == []
         assert engine.telemetry.context["transport"] == mode
@@ -244,20 +248,20 @@ class TestEngineEndToEnd:
         self, recorded, monkeypatch
     ):
         # kill -9 semantics: the worker os._exit()s mid-job on the first
-        # attempt, after the parent published the arena.  The supervisor
-        # requeues onto the next backend; the parent — sole owner of the
-        # segment — still unlinks it when the dispatch settles.
+        # attempt, after the parent published the arena.  The job is
+        # requeued onto a respawned worker; the parent — sole owner of
+        # the segment — still unlinks it when the dispatch settles.
         ref = f"trace:{recorded}"
         expected = self.reference(ref)
         monkeypatch.setenv(transport.ENV_TRANSPORT, "shm")
         monkeypatch.setenv("REPRO_FAULTS", "crash:*@*:attempt=1")
         engine = ExecutionEngine(
-            jobs=2, backend="pool", store=NullStore(), retry=FAST_RETRY
+            jobs=2, backend="subprocess", store=NullStore(), retry=FAST_RETRY
         )
         outcome = engine.run_one(SimulationJob(ref))
-        # The pool could not have finished it — the job was requeued to
-        # a later backend (or the terminal serial path) and completed.
-        assert outcome.source != "parallel"
+        # The first worker could not have finished it: the job completed
+        # on its second attempt.
+        assert outcome.attempts == 2
         assert outcome.annotated.result == expected
         assert transport.REGISTRY.active_segments() == []
 
