@@ -18,12 +18,21 @@ need no prefetch, and are counted non-prefetchable, as in the paper.
 TraceSimulator` exactly (same hierarchy, same clock, same fetch line
 buffer) while additionally classifying every interval as it closes; the
 test suite pins the two simulators to identical timing and statistics.
+
+Classification has two implementations with bit-identical flags.  The
+scalar path feeds every access to :class:`_CacheAnnotator` and a
+:class:`~repro.prefetch.stride.StridePredictor`; it is the oracle.  The
+batched kernel hands each chunk's event arrays to
+:class:`_ChunkAnnotator` and :class:`_StrideTable`, which resolve the
+whole chunk with sorts and searches, carrying only per-frame, per-block
+and stride-table state across chunks.  ``tests/test_annotation_oracle.py``
+pins the two together.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -40,8 +49,8 @@ from ..core.intervals import IntervalSet
 from ..cpu.pipeline import IssueClock, PipelineConfig
 from ..cpu.simulator import SimulationResult
 from ..cpu.trace import NO_ACCESS, STORE, TraceChunk
-from ..errors import SimulationError
-from .stride import StridePredictor
+from ..errors import ConfigurationError, SimulationError
+from .stride import CONFIRMATIONS_REQUIRED, StridePredictor
 
 #: Intervals at or below this length are kept active and never counted
 #: prefetchable (the active-drowsy point of the paper's parameters).
@@ -131,22 +140,243 @@ class _CacheAnnotator:
 
     def finish(self, intervals: IntervalSet) -> AnnotatedIntervals:
         """Flag the end-of-run tail intervals and package up."""
-        recorded = len(self._nextline)
-        missing = len(intervals) - recorded
-        if missing < 0:
-            raise SimulationError(
-                "annotator recorded more intervals than the tracker"
-            )
-        self._nextline.extend([False] * missing)
-        self._stride.extend([False] * missing)
-        tail = np.zeros(len(intervals), dtype=bool)
-        tail[recorded:] = True
-        return AnnotatedIntervals(
+        return _package(
             intervals,
             np.array(self._nextline, dtype=bool),
             np.array(self._stride, dtype=bool),
-            tail,
         )
+
+
+def _package(
+    intervals: IntervalSet, nextline: np.ndarray, stride: np.ndarray
+) -> AnnotatedIntervals:
+    """Pad recorded flags to the population; the unrecorded rest is tail."""
+    recorded = len(nextline)
+    missing = len(intervals) - recorded
+    if missing < 0:
+        raise SimulationError("annotator recorded more intervals than the tracker")
+    pad = np.zeros(missing, dtype=bool)
+    tail = np.zeros(len(intervals), dtype=bool)
+    tail[recorded:] = True
+    return AnnotatedIntervals(
+        intervals,
+        np.concatenate([nextline, pad]),
+        np.concatenate([stride, pad]),
+        tail,
+    )
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal sorted values."""
+    first = np.empty(len(values), dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+class _ChunkAnnotator:
+    """Chunk-vectorised twin of :class:`_CacheAnnotator` (batched kernel).
+
+    Takes one chunk's events at a time and produces exactly the flags the
+    scalar annotator would.  Within a chunk, a stable sort by frame gives
+    each event's window start and a sort by block finds the last earlier
+    touch of ``block - 1``; only events whose window opened before the
+    chunk consult the carried per-block last-touch times.
+    """
+
+    def __init__(self, n_frames: int, active_floor: int) -> None:
+        self.active_floor = active_floor
+        # An untouched frame's window opens at the start of the run.
+        self._frame_last = np.zeros(n_frames, dtype=np.int64)
+        self._frame_dtype = np.uint16 if n_frames <= 1 << 16 else np.int64
+        self._block_last: dict = {}
+        self._last_time = -1  # latest event time of the earlier chunks
+        self._nextline: List[np.ndarray] = []
+        self._stride: List[np.ndarray] = []
+
+    def observe(
+        self,
+        blocks: np.ndarray,
+        frames: np.ndarray,
+        times: np.ndarray,
+        stride_hits: Optional[np.ndarray] = None,
+    ) -> None:
+        """Record the intervals closed by one chunk of events."""
+        n = len(blocks)
+        if n == 0:
+            return
+        # Window start: the previous touch of the same frame (narrow
+        # frame numbers let the stable sort run as a radix sort).
+        order = np.argsort(frames.astype(self._frame_dtype), kind="stable")
+        sframes = frames[order]
+        first = _run_starts(sframes)
+        last = np.empty(n, dtype=bool)
+        last[-1] = True
+        last[:-1] = first[1:]
+        sorted_times = times[order]
+        window_sorted = np.empty(n, dtype=np.int64)
+        window_sorted[1:] = sorted_times[:-1]
+        window_sorted[first] = self._frame_last[sframes[first]]
+        window = np.empty(n, dtype=np.int64)
+        window[order] = window_sorted
+        self._frame_last[sframes[last]] = sorted_times[last]
+        gaps = times - window
+        keep = gaps > 0
+
+        # Last earlier in-chunk touch of block - 1 for every probed event,
+        # probing in (block, index) order so the searches run ascending.
+        border = np.argsort(blocks, kind="stable")
+        sblocks = blocks[border]
+        bfirst = _run_starts(sblocks)
+        rank = np.cumsum(bfirst) - 1
+        keys = rank * n + border  # (block, event index), strictly ascending
+        probed = (gaps > self.active_floor)[border]
+        probe = border[probed]
+        targets = sblocks[probed] - 1
+        lo = np.searchsorted(sblocks, targets)
+        found = lo < n
+        found[found] = sblocks[lo[found]] == targets[found]
+        lo = np.minimum(lo, n - 1)
+        at = np.searchsorted(keys, rank[lo] * n + probe) - 1
+        earlier = found & (at >= lo)
+        neighbor = np.where(earlier, times[border[at]], -1)
+        # Events without one fall back on the carried touch times, which
+        # can only reach windows opening at or before the previous chunk.
+        probe_window = window[probe]
+        carried = np.flatnonzero(~earlier & (probe_window <= self._last_time))
+        if len(carried):
+            get = self._block_last.get
+            neighbor[carried] = [
+                get(block, -1) for block in targets[carried].tolist()
+            ]
+        nextline = np.zeros(n, dtype=bool)
+        nextline[probe] = neighbor >= probe_window
+        stride = np.zeros(n, dtype=bool)
+        if stride_hits is not None:
+            stride[probe] = stride_hits[probe]
+            stride &= ~nextline
+        self._nextline.append(nextline[keep])
+        self._stride.append(stride[keep])
+
+        blast = np.empty(n, dtype=bool)
+        blast[-1] = True
+        blast[:-1] = bfirst[1:]
+        self._block_last.update(
+            zip(sblocks[blast].tolist(), times[border[blast]].tolist())
+        )
+        self._last_time = int(times.max())
+
+    def finish(self, intervals: IntervalSet) -> AnnotatedIntervals:
+        """Flag the end-of-run tail intervals and package up."""
+        return _package(
+            intervals,
+            np.concatenate(self._nextline or [np.zeros(0, dtype=bool)]),
+            np.concatenate(self._stride or [np.zeros(0, dtype=bool)]),
+        )
+
+
+class _StrideTable:
+    """Chunk-vectorised twin of :class:`~repro.prefetch.stride.StridePredictor`.
+
+    Exact, LRU eviction included.  A load is a stride hit iff its PC's
+    entry is present and was confirmed twice, i.e. the PC's last three
+    strides since the entry was created are equal.  The entry is present
+    iff fewer than ``capacity`` distinct other load PCs were loaded since
+    the PC's previous load.
+
+    Each chunk's loads are appended to the carried entries (one position
+    each, least recently used first), so distinct counts over windows of
+    that sequence equal those over the whole run and memory stays bounded
+    by the chunk.  Reuses at most ``capacity`` positions apart are present
+    trivially.  New PCs and longer reuses are resolved in order against a
+    pointer ``lru``: the table is exactly the positions ``>= lru`` that are
+    still their PC's latest load, so a miss on a full table evicts by
+    advancing ``lru`` past the oldest such position.
+    """
+
+    def __init__(self, capacity: Optional[int] = 4096) -> None:
+        self.capacity = capacity
+        empty = np.zeros(0, dtype=np.int64)
+        # The carried entries, least recently used first.
+        self._pcs = empty
+        self._addrs = empty
+        self._strides = empty
+        self._confs = empty
+
+    def hits(self, pcs: np.ndarray, addrs: np.ndarray) -> np.ndarray:
+        """Stride-hit flags for one chunk's loads; trains the table."""
+        count = len(pcs)
+        if count == 0:
+            return np.zeros(0, dtype=bool)
+        carried = len(self._pcs)
+        size = carried + count
+        seq_pcs = np.concatenate([self._pcs, pcs])
+        seq_addrs = np.concatenate([self._addrs, addrs])
+        order = np.argsort(seq_pcs, kind="stable")
+        first = _run_starts(seq_pcs[order])
+        prev = np.full(size, -1, dtype=np.int64)  # previous same-PC position
+        prev[order[1:]] = np.where(first[1:], -1, order[:-1])
+        later = np.full(size, size, dtype=np.int64)  # next same-PC position
+        later[order[:-1]] = np.where(first[1:], size, order[1:])
+
+        # Entry presence at each of this chunk's loads.
+        back = prev[carried:]
+        lru = 0
+        if self.capacity is None:
+            present = back >= 0
+        else:
+            capacity = self.capacity
+            positions = np.arange(carried, size)
+            present = (back >= 0) & (positions - back <= capacity)
+            later_list = later.tolist()
+            entries = carried
+            revived = []
+            walk = np.flatnonzero(~present)
+            for q, p in zip(positions[walk].tolist(), back[walk].tolist()):
+                if p >= lru:
+                    revived.append(q)
+                elif entries < capacity:
+                    entries += 1
+                else:
+                    while later_list[lru] <= q:  # reloaded since: not an entry
+                        lru += 1
+                    lru += 1  # evict the least recently used entry
+            present[np.asarray(revived, dtype=np.int64) - carried] = True
+
+        # Stride and confirmation count after every load, in (PC, position)
+        # order; a created entry starts at stride 0 with no confirmations.
+        from_table = order < carried
+        created = np.zeros(size, dtype=bool)
+        created[carried:] = ~present
+        follows = ~created[order]
+        follows[first] = False
+        saddrs = seq_addrs[order]
+        strides = np.zeros(size, dtype=np.int64)
+        strides[1:] = saddrs[1:] - saddrs[:-1]
+        strides[~follows] = 0
+        strides[from_table] = self._strides[order[from_table]]
+        equal = np.zeros(size, dtype=bool)
+        equal[1:] = follows[1:] & (strides[1:] == strides[:-1])
+        base = follows.astype(np.int64)
+        base[from_table] = self._confs[order[from_table]]
+        index = np.arange(size)
+        run_start = np.where(equal, 0, index)
+        np.maximum.accumulate(run_start, out=run_start)
+        confs = base[run_start] + (index - run_start)
+        hit = np.zeros(size, dtype=bool)
+        hit[1:] = equal[1:] & (confs[:-1] >= CONFIRMATIONS_REQUIRED)
+        flags = np.empty(size, dtype=bool)
+        flags[order] = hit
+
+        # Carry the table's entries, least recently used first.
+        live = np.flatnonzero(later[lru:] == size) + lru
+        rank = np.empty(size, dtype=np.int64)
+        rank[order] = index
+        self._pcs = seq_pcs[live]
+        self._addrs = seq_addrs[live]
+        self._strides = strides[rank[live]]
+        self._confs = confs[rank[live]]
+        return flags[carried:]
 
 
 @dataclass(frozen=True)
@@ -187,7 +417,12 @@ class AnnotatingSimulator:
             else MemoryHierarchy(HierarchyConfig.paper())
         )
         self.clock = IssueClock(pipeline)
-        self.stride = StridePredictor(stride_table_capacity)
+        if stride_table_capacity is not None and stride_table_capacity <= 0:
+            raise ConfigurationError(
+                "stride table capacity must be positive or None, got "
+                f"{stride_table_capacity!r}"
+            )
+        self.stride_table_capacity = stride_table_capacity
         self.active_floor = active_floor
         self._ran = False
 
@@ -200,80 +435,62 @@ class AnnotatingSimulator:
         self._ran = True
         if isinstance(trace, TraceChunk):
             trace = (trace,)
-
-        i_annotator = _CacheAnnotator(
-            self.hierarchy.l1i.config.n_lines, self.active_floor
-        )
-        d_annotator = _CacheAnnotator(
-            self.hierarchy.l1d.config.n_lines, self.active_floor
-        )
         # REPRO_KERNEL selects the path; auto prefers the batched kernel
         # (with its best available residual loop) when the hierarchy
         # supports it and the scalar loop otherwise.
         mode = resolve_kernel_mode()
         if mode != "scalar" and kernel_supported(self.hierarchy):
-            return self._run_batched(trace, i_annotator, d_annotator)
-        return self._run_scalar(trace, i_annotator, d_annotator)
+            return self._run_batched(trace)
+        return self._run_scalar(trace)
 
-    def _run_batched(
-        self,
-        trace: Iterable[TraceChunk],
-        i_annotator: "_CacheAnnotator",
-        d_annotator: "_CacheAnnotator",
-    ) -> AnnotatedSimulationResult:
-        """Kernel timing plus a scalar annotation replay per chunk.
+    def _run_batched(self, trace: Iterable[TraceChunk]) -> AnnotatedSimulationResult:
+        """Kernel timing plus chunk-vectorised annotation.
 
         The kernel hands each chunk's (block, frame, time) event stream —
         exactly what the scalar loop would have produced — to observers
-        that replay the annotators and the stride predictor in event
-        order, so flags and predictor state are identical by construction.
+        that annotate the whole chunk at once with :class:`_ChunkAnnotator`
+        and :class:`_StrideTable`, the exact array twins of the scalar
+        annotator and stride predictor.
         """
         hierarchy = self.hierarchy
-        stride_access = self.stride.access
-        i_observe = i_annotator.observe
-        d_observe = d_annotator.observe
-
-        def i_observer(blocks, frames, times):
-            for block, frame, when in zip(
-                blocks.tolist(), frames.tolist(), times.tolist()
-            ):
-                i_observe(block, frame, when, False)
+        i_annotator = _ChunkAnnotator(hierarchy.l1i.config.n_lines, self.active_floor)
+        d_annotator = _ChunkAnnotator(hierarchy.l1d.config.n_lines, self.active_floor)
+        table = _StrideTable(self.stride_table_capacity)
 
         def d_observer(blocks, frames, times, pcs, addrs, stores):
-            for block, frame, when, pc, address, is_store in zip(
-                blocks.tolist(), frames.tolist(), times.tolist(),
-                pcs.tolist(), addrs.tolist(), stores.tolist(),
-            ):
-                d_observe(
-                    block, frame, when,
-                    False if is_store else stride_access(pc, address),
-                )
+            loads = ~stores
+            stride_hits = np.zeros(len(blocks), dtype=bool)
+            stride_hits[loads] = table.hits(pcs[loads], addrs[loads])
+            d_annotator.observe(blocks, frames, times, stride_hits)
 
         outcome = run_batched(
-            hierarchy, self.clock, trace, i_observer, d_observer
+            hierarchy, self.clock, trace, i_annotator.observe, d_observer
         )
+        l1i_intervals = hierarchy.l1i.intervals()
+        l1d_intervals = hierarchy.l1d.intervals()
+        started = _time.perf_counter()
+        l1i = i_annotator.finish(l1i_intervals)
+        l1d = d_annotator.finish(l1d_intervals)
+        # The profile was sealed inside the kernel; packaging the flags is
+        # annotation work too.
+        stage_seconds = dict(outcome.profile.stage_seconds)
+        stage_seconds["annotate"] += _time.perf_counter() - started
         result = SimulationResult(
             cycles=outcome.cycles,
             instructions=outcome.instructions,
             stall_cycles=outcome.stall_cycles,
-            l1i_intervals=hierarchy.l1i.intervals(),
-            l1d_intervals=hierarchy.l1d.intervals(),
+            l1i_intervals=l1i_intervals,
+            l1d_intervals=l1d_intervals,
             stats=hierarchy.stats(),
-            profile=outcome.profile,
+            profile=replace(outcome.profile, stage_seconds=stage_seconds),
         )
-        return AnnotatedSimulationResult(
-            result=result,
-            l1i=i_annotator.finish(result.l1i_intervals),
-            l1d=d_annotator.finish(result.l1d_intervals),
-        )
+        return AnnotatedSimulationResult(result=result, l1i=l1i, l1d=l1d)
 
-    def _run_scalar(
-        self,
-        trace: Iterable[TraceChunk],
-        i_annotator: "_CacheAnnotator",
-        d_annotator: "_CacheAnnotator",
-    ) -> AnnotatedSimulationResult:
+    def _run_scalar(self, trace: Iterable[TraceChunk]) -> AnnotatedSimulationResult:
+        """The per-access oracle path: scalar caches, annotators and predictor."""
         hierarchy = self.hierarchy
+        i_annotator = _CacheAnnotator(hierarchy.l1i.config.n_lines, self.active_floor)
+        d_annotator = _CacheAnnotator(hierarchy.l1d.config.n_lines, self.active_floor)
         clock = self.clock
         config = clock.config
         l1i, l1d, l2 = hierarchy.l1i, hierarchy.l1d, hierarchy.l2
@@ -287,7 +504,7 @@ class AnnotatingSimulator:
         store_buffer = config.store_buffer
         issue = clock.issue
         stall = clock.stall
-        stride_access = self.stride.access
+        stride_access = StridePredictor(self.stride_table_capacity).access
         group_bits = config.fetch_group_bytes.bit_length() - 1
         prev_igroup = -1
         started = _time.perf_counter()

@@ -1,0 +1,321 @@
+"""Chunk-vectorised annotation against its scalar oracle.
+
+The batched kernel annotates each chunk with ``_ChunkAnnotator`` and
+``_StrideTable``; the scalar path replays every event through
+``_CacheAnnotator`` and :class:`StridePredictor`.  Their flags must be
+bit-identical: on the paper suite (whose load-PC populations overflow the
+4096-entry stride table, so LRU eviction is exercised), on crafted LRU
+boundary traces, under any chunking, and on random traces.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.cache.kernel import run_batched
+from repro.cpu.pipeline import IssueClock
+from repro.cpu.trace import LOAD, NO_ACCESS, STORE, TraceChunk
+from repro.errors import ConfigurationError
+from repro.prefetch.analysis import (
+    DEFAULT_ACTIVE_FLOOR,
+    AnnotatingSimulator,
+    _CacheAnnotator,
+    _ChunkAnnotator,
+    _StrideTable,
+)
+from repro.prefetch.stride import StridePredictor
+from repro.workloads import make_benchmark
+from repro.workloads.benchmarks import BENCHMARK_NAMES
+
+
+def _scalar_hits(capacity, pcs, addrs):
+    predictor = StridePredictor(capacity)
+    return np.array(
+        [predictor.access(pc, address) for pc, address in zip(pcs, addrs)],
+        dtype=bool,
+    )
+
+
+def _vector_hits(capacity, pcs, addrs, chunk):
+    table = _StrideTable(capacity)
+    pcs = np.asarray(pcs, dtype=np.int64)
+    addrs = np.asarray(addrs, dtype=np.int64)
+    parts = [
+        table.hits(pcs[start : start + chunk], addrs[start : start + chunk])
+        for start in range(0, len(pcs), chunk)
+    ]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+
+
+def _strided(pc, start, stride, count):
+    return [(pc, start + i * stride) for i in range(count)]
+
+
+def _flags(annotated):
+    return {
+        cache: tuple(
+            getattr(annotated.annotated_for(cache), name)
+            for name in ("nextline", "stride", "tail")
+        )
+        for cache in ("l1i", "l1d")
+    }
+
+
+def _assert_same_flags(a, b):
+    for cache, flags in _flags(a).items():
+        for x, y in zip(flags, _flags(b)[cache]):
+            assert np.array_equal(x, y), cache
+
+
+def _both_paths(chunks, capacity=4096):
+    scalar = AnnotatingSimulator(stride_table_capacity=capacity)._run_scalar(chunks)
+    batched = AnnotatingSimulator(stride_table_capacity=capacity)._run_batched(chunks)
+    assert scalar.result == batched.result
+    return scalar, batched
+
+
+class TestPaperSuite:
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_flags_match_scalar_replay(self, name):
+        """Replay the kernel's own event stream through both annotators."""
+        hierarchy = MemoryHierarchy(HierarchyConfig.paper())
+        n_i, n_d = hierarchy.l1i.config.n_lines, hierarchy.l1d.config.n_lines
+        vec_i = _ChunkAnnotator(n_i, DEFAULT_ACTIVE_FLOOR)
+        vec_d = _ChunkAnnotator(n_d, DEFAULT_ACTIVE_FLOOR)
+        ref_i = _CacheAnnotator(n_i, DEFAULT_ACTIVE_FLOOR)
+        ref_d = _CacheAnnotator(n_d, DEFAULT_ACTIVE_FLOOR)
+        table, predictor = _StrideTable(4096), StridePredictor(4096)
+        load_pcs = set()
+
+        def i_observer(blocks, frames, times):
+            vec_i.observe(blocks, frames, times)
+            for event in zip(blocks.tolist(), frames.tolist(), times.tolist()):
+                ref_i.observe(*event, False)
+
+        def d_observer(blocks, frames, times, pcs, addrs, stores):
+            loads = ~stores
+            hits = np.zeros(len(blocks), dtype=bool)
+            hits[loads] = table.hits(pcs[loads], addrs[loads])
+            vec_d.observe(blocks, frames, times, hits)
+            load_pcs.update(pcs[loads].tolist())
+            for block, frame, when, pc, address, store in zip(
+                blocks.tolist(), frames.tolist(), times.tolist(),
+                pcs.tolist(), addrs.tolist(), stores.tolist(),
+            ):
+                hit = False if store else predictor.access(pc, address)
+                ref_d.observe(block, frame, when, hit)
+
+        trace = make_benchmark(name, scale=0.05).chunks()
+        run_batched(hierarchy, IssueClock(None), trace, i_observer, d_observer)
+        # More static loads than table entries: eviction is on the path.
+        assert len(load_pcs) > 4096
+        for vec, ref, intervals in (
+            (vec_i, ref_i, hierarchy.l1i.intervals()),
+            (vec_d, ref_d, hierarchy.l1d.intervals()),
+        ):
+            got, want = vec.finish(intervals), ref.finish(intervals)
+            assert np.array_equal(got.nextline, want.nextline)
+            assert np.array_equal(got.stride, want.stride)
+            assert np.array_equal(got.tail, want.tail)
+        assert got.stride.any()
+
+
+class TestStrideTableBoundaries:
+    CAPACITY = 4
+
+    def _trained(self):
+        # Loads 0..3 of PC 1 at stride 8: the fourth is the first hit.
+        return _strided(1, 1000, 8, 4)
+
+    def _others(self, count):
+        return [(100 + i, 50_000 + 64 * i) for i in range(count)]
+
+    def _check(self, loads, chunk=3):
+        pcs = [pc for pc, _ in loads]
+        addrs = [address for _, address in loads]
+        want = _scalar_hits(self.CAPACITY, pcs, addrs)
+        for size in (1, chunk, len(loads)):
+            assert np.array_equal(
+                _vector_hits(self.CAPACITY, pcs, addrs, size), want
+            )
+        return want
+
+    def test_reuse_after_capacity_minus_one_others_hits(self):
+        loads = self._trained() + self._others(self.CAPACITY - 1) + [(1, 1032)]
+        hits = self._check(loads)
+        assert hits[3] and hits[-1]
+
+    def test_reuse_after_capacity_others_is_evicted(self):
+        loads = self._trained() + self._others(self.CAPACITY) + [(1, 1032)]
+        assert not self._check(loads)[-1]
+
+    def test_repeated_others_count_once(self):
+        others = self._others(self.CAPACITY - 1) * 5
+        loads = self._trained() + others + [(1, 1032)]
+        assert self._check(loads)[-1]
+
+    def test_evicted_pc_is_relearned_from_scratch(self):
+        relearn = _strided(1, 5000, 16, 5)
+        loads = self._trained() + self._others(self.CAPACITY) + relearn
+        hits = self._check(loads)
+        # Created, stride once, twice: hits resume on the fourth load.
+        assert list(hits[-5:]) == [False, False, False, True, True]
+
+    def test_zero_stride_runs(self):
+        loads = _strided(7, 4096, 0, 6) + _strided(7, 4104, 8, 4)
+        hits = self._check(loads)
+        assert list(hits) == [False, False, False, True, True, True] + [
+            False, False, True, True
+        ]
+
+    def test_unbounded_table_never_evicts(self):
+        loads = self._trained() + self._others(50) + [(1, 1032)]
+        pcs = [pc for pc, _ in loads]
+        addrs = [address for _, address in loads]
+        want = _scalar_hits(None, pcs, addrs)
+        assert want[-1]
+        for size in (1, 7, len(loads)):
+            assert np.array_equal(_vector_hits(None, pcs, addrs, size), want)
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ConfigurationError):
+            AnnotatingSimulator(stride_table_capacity=0)
+
+
+def _crafted_trace():
+    """Strided loads of a few PCs, stores on the same PCs, fillers."""
+    rng = np.random.default_rng(7)
+    pcs, addrs, kinds = [], [], []
+    cursor = {pc: 0x4000_0000 + pc * 0x10_0000 for pc in range(8)}
+    for step in range(3000):
+        pc = int(rng.integers(0, 8))
+        pcs.append(0x1000 + 4 * pc)
+        if step % 3 == 2:
+            # A store at a wild address: it must neither train nor
+            # refresh the stride table.
+            addrs.append(int(rng.integers(0, 1 << 20)) * 64)
+            kinds.append(STORE)
+        elif step % 7 == 0:
+            addrs.append(-1)
+            kinds.append(NO_ACCESS)
+        else:
+            cursor[pc] += 128  # two blocks: next-line never covers it
+            addrs.append(cursor[pc])
+            kinds.append(LOAD)
+    return TraceChunk(pcs, addrs, kinds)
+
+
+def _split(chunk, size):
+    return [
+        TraceChunk(
+            chunk.pcs[start : start + size],
+            chunk.data_addresses[start : start + size],
+            chunk.data_kinds[start : start + size],
+        )
+        for start in range(0, len(chunk), size)
+    ]
+
+
+class TestCraftedTraces:
+    @pytest.mark.parametrize("capacity", [2, 3, 8, None])
+    def test_stores_interleaved_small_tables(self, capacity):
+        scalar, batched = _both_paths(_split(_crafted_trace(), 500), capacity)
+        _assert_same_flags(scalar, batched)
+        if capacity is None or capacity >= 8:
+            assert batched.l1d.stride.any()
+
+    def test_rechunking_invariance(self):
+        parts = list(make_benchmark("gzip", scale=0.02).chunks())
+        whole = TraceChunk(
+            np.concatenate([part.pcs for part in parts]),
+            np.concatenate([part.data_addresses for part in parts]),
+            np.concatenate([part.data_kinds for part in parts]),
+        )
+        runs = [
+            AnnotatingSimulator(stride_table_capacity=64)._run_batched(
+                _split(whole, size)
+            )
+            for size in (997, 7919, len(whole))
+        ]
+        for other in runs[1:]:
+            _assert_same_flags(runs[0], other)
+        scalar = AnnotatingSimulator(stride_table_capacity=64)._run_scalar(
+            [whole]
+        )
+        _assert_same_flags(scalar, runs[0])
+
+
+@st.composite
+def _event_streams(draw):
+    n = draw(st.integers(1, 120))
+    blocks = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    frames = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    steps = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    loads = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pcs = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    addrs = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    cuts = draw(st.lists(st.integers(1, n), max_size=4))
+    capacity = draw(st.one_of(st.none(), st.integers(1, 5)))
+    floor = draw(st.integers(0, 6))
+    return (
+        np.array(blocks, dtype=np.int64),
+        np.array(frames, dtype=np.int64),
+        np.cumsum(steps).astype(np.int64),
+        ~np.array(loads, dtype=bool),
+        np.array(pcs, dtype=np.int64),
+        np.array(addrs, dtype=np.int64) * 8,
+        sorted(set(cuts) | {0, n}),
+        capacity,
+        floor,
+    )
+
+
+class TestRandomStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(_event_streams())
+    def test_random_event_streams_match_scalar(self, stream):
+        blocks, frames, times, stores, pcs, addrs, cuts, capacity, floor = stream
+        ref = _CacheAnnotator(6, floor)
+        predictor = StridePredictor(capacity)
+        for block, frame, when, pc, address, store in zip(
+            blocks.tolist(), frames.tolist(), times.tolist(),
+            pcs.tolist(), addrs.tolist(), stores.tolist(),
+        ):
+            hit = False if store else predictor.access(pc, address)
+            ref.observe(block, frame, when, hit)
+        vec = _ChunkAnnotator(6, floor)
+        table = _StrideTable(capacity)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            loads = ~stores[lo:hi]
+            hits = np.zeros(hi - lo, dtype=bool)
+            hits[loads] = table.hits(pcs[lo:hi][loads], addrs[lo:hi][loads])
+            vec.observe(blocks[lo:hi], frames[lo:hi], times[lo:hi], hits)
+        assert np.array_equal(
+            np.concatenate(vec._nextline), np.array(ref._nextline, dtype=bool)
+        )
+        assert np.array_equal(
+            np.concatenate(vec._stride), np.array(ref._stride, dtype=bool)
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 2), st.integers(0, 30)),
+            min_size=1,
+            max_size=150,
+        ),
+        st.integers(1, 60),
+        st.one_of(st.none(), st.integers(1, 4)),
+    )
+    def test_random_traces_match_scalar_simulation(self, rows, chunk, capacity):
+        pcs = [0x2000 + 4 * pc for pc, _, _ in rows]
+        kinds = [kind for _, kind, _ in rows]
+        addrs = [
+            -1 if kind == NO_ACCESS else 0x8000 + 32 * slot
+            for _, kind, slot in rows
+        ]
+        trace = TraceChunk(pcs, addrs, kinds)
+        scalar, batched = _both_paths(_split(trace, chunk), capacity)
+        _assert_same_flags(scalar, batched)

@@ -17,7 +17,7 @@ from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.cache.kernel import BatchedCacheKernel, kernel_supported
 from repro.cpu.simulator import simulate_trace
 from repro.errors import SimulationError
-from repro.prefetch.analysis import AnnotatingSimulator, _CacheAnnotator
+from repro.prefetch.analysis import AnnotatingSimulator
 from repro.workloads import make_benchmark
 
 POLICIES = ("lru", "fifo", "random")
@@ -187,14 +187,9 @@ class TestAnnotationEquivalence:
     def test_flags_identical_across_paths(self):
         def run(batched):
             simulator = AnnotatingSimulator()
-            simulator._ran = True
-            annotators = tuple(
-                _CacheAnnotator(cache.config.n_lines, simulator.active_floor)
-                for cache in (simulator.hierarchy.l1i, simulator.hierarchy.l1d)
-            )
             trace = make_benchmark("gcc", scale=0.02).chunks()
             runner = simulator._run_batched if batched else simulator._run_scalar
-            return runner(trace, *annotators)
+            return runner(trace)
 
         scalar, batched = run(False), run(True)
         assert scalar.result == batched.result
