@@ -20,8 +20,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.cli import dumps_stable
 from repro.engine import ExecutionEngine, ResultStore, SimulationJob
-from repro.service.protocol import dumps_stable, job_result_payload
+from repro.engine.jobs import job_result_payload
 from repro.traces import convert_gem5_text, format_trace_ref, record_benchmark
 from repro.sweep import SweepSpec, expand
 

@@ -1,14 +1,12 @@
 """Record the substrate performance baseline.
 
-Runs ``benchmarks/bench_substrate.py``, ``benchmarks/bench_service.py``,
-``benchmarks/bench_traces.py`` and ``benchmarks/bench_remote.py``
-through pytest-benchmark and writes the JSON results to
-``BENCH_substrate.json`` at the repo root — the committed perf
-trajectory future changes are compared against (the batched-kernel
-acceptance bar was ">= 2x over the recorded
-``test_simulator_throughput`` mean"; the service benches track serving
-overhead: cold vs cached vs coalesced round-trips and request
-throughput at saturation).
+Runs ``benchmarks/bench_substrate.py``, ``benchmarks/bench_traces.py``
+and ``benchmarks/bench_remote.py`` through pytest-benchmark and writes
+the JSON results to ``BENCH_substrate.json`` at the repo root — the
+committed perf trajectory future changes are compared against (the
+batched-kernel acceptance bar was ">= 2x over the recorded
+``test_simulator_throughput`` mean"; the remote benches price worker
+dispatch, the connect handshake and a trace fetch).
 
 Usage::
 
@@ -38,7 +36,6 @@ def run_benchmarks(out: Path, keyword: str | None) -> int:
         "-m",
         "pytest",
         str(REPO_ROOT / "benchmarks" / "bench_substrate.py"),
-        str(REPO_ROOT / "benchmarks" / "bench_service.py"),
         str(REPO_ROOT / "benchmarks" / "bench_traces.py"),
         str(REPO_ROOT / "benchmarks" / "bench_remote.py"),
         "-q",

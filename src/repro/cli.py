@@ -1,13 +1,11 @@
 """Command-line interface: ``repro-leakage`` / ``python -m repro``.
 
-Six subcommands::
+Four subcommands::
 
     repro-leakage run <experiment> [...]   # tables/figures (the default)
     repro-leakage cache {info,clear}       # result-cache maintenance
     repro-leakage sweep {plan,run,status,merge}  # sharded parameter sweeps
     repro-leakage trace {record,info,validate,convert,simpoints}  # traces
-    repro-leakage serve [...]              # the leakage-analysis daemon
-    repro-leakage submit <verb> [...]      # client for a running daemon
 
 The historical flat forms keep working — a bare experiment name implies
 ``run``::
@@ -47,26 +45,17 @@ technology nodes) into engine jobs, optionally sharded across hosts
     repro-leakage sweep status --spec scaling.json
     repro-leakage sweep merge --spec scaling.json --csv out/
 
-``serve`` turns the same engine into a persistent daemon (bounded
-admission, per-client fairness, request coalescing, SSE progress
-streams — see :mod:`repro.service`), and ``submit`` is its client::
-
-    repro-leakage serve --port 8330 &
-    repro-leakage submit jobs gzip ammp --scale 0.05
-    repro-leakage submit sweep --sweep-name scaling --scales 0.05
-    repro-leakage submit status
-
 Exit codes are uniform across every command: 0 success, 2 usage or
-runtime error (details on stderr), 8 service admission refused (429;
-retry after the hinted delay), 130 interrupted.
+runtime error (details on stderr), 130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .engine import (
     BACKEND_NAMES,
@@ -93,17 +82,10 @@ from .workloads.benchmarks import BENCHMARK_NAMES
 
 #: Top-level subcommands; anything else on the command line is treated
 #: as an experiment name and routed to ``run`` (historical flat form).
-COMMANDS = ("run", "cache", "sweep", "trace", "serve", "submit")
-
-#: Exit code for a 429 admission refusal from the service — distinct
-#: from 2 (error) so callers can implement retry-after backoff.
-EXIT_REJECTED = 8
+COMMANDS = ("run", "cache", "sweep", "trace")
 
 #: Exit code when the user interrupts a command (SIGINT convention).
 EXIT_INTERRUPTED = 130
-
-#: Default service endpoint for ``submit`` (matches ``serve`` defaults).
-DEFAULT_SERVICE_URL = "http://127.0.0.1:8330"
 
 
 class _BackCompatParser(argparse.ArgumentParser):
@@ -155,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_parser(commands)
     _add_sweep_parser(commands)
     _add_trace_parser(commands)
-    _add_serve_parser(commands)
-    _add_submit_parser(commands)
     return parser
 
 
@@ -296,8 +276,7 @@ def _add_cache_parser(commands) -> None:
     cache.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable 'info' output (the same document the "
-        "service daemon serves under /v1/status)",
+        help="machine-readable 'info' output",
     )
     cache.set_defaults(handler=cache_command)
 
@@ -399,8 +378,7 @@ def _add_sweep_parser(commands) -> None:
     status.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable status (stable key order, shared "
-        "serializer with the service daemon)",
+        help="machine-readable status (stable key order)",
     )
     status.set_defaults(handler=sweep_status_command)
 
@@ -446,8 +424,8 @@ def _add_trace_parser(commands) -> None:
             "Recorded-trace tooling.  Traces use the native chunked format "
             "(streaming, checksummed, compressed) and are referenced "
             "anywhere a benchmark name is accepted as 'trace:<path>' — "
-            "run, sweep and submit all resolve them through the workload "
-            "registry, sharing content addresses with synthetic workloads."
+            "run and sweep resolve them through the workload registry, "
+            "sharing content addresses with synthetic workloads."
         ),
     )
     verbs = trace.add_subparsers(dest="verb", metavar="verb", required=True)
@@ -569,196 +547,56 @@ def _add_trace_parser(commands) -> None:
     simpoints.set_defaults(handler=trace_simpoints_command)
 
 
-def _add_serve_parser(commands) -> None:
-    serve = commands.add_parser(
-        "serve",
-        help="start the persistent leakage-analysis daemon",
-        description=(
-            "Serve the execution engine over HTTP: POST /v1/jobs and "
-            "/v1/sweeps with bounded admission (429 + Retry-After when "
-            "full), per-client weighted fair queueing (X-Client header), "
-            "request coalescing, SSE progress streams, and graceful "
-            "SIGTERM drain with journaled-ticket resume on restart."
-        ),
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1",
-        help="TCP bind address (default 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=None, metavar="PORT",
-        help="TCP port (default 8330; 0 picks an ephemeral port)",
-    )
-    serve.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="serve on a Unix socket at PATH instead of TCP",
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="simulation worker processes (default: REPRO_JOBS or CPUs)",
-    )
-    serve.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend (default: REPRO_BACKEND or 'pool'; see "
-        "'run --help')",
-    )
-    serve.add_argument(
-        "--max-queue", type=int, default=256, metavar="N",
-        help="admission-queue bound: queued computations beyond which "
-        "submissions get 429 (default 256)",
-    )
-    serve.add_argument(
-        "--retry-after", type=float, default=1.0, metavar="SECONDS",
-        help="floor for the 429 Retry-After hint (default 1.0)",
-    )
-    serve.add_argument(
-        "--weight", action="append", default=[], metavar="CLIENT=W",
-        help="fairness weight for a client name (repeatable; "
-        "unlisted clients weigh 1.0)",
-    )
-    serve.add_argument(
-        "--peer-id", default=None, metavar="NAME",
-        help="stable daemon identity for multi-daemon coordination "
-        "(default: peer-<pid>); letters, digits, '.', '_', '-'",
-    )
-    serve.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="lease heartbeat TTL: peers reclaim a ticket lease whose "
-        "heartbeat is older than this (default 10.0)",
-    )
-    serve.add_argument(
-        "--poll-interval", type=float, default=None, metavar="SECONDS",
-        help="how often to poll the shared store for a peer-owned "
-        "result (default 0.25)",
-    )
-    serve.add_argument(
-        "--ticket-ttl", type=float, default=None, metavar="SECONDS",
-        help="gc age: done/failed tickets and orphaned leases older "
-        "than this are pruned by 'submit gc' (default 3600)",
-    )
-    serve.set_defaults(handler=serve_command)
-
-
-def _add_client_arguments(parser) -> None:
-    parser.add_argument(
-        "--url", action="append", default=None, metavar="URL",
-        help=f"service endpoint (default {DEFAULT_SERVICE_URL}; "
-        "'unix:PATH' for a Unix socket; repeatable — extra URLs are "
-        "failover peers tried in order)",
-    )
-    parser.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="shorthand for --url unix:PATH",
-    )
-    parser.add_argument(
-        "--client", default=None, metavar="NAME",
-        help="client name sent as X-Client (admission fairness key)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=600.0, metavar="SECONDS",
-        help="overall wait timeout (default 600)",
-    )
-
-
-def _add_submit_parser(commands) -> None:
-    submit = commands.add_parser(
-        "submit",
-        help="submit work to a running daemon (client for 'serve')",
-        description=(
-            "Blocking client for the leakage-analysis service.  Exit "
-            f"code {EXIT_REJECTED} means admission was refused (429); "
-            "retry after the delay printed on stderr."
-        ),
-    )
-    verbs = submit.add_subparsers(dest="verb", metavar="verb", required=True)
-
-    jobs = verbs.add_parser(
-        "jobs", help="submit a benchmark batch and print the results"
-    )
-    jobs.add_argument(
-        "benchmarks", nargs="+", metavar="BENCHMARK",
-        help=f"workloads to simulate: benchmark names (from: "
-        f"{BENCHMARK_NAMES}) or 'trace:<path>' refs to recorded traces "
-        "readable by the daemon",
-    )
-    jobs.add_argument(
-        "--scale", type=float, default=1.0,
-        help="workload scale factor (as in 'run')",
-    )
-    jobs.add_argument(
-        "--no-wait", action="store_true",
-        help="print the admission response (tickets) and exit instead "
-        "of waiting for results",
-    )
-    jobs.add_argument(
-        "--retry", type=int, default=1, metavar="N",
-        help="submission attempts: retry 429 rejections with capped "
-        "exponential backoff, failing over across --url peers on "
-        "connection errors (default 1 = no retry)",
-    )
-    _add_client_arguments(jobs)
-    jobs.set_defaults(handler=submit_jobs_command)
-
-    sweep = verbs.add_parser(
-        "sweep", help="submit a whole sweep and print the merged report"
-    )
-    _add_spec_arguments(sweep)
-    sweep.add_argument(
-        "--no-wait", action="store_true",
-        help="print the sweep ticket and exit instead of waiting",
-    )
-    _add_client_arguments(sweep)
-    sweep.set_defaults(handler=submit_sweep_command)
-
-    ticket = verbs.add_parser(
-        "ticket", help="inspect one ticket (optionally follow its events)"
-    )
-    ticket.add_argument("ticket_id", metavar="TICKET")
-    ticket.add_argument(
-        "--follow", action="store_true",
-        help="stream the ticket's SSE events until it completes",
-    )
-    _add_client_arguments(ticket)
-    ticket.set_defaults(handler=submit_ticket_command)
-
-    status = verbs.add_parser(
-        "status", help="print the daemon's /v1/status document"
-    )
-    _add_client_arguments(status)
-    status.set_defaults(handler=submit_status_command)
-
-    metricz = verbs.add_parser(
-        "metricz", help="print the daemon's flat counters"
-    )
-    _add_client_arguments(metricz)
-    metricz.set_defaults(handler=submit_metricz_command)
-
-    drain = verbs.add_parser(
-        "drain", help="ask the daemon to stop admitting new work"
-    )
-    _add_client_arguments(drain)
-    drain.set_defaults(handler=submit_drain_command)
-
-    shutdown = verbs.add_parser(
-        "shutdown", help="ask the daemon to drain and exit gracefully"
-    )
-    _add_client_arguments(shutdown)
-    shutdown.set_defaults(handler=submit_shutdown_command)
-
-    gc = verbs.add_parser(
-        "gc", help="prune aged-out terminal tickets and orphaned leases"
-    )
-    gc.add_argument(
-        "--ticket-ttl", type=float, default=None, metavar="SECONDS",
-        help="override the daemon's configured gc age for this run",
-    )
-    _add_client_arguments(gc)
-    gc.set_defaults(handler=submit_gc_command)
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+# ----------------------------------------------------------------------
+# --json documents
+# ----------------------------------------------------------------------
+def dumps_stable(payload) -> str:
+    """Canonical JSON text: sorted keys, 2-space indent, trailing newline.
+
+    The one serializer behind every ``--json`` output, byte-stable for
+    identical payloads.
+    """
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def cache_info_payload(store) -> Dict:
+    """Machine-readable ``cache info``: store state + sharing totals."""
+    info = store.info()
+    # The flat trace_files/trace_bytes keys predate the nested "traces"
+    # object and must stay equal to it.
+    traces = {
+        "files": int(info.get("trace_files", 0)),
+        "bytes": int(info.get("trace_bytes", 0)),
+    }
+    return {
+        "directory": info["directory"],
+        "entries": int(info["entries"]),
+        "bytes": int(info["bytes"]),
+        "max_bytes": info["max_bytes"],
+        "quarantined": int(info.get("quarantined", 0)),
+        "trace_files": traces["files"],
+        "trace_bytes": traces["bytes"],
+        "traces": traces,
+        "sharing": collect_sharing_stats(store.directory),
+    }
+
+
+def sweep_status_payload(status: Dict) -> Dict:
+    """Machine-readable ``sweep status`` from the coordinator's status."""
+    return {
+        "sweep": status["sweep"],
+        "directory": status["directory"],
+        "spec_fingerprint": status["spec_fingerprint"],
+        "grid_jobs": int(status["grid_jobs"]),
+        "completed": int(status["completed"]),
+        "missing": list(status["missing"]),
+        "shards": [dict(shard) for shard in status["shards"]],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -775,8 +613,6 @@ def cache_command(args) -> int:
               f"from {store.describe()}")
         return 0
     if args.json:
-        from .service.protocol import cache_info_payload, dumps_stable
-
         print(dumps_stable(cache_info_payload(store)), end="")
         return 0
     info = store.info()
@@ -850,8 +686,6 @@ def _trace_destination(output: Optional[str], default_name: str):
 
 def _print_trace_info(info, json_out: bool) -> None:
     if json_out:
-        from .service.protocol import dumps_stable
-
         print(dumps_stable(info.to_dict()), end="")
         return
     print(f"trace:        {info.path}")
@@ -921,8 +755,6 @@ def trace_validate_command(args) -> int:
     except ReproError as error:
         return _fail(str(error))
     if args.json:
-        from .service.protocol import dumps_stable
-
         print(dumps_stable({"ok": True, "trace": info.to_dict()}), end="")
         return 0
     print(
@@ -949,8 +781,6 @@ def trace_convert_command(args) -> int:
     except OSError as error:
         return _fail(f"converting the trace failed: {error}")
     if args.json:
-        from .service.protocol import dumps_stable
-
         print(dumps_stable(report.to_dict()), end="")
         return 0
     print(
@@ -1015,8 +845,6 @@ def trace_simpoints_command(args) -> int:
     except OSError as error:
         return _fail(f"simpoint planning failed: {error}")
     if args.json:
-        from .service.protocol import dumps_stable
-
         print(dumps_stable(document), end="")
     else:
         print(f"trace:    {plan.trace_path}")
@@ -1210,7 +1038,6 @@ def sweep_status_command(args) -> int:
     try:
         spec = _spec_from_args(args)
         if args.json:
-            from .service.protocol import dumps_stable, sweep_status_payload
             from .sweep import SweepCoordinator
 
             coordinator = SweepCoordinator(spec)
@@ -1245,7 +1072,6 @@ def sweep_merge_command(args) -> int:
             path = save_sweep_csv(outcome.results, args.csv)
             print(f"sweep csv: {path}", file=sys.stderr)
         if args.json:
-            import json as json_module
             from pathlib import Path
 
             from .sweep import to_json_dict
@@ -1254,7 +1080,7 @@ def sweep_merge_command(args) -> int:
             if target.parent != Path("."):
                 target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(
-                json_module.dumps(
+                json.dumps(
                     to_json_dict(outcome.results), indent=2, sort_keys=True
                 )
                 + "\n",
@@ -1267,242 +1093,6 @@ def sweep_merge_command(args) -> int:
         print(outcome.telemetry.summary(), file=sys.stderr)
     if outcome.manifest_path:
         print(f"sweep manifest: {outcome.manifest_path}", file=sys.stderr)
-    return 0
-
-
-# ----------------------------------------------------------------------
-# serve / submit (the service daemon and its client)
-# ----------------------------------------------------------------------
-def serve_command(args) -> int:
-    """``repro-leakage serve``: run the leakage-analysis daemon."""
-    import asyncio
-
-    from .service import ServiceConfig, ServiceDaemon
-
-    weights = {}
-    for entry in args.weight:
-        name, sep, raw = entry.partition("=")
-        if not sep or not name:
-            return _fail(f"--weight needs CLIENT=WEIGHT, got {entry!r}")
-        try:
-            weight = float(raw)
-        except ValueError:
-            return _fail(f"--weight {entry!r}: the weight must be a number")
-        if weight <= 0:
-            return _fail(f"--weight {entry!r}: the weight must be positive")
-        if name in weights:
-            return _fail(
-                f"--weight {entry!r}: client {name!r} already has a weight"
-            )
-        weights[name] = weight
-    if args.peer_id is not None:
-        from .engine.checkpoint import validate_run_id
-
-        try:
-            validate_run_id(args.peer_id, what="--peer-id")
-        except ReproError as error:
-            return _fail(str(error))
-    for flag, value in (
-        ("--lease-ttl", args.lease_ttl),
-        ("--poll-interval", args.poll_interval),
-        ("--ticket-ttl", args.ticket_ttl),
-    ):
-        if value is not None and value <= 0:
-            return _fail(f"{flag} must be positive, got {value}")
-    if args.socket and args.port is not None:
-        return _fail("--socket and --port are mutually exclusive")
-    try:
-        config_overrides = {}
-        if args.peer_id is not None:
-            config_overrides["peer_id"] = args.peer_id
-        if args.lease_ttl is not None:
-            config_overrides["lease_ttl"] = args.lease_ttl
-        if args.poll_interval is not None:
-            config_overrides["poll_interval"] = args.poll_interval
-        if args.ticket_ttl is not None:
-            config_overrides["ticket_ttl"] = args.ticket_ttl
-        daemon_config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            socket=args.socket,
-            jobs=args.jobs,
-            backend=args.backend,
-            max_queue=args.max_queue,
-            retry_after=args.retry_after,
-            client_weights=weights,
-            **config_overrides,
-        )
-        daemon = ServiceDaemon(daemon_config)
-        asyncio.run(daemon.run())
-    except ReproError as error:
-        return _fail(str(error))
-    return 0
-
-
-def _service_client(args):
-    from .service.client import ServiceClient
-
-    if args.url and args.socket:
-        raise ReproError("--url and --socket are mutually exclusive")
-    urls = args.url or [
-        f"unix:{args.socket}" if args.socket else DEFAULT_SERVICE_URL
-    ]
-    return ServiceClient(urls, client=args.client, timeout=args.timeout)
-
-
-def _rejected(rejected) -> int:
-    print(
-        f"error: {rejected} (retry after {rejected.retry_after:.1f}s)",
-        file=sys.stderr,
-    )
-    return EXIT_REJECTED
-
-
-def submit_jobs_command(args) -> int:
-    from .service.client import ServiceRejected
-    from .service.protocol import dumps_stable
-
-    try:
-        benchmarks = _resolve_benchmark_refs(args.benchmarks)
-    except ReproError as error:
-        return _fail(str(error))
-    specs = [
-        {"benchmark": name, "scale": args.scale} for name in benchmarks
-    ]
-    if args.retry < 1:
-        return _fail(f"--retry must be at least 1, got {args.retry}")
-    try:
-        client = _service_client(args)
-        if args.retry > 1:
-            response = client.submit_with_retry(
-                specs, max_attempts=args.retry
-            )
-        else:
-            response = client.submit_jobs(specs)
-        if args.no_wait:
-            print(dumps_stable(response), end="")
-            return 0
-        documents = []
-        for item in response["items"]:
-            if item["status"] == "cached":
-                documents.append(
-                    {
-                        "result": item["result"],
-                        "execution": item["execution"],
-                    }
-                )
-            else:
-                ticket = client.wait(item["ticket"], timeout=args.timeout)
-                documents.append(
-                    {
-                        "result": ticket["result"]["result"],
-                        "execution": ticket["result"]["execution"],
-                    }
-                )
-        print(dumps_stable({"jobs": documents}), end="")
-    except ServiceRejected as rejected:
-        return _rejected(rejected)
-    except ReproError as error:
-        return _fail(str(error))
-    return 0
-
-
-def submit_sweep_command(args) -> int:
-    from .service.client import ServiceRejected
-    from .service.protocol import dumps_stable
-
-    try:
-        spec = _spec_from_args(args)
-        client = _service_client(args)
-        response = client.submit_sweep(spec.to_dict())
-        if args.no_wait:
-            print(dumps_stable(response), end="")
-            return 0
-        ticket = client.wait(response["ticket"], timeout=args.timeout)
-        result = ticket["result"]
-        print(result["report"])
-        print(
-            f"sweep {spec.name} served: {result['grid_jobs']} point(s), "
-            f"{result['cached_at_submit']} cached at submit, "
-            f"{result['computed']} computed, "
-            f"{result['coalesced']} coalesced; "
-            f"report sha256 {result['report_sha256']}",
-            file=sys.stderr,
-        )
-    except ServiceRejected as rejected:
-        return _rejected(rejected)
-    except ReproError as error:
-        return _fail(str(error))
-    return 0
-
-
-def submit_ticket_command(args) -> int:
-    import json as json_module
-
-    from .service.protocol import dumps_stable
-
-    try:
-        client = _service_client(args)
-        if args.follow:
-            for event in client.events(args.ticket_id):
-                print(json_module.dumps(event, sort_keys=True), flush=True)
-            return 0
-        print(dumps_stable(client.ticket(args.ticket_id)), end="")
-    except ReproError as error:
-        return _fail(str(error))
-    return 0
-
-
-def submit_status_command(args) -> int:
-    from .service.protocol import dumps_stable
-
-    try:
-        print(dumps_stable(_service_client(args).status()), end="")
-    except ReproError as error:
-        return _fail(str(error))
-    return 0
-
-
-def submit_metricz_command(args) -> int:
-    try:
-        print(_service_client(args).metricz_text(), end="")
-    except ReproError as error:
-        return _fail(str(error))
-    return 0
-
-
-def submit_drain_command(args) -> int:
-    from .service.protocol import dumps_stable
-
-    try:
-        print(dumps_stable(_service_client(args).drain()), end="")
-    except ReproError as error:
-        return _fail(str(error))
-    return 0
-
-
-def submit_shutdown_command(args) -> int:
-    from .service.protocol import dumps_stable
-
-    try:
-        print(dumps_stable(_service_client(args).shutdown()), end="")
-    except ReproError as error:
-        return _fail(str(error))
-    return 0
-
-
-def submit_gc_command(args) -> int:
-    from .service.protocol import dumps_stable
-
-    if args.ticket_ttl is not None and args.ticket_ttl <= 0:
-        return _fail(f"--ticket-ttl must be positive, got {args.ticket_ttl}")
-    try:
-        print(
-            dumps_stable(_service_client(args).gc(ttl=args.ticket_ttl)),
-            end="",
-        )
-    except ReproError as error:
-        return _fail(str(error))
     return 0
 
 

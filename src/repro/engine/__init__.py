@@ -42,7 +42,6 @@ from .backends import (
     default_job_timeout,
     default_watchdog,
     ladder,
-    merge_worker_sections,
     parse_hosts,
     resolve_backend_name,
 )
@@ -77,10 +76,10 @@ from .jobs import (
     JobOutcome,
     SimulationJob,
     execute_job,
+    job_result_payload,
 )
 from .parallel import (
     ENV_JOBS,
-    EngineFleet,
     ExecutionEngine,
     resolve_worker_count,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "ENV_RETRIES",
     "ENV_RETRY_DELAY",
     "ENV_WATCHDOG",
-    "EngineFleet",
     "ExecutionEngine",
     "FLAP_EXIT_CODE",
     "FaultPlan",
@@ -172,8 +170,8 @@ __all__ = [
     "default_watchdog",
     "execute_job",
     "iter_run_manifests",
+    "job_result_payload",
     "ladder",
-    "merge_worker_sections",
     "parse_fault_plan",
     "parse_hosts",
     "resolve_backend_name",

@@ -133,10 +133,6 @@ DEFAULT_FLAP_DECAY_SECONDS = 30.0
 #: Grace period for a worker to exit after the "exit" frame.
 _EXIT_GRACE_SECONDS = 0.5
 
-#: Breaker states ordered by severity, for cross-slot merging.
-_STATE_RANK = {"closed": 0, "half-open": 1, "open": 2}
-
-
 def resolve_backend_name(value: Optional[str] = None) -> str:
     """Backend name from the argument, ``REPRO_BACKEND``, or ``pool``."""
     if value is None:
@@ -182,19 +178,9 @@ def default_connect_timeout() -> float:
 
 def default_job_timeout() -> Optional[float]:
     """Per-job timeout from ``REPRO_JOB_TIMEOUT``, or ``None`` (no limit)."""
-    raw = os.environ.get(ENV_JOB_TIMEOUT)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise EngineError(
-            f"{ENV_JOB_TIMEOUT} must be a number of seconds, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise EngineError(
-            f"{ENV_JOB_TIMEOUT} must be positive, got {value!r}"
-        )
+    value = _env_float(ENV_JOB_TIMEOUT, minimum=0.0)
+    if value == 0:
+        raise EngineError(f"{ENV_JOB_TIMEOUT} must be positive, got {value!r}")
     return value
 
 
@@ -1003,42 +989,3 @@ def build_backend(
         hosts = local_hosts(max(1, max_workers))
     return WorkerBackend(name, hosts or [], timeout, watchdog=default_watchdog())
 
-
-def merge_worker_sections(sections: Sequence[Dict]) -> Dict:
-    """Combine several engines' ``workers`` sections into one view.
-
-    A fleet of engine slots (one backend each — backends are not
-    thread-safe, so concurrent slots cannot share one) still wants a
-    single ``workers`` section.  Host counters add, lists (hang events,
-    breaker transitions) concatenate in slot order, each host's breaker
-    state is the *most degraded* any slot observed, ladder descents and
-    used rungs concatenate, and the final rung is the last slot's.
-    """
-    merged: Dict = {}
-    for section in sections:
-        if not section:
-            continue
-        hosts = merged.setdefault("hosts", {})
-        for name, counters in section.get("hosts", {}).items():
-            into = hosts.setdefault(name, {})
-            for key, value in counters.items():
-                if key == "breaker_state":
-                    if _STATE_RANK.get(value, 0) >= _STATE_RANK.get(
-                        into.get(key), -1
-                    ):
-                        into[key] = value
-                elif isinstance(value, list):
-                    into.setdefault(key, []).extend(value)
-                elif isinstance(value, bool):
-                    into[key] = into.get(key, False) or value
-                elif isinstance(value, (int, float)):
-                    into[key] = into.get(key, 0) + value
-                else:
-                    into[key] = value
-        merged.setdefault("ladder", []).extend(section.get("ladder", []))
-        merged.setdefault("rungs_used", []).extend(
-            section.get("rungs_used", [])
-        )
-        if section.get("final_rung") is not None:
-            merged["final_rung"] = section["final_rung"]
-    return merged

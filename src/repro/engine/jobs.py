@@ -84,7 +84,7 @@ class SimulationJob:
         For registry-resolved workloads the identity comes from the
         registry: a trace recorded from a synthetic benchmark fingerprints
         *identically* to the synthetic original (same content address →
-        same cache entry, same coalescing), and a foreign trace is keyed
+        same cache entry), and a foreign trace is keyed
         by its chunking/codec-independent content digest.
         """
         if self.benchmark in BENCHMARK_NAMES:
@@ -117,7 +117,7 @@ class SimulationJob:
 
         A trace recorded from a paper-suite benchmark resolves to the
         *synthetic* name and scale it was recorded at, so every document
-        derived from it (service result payloads, reports) serializes
+        derived from it (result payloads, reports) serializes
         byte-identically to the inline synthetic run sharing its key.
         Foreign traces and window refs keep the job's own fields.
         """
@@ -189,3 +189,35 @@ def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
             chunks = source.chunks(job.scale)
     simulator = AnnotatingSimulator(pipeline=job.pipeline)
     return simulator.run(chunks)
+
+
+def job_result_payload(job: SimulationJob, annotated) -> Dict:
+    """The deterministic JSON result document for one finished job.
+
+    A pure function of the job's content address: every field comes from
+    the simulated result, none from the execution path, so serial,
+    worker and cached answers serialize identically — and a trace
+    recorded from a synthetic benchmark serializes like the original.
+    """
+    result = annotated.result
+    levels = {
+        name: {
+            "accesses": int(stats.accesses),
+            "hits": int(stats.hits),
+            "misses": int(stats.misses),
+            "evictions": int(stats.evictions),
+        }
+        for name, stats in sorted(result.stats.levels.items())
+    }
+    benchmark, scale = job.canonical_workload()
+    return {
+        "benchmark": benchmark,
+        "scale": float(scale),
+        "key": job.key(),
+        "instructions": int(result.instructions),
+        "cycles": int(result.cycles),
+        "stall_cycles": int(result.stall_cycles),
+        "l1i_intervals": len(result.l1i_intervals),
+        "l1d_intervals": len(result.l1d_intervals),
+        "levels": levels,
+    }

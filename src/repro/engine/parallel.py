@@ -32,7 +32,6 @@ bit-identical results; the engine only changes *when* and
 from __future__ import annotations
 
 import os
-import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +43,6 @@ from .backends import (
     build_backend,
     default_job_timeout,
     ladder,
-    merge_worker_sections,
     parse_hosts,
     resolve_backend_name,
 )
@@ -197,9 +195,6 @@ class ExecutionEngine:
                 hit = self.store.get(job.key())
             if hit is not None:
                 outcomes[job] = JobOutcome(job, hit, SOURCE_CACHED, sw.seconds)
-                self.telemetry.emit(
-                    "job-cached", job=job.describe(), key=job.key()
-                )
                 self._journal_record(job)
             else:
                 if job.key() in self._journaled:
@@ -224,27 +219,6 @@ class ExecutionEngine:
         """Convenience wrapper: run a single job."""
         return self.run([job])[job]
 
-    def run_streaming(
-        self,
-        jobs: Sequence[SimulationJob],
-        callback,
-    ) -> Dict[SimulationJob, JobOutcome]:
-        """:meth:`run` with a progress callback subscribed for its duration.
-
-        ``callback`` receives every telemetry event of the run (cache
-        hits, dispatches, completions, retries, quarantines, degradation
-        notes) as a dict with an ``"event"`` key.  This is the
-        async-friendly submit seam: callers owning an event loop hand
-        ``run_streaming`` to an executor thread and marshal the events
-        back with ``loop.call_soon_threadsafe`` — the service daemon's
-        SSE ticket streams are exactly this.
-        """
-        self.telemetry.subscribe(callback)
-        try:
-            return self.run(jobs)
-        finally:
-            self.telemetry.unsubscribe(callback)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -263,10 +237,6 @@ class ExecutionEngine:
         pending: List[SimulationJob],
         outcomes: Dict[SimulationJob, JobOutcome],
     ) -> None:
-        for job in pending:
-            self.telemetry.emit(
-                "job-started", job=job.describe(), key=job.key()
-            )
         engaged = self.workers is not None and self.workers.worth_starting(
             len(pending)
         )
@@ -300,13 +270,6 @@ class ExecutionEngine:
             outcomes[job] = JobOutcome(
                 job, annotated, self.workers.source, wall, attempts=attempts
             )
-            self.telemetry.emit(
-                "job-validated",
-                job=job.describe(),
-                key=job.key(),
-                source=self.workers.source,
-                attempts=attempts,
-            )
             self._commit(job, annotated)
 
         try:
@@ -316,13 +279,6 @@ class ExecutionEngine:
                 )
                 outcomes[job] = JobOutcome(
                     job, annotated, source, seconds, attempts=attempts
-                )
-                self.telemetry.emit(
-                    "job-validated",
-                    job=job.describe(),
-                    key=job.key(),
-                    source=source,
-                    attempts=attempts,
                 )
                 self._commit(job, annotated)
         finally:
@@ -352,10 +308,6 @@ class ExecutionEngine:
         # the parent owns the segments and unlinks them when the dispatch
         # settles, however the workers fared.
         published = transport.publish_for_jobs(pending, self.transport)
-        for path in published:
-            self.telemetry.emit(
-                "trace-published", path=path, transport=self.transport
-            )
         if published:
             self._traces_published += len(published)
             self.telemetry.record_substrate(
@@ -459,103 +411,3 @@ class ExecutionEngine:
     def _journal_record(self, job: SimulationJob) -> None:
         if self.journal is not None:
             self.journal.record(job)
-
-
-class EngineFleet:
-    """N single-slot engines sharing one store and one telemetry.
-
-    :class:`ExecutionEngine` is built for one caller at a time — its
-    worker backend mutates per-host state per dispatch and is not
-    thread-safe.  A daemon that wants to run
-    several WorkItems *concurrently* therefore cannot funnel them
-    through one engine; it checks a slot engine out of this fleet per
-    item instead.  Every slot shares the fleet's result store (so cache
-    hits, coalescing and the coordination layer's guarded publishes see
-    one source of truth) and the fleet's :class:`RunTelemetry` (which is
-    lock-protected for exactly this arrangement); each slot owns its
-    own worker backend, journal-free and one worker wide.
-
-    Slots are created lazily and recycled, so a mostly-idle daemon pays
-    for one engine, a saturated one for ``slots``.
-    """
-
-    def __init__(
-        self,
-        slots: int,
-        store: Optional[object] = None,
-        telemetry: Optional[RunTelemetry] = None,
-        backend: Optional[str] = None,
-        timeout: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        hosts: Optional[str] = None,
-    ) -> None:
-        if slots < 1:
-            raise EngineError(f"fleet slots must be at least 1, got {slots!r}")
-        self.slots = int(slots)
-        self.store = store if store is not None else ResultStore()
-        self.telemetry = telemetry if telemetry is not None else RunTelemetry()
-        self.backend = backend
-        self.timeout = timeout
-        self.retry = retry
-        self.faults = faults
-        self.hosts = hosts
-        self._idle: List[ExecutionEngine] = []
-        self._all: List[ExecutionEngine] = []
-        self._lock = threading.Lock()
-
-    def _build_slot(self) -> ExecutionEngine:
-        return ExecutionEngine(
-            jobs=1,
-            store=self.store,
-            telemetry=self.telemetry,
-            backend=self.backend,
-            timeout=self.timeout,
-            retry=self.retry,
-            faults=self.faults,
-            hosts=self.hosts,
-        )
-
-    def acquire(self) -> ExecutionEngine:
-        """Check out an idle slot engine, creating one when none is free.
-
-        Callers are expected to bound their concurrency to
-        :attr:`slots` (the service daemon does, with a semaphore); the
-        fleet itself never blocks — an over-subscribed caller simply
-        grows extra slots rather than deadlocking.
-        """
-        with self._lock:
-            if self._idle:
-                return self._idle.pop()
-            engine = self._build_slot()
-            self._all.append(engine)
-            return engine
-
-    def release(self, engine: ExecutionEngine) -> None:
-        """Return a slot engine to the idle pool."""
-        with self._lock:
-            self._idle.append(engine)
-
-    def run_one(self, job: SimulationJob) -> JobOutcome:
-        """Run one job on a checked-out slot (acquire/run/release)."""
-        engine = self.acquire()
-        try:
-            return engine.run_one(job)
-        finally:
-            self.release(engine)
-
-    @property
-    def engines(self) -> List[ExecutionEngine]:
-        with self._lock:
-            return list(self._all)
-
-    def workers_section(self) -> Dict:
-        """Every slot's ``workers`` section merged into one."""
-        return merge_worker_sections(
-            [engine.workers_section() for engine in self.engines]
-        )
-
-    def finalize(self) -> None:
-        """Record the merged workers section + store counters."""
-        self.telemetry.record_workers(self.workers_section())
-        self.telemetry.record_store(self.store)

@@ -16,6 +16,7 @@ declaring it permanently failed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -116,6 +117,8 @@ def _env_float(name: str, minimum: float) -> Optional[float]:
         raise EngineError(
             f"{name} must be a number of seconds, got {raw!r}"
         ) from None
+    if not math.isfinite(value):
+        raise EngineError(f"{name} must be a finite number, got {raw!r}")
     if value < minimum:
         raise EngineError(f"{name} must be at least {minimum}, got {value!r}")
     return value

@@ -8,23 +8,15 @@ wall time, and :class:`RunTelemetry` turns them into
 
 Timers are monotonic and deliberately lightweight (one ``perf_counter``
 pair per job); they add nothing measurable to multi-second simulations.
-
-Telemetry is also the engine's *streaming* seam: observers subscribed
-via :meth:`RunTelemetry.subscribe` receive every lifecycle event —
-cache hits, dispatches, completions, retries, quarantines, degradation
-notes — the moment it is recorded.  The service daemon
-(:mod:`repro.service`) turns this stream into per-ticket SSE events;
-observers that raise are dropped from the event, never from the run.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .jobs import SOURCE_CACHED, JobOutcome
 
@@ -58,8 +50,10 @@ from .jobs import SOURCE_CACHED, JobOutcome
 #: version 10 merged ``heartbeats``, ``breakers`` and ``fault_domains``
 #: into one ``workers`` section (per-host counters, hang events and
 #: breaker transitions, the descents to serial, the rungs used and the
-#: final rung — empty for runs whose jobs all ran in-process).
-MANIFEST_VERSION = 10
+#: final rung — empty for runs whose jobs all ran in-process); version
+#: 11 dropped the ``service`` and ``coordination`` sections with the
+#: serving daemon.
+MANIFEST_VERSION = 11
 
 
 class Stopwatch:
@@ -127,12 +121,6 @@ class RunTelemetry:
     wall_seconds: float = 0.0
     context: Dict = field(default_factory=dict)
     store_stats: Dict = field(default_factory=dict)
-    #: The ``ServiceProfile`` of a daemon-owned run (manifest v6); empty
-    #: for plain CLI runs.
-    service: Dict = field(default_factory=dict)
-    #: The ``CoordinationProfile`` of a multi-daemon fleet (manifest
-    #: v7); empty outside a coordinating daemon.
-    coordination: Dict = field(default_factory=dict)
     #: The run's simulation substrate (manifest v8): resolved kernel
     #: mode, residual implementation, trace transport mode and
     #: published-arena totals.
@@ -141,43 +129,6 @@ class RunTelemetry:
     #: hang events and breaker transitions, descents to the serial rung,
     #: rungs used and the final rung.  Empty when no worker engaged.
     workers: Dict = field(default_factory=dict)
-    #: Live event observers (not part of the manifest).
-    observers: List[Callable] = field(default_factory=list, repr=False)
-    #: Guards the record lists when several engine slots of one fleet
-    #: share this telemetry and record from their own executor threads.
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    # ------------------------------------------------------------------
-    # Streaming observers
-    # ------------------------------------------------------------------
-    def subscribe(self, observer: Callable[[Dict], None]) -> None:
-        """Attach a live observer; it receives every ``emit`` payload."""
-        self.observers.append(observer)
-
-    def unsubscribe(self, observer: Callable[[Dict], None]) -> None:
-        """Detach an observer added with :meth:`subscribe`."""
-        try:
-            self.observers.remove(observer)
-        except ValueError:
-            pass
-
-    def emit(self, event: str, **data) -> None:
-        """Push one lifecycle event to every observer.
-
-        Observers run synchronously on the emitting thread (worker
-        completions arrive on the engine's thread); a raising observer
-        is skipped, never allowed to break the run.
-        """
-        if not self.observers:
-            return
-        payload = {"event": event, **data}
-        for observer in list(self.observers):
-            try:
-                observer(payload)
-            except Exception:
-                continue
 
     # ------------------------------------------------------------------
     # Recording
@@ -212,8 +163,7 @@ class RunTelemetry:
                 else {}
             ),
         )
-        with self._lock:
-            self.records.append(record)
+        self.records.append(record)
 
     def record_failure(self, job, error: BaseException) -> None:
         """Add one permanently-failed job."""
@@ -223,21 +173,15 @@ class RunTelemetry:
             "key": job.key(),
             "error": f"{type(error).__name__}: {error}",
         }
-        with self._lock:
-            self.failures.append(entry)
-        self.emit("job-failed", **entry)
+        self.failures.append(entry)
 
     def record_retry(self, entry: Dict) -> None:
         """Add one structured retry record (see ``PoolReport.retries``)."""
-        with self._lock:
-            self.retries.append(dict(entry))
-        self.emit("job-retried", **dict(entry))
+        self.retries.append(dict(entry))
 
     def record_fault(self, description: str) -> None:
         """Add one injected-fault record (engine-side injections)."""
-        with self._lock:
-            self.faults.append(description)
-        self.emit("fault-injected", description=description)
+        self.faults.append(description)
 
     def record_quarantine(self, job, violations, where: str) -> None:
         """Add one invalid-result quarantine (the validation gate fired)."""
@@ -248,24 +192,7 @@ class RunTelemetry:
             "where": where,
             "violations": [str(v) for v in violations],
         }
-        with self._lock:
-            self.quarantines.append(entry)
-        self.emit("result-quarantined", **entry)
-
-    def record_service(self, profile: Dict) -> None:
-        """Attach the daemon's ``ServiceProfile`` (manifest v6 section)."""
-        self.service = dict(profile)
-
-    def record_coordination(self, profile: Dict) -> None:
-        """Attach the fleet's ``CoordinationProfile`` (manifest v7).
-
-        Daemons record it on drain/shutdown: peer identity, lease
-        counters (acquired/contended/reclaimed/released/fenced),
-        guarded-publish outcomes, remote-coalescing totals and GC
-        sweeps.  Plain CLI runs never touch it, so their manifests keep
-        an empty section.
-        """
-        self.coordination = dict(profile)
+        self.quarantines.append(entry)
 
     def record_workers(self, section: Dict) -> None:
         """Snapshot the ``workers`` section (manifest v10, idempotent).
@@ -273,8 +200,7 @@ class RunTelemetry:
         The engine's section is cumulative over its runs, so each
         dispatch replaces the previous snapshot.
         """
-        with self._lock:
-            self.workers = dict(section)
+        self.workers = dict(section)
 
     def record_substrate(self, profile: Dict) -> None:
         """Merge substrate facts (kernel + transport) into the manifest.
@@ -284,14 +210,11 @@ class RunTelemetry:
         dispatches publish traces, so the call merges rather than
         replaces.
         """
-        with self._lock:
-            self.substrate.update(profile)
+        self.substrate.update(profile)
 
     def note(self, message: str) -> None:
         """Attach a free-form robustness note (fallbacks, evictions)."""
-        with self._lock:
-            self.notes.append(message)
-        self.emit("note", message=message)
+        self.notes.append(message)
 
     def record_store(self, store) -> None:
         """Snapshot the result store's counters (idempotent, cumulative).
@@ -317,8 +240,7 @@ class RunTelemetry:
 
     def add_wall(self, seconds: float) -> None:
         """Accumulate run-level wall time (one engine.run call)."""
-        with self._lock:
-            self.wall_seconds += seconds
+        self.wall_seconds += seconds
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -463,8 +385,6 @@ class RunTelemetry:
             "notes": list(self.notes),
             "quarantine": [dict(q) for q in self.quarantines],
             "store": dict(self.store_stats),
-            "service": dict(self.service),
-            "coordination": dict(self.coordination),
             "substrate": dict(self.substrate),
             "workers": dict(self.workers),
         }

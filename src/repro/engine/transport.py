@@ -274,8 +274,8 @@ def _publish(trace_path: str, mode: str, directory: Path) -> TraceArena:
 class ArenaRegistry:
     """Process-wide refcounted publisher, safe for concurrent engines.
 
-    Several engines (the service's :class:`EngineFleet` slots run in
-    threads) may dispatch jobs over the same trace at once; the registry
+    Several engines (in threads of one process) may dispatch jobs over
+    the same trace at once; the registry
     publishes each trace exactly once, hands every publisher the same
     arena, and unlinks only when the last one releases it.
     """

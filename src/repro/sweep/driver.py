@@ -196,7 +196,6 @@ def merge(
     jobs: Optional[int] = None,
     cache_dir: Optional[os.PathLike] = None,
     backend: Optional[str] = None,
-    engine: Optional[ExecutionEngine] = None,
     hosts: Optional[str] = None,
 ) -> MergeOutcome:
     """Aggregate every shard's results into the sweep report + manifest.
@@ -205,22 +204,15 @@ def merge(
     (or whose entry rotted) is recomputed transparently, so the merged
     report is byte-identical to an unsharded single-host run — and
     merging twice is idempotent.
-
-    Passing ``engine`` reuses a caller-owned engine instead of building
-    one — the sweep-over-service path: the daemon finalizes a sweep
-    ticket through its single shared engine (every point is a cache hit
-    by then), so serving-layer merges coalesce with everything else the
-    daemon knows.
     """
     coordinator = SweepCoordinator(spec, cache_dir)
     coordinator.ensure_spec()
-    if engine is None:
-        engine = ExecutionEngine(
-            jobs=jobs,
-            store=_store_for(cache_dir),
-            backend=backend,
-            hosts=hosts,
-        )
+    engine = ExecutionEngine(
+        jobs=jobs,
+        store=_store_for(cache_dir),
+        backend=backend,
+        hosts=hosts,
+    )
     results = collect(spec, engine=engine)
     report = render_report(results)
     status = coordinator.status()

@@ -51,22 +51,6 @@ def _pipeline_to_dict(pipeline: Optional[PipelineConfig]) -> Optional[Dict]:
     return None if pipeline is None else asdict(pipeline)
 
 
-def pipeline_to_dict(pipeline: Optional[PipelineConfig]) -> Optional[Dict]:
-    """JSON form of a pipeline axis entry (``None`` for the default)."""
-    return _pipeline_to_dict(pipeline)
-
-
-def pipeline_from_dict(value) -> Optional[PipelineConfig]:
-    """Parse a pipeline axis entry from its JSON form, validated.
-
-    Shared by the sweep spec and the service wire protocol
-    (:mod:`repro.service.protocol`), so a job submitted over HTTP and a
-    sweep point built locally agree byte-for-byte on what a pipeline
-    override means — and therefore on the content address.
-    """
-    return _pipeline_from_dict(value)
-
-
 def _pipeline_from_dict(value) -> Optional[PipelineConfig]:
     if value is None:
         return None

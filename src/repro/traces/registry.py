@@ -1,7 +1,7 @@
 """Unified workload registry: synthetic generators and recorded traces.
 
 Every place the system names a workload — `SimulationJob.benchmark`,
-`SweepSpec.benchmarks`, the service's job specs — accepts a *workload
+`SweepSpec.benchmarks`, the CLI's ``--benchmarks`` — accepts a *workload
 ref* resolved through this module:
 
 ``"gzip"``

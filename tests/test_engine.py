@@ -283,9 +283,9 @@ class TestTelemetry:
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == 10
-        assert manifest["service"] == {}
-        assert manifest["coordination"] == {}
+        assert manifest["manifest_version"] == 11
+        for dropped in ("service", "coordination"):
+            assert dropped not in manifest  # went with the serving daemon
         assert manifest["workers"] == {}  # no worker engaged
         substrate = manifest["substrate"]
         assert substrate["kernel_mode"] in ("scalar", "batched", "compiled")

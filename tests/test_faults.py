@@ -27,7 +27,10 @@ from repro.engine import (
     RetryPolicy,
     RunJournal,
     SimulationJob,
+    default_heartbeat_interval,
+    default_job_timeout,
     default_retry_policy,
+    default_watchdog,
     parse_fault_plan,
     resolve_cache_dir,
     resolve_cache_limit,
@@ -183,12 +186,29 @@ class TestRetryPolicy:
             ("REPRO_RETRIES", "0"),
             ("REPRO_RETRY_DELAY", "soon"),
             ("REPRO_RETRY_DELAY", "-1"),
+            ("REPRO_RETRY_DELAY", "nan"),
+            ("REPRO_RETRY_DELAY", "inf"),
+            ("REPRO_WATCHDOG", "nan"),
+            ("REPRO_WATCHDOG", "inf"),
+            ("REPRO_HEARTBEAT", "nan"),
+            ("REPRO_JOB_TIMEOUT", "nan"),
+            ("REPRO_JOB_TIMEOUT", "inf"),
+            ("REPRO_JOB_TIMEOUT", "0"),
         ],
     )
     def test_env_validation(self, monkeypatch, var, raw):
+        # Non-finite values would silently disable the watchdog and the
+        # deadline (no gap is ever >= nan), so every knob rejects them.
+        resolve = {
+            "REPRO_RETRIES": default_retry_policy,
+            "REPRO_RETRY_DELAY": default_retry_policy,
+            "REPRO_WATCHDOG": default_watchdog,
+            "REPRO_HEARTBEAT": default_heartbeat_interval,
+            "REPRO_JOB_TIMEOUT": default_job_timeout,
+        }[var]
         monkeypatch.setenv(var, raw)
         with pytest.raises(EngineError, match=var):
-            default_retry_policy()
+            resolve()
 
 
 class TestSerialRetry:

@@ -312,7 +312,7 @@ class TestTraceFetch:
         info_payload = store.info()
         assert info_payload["trace_files"] == 1
         assert info_payload["trace_bytes"] == path.stat().st_size
-        from repro.service.protocol import cache_info_payload
+        from repro.cli import cache_info_payload
 
         nested = cache_info_payload(store)["traces"]
         assert nested == {

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from repro.cache.kernel import validate_chunk, validated_chunks
-from repro.cli import main
+from repro.cli import dumps_stable, main
 from repro.cpu.simulator import simulate_trace
 from repro.cpu.trace import LOAD, NO_ACCESS, STORE, TraceChunk, merge_chunks
 from repro.engine import ExecutionEngine, ResultStore, SimulationJob
-from repro.engine.jobs import SOURCE_CACHED
+from repro.engine.jobs import SOURCE_CACHED, job_result_payload
 from repro.errors import (
     ConfigurationError,
     EngineError,
@@ -30,7 +30,6 @@ from repro.errors import (
     TraceValidationError,
     WorkloadRefError,
 )
-from repro.service.protocol import dumps_stable, job_result_payload, parse_job_spec
 from repro.sweep import SweepSpec
 from repro.traces import (
     ConversionReport,
@@ -310,16 +309,12 @@ class TestStreamingEquality:
         assert dumps_stable(doc_syn) == dumps_stable(doc_tr)
 
     def test_trace_job_hits_the_synthetic_cache_entry(self, tmp_path, recorded):
-        # Same content address -> the serving path coalesces and caches
-        # the two submissions as one computation.
+        # Same content address -> the trace job is served from the cache
+        # entry the synthetic run wrote.
         engine = serial_engine(tmp_path)
         engine.run_one(SimulationJob("gzip", scale=SMALL))
         outcome = engine.run_one(SimulationJob(format_trace_ref(recorded.path)))
         assert outcome.source == SOURCE_CACHED
-
-    def test_parse_job_spec_accepts_trace_refs(self, recorded):
-        job = parse_job_spec({"benchmark": format_trace_ref(recorded.path)})
-        assert job.key() == SimulationJob("gzip", scale=SMALL).key()
 
     def test_window_job_simulates_exactly_the_window(self, recorded, gzip_chunks):
         n = 20_000
