@@ -1,15 +1,14 @@
-"""Benches: framed-worker dispatch overhead over local exec hosts.
+"""Benches: framed-worker dispatch overhead on local worker processes.
 
 Not paper artifacts — these price what the framed-worker backend adds
-on top of the computation itself: connect + ready handshake, frame
-round-trips per job, and the digest trace-fetch path.  All measured
-against local ``exec`` hosts (real subprocesses speaking the real
-worker protocol), so the numbers isolate protocol cost from network
-cost.  On a host with two or fewer CPUs the two-host benches are
-overhead-only (``extra_info``): two workers cannot beat one process.
+on top of the computation itself: worker start + ready handshake and
+frame round-trips per job, measured on ``--backend subprocess`` (real
+child processes speaking the real worker protocol).  The bench names
+keep their historical ``remote`` prefix so their entries in
+``BENCH_substrate.json`` stay comparable.  On a host with two or fewer
+CPUs the two-worker bench is overhead-only (``extra_info``): two
+workers cannot beat one process.
 """
-
-import os
 
 import pytest
 
@@ -21,7 +20,7 @@ from repro.engine import (
     SimulationJob,
     WorkerBackend,
     default_retry_policy,
-    parse_hosts,
+    local_hosts,
 )
 
 #: Small enough that dispatch overhead dominates the measurement.
@@ -33,20 +32,15 @@ FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01)
 @pytest.fixture(autouse=True)
 def clean_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in ("REPRO_FAULTS", "REPRO_HOSTS", "REPRO_REMOTE_FETCH"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 
-def run_remote(jobs):
+def run_workers(jobs):
     engine = ExecutionEngine(
-        jobs=2,
-        store=NullStore(),
-        backend="remote",
-        hosts="exec,exec",
-        retry=FAST_RETRY,
+        jobs=2, store=NullStore(), backend="subprocess", retry=FAST_RETRY
     )
     outcomes = engine.run(jobs)
-    assert all(o.source == "remote" for o in outcomes.values())
+    assert all(o.source == "subprocess" for o in outcomes.values())
     return outcomes
 
 
@@ -56,7 +50,7 @@ def run_serial(jobs):
 
 
 def test_remote_dispatch_overhead(benchmark):
-    """Wall cost of a two-job run over loopback exec hosts.
+    """Wall cost of a two-job run on two local worker processes.
 
     Includes worker spawn, ready handshake, job/result frames and
     teardown — the per-dispatch price of the worker rung.
@@ -66,7 +60,7 @@ def test_remote_dispatch_overhead(benchmark):
         SimulationJob("ammp", scale=DISPATCH_SCALE),
     ]
     label_overhead_only(benchmark)
-    benchmark.pedantic(run_remote, args=(jobs,), rounds=3, iterations=1)
+    benchmark.pedantic(run_workers, args=(jobs,), rounds=3, iterations=1)
 
 
 def test_serial_baseline_for_dispatch(benchmark):
@@ -79,8 +73,8 @@ def test_serial_baseline_for_dispatch(benchmark):
 
 
 def test_remote_connect_handshake(benchmark):
-    """Connect + ready-frame latency for one local exec host."""
-    backend = WorkerBackend("remote", parse_hosts("exec:bench"))
+    """Worker start + ready-frame latency for one local worker."""
+    backend = WorkerBackend("subprocess", local_hosts(1))
 
     def handshake():
         report = backend.run(
@@ -92,24 +86,3 @@ def test_remote_connect_handshake(benchmark):
 
     benchmark.pedantic(handshake, rounds=3, iterations=1)
 
-
-def test_remote_trace_fetch_round_trip(benchmark, tmp_path_factory, monkeypatch):
-    """One job whose trace is force-fetched by digest every round."""
-    from repro.traces import format_trace_ref, record_benchmark
-    from repro.traces.fetch import staged_trace_path
-
-    monkeypatch.setenv("REPRO_REMOTE_FETCH", "always")
-    path = tmp_path_factory.mktemp("bench-remote") / "gzip.rtr"
-    info = record_benchmark(
-        "gzip", path, scale=DISPATCH_SCALE, chunk_instructions=20_000
-    )
-    job = SimulationJob(format_trace_ref(path), scale=1.0)
-
-    def fetch_run():
-        staged = staged_trace_path(info.digest)
-        if staged.exists():
-            staged.unlink()  # every round pays the full fetch
-        return run_remote([job])
-
-    benchmark.pedantic(fetch_run, rounds=3, iterations=1)
-    benchmark.extra_info["trace_bytes"] = path.stat().st_size

@@ -5,8 +5,9 @@ and ``benchmarks/bench_remote.py`` through pytest-benchmark and writes
 the JSON results to ``BENCH_substrate.json`` at the repo root — the
 committed perf trajectory future changes are compared against (the
 batched-kernel acceptance bar was ">= 2x over the recorded
-``test_simulator_throughput`` mean"; the remote benches price worker
-dispatch, the connect handshake and a trace fetch).
+``test_simulator_throughput`` mean"; ``bench_remote.py`` prices
+framed-worker dispatch and the worker start handshake on local
+``subprocess`` workers).
 
 Usage::
 

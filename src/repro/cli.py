@@ -20,10 +20,9 @@ The historical flat forms keep working — a bare experiment name implies
 Simulations go through the execution engine: benchmark jobs fan out over
 framed worker processes (``--jobs`` / ``REPRO_JOBS``) selected by
 ``--backend`` / ``REPRO_BACKEND`` — local workers (``pool`` when more
-than one worker and one job, ``subprocess`` always) or ``remote`` workers
-on peer hosts (``--hosts`` / ``REPRO_HOSTS``, connect deadline via
-``REPRO_REMOTE_CONNECT_TIMEOUT``) — and whatever the workers cannot
-finish runs in-process (``serial``), so a run always completes; failed or
+than one worker and one job, ``subprocess`` always) — and whatever the
+workers cannot finish runs in-process (``serial``), so a run always
+completes; hung workers are killed by a heartbeat watchdog, failed or
 timed-out jobs are retried per job with deterministic backoff
 (``REPRO_RETRIES`` / ``REPRO_RETRY_DELAY``), every fresh result passes
 an invariant-validation gate before caching, results are cached on disk
@@ -192,17 +191,8 @@ def _add_run_parser(commands) -> None:
         help="execution backend (default: REPRO_BACKEND or 'pool'): pool "
         "runs --jobs local workers when --jobs > 1 and more than one job "
         "is pending, else in-process; subprocess always ships jobs to "
-        "--jobs local workers; remote uses --hosts; serial runs every job "
-        "in-process.  Jobs workers cannot finish run in-process, so a run "
+        "--jobs local workers; serial runs every job in-process.  Jobs workers cannot finish run in-process, so a run "
         "always completes",
-    )
-    run.add_argument(
-        "--hosts",
-        default=None,
-        metavar="HOSTS",
-        help="comma-separated remote hosts for --backend remote "
-        "(default: REPRO_HOSTS): 'exec[:label]' loopback fakes or "
-        "'[ssh:][user@]host[:dir]' SSH peers",
     )
     run.add_argument(
         "--kernel",
@@ -364,11 +354,6 @@ def _add_sweep_parser(commands) -> None:
         help="execution backend for this shard "
         "(default: REPRO_BACKEND or 'pool'; see 'run --help')",
     )
-    run.add_argument(
-        "--hosts", default=None, metavar="HOSTS",
-        help="comma-separated remote hosts for --backend remote "
-        "(default: REPRO_HOSTS)",
-    )
     run.set_defaults(handler=sweep_run_command)
 
     status = verbs.add_parser(
@@ -395,11 +380,6 @@ def _add_sweep_parser(commands) -> None:
         "--backend", choices=BACKEND_NAMES, default=None,
         help="execution backend for any remaining simulations "
         "(see 'run --help')",
-    )
-    merge.add_argument(
-        "--hosts", default=None, metavar="HOSTS",
-        help="comma-separated remote hosts for --backend remote "
-        "(default: REPRO_HOSTS)",
     )
     merge.add_argument(
         "--output", default=None, metavar="FILE",
@@ -933,7 +913,6 @@ def run_command(args) -> int:
             journal=journal,
             resume=args.resume is not None,
             backend=args.backend,
-            hosts=args.hosts,
         )
         suite = SuiteRunner(scale=args.scale, benchmarks=benchmarks, engine=engine)
         if args.experiment == "all":
@@ -1020,13 +999,7 @@ def sweep_run_command(args) -> int:
     try:
         spec = _spec_from_args(args)
         assignment = ShardAssignment(args.shard_index, args.shard_count)
-        run = run_shard(
-            spec,
-            assignment,
-            jobs=args.jobs,
-            backend=args.backend,
-            hosts=args.hosts,
-        )
+        run = run_shard(spec, assignment, jobs=args.jobs, backend=args.backend)
     except ReproError as error:
         return _fail(str(error))
     for line in shard_run_summary(run):
@@ -1056,9 +1029,7 @@ def sweep_status_command(args) -> int:
 def sweep_merge_command(args) -> int:
     try:
         spec = _spec_from_args(args)
-        outcome = sweep_merge(
-            spec, jobs=args.jobs, backend=args.backend, hosts=args.hosts
-        )
+        outcome = sweep_merge(spec, jobs=args.jobs, backend=args.backend)
     except ReproError as error:
         return _fail(str(error))
     print(outcome.report)

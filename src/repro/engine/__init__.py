@@ -4,11 +4,10 @@ The substrate under every experiment.  Jobs (:mod:`~repro.engine.jobs`)
 name deterministic simulation points; :class:`ExecutionEngine`
 (:mod:`~repro.engine.parallel`) resolves them through a content-addressed
 on-disk cache (:mod:`~repro.engine.store`), then the framed-worker
-backend (:mod:`~repro.engine.backends`: local ``exec`` hosts, or peers
-over SSH, each running :mod:`~repro.engine.worker`), then in-process
-serial execution — with per-job retry (:mod:`~repro.engine.retry`),
-per-host circuit breakers and flap counters
-(:mod:`~repro.engine.supervise`), an invariant-validation gate on every
+backend (:mod:`~repro.engine.backends`: local worker processes, each
+running :mod:`~repro.engine.worker` under a heartbeat watchdog), then
+in-process serial execution — with per-job retry
+(:mod:`~repro.engine.retry`), an invariant-validation gate on every
 fresh result (:mod:`~repro.engine.validate`), crash-safe run checkpoints
 (:mod:`~repro.engine.checkpoint`), and run telemetry
 (:mod:`~repro.engine.telemetry`).  A deterministic fault-injection
@@ -29,20 +28,16 @@ from .backends import (
     BACKEND_NAMES,
     ENV_BACKEND,
     ENV_HEARTBEAT,
-    ENV_HOSTS,
     ENV_JOB_TIMEOUT,
-    ENV_REMOTE_CONNECT_TIMEOUT,
     ENV_WATCHDOG,
-    HostSpec,
     PoolReport,
     WorkerBackend,
     build_backend,
-    default_connect_timeout,
     default_heartbeat_interval,
     default_job_timeout,
     default_watchdog,
     ladder,
-    parse_hosts,
+    local_hosts,
     resolve_backend_name,
 )
 from .checkpoint import (
@@ -70,7 +65,6 @@ from .jobs import (
     SOURCE_CACHED,
     SOURCE_FALLBACK,
     SOURCE_PARALLEL,
-    SOURCE_REMOTE,
     SOURCE_SERIAL,
     SOURCE_SUBPROCESS,
     JobOutcome,
@@ -98,32 +92,20 @@ from .store import (
     resolve_cache_dir,
     resolve_cache_limit,
 )
-from .supervise import (
-    ENV_BREAKER_THRESHOLD,
-    CircuitBreaker,
-    FlapCounter,
-    default_breaker_threshold,
-)
 from .telemetry import MANIFEST_VERSION, JobRecord, RunTelemetry, Stopwatch
 from .validate import InvalidResultError, check_result
-from .worker import ENV_REMOTE_FETCH
 
 __all__ = [
     "BACKEND_NAMES",
     "CRASH_EXIT_CODE",
-    "CircuitBreaker",
     "DEFAULT_CACHE_DIR",
     "ENV_BACKEND",
-    "ENV_BREAKER_THRESHOLD",
     "ENV_CACHE_DIR",
     "ENV_CACHE_MAX_MB",
     "ENV_FAULTS",
     "ENV_HEARTBEAT",
-    "ENV_HOSTS",
     "ENV_JOBS",
     "ENV_JOB_TIMEOUT",
-    "ENV_REMOTE_CONNECT_TIMEOUT",
-    "ENV_REMOTE_FETCH",
     "ENV_RETRIES",
     "ENV_RETRY_DELAY",
     "ENV_WATCHDOG",
@@ -131,8 +113,6 @@ __all__ = [
     "FLAP_EXIT_CODE",
     "FaultPlan",
     "FaultSpec",
-    "FlapCounter",
-    "HostSpec",
     "InjectedFault",
     "InvalidResultError",
     "JobOutcome",
@@ -149,7 +129,6 @@ __all__ = [
     "SOURCE_CACHED",
     "SOURCE_FALLBACK",
     "SOURCE_PARALLEL",
-    "SOURCE_REMOTE",
     "SOURCE_SERIAL",
     "SOURCE_SUBPROCESS",
     "SWEEPS_SUBDIR",
@@ -162,8 +141,6 @@ __all__ = [
     "build_backend",
     "check_result",
     "collect_sharing_stats",
-    "default_breaker_threshold",
-    "default_connect_timeout",
     "default_heartbeat_interval",
     "default_job_timeout",
     "default_retry_policy",
@@ -172,8 +149,8 @@ __all__ = [
     "iter_run_manifests",
     "job_result_payload",
     "ladder",
+    "local_hosts",
     "parse_fault_plan",
-    "parse_hosts",
     "resolve_backend_name",
     "resolve_cache_dir",
     "resolve_cache_limit",

@@ -24,8 +24,8 @@ sweep (:mod:`repro.sweep`) roots one :class:`RunJournal` per shard under
 several hosts pointed at the same cache directory each append to their
 own journal while ``sweep status``/``sweep merge`` read the union.
 Journal entries are keyed by the job's content address, which is
-backend-agnostic — a run checkpointed on remote workers resumes
-cleanly in-process (and vice versa), and its manifest (v11) carries the
+backend-agnostic — a run checkpointed on worker processes resumes
+cleanly in-process (and vice versa), and its manifest (v12) carries the
 ``workers`` section of whichever rungs actually ran.
 
 Journal I/O failures (read-only disk, quota) are swallowed: a run that

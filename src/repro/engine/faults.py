@@ -15,17 +15,12 @@ reproducible.
     spec    := kind ":" target [":" option "=" value]...
     kind    := crash | timeout | raise | hang | flap | garbage
              | corrupt | partial
-             | conn-refused | conn-drop | stall | garble | partition
-    target  := benchmark["@"scale]      ("*" wildcards either part);
-               network kinds: a *host* name instead ("*" = every host)
+    target  := benchmark["@"scale]      ("*" wildcards either part)
     option  := attempt=N|*   (worker/result faults: which attempt fires,
-                              default 1; flap defaults to every attempt;
-                              network faults: which per-host connect or
-                              dispatch ordinal fires — partition and
-                              conn-refused default to every ordinal)
-             | seconds=X     (crash/timeout/hang/stall: sleep before
-                              acting, default 5 for timeout/hang/stall,
-                              0 for crash)
+                              default 1; flap defaults to every attempt)
+             | seconds=X     (crash/timeout/hang/flap: sleep before
+                              acting, default 5 for timeout/hang, 0 for
+                              crash/flap)
              | times=N       (store faults: how many injections, default 1)
 
 Examples: ``raise:gzip@*:attempt=1`` (gzip's first attempt raises, the
@@ -49,9 +44,9 @@ Fault kinds and the degradation path each one exercises:
   stalls ``seconds`` before continuing.  Exercises the heartbeat
   watchdog, which kills the worker and requeues the job.
 * ``flap``    — the worker process exits hard on *every* matching
-  attempt (unless ``attempt=N`` narrows it): exercises the per-host
-  circuit breaker and flap counter, which must eventually stop handing
-  work to a host whose workers keep dying.
+  attempt (unless ``attempt=N`` narrows it): exercises worker respawn
+  and retry exhaustion — once the job's attempts are spent on dying
+  workers, the serial rung finishes it.
 * ``garbage`` — the worker completes but returns a mangled result
   (negative cycle counts): exercises the invariant-validation gate,
   which must quarantine the result instead of caching it.
@@ -89,32 +84,10 @@ FLAP_EXIT_CODE = 86
 WORKER_KINDS = ("crash", "timeout", "raise", "hang", "flap")
 RESULT_KINDS = ("garbage",)
 STORE_KINDS = ("corrupt", "partial")
-#: Framing-layer fault classes for the worker backend.  Their target
-#: token names a *host* (``"*"`` wildcards), not a benchmark:
-#:
-#: * ``conn-refused`` — the matching connect attempt to the host fails;
-#: * ``conn-drop``    — the connection is severed at the matching
-#:   per-host dispatch ordinal (the in-flight job is lost);
-#: * ``stall``        — the host stops delivering frames at the matching
-#:   dispatch ordinal (heartbeats go silent; the watchdog must fire);
-#: * ``garble``       — the frame for the matching dispatch is corrupted
-#:   on the wire, so the worker's reader sees undecodable bytes;
-#: * ``partition``    — from the matching dispatch on, the host is
-#:   unreachable for the rest of the run (drops now, refuses forever).
-NETWORK_KINDS = ("conn-refused", "conn-drop", "stall", "garble", "partition")
-KINDS = WORKER_KINDS + RESULT_KINDS + STORE_KINDS + NETWORK_KINDS
-
-#: Which framing-layer event each network fault kind fires on.
-NETWORK_EVENTS = {
-    "conn-refused": "connect",
-    "conn-drop": "dispatch",
-    "stall": "dispatch",
-    "garble": "dispatch",
-    "partition": "dispatch",
-}
+KINDS = WORKER_KINDS + RESULT_KINDS + STORE_KINDS
 
 #: Kinds whose pre-action sleep defaults to :data:`DEFAULT_FAULT_SECONDS`.
-_SLEEPY_KINDS = ("timeout", "hang", "stall")
+_SLEEPY_KINDS = ("timeout", "hang")
 
 #: Default sleep for ``timeout``/``hang`` faults, seconds.
 DEFAULT_FAULT_SECONDS = 5.0
@@ -139,7 +112,6 @@ class FaultSpec:
     attempt: Optional[int] = 1  #: ``None`` = every attempt (``attempt=*``).
     seconds: Optional[float] = None  #: default: 5 for timeout, 0 for crash.
     times: int = 1
-    host: str = "*"  #: Network kinds: which worker host ("*" = every).
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -180,32 +152,8 @@ class FaultSpec:
             return False
         return self.attempt is None or self.attempt == attempt
 
-    def matches_network(self, host: str, event: str, ordinal: int) -> bool:
-        """Whether this network spec fires for ``host`` at the given
-        framing-layer ``event`` (``"connect"``/``"dispatch"``) ordinal.
-
-        Ordinals are per-host counters (1-based) maintained by the
-        worker backend, so network fault schedules are deterministic in
-        dispatch order, never in wall time.
-        """
-        if self.kind not in NETWORK_KINDS:
-            return False
-        if NETWORK_EVENTS[self.kind] != event:
-            return False
-        if self.host != "*" and self.host != host:
-            return False
-        return self.attempt is None or self.attempt == ordinal
-
     def describe(self) -> str:
         """Canonical spec string (round-trips through the parser)."""
-        if self.kind in NETWORK_KINDS:
-            parts = [f"{self.kind}:{self.host}"]
-            parts.append(
-                f"attempt={'*' if self.attempt is None else self.attempt}"
-            )
-            if self.kind == "stall":
-                parts.append(f"seconds={self.sleep_seconds:g}")
-            return ":".join(parts)
         target = f"{self.benchmark}@{self.scale}" if self.scale != "*" else self.benchmark
         parts = [f"{self.kind}:{target}"]
         if self.kind in WORKER_KINDS + RESULT_KINDS:
@@ -224,38 +172,8 @@ def _parse_spec(text: str) -> FaultSpec:
             f"fault spec {text!r} must look like 'kind:target[:option=value...]'"
         )
     kind, target = fields[0], fields[1]
-    if kind in NETWORK_KINDS:
-        # Network faults target a *host*, not a benchmark; the target
-        # token is the host name verbatim ("*" matches every host).
-        kwargs: Dict[str, object] = {"kind": kind, "host": target}
-        for option in fields[2:]:
-            key, sep, value = option.partition("=")
-            if not sep or not value:
-                raise EngineError(
-                    f"fault spec {text!r}: option {option!r} must be "
-                    "'key=value'"
-                )
-            try:
-                if key == "attempt":
-                    kwargs["attempt"] = None if value == "*" else int(value)
-                elif key == "seconds":
-                    kwargs["seconds"] = float(value)
-                else:
-                    raise EngineError(
-                        f"fault spec {text!r}: unknown option {key!r} for a "
-                        "network fault (expected attempt or seconds)"
-                    )
-            except ValueError:
-                raise EngineError(
-                    f"fault spec {text!r}: bad value {value!r} for {key!r}"
-                ) from None
-        if kind in ("partition", "conn-refused"):
-            # Severed is severed: these stay in force from their trigger
-            # point, so the natural default is "every ordinal".
-            kwargs.setdefault("attempt", None)
-        return FaultSpec(**kwargs)
     benchmark, _, scale = target.partition("@")
-    kwargs = {
+    kwargs: Dict[str, object] = {
         "kind": kind,
         "benchmark": benchmark or "*",
         "scale": scale or "*",
@@ -395,31 +313,6 @@ class FaultPlan:
                 raise InjectedFault(
                     f"injected fault for {job.describe()} on attempt {attempt}"
                 )
-
-    # ------------------------------------------------------------------
-    # Network-side injection (worker backend framing layer)
-    # ------------------------------------------------------------------
-    def network_spec(
-        self, host: str, event: str, ordinal: int
-    ) -> Optional[FaultSpec]:
-        """The first network fault due for ``host`` at this event ordinal.
-
-        ``event`` is ``"connect"`` (connection attempts) or
-        ``"dispatch"`` (job sends); ``ordinal`` is the host's 1-based
-        counter for that event.  The worker backend injects the returned
-        spec at its framing layer and logs it via :meth:`record_network`.
-        """
-        for spec in self.specs:
-            if spec.matches_network(host, event, ordinal):
-                return spec
-        return None
-
-    def record_network(self, spec: FaultSpec, host: str, ordinal: int) -> None:
-        """Log one framing-layer injection for telemetry."""
-        self.fired.append(
-            f"injected {spec.kind} for host {host} "
-            f"({NETWORK_EVENTS[spec.kind]} #{ordinal})"
-        )
 
     # ------------------------------------------------------------------
     # Store-side injection

@@ -40,7 +40,6 @@ SOURCE_PARALLEL = "parallel"
 SOURCE_SERIAL = "serial"
 SOURCE_FALLBACK = "serial-fallback"
 SOURCE_SUBPROCESS = "subprocess"
-SOURCE_REMOTE = "remote"
 
 
 @dataclass(frozen=True)

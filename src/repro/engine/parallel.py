@@ -10,7 +10,7 @@ uses to obtain simulation results.  For every requested job it
    (:mod:`~repro.engine.backends`, selected by ``--backend`` /
    ``REPRO_BACKEND``) when it is worth starting, and whatever the
    workers leave behind — or everything, when they are not — to the
-   in-process serial executor, with per-host fault domains and per-job
+   in-process serial executor, with the worker watchdog and per-job
    retry backoff (:mod:`~repro.engine.retry`) deciding how work
    degrades;
 3. passes every fresh result through the invariant-validation gate
@@ -20,7 +20,7 @@ uses to obtain simulation results.  For every requested job it
 4. writes validated results back to the store, journals them in the run
    checkpoint when one is attached (:mod:`~repro.engine.checkpoint`),
    and records everything — outcomes, retries, injected faults,
-   per-host worker counters, hang events and breaker transitions,
+   per-host worker counters and hang events,
    quarantines — in a :class:`~repro.engine.telemetry.RunTelemetry`.
 
 Because :func:`~repro.engine.jobs.execute_job` is deterministic, serial,
@@ -43,7 +43,6 @@ from .backends import (
     build_backend,
     default_job_timeout,
     ladder,
-    parse_hosts,
     resolve_backend_name,
 )
 from .checkpoint import RunJournal
@@ -56,7 +55,7 @@ from .jobs import (
     SimulationJob,
     execute_job,
 )
-from .retry import RetryPolicy, default_retry_policy
+from .retry import RetryPolicy, _env_int, default_retry_policy
 from .store import ResultStore
 from .telemetry import RunTelemetry, Stopwatch
 from .validate import InvalidResultError, check_result
@@ -73,18 +72,7 @@ def resolve_worker_count(value: Optional[int] = None) -> int:
     :class:`~repro.errors.EngineError` naming the variable.
     """
     if value is None:
-        raw = os.environ.get(ENV_JOBS)
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise EngineError(
-                    f"{ENV_JOBS} must be an integer worker count, got {raw!r}"
-                ) from None
-            if value < 1:
-                raise EngineError(
-                    f"{ENV_JOBS} must be positive, got {value!r}"
-                )
+        value = _env_int(ENV_JOBS, minimum=1)
     if value is None:
         value = os.cpu_count() or 1
     value = int(value)
@@ -107,7 +95,6 @@ class ExecutionEngine:
         journal: Optional[RunJournal] = None,
         resume: bool = False,
         backend: Optional[str] = None,
-        hosts: Optional[str] = None,
     ) -> None:
         self.max_workers = resolve_worker_count(jobs)
         self.store = store if store is not None else ResultStore()
@@ -116,11 +103,8 @@ class ExecutionEngine:
         self.retry = retry if retry is not None else default_retry_policy()
         self.faults = faults if faults is not None else active_plan()
         self.backend = resolve_backend_name(backend)
-        self.hosts = (
-            parse_hosts(hosts) if self.backend == "remote" else []
-        )
         self.workers = build_backend(
-            self.backend, self.max_workers, self.timeout, hosts=self.hosts
+            self.backend, self.max_workers, self.timeout
         )
         #: Descents to the serial rung and rungs that completed work,
         #: across this engine's runs (the ``workers`` manifest section).
@@ -142,7 +126,6 @@ class ExecutionEngine:
                 "max_workers": self.max_workers,
                 "backend": self.backend,
                 "backend_chain": ladder(self.backend),
-                "hosts": [spec.describe() for spec in self.hosts],
                 "cache_dir": self.store.describe(),
                 "timeout_seconds": self.timeout,
                 "retry": self.retry.describe(),
@@ -326,8 +309,8 @@ class ExecutionEngine:
     def workers_section(self) -> Dict:
         """The manifest's ``workers`` section; empty until workers engaged.
 
-        Per-host counters, hang events and breaker history (cumulative
-        over this engine's runs), the descents to the serial rung, the
+        Per-host counters and hang events (cumulative over this
+        engine's runs), the descents to the serial rung, the
         rungs that completed work and the final rung.
         """
         if not self._rungs_used:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
 import tempfile
@@ -67,26 +68,28 @@ def resolve_cache_dir(directory: Optional[os.PathLike] = None) -> Path:
 def resolve_cache_limit(max_mb: Optional[float] = None) -> Optional[int]:
     """Cache size bound in bytes from the argument or ``REPRO_CACHE_MAX_MB``.
 
-    ``None`` means unbounded (the default).  Invalid values raise
+    ``None`` means unbounded (the default).  Invalid values — not a
+    number, not finite, or not positive — raise
     :class:`~repro.errors.EngineError`, mirroring the other engine
     environment knobs.
     """
+    name = "cache size bound"
     if max_mb is None:
         raw = os.environ.get(ENV_CACHE_MAX_MB)
         if not raw:
             return None
+        name = ENV_CACHE_MAX_MB
         try:
             max_mb = float(raw)
         except ValueError:
             raise EngineError(
-                f"{ENV_CACHE_MAX_MB} must be a number of megabytes, got {raw!r}"
+                f"{name} must be a number of megabytes, got {raw!r}"
             ) from None
-        if max_mb <= 0:
-            raise EngineError(
-                f"{ENV_CACHE_MAX_MB} must be positive, got {max_mb!r}"
-            )
-    if max_mb <= 0:
-        raise EngineError(f"cache size bound must be positive, got {max_mb!r}")
+    if not math.isfinite(max_mb) or max_mb <= 0:
+        raise EngineError(
+            f"{name} must be a positive finite number of megabytes, "
+            f"got {max_mb!r}"
+        )
     return int(max_mb * 1024 * 1024)
 
 
@@ -131,34 +134,18 @@ class ResultStore:
         """Where recorded traces and SimPoint plans live."""
         return self.directory / TRACES_SUBDIR
 
-    @property
-    def staging_dir(self) -> Path:
-        """Where remote workers stage digest-fetched traces.
-
-        Sibling of :attr:`traces_dir` under the cache root (see
-        :mod:`repro.traces.fetch`); counted as trace usage so staged
-        fetches are charged against ``REPRO_CACHE_MAX_MB`` like every
-        other trace artifact.
-        """
-        from ..traces.fetch import STAGING_SUBDIR
-
-        return self.directory / STAGING_SUBDIR
-
     def _trace_usage(self) -> tuple:
         """(file count, total bytes) of trace artifacts under the cache.
 
-        Covers both recorded traces (``traces/``) and the remote
-        trace-fetch staging directory (``remote-staging/``): both are
-        derived artifacts living in the cache's budget envelope.
+        Recorded traces and SimPoint plans are derived artifacts living
+        in the cache's budget envelope.
         """
         files = 0
         total = 0
-        candidates = []
-        for root in (self.traces_dir, self.staging_dir):
-            try:
-                candidates.extend(p for p in root.rglob("*") if p.is_file())
-            except OSError:
-                continue
+        try:
+            candidates = [p for p in self.traces_dir.rglob("*") if p.is_file()]
+        except OSError:
+            candidates = []
         for path in candidates:
             try:
                 total += path.stat().st_size

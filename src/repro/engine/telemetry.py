@@ -52,8 +52,11 @@ from .jobs import SOURCE_CACHED, JobOutcome
 #: breaker transitions, the descents to serial, the rungs used and the
 #: final rung — empty for runs whose jobs all ran in-process); version
 #: 11 dropped the ``service`` and ``coordination`` sections with the
-#: serving daemon.
-MANIFEST_VERSION = 11
+#: serving daemon; version 12 dropped remote hosts: no
+#: ``totals.breaker_trips``, no per-host ``breaker_state``,
+#: ``breaker_transitions``, ``partitioned``, ``trace_fetches`` or
+#: ``trace_bytes_sent``, and no ``engine.hosts`` list.
+MANIFEST_VERSION = 12
 
 
 class Stopwatch:
@@ -125,9 +128,9 @@ class RunTelemetry:
     #: mode, residual implementation, trace transport mode and
     #: published-arena totals.
     substrate: Dict = field(default_factory=dict)
-    #: The framed workers of the run (manifest v10): per-host counters,
-    #: hang events and breaker transitions, descents to the serial rung,
-    #: rungs used and the final rung.  Empty when no worker engaged.
+    #: The framed workers of the run (manifest v10): per-host counters
+    #: and hang events, descents to the serial rung, rungs used and the
+    #: final rung.  Empty when no worker engaged.
     workers: Dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -271,16 +274,6 @@ class RunTelemetry:
         return self.serial_fallbacks
 
     @property
-    def breaker_trips(self) -> int:
-        """How many times a host circuit breaker opened."""
-        return sum(
-            1
-            for host in self.workers.get("hosts", {}).values()
-            for t in host.get("breaker_transitions", [])
-            if t["to"] == "open"
-        )
-
-    @property
     def heartbeat_events(self) -> int:
         """How many hung workers the heartbeat watchdog killed."""
         return sum(
@@ -344,7 +337,6 @@ class RunTelemetry:
                 "quarantined_results": len(self.quarantines),
                 "cache_quarantined": self.store_stats.get("quarantined", 0),
                 "heartbeat_events": self.heartbeat_events,
-                "breaker_trips": self.breaker_trips,
                 "cache_hits_from_earlier_runs": self.store_stats.get(
                     "hits_from_earlier_runs", 0
                 ),
@@ -427,8 +419,6 @@ class RunTelemetry:
         )
         if quarantined:
             parts.append(f"| {quarantined} quarantine(s)")
-        if self.breaker_trips:
-            parts.append(f"| {self.breaker_trips} breaker trip(s)")
         shared = self.store_stats.get("hits_from_earlier_runs", 0)
         if shared:
             parts.append(f"| {shared} hit(s) shared from earlier runs")

@@ -1,32 +1,20 @@
 """The framed worker loop: ``python -m repro.engine.worker``.
 
 Every worker of the framed-worker backend (:mod:`~repro.engine.backends`)
-runs this loop — a local ``exec`` host started as a child process, or a
-peer reached over ``ssh`` — and talks to the controller over its
-stdin/stdout using a tiny length-prefixed frame protocol::
+is a local child process running this loop, and talks to the controller
+over its stdin/stdout using a tiny length-prefixed frame protocol::
 
     frame   := length(4 bytes, big-endian) || pickle((kind, payload))
     to worker   : ("job", (SimulationJob, attempt)) | ("exit", None)
-                | ("trace-meta", {"path", "digest", "file_bytes"} | {"path", "error"})
-                | ("trace-data", {"path", "data", "eof"})
     from worker : ("ready", {"pid": ...})
                 | ("heartbeat", monotonic_seconds)
                 | ("result", {"key", "wall", "payload"})
                 | ("error", {"kind", "message"})
-                | ("trace-fetch", {"path"}) | ("trace-need", {"path"})
 
 A daemon thread emits a heartbeat frame every ``--heartbeat`` seconds,
 so the controller can tell a worker that is busy simulating (beating,
 no result yet) from one that is hung or dead (silent) — and kill
 exactly that process.
-
-A ``trace:`` job whose file is absent on the worker's machine (or every
-trace job, with ``REPRO_REMOTE_FETCH=always``) is fetched *by content
-digest* before it runs: the worker asks for the digest, serves itself
-from its staging directory when it can, and otherwise streams the bytes
-over ``trace-*`` frames, verifying chunk checksums and the whole-trace
-digest before first use (:mod:`repro.traces.fetch`).  A local worker
-finds every trace in place, so staging is a no-op there.
 
 The worker re-executes ``REPRO_FAULTS`` from its inherited environment:
 ``hang`` silences the heartbeat thread before stalling (so the watchdog
@@ -49,16 +37,10 @@ import struct
 import sys
 import threading
 import time
-from dataclasses import replace
 from typing import Any, Optional, Tuple
 
 #: Default heartbeat interval, seconds (overridable via --heartbeat).
 DEFAULT_HEARTBEAT_SECONDS = 0.5
-
-#: Environment variable: ``always`` makes workers fetch traces by digest
-#: even when the path resolves locally (loopback CI uses this to
-#: exercise the fetch path on one machine).
-ENV_REMOTE_FETCH = "REPRO_REMOTE_FETCH"
 
 _LENGTH = struct.Struct(">I")
 
@@ -83,72 +65,6 @@ def read_frame(stream) -> Optional[Tuple[str, Any]]:
         return pickle.loads(blob)
     except (OSError, ValueError, EOFError, pickle.UnpicklingError):
         return None
-
-
-def _missing_trace_ref(job) -> Optional[object]:
-    """The parsed trace ref this job needs fetched, or ``None``."""
-    from ..traces.registry import is_trace_ref, parse_trace_ref
-
-    if not isinstance(job.benchmark, str) or not is_trace_ref(job.benchmark):
-        return None
-    ref = parse_trace_ref(job.benchmark)
-    if os.environ.get(ENV_REMOTE_FETCH, "").strip().lower() == "always":
-        return ref
-    return ref if not os.path.exists(ref.path) else None
-
-
-def _await_frame(protocol_in, wanted: str, path: str):
-    """The payload of the next ``wanted`` frame; raises if the pipe closes."""
-    from ..traces.fetch import TraceFetchError
-
-    while True:
-        frame = read_frame(protocol_in)
-        if frame is None:
-            raise TraceFetchError(
-                f"controller vanished while serving {wanted} for {path}"
-            )
-        if frame[0] == wanted:
-            return frame[1]
-
-
-def _stage_job_trace(job, protocol_in, emit):
-    """Fetch a job's missing trace by digest; returns the rewritten job.
-
-    The staged copy keeps the job's content address: trace identity is
-    digest- (or provenance-) based, never path-based, so substituting
-    the staged path leaves :meth:`SimulationJob.key` unchanged and the
-    controller's completion bookkeeping lines up.
-    """
-    from ..traces.fetch import TraceFetchError, TraceStager, staged_trace_path
-    from ..traces.registry import format_trace_ref
-
-    ref = _missing_trace_ref(job)
-    if ref is None:
-        return job
-    emit("trace-fetch", {"path": ref.path})
-    meta = _await_frame(protocol_in, "trace-meta", ref.path)
-    if meta.get("error") or not meta.get("digest"):
-        raise TraceFetchError(
-            f"controller cannot serve trace {ref.path}: "
-            f"{meta.get('error', 'no digest')}"
-        )
-    staged = staged_trace_path(meta["digest"])
-    if not staged.exists():
-        emit("trace-need", {"path": ref.path})
-        stager = TraceStager(meta["digest"], meta.get("file_bytes"))
-        try:
-            while True:
-                data = _await_frame(protocol_in, "trace-data", ref.path)
-                if data.get("data"):
-                    stager.feed(data["data"])
-                if data.get("eof"):
-                    break
-            staged = stager.finish()
-        except BaseException:
-            stager.abort()
-            raise
-    new_ref = format_trace_ref(staged, ref.window, ref.window_instructions)
-    return replace(job, benchmark=new_ref)
 
 
 def main(argv=None) -> int:
@@ -205,7 +121,6 @@ def main(argv=None) -> int:
         job, attempt = payload
         plan = active_plan()
         try:
-            job = _stage_job_trace(job, protocol_in, emit)
             if plan is not None:
                 if plan.matches_hang(job, attempt):
                     # A genuinely hung worker stops beating: silence the

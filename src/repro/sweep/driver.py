@@ -48,7 +48,6 @@ _COUNT_TOTALS = (
     "quarantined_results",
     "cache_quarantined",
     "heartbeat_events",
-    "breaker_trips",
     "cache_hits_from_earlier_runs",
     "cache_hits_from_this_run",
 )
@@ -104,7 +103,6 @@ def run_shard(
     jobs: Optional[int] = None,
     cache_dir: Optional[os.PathLike] = None,
     backend: Optional[str] = None,
-    hosts: Optional[str] = None,
 ) -> ShardRun:
     """Run one shard of the sweep through the execution engine.
 
@@ -124,7 +122,6 @@ def run_shard(
         journal=journal,
         resume=resumed,
         backend=backend,
-        hosts=hosts,
     )
     engine.telemetry.context.update(
         {
@@ -196,7 +193,6 @@ def merge(
     jobs: Optional[int] = None,
     cache_dir: Optional[os.PathLike] = None,
     backend: Optional[str] = None,
-    hosts: Optional[str] = None,
 ) -> MergeOutcome:
     """Aggregate every shard's results into the sweep report + manifest.
 
@@ -211,7 +207,6 @@ def merge(
         jobs=jobs,
         store=_store_for(cache_dir),
         backend=backend,
-        hosts=hosts,
     )
     results = collect(spec, engine=engine)
     report = render_report(results)

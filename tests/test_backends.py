@@ -1,17 +1,17 @@
-"""Framed-worker execution: engagement, breakers, watchdogs, gate.
+"""Framed-worker execution: engagement, respawns, watchdogs, gate.
 
-The engine promises that the *backend* — local workers, remote workers,
-or in-process serial — never changes *what* a run computes, only where
-it runs and how it survives infrastructure failure.  This module pins
-that promise down:
+The engine promises that the *backend* — local workers or in-process
+serial — never changes *what* a run computes, only where it runs and how
+it survives infrastructure failure.  This module pins that promise down:
 
 * every backend produces bit-identical results and labels its sources;
 * ``pool`` engages workers only for ``--jobs > 1`` and more than one
   pending job, ``subprocess`` always — the contract the benchmark
   workloads depend on;
-* the workers degrade to serial with attempt numbering intact, and
-  per-host circuit breakers (closed -> open -> half-open) decide which
-  host gets work;
+* per-host counters land in the manifest, and each fresh result is
+  published to the cache exactly once, even when a worker dies mid-run;
+* the workers degrade to serial with attempt numbering intact once a
+  job's retries are spent on dying workers;
 * the heartbeat watchdog detects and kills hung workers independently
   of any job timeout;
 * the invariant-validation gate quarantines garbage results before they
@@ -30,7 +30,6 @@ import pytest
 
 from repro.cli import main
 from repro.engine import (
-    CircuitBreaker,
     ExecutionEngine,
     InvalidResultError,
     NullStore,
@@ -41,7 +40,6 @@ from repro.engine import (
     SimulationJob,
     build_backend,
     check_result,
-    default_breaker_threshold,
     default_heartbeat_interval,
     default_watchdog,
     ladder,
@@ -80,10 +78,6 @@ def isolated_env(tmp_path, monkeypatch):
         "REPRO_BACKEND",
         "REPRO_HEARTBEAT",
         "REPRO_WATCHDOG",
-        "REPRO_BREAKER_THRESHOLD",
-        "REPRO_HOSTS",
-        "REPRO_REMOTE_CONNECT_TIMEOUT",
-        "REPRO_REMOTE_FETCH",
         "REPRO_TRANSPORT",
     ):
         monkeypatch.delenv(var, raising=False)
@@ -129,7 +123,6 @@ class TestBackendSelection:
         # One worker rung, then serial: the only ladder there is.
         assert ladder("pool") == ["pool", "serial"]
         assert ladder("subprocess") == ["subprocess", "serial"]
-        assert ladder("remote") == ["remote", "serial"]
         assert ladder("serial") == ["serial"]
         assert build_backend("serial", 2) is None
         assert list(build_backend("pool", 3).snapshot()) == [
@@ -159,14 +152,6 @@ class TestBackendSelection:
         with pytest.raises(EngineError, match="REPRO_WATCHDOG"):
             default_watchdog()
 
-    def test_breaker_env(self, monkeypatch):
-        assert default_breaker_threshold() == 3
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
-        assert default_breaker_threshold() == 2
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "0")
-        with pytest.raises(EngineError, match="REPRO_BREAKER_THRESHOLD"):
-            default_breaker_threshold()
-
     def test_cli_rejects_unknown_backend(self, capsys):
         assert main([*CLI_BASE, "--backend", "quantum"]) == 2
         assert "invalid choice" in capsys.readouterr().err
@@ -179,15 +164,11 @@ class TestBackendEquivalence:
             ("serial", "serial"),
             ("pool", "parallel"),
             ("subprocess", "subprocess"),
-            ("remote", "remote"),
         ],
     )
     def test_identical_results_and_sources(self, backend, source, reference):
-        # Every worker backend runs --jobs 2: two local workers, or two
-        # loopback exec hosts for remote.
-        engine = ExecutionEngine(
-            jobs=2, store=NullStore(), backend=backend, hosts="exec:a,exec:b"
-        )
+        # Every worker backend runs --jobs 2: two local workers.
+        engine = ExecutionEngine(jobs=2, store=NullStore(), backend=backend)
         outcomes = engine.run(small_jobs())
         assert engine.telemetry.context["backend"] == backend
         assert engine.telemetry.context["backend_chain"][-1] == "serial"
@@ -204,8 +185,7 @@ class TestBackendEquivalence:
             assert section["rungs_used"] == [backend]
             assert section["final_rung"] == backend
             assert section["ladder"] == []
-            hosts = {"a", "b"} if backend == "remote" else {"local0", "local1"}
-            assert set(section["hosts"]) == hosts
+            assert set(section["hosts"]) == {"local0", "local1"}
 
     def test_single_job_skips_the_pool(self):
         # One pending job is not worth a pool: plain serial, no fallback.
@@ -213,47 +193,6 @@ class TestBackendEquivalence:
         outcome = engine.run_one(SimulationJob("gzip", scale=SMALL))
         assert outcome.source == "serial"
         assert engine.telemetry.fallbacks == 0
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold(self):
-        breaker = CircuitBreaker("pool", threshold=2, cooldown=60.0)
-        breaker.record(["worker died"])
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record(["worker died again"])
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.transitions[-1]["to"] == "open"
-
-    def test_one_dispatch_can_trip_it(self):
-        breaker = CircuitBreaker("pool", threshold=3, cooldown=60.0)
-        breaker.record(["w1 died", "w2 died", "w3 died"])
-        assert breaker.state == "open"
-
-    def test_clean_dispatch_resets_the_count(self):
-        breaker = CircuitBreaker("pool", threshold=2, cooldown=60.0)
-        breaker.record(["worker died"])
-        breaker.record([])
-        breaker.record(["worker died"])
-        assert breaker.state == "closed"
-        assert breaker.consecutive_failures == 1
-
-    def test_half_open_probe_closes_on_success(self):
-        breaker = CircuitBreaker("pool", threshold=1, cooldown=0.0)
-        breaker.record(["worker died"])
-        assert breaker.state == "open"
-        assert breaker.allow()  # cooldown elapsed: probe allowed
-        assert breaker.state == "half-open"
-        breaker.record([])
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker = CircuitBreaker("pool", threshold=1, cooldown=0.0)
-        breaker.record(["worker died"])
-        assert breaker.allow()
-        breaker.record(["still dying"])
-        assert breaker.state == "open"
-        assert "probe failed" in breaker.transitions[-1]["reason"]
 
 
 @pytest.fixture()
@@ -264,9 +203,9 @@ def spawns(monkeypatch):
     started = []
     real = backends._Connection.__init__
 
-    def counting(self, spec, heartbeat, inbox):
-        started.append(spec.name)
-        real(self, spec, heartbeat, inbox)
+    def counting(self, label, heartbeat, inbox):
+        started.append(label)
+        real(self, label, heartbeat, inbox)
 
     monkeypatch.setattr(backends._Connection, "__init__", counting)
     return started
@@ -316,6 +255,69 @@ class TestEngagement:
             engine.run(jobs)
             substrate = engine.telemetry.manifest()["substrate"]
             assert substrate["traces_published"] == published, backend
+
+
+class TestLocalHosts:
+    """Per-host counters and exactly-once publication on local workers."""
+
+    def _engine(self, **kwargs):
+        kwargs.setdefault("jobs", 2)
+        kwargs.setdefault("store", NullStore())
+        kwargs.setdefault("retry", FAST_RETRY)
+        return ExecutionEngine(backend="subprocess", **kwargs)
+
+    def test_deadline_knobs(self, monkeypatch):
+        from repro.engine import backends
+
+        assert backends._READY_TIMEOUT_SECONDS == 10.0
+        assert self._engine(jobs=1).workers.deadline is None
+        # The per-dispatch deadline is the engine's job timeout.
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "7")
+        assert self._engine(jobs=1).workers.deadline == 7.0
+
+    def test_host_counters_in_manifest(self):
+        engine = self._engine(jobs=1)
+        engine.run(small_jobs())
+        host = engine.telemetry.manifest()["workers"]["hosts"]["local0"]
+        assert host["connects"] == 1
+        assert host["dispatches"] == len(SUITE_NAMES)
+        assert host["completions"] == len(SUITE_NAMES)
+        assert host["hangs"] == []
+
+    def test_results_cached_exactly_once(self, tmp_path):
+        store = ResultStore(tmp_path / "worker-cache")
+        engine = self._engine(store=store)
+        engine.run(small_jobs())
+        entries = sorted(p.name for p in store.directory.glob("*.pkl"))
+        assert len(entries) == len(SUITE_NAMES)
+        # Warm rerun: every job is a cache hit, no worker dispatch at all.
+        rerun = self._engine(store=ResultStore(tmp_path / "worker-cache"))
+        outcomes = rerun.run(small_jobs())
+        assert all(o.source == "cached" for o in outcomes.values())
+        assert sorted(p.name for p in store.directory.glob("*.pkl")) == entries
+
+    def test_killed_host_mid_run_publishes_exactly_once(
+        self, tmp_path, reference, monkeypatch
+    ):
+        # gzip's first worker dies after accepting the job; a respawned
+        # worker finishes it on the worker rung, each entry is published
+        # exactly once, and the outcome matches the serial oracle.
+        monkeypatch.setenv("REPRO_FAULTS", "crash:gzip@*:attempt=1")
+        store = ResultStore(tmp_path / "chaos-cache")
+        engine = self._engine(store=store)
+        outcomes = engine.run(small_jobs())
+        for job in small_jobs():
+            assert outcomes[job].source == "subprocess"
+            assert_results_identical(
+                outcomes[job].annotated, reference[job].annotated
+            )
+        assert len(list(store.directory.glob("*.pkl"))) == len(SUITE_NAMES)
+        profile = engine.telemetry.manifest()["workers"]
+        assert sum(host["flaps"] for host in profile["hosts"].values()) == 1
+        assert sum(host["requeues"] for host in profile["hosts"].values()) == 1
+        assert profile["final_rung"] == "subprocess"
+        more = engine.run(small_jobs())
+        assert all(o.source == "cached" for o in more.values())
 
 
 class _ScriptedWorkers:
@@ -395,51 +397,6 @@ class TestSupervisor:
         assert outcome.attempts == FAST_RETRY.max_attempts + 1
         assert engine.workers.calls == [[job]]
 
-    # A breaker guards one host; an open one skips that host's dispatch
-    # opportunities until PROBE_OPPORTUNITIES have passed, then probes.
-    def _refused_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
-        monkeypatch.setenv("REPRO_FAULTS", "conn-refused:a:attempt=1")
-        return ExecutionEngine(
-            jobs=1,
-            store=NullStore(),
-            retry=FAST_RETRY,
-            backend="remote",
-            hosts="exec:a",
-        )
-
-    def test_open_breaker_skips_a_backend(self, monkeypatch):
-        engine = self._refused_once(monkeypatch)
-        job = SimulationJob("gzip", scale=SMALL)
-        assert engine.run_one(job).source == "serial-fallback"
-        assert engine.run_one(job).source == "serial-fallback"
-        host = engine.telemetry.workers["hosts"]["a"]
-        assert host["breaker_state"] == "open"
-        assert host["connects"] == 1  # skipped the second time
-        assert engine.telemetry.breaker_trips == 1
-        assert any(
-            "no usable worker host" in note for note in engine.telemetry.notes
-        )
-
-    def test_half_open_probe_recovers_the_backend(self, monkeypatch):
-        from repro.engine.backends import PROBE_OPPORTUNITIES
-
-        engine = self._refused_once(monkeypatch)
-        job = SimulationJob("gzip", scale=SMALL)
-        sources = [
-            engine.run_one(job).source for _ in range(PROBE_OPPORTUNITIES + 1)
-        ]
-        assert sources == ["serial-fallback"] * PROBE_OPPORTUNITIES + [
-            "remote"
-        ]
-        host = engine.telemetry.workers["hosts"]["a"]
-        assert host["breaker_state"] == "closed"
-        assert [t["to"] for t in host["breaker_transitions"]] == [
-            "open",
-            "half-open",
-            "closed",
-        ]
-
 
 class TestSubprocessBackend:
     def test_hung_worker_detected_killed_and_requeued(
@@ -486,13 +443,12 @@ class TestSubprocessBackend:
             outcomes[gzip_job].annotated, reference[gzip_job].annotated
         )
 
-    def test_persistent_flapping_trips_breaker_then_serial(
+    def test_persistent_flapping_exhausts_retries_then_serial(
         self, reference, monkeypatch
     ):
         # gzip kills its worker on *every* attempt: the retry budget is
-        # exhausted on the workers (3 worker deaths = breaker threshold
-        # of the host that kept taking it) and the serial rung finishes
-        # the job.
+        # exhausted on the workers (one worker death per attempt) and
+        # the serial rung finishes the job.
         monkeypatch.setenv("REPRO_FAULTS", "flap:gzip@*")
         engine = ExecutionEngine(
             jobs=2, store=NullStore(), retry=FAST_RETRY, backend="subprocess"
@@ -506,7 +462,6 @@ class TestSubprocessBackend:
         section = engine.telemetry.workers
         hosts = section["hosts"].values()
         assert sum(host["flaps"] for host in hosts) == FAST_RETRY.max_attempts
-        assert engine.telemetry.breaker_trips == 1
         assert section["ladder"][0]["to"] == "serial"
         assert section["final_rung"] == "serial"
         for job in small_jobs():
@@ -664,13 +619,12 @@ class TestResumeAfterMidWriteCrash:
 
 
 class TestGracefulDegradation:
-    """The acceptance criterion: a tripped host never changes the report."""
+    """The acceptance criterion: a dead worker never changes the report."""
 
     def test_degraded_run_report_byte_identical(self, capsys, monkeypatch):
         assert main([*CLI_BASE, "--jobs", "1", "--no-cache"]) == 0
         clean = capsys.readouterr().out
         monkeypatch.setenv("REPRO_RETRY_DELAY", "0.01")
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "1")
         monkeypatch.setenv("REPRO_FAULTS", "crash:gzip@*:attempt=1")
         manifest_path = resolve_cache_dir().parent / "degraded-manifest.json"
         assert (
@@ -692,14 +646,10 @@ class TestGracefulDegradation:
         assert degraded.out == clean
         manifest = json.loads(manifest_path.read_text())
         assert manifest["engine"]["backend_chain"] == ["pool", "serial"]
-        assert manifest["totals"]["breaker_trips"] >= 1
         assert manifest["totals"]["retries"] >= 1
-        transitions = [
-            t
-            for host in manifest["workers"]["hosts"].values()
-            for t in host["breaker_transitions"]
-        ]
-        assert any(t["to"] == "open" for t in transitions)
+        assert sum(
+            host["flaps"] for host in manifest["workers"]["hosts"].values()
+        ) == 1
         gzip_row = next(
             row for row in manifest["jobs"] if row["benchmark"] == "gzip"
         )

@@ -283,9 +283,10 @@ class TestTelemetry:
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == 11
+        assert manifest["manifest_version"] == 12
         for dropped in ("service", "coordination"):
             assert dropped not in manifest  # went with the serving daemon
+        assert "hosts" not in manifest["engine"]  # went with remote hosts
         assert manifest["workers"] == {}  # no worker engaged
         substrate = manifest["substrate"]
         assert substrate["kernel_mode"] in ("scalar", "batched", "compiled")
@@ -313,7 +314,6 @@ class TestTelemetry:
             "quarantined_results",
             "cache_quarantined",
             "heartbeat_events",
-            "breaker_trips",
             "cache_hits_from_earlier_runs",
             "cache_hits_from_this_run",
             "wall_seconds",
@@ -325,6 +325,21 @@ class TestTelemetry:
             "fast_path_share",
         ):
             assert field in totals
+        assert "breaker_trips" not in totals  # v12: no breakers
+        # v12 per-host layout of the workers section: counters and hang
+        # events only, no breaker, partition or trace fetch fields.
+        from repro.engine import build_backend
+
+        host = build_backend("subprocess", 1).snapshot()["local0"]
+        assert set(host) == {
+            "dispatches",
+            "completions",
+            "requeues",
+            "connects",
+            "connect_failures",
+            "flaps",
+            "hangs",
+        }
         assert totals["jobs"] == len(SUITE_NAMES)
         assert totals["cached"] == totals["jobs"]
         # The warm store was filled by an earlier engine instance, so every

@@ -66,7 +66,6 @@ def isolated_env(tmp_path, monkeypatch):
         "REPRO_BACKEND",
         "REPRO_HEARTBEAT",
         "REPRO_WATCHDOG",
-        "REPRO_BREAKER_THRESHOLD",
     ):
         monkeypatch.delenv(var, raising=False)
     return tmp_path
@@ -481,6 +480,14 @@ class TestCacheBound:
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", "-1")
         with pytest.raises(EngineError, match="REPRO_CACHE_MAX_MB"):
             resolve_cache_limit()
+        for raw in ("nan", "inf", "-inf"):
+            monkeypatch.setenv("REPRO_CACHE_MAX_MB", raw)
+            with pytest.raises(EngineError, match="REPRO_CACHE_MAX_MB"):
+                resolve_cache_limit()
+        monkeypatch.delenv("REPRO_CACHE_MAX_MB")
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(EngineError, match="cache size bound"):
+                resolve_cache_limit(value)
 
     def test_lru_eviction_by_mtime(self, tmp_path):
         store = ResultStore(tmp_path / "bounded", max_mb=0.5)
