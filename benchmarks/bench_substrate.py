@@ -199,6 +199,33 @@ def test_dispatch_first_result_shm(benchmark, dispatch_traces):
         transport.REGISTRY.reset()
 
 
+@pytest.fixture(scope="module")
+def stream_trace(tmp_path_factory):
+    """The gzip workload recorded with the gzip codec (456k accesses)."""
+    path = tmp_path_factory.mktemp("stream") / "gzip.rtr"
+    return record_benchmark("gzip", path, scale=0.2, codec="gzip")
+
+
+def test_trace_stream_throughput(benchmark, stream_trace):
+    """A gzip-coded trace through the reader into the annotating simulator.
+
+    The reader decodes the next chunk on a helper thread while the
+    simulator works on the current one, so on a host with a spare core
+    the decode hides behind the simulation.
+    """
+
+    def run():
+        chunks = TraceRecording(stream_trace.path).chunks()
+        return AnnotatingSimulator().run(chunks)
+
+    annotated = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert annotated.result.instructions == stream_trace.instructions
+    benchmark.extra_info["accesses"] = stream_trace.instructions
+    benchmark.extra_info["accesses_per_second"] = round(
+        stream_trace.instructions / benchmark.stats.stats.mean
+    )
+
+
 def _policy_population():
     """One million intervals over 15 000 distinct lengths.
 

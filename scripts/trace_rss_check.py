@@ -1,9 +1,9 @@
 """Prove the trace reader's memory stays bounded on huge traces.
 
-Generates a trace file much larger than the allowed resident set, then
+Generates a trace much larger than the allowed resident set, then
 streams it back in a fresh subprocess and asserts the child's peak RSS
 (``ru_maxrss``) stayed under the budget.  The default sizing makes the
-on-disk trace at least 10x the RSS budget, so materializing the trace
+decoded trace at least 10x the RSS budget, so materializing the trace
 — or any constant fraction of it — would blow the check immediately;
 only genuine chunk-at-a-time streaming passes.
 
@@ -11,10 +11,13 @@ Usage::
 
     python scripts/trace_rss_check.py                 # ~1.3 GB trace, 128 MB budget
     python scripts/trace_rss_check.py --accesses 80000000 --budget-mb 128
+    python scripts/trace_rss_check.py --codec gzip    # the read-ahead decode path
 
 The generator writes synthetic chunks directly through the recording
-writer (codec ``none``), so producing the gigabyte-scale input takes
-seconds, not a full workload simulation.
+writer, so producing the gigabyte-scale input takes seconds to a minute
+(gzip), not a full workload simulation.  Codec ``none`` checks the mmap
+reader; a compressed codec checks the buffered reader, which decodes
+one chunk ahead on a helper thread.
 """
 
 import argparse
@@ -28,11 +31,12 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
-#: Bytes one access occupies on disk with codec ``none`` (RECORD_DTYPE).
+#: Bytes one decoded access occupies (RECORD_DTYPE; on disk with codec
+#: ``none``).
 BYTES_PER_ACCESS = 17
 
 
-def generate(path: Path, accesses: int) -> int:
+def generate(path: Path, accesses: int, codec: str) -> int:
     """Write ``accesses`` synthetic records to ``path``; returns file bytes."""
     import numpy as np
 
@@ -47,7 +51,7 @@ def generate(path: Path, accesses: int) -> int:
     ).astype(np.int64)
     kinds = np.where(addrs >= 0, 1, 0).astype(np.uint8)
     chunk = TraceChunk(pcs, addrs, kinds)
-    with TraceWriter(path, codec="none") as writer:
+    with TraceWriter(path, codec=codec) as writer:
         written = 0
         while written < accesses:
             take = min(block, accesses - written)
@@ -66,8 +70,10 @@ def stream_child(path: str, budget_mb: float) -> int:
         accesses += len(chunk)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     file_mb = os.path.getsize(path) / (1024 * 1024)
+    decoded_mb = accesses * BYTES_PER_ACCESS / (1024 * 1024)
     print(
-        f"streamed {accesses} accesses from a {file_mb:.0f} MB trace; "
+        f"streamed {accesses} accesses ({decoded_mb:.0f} MB decoded) from a "
+        f"{file_mb:.0f} MB trace; "
         f"peak RSS {peak_mb:.1f} MB (budget {budget_mb:.0f} MB)"
     )
     if peak_mb > budget_mb:
@@ -84,7 +90,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--accesses", type=int, default=80_000_000,
-        help="trace length in accesses (default 80M, ~1.3 GB on disk)",
+        help="trace length in accesses (default 80M, ~1.3 GB decoded)",
+    )
+    parser.add_argument(
+        "--codec", default="none",
+        help="codec to record with (default none: the mmap reader; gzip "
+        "or zstd exercise the buffered read-ahead reader)",
     )
     parser.add_argument(
         "--budget-mb", type=float, default=128.0,
@@ -98,11 +109,11 @@ def main() -> int:
     if arguments.child is not None:
         return stream_child(arguments.child, arguments.budget_mb)
 
-    file_bytes = arguments.accesses * BYTES_PER_ACCESS
+    decoded_bytes = arguments.accesses * BYTES_PER_ACCESS
     budget_bytes = arguments.budget_mb * 1024 * 1024
-    if file_bytes < 10 * budget_bytes:
+    if decoded_bytes < 10 * budget_bytes:
         print(
-            f"FAIL: trace would be {file_bytes / 2**20:.0f} MB, under 10x the "
+            f"FAIL: trace would decode to {decoded_bytes / 2**20:.0f} MB, under 10x the "
             f"{arguments.budget_mb:.0f} MB budget; raise --accesses or lower "
             f"--budget-mb for a meaningful check",
             file=sys.stderr,
@@ -113,9 +124,9 @@ def main() -> int:
         path = Path(tmp) / "huge.rtr"
         print(
             f"generating {arguments.accesses} accesses "
-            f"(~{file_bytes / 2**20:.0f} MB, codec none) ..."
+            f"(~{decoded_bytes / 2**20:.0f} MB decoded, codec {arguments.codec}) ..."
         )
-        generate(path, arguments.accesses)
+        generate(path, arguments.accesses, arguments.codec)
         env = dict(os.environ)
         env["PYTHONPATH"] = (
             str(SRC) + os.pathsep + env["PYTHONPATH"]

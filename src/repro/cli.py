@@ -207,8 +207,9 @@ def _add_run_parser(commands) -> None:
         choices=("auto", "pickle", "shm", "disk"),
         default=None,
         help="recorded-trace transport to workers (default: REPRO_TRANSPORT "
-        "or 'auto'); shm/disk publish zero-copy arenas, pickle streams "
-        "from the trace file in each worker",
+        "or 'auto' = pickle); pickle streams the trace file in each worker, "
+        "decoding one chunk ahead; shm/disk are opt-in zero-copy arenas the "
+        "parent publishes first, pending deletion",
     )
     run.add_argument(
         "--no-cache",

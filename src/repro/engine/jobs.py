@@ -163,9 +163,10 @@ def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
     """Simulate one job; deterministic in the job parameters.
 
     Recorded traces are *streamed*: the registry hands back a chunk
-    iterator backed by the on-disk reader, so peak memory stays bounded
-    by the chunk size however large the trace file is.  When the
-    dispatching parent published the trace into a zero-copy arena
+    iterator backed by the on-disk reader, which decodes one chunk ahead
+    of the simulation, so peak memory stays bounded by two chunks
+    however large the trace file is.  When the dispatching parent
+    published the trace into an opt-in zero-copy arena
     (:mod:`repro.engine.transport`), the worker attaches to it instead
     of re-reading the file — the chunks carry identical content either
     way, so results are bit-identical across transports.

@@ -286,10 +286,14 @@ class ExecutionEngine:
                 self.telemetry.record_workers(self.workers_section())
 
     def _dispatch(self, pending: List[SimulationJob]) -> PoolReport:
-        """Run pending jobs on the workers, with traces published for them."""
-        # Publish recorded traces into zero-copy arenas for the workers;
-        # the parent owns the segments and unlinks them when the dispatch
-        # settles, however the workers fared.
+        """Run pending jobs on the workers.
+
+        By default workers stream recorded traces from their files and
+        nothing is published.  Under an opt-in ``shm``/``disk``
+        transport the traces go into zero-copy arenas first; the parent
+        owns them and unlinks them when the dispatch settles, however
+        the workers fared.
+        """
         published = transport.publish_for_jobs(pending, self.transport)
         if published:
             self._traces_published += len(published)

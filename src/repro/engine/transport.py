@@ -1,10 +1,12 @@
-"""Zero-copy trace transport between the engine and its workers.
+"""Opt-in zero-copy trace arenas between the engine and its workers.
 
-Without this module every worker that simulates a recorded-trace job
-re-opens the ``.rtr`` file, re-verifies every chunk checksum and
-re-materializes every chunk — per job, per attempt.  The transport layer
-lets the *parent* engine publish a trace's decoded columns exactly once
-and hand workers a tiny handle instead:
+By default (``auto`` = ``pickle``) every worker that simulates a
+recorded-trace job streams the ``.rtr`` file itself: the reader decodes
+one chunk ahead on a helper thread, so the decode overlaps simulation,
+and the parent publishes nothing.  Measured end to end, publishing an
+arena put the whole decode on the parent's critical path before the
+first worker started and doubled peak RSS, so the arenas stay only as
+explicit opt-ins, pending their deletion:
 
 ``shm``
     columns live in a ``multiprocessing.shared_memory`` segment; local
@@ -15,19 +17,18 @@ and hand workers a tiny handle instead:
     memory-map it (``np.memmap``) for the same zero-copy views, without
     needing a shared-memory filesystem.
 ``pickle``
-    the legacy behaviour: no arena, workers stream from the ``.rtr``
-    file themselves.
+    no arena: workers stream from the ``.rtr`` file themselves.
 
-The mode comes from ``REPRO_TRANSPORT`` (default ``auto`` = ``shm``
-where available, else ``disk``).  Publication is *advisory* and keyed
-through a process-wide refcounted registry: the parent writes one JSON
-handle per trace into a manifest directory pointed at by
+The mode comes from ``REPRO_TRANSPORT``.  Publication is *advisory*
+and keyed through a process-wide refcounted registry: the parent writes
+one JSON handle per trace into a manifest directory pointed at by
 ``REPRO_TRANSPORT_DIR`` (inherited by local workers), and
 :func:`execute_job` consults :func:`overlay_chunks` — a worker that
 finds no handle, or fails to attach, falls back to the on-disk reader
 and produces bit-identical results.  The parent owns every segment: it
 unlinks them when the dispatch that published them completes, so a
-worker killed mid-chunk can never leak a segment.
+worker killed mid-chunk can never leak a segment, and it removes the
+manifest directory once the last arena is released.
 
 Arenas preserve the on-disk chunk boundaries, so chunked simulation and
 SimPoint window slicing behave identically to the streaming reader.
@@ -39,6 +40,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import tempfile
 import threading
 import weakref
@@ -59,8 +61,8 @@ ENV_TRANSPORT = "REPRO_TRANSPORT"
 #: directory (set by the publishing parent, inherited by workers).
 ENV_TRANSPORT_DIR = "REPRO_TRANSPORT_DIR"
 
-#: Valid ``REPRO_TRANSPORT`` values.  ``auto`` resolves to ``shm`` when
-#: ``multiprocessing.shared_memory`` works on this host, else ``disk``.
+#: Valid ``REPRO_TRANSPORT`` values.  ``auto`` resolves to ``pickle``:
+#: workers stream the trace file, and nothing is published.
 TRANSPORT_MODES = ("auto", "pickle", "shm", "disk")
 
 #: Schema version of the JSON handle files.
@@ -91,9 +93,7 @@ def resolve_transport_mode(value: Optional[str] = None) -> str:
             f"unknown trace transport {value!r}; choose one of "
             f"{list(TRANSPORT_MODES)} (also settable via {ENV_TRANSPORT})"
         )
-    if mode == "auto":
-        return "shm" if _shared_memory_module() is not None else "disk"
-    return mode
+    return "pickle" if mode == "auto" else mode
 
 
 def handle_name(trace_path: str) -> str:
@@ -286,12 +286,8 @@ class ArenaRegistry:
         self._refs: Dict[str, int] = {}
         self._dir: Optional[Path] = None
 
-    def manifest_dir(self) -> Path:
-        """The handle directory, created lazily and exported via env."""
-        with self._lock:
-            return self._manifest_dir_locked()
-
     def _manifest_dir_locked(self) -> Path:
+        """The handle directory, created lazily and exported via env."""
         if self._dir is None:
             self._dir = Path(
                 tempfile.mkdtemp(prefix=f"repro-transport-{os.getpid()}-")
@@ -316,12 +312,19 @@ class ArenaRegistry:
                     "workers will stream from disk",
                     key, mode, error,
                 )
+                if not self._arenas:
+                    self._drop_manifest_dir_locked()
                 return None
             self._arenas[key] = arena
             self._refs[key] = 1
             return arena
 
     def release(self, trace_path: str) -> None:
+        """Drop one reference; the last one unlinks the arena.
+
+        Releasing the last arena also removes the handle directory and
+        unsets ``REPRO_TRANSPORT_DIR``, so a run leaves nothing behind.
+        """
         key = os.path.abspath(str(trace_path))
         with self._lock:
             if key not in self._refs:
@@ -331,7 +334,17 @@ class ArenaRegistry:
                 return
             arena = self._arenas.pop(key)
             del self._refs[key]
-        arena.unlink()
+            arena.unlink()
+            if not self._arenas:
+                self._drop_manifest_dir_locked()
+
+    def _drop_manifest_dir_locked(self) -> None:
+        if self._dir is None:
+            return
+        shutil.rmtree(self._dir, ignore_errors=True)
+        if os.environ.get(ENV_TRANSPORT_DIR) == str(self._dir):
+            del os.environ[ENV_TRANSPORT_DIR]
+        self._dir = None
 
     def active_segments(self) -> List[str]:
         with self._lock:
@@ -346,13 +359,13 @@ class ArenaRegistry:
             )
 
     def reset(self) -> None:
-        """Unlink everything (tests and interpreter teardown)."""
+        """Unlink everything and remove the handle directory (tests)."""
         with self._lock:
-            arenas = list(self._arenas.values())
+            for arena in self._arenas.values():
+                arena.unlink()
             self._arenas.clear()
             self._refs.clear()
-        for arena in arenas:
-            arena.unlink()
+            self._drop_manifest_dir_locked()
 
 
 #: The process-wide registry engines publish through.

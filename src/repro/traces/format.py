@@ -22,11 +22,12 @@ order — a codec- and chunking-independent identity for the trace
 content.  The fixed trailer lets :meth:`TraceRecording.info` seek
 straight to the end frame without scanning the file.
 
-The reader is streaming: :meth:`TraceRecording.chunks` decodes one
-chunk at a time, so peak memory is bounded by the chunk size no matter
-how large the trace file is.  :meth:`TraceRecording.window_chunks`
-additionally *seeks over* chunks that do not overlap the requested
-SimPoint window instead of decoding them.
+The reader is streaming: :meth:`TraceRecording.chunks` decodes at most
+one chunk ahead of its consumer, on a helper thread, so peak memory is
+bounded by two chunks no matter how large the trace file is.
+:meth:`TraceRecording.window_chunks` additionally *seeks over* chunks
+that do not overlap the requested SimPoint window instead of decoding
+them.
 
 Compression codecs: ``none``, ``gzip`` (zlib, always available) and
 ``zstd`` when the :mod:`zstandard` package is importable — the codec
@@ -45,6 +46,7 @@ import os
 import struct
 import tempfile
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -234,6 +236,30 @@ def _decode_chunk_view(
         return TraceChunk(rec["pc"], rec["daddr"], rec["kind"])
     except TraceError as error:
         raise TraceFormatError(f"{path}: chunk {index} holds invalid accesses: {error}") from None
+
+
+def _read_ahead(source: Iterator[TraceChunk]) -> Iterator[TraceChunk]:
+    """Yield ``source``'s chunks while one helper thread decodes the next.
+
+    The helper advances ``source`` one chunk ahead of the consumer and no
+    further.  An exception ``source`` raises reaches the consumer at the
+    position a sequential read would raise it.  Closing the generator
+    waits for the helper's current step, joins the thread and closes
+    ``source``.
+    """
+    helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rtr-read-ahead")
+    pending = helper.submit(next, source, None)
+    try:
+        while True:
+            chunk = pending.result()
+            if chunk is None:
+                return
+            pending = helper.submit(next, source, None)
+            yield chunk
+    finally:
+        pending.cancel()
+        helper.shutdown(wait=True)
+        source.close()
 
 
 class TraceWriter:
@@ -513,10 +539,15 @@ class TraceRecording:
     def chunks(self) -> Iterator[TraceChunk]:
         """Yield the trace's chunks in order, verifying every checksum.
 
-        Peak memory is bounded by one chunk: each payload is read,
-        verified and decoded only when the consumer advances the
-        generator.  The running whole-trace digest is checked against
-        the end frame, so a fully consumed stream is guaranteed intact.
+        Buffered reads decode one chunk ahead on a helper thread, so
+        decompression and checksumming overlap the consumer's work
+        (zlib, sha256 and numpy copies release the GIL).  Peak memory
+        is bounded by two chunks: the one last yielded and the one read
+        ahead.  A check that fails on chunk k is raised in the consumer
+        after exactly k chunks, as a sequential read would raise it;
+        closing or abandoning the generator joins the helper.  The
+        running whole-trace digest is checked against the end frame, so
+        a fully consumed stream is guaranteed intact.
 
         Uncompressed traces (codec ``none``) are memory-mapped when the
         filesystem allows it: chunks become zero-copy views into the
@@ -533,33 +564,37 @@ class TraceRecording:
         with self.path.open("rb") as fh:
             fh.seek(len(MAGIC))
             _read_frame_meta(fh, self.path, "header")
-            running = hashlib.sha256()
-            index = 0
-            while True:
-                meta = _read_frame_meta(fh, self.path, f"chunk {index}")
-                kind = meta.get("kind")
-                if kind == "end":
-                    if meta.get("chunks") != index:
-                        raise TraceFormatError(
-                            f"{self.path}: end frame declares {meta.get('chunks')} chunks "
-                            f"but {index} were read"
-                        )
-                    if meta.get("digest") != running.hexdigest():
-                        raise TraceFormatError(
-                            f"{self.path}: whole-trace digest mismatch; the file is corrupt"
-                        )
-                    return
-                if kind != "chunk":
-                    raise TraceFormatError(f"{self.path}: unexpected frame kind {kind!r}")
-                if meta.get("index") != index:
+            yield from _read_ahead(self._decoded_chunks(fh))
+
+    def _decoded_chunks(self, fh: BinaryIO) -> Iterator[TraceChunk]:
+        """Decode the chunk frames after the header, verifying every check."""
+        running = hashlib.sha256()
+        index = 0
+        while True:
+            meta = _read_frame_meta(fh, self.path, f"chunk {index}")
+            kind = meta.get("kind")
+            if kind == "end":
+                if meta.get("chunks") != index:
                     raise TraceFormatError(
-                        f"{self.path}: chunk frames out of order "
-                        f"(expected index {index}, found {meta.get('index')!r})"
+                        f"{self.path}: end frame declares {meta.get('chunks')} chunks "
+                        f"but {index} were read"
                     )
-                raw = self._read_payload(fh, meta, index)
-                running.update(raw)
-                yield _decode_chunk(raw, self.path, index)
-                index += 1
+                if meta.get("digest") != running.hexdigest():
+                    raise TraceFormatError(
+                        f"{self.path}: whole-trace digest mismatch; the file is corrupt"
+                    )
+                return
+            if kind != "chunk":
+                raise TraceFormatError(f"{self.path}: unexpected frame kind {kind!r}")
+            if meta.get("index") != index:
+                raise TraceFormatError(
+                    f"{self.path}: chunk frames out of order "
+                    f"(expected index {index}, found {meta.get('index')!r})"
+                )
+            raw = self._read_payload(fh, meta, index)
+            running.update(raw)
+            yield _decode_chunk(raw, self.path, index)
+            index += 1
 
     def _open_mmap(self) -> Optional[mmap.mmap]:
         """Map the file read-only; ``None`` (logged once) when mmap fails."""

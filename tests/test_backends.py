@@ -241,8 +241,12 @@ class TestEngagement:
         host = manifest["workers"]["hosts"]["local0"]
         assert (host["connects"], host["dispatches"]) == (1, 2)
 
-    def test_arenas_published_only_when_workers_run(self, tmp_path):
+    def test_arenas_published_only_when_workers_run(self, tmp_path,
+                                                    monkeypatch):
         from repro.traces import format_trace_ref, record_benchmark
+
+        # Arenas are opt-in: the default transport publishes nothing.
+        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
 
         refs = []
         for name in SUITE_NAMES:

@@ -10,7 +10,11 @@ and SimPoint estimation over a recorded trace reconstructs whole-trace
 savings within a stated error bound.
 """
 
+import gc
 import json
+import struct
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +50,7 @@ from repro.traces import (
     record_chunks,
     trace_info,
 )
+from repro.traces import format as trace_format
 from repro.traces.estimate import (
     SimPointPlan,
     estimate_savings,
@@ -198,6 +203,151 @@ class TestFormat:
     def test_unknown_codec_is_a_config_error(self, tmp_path, gzip_chunks):
         with pytest.raises(ConfigurationError):
             record_chunks(gzip_chunks, tmp_path / "x.rtr", codec="brotli")
+
+
+# ----------------------------------------------------------------------
+# One-chunk read-ahead of the buffered reader
+# ----------------------------------------------------------------------
+def _payload_spans(path):
+    """``(start, stop)`` byte offsets of every chunk payload in a trace."""
+    data = Path(path).read_bytes()
+    pos = len(trace_format.MAGIC)
+    spans = []
+    while True:
+        (length,) = struct.unpack_from("<I", data, pos)
+        meta = json.loads(data[pos + 4 : pos + 4 + length])
+        pos += 4 + length
+        if meta["kind"] == "end":
+            return spans
+        if meta["kind"] == "chunk":
+            spans.append((pos, pos + meta["payload_bytes"]))
+            pos += meta["payload_bytes"]
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("rtr-read-ahead")]
+
+
+class TestReadAhead:
+    CHUNK = 4_000
+
+    @pytest.fixture
+    def gzip_trace(self, tmp_path, gzip_chunks):
+        info = record_chunks(
+            gzip_chunks, tmp_path / "ra.rtr", codec="gzip", chunk_instructions=self.CHUNK
+        )
+        return Path(info.path)
+
+    @pytest.fixture(autouse=True)
+    def no_helper_leaks(self):
+        before = set(threading.enumerate())
+        yield
+        assert _helper_threads() == []
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("chunk_instructions", [1_000, 7_919, 65_536])
+    def test_chunks_bit_identical_to_sequential_decode(
+        self, tmp_path, gzip_chunks, chunk_instructions
+    ):
+        info = record_chunks(
+            gzip_chunks,
+            tmp_path / "seq.rtr",
+            codec="gzip",
+            chunk_instructions=chunk_instructions,
+        )
+        merged = merge_chunks(gzip_chunks)
+        chunks = list(TraceRecording(info.path).chunks())
+        assert len(chunks) == info.chunks
+        for index, chunk in enumerate(chunks):
+            start = index * chunk_instructions
+            expected = merged.slice(start, min(start + chunk_instructions, len(merged)))
+            for column in ("pcs", "data_addresses", "data_kinds"):
+                actual, reference = getattr(chunk, column), getattr(expected, column)
+                assert actual.dtype == reference.dtype
+                assert actual.flags.c_contiguous
+                assert np.array_equal(actual, reference)
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_corrupt_chunk_raises_after_exactly_k_chunks(self, gzip_trace, position):
+        spans = _payload_spans(gzip_trace)
+        k = {"first": 0, "middle": len(spans) // 2, "last": len(spans) - 1}[position]
+        start, stop = spans[k]
+        data = bytearray(gzip_trace.read_bytes())
+        data[(start + stop) // 2] ^= 0xFF
+        gzip_trace.write_bytes(bytes(data))
+        # The same chunk read on its own (no read-ahead) names the error.
+        with pytest.raises(TraceFormatError) as sequential:
+            list(TraceRecording(gzip_trace).window_chunks(k, self.CHUNK))
+        yielded = 0
+        with pytest.raises(TraceFormatError) as streamed:
+            for _ in TraceRecording(gzip_trace).chunks():
+                yielded += 1
+        assert yielded == k
+        assert str(streamed.value) == str(sequential.value)
+        assert f"chunk {k} " in str(streamed.value)
+
+    def test_truncated_file_still_raises(self, gzip_trace):
+        spans = _payload_spans(gzip_trace)
+        k = len(spans) // 2
+        data = gzip_trace.read_bytes()
+        gzip_trace.write_bytes(data[: spans[k][0] + 3])
+        yielded = 0
+        with pytest.raises(TraceFormatError, match=f"chunk {k} truncated"):
+            for _ in TraceRecording(gzip_trace).chunks():
+                yielded += 1
+        assert yielded == k
+
+    def test_whole_trace_digest_mismatch_still_raises(self, gzip_trace):
+        recording = TraceRecording(gzip_trace)
+        digest = recording.info().digest
+        forged = ("0" if digest[0] != "0" else "1") + digest[1:]
+        data = gzip_trace.read_bytes()
+        assert data.count(digest.encode()) == 1
+        gzip_trace.write_bytes(data.replace(digest.encode(), forged.encode()))
+        yielded = 0
+        with pytest.raises(TraceFormatError, match="whole-trace digest mismatch"):
+            for _ in TraceRecording(gzip_trace).chunks():
+                yielded += 1
+        assert yielded == recording.info().chunks
+
+    def test_decodes_at_most_one_chunk_ahead(self, gzip_trace, monkeypatch):
+        calls = []
+        real = trace_format._decode_chunk
+
+        def counted(raw, path, index):
+            calls.append(index)
+            return real(raw, path, index)
+
+        monkeypatch.setattr(trace_format, "_decode_chunk", counted)
+        stream = TraceRecording(gzip_trace).chunks()
+        assert calls == []  # nothing happens before the first request
+        yielded = 0
+        for _ in stream:
+            yielded += 1
+            time.sleep(0.005)  # room for a runaway helper to overtake
+            assert len(calls) <= yielded + 1
+        assert calls == list(range(yielded))
+
+    def test_close_after_one_chunk_joins_the_helper(self, gzip_trace):
+        stream = TraceRecording(gzip_trace).chunks()
+        next(stream)
+        assert len(_helper_threads()) == 1
+        stream.close()
+        assert _helper_threads() == []
+
+    def test_abandoned_generator_joins_the_helper(self, gzip_trace):
+        stream = TraceRecording(gzip_trace).chunks()
+        next(stream)
+        del stream
+        gc.collect()
+        assert _helper_threads() == []
+
+    def test_consumer_exception_joins_the_helper(self, gzip_trace):
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            for index, _ in enumerate(TraceRecording(gzip_trace).chunks()):
+                if index == 2:
+                    raise RuntimeError("consumer failed")
+        assert _helper_threads() == []
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Zero-copy trace transport and the mmap trace-reader path.
 
-The transport layer (:mod:`repro.engine.transport`) is *advisory*: every
+The transport layer (:mod:`repro.engine.transport`) is opt-in and *advisory*: every
 test here asserts two things at once — that the fast path (shared-memory
 or on-disk arenas, mmap chunk views) produces bit-identical chunks to
 the buffered reader, and that every failure mode falls back to the
@@ -12,13 +12,15 @@ so a worker killed mid-chunk can never leak one.
 import json
 import logging
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro.cpu.trace import merge_chunks
 from repro.engine import transport
-from repro.engine.jobs import SimulationJob
+from repro.cli import dumps_stable
+from repro.engine.jobs import SimulationJob, job_result_payload
 from repro.engine.parallel import ExecutionEngine
 from repro.engine.retry import RetryPolicy
 from repro.engine.store import NullStore
@@ -64,9 +66,10 @@ class TestModeResolution:
         monkeypatch.setenv(transport.ENV_TRANSPORT, "disk")
         assert transport.resolve_transport_mode() == "disk"
 
-    def test_auto_prefers_shm(self, monkeypatch):
+    def test_auto_streams(self, monkeypatch):
         monkeypatch.delenv(transport.ENV_TRANSPORT, raising=False)
-        assert transport.resolve_transport_mode() in ("shm", "disk")
+        assert transport.resolve_transport_mode() == "pickle"
+        assert transport.resolve_transport_mode("auto") == "pickle"
 
     def test_unknown_mode_names_the_variable(self):
         with pytest.raises(EngineError, match="REPRO_TRANSPORT"):
@@ -264,6 +267,49 @@ class TestEngineEndToEnd:
         assert outcome.attempts == 2
         assert outcome.annotated.result == expected
         assert transport.REGISTRY.active_segments() == []
+
+    def test_default_subprocess_job_streams_and_matches_shm(
+        self, recorded, monkeypatch
+    ):
+        ref = f"trace:{recorded}"
+        results = {}
+        for mode in (None, "shm"):
+            if mode is None:
+                monkeypatch.delenv(transport.ENV_TRANSPORT, raising=False)
+            else:
+                monkeypatch.setenv(transport.ENV_TRANSPORT, mode)
+            engine = ExecutionEngine(jobs=1, backend="subprocess",
+                                     store=NullStore())
+            outcome = engine.run_one(SimulationJob(ref))
+            assert outcome.source == "subprocess"
+            substrate = engine.telemetry.manifest()["substrate"]
+            results[mode] = (outcome.annotated, substrate)
+        default, shm = results[None], results["shm"]
+        assert default[1]["transport"] == "pickle"
+        assert default[1]["traces_published"] == 0
+        assert shm[1]["traces_published"] == 1
+        assert default[0].result == shm[0].result
+        job = SimulationJob(ref)
+        assert dumps_stable(job_result_payload(job, default[0])) == (
+            dumps_stable(job_result_payload(job, shm[0]))
+        )
+
+    def test_shm_dispatch_leaves_no_handle_directory(
+        self, recorded, monkeypatch, tmp_path
+    ):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.setenv(transport.ENV_TRANSPORT, "shm")
+        monkeypatch.delenv(transport.ENV_TRANSPORT_DIR, raising=False)
+        engine = ExecutionEngine(jobs=1, backend="subprocess",
+                                 store=NullStore())
+        engine.run_one(SimulationJob(f"trace:{recorded}"))
+        substrate = engine.telemetry.manifest()["substrate"]
+        assert substrate["traces_published"] == 1
+        assert list(scratch.iterdir()) == []
+        assert transport.ENV_TRANSPORT_DIR not in os.environ
 
     def test_subprocess_workers_inherit_transport(self, recorded,
                                                   monkeypatch):
