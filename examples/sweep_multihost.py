@@ -76,7 +76,7 @@ def main() -> None:
         print("\nverified: merged 2-shard report is byte-identical to an "
               "unsharded run")
 
-        # Re-running a finished shard resumes from its journal.
+        # Re-running a finished shard finds every point in the cache.
         rerun = run_shard(spec, ShardAssignment(0, SHARDS),
                           cache_dir=shared_cache)
         assert rerun.telemetry.simulated == 0

@@ -14,8 +14,6 @@ The historical flat forms keep working — a bare experiment name implies
     repro-leakage table1
     repro-leakage figure8 --scale 0.5
     repro-leakage all --scale 0.5 --output results.txt
-    repro-leakage all --run-id nightly      # checkpointed, resumable
-    repro-leakage all --resume nightly      # continue after a crash
 
 Simulations go through the execution engine: benchmark jobs fan out over
 framed worker processes (``--jobs`` / ``REPRO_JOBS``) selected by
@@ -32,12 +30,14 @@ under
 telemetry footer — exportable as JSON via ``--manifest`` — reports where
 the time went, including every retry and degradation.  The report on
 stdout is byte-identical whatever the worker count, cache state, fault
-history, resume path or shard split; telemetry goes to stderr.
+history, rerun or shard split; telemetry goes to stderr.  The result
+cache is also the only progress record: rerunning an interrupted command
+against the same cache simulates only the jobs it had not finished.
 
 A sweep expands a declarative spec (benchmarks × scales × pipelines ×
 technology nodes) into engine jobs, optionally sharded across hosts
 (``--shard-index/--shard-count`` against a shared cache directory), and
-``sweep merge`` folds every shard's journal into one report::
+``sweep merge`` folds every shard's cached results into one report::
 
     repro-leakage sweep plan --spec scaling.json --shard-count 4
     repro-leakage sweep run --spec scaling.json --shard-index 0 --shard-count 4
@@ -61,9 +61,6 @@ from .engine import (
     ExecutionEngine,
     NullStore,
     ResultStore,
-    RunJournal,
-    collect_sharing_stats,
-    resolve_cache_dir,
 )
 from .errors import ReproError
 from .experiments.runner import experiment_names, run_all, run_experiment
@@ -71,6 +68,7 @@ from .experiments.suite import SuiteRunner
 from .sweep import (
     ShardAssignment,
     SweepSpec,
+    collect_sharing_stats,
     merge as sweep_merge,
     plan_text,
     run_shard,
@@ -217,18 +215,6 @@ def _add_run_parser(commands) -> None:
         help="bypass the on-disk result cache (neither read nor write it)",
     )
     run.add_argument(
-        "--run-id",
-        default=None,
-        metavar="ID",
-        help="journal this run under ID so it can be resumed after a crash",
-    )
-    run.add_argument(
-        "--resume",
-        default=None,
-        metavar="ID",
-        help="resume the interrupted run ID from its journal",
-    )
-    run.add_argument(
         "--manifest",
         default=None,
         metavar="PATH",
@@ -335,7 +321,8 @@ def _add_sweep_parser(commands) -> None:
     plan.set_defaults(handler=sweep_plan_command)
 
     run = verbs.add_parser(
-        "run", help="run one shard's slice of the sweep (resumable)"
+        "run",
+        help="run one shard's slice of the sweep (reruns skip cached points)",
     )
     _add_spec_arguments(run)
     run.add_argument(
@@ -358,7 +345,7 @@ def _add_sweep_parser(commands) -> None:
     run.set_defaults(handler=sweep_run_command)
 
     status = verbs.add_parser(
-        "status", help="global progress across every shard journal"
+        "status", help="global progress: grid points present in the cache"
     )
     _add_spec_arguments(status)
     status.add_argument(
@@ -631,7 +618,7 @@ def cache_command(args) -> int:
             f"runs, {sharing['hits_from_this_run']} by the hitting run)"
         )
     else:
-        print("sharing:         no journaled runs recorded yet")
+        print("sharing:         no sweep runs recorded yet")
     return 0
 
 
@@ -856,33 +843,6 @@ def trace_simpoints_command(args) -> int:
 # ----------------------------------------------------------------------
 # run (experiments)
 # ----------------------------------------------------------------------
-def _make_journal(args) -> Optional[RunJournal]:
-    """The run journal implied by ``--run-id``/``--resume``, validated."""
-    if args.resume and args.run_id and args.resume != args.run_id:
-        raise ReproError(
-            f"--run-id {args.run_id!r} conflicts with --resume {args.resume!r}"
-        )
-    run_id = args.resume or args.run_id
-    if run_id is None:
-        return None
-    if args.no_cache:
-        raise ReproError(
-            "--run-id/--resume need the on-disk cache; drop --no-cache"
-        )
-    journal = RunJournal(resolve_cache_dir(), run_id)
-    if args.resume and not journal.exists():
-        raise ReproError(
-            f"no journal for run {run_id!r} under {journal.describe()}; "
-            "start it with --run-id first"
-        )
-    if not args.resume and journal.exists():
-        raise ReproError(
-            f"run {run_id!r} already has a journal; "
-            f"continue it with --resume {run_id}"
-        )
-    return journal
-
-
 def run_command(args) -> int:
     """``repro-leakage run <experiment>`` (also the bare historical form)."""
     if args.extra:
@@ -907,12 +867,9 @@ def run_command(args) -> int:
     if args.transport is not None:
         os.environ["REPRO_TRANSPORT"] = args.transport
     try:
-        journal = _make_journal(args)
         engine = ExecutionEngine(
             jobs=args.jobs,
             store=NullStore() if args.no_cache else None,
-            journal=journal,
-            resume=args.resume is not None,
             backend=args.backend,
         )
         suite = SuiteRunner(scale=args.scale, benchmarks=benchmarks, engine=engine)
@@ -943,10 +900,6 @@ def run_command(args) -> int:
             telemetry.write_manifest(args.manifest)
         except OSError as error:
             return _fail(f"writing the manifest failed: {error}")
-    if journal is not None:
-        written = journal.write_manifest(telemetry.manifest())
-        if written:
-            print(f"run journal: {journal.describe()}", file=sys.stderr)
     return 0
 
 

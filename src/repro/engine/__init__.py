@@ -8,11 +8,13 @@ backend (:mod:`~repro.engine.backends`: local worker processes, each
 running :mod:`~repro.engine.worker` under a heartbeat watchdog), then
 in-process serial execution — with per-job retry
 (:mod:`~repro.engine.retry`), an invariant-validation gate on every
-fresh result (:mod:`~repro.engine.validate`), crash-safe run checkpoints
-(:mod:`~repro.engine.checkpoint`), and run telemetry
-(:mod:`~repro.engine.telemetry`).  A deterministic fault-injection
-harness (:mod:`~repro.engine.faults`, off unless ``REPRO_FAULTS`` is
-set) makes every degradation path testable on purpose.
+fresh result (:mod:`~repro.engine.validate`), and run telemetry
+(:mod:`~repro.engine.telemetry`).  The result cache is the only record
+of progress: rerunning an interrupted run against the same cache
+simulates only the jobs it had not finished.  A deterministic
+fault-injection harness (:mod:`~repro.engine.faults`, off unless
+``REPRO_FAULTS`` is set) makes every degradation path testable on
+purpose.
 
 Quickstart::
 
@@ -39,15 +41,6 @@ from .backends import (
     ladder,
     local_hosts,
     resolve_backend_name,
-)
-from .checkpoint import (
-    RUNS_SUBDIR,
-    SWEEPS_SUBDIR,
-    RunJournal,
-    atomic_write_json,
-    collect_sharing_stats,
-    iter_run_manifests,
-    validate_run_id,
 )
 from .faults import (
     CRASH_EXIT_CODE,
@@ -89,6 +82,7 @@ from .store import (
     ENV_CACHE_MAX_MB,
     NullStore,
     ResultStore,
+    atomic_write_bytes,
     resolve_cache_dir,
     resolve_cache_limit,
 )
@@ -121,8 +115,6 @@ __all__ = [
     "NullStore",
     "PoolReport",
     "ResultStore",
-    "RUNS_SUBDIR",
-    "RunJournal",
     "RunTelemetry",
     "RetryPolicy",
     "SCHEMA_VERSION",
@@ -131,22 +123,19 @@ __all__ = [
     "SOURCE_PARALLEL",
     "SOURCE_SERIAL",
     "SOURCE_SUBPROCESS",
-    "SWEEPS_SUBDIR",
     "SimulationJob",
     "Stopwatch",
     "WorkerBackend",
     "active_plan",
     "apply_store_fault",
-    "atomic_write_json",
+    "atomic_write_bytes",
     "build_backend",
     "check_result",
-    "collect_sharing_stats",
     "default_heartbeat_interval",
     "default_job_timeout",
     "default_retry_policy",
     "default_watchdog",
     "execute_job",
-    "iter_run_manifests",
     "job_result_payload",
     "ladder",
     "local_hosts",
@@ -155,5 +144,4 @@ __all__ = [
     "resolve_cache_dir",
     "resolve_cache_limit",
     "resolve_worker_count",
-    "validate_run_id",
 ]

@@ -17,14 +17,16 @@ uses to obtain simulation results.  For every requested job it
    (:mod:`~repro.engine.validate`) — a result that violates the model's
    own accounting identities is quarantined and recomputed, never
    cached;
-4. writes validated results back to the store, journals them in the run
-   checkpoint when one is attached (:mod:`~repro.engine.checkpoint`),
-   and records everything — outcomes, retries, injected faults,
-   per-host worker counters and hang events,
-   quarantines — in a :class:`~repro.engine.telemetry.RunTelemetry`.
+4. writes validated results back to the store, and records everything
+   — outcomes, retries, injected faults, per-host worker counters and
+   hang events, quarantines — in a
+   :class:`~repro.engine.telemetry.RunTelemetry`.
+
+The store is the only record of which jobs are done: rerunning an
+interrupted run against the same cache simulates only what is missing.
 
 Because :func:`~repro.engine.jobs.execute_job` is deterministic, serial,
-worker, retried, resumed, and fault-injected runs all produce
+worker, retried, rerun, and fault-injected runs all produce
 bit-identical results; the engine only changes *when* and
 *where* simulations run, never what they compute.
 """
@@ -45,7 +47,6 @@ from .backends import (
     ladder,
     resolve_backend_name,
 )
-from .checkpoint import RunJournal
 from .faults import FaultPlan, active_plan, apply_store_fault
 from .jobs import (
     SOURCE_CACHED,
@@ -92,8 +93,6 @@ class ExecutionEngine:
         telemetry: Optional[RunTelemetry] = None,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
-        journal: Optional[RunJournal] = None,
-        resume: bool = False,
         backend: Optional[str] = None,
     ) -> None:
         self.max_workers = resolve_worker_count(jobs)
@@ -110,14 +109,6 @@ class ExecutionEngine:
         #: across this engine's runs (the ``workers`` manifest section).
         self._ladder: List[Dict] = []
         self._rungs_used: List[str] = []
-        self.journal = journal
-        self._journaled: set = set()
-        if journal is not None and resume:
-            self._journaled = journal.load()
-            self.telemetry.note(
-                f"resuming run {journal.run_id!r}: "
-                f"{len(self._journaled)} job(s) already journaled"
-            )
         self.transport = transport.resolve_transport_mode()
         self.kernel_mode = resolve_kernel_mode()
         self._traces_published = 0
@@ -130,8 +121,6 @@ class ExecutionEngine:
                 "timeout_seconds": self.timeout,
                 "retry": self.retry.describe(),
                 "faults": None if self.faults is None else self.faults.describe(),
-                "run_id": None if journal is None else journal.run_id,
-                "resumed": bool(journal is not None and resume),
                 "kernel_mode": self.kernel_mode,
                 "transport": self.transport,
             }
@@ -165,7 +154,7 @@ class ExecutionEngine:
 
         Results are keyed by job and independent of execution order, so
         callers see identical outputs whatever path produced them —
-        including runs that retried, resumed, or survived injected
+        including runs that retried, reran, or survived injected
         faults.
         """
         ordered = self._deduplicate(jobs)
@@ -178,15 +167,7 @@ class ExecutionEngine:
                 hit = self.store.get(job.key())
             if hit is not None:
                 outcomes[job] = JobOutcome(job, hit, SOURCE_CACHED, sw.seconds)
-                self._journal_record(job)
             else:
-                if job.key() in self._journaled:
-                    # The interrupted run finished this job but its cache
-                    # entry is gone or corrupt: recompute transparently.
-                    self.telemetry.note(
-                        f"resume: journaled job {job.describe()} is missing "
-                        "from the cache; recomputing"
-                    )
                 pending.append(job)
 
         if pending:
@@ -386,15 +367,10 @@ class ExecutionEngine:
                 raise
 
     def _commit(self, job: SimulationJob, annotated: object) -> None:
-        """Persist one fresh result: cache write, fault hooks, journal."""
+        """Persist one fresh result: cache write, then fault hooks."""
         wrote = self.store.put(job.key(), annotated)
         if wrote and self.faults is not None:
             for spec in self.faults.take_store_faults(job):
                 description = apply_store_fault(self.store, job.key(), spec)
                 if description:
                     self.telemetry.record_fault(description)
-        self._journal_record(job)
-
-    def _journal_record(self, job: SimulationJob) -> None:
-        if self.journal is not None:
-            self.journal.record(job)

@@ -55,6 +55,32 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro-leakage"
 TRACES_SUBDIR = "traces"
 
 
+def atomic_write_bytes(path: os.PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a sibling temp file and a rename.
+
+    Readers see the old file or the new one, never a torn write, and the
+    temp file is removed if anything fails.  The parent directory is
+    created on demand; ``OSError`` propagates, so every caller keeps its
+    own error contract.  No ``fsync``: the rename is the atomicity
+    guarantee, not durability across power loss.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=str(path.parent), prefix=f".{path.name}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 def resolve_cache_dir(directory: Optional[os.PathLike] = None) -> Path:
     """Cache directory from the argument, the environment, or the default."""
     if directory is not None:
@@ -123,6 +149,11 @@ class ResultStore:
     def path_for(self, key: str) -> Path:
         """The entry file backing one job key."""
         return self.directory / f"{key}.pkl"
+
+    def contains(self, key: str) -> bool:
+        """Whether an entry file exists for ``key`` (presence only: no
+        read, no checksum, no hit counted)."""
+        return self.path_for(key).is_file()
 
     @property
     def quarantine_dir(self) -> Path:
@@ -203,20 +234,7 @@ class ResultStore:
         ).encode("utf-8")
         path = self.path_for(key)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.directory), prefix=f".{key[:16]}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(header + b"\n" + payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write_bytes(path, header + b"\n" + payload)
         except OSError:
             # A broken cache must never break the run: fall back to
             # uncached operation and record the failure for telemetry.

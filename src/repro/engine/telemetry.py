@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from .jobs import SOURCE_CACHED, JobOutcome
+from .store import atomic_write_bytes
 
 #: Version of the manifest JSON layout, independent of the result cache's
 #: payload schema version.  Version 2 added per-job attempts plus the
@@ -55,8 +55,9 @@ from .jobs import SOURCE_CACHED, JobOutcome
 #: serving daemon; version 12 dropped remote hosts: no
 #: ``totals.breaker_trips``, no per-host ``breaker_state``,
 #: ``breaker_transitions``, ``partitioned``, ``trace_fetches`` or
-#: ``trace_bytes_sent``, and no ``engine.hosts`` list.
-MANIFEST_VERSION = 12
+#: ``trace_bytes_sent``, and no ``engine.hosts`` list; version 13
+#: dropped run journals: no ``engine.run_id`` or ``engine.resumed``.
+MANIFEST_VERSION = 13
 
 
 class Stopwatch:
@@ -382,15 +383,13 @@ class RunTelemetry:
         }
 
     def write_manifest(self, path) -> str:
-        """Write the manifest as indented JSON; returns the path written."""
-        target = Path(path)
-        if target.parent != Path("."):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(self.manifest(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return str(target)
+        """Atomically write the manifest as indented JSON; returns the path.
+
+        Raises ``OSError`` when the filesystem refuses.
+        """
+        text = json.dumps(self.manifest(), indent=2, sort_keys=True) + "\n"
+        atomic_write_bytes(path, text.encode("utf-8"))
+        return str(path)
 
     def summary(self) -> str:
         """Human-readable run footer."""

@@ -1,7 +1,7 @@
 """Result-integrity guardrails: the invariant-validation gate.
 
 Every fresh simulation result — whatever backend produced it — passes
-through :func:`check_result` before it is cached, journaled, or handed
+through :func:`check_result` before it is cached or handed
 to an experiment.  The checks are the model's own physics and accounting
 identities, so a worker that silently returns garbage (bit flips, a
 miscompiled numpy, an injected ``garbage`` fault) is caught *here*

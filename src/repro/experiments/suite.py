@@ -7,9 +7,8 @@ simulation goes through :class:`~repro.engine.parallel.ExecutionEngine`:
 results come from the on-disk cache when available, misses fan out over
 worker processes, and a per-instance in-memory layer preserves the old
 guarantee that one ``SuiteRunner`` simulates each benchmark exactly once
-and always returns the same objects.  Jobs are submitted in suite order,
-so a checkpointed run journals benchmarks deterministically and a
-``--resume`` continues exactly where the previous run stopped; retries,
+and always returns the same objects.  Rerunning an interrupted run
+against the same cache picks up every finished benchmark from it; retries,
 serial fallbacks, and injected faults inside the engine never change
 what a ``BenchmarkRun`` contains, only how long it took to obtain.
 """

@@ -1,4 +1,4 @@
-"""Sharded parameter sweeps with shared journals and one merged report.
+"""Sharded parameter sweeps over one shared cache, with one merged report.
 
 The paper's headline results are grids — leakage-mode energy across
 (benchmark × cache scale × pipeline × technology node), e.g. the
@@ -13,9 +13,9 @@ one command (or one command per host):
 * :mod:`~repro.sweep.shard` — stable content-hash shard assignment
   (``--shard-index/--shard-count``): disjoint slices whose union is the
   grid, independent of host or expansion order.
-* :mod:`~repro.sweep.coordinate` — the shared journal directory
-  (``<cache>/sweeps/<name>/``): spec pinning, one engine journal per
-  shard, global status, atomic merged manifest.
+* :mod:`~repro.sweep.coordinate` — the shared sweep directory
+  (``<cache>/sweeps/<name>/``): spec pinning, one manifest per shard,
+  global status read from the result cache, atomic merged manifest.
 * :mod:`~repro.sweep.aggregate` — per-point results → the sweep report
   (per-node/per-benchmark savings tables, CSV + JSON).
 * :mod:`~repro.sweep.driver` — the ``plan`` / ``run`` / ``status`` /
@@ -42,7 +42,11 @@ from .aggregate import (
     to_csv,
     to_json_dict,
 )
-from .coordinate import SweepCoordinator, parse_shard_name
+from .coordinate import (
+    SweepCoordinator,
+    collect_sharing_stats,
+    parse_shard_name,
+)
 from .grid import (
     AnalysisTask,
     SweepPoint,
@@ -79,6 +83,7 @@ __all__ = [
     "SweepResults",
     "SweepSpec",
     "collect",
+    "collect_sharing_stats",
     "expand",
     "expand_analysis",
     "grid_keys",

@@ -1,4 +1,4 @@
-"""Shared sweep journals: many hosts, one progress record.
+"""Shared sweep directories: many hosts, one cache, one record of progress.
 
 A sweep owns a directory under ``<cache_dir>/sweeps/<name>/`` shared by
 every shard (on one host, or many hosts mounting the same cache):
@@ -7,51 +7,131 @@ every shard (on one host, or many hosts mounting the same cache):
   to arrive.  Every later shard (and ``status``/``merge``) verifies its
   own spec against it by fingerprint, so two hosts can never silently
   run *different* grids under one sweep name.
-* ``shard-<i>-of-<n>/journal.jsonl`` — one engine run journal per shard
-  (:class:`~repro.engine.checkpoint.RunJournal` rooted in the sweep
-  directory), appended and fsynced as each job completes.  Re-running a
-  shard resumes from its journal; the content-addressed result cache
-  supplies the payloads.
-* ``shard-<i>-of-<n>/manifest.json`` — that shard's telemetry manifest.
+* ``shard-<i>-of-<n>/manifest.json`` — that shard's telemetry manifest,
+  written atomically when the shard's run finishes.
 * ``manifest.json`` — the merged sweep manifest, written atomically by
-  ``sweep merge`` from the union of shard journals (flagged
-  ``"merged": true`` so the cross-run sharing statistics count only its
-  ``merge_totals``, never the duplicated ``shard_totals``).
+  ``sweep merge`` (flagged ``"merged": true`` so the cross-run sharing
+  statistics count only its ``merge_totals``, never the duplicated
+  ``shard_totals``).
 
-The journals are progress records, never result stores: ``merge`` reads
-results from the cache (recomputing transparently if an entry rotted),
-which is what makes a merged report byte-identical to an unsharded run.
+Progress lives in the content-addressed result cache alone: a grid point
+is done when its key is present in the :class:`~repro.engine.ResultStore`.
+Re-running a shard is a cache hit for every finished point, ``status``
+checks presence, and ``merge`` reads results from the cache (recomputing
+transparently if an entry is missing or rotted), which is what makes a
+merged report byte-identical to an unsharded run.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
-from typing import Dict, List, Optional, Set
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..engine import (
-    SWEEPS_SUBDIR,
-    RunJournal,
-    atomic_write_json,
-    resolve_cache_dir,
-)
+from ..engine import ResultStore, atomic_write_bytes, resolve_cache_dir
 from ..errors import EngineError
 from .grid import expand
 from .shard import ShardAssignment
 from .spec import SweepSpec
 
+#: Subdirectory of the cache dir holding one directory per sweep name.
+SWEEPS_SUBDIR = "sweeps"
+
 _SHARD_DIR_PATTERN = re.compile(r"^shard-(\d+)-of-(\d+)$")
 
 
+def atomic_write_json(path: os.PathLike, payload: Dict) -> Optional[str]:
+    """Write ``payload`` as indented JSON via temp file + rename.
+
+    Returns the path written, or ``None`` when the filesystem refuses —
+    sweep bookkeeping must never break the run that produces it.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        atomic_write_bytes(path, text.encode("utf-8"))
+    except OSError:
+        return None
+    return str(path)
+
+
+def iter_run_manifests(
+    cache_dir: os.PathLike,
+) -> Iterator[Tuple[Path, Dict]]:
+    """Yield every sweep shard and merged sweep manifest under a cache.
+
+    Covers ``sweeps/<name>/<shard>/manifest.json`` and merged sweep
+    manifests (``sweeps/<name>/manifest.json``, flagged
+    ``"merged": true``).  Callers aggregating totals must not
+    double-count merged manifests — their ``shard_totals`` summarise
+    shard manifests yielded separately; only their ``merge_totals``
+    (the merge run itself) are additive.
+    """
+    root = Path(cache_dir)
+    for pattern in (
+        f"{SWEEPS_SUBDIR}/*/*/manifest.json",
+        f"{SWEEPS_SUBDIR}/*/manifest.json",
+    ):
+        try:
+            paths = sorted(root.glob(pattern))
+        except OSError:
+            continue
+        for path in paths:
+            try:
+                manifest = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                continue
+            if isinstance(manifest, dict):
+                yield path, manifest
+
+
+def collect_sharing_stats(cache_dir: os.PathLike) -> Dict:
+    """Cross-run cache sharing totals, aggregated from sweep manifests.
+
+    Every sweep shard and merge leaves a telemetry manifest in the sweep
+    directory; summing their totals shows how much work the
+    content-addressed cache let later runs skip — the ``repro-leakage
+    cache info`` "sharing" section.  A merged sweep manifest contributes
+    only its ``merge_totals`` (the merge run's own engine pass); its
+    ``shard_totals`` duplicate the shard manifests counted directly.
+    """
+    stats = {
+        "manifests": 0,
+        "jobs": 0,
+        "simulated": 0,
+        "cached": 0,
+        "hits_from_earlier_runs": 0,
+        "hits_from_this_run": 0,
+    }
+    for _, manifest in iter_run_manifests(cache_dir):
+        totals = manifest.get(
+            "merge_totals" if manifest.get("merged") else "totals"
+        )
+        if not isinstance(totals, dict):
+            continue
+        stats["manifests"] += 1
+        for field, source in (
+            ("jobs", "jobs"),
+            ("simulated", "simulated"),
+            ("cached", "cached"),
+            ("hits_from_earlier_runs", "cache_hits_from_earlier_runs"),
+            ("hits_from_this_run", "cache_hits_from_this_run"),
+        ):
+            value = totals.get(source)
+            if isinstance(value, (int, float)):
+                stats[field] += int(value)
+    return stats
+
+
 class SweepCoordinator:
-    """Manages one sweep's shared journal directory."""
+    """Manages one sweep's shared directory under the cache."""
 
     def __init__(
         self, spec: SweepSpec, cache_dir: Optional[os.PathLike] = None
     ) -> None:
         self.spec = spec
         self.cache_dir = resolve_cache_dir(cache_dir)
-        self.subdir = f"{SWEEPS_SUBDIR}/{spec.name}"
         self.directory = self.cache_dir / SWEEPS_SUBDIR / spec.name
         self.spec_path = self.directory / "spec.json"
         self.manifest_path = self.directory / "manifest.json"
@@ -64,7 +144,7 @@ class SweepCoordinator:
 
         The first shard writes ``spec.json``; everyone after must carry
         an identical spec (by fingerprint).  A mismatch is a hard error:
-        merging journals from two different grids would silently drop or
+        merging shards of two different grids would silently drop or
         duplicate points.
         """
         recorded = self._load_recorded_spec()
@@ -92,11 +172,15 @@ class SweepCoordinator:
         return SweepSpec.from_json(text)
 
     # ------------------------------------------------------------------
-    # Shard journals
+    # Shard manifests
     # ------------------------------------------------------------------
-    def shard_journal(self, assignment: ShardAssignment) -> RunJournal:
-        """The engine journal for one shard, rooted in the sweep dir."""
-        return RunJournal(self.cache_dir, assignment.run_id, subdir=self.subdir)
+    def write_shard_manifest(
+        self, assignment: ShardAssignment, manifest: Dict
+    ) -> Optional[str]:
+        """Atomically write one shard's telemetry manifest."""
+        return atomic_write_json(
+            self.directory / assignment.dir_name / "manifest.json", manifest
+        )
 
     def shard_names(self) -> List[str]:
         """Names of every shard directory present, sorted."""
@@ -106,51 +190,45 @@ class SweepCoordinator:
             return []
         return [n for n in entries if _SHARD_DIR_PATTERN.match(n)]
 
-    def completed_keys(self) -> Set[str]:
-        """Union of every shard journal's completed job keys."""
-        keys: Set[str] = set()
-        for name in self.shard_names():
-            journal = RunJournal(self.cache_dir, name, subdir=self.subdir)
-            keys |= journal.load()
-        return keys
-
     # ------------------------------------------------------------------
     # Status and merge
     # ------------------------------------------------------------------
     def status(self) -> Dict:
-        """Global progress: grid size, per-shard and union completion."""
+        """Global progress: grid size, and which points the cache holds.
+
+        A point counts as done when its key is present in the result
+        store; presence is a file check, nothing is read or unpickled.
+        """
         points = expand(self.spec)
+        store = ResultStore(self.cache_dir)
         grid_keys = {point.key() for point in points}
+        cached = {key for key in grid_keys if store.contains(key)}
         shards = []
-        union: Set[str] = set()
         for name in self.shard_names():
-            journal = RunJournal(self.cache_dir, name, subdir=self.subdir)
-            recorded = journal.load() & grid_keys
-            union |= recorded
-            match = _SHARD_DIR_PATTERN.match(name)
+            assignment = parse_shard_name(name)
             owned = None
-            if match:
-                index, count = int(match.group(1)), int(match.group(2))
-                if 0 <= index < count:
-                    assignment = ShardAssignment(index, count)
-                    owned = sum(1 for k in grid_keys if assignment.owns(k))
+            done = 0
+            if assignment is not None:
+                mine = {key for key in grid_keys if assignment.owns(key)}
+                owned = len(mine)
+                done = len(mine & cached)
             shards.append(
                 {
                     "name": name,
-                    "journaled": len(recorded),
+                    "cached": done,
                     "owned": owned,
                     "manifest": (
                         self.directory / name / "manifest.json"
                     ).exists(),
                 }
             )
-        missing = [p.describe() for p in points if p.key() not in union]
+        missing = [p.describe() for p in points if p.key() not in cached]
         return {
             "sweep": self.spec.name,
             "directory": self.describe(),
             "spec_fingerprint": self.spec.fingerprint(),
             "grid_jobs": len(grid_keys),
-            "completed": len(union),
+            "completed": len(cached),
             "missing": missing,
             "shards": shards,
         }

@@ -3,10 +3,11 @@
 Four verbs, each callable from the CLI or directly from Python:
 
 * :func:`plan_text` — expand the grid, show what each shard would run.
-* :func:`run_shard` — run one shard's jobs through the engine, journaled
-  in the shared sweep directory (re-running resumes and is a ~100% cache
-  hit).
-* :func:`status_text` — global progress across every shard journal.
+* :func:`run_shard` — run one shard's jobs through the engine against
+  the shared cache (re-running is a ~100% cache hit) and write the
+  shard's manifest.
+* :func:`status_text` — global progress: which grid points the cache
+  holds.
 * :func:`merge` — aggregate all per-point results into the sweep report
   and write the merged sweep manifest.
 """
@@ -18,14 +19,9 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..engine import (
-    ExecutionEngine,
-    ResultStore,
-    RunTelemetry,
-    iter_run_manifests,
-)
+from ..engine import ExecutionEngine, ResultStore, RunTelemetry
 from .aggregate import SweepResults, collect, render_report
-from .coordinate import SweepCoordinator
+from .coordinate import SweepCoordinator, iter_run_manifests
 from .grid import expand
 from .shard import ShardAssignment, shard_of, shard_points
 from .spec import SweepSpec
@@ -93,8 +89,7 @@ class ShardRun:
     assignment: ShardAssignment
     jobs_run: int
     telemetry: RunTelemetry
-    journal_path: str
-    resumed: bool
+    manifest_path: Optional[str]
 
 
 def run_shard(
@@ -106,64 +101,59 @@ def run_shard(
 ) -> ShardRun:
     """Run one shard of the sweep through the execution engine.
 
-    The shard's journal lives in the shared sweep directory; if it
-    already exists the run *resumes* — journaled jobs with intact cache
-    entries are skipped, so re-running a finished shard performs zero
-    simulations.
+    Points already in the shared cache are hits, so re-running an
+    interrupted shard simulates only what is missing and re-running a
+    finished one performs zero simulations.  The shard's manifest is
+    written atomically into the sweep directory.
     """
     assignment = assignment if assignment is not None else ShardAssignment()
     coordinator = SweepCoordinator(spec, cache_dir)
     coordinator.ensure_spec()
-    journal = coordinator.shard_journal(assignment)
-    resumed = journal.exists()
     engine = ExecutionEngine(
-        jobs=jobs,
-        store=_store_for(cache_dir),
-        journal=journal,
-        resume=resumed,
-        backend=backend,
+        jobs=jobs, store=_store_for(cache_dir), backend=backend
     )
     engine.telemetry.context.update(
         {
             "sweep": spec.name,
             "sweep_fingerprint": spec.fingerprint(),
-            "shard": assignment.run_id,
+            "shard": assignment.dir_name,
         }
     )
     mine = shard_points(expand(spec), assignment)
     if mine:
         engine.run([point.job for point in mine])
-    journal.write_manifest(engine.telemetry.manifest())
+    manifest_path = coordinator.write_shard_manifest(
+        assignment, engine.telemetry.manifest()
+    )
     return ShardRun(
         spec=spec,
         assignment=assignment,
         jobs_run=len(mine),
         telemetry=engine.telemetry,
-        journal_path=journal.describe(),
-        resumed=resumed,
+        manifest_path=manifest_path,
     )
 
 
 def status_text(
     spec: SweepSpec, cache_dir: Optional[os.PathLike] = None
 ) -> str:
-    """Render global sweep progress from the shared journals."""
+    """Render global sweep progress from the shared result cache."""
     coordinator = SweepCoordinator(spec, cache_dir)
     coordinator.ensure_spec()
     status = coordinator.status()
     lines = [
         f"sweep {status['sweep']} under {status['directory']}",
         f"grid: {status['grid_jobs']} job(s), "
-        f"{status['completed']} completed across "
-        f"{len(status['shards'])} shard journal(s)",
+        f"{status['completed']} cached; "
+        f"{len(status['shards'])} shard(s) recorded",
     ]
     for shard in status["shards"]:
         owned = shard["owned"]
         quota = f"/{owned}" if owned is not None else ""
         manifest = ", manifest written" if shard["manifest"] else ""
         lines.append(
-            f"  {shard['name']}: {shard['journaled']}{quota} job(s) "
-            f"journaled{manifest}"
+            f"  {shard['name']}: {shard['cached']}{quota} job(s) "
+            f"cached{manifest}"
         )
     missing = status["missing"]
     if missing:
@@ -172,7 +162,7 @@ def status_text(
         if len(missing) > 10:
             lines.append(f"  ... and {len(missing) - 10} more")
     else:
-        lines.append("complete: every grid job is journaled")
+        lines.append("complete: every grid job is cached")
     return "\n".join(lines)
 
 
@@ -216,7 +206,7 @@ def merge(
         "spec": spec.to_dict(),
         "spec_fingerprint": spec.fingerprint(),
         "grid_jobs": status["grid_jobs"],
-        "journaled_jobs": status["completed"],
+        "cached_jobs": status["completed"],
         "shards": status["shards"],
         "shard_totals": _sum_shard_totals(coordinator),
         "merge_totals": {
@@ -266,10 +256,10 @@ def shard_run_summary(run: ShardRun) -> List[str]:
     """Stderr footer lines for one ``sweep run`` invocation."""
     lines = [
         f"sweep {run.spec.name} {run.assignment.describe()}: "
-        f"{run.jobs_run} job(s)"
-        + (" (resumed)" if run.resumed else ""),
-        f"journal: {run.journal_path}",
+        f"{run.jobs_run} job(s)",
     ]
+    if run.manifest_path:
+        lines.append(f"shard manifest: {run.manifest_path}")
     if run.telemetry.jobs:
         lines.insert(1, run.telemetry.summary())
     return lines

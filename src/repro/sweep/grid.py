@@ -3,7 +3,7 @@
 Expansion order is a pure function of the spec: scales outermost, then
 pipelines, then benchmarks, all in spec order.  Every shard and every
 re-run therefore sees the same points at the same indices, which is what
-makes shard assignment (:mod:`repro.sweep.shard`), journals, and the
+makes shard assignment (:mod:`repro.sweep.shard`), status, and the
 merged report stable across hosts.
 
 Jobs are built through :meth:`repro.experiments.suite.SuiteRunner.job_for`

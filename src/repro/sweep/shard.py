@@ -60,8 +60,8 @@ class ShardAssignment:
             )
 
     @property
-    def run_id(self) -> str:
-        """Journal name for this shard (``shard-<i>-of-<n>``)."""
+    def dir_name(self) -> str:
+        """This shard's directory in the sweep dir (``shard-<i>-of-<n>``)."""
         return f"shard-{self.index}-of-{self.count}"
 
     def owns(self, key: str) -> bool:

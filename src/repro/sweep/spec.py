@@ -33,18 +33,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..cpu.pipeline import PipelineConfig
-from ..engine import validate_run_id
 from ..errors import ConfigurationError
 from ..power.technology import PAPER_INFLECTION_POINTS
 from ..workloads.benchmarks import BENCHMARK_NAMES
 
 #: The paper's four technology nodes, the default sweep node axis.
 DEFAULT_NODES: Tuple[int, ...] = (70, 100, 130, 180)
+
+#: Valid sweep names: filesystem-safe path components.
+_NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
 def _pipeline_to_dict(pipeline: Optional[PipelineConfig]) -> Optional[Dict]:
@@ -78,7 +81,7 @@ class SweepSpec:
     Attributes
     ----------
     name:
-        Sweep identifier — names the shared journal directory
+        Sweep identifier — names the shared sweep directory
         (``<cache>/sweeps/<name>/``), so it must be a filesystem-safe
         path component; every shard of one sweep must use the same name.
     benchmarks:
@@ -102,10 +105,13 @@ class SweepSpec:
     pipelines: Tuple[Optional[PipelineConfig], ...] = (None,)
 
     def __post_init__(self) -> None:
-        try:
-            validate_run_id(self.name, what="sweep name")
-        except Exception as error:
-            raise ConfigurationError(str(error)) from None
+        if not isinstance(self.name, str) or not _NAME_PATTERN.match(
+            self.name
+        ):
+            raise ConfigurationError(
+                f"sweep name {self.name!r} must be letters, digits, '.', "
+                "'_' or '-' (and start with a letter or digit)"
+            )
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         object.__setattr__(
             self, "scales", tuple(float(s) for s in self.scales)
@@ -251,7 +257,7 @@ class SweepSpec:
         """SHA-256 over the canonical spec — the sweep's identity.
 
         Shards of one sweep must agree on this; the coordinator refuses
-        to mix journals produced by differing specs under one name.
+        to mix shards run under differing specs under one name.
         """
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -27,8 +27,6 @@ afford both.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -39,7 +37,7 @@ from ..core.energy import ModeEnergyModel
 from ..core.policy import TRIO_SCHEMES
 from ..core.savings import trio_savings
 from ..cpu.pipeline import PipelineConfig
-from ..engine import ExecutionEngine, SimulationJob
+from ..engine import ExecutionEngine, SimulationJob, atomic_write_bytes
 from ..errors import ConfigurationError, TraceError
 from ..power.technology import paper_nodes
 from ..simpoint.bbv import BBVProfiler
@@ -165,19 +163,8 @@ def default_plan_path(plan: SimPointPlan, directory: Optional[Path] = None) -> P
 def save_plan(plan: SimPointPlan, path: Optional[Path] = None) -> Path:
     """Persist a plan as JSON (atomic write); returns its path."""
     dest = Path(path) if path is not None else default_plan_path(plan)
-    dest.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(plan.to_dict(), sort_keys=True, indent=2) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=str(dest.parent), prefix=f".{dest.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, dest)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write_bytes(dest, payload.encode("utf-8"))
     return dest
 
 

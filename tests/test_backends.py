@@ -36,7 +36,6 @@ from repro.engine import (
     PoolReport,
     ResultStore,
     RetryPolicy,
-    RunJournal,
     SimulationJob,
     build_backend,
     check_result,
@@ -595,31 +594,6 @@ class TestStoreQuarantine:
         assert manifest["totals"]["cache_quarantined"] == 1
         assert manifest["store"]["quarantined"] == 1
         assert manifest["store"]["corruption_events"][0]["key"] == job.key()
-
-
-class TestResumeAfterMidWriteCrash:
-    def test_truncated_final_journal_line_tolerated_on_resume(self, capsys):
-        assert main([*CLI_BASE, "--jobs", "1", "--no-cache"]) == 0
-        clean = capsys.readouterr().out
-        cache = resolve_cache_dir()
-        first = ExecutionEngine(
-            jobs=1,
-            store=ResultStore(cache),
-            journal=RunJournal(cache, "torn"),
-        )
-        first.run([SimulationJob("gzip", scale=SMALL)])
-        # The crash hit mid-append: the final journal line is truncated.
-        journal_path = RunJournal(cache, "torn").path
-        with open(journal_path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "dead')
-        assert main([*CLI_BASE, "--resume", "torn"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == clean
-        manifest = json.loads(
-            RunJournal(cache, "torn").manifest_path.read_text()
-        )
-        assert manifest["engine"]["resumed"] is True
-        assert manifest["totals"]["cached"] >= 1
 
 
 class TestGracefulDegradation:

@@ -17,6 +17,7 @@ from repro.engine import (
     RetryPolicy,
     RunTelemetry,
     SimulationJob,
+    atomic_write_bytes,
     build_backend,
     resolve_cache_dir,
     resolve_worker_count,
@@ -140,6 +141,29 @@ class TestResultStore:
         assert not store.put("abcd", "value")
         assert store.write_errors == 1
         assert store.get("abcd") is None
+
+    def test_contains_checks_presence_only(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert not store.contains("feed")
+        store.put("feed", [1])
+        store.path_for("feed").write_bytes(b"not a valid entry")
+        assert store.contains("feed")  # present, even though corrupt
+        assert store.hits == store.misses == store.quarantined == 0
+
+    def test_atomic_write_bytes_replaces_whole_file(self, tmp_path):
+        target = tmp_path / "nested" / "out.json"
+        atomic_write_bytes(target, b"first")
+        atomic_write_bytes(target, b"second")
+        assert target.read_bytes() == b"second"
+        assert [p.name for p in target.parent.iterdir()] == ["out.json"]
+
+    def test_atomic_write_bytes_cleans_up_on_failure(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            atomic_write_bytes(target, "not bytes")
+        assert target.read_bytes() == b"old"  # never half-replaced
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
     def test_cache_dir_resolution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
@@ -283,10 +307,12 @@ class TestTelemetry:
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == 12
+        assert manifest["manifest_version"] == 13
         for dropped in ("service", "coordination"):
             assert dropped not in manifest  # went with the serving daemon
         assert "hosts" not in manifest["engine"]  # went with remote hosts
+        for dropped in ("run_id", "resumed"):
+            assert dropped not in manifest["engine"]  # went with run journals
         assert manifest["workers"] == {}  # no worker engaged
         substrate = manifest["substrate"]
         assert substrate["kernel_mode"] in ("scalar", "batched", "compiled")

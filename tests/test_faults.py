@@ -1,12 +1,13 @@
-"""Fault injection, per-job retry, crash-safe resume, and cache bounds.
+"""Fault injection, per-job retry, rerun after a crash, and cache bounds.
 
 Every degradation path the engine promises to survive is exercised here
 *on purpose* via the deterministic fault harness (``repro.engine.faults``):
 worker crashes, job timeouts, transient exceptions, corrupt and
-partially-written cache entries, and resuming after a simulated mid-run
-crash.  The invariant under test throughout: faults and retries may
-change where and when a simulation runs, but never what it computes —
-reports stay byte-identical to a clean serial run.
+partially-written cache entries, and rerunning against the same cache
+after a simulated mid-run crash.  The invariant under test throughout:
+faults and retries may change where and when a simulation runs, but
+never what it computes — reports stay byte-identical to a clean serial
+run.
 """
 
 import json
@@ -25,7 +26,6 @@ from repro.engine import (
     PoolReport,
     ResultStore,
     RetryPolicy,
-    RunJournal,
     SimulationJob,
     default_heartbeat_interval,
     default_job_timeout,
@@ -395,75 +395,40 @@ class TestStoreFaults:
         assert engine.telemetry.faults == []
 
 
-class TestResume:
-    def test_resume_after_simulated_crash(self, reference, tmp_path):
-        cache = tmp_path / "resume-cache"
+class TestRerun:
+    """The result cache is the only checkpoint: rerunning after a crash
+    simulates exactly the jobs whose entries are not in the cache."""
+
+    def test_rerun_after_simulated_crash_simulates_only_missing(
+        self, reference, tmp_path
+    ):
+        cache = tmp_path / "rerun-cache"
         jobs = small_jobs()
         # First run completes gzip, then "crashes" (we simply stop).
-        first = ExecutionEngine(
-            jobs=1, store=ResultStore(cache), journal=RunJournal(cache, "r1")
-        )
-        first.run([jobs[0]])
-        journal = RunJournal(cache, "r1")
-        assert journal.exists()
-        assert journal.load() == {jobs[0].key()}
-        # The resumed run picks up the journal and only simulates the rest.
-        second = ExecutionEngine(
-            jobs=1,
-            store=ResultStore(cache),
-            journal=RunJournal(cache, "r1"),
-            resume=True,
-        )
+        ExecutionEngine(jobs=1, store=ResultStore(cache)).run([jobs[0]])
+        second = ExecutionEngine(jobs=1, store=ResultStore(cache))
         outcomes = second.run(jobs)
         assert outcomes[jobs[0]].source == "cached"
         assert outcomes[jobs[1]].simulated
-        assert second.telemetry.context["resumed"] is True
-        assert any("resuming run 'r1'" in note for note in second.telemetry.notes)
-        assert RunJournal(cache, "r1").load() == {j.key() for j in jobs}
+        assert second.telemetry.simulated == 1
         for job in jobs:
             assert_results_identical(
                 outcomes[job].annotated, reference[job].annotated
             )
 
-    def test_torn_journal_line_skipped(self, tmp_path):
-        cache = tmp_path / "torn"
-        journal = RunJournal(cache, "torn-run")
-        job = small_jobs()[0]
-        journal.record(job)
-        with open(journal.path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "cafe')  # crash mid-append
-        assert RunJournal(cache, "torn-run").load() == {job.key()}
-
-    def test_journaled_but_evicted_entry_recomputed(self, reference, tmp_path):
+    def test_evicted_entry_recomputed(self, reference, tmp_path):
         cache = tmp_path / "evicted"
         jobs = small_jobs()
         store = ResultStore(cache)
-        first = ExecutionEngine(
-            jobs=1, store=store, journal=RunJournal(cache, "r2")
-        )
-        first.run(jobs)
+        ExecutionEngine(jobs=1, store=store).run(jobs)
         store.evict(jobs[0].key())  # the cache lost an entry mid-crash
-        second = ExecutionEngine(
-            jobs=1,
-            store=ResultStore(cache),
-            journal=RunJournal(cache, "r2"),
-            resume=True,
-        )
+        second = ExecutionEngine(jobs=1, store=ResultStore(cache))
         outcomes = second.run(jobs)
         assert outcomes[jobs[0]].simulated
-        assert any(
-            "missing from the cache; recomputing" in note
-            for note in second.telemetry.notes
-        )
+        assert outcomes[jobs[1]].source == "cached"
         assert_results_identical(
             outcomes[jobs[0]].annotated, reference[jobs[0]].annotated
         )
-
-    def test_bad_run_id_rejected(self, tmp_path):
-        with pytest.raises(EngineError):
-            RunJournal(tmp_path, "../escape")
-        with pytest.raises(EngineError):
-            RunJournal(tmp_path, "")
 
 
 class TestCacheBound:
@@ -557,52 +522,39 @@ class TestCliCacheCommands:
         assert "cache" in capsys.readouterr().err
 
 
-class TestCliResume:
+class TestCliRerun:
     def _clean_report(self, capsys):
         assert main([*CLI_BASE, "--jobs", "1", "--no-cache"]) == 0
         return capsys.readouterr().out
 
-    def test_resume_report_byte_identical(self, capsys, monkeypatch):
+    def test_rerun_report_byte_identical(self, capsys, tmp_path):
         clean = self._clean_report(capsys)
-        cache = resolve_cache_dir()
-        # Interrupted run: one benchmark journaled, then the "crash".
-        first = ExecutionEngine(
-            jobs=1,
-            store=ResultStore(cache),
-            journal=RunJournal(cache, "crashy"),
+        # Interrupted run: one benchmark cached, then the "crash".
+        ExecutionEngine(jobs=1, store=ResultStore(resolve_cache_dir())).run(
+            [SimulationJob("gzip", scale=SMALL)]
         )
-        first.run([SimulationJob("gzip", scale=SMALL)])
-        assert main([*CLI_BASE, "--resume", "crashy"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == clean
-        assert "run journal:" in captured.err
-        manifest_path = RunJournal(cache, "crashy").manifest_path
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["engine"]["resumed"] is True
-        assert manifest["engine"]["run_id"] == "crashy"
-        assert manifest["totals"]["cached"] >= 1
-        assert any("resuming run" in note for note in manifest["notes"])
-
-    def test_run_id_then_resume_lifecycle_errors(self, capsys):
-        assert main([*CLI_BASE, "--resume", "never-started"]) == 2
-        assert "no journal" in capsys.readouterr().err
-        assert main([*CLI_BASE, "--jobs", "1", "--run-id", "done"]) == 0
-        capsys.readouterr()
-        assert main([*CLI_BASE, "--run-id", "done"]) == 2
-        assert "--resume done" in capsys.readouterr().err
-        assert main([*CLI_BASE, "--run-id", "x", "--no-cache"]) == 2
-        assert "no-cache" in capsys.readouterr().err
-        assert main([*CLI_BASE, "--run-id", "a", "--resume", "b"]) == 2
-        assert "conflicts" in capsys.readouterr().err
-
-    def test_completed_run_resumes_to_identical_report(self, capsys):
-        clean = self._clean_report(capsys)
-        assert main([*CLI_BASE, "--jobs", "1", "--run-id", "full"]) == 0
+        manifest_path = tmp_path / "rerun-manifest.json"
+        assert main([*CLI_BASE, "--manifest", str(manifest_path)]) == 0
         assert capsys.readouterr().out == clean
-        assert main([*CLI_BASE, "--resume", "full"]) == 0
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["totals"]["cached"] >= 1
+        assert manifest["totals"]["simulated"] == 1
+        for dropped in ("run_id", "resumed"):
+            assert dropped not in manifest["engine"]
+
+    def test_run_id_and_resume_options_rejected(self, capsys):
+        for flag in ("--resume", "--run-id"):
+            assert main(["run", "table1", flag, "x"]) == 2
+            assert flag in capsys.readouterr().err
+
+    def test_completed_run_reruns_to_identical_report(self, capsys):
+        clean = self._clean_report(capsys)
+        assert main([*CLI_BASE, "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == clean
+        assert main([*CLI_BASE, "--jobs", "1"]) == 0
         captured = capsys.readouterr()
         assert captured.out == clean
-        assert "cached" in captured.err
+        assert "(0 simulated, 2 cached)" in captured.err
 
 
 class TestByteIdenticalUnderFaults:

@@ -1,4 +1,4 @@
-"""Sharded parameter sweeps: spec, grid, shards, journals, merge.
+"""Sharded parameter sweeps: spec, grid, shards, status, merge.
 
 The contract under test: a sweep spec expands into a deterministic grid
 whose shards are disjoint, cover the grid, and share cache entries with
@@ -12,14 +12,15 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.engine import collect_sharing_stats
 from repro.cpu.pipeline import PipelineConfig
+from repro.engine import ResultStore
 from repro.errors import ConfigurationError, EngineError
 from repro.experiments.suite import SuiteRunner
 from repro.sweep import (
     ShardAssignment,
     SweepCoordinator,
     SweepSpec,
+    collect_sharing_stats,
     expand,
     expand_analysis,
     grid_keys,
@@ -224,7 +225,7 @@ class TestSharding:
 
     def test_shard_names_round_trip(self):
         assignment = ShardAssignment(2, 4)
-        assert assignment.run_id == "shard-2-of-4"
+        assert assignment.dir_name == "shard-2-of-4"
         assert parse_shard_name("shard-2-of-4") == assignment
         assert parse_shard_name("shard-4-of-4") is None
         assert parse_shard_name("nightly") is None
@@ -300,10 +301,27 @@ class TestSweepEndToEnd:
         cache = tmp_path / "cache"
         runs = self.run_all_shards(spec, 2, cache)
         reruns = self.run_all_shards(spec, 2, cache)
-        # A shard that owned no jobs never wrote a journal to resume.
         for first, rerun in zip(runs, reruns):
-            assert rerun.resumed == bool(first.jobs_run)
+            assert rerun.telemetry.cached == first.jobs_run
+            assert rerun.manifest_path is not None
         assert sum(r.telemetry.simulated for r in reruns) == 0
+
+    def test_status_counts_only_points_present_in_the_cache(self, tmp_path):
+        spec = small_spec(nodes=(70,))
+        cache = tmp_path / "cache"
+        self.run_all_shards(spec, 2, cache)
+        coordinator = SweepCoordinator(spec, cache)
+        status = coordinator.status()
+        assert status["completed"] == status["grid_jobs"]
+        assert status["missing"] == []
+        evicted = expand(spec)[0]
+        ResultStore(cache).evict(evicted.key())
+        status = coordinator.status()
+        assert status["completed"] == status["grid_jobs"] - 1
+        assert status["missing"] == [evicted.describe()]
+        assert sum(shard["cached"] for shard in status["shards"]) == (
+            status["grid_jobs"] - 1
+        )
 
     def test_merged_report_survives_injected_faults(
         self, tmp_path, monkeypatch
@@ -409,7 +427,7 @@ class TestSweepCli:
 
         assert main(["sweep", "status", *self.SPEC_FLAGS]) == 0
         status_out = capsys.readouterr().out
-        assert "complete: every grid job is journaled" in status_out
+        assert "complete: every grid job is cached" in status_out
 
         assert main(["sweep", "merge", *self.SPEC_FLAGS]) == 0
         merge_out = capsys.readouterr().out
