@@ -36,7 +36,7 @@ def test_simulator_throughput(benchmark):
         workload = make_gzip(scale=0.05)
         return TraceSimulator().run(workload.chunks())
 
-    result = benchmark.pedantic(run, rounds=2, iterations=1)
+    result = benchmark.pedantic(run, rounds=10, iterations=1)
     assert result.instructions > 50_000
     benchmark.extra_info["instructions"] = result.instructions
 
@@ -48,7 +48,7 @@ def test_annotating_simulator_throughput(benchmark):
         workload = make_gzip(scale=0.05)
         return AnnotatingSimulator().run(workload.chunks())
 
-    result = benchmark.pedantic(run, rounds=2, iterations=1)
+    result = benchmark.pedantic(run, rounds=10, iterations=1)
     assert result.result.instructions > 50_000
 
 

@@ -126,6 +126,30 @@ def resolve_residual_impl(residual: Optional[str] = None) -> str:
     return impl
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys, without timsort.
+
+    Packs ``(key - min) << bits | index`` into one int64 per element, so
+    every packed value is distinct and an unstable ``np.sort`` yields the
+    stable order.  Keys whose span does not fit beside the index fall
+    back on the stable argsort.
+    """
+    count = len(keys)
+    if count == 0:
+        return np.zeros(0, dtype=np.intp)
+    low = int(keys.min())
+    bits = (count - 1).bit_length()
+    if (int(keys.max()) - low).bit_length() + bits > 63:
+        return np.argsort(keys, kind="stable")
+    packed = keys.astype(np.int64)
+    packed -= low
+    packed <<= bits
+    packed |= np.arange(count)
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return packed
+
+
 @dataclass(frozen=True)
 class SimulationProfile:
     """Where a simulation's accesses and wall time went.
@@ -222,15 +246,15 @@ class _Lane:
     def classify(self, blocks: np.ndarray):
         """Split one chunk's access stream into fast-path and residual.
 
-        Returns ``(sets, order, ssets, sblocks, firsts, fast, pred)``:
-        the set index per event, the stable set-sort permutation and the
-        sorted views, the first-of-set mask (in sorted order), the
-        fast-path mask and the same-set predecessor index (original event
-        order; ``-1`` for the first event of a set in this chunk).
+        Returns ``(sets, order, ssets, sblocks, fast, pred)``: the set
+        index per event, the stable set-sort permutation and the sorted
+        views, the fast-path mask and the same-set predecessor index
+        (original event order; ``-1`` for the first event of a set in this
+        chunk).
         """
         count = len(blocks)
         sets = blocks & self.set_mask
-        order = np.argsort(sets, kind="stable")
+        order = stable_order(sets)
         ssets = sets[order]
         sblocks = blocks[order]
         firsts = np.empty(count, dtype=bool)
@@ -251,7 +275,7 @@ class _Lane:
             pred_sorted[1:][cont] = order[:-1][cont]
         pred = np.empty(count, dtype=np.int64)
         pred[order] = pred_sorted
-        return sets, order, ssets, sblocks, firsts, fast, pred
+        return sets, order, ssets, sblocks, fast, pred
 
     def catchup_positions(
         self, res_idx: np.ndarray, pred: np.ndarray, fast: np.ndarray,
@@ -300,38 +324,24 @@ class _Lane:
             )
 
 
-def _emit_intervals(lane: _Lane, gaps_fast_keys, gaps_fast, res_keys,
-                    res_gaps, res_kinds) -> None:
-    """Merge fast-path and residual interval records into event order."""
-    if lane.tracker is None:
-        return
-    fast_kinds = np.full(len(gaps_fast_keys), _NORMAL, dtype=np.uint8)
-    keys = np.concatenate([gaps_fast_keys, res_keys])
-    gaps = np.concatenate([gaps_fast, res_gaps])
-    kinds = np.concatenate([fast_kinds, res_kinds])
-    merged = np.argsort(keys, kind="stable")
-    lane.tracker.extend(gaps[merged], kinds[merged])
+def _emit_intervals(lane: _Lane, count, fast_idx, fast_gaps, res_at,
+                    res_gaps, res_kinds) -> np.ndarray:
+    """Append one chunk's intervals to the tracker in event order.
 
-
-def _event_frames(lane: _Lane, count, order, ssets, firsts, fast, res_frames,
-                  carry_frames) -> np.ndarray:
-    """Frame touched by every event, reconstructed for annotation.
-
-    Residual frames come from the loop; a fast event touches its run's
-    frame, forward-filled from the nearest earlier same-set event (or the
-    pre-chunk carry for a run continuing across the chunk boundary).
+    Scatters the fast-path gaps and the residual records (at event
+    indices ``res_at``) into one per-event gap column and returns it:
+    ``gaps[k]`` is the length of the interval event ``k`` closes, 0 if
+    it closes none.
     """
-    frames = np.full(count, -1, dtype=np.int64)
-    frames[np.flatnonzero(~fast)] = res_frames
-    sorted_frames = frames[order]
-    boundary = firsts & (sorted_frames == -1)
-    sorted_frames[boundary] = carry_frames[ssets[boundary]]
-    valid = sorted_frames >= 0
-    seed = np.where(valid, np.arange(count), 0)
-    np.maximum.accumulate(seed, out=seed)
-    filled = sorted_frames[seed]
-    frames[order] = filled
-    return frames
+    gaps = np.zeros(count, dtype=np.int64)
+    gaps[fast_idx] = fast_gaps
+    gaps[res_at] = res_gaps
+    if lane.tracker is not None:
+        kinds = np.full(count, _NORMAL, dtype=np.uint8)
+        kinds[res_at] = res_kinds
+        closed = gaps > 0
+        lane.tracker.extend(gaps[closed], kinds[closed])
+    return gaps
 
 
 def _compiled_timed_chunk(
@@ -342,8 +352,9 @@ def _compiled_timed_chunk(
 
     Returns ``(stalls, stall_positions, stall_totals, records_i,
     records_d, counters_i, counters_d)`` with the same content the
-    python residual loop would have produced (records as arrays instead
-    of lists; the assembly stage accepts either).
+    python residual loop would have produced (``(keys, gaps, kinds)``
+    records as arrays instead of lists; the assembly stage accepts
+    either).
     """
     n = len(m_pos)
     n_d = int(np.count_nonzero(m_is_d))
@@ -391,8 +402,8 @@ def _compiled_timed_chunk(
         stalls,
         stall_positions[:count],
         stall_totals[:count],
-        bridge_i.records(),
-        bridge_d.records(),
+        bridge_i.records()[:3],
+        bridge_d.records()[:3],
         bridge_i.counters(),
         bridge_d.counters(),
     )
@@ -445,7 +456,7 @@ class BatchedCacheKernel:
                 "one); sort the trace by time before feeding it to the kernel"
             )
         lane = self._lane
-        sets, order, ssets, sblocks, firsts, fast, pred = lane.classify(blocks)
+        sets, order, ssets, sblocks, fast, pred = lane.classify(blocks)
         hits = fast.copy()
         res_idx = np.flatnonzero(~fast)
         catch = lane.catchup_positions(res_idx, pred, fast, np.arange(count))
@@ -540,24 +551,16 @@ class BatchedCacheKernel:
 
         lane.flush_stats(count, n_hits + int(fast.sum()), n_miss, n_comp, n_evict)
 
-        # Fast-path interval records (vectorized), then merge in order.
+        # Fast-path gaps (vectorized), scattered with the residual records.
         fast_idx = np.flatnonzero(fast)
-        if len(fast_idx):
-            fast_pred = pred[fast_idx]
-            prev_times = np.where(
-                fast_pred >= 0,
-                times[np.maximum(fast_pred, 0)],
-                lane.set_last_time[sets[fast_idx]],
-            )
-            fast_gaps = times[fast_idx] - prev_times
-            keep = fast_gaps > 0
-            fast_keys = fast_idx[keep]
-            fast_gaps = fast_gaps[keep]
-        else:
-            fast_keys = np.zeros(0, dtype=np.int64)
-            fast_gaps = np.zeros(0, dtype=np.int64)
+        fast_pred = pred[fast_idx]
+        prev_times = np.where(
+            fast_pred >= 0,
+            times[np.maximum(fast_pred, 0)],
+            lane.set_last_time[sets[fast_idx]],
+        )
         _emit_intervals(
-            lane, fast_keys, fast_gaps,
+            lane, count, fast_idx, times[fast_idx] - prev_times,
             np.asarray(res_keys, dtype=np.int64),
             np.asarray(res_gaps, dtype=np.int64),
             np.asarray(res_kinds, dtype=np.uint8),
@@ -701,9 +704,13 @@ def _assemble_chunk(
     """Assembly stage of :func:`run_batched` for one chunk.
 
     Reconstructs every access time, emits intervals in event order, rolls
-    the carries, and feeds the annotation observers.  Residual records may
-    be python lists (pure-python residual) or numpy arrays (compiled
-    residual); the two produce identical output.
+    the carries, and feeds the annotation observers.  Residual records
+    ``(keys, gaps, kinds)`` may be python lists (pure-python residual) or
+    numpy arrays (compiled residual); the two produce identical output.
+
+    An observer's window of an event opens at the previous touch of the
+    frame it accesses: the event's time minus the gap of the interval it
+    closes (its own time when it closes none).
     """
     t_start = perf()
     for lane, pos, blocks, records, observer in (
@@ -712,8 +719,7 @@ def _assemble_chunk(
     ):
         if len(blocks) == 0:
             continue
-        (sets, order, ssets, sblocks, firsts, fast, pred, res_idx,
-         _, carry_frames) = plans[id(lane)]
+        sets, order, ssets, sblocks, fast, pred, _, _ = plans[id(lane)]
         if len(stall_pos_arr):
             record_index = np.searchsorted(stall_pos_arr, pos, side="left")
             stall_prefix = np.where(
@@ -725,24 +731,16 @@ def _assemble_chunk(
             stall_prefix = chunk_start_stalls
         t_ev = (((instructions + pos) * cpi_fp) >> CPI_FP_BITS) + stall_prefix
         fast_idx = np.flatnonzero(fast)
-        if len(fast_idx):
-            fast_pred = pred[fast_idx]
-            prev_times = np.where(
-                fast_pred >= 0,
-                t_ev[np.maximum(fast_pred, 0)],
-                lane.set_last_time[sets[fast_idx]],
-            )
-            fast_gaps = t_ev[fast_idx] - prev_times
-            keep = fast_gaps > 0
-            fast_keys = pos[fast_idx[keep]]
-            fast_gaps = fast_gaps[keep]
-        else:
-            fast_keys = np.zeros(0, dtype=np.int64)
-            fast_gaps = np.zeros(0, dtype=np.int64)
-        keys_out, gaps_out, kinds_out, frames_out = records
-        _emit_intervals(
-            lane, fast_keys, fast_gaps,
-            np.asarray(keys_out, dtype=np.int64),
+        fast_pred = pred[fast_idx]
+        prev_times = np.where(
+            fast_pred >= 0,
+            t_ev[np.maximum(fast_pred, 0)],
+            lane.set_last_time[sets[fast_idx]],
+        )
+        keys_out, gaps_out, kinds_out = records
+        gaps = _emit_intervals(
+            lane, len(blocks), fast_idx, t_ev[fast_idx] - prev_times,
+            np.searchsorted(pos, np.asarray(keys_out, dtype=np.int64)),
             np.asarray(gaps_out, dtype=np.int64),
             np.asarray(kinds_out, dtype=np.uint8),
         )
@@ -758,16 +756,13 @@ def _assemble_chunk(
         lane.set_last_time[ssets[last_of_set]] = t_ev[last_idx]
         lane.close_trailing_runs(sets, t_ev, last_idx[fast[last_idx]])
         if observer is not None:
-            frames = _event_frames(
-                lane, len(blocks), order, ssets, firsts, fast,
-                np.asarray(frames_out, dtype=np.int64), carry_frames,
-            )
+            windows = t_ev - gaps
             stage["assembly"] += perf() - t_start
             t_start = perf()
             if lane is lane_d:
-                observer(blocks, frames, t_ev, pcs[pos], addrs[pos], dstores)
+                observer(blocks, windows, t_ev, pcs[pos], addrs[pos], dstores)
             else:
-                observer(blocks, frames, t_ev)
+                observer(blocks, windows, t_ev)
             stage["annotate"] += perf() - t_start
             t_start = perf()
     stage["assembly"] += perf() - t_start
@@ -789,10 +784,13 @@ def run_batched(
     ``hierarchy.finish`` and syncs ``clock``, returning the timing totals
     plus the run profile.
 
-    ``i_observer(blocks, frames, times)`` and ``d_observer(blocks,
-    frames, times, pcs, addresses, stores)`` are invoked once per chunk
+    ``i_observer(blocks, windows, times)`` and ``d_observer(blocks,
+    windows, times, pcs, addresses, stores)`` are invoked once per chunk
     with per-access arrays in event order — the prefetchability annotator
-    hooks in here without perturbing the kernel.
+    hooks in here without perturbing the kernel.  ``windows[k]`` is when
+    the interval closed by access ``k`` opened (the previous touch of its
+    frame, or the run start for a cold frame); it equals ``times[k]``
+    when the access closes no interval.
     """
     if not kernel_supported(hierarchy):
         raise SimulationError("hierarchy is not supported by the batched kernel")
@@ -809,7 +807,6 @@ def run_batched(
     l2_hit = hierarchy.config.l2.hit_latency
     memory_latency = hierarchy.config.l2.hit_latency + hierarchy.config.memory_latency
     l2_access = hierarchy.l2.access_block
-    annotate = i_observer is not None or d_observer is not None
 
     residual_impl = resolve_residual_impl(residual)
     if residual_impl == "compiled":
@@ -861,30 +858,24 @@ def run_batched(
             (lane_d, dpos, dblocks),
         ):
             if len(blocks):
-                sets, order, ssets, sblocks, firsts, fast, pred = lane.classify(blocks)
+                sets, order, ssets, sblocks, fast, pred = lane.classify(blocks)
             else:
                 sets = order = ssets = sblocks = pred = np.zeros(0, dtype=np.int64)
-                firsts = fast = np.zeros(0, dtype=bool)
+                fast = np.zeros(0, dtype=bool)
             res_idx = np.flatnonzero(~fast)
             catch = lane.catchup_positions(res_idx, pred, fast, pos)
             lane.fast_accesses += len(blocks) - len(res_idx)
             lane.slow_accesses += len(res_idx)
-            carry_frames = (
-                np.asarray(lane.set_last_frame, dtype=np.int64) if annotate else None
-            )
-            plans[id(lane)] = (
-                sets, order, ssets, sblocks, firsts, fast, pred, res_idx,
-                catch, carry_frames,
-            )
+            plans[id(lane)] = (sets, order, ssets, sblocks, fast, pred, res_idx, catch)
 
-        sets_i, _, _, _, _, fast_i, _, res_i, catch_i, _ = plans[id(lane_i)]
-        sets_d, _, _, _, _, fast_d, _, res_d, catch_d, _ = plans[id(lane_d)]
+        sets_i, _, _, _, _, _, res_i, catch_i = plans[id(lane_i)]
+        sets_d, _, _, _, _, _, res_d, catch_d = plans[id(lane_d)]
 
         # Merge both lanes' residual events by (instruction, I-before-D).
         key_i = ipos[res_i] << np.int64(1)
         key_d = (dpos[res_d] << np.int64(1)) | np.int64(1)
         keys = np.concatenate([key_i, key_d])
-        morder = np.argsort(keys, kind="stable")
+        morder = stable_order(keys)
         m_pos = (keys >> 1)[morder]
         m_is_d = (keys & 1).astype(bool)[morder]
         m_block = np.concatenate([iblocks[res_i], dblocks[res_d]])[morder]
@@ -926,7 +917,6 @@ def run_batched(
                     np.zeros(0, dtype=np.int64),
                     np.zeros(0, dtype=np.int64),
                     np.zeros(0, dtype=np.uint8),
-                    np.zeros(0, dtype=np.int64),
                 )
                 counters_i = counters_d = [0, 0, 0, 0]
             counters = {id(lane_i): counters_i, id(lane_d): counters_d}
@@ -945,8 +935,8 @@ def run_batched(
         stall_totals: list = []  # cumulative stalls after each record
         current_pos = -1
         stalls_at_pos = stalls
-        res_records_i = ([], [], [], [])  # keys, gaps, kinds, frames
-        res_records_d = ([], [], [], [])
+        res_records_i = ([], [], [])  # keys, gaps, kinds
+        res_records_d = ([], [], [])
         counters = {id(lane_i): [0, 0, 0, 0], id(lane_d): [0, 0, 0, 0]}
         for pos, is_d, block, set_index, catch_pos, base_time, catch_base, is_store in zip(
             m_pos.tolist(), m_is_d.tolist(), m_block.tolist(), m_set.tolist(),
@@ -957,9 +947,7 @@ def run_batched(
                 stalls_at_pos = stalls
             now = base_time + stalls_at_pos
             lane = lane_d if is_d else lane_i
-            keys_out, gaps_out, kinds_out, frames_out = (
-                res_records_d if is_d else res_records_i
-            )
+            keys_out, gaps_out, kinds_out = res_records_d if is_d else res_records_i
             tags = lane.tags
             assoc = lane.assoc
             frame_last = lane.frame_last
@@ -1042,7 +1030,6 @@ def run_batched(
             if lru_touch is not None:
                 lru_touch[frame] = now
             frame_last[frame] = now
-            frames_out.append(frame)
             lane.set_last_frame[set_index] = frame
         stage["residual"] += perf() - t_start
 

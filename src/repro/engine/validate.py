@@ -192,17 +192,31 @@ def _check_cache(cache_name, level, annotations, result, cycles) -> List[str]:
 
     if violations or not count:
         return violations
-    return violations + _check_energy(cache_name, intervals, lengths)
+    return violations + _check_energy(cache_name, intervals)
 
 
-def _check_energy(cache_name, intervals, lengths) -> List[str]:
-    from ..core.oracle import oracle_energy
+def _gate_energies(intervals):
+    """``(all-active baseline, oracle)`` energy of a population at the gate node.
+
+    Both are count-weighted sums over the population's length spectrum,
+    the one :func:`~repro.core.savings.evaluate_policy` prices on too.
+    """
+    from ..core.envelope import envelope_array
+
+    model, _ = _gate_context()
+    spectrum = intervals.spectrum()
+    counts = spectrum.counts
+    baseline = float((model.active_energy_array(spectrum.lengths) * counts).sum())
+    oracle = float((envelope_array(model, spectrum.lengths) * counts).sum())
+    return baseline, oracle
+
+
+def _check_energy(cache_name, intervals) -> List[str]:
     from ..core.savings import evaluate_policy
 
     violations: List[str] = []
-    model, policy = _gate_context()
-    baseline = float(model.active_energy_array(lengths).sum())
-    oracle = float(oracle_energy(model, lengths))
+    _, policy = _gate_context()
+    baseline, oracle = _gate_energies(intervals)
     if not np.isfinite(baseline) or baseline < 0.0:
         violations.append(
             f"{cache_name}: baseline energy is not finite and non-negative "

@@ -24,8 +24,8 @@ scalar path feeds every access to :class:`_CacheAnnotator` and a
 :class:`~repro.prefetch.stride.StridePredictor`; it is the oracle.  The
 batched kernel hands each chunk's event arrays to
 :class:`_ChunkAnnotator` and :class:`_StrideTable`, which resolve the
-whole chunk with sorts and searches, carrying only per-frame, per-block
-and stride-table state across chunks.  ``tests/test_annotation_oracle.py``
+whole chunk with sorts and searches, carrying only per-block and
+stride-table state across chunks.  ``tests/test_annotation_oracle.py``
 pins the two together.
 """
 
@@ -43,6 +43,7 @@ from ..cache.kernel import (
     kernel_supported,
     resolve_kernel_mode,
     run_batched,
+    stable_order,
     validated_chunks,
 )
 from ..core.intervals import IntervalSet
@@ -178,17 +179,15 @@ class _ChunkAnnotator:
     """Chunk-vectorised twin of :class:`_CacheAnnotator` (batched kernel).
 
     Takes one chunk's events at a time and produces exactly the flags the
-    scalar annotator would.  Within a chunk, a stable sort by frame gives
-    each event's window start and a sort by block finds the last earlier
-    touch of ``block - 1``; only events whose window opened before the
-    chunk consult the carried per-block last-touch times.
+    scalar annotator would.  Each event arrives with its window start,
+    which the kernel already knows (the time minus the gap of the interval
+    the event closes); a stable sort by block finds the last earlier touch
+    of ``block - 1``.  Only events whose window opened before the chunk
+    consult the carried per-block last-touch times.
     """
 
-    def __init__(self, n_frames: int, active_floor: int) -> None:
+    def __init__(self, active_floor: int) -> None:
         self.active_floor = active_floor
-        # An untouched frame's window opens at the start of the run.
-        self._frame_last = np.zeros(n_frames, dtype=np.int64)
-        self._frame_dtype = np.uint16 if n_frames <= 1 << 16 else np.int64
         self._block_last: dict = {}
         self._last_time = -1  # latest event time of the earlier chunks
         self._nextline: List[np.ndarray] = []
@@ -197,35 +196,27 @@ class _ChunkAnnotator:
     def observe(
         self,
         blocks: np.ndarray,
-        frames: np.ndarray,
+        windows: np.ndarray,
         times: np.ndarray,
         stride_hits: Optional[np.ndarray] = None,
     ) -> None:
-        """Record the intervals closed by one chunk of events."""
+        """Record the intervals closed by one chunk of events.
+
+        ``windows[k]`` is the previous touch of event ``k``'s frame (the
+        run start for a cold frame), so ``times - windows`` are the gaps
+        of the intervals the events close; a zero gap closes none.
+        """
         n = len(blocks)
         if n == 0:
             return
-        # Window start: the previous touch of the same frame (narrow
-        # frame numbers let the stable sort run as a radix sort).
-        order = np.argsort(frames.astype(self._frame_dtype), kind="stable")
-        sframes = frames[order]
-        first = _run_starts(sframes)
-        last = np.empty(n, dtype=bool)
-        last[-1] = True
-        last[:-1] = first[1:]
-        sorted_times = times[order]
-        window_sorted = np.empty(n, dtype=np.int64)
-        window_sorted[1:] = sorted_times[:-1]
-        window_sorted[first] = self._frame_last[sframes[first]]
-        window = np.empty(n, dtype=np.int64)
-        window[order] = window_sorted
-        self._frame_last[sframes[last]] = sorted_times[last]
-        gaps = times - window
+        gaps = times - windows
         keep = gaps > 0
 
-        # Last earlier in-chunk touch of block - 1 for every probed event,
-        # probing in (block, index) order so the searches run ascending.
-        border = np.argsort(blocks, kind="stable")
+        # Last earlier in-chunk touch of block - 1 for every probed event:
+        # the key just below (previous distinct block, event index) is one
+        # iff its block is block - 1.  Probing in (block, index) order
+        # keeps the search ascending.
+        border = stable_order(blocks)
         sblocks = blocks[border]
         bfirst = _run_starts(sblocks)
         rank = np.cumsum(bfirst) - 1
@@ -233,16 +224,12 @@ class _ChunkAnnotator:
         probed = (gaps > self.active_floor)[border]
         probe = border[probed]
         targets = sblocks[probed] - 1
-        lo = np.searchsorted(sblocks, targets)
-        found = lo < n
-        found[found] = sblocks[lo[found]] == targets[found]
-        lo = np.minimum(lo, n - 1)
-        at = np.searchsorted(keys, rank[lo] * n + probe) - 1
-        earlier = found & (at >= lo)
+        at = np.searchsorted(keys, (rank[probed] - 1) * n + probe) - 1
+        earlier = (at >= 0) & (sblocks[at] == targets)
         neighbor = np.where(earlier, times[border[at]], -1)
         # Events without one fall back on the carried touch times, which
         # can only reach windows opening at or before the previous chunk.
-        probe_window = window[probe]
+        probe_window = windows[probe]
         carried = np.flatnonzero(~earlier & (probe_window <= self._last_time))
         if len(carried):
             get = self._block_last.get
@@ -312,7 +299,7 @@ class _StrideTable:
         size = carried + count
         seq_pcs = np.concatenate([self._pcs, pcs])
         seq_addrs = np.concatenate([self._addrs, addrs])
-        order = np.argsort(seq_pcs, kind="stable")
+        order = stable_order(seq_pcs)
         first = _run_starts(seq_pcs[order])
         prev = np.full(size, -1, dtype=np.int64)  # previous same-PC position
         prev[order[1:]] = np.where(first[1:], -1, order[:-1])
@@ -446,22 +433,22 @@ class AnnotatingSimulator:
     def _run_batched(self, trace: Iterable[TraceChunk]) -> AnnotatedSimulationResult:
         """Kernel timing plus chunk-vectorised annotation.
 
-        The kernel hands each chunk's (block, frame, time) event stream —
-        exactly what the scalar loop would have produced — to observers
-        that annotate the whole chunk at once with :class:`_ChunkAnnotator`
-        and :class:`_StrideTable`, the exact array twins of the scalar
-        annotator and stride predictor.
+        The kernel hands each chunk's (block, window, time) event stream —
+        the window being the frame's previous touch, read off the interval
+        the event closes — to observers that annotate the whole chunk at
+        once with :class:`_ChunkAnnotator` and :class:`_StrideTable`, the
+        exact array twins of the scalar annotator and stride predictor.
         """
         hierarchy = self.hierarchy
-        i_annotator = _ChunkAnnotator(hierarchy.l1i.config.n_lines, self.active_floor)
-        d_annotator = _ChunkAnnotator(hierarchy.l1d.config.n_lines, self.active_floor)
+        i_annotator = _ChunkAnnotator(self.active_floor)
+        d_annotator = _ChunkAnnotator(self.active_floor)
         table = _StrideTable(self.stride_table_capacity)
 
-        def d_observer(blocks, frames, times, pcs, addrs, stores):
+        def d_observer(blocks, windows, times, pcs, addrs, stores):
             loads = ~stores
             stride_hits = np.zeros(len(blocks), dtype=bool)
             stride_hits[loads] = table.hits(pcs[loads], addrs[loads])
-            d_annotator.observe(blocks, frames, times, stride_hits)
+            d_annotator.observe(blocks, windows, times, stride_hits)
 
         outcome = run_batched(
             hierarchy, self.clock, trace, i_annotator.observe, d_observer

@@ -1,7 +1,7 @@
 """Chunk-vectorised annotation against its scalar oracle.
 
 The batched kernel annotates each chunk with ``_ChunkAnnotator`` and
-``_StrideTable``; the scalar path replays every event through
+``_StrideTable``; the scalar path feeds every access through
 ``_CacheAnnotator`` and :class:`StridePredictor`.  Their flags must be
 bit-identical: on the paper suite (whose load-PC populations overflow the
 4096-entry stride table, so LRU eviction is exercised), on crafted LRU
@@ -13,13 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.cache.kernel import run_batched
-from repro.cpu.pipeline import IssueClock
 from repro.cpu.trace import LOAD, NO_ACCESS, STORE, TraceChunk
 from repro.errors import ConfigurationError
 from repro.prefetch.analysis import (
-    DEFAULT_ACTIVE_FLOOR,
     AnnotatingSimulator,
     _CacheAnnotator,
     _ChunkAnnotator,
@@ -79,47 +75,16 @@ def _both_paths(chunks, capacity=4096):
 class TestPaperSuite:
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_flags_match_scalar_replay(self, name):
-        """Replay the kernel's own event stream through both annotators."""
-        hierarchy = MemoryHierarchy(HierarchyConfig.paper())
-        n_i, n_d = hierarchy.l1i.config.n_lines, hierarchy.l1d.config.n_lines
-        vec_i = _ChunkAnnotator(n_i, DEFAULT_ACTIVE_FLOOR)
-        vec_d = _ChunkAnnotator(n_d, DEFAULT_ACTIVE_FLOOR)
-        ref_i = _CacheAnnotator(n_i, DEFAULT_ACTIVE_FLOOR)
-        ref_d = _CacheAnnotator(n_d, DEFAULT_ACTIVE_FLOOR)
-        table, predictor = _StrideTable(4096), StridePredictor(4096)
-        load_pcs = set()
-
-        def i_observer(blocks, frames, times):
-            vec_i.observe(blocks, frames, times)
-            for event in zip(blocks.tolist(), frames.tolist(), times.tolist()):
-                ref_i.observe(*event, False)
-
-        def d_observer(blocks, frames, times, pcs, addrs, stores):
-            loads = ~stores
-            hits = np.zeros(len(blocks), dtype=bool)
-            hits[loads] = table.hits(pcs[loads], addrs[loads])
-            vec_d.observe(blocks, frames, times, hits)
-            load_pcs.update(pcs[loads].tolist())
-            for block, frame, when, pc, address, store in zip(
-                blocks.tolist(), frames.tolist(), times.tolist(),
-                pcs.tolist(), addrs.tolist(), stores.tolist(),
-            ):
-                hit = False if store else predictor.access(pc, address)
-                ref_d.observe(block, frame, when, hit)
-
-        trace = make_benchmark(name, scale=0.05).chunks()
-        run_batched(hierarchy, IssueClock(None), trace, i_observer, d_observer)
+        """The full scalar and batched simulations agree flag for flag."""
+        chunks = list(make_benchmark(name, scale=0.05).chunks())
         # More static loads than table entries: eviction is on the path.
+        load_pcs = set()
+        for chunk in chunks:
+            load_pcs.update(chunk.pcs[chunk.data_kinds == LOAD].tolist())
         assert len(load_pcs) > 4096
-        for vec, ref, intervals in (
-            (vec_i, ref_i, hierarchy.l1i.intervals()),
-            (vec_d, ref_d, hierarchy.l1d.intervals()),
-        ):
-            got, want = vec.finish(intervals), ref.finish(intervals)
-            assert np.array_equal(got.nextline, want.nextline)
-            assert np.array_equal(got.stride, want.stride)
-            assert np.array_equal(got.tail, want.tail)
-        assert got.stride.any()
+        scalar, batched = _both_paths(chunks)
+        _assert_same_flags(scalar, batched)
+        assert batched.l1d.stride.any()
 
 
 class TestStrideTableBoundaries:
@@ -247,6 +212,16 @@ class TestCraftedTraces:
         _assert_same_flags(scalar, runs[0])
 
 
+def _windows(frames, times):
+    """Per event, the previous touch of its frame (0 for a cold frame)."""
+    last = {}
+    windows = []
+    for frame, when in zip(frames.tolist(), times.tolist()):
+        windows.append(last.get(frame, 0))
+        last[frame] = when
+    return np.array(windows, dtype=np.int64)
+
+
 @st.composite
 def _event_streams(draw):
     n = draw(st.integers(1, 120))
@@ -285,13 +260,14 @@ class TestRandomStreams:
         ):
             hit = False if store else predictor.access(pc, address)
             ref.observe(block, frame, when, hit)
-        vec = _ChunkAnnotator(6, floor)
+        vec = _ChunkAnnotator(floor)
         table = _StrideTable(capacity)
+        windows = _windows(frames, times)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             loads = ~stores[lo:hi]
             hits = np.zeros(hi - lo, dtype=bool)
             hits[loads] = table.hits(pcs[lo:hi][loads], addrs[lo:hi][loads])
-            vec.observe(blocks[lo:hi], frames[lo:hi], times[lo:hi], hits)
+            vec.observe(blocks[lo:hi], windows[lo:hi], times[lo:hi], hits)
         assert np.array_equal(
             np.concatenate(vec._nextline), np.array(ref._nextline, dtype=bool)
         )

@@ -47,6 +47,8 @@ from repro.engine import (
     resolve_cache_dir,
 )
 from repro.errors import EngineError
+from repro.prefetch.analysis import annotate_workload_trace
+from repro.workloads import make_benchmark
 
 #: Small enough that one simulation takes well under a second.
 SMALL = 0.02
@@ -477,6 +479,25 @@ class TestValidationGate:
     def test_clean_result_passes(self, reference):
         job = SimulationJob("gzip", scale=SMALL)
         assert check_result(reference[job].annotated) == []
+
+    def test_spectrum_priced_energies_match_raw_sums(self):
+        from repro.core.oracle import oracle_energy
+        from repro.engine.validate import _gate_context, _gate_energies
+
+        annotated = annotate_workload_trace(
+            make_benchmark("gzip", scale=0.05).chunks()
+        )
+        model, _ = _gate_context()
+        for cache in ("l1i", "l1d"):
+            intervals = annotated.annotated_for(cache).intervals
+            lengths = intervals.lengths
+            baseline, oracle = _gate_energies(intervals)
+            assert baseline == pytest.approx(
+                float(model.active_energy_array(lengths).sum()), rel=1e-9
+            )
+            assert oracle == pytest.approx(
+                oracle_energy(model, lengths), rel=1e-9
+            )
 
     def test_never_raises_on_alien_payloads(self):
         assert check_result(object()) == [

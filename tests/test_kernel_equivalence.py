@@ -10,11 +10,13 @@ compare everything.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.cache.kernel import BatchedCacheKernel, kernel_supported
+from repro.cache.kernel import BatchedCacheKernel, kernel_supported, stable_order
 from repro.cpu.simulator import simulate_trace
 from repro.errors import SimulationError
 from repro.prefetch.analysis import AnnotatingSimulator
@@ -209,3 +211,47 @@ class TestKernelSupport:
         hierarchy = MemoryHierarchy(HierarchyConfig.paper())
         hierarchy.fetch_instruction(0, 0)
         assert not kernel_supported(hierarchy)
+
+
+def _assert_stable_order(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    assert np.array_equal(stable_order(keys), np.argsort(keys, kind="stable"))
+
+
+class TestStableOrder:
+    """The packed sort is the stable argsort, duplicates and all."""
+
+    def test_empty_and_single_key(self):
+        _assert_stable_order([])
+        _assert_stable_order([-7])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-(2**63), 2**63 - 1), st.integers(2, 300))
+    def test_all_equal_keys(self, key, count):
+        _assert_stable_order([key] * count)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-5, 5), max_size=400))
+    def test_heavy_duplicates_and_negative_keys(self, keys):
+        _assert_stable_order(keys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60))
+    def test_any_int64_keys(self, keys):
+        _assert_stable_order(keys)
+
+    def test_span_too_wide_to_pack_falls_back(self, monkeypatch):
+        keys = np.array([2**62, -(2**62), 5, 2**62, -(2**62)], dtype=np.int64)
+        want = np.argsort(keys, kind="stable")
+        calls = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        got = stable_order(keys)
+        monkeypatch.undo()
+        assert calls == [{"kind": "stable"}]
+        assert np.array_equal(got, want)
