@@ -60,7 +60,7 @@ def test_remote_dispatch_overhead(benchmark):
         SimulationJob("ammp", scale=DISPATCH_SCALE),
     ]
     label_overhead_only(benchmark)
-    benchmark.pedantic(run_workers, args=(jobs,), rounds=3, iterations=1)
+    benchmark.pedantic(run_workers, args=(jobs,), rounds=5, iterations=1)
 
 
 def test_serial_baseline_for_dispatch(benchmark):

@@ -35,7 +35,7 @@ def main() -> None:
     annotated = annotate_workload_trace(workload.chunks())
 
     for cache in ("l1i", "l1d"):
-        view = annotated.annotated_for(cache).as_normal()
+        view = annotated.annotated_for(cache).reduced().as_normal()
         summary = prefetchability_summary(view, model)
         print(f"=== {cache.upper()} ===")
         print(f"prefetchability: next-line {100 * summary['nextline']:.1f}%, "
@@ -45,8 +45,8 @@ def main() -> None:
                   f"NL={row.nextline:<7d} stride={row.stride:<6d} "
                   f"NP={row.non_prefetchable}")
 
-        decay = evaluate_policy(DecaySleep(model, 10_000), view.intervals)
-        hybrid = evaluate_policy(OptHybrid(model), view.intervals)
+        decay = evaluate_policy(DecaySleep(model, 10_000), view)
+        hybrid = evaluate_policy(OptHybrid(model), view)
         a = evaluate_prefetch_scheme(view, model, power_first=False)
         b = evaluate_prefetch_scheme(view, model, power_first=True)
         print(f"  Sleep(10K) decay : {100 * decay.saving_fraction:5.1f}%")

@@ -45,7 +45,8 @@ def main() -> None:
         ("instruction cache", result.l1i_intervals),
         ("data cache", result.l1d_intervals),
     ):
-        intervals = intervals.as_normal()
+        # Reduce once: every policy then prices the same (length, class) rows.
+        intervals = intervals.reduced().as_normal()
         print(f"\n{label}: {len(intervals):,} access intervals")
         for policy in standard_policies(model):
             report = evaluate_policy(policy, intervals)

@@ -7,7 +7,9 @@ sleep (Gated-Vdd) and drowsy modes save?
 
 The public surface:
 
-* :class:`~repro.core.intervals.IntervalSet` — interval populations.
+* :class:`~repro.core.intervals.IntervalSet` — raw intervals, as tracked;
+  :class:`~repro.core.intervals.IntervalPopulation` — their (length,
+  class, count) reduction, which every analysis reads.
 * :class:`~repro.core.energy.ModeEnergyModel` /
   :class:`~repro.core.energy.TransitionDurations` — Equations 1 and 2.
 * :func:`~repro.core.inflection.inflection_points` — Equation 3 / Table 1.
@@ -35,7 +37,13 @@ from .inflection import (
     inflection_points_for_node,
     solve_sleep_drowsy_point,
 )
-from .intervals import Interval, IntervalKind, IntervalSet, IntervalStatistics
+from .intervals import (
+    Interval,
+    IntervalKind,
+    IntervalPopulation,
+    IntervalSet,
+    IntervalStatistics,
+)
 from .model import StateMachineModel, Transition, technology_sweep
 from .modes import Mode
 from .oracle import (
@@ -67,6 +75,7 @@ __all__ = [
     "InflectionPoints",
     "Interval",
     "IntervalKind",
+    "IntervalPopulation",
     "IntervalSet",
     "IntervalStatistics",
     "Mode",

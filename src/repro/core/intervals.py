@@ -21,15 +21,17 @@ interval ablation):
 For efficiency on multi-million-access traces, intervals are held
 column-wise in an :class:`IntervalSet` (numpy arrays) rather than as
 object lists; :class:`Interval` is the scalar view used at API edges and
-in tests.  Policies are priced on a population's
-:class:`LengthSpectrum` — its distinct lengths per class, with counts —
-which every :class:`IntervalSet` builds once and then reuses.
+in tests.  An :class:`IntervalSet` is what the cache tracker emits; every
+analysis works on its :class:`IntervalPopulation` — the distinct
+(length, class) rows with counts, a sufficient statistic for the whole
+limit study — and policies are priced on the population's
+:class:`LengthSpectrum`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -96,10 +98,15 @@ class LengthSpectrum:
         if prefetchable is not None:
             key |= prefetchable
         distinct, counts = np.unique(key, return_counts=True)
+        return cls._of_keys(distinct, counts)
+
+    @classmethod
+    def _of_keys(cls, keys: np.ndarray, counts: np.ndarray) -> "LengthSpectrum":
+        """Decode ascending distinct ``length << 3 | kind << 1 | flag`` keys."""
         return cls(
-            lengths=distinct >> 3,
-            kinds=((distinct >> 1) & 3).astype(np.uint8),
-            prefetchable=(distinct & 1).astype(bool),
+            lengths=keys >> 3,
+            kinds=((keys >> 1) & 3).astype(np.uint8),
+            prefetchable=(keys & 1).astype(bool),
             counts=counts.astype(np.int64),
         )
 
@@ -107,6 +114,232 @@ class LengthSpectrum:
     def cycles(self) -> np.ndarray:
         """Interval cycles per row (``lengths * counts``)."""
         return self.lengths * self.counts
+
+
+#: Class bits of an :class:`IntervalPopulation` row: the interval kind
+#: sits above the next-line, stride and tail prefetch flags.
+KIND_SHIFT = 3
+NEXTLINE = 1 << 2
+STRIDE = 1 << 1
+TAIL = 1 << 0
+PREFETCH_FLAGS = NEXTLINE | STRIDE | TAIL
+
+#: Bits one class takes in a row key (``length << CLASS_BITS | class``).
+CLASS_BITS = 5
+CLASS_MASK = (1 << CLASS_BITS) - 1
+
+
+def _merge(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order, with their summed ``counts``."""
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    if not keys.size:
+        return keys, counts
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalPopulation:
+    """An interval population reduced to its distinct (length, class) rows.
+
+    Row ``i`` stands for ``counts[i]`` intervals of ``lengths[i]`` cycles
+    whose class is ``classes[i]``: the :class:`IntervalKind` above
+    :data:`KIND_SHIFT`, then the next-line, stride and tail prefetch
+    flags (:mod:`repro.prefetch.analysis`).  Rows are sorted by length,
+    then class, and no two are alike.  An interval's length and class are
+    all the limit study reads of it, so every count, statistic, Figure 9
+    breakdown and policy price comes from these rows: a simulation job
+    returns this reduction and never its raw intervals.
+
+    The :class:`LengthSpectrum` views policies are priced on are built on
+    first use and then reused; they are never pickled — a population
+    pickles as its three columns.
+    """
+
+    lengths: np.ndarray
+    classes: np.ndarray
+    counts: np.ndarray
+    _spectra: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of(
+        cls,
+        lengths: Sequence[int] | np.ndarray,
+        kinds: Sequence[int] | np.ndarray | None = None,
+        nextline: np.ndarray | None = None,
+        stride: np.ndarray | None = None,
+        tail: np.ndarray | None = None,
+    ) -> "IntervalPopulation":
+        """Reduce per-interval columns (absent kinds are NORMAL, absent
+        flags False)."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        keys = lengths << CLASS_BITS
+        for column, shift in (
+            (kinds, KIND_SHIFT),
+            (nextline, 2),
+            (stride, 1),
+            (tail, 0),
+        ):
+            if column is None:
+                continue
+            column = np.asarray(column)
+            if column.shape != lengths.shape:
+                raise IntervalError(
+                    f"a class column of shape {column.shape} does not align "
+                    f"with {lengths.shape[0]} interval(s)"
+                )
+            keys |= column.astype(np.int64) << shift
+        distinct, counts = np.unique(keys, return_counts=True)
+        return cls(
+            lengths=distinct >> CLASS_BITS,
+            classes=(distinct & CLASS_MASK).astype(np.uint8),
+            counts=counts.astype(np.int64),
+        )
+
+    def __reduce__(self):
+        # Spectra are derived data: pickle the three columns only.
+        return (type(self), (self.lengths, self.classes, self.counts))
+
+    def __len__(self) -> int:
+        return int(self.counts.sum())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntervalPopulation):
+            return NotImplemented
+        return bool(
+            np.array_equal(self.lengths, other.lengths)
+            and np.array_equal(self.classes, other.classes)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+    # ------------------------------------------------------------------
+    # Per-row class columns
+    # ------------------------------------------------------------------
+
+    @property
+    def kinds(self) -> np.ndarray:
+        """Each row's :class:`IntervalKind` value."""
+        return self.classes >> KIND_SHIFT
+
+    @property
+    def nextline(self) -> np.ndarray:
+        """Rows whose intervals a next-line prefetch covers."""
+        return (self.classes & NEXTLINE) != 0
+
+    @property
+    def stride(self) -> np.ndarray:
+        """Rows whose intervals only the stride prefetcher covers."""
+        return (self.classes & STRIDE) != 0
+
+    @property
+    def prefetchable(self) -> np.ndarray:
+        """Rows coverable without a performance penalty (any flag set)."""
+        return (self.classes & PREFETCH_FLAGS) != 0
+
+    # ------------------------------------------------------------------
+    # Views and statistics
+    # ------------------------------------------------------------------
+
+    @property
+    def total_cycles(self) -> int:
+        """Sum of all interval lengths — the all-active baseline exposure."""
+        return int((self.lengths * self.counts).sum())
+
+    @property
+    def prefetchability(self) -> float:
+        """Prefetchable intervals over all intervals (the Figure 9 ratio)."""
+        n = len(self)
+        return float(self.counts[self.prefetchable].sum()) / n if n else 0.0
+
+    def spectrum(self, flagged: bool = False) -> LengthSpectrum:
+        """The rows collapsed to (length, kind) classes, built once.
+
+        ``flagged`` keeps one more class bit, whether the row is
+        prefetchable.  Collapsing only sums integer counts, and the rows
+        come out exactly as :meth:`LengthSpectrum.of` lays out the raw
+        intervals' columns, so every float sum priced on them sees the
+        same operands in the same order.
+        """
+        spectrum = self._spectra.get(flagged)
+        if spectrum is None:
+            keys = (self.lengths << 3) | (self.kinds.astype(np.int64) << 1)
+            if flagged:
+                keys |= self.prefetchable
+            spectrum = LengthSpectrum._of_keys(*_merge(keys, self.counts))
+            self._spectra[flagged] = spectrum
+        return spectrum
+
+    def as_normal(self) -> "IntervalPopulation":
+        """Every interval re-labelled ``NORMAL`` (the paper's view, §3.1)."""
+        keys, counts = _merge(
+            (self.lengths << CLASS_BITS) | (self.classes & PREFETCH_FLAGS),
+            self.counts,
+        )
+        return IntervalPopulation(
+            lengths=keys >> CLASS_BITS,
+            classes=(keys & PREFETCH_FLAGS).astype(np.uint8),
+            counts=counts,
+        )
+
+    def of_kind(self, kind: IntervalKind) -> "IntervalPopulation":
+        """The rows of one interval kind."""
+        mask = self.kinds == int(kind)
+        return IntervalPopulation(
+            self.lengths[mask], self.classes[mask], self.counts[mask]
+        )
+
+    def count_by_class(self, boundaries: Sequence[float]) -> List[int]:
+        """Interval counts per length class.
+
+        ``boundaries=[a, b]`` yields counts for ``(0, a]``, ``(a, b]``,
+        ``(b, inf)`` — the three ranges of Figure 9.
+        """
+        return [int(v) for v in self._class_sums(boundaries, cycles=False)]
+
+    def cycle_mass_by_class(self, boundaries: Sequence[float]) -> List[float]:
+        """Fraction of total cycles falling in each length class."""
+        mass = self._class_sums(boundaries, cycles=True)
+        total = float(self.total_cycles)
+        if total == 0:
+            return [0.0] * len(mass)
+        return [float(v) / total for v in mass]
+
+    def _class_sums(self, boundaries: Sequence[float], cycles: bool) -> np.ndarray:
+        """Exact per-class interval counts (or cycles) over the rows."""
+        boundaries = list(boundaries)
+        if any(b <= 0 for b in boundaries) or sorted(boundaries) != boundaries:
+            raise IntervalError(
+                f"class boundaries must be positive and sorted, got {boundaries!r}"
+            )
+        weights = self.lengths * self.counts if cycles else self.counts
+        running = np.concatenate(([0], np.cumsum(weights)))
+        # The paper's classes are (lo, hi]: each edge sits half a cycle
+        # above its boundary, and searchsorted counts the rows below it.
+        edges = np.array([0.5] + [b + 0.5 for b in boundaries] + [np.inf])
+        return np.diff(running[np.searchsorted(self.lengths, edges)])
+
+    def statistics(self) -> "IntervalStatistics":
+        """Summary statistics for reports, exact from the weighted rows."""
+        count = len(self)
+        if not count:
+            return IntervalStatistics(0, 0, 0.0, 0, 0, 0.0)
+        total = self.total_cycles
+        # The middle interval(s) in length order; an even count takes the
+        # floor of the two middle lengths' mean, as int(np.median) does.
+        middle = np.searchsorted(
+            np.cumsum(self.counts), [(count - 1) // 2, count // 2], side="right"
+        )
+        low, high = (int(v) for v in self.lengths[middle])
+        dead = int(self.counts[self.kinds == IntervalKind.DEAD].sum())
+        return IntervalStatistics(
+            count=count,
+            total_cycles=total,
+            mean_length=total / count,
+            median_length=(low + high) // 2,
+            max_length=int(self.lengths.max()),
+            dead_fraction=dead / count,
+        )
 
 
 class IntervalSet:
@@ -120,10 +353,6 @@ class IntervalSet:
         Optional parallel array of :class:`IntervalKind` values; defaults
         to all ``NORMAL``.
     """
-
-    # Spectra are derived data: built on first use, never pickled.
-    _spectrum: LengthSpectrum | None = None
-    _flagged: Tuple[np.ndarray, LengthSpectrum] | None = None
 
     def __init__(
         self,
@@ -254,9 +483,6 @@ class IntervalSet:
             and np.array_equal(self.kinds, other.kinds)
         )
 
-    def __getstate__(self) -> dict:
-        return {"lengths": self.lengths, "kinds": self.kinds}
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"IntervalSet(n={len(self)}, total={self.total_cycles}, "
@@ -289,69 +515,15 @@ class IntervalSet:
         """
         return IntervalSet(self.lengths, np.zeros(self.lengths.shape, dtype=np.uint8))
 
-    def spectrum(self, prefetchable: np.ndarray | None = None) -> LengthSpectrum:
-        """This population's :class:`LengthSpectrum`, built once and reused.
+    def reduced(self) -> IntervalPopulation:
+        """This set's :class:`IntervalPopulation` (no prefetch flags), on
+        which every count and statistic is read."""
+        return IntervalPopulation.of(self.lengths, self.kinds)
 
-        ``prefetchable`` (a mask aligned with the intervals) adds the
-        prefetch flag to every row's class; a later call with an equal
-        mask reuses the same spectrum.
-        """
-        if prefetchable is None:
-            if self._spectrum is None:
-                self._spectrum = LengthSpectrum.of(self.lengths, self.kinds)
-            return self._spectrum
-        mask = np.asarray(prefetchable, dtype=bool)
-        if self._flagged is None or not np.array_equal(self._flagged[0], mask):
-            self._flagged = (mask, LengthSpectrum.of(self.lengths, self.kinds, mask))
-        return self._flagged[1]
-
-    def count_by_class(
-        self, boundaries: Sequence[float]
-    ) -> List[int]:
-        """Interval counts per length class.
-
-        ``boundaries=[a, b]`` yields counts for ``(0, a]``, ``(a, b]``,
-        ``(b, inf)`` — the three ranges of Figure 9.
-        """
-        return [int(v) for v in self._class_sums(boundaries, cycles=False)]
-
-    def cycle_mass_by_class(
-        self, boundaries: Sequence[float]
-    ) -> List[float]:
-        """Fraction of total cycles falling in each length class."""
-        mass = self._class_sums(boundaries, cycles=True)
-        total = float(self.lengths.sum())
-        if total == 0:
-            return [0.0] * len(mass)
-        return [float(v) / total for v in mass]
-
-    def _class_sums(self, boundaries: Sequence[float], cycles: bool) -> np.ndarray:
-        """Exact per-class interval counts (or cycles) from the spectrum."""
-        boundaries = list(boundaries)
-        if any(b <= 0 for b in boundaries) or sorted(boundaries) != boundaries:
-            raise IntervalError(
-                f"class boundaries must be positive and sorted, got {boundaries!r}"
-            )
-        spectrum = self.spectrum()
-        weights = spectrum.cycles if cycles else spectrum.counts
-        running = np.concatenate(([0], np.cumsum(weights)))
-        # The paper's classes are (lo, hi]: each edge sits half a cycle
-        # above its boundary, and searchsorted counts the rows below it.
-        edges = np.array([0.5] + [b + 0.5 for b in boundaries] + [np.inf])
-        return np.diff(running[np.searchsorted(spectrum.lengths, edges)])
-
-    def statistics(self) -> "IntervalStatistics":
-        """Summary statistics for reports."""
-        if not len(self):
-            return IntervalStatistics(0, 0, 0.0, 0, 0, 0.0)
-        return IntervalStatistics(
-            count=len(self),
-            total_cycles=self.total_cycles,
-            mean_length=float(self.lengths.mean()),
-            median_length=int(np.median(self.lengths)),
-            max_length=int(self.lengths.max()),
-            dead_fraction=float(np.mean(self.kinds == IntervalKind.DEAD)),
-        )
+    def spectrum(self, flagged: bool = False) -> LengthSpectrum:
+        """The reduction's :class:`LengthSpectrum`, so policies price a raw
+        set like any population (rebuilt on every call)."""
+        return self.reduced().spectrum(flagged)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 from ..errors import PolicyError
 from .energy import ModeEnergyModel
 from .inflection import InflectionPoints, inflection_points
-from .intervals import IntervalKind, IntervalSet, LengthSpectrum
+from .intervals import IntervalKind, IntervalPopulation, IntervalSet, LengthSpectrum
 from .modes import Mode
 
 #: Integer codes used in vectorized mode arrays.
@@ -74,15 +74,15 @@ class Policy:
         return CODE_MODES[code]
 
     def on_spectrum(
-        self, intervals: IntervalSet
+        self, population: IntervalPopulation | IntervalSet
     ) -> Tuple["Policy", LengthSpectrum]:
-        """The spectrum to price ``intervals`` on, and the policy for its rows.
+        """The spectrum to price ``population`` on, and the policy for its rows.
 
-        A policy whose modes depend on length alone prices the rows
-        itself; policies with per-interval inputs return a copy whose
-        inputs are the spectrum's class columns.
+        A policy whose modes depend on length alone prices the plain
+        (length, kind) rows itself; policies that also read a class bit
+        return a copy bound to the spectrum's class column.
         """
-        return self, intervals.spectrum()
+        return self, population.spectrum()
 
     # ------------------------------------------------------------------
     # Pricing

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import IntervalError
 from .energy import ModeEnergyModel
-from .intervals import IntervalSet
+from .intervals import IntervalPopulation, IntervalSet
 from .modes import Mode
 from .policy import CODE_MODES, TRIO_SCHEMES, Policy, trio_policies
 
@@ -87,7 +87,7 @@ class SavingsReport:
 
 def evaluate_policy(
     policy: Policy,
-    intervals: IntervalSet,
+    population: IntervalPopulation | IntervalSet,
     dead_aware: bool = False,
 ) -> SavingsReport:
     """Run the Figure 5 accumulation for one policy.
@@ -102,15 +102,17 @@ def evaluate_policy(
     ----------
     policy:
         A bound policy (carries its energy model and inflection points).
-    intervals:
-        The interval population (typically merged over all cache frames).
+    population:
+        The interval population (typically merged over all cache frames);
+        a raw :class:`~repro.core.intervals.IntervalSet` is priced on its
+        reduction.
     dead_aware:
         When True, slept dead/cold intervals are not charged re-fetch
         energy (the ablation of §3.1); the paper's default is False.
     """
-    if not len(intervals):
+    if not len(population):
         raise IntervalError("cannot evaluate a policy over zero intervals")
-    rows, spectrum = policy.on_spectrum(intervals)
+    rows, spectrum = policy.on_spectrum(population)
     lengths, counts = spectrum.lengths, spectrum.counts
     codes = rows.modes(lengths)
     energies = rows.energies(lengths, spectrum.kinds, dead_aware=dead_aware) * counts
@@ -140,15 +142,15 @@ def evaluate_policy(
 
 def evaluate_policies(
     policies: Iterable[Policy],
-    intervals: IntervalSet,
+    population: IntervalPopulation | IntervalSet,
     dead_aware: bool = False,
 ) -> List[SavingsReport]:
     """Evaluate several policies over the same interval population."""
-    return [evaluate_policy(p, intervals, dead_aware=dead_aware) for p in policies]
+    return [evaluate_policy(p, population, dead_aware=dead_aware) for p in policies]
 
 
 def trio_savings(
-    models: Sequence[ModeEnergyModel], intervals: IntervalSet
+    models: Sequence[ModeEnergyModel], population: IntervalPopulation | IntervalSet
 ) -> np.ndarray:
     """Saving fractions of Table 2's oracle trio under every model.
 
@@ -158,7 +160,7 @@ def trio_savings(
     grid = np.empty((len(TRIO_SCHEMES), len(models)))
     for column, model in enumerate(models):
         for row, policy in enumerate(trio_policies(model)):
-            grid[row, column] = evaluate_policy(policy, intervals).saving_fraction
+            grid[row, column] = evaluate_policy(policy, population).saving_fraction
     return grid
 
 

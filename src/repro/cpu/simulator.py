@@ -29,7 +29,7 @@ from ..cache.kernel import (
     validated_chunks,
 )
 from ..cache.stats import HierarchyStats
-from ..core.intervals import IntervalSet
+from ..core.intervals import IntervalPopulation, IntervalSet
 from ..errors import SimulationError
 from .pipeline import IssueClock, PipelineConfig
 from .trace import NO_ACCESS, STORE, TraceChunk
@@ -37,13 +37,18 @@ from .trace import NO_ACCESS, STORE, TraceChunk
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Everything a limit-study experiment needs from one run."""
+    """Everything a limit-study experiment needs from one run.
+
+    A simulator fills the interval fields with the trackers' raw
+    :class:`IntervalSet`; a simulation job's result holds their
+    :class:`IntervalPopulation` reduction instead (same ``len``).
+    """
 
     cycles: int
     instructions: int
     stall_cycles: int
-    l1i_intervals: IntervalSet
-    l1d_intervals: IntervalSet
+    l1i_intervals: IntervalSet | IntervalPopulation
+    l1d_intervals: IntervalSet | IntervalPopulation
     stats: HierarchyStats
     #: Where the run's accesses and wall time went.  Excluded from
     #: equality: a batched and a scalar run of the same trace compare
@@ -57,7 +62,7 @@ class SimulationResult:
         """Retired instructions per cycle."""
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    def intervals_for(self, which: str) -> IntervalSet:
+    def intervals_for(self, which: str) -> IntervalSet | IntervalPopulation:
         """Interval population by cache name (``'l1i'`` or ``'l1d'``)."""
         key = which.lower()
         if key in ("l1i", "icache", "i"):

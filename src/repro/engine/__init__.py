@@ -87,7 +87,7 @@ from .store import (
     resolve_cache_limit,
 )
 from .telemetry import MANIFEST_VERSION, JobRecord, RunTelemetry, Stopwatch
-from .validate import InvalidResultError, check_result
+from .validate import InvalidResultError, check_raw, check_result
 
 __all__ = [
     "BACKEND_NAMES",
@@ -130,6 +130,7 @@ __all__ = [
     "apply_store_fault",
     "atomic_write_bytes",
     "build_backend",
+    "check_raw",
     "check_result",
     "default_heartbeat_interval",
     "default_job_timeout",

@@ -20,6 +20,7 @@ from ..cpu.pipeline import PipelineConfig
 from ..errors import EngineError, ReproError
 from ..prefetch.analysis import AnnotatedSimulationResult, AnnotatingSimulator
 from ..workloads.benchmarks import BENCHMARK_NAMES, make_benchmark
+from .validate import InvalidResultError, check_raw
 
 #: Version of the pickled result payload *and* of the simulation
 #: substrate's observable behaviour.  Bump it whenever a change to the
@@ -30,7 +31,11 @@ from ..workloads.benchmarks import BENCHMARK_NAMES, make_benchmark
 #: Version 2: the batched simulation kernel (fixed-point issue clock,
 #: ``SimulationResult.profile``) — results carry new fields and the
 #: clock's CPI quantization is at the 2**-20 level.
-SCHEMA_VERSION = 2
+#:
+#: Version 3: a result holds each cache's
+#: :class:`~repro.core.intervals.IntervalPopulation` — (length, class,
+#: count) rows — instead of the raw interval and flag arrays.
+SCHEMA_VERSION = 3
 
 #: ``JobOutcome.source`` values: a cache hit, a worker completion per
 #: backend (``pool`` → parallel), or the serial rung — planned, or a
@@ -162,6 +167,11 @@ class JobOutcome:
 def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
     """Simulate one job; deterministic in the job parameters.
 
+    The result is :meth:`~repro.prefetch.analysis.AnnotatedSimulationResult.reduced`:
+    each cache's annotated intervals collapse to their per-class length
+    spectrum, after :func:`~repro.engine.validate.check_raw` has checked
+    the raw arrays, which never leave this function.
+
     Recorded traces are *streamed*: the registry hands back a chunk
     iterator backed by the on-disk reader, which decodes one chunk ahead
     of the simulation, so peak memory stays bounded by two chunks
@@ -187,8 +197,14 @@ def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
             )
         if chunks is None:
             chunks = source.chunks(job.scale)
-    simulator = AnnotatingSimulator(pipeline=job.pipeline)
-    return simulator.run(chunks)
+    annotated = AnnotatingSimulator(pipeline=job.pipeline).run(chunks)
+    violations = check_raw(annotated)
+    if violations:
+        raise InvalidResultError(
+            f"raw intervals of {job.describe()} failed the validation "
+            f"gate: {violations[0]}"
+        )
+    return annotated.reduced()
 
 
 def job_result_payload(job: SimulationJob, annotated) -> Dict:

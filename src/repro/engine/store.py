@@ -151,9 +151,23 @@ class ResultStore:
         return self.directory / f"{key}.pkl"
 
     def contains(self, key: str) -> bool:
-        """Whether an entry file exists for ``key`` (presence only: no
-        read, no checksum, no hit counted)."""
-        return self.path_for(key).is_file()
+        """Whether an entry for ``key`` exists at this store's schema version.
+
+        Reads the header line only: no checksum, no hit counted.  An entry
+        of another schema version is stale (:meth:`get` would evict it),
+        so it does not count; an unparseable header still does — only a
+        full read can tell corruption from a valid entry.
+        """
+        try:
+            with open(self.path_for(key), "rb") as handle:
+                header_line = handle.readline()
+        except OSError:
+            return False
+        try:
+            version = json.loads(header_line).get("schema_version")
+        except (ValueError, AttributeError):
+            return True
+        return version == self.schema_version
 
     @property
     def quarantine_dir(self) -> Path:

@@ -1,8 +1,14 @@
 """Result-integrity guardrails: the invariant-validation gate.
 
-Every fresh simulation result — whatever backend produced it — passes
-through :func:`check_result` before it is cached or handed
-to an experiment.  The checks are the model's own physics and accounting
+The gate has two halves.  Inside the job, :func:`check_raw` checks the
+simulator's raw interval arrays just before
+:func:`~repro.engine.jobs.execute_job` reduces them to per-class length
+spectra: lengths positive, annotation flags aligned with the intervals,
+next-line and stride flags disjoint.  Raw arrays never leave the job.
+
+In the parent, every fresh result — whatever backend produced it —
+passes through :func:`check_result` before it is cached or handed to an
+experiment.  The checks are the model's own physics and accounting
 identities, so a worker that silently returns garbage (bit flips, a
 miscompiled numpy, an injected ``garbage`` fault) is caught *here*
 rather than poisoning the content-addressed store every later run and
@@ -11,13 +17,15 @@ every other shard reads from:
 * cycle/instruction/stall counts are positive and consistent;
 * per-cache access statistics balance (``hits + misses == accesses``,
   compulsory misses bounded by misses);
-* interval populations are well-formed: positive lengths no longer than
-  the run, known kinds, annotation flags aligned and disjoint, and a
-  count consistent with the access/eviction counts that generated them;
-* energies derived from the intervals stay inside the oracle envelope:
-  the OPT lower bound lies in ``[0, baseline]`` and a full policy
-  evaluation yields non-negative mode energies whose cycle shares sum
-  to one.
+* the reduced populations are well-formed: rows sorted by length, then
+  class, with no two alike; positive lengths no longer than the run and
+  positive counts; valid class bits (a known kind, never next-line and
+  stride together); and an interval count consistent with the
+  access/eviction counts that generated it;
+* energies derived from the populations stay inside the oracle
+  envelope: the OPT lower bound lies in ``[0, baseline]`` and a full
+  policy evaluation yields non-negative mode energies whose cycle shares
+  sum to one.
 
 A failing result is *quarantined*: recorded in telemetry (manifest v5's
 ``quarantine`` section), never written to the store, and the job is
@@ -39,6 +47,13 @@ from typing import List
 
 import numpy as np
 
+from ..core.intervals import (
+    CLASS_BITS,
+    KIND_SHIFT,
+    NEXTLINE,
+    STRIDE,
+    IntervalKind,
+)
 from ..errors import EngineError, ReproError
 
 #: Technology node (nm) the energy-envelope checks are evaluated at.
@@ -74,7 +89,7 @@ def _gate_context():
 
 
 def check_result(annotated) -> List[str]:
-    """Validate one annotated simulation result; returns violations.
+    """Validate one reduced simulation result; returns violations.
 
     An empty list means the result passes every invariant.  The checks
     never raise: anything the result's own malformedness breaks is
@@ -112,39 +127,68 @@ def _check(annotated) -> List[str]:
         )
 
     for cache_name, level in (("l1i", "L1I"), ("l1d", "L1D")):
-        annotations = getattr(annotated, cache_name, None)
-        if annotations is None:
+        population = getattr(annotated, cache_name, None)
+        if population is None:
             violations.append(f"{cache_name}: annotations missing")
             continue
         violations.extend(
-            _check_cache(cache_name, level, annotations, result, cycles)
+            _check_cache(cache_name, level, population, result, cycles)
         )
     return violations
 
 
-def _check_cache(cache_name, level, annotations, result, cycles) -> List[str]:
+def check_raw(annotated) -> List[str]:
+    """Validate a simulator's raw annotated intervals; returns violations.
+
+    Runs inside the job, on the arrays the reduction is about to
+    collapse: once reduced, a misaligned flag can no longer be told
+    from a real class.
+    """
     violations: List[str] = []
-    intervals = annotations.intervals
-    lengths = np.asarray(intervals.lengths)
-    kinds = np.asarray(intervals.kinds)
-    count = len(lengths)
-
-    # Annotation flags: pickling bypasses __post_init__ validation, so a
-    # mangled payload can carry misaligned or overlapping flags.
-    for label in ("nextline", "stride", "tail"):
-        flags = np.asarray(getattr(annotations, label))
-        if flags.shape != (count,):
+    for cache_name in ("l1i", "l1d"):
+        annotations = annotated.annotated_for(cache_name)
+        lengths = np.asarray(annotations.intervals.lengths)
+        flags = {
+            label: np.asarray(getattr(annotations, label))
+            for label in ("nextline", "stride", "tail")
+        }
+        misaligned = [
+            label for label, column in flags.items()
+            if column.shape != lengths.shape
+        ]
+        if misaligned:
             violations.append(
-                f"{cache_name}: {label} flags misaligned with the "
-                f"{count} interval(s)"
+                f"{cache_name}: {', '.join(misaligned)} flags misaligned "
+                f"with the {len(lengths)} interval(s)"
             )
-            return violations
-    if count and bool(np.any(annotations.nextline & annotations.stride)):
-        violations.append(
-            f"{cache_name}: next-line and stride flags overlap"
-        )
+            continue
+        if len(lengths) and int(lengths.min()) <= 0:
+            violations.append(f"{cache_name}: interval lengths must be positive")
+        if bool(np.any(flags["nextline"] & flags["stride"])):
+            violations.append(f"{cache_name}: next-line and stride flags overlap")
+    return violations
 
-    if count:
+
+def _check_cache(cache_name, level, population, result, cycles) -> List[str]:
+    violations: List[str] = []
+    lengths = np.asarray(population.lengths)
+    classes = np.asarray(population.classes)
+    counts = np.asarray(population.counts)
+    # Pickling bypasses every constructor, so a mangled payload can carry
+    # ragged, unsorted or impossible rows.
+    if not (lengths.ndim == 1 and lengths.shape == classes.shape == counts.shape):
+        violations.append(f"{cache_name}: population columns misaligned")
+        return violations
+    count = int(counts.sum())
+    if len(lengths):
+        keys = (lengths.astype(np.int64) << CLASS_BITS) | classes
+        if bool(np.any(keys[1:] <= keys[:-1])):
+            violations.append(
+                f"{cache_name}: rows not sorted by length then class, "
+                "or repeated"
+            )
+        if int(counts.min()) <= 0:
+            violations.append(f"{cache_name}: row counts must be positive")
         shortest = int(lengths.min())
         longest = int(lengths.max())
         if shortest <= 0:
@@ -157,8 +201,13 @@ def _check_cache(cache_name, level, annotations, result, cycles) -> List[str]:
                 f"{cache_name}: longest interval ({longest} cycles) "
                 f"exceeds the run ({cycles} cycles)"
             )
-        if kinds.shape != lengths.shape or int(kinds.max()) > 2:
+        if int(classes.max()) >> KIND_SHIFT > max(IntervalKind):
             violations.append(f"{cache_name}: unknown interval kinds")
+        both = NEXTLINE | STRIDE
+        if bool(np.any((classes & both) == both)):
+            violations.append(
+                f"{cache_name}: next-line and stride flags overlap"
+            )
 
     stats = result.stats.levels.get(level)
     if stats is None:
@@ -192,10 +241,10 @@ def _check_cache(cache_name, level, annotations, result, cycles) -> List[str]:
 
     if violations or not count:
         return violations
-    return violations + _check_energy(cache_name, intervals)
+    return violations + _check_energy(cache_name, population)
 
 
-def _gate_energies(intervals):
+def _gate_energies(population):
     """``(all-active baseline, oracle)`` energy of a population at the gate node.
 
     Both are count-weighted sums over the population's length spectrum,
@@ -204,19 +253,19 @@ def _gate_energies(intervals):
     from ..core.envelope import envelope_array
 
     model, _ = _gate_context()
-    spectrum = intervals.spectrum()
+    spectrum = population.spectrum()
     counts = spectrum.counts
     baseline = float((model.active_energy_array(spectrum.lengths) * counts).sum())
     oracle = float((envelope_array(model, spectrum.lengths) * counts).sum())
     return baseline, oracle
 
 
-def _check_energy(cache_name, intervals) -> List[str]:
+def _check_energy(cache_name, population) -> List[str]:
     from ..core.savings import evaluate_policy
 
     violations: List[str] = []
     _, policy = _gate_context()
-    baseline, oracle = _gate_energies(intervals)
+    baseline, oracle = _gate_energies(population)
     if not np.isfinite(baseline) or baseline < 0.0:
         violations.append(
             f"{cache_name}: baseline energy is not finite and non-negative "
@@ -233,7 +282,7 @@ def _check_energy(cache_name, intervals) -> List[str]:
             f"all-active baseline envelope ({baseline:.3f})"
         )
 
-    report = evaluate_policy(policy, intervals)
+    report = evaluate_policy(policy, population)
     breakdown = report.breakdown.values()
     if any(entry.energy < -TOLERANCE for entry in breakdown):
         violations.append(f"{cache_name}: negative per-mode energy")
@@ -242,7 +291,7 @@ def _check_energy(cache_name, intervals) -> List[str]:
         violations.append(
             f"{cache_name}: mode cycle shares sum to {share:.9f}, not 1"
         )
-    if sum(entry.interval_count for entry in breakdown) != len(intervals):
+    if sum(entry.interval_count for entry in breakdown) != len(population):
         violations.append(
             f"{cache_name}: mode breakdown drops or duplicates intervals"
         )

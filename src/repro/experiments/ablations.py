@@ -30,8 +30,8 @@ from .suite import SuiteRunner
 
 def _suite_average(suite: SuiteRunner, cache: str, evaluate) -> float:
     values = [
-        evaluate(annotated)
-        for annotated in suite.intervals_by_benchmark(cache).values()
+        evaluate(population)
+        for population in suite.intervals_by_benchmark(cache).values()
     ]
     return float(np.mean(values))
 
@@ -45,16 +45,16 @@ def run_dead_intervals(suite: SuiteRunner | None = None) -> ExperimentResult:
         uniform = _suite_average(
             suite,
             cache,
-            lambda a: evaluate_policy(OptHybrid(model), a.intervals).saving_fraction,
+            lambda p: evaluate_policy(OptHybrid(model), p).saving_fraction,
         )
-        # Dead-aware pricing needs the raw kinds, not the as_normal view.
+        # Dead-aware pricing needs the kinds, not the as_normal view.
         raw_values = []
         for name in suite.benchmark_names:
             run = suite.run(name)
-            raw = run.annotated.annotated_for(cache)
             raw_values.append(
                 evaluate_policy(
-                    OptHybrid(model), raw.intervals, dead_aware=True
+                    OptHybrid(model), run.annotated.annotated_for(cache),
+                    dead_aware=True,
                 ).saving_fraction
             )
         dead_aware = float(np.mean(raw_values))
@@ -93,9 +93,7 @@ def run_ramp_shape(suite: SuiteRunner | None = None) -> ExperimentResult:
             cache: _suite_average(
                 suite,
                 cache,
-                lambda a, m=model: evaluate_policy(
-                    OptHybrid(m), a.intervals
-                ).saving_fraction,
+                lambda p, m=model: evaluate_policy(OptHybrid(m), p).saving_fraction,
             )
             for cache in ("icache", "dcache")
         }
@@ -133,8 +131,8 @@ def run_decay_counter(suite: SuiteRunner | None = None) -> ExperimentResult:
             cache: _suite_average(
                 suite,
                 cache,
-                lambda a, o=overhead: evaluate_policy(
-                    DecaySleep(model, 10_000, counter_overhead=o), a.intervals
+                lambda p, o=overhead: evaluate_policy(
+                    DecaySleep(model, 10_000, counter_overhead=o), p
                 ).saving_fraction,
             )
             for cache in ("icache", "dcache")
@@ -172,8 +170,8 @@ def run_inflection_perturbation(suite: SuiteRunner | None = None) -> ExperimentR
             cache: _suite_average(
                 suite,
                 cache,
-                lambda a, f=factor: evaluate_policy(
-                    OptHybrid(model, sleep_threshold=b * f), a.intervals
+                lambda p, f=factor: evaluate_policy(
+                    OptHybrid(model, sleep_threshold=b * f), p
                 ).saving_fraction,
             )
             for cache in ("icache", "dcache")

@@ -33,8 +33,8 @@ def run(suite: SuiteRunner | None = None) -> ExperimentResult:
     tables: List[Table] = []
     for cache in ("icache", "dcache"):
         rows = []
-        for name, annotated in suite.intervals_by_benchmark(cache).items():
-            mass = annotated.intervals.cycle_mass_by_class(edges)
+        for name, population in suite.intervals_by_benchmark(cache).items():
+            mass = population.cycle_mass_by_class(edges)
             rows.append([name] + [fmt_pct(m) for m in mass])
         tables.append(
             Table(

@@ -40,14 +40,14 @@ def compute(
         for threshold in thresholds:
             threshold = max(float(threshold), floor)
             sleep_vals = [
-                evaluate_policy(OptSleep(model, threshold), a.intervals).saving_fraction
-                for a in populations
+                evaluate_policy(OptSleep(model, threshold), p).saving_fraction
+                for p in populations
             ]
             hybrid_vals = [
                 evaluate_policy(
-                    OptHybrid(model, sleep_threshold=threshold), a.intervals
+                    OptHybrid(model, sleep_threshold=threshold), p
                 ).saving_fraction
-                for a in populations
+                for p in populations
             ]
             sleep_series.append(float(np.mean(sleep_vals)))
             hybrid_series.append(float(np.mean(hybrid_vals)))

@@ -41,26 +41,25 @@ def compute(
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
     for cache in ("icache", "dcache"):
         per_benchmark: Dict[str, Dict[str, float]] = {}
-        for name, annotated in suite.intervals_by_benchmark(cache).items():
-            intervals = annotated.intervals
+        for name, population in suite.intervals_by_benchmark(cache).items():
             row = {
                 "OPT-Drowsy": evaluate_policy(
-                    OptDrowsy(model, name="OPT-Drowsy"), intervals
+                    OptDrowsy(model, name="OPT-Drowsy"), population
                 ).saving_fraction,
                 "Sleep(10K)": evaluate_policy(
-                    DecaySleep(model, 10_000), intervals
+                    DecaySleep(model, 10_000), population
                 ).saving_fraction,
                 "OPT-Sleep(10K)": evaluate_policy(
-                    OptSleep(model, 10_000), intervals
+                    OptSleep(model, 10_000), population
                 ).saving_fraction,
                 "OPT-Hybrid": evaluate_policy(
-                    OptHybrid(model), intervals
+                    OptHybrid(model), population
                 ).saving_fraction,
                 "Prefetch-A": evaluate_prefetch_scheme(
-                    annotated, model, power_first=False
+                    population, model, power_first=False
                 ).savings.saving_fraction,
                 "Prefetch-B": evaluate_prefetch_scheme(
-                    annotated, model, power_first=True
+                    population, model, power_first=True
                 ).savings.saving_fraction,
             }
             per_benchmark[name] = row

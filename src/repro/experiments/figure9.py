@@ -20,8 +20,8 @@ def compute(suite: SuiteRunner, feature_nm: int = 70) -> Dict[str, Dict[str, flo
     out: Dict[str, Dict[str, float]] = {}
     for cache in ("icache", "dcache"):
         summaries = [
-            prefetchability_summary(annotated, model)
-            for annotated in suite.intervals_by_benchmark(cache).values()
+            prefetchability_summary(population, model)
+            for population in suite.intervals_by_benchmark(cache).values()
         ]
         out[cache] = {
             key: float(np.mean([s[key] for s in summaries]))
@@ -38,8 +38,8 @@ def run(suite: SuiteRunner | None = None) -> ExperimentResult:
     for cache in ("icache", "dcache"):
         # Aggregate the per-range counts over the whole suite.
         totals: Dict[str, List[int]] = {}
-        for annotated in suite.intervals_by_benchmark(cache).values():
-            for row in prefetchability_breakdown(annotated, model):
+        for population in suite.intervals_by_benchmark(cache).values():
+            for row in prefetchability_breakdown(population, model):
                 acc = totals.setdefault(row.label, [0, 0, 0])
                 acc[0] += row.total
                 acc[1] += row.nextline

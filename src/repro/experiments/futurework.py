@@ -36,8 +36,8 @@ def compute(
     out: Dict[str, List[TradeoffPoint]] = {}
     for cache in ("icache", "dcache"):
         curves = [
-            prefetch_tradeoff_curve(annotated, model, list(thresholds))
-            for annotated in suite.intervals_by_benchmark(cache).values()
+            prefetch_tradeoff_curve(population, model, list(thresholds))
+            for population in suite.intervals_by_benchmark(cache).values()
         ]
         out[cache] = [
             TradeoffPoint(

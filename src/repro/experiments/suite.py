@@ -1,8 +1,8 @@
 """Shared benchmark-suite runner on top of the execution engine.
 
 Several experiments (Table 2, Figures 7/8/9) consume the same six
-simulations; :class:`SuiteRunner` hands out each benchmark's annotated
-results for one (scale, pipeline) configuration.  Since PR 1 the actual
+simulations; :class:`SuiteRunner` hands out each benchmark's reduced,
+annotated results for one (scale, pipeline) configuration.  Since PR 1 the actual
 simulation goes through :class:`~repro.engine.parallel.ExecutionEngine`:
 results come from the on-disk cache when available, misses fan out over
 worker processes, and a per-instance in-memory layer preserves the old
@@ -20,10 +20,8 @@ from typing import Dict, Iterable, List, Optional
 
 from ..engine import ExecutionEngine, SimulationJob
 from ..errors import ExperimentError
-from ..prefetch.analysis import (
-    AnnotatedIntervals,
-    AnnotatedSimulationResult,
-)
+from ..core.intervals import IntervalPopulation
+from ..prefetch.analysis import AnnotatedSimulationResult
 from ..cpu.pipeline import PipelineConfig
 from ..workloads.benchmarks import BENCHMARK_NAMES
 
@@ -37,17 +35,17 @@ class BenchmarkRun:
 
     name: str
     annotated: AnnotatedSimulationResult
-    _views: Dict[str, AnnotatedIntervals] = field(
+    _views: Dict[str, IntervalPopulation] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def intervals(self, cache: str) -> AnnotatedIntervals:
-        """Annotated intervals for ``'icache'`` or ``'dcache'``.
+    def intervals(self, cache: str) -> IntervalPopulation:
+        """The interval population of ``'icache'`` or ``'dcache'``.
 
         Kinds are re-labelled NORMAL — the paper's default treatment of
         live/dead intervals (§3.1); the dead-interval ablation asks for
-        the raw population via ``annotated`` directly.  Every call returns
-        the same view, so its length spectrum is built only once.
+        the population with its kinds via ``annotated`` directly.  Every
+        call returns the same view, so its spectra are built only once.
         """
         if cache not in self._views:
             self._views[cache] = self.annotated.annotated_for(cache).as_normal()
@@ -136,8 +134,8 @@ class SuiteRunner:
                 self._cache[name] = BenchmarkRun(name=name, annotated=annotated)
         return {name: self._cache[name] for name in self.benchmark_names}
 
-    def intervals_by_benchmark(self, cache: str) -> Dict[str, AnnotatedIntervals]:
-        """Annotated interval populations per benchmark for one cache."""
+    def intervals_by_benchmark(self, cache: str) -> Dict[str, IntervalPopulation]:
+        """Interval populations (NORMAL view) per benchmark for one cache."""
         return {
             name: run.intervals(cache) for name, run in self.all_runs().items()
         }

@@ -30,8 +30,7 @@ def compute(suite: SuiteRunner) -> Dict[str, Dict[int, Dict[str, float]]]:
     for cache in ("icache", "dcache"):
         populations = suite.intervals_by_benchmark(cache)
         grids = [
-            trio_savings(models, annotated.intervals)
-            for annotated in populations.values()
+            trio_savings(models, population) for population in populations.values()
         ]
         results[cache] = {
             feature_nm: {

@@ -46,7 +46,7 @@ from ..cache.kernel import (
     stable_order,
     validated_chunks,
 )
-from ..core.intervals import IntervalSet
+from ..core.intervals import IntervalPopulation, IntervalSet
 from ..cpu.pipeline import IssueClock, PipelineConfig
 from ..cpu.simulator import SimulationResult
 from ..cpu.trace import NO_ACCESS, STORE, TraceChunk
@@ -62,9 +62,17 @@ DEFAULT_ACTIVE_FLOOR = 6
 class AnnotatedIntervals:
     """An interval population with per-interval prefetchability flags.
 
+    This is the annotators' raw output and the oracle's input.
     ``nextline`` and ``stride`` are aligned with ``intervals``; ``stride``
     only marks intervals *not already* caught by next-line, so the two
     are disjoint (Figure 9 reports them as separate shaded areas).
+    ``tail`` marks the end-of-run intervals no access closes: a tail has
+    no closing access to delay, so any policy can gate it at zero
+    performance risk — charging Prefetch-A full active power for it
+    would only measure the finite length of the simulation.
+
+    Every analysis runs on :meth:`reduced`, which keeps the three flags
+    as class bits.
     """
 
     intervals: IntervalSet
@@ -84,25 +92,18 @@ class AnnotatedIntervals:
 
     @property
     def prefetchable(self) -> np.ndarray:
-        """Mask of intervals coverable without a performance penalty.
-
-        Next-line or stride covered, plus end-of-run *tail* intervals: a
-        tail has no closing access to delay, so any policy can gate it at
-        zero performance risk — charging Prefetch-A full active power for
-        it would only measure the finite length of the simulation.
-        """
+        """Mask of intervals coverable without a performance penalty:
+        next-line or stride covered, or a tail."""
         return self.nextline | self.stride | self.tail
 
-    @property
-    def prefetchability(self) -> float:
-        """Prefetchable intervals over all intervals (the Figure 9 ratio)."""
-        n = len(self.intervals)
-        return float(self.prefetchable.sum()) / n if n else 0.0
-
-    def as_normal(self) -> "AnnotatedIntervals":
-        """Re-label every interval NORMAL (the paper's default view)."""
-        return AnnotatedIntervals(
-            self.intervals.as_normal(), self.nextline, self.stride, self.tail
+    def reduced(self) -> IntervalPopulation:
+        """The population's (length, class) rows, flags included."""
+        return IntervalPopulation.of(
+            self.intervals.lengths,
+            self.intervals.kinds,
+            self.nextline,
+            self.stride,
+            self.tail,
         )
 
 
@@ -368,13 +369,18 @@ class _StrideTable:
 
 @dataclass(frozen=True)
 class AnnotatedSimulationResult:
-    """A :class:`SimulationResult` plus prefetchability annotations."""
+    """A :class:`SimulationResult` plus prefetchability annotations.
+
+    The simulator returns raw :class:`AnnotatedIntervals`; a simulation
+    job returns :meth:`reduced`, where ``l1i``/``l1d`` and the result's
+    interval fields are the same :class:`IntervalPopulation` objects.
+    """
 
     result: SimulationResult
-    l1i: AnnotatedIntervals
-    l1d: AnnotatedIntervals
+    l1i: AnnotatedIntervals | IntervalPopulation
+    l1d: AnnotatedIntervals | IntervalPopulation
 
-    def annotated_for(self, which: str) -> AnnotatedIntervals:
+    def annotated_for(self, which: str) -> AnnotatedIntervals | IntervalPopulation:
         """Annotated intervals by cache name (``'l1i'`` or ``'l1d'``)."""
         key = which.lower()
         if key in ("l1i", "icache", "i"):
@@ -382,6 +388,12 @@ class AnnotatedSimulationResult:
         if key in ("l1d", "dcache", "d"):
             return self.l1d
         raise SimulationError(f"unknown cache selector {which!r}")
+
+    def reduced(self) -> "AnnotatedSimulationResult":
+        """Both caches reduced to populations; the scalars stay as they are."""
+        l1i, l1d = self.l1i.reduced(), self.l1d.reduced()
+        result = replace(self.result, l1i_intervals=l1i, l1d_intervals=l1d)
+        return AnnotatedSimulationResult(result=result, l1i=l1i, l1d=l1d)
 
 
 class AnnotatingSimulator:

@@ -12,10 +12,13 @@ approximations of the oracle:
   small wake-up stall (``d3`` cycles) the drowsy literature shows to be
   tolerable.
 
-Both are expressed as :class:`~repro.core.policy.Policy` subclasses bound
-to a fixed interval population (the mask must align), so the standard
+Both are expressed as :class:`~repro.core.policy.Policy` subclasses that
+select a population's rows by their prefetch class bits, so the standard
 Figure 5 evaluation machinery prices them, and the wake-up stalls B
-accepts are reported separately as a performance-cost estimate.
+accepts are reported separately as a performance-cost estimate.  Every
+function here takes an :class:`~repro.core.intervals.IntervalPopulation`
+(a simulation job's reduced result, or
+:meth:`~repro.prefetch.analysis.AnnotatedIntervals.reduced`).
 """
 
 from __future__ import annotations
@@ -28,37 +31,39 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..core.energy import ModeEnergyModel
-from ..core.intervals import IntervalSet, LengthSpectrum
+from ..core.intervals import IntervalPopulation, LengthSpectrum
 from ..core.policy import DROWSY, SLEEP, Policy
 from ..core.savings import SavingsReport, evaluate_policy
 from ..errors import PolicyError
-from .analysis import AnnotatedIntervals
 
 
 class PrefetchGuidedPolicy(Policy):
-    """Mode assignment driven by a per-interval prefetchability mask.
+    """Mode assignment driven by each interval's prefetchability.
 
     Parameters
     ----------
     model:
         The bound energy model (supplies the inflection points).
-    prefetchable:
-        Boolean mask aligned with the interval population the policy will
-        be evaluated on.
     power_first:
         False = Prefetch-A (non-prefetchable stays active);
         True = Prefetch-B (non-prefetchable goes drowsy when feasible).
+
+    Pricing a population reads the prefetchable class bit of every row of
+    its flagged spectrum (:meth:`on_spectrum`); :meth:`with_flags` binds
+    any other mask, e.g. per-interval flags for an oracle.
     """
+
+    #: Prefetchability aligned with the lengths :meth:`modes` is asked
+    #: about; unset on a policy that is not bound to any rows yet.
+    prefetchable: np.ndarray | None = None
 
     def __init__(
         self,
         model: ModeEnergyModel,
-        prefetchable: np.ndarray,
         power_first: bool,
         name: str | None = None,
     ) -> None:
         super().__init__(model, name)
-        self.prefetchable = np.asarray(prefetchable, dtype=bool)
         self.power_first = bool(power_first)
         #: Non-prefetchable intervals longer than this go drowsy.
         self.np_threshold = (
@@ -67,29 +72,29 @@ class PrefetchGuidedPolicy(Policy):
         if name is None:
             self.name = "Prefetch-B" if power_first else "Prefetch-A"
 
-    def _check_aligned(self, count: int) -> None:
-        if count != self.prefetchable.shape[0]:
-            raise PolicyError(
-                f"policy {self.name!r} was built for "
-                f"{self.prefetchable.shape[0]} intervals but asked about "
-                f"{count}"
-            )
+    def with_flags(self, prefetchable: np.ndarray) -> "PrefetchGuidedPolicy":
+        """A copy whose :meth:`modes` read ``prefetchable``."""
+        bound = copy.copy(self)
+        bound.prefetchable = np.asarray(prefetchable, dtype=bool)
+        return bound
 
     def on_spectrum(
-        self, intervals: IntervalSet
+        self, population: IntervalPopulation
     ) -> Tuple["PrefetchGuidedPolicy", LengthSpectrum]:
-        """The spectrum classed by this mask, and a copy masked by its flags."""
-        self._check_aligned(len(intervals))
-        spectrum = intervals.spectrum(self.prefetchable)
-        rows = copy.copy(self)
-        rows.prefetchable = spectrum.prefetchable
-        return rows, spectrum
+        """The flagged spectrum, and a copy bound to its prefetchable rows."""
+        spectrum = population.spectrum(flagged=True)
+        return self.with_flags(spectrum.prefetchable), spectrum
 
     def modes(self, lengths: np.ndarray) -> np.ndarray:
         lengths = np.asarray(lengths)
-        self._check_aligned(lengths.shape[0])
-        codes = np.zeros(lengths.shape, dtype=np.uint8)
         mask = self.prefetchable
+        if mask is None or mask.shape != lengths.shape:
+            raise PolicyError(
+                f"policy {self.name!r} needs prefetch flags aligned with the "
+                f"{lengths.shape[0]} length(s) it assigns; price it on a "
+                "population or bind flags with with_flags()"
+            )
+        codes = np.zeros(lengths.shape, dtype=np.uint8)
         codes[mask & (lengths > self.points.active_drowsy)] = DROWSY
         codes[mask & (lengths > self.points.drowsy_sleep)] = SLEEP
         codes[~mask & (lengths > self.np_threshold)] = DROWSY
@@ -111,11 +116,11 @@ class PrefetchGuidedPolicy(Policy):
         return int(stalled) * self.model.durations.d3
 
     def price(
-        self, intervals: IntervalSet, dead_aware: bool = False
+        self, population: IntervalPopulation, dead_aware: bool = False
     ) -> Tuple[SavingsReport, int]:
-        """Savings and wake-up stall cycles over the mask's population."""
-        savings = evaluate_policy(self, intervals, dead_aware=dead_aware)
-        rows, spectrum = self.on_spectrum(intervals)
+        """Savings and wake-up stall cycles over one population."""
+        savings = evaluate_policy(self, population, dead_aware=dead_aware)
+        rows, spectrum = self.on_spectrum(population)
         return savings, rows.wakeup_stall_cycles(spectrum.lengths, spectrum.counts)
 
 
@@ -136,18 +141,18 @@ class PrefetchSchemeReport:
 
 
 def evaluate_prefetch_scheme(
-    annotated: AnnotatedIntervals,
+    population: IntervalPopulation,
     model: ModeEnergyModel,
     power_first: bool,
     dead_aware: bool = False,
 ) -> PrefetchSchemeReport:
     """Price Prefetch-A (``power_first=False``) or Prefetch-B over a run."""
-    policy = PrefetchGuidedPolicy(model, annotated.prefetchable, power_first)
-    savings, stalls = policy.price(annotated.intervals, dead_aware=dead_aware)
+    policy = PrefetchGuidedPolicy(model, power_first)
+    savings, stalls = policy.price(population, dead_aware=dead_aware)
     return PrefetchSchemeReport(
         savings=savings,
         wakeup_stall_cycles=stalls,
-        total_cycles=annotated.intervals.total_cycles,
+        total_cycles=population.total_cycles,
     )
 
 
@@ -167,47 +172,47 @@ class PrefetchabilityRow:
 
 
 def prefetchability_breakdown(
-    annotated: AnnotatedIntervals,
+    population: IntervalPopulation,
     model: ModeEnergyModel,
 ) -> List[PrefetchabilityRow]:
     """The Figure 9 histogram: ranges (0, a], (a, b], (b, inf).
 
     Counts are interval counts (the paper's prefetchability is "the
     number of prefetchable intervals over the total number of
-    intervals").
+    intervals"), summed over the population's rows.
     """
-    lengths = annotated.intervals.lengths
-    a = model.durations.drowsy_overhead
     from ..core.inflection import solve_sleep_drowsy_point
 
+    lengths, counts = population.lengths, population.counts
+    a = model.durations.drowsy_overhead
     b = solve_sleep_drowsy_point(model)
     ranges = [
         (f"(0, {a}]", lengths <= a),
         (f"({a}, {b:.0f}]", (lengths > a) & (lengths <= b)),
         (f"({b:.0f}, +inf)", lengths > b),
     ]
-    rows = []
-    for label, mask in ranges:
-        rows.append(
-            PrefetchabilityRow(
-                label=label,
-                total=int(mask.sum()),
-                nextline=int((annotated.nextline & mask).sum()),
-                stride=int((annotated.stride & mask).sum()),
-            )
+    nextline, stride = population.nextline, population.stride
+    return [
+        PrefetchabilityRow(
+            label=label,
+            total=int(counts[mask].sum()),
+            nextline=int(counts[mask & nextline].sum()),
+            stride=int(counts[mask & stride].sum()),
         )
-    return rows
+        for label, mask in ranges
+    ]
 
 
 def prefetchability_summary(
-    annotated: AnnotatedIntervals, model: ModeEnergyModel
+    population: IntervalPopulation, model: ModeEnergyModel
 ) -> Dict[str, float]:
     """Total P-NL / P-stride fractions (the Figure 9 headline numbers)."""
-    total = len(annotated.intervals)
+    total = len(population)
     if not total:
         return {"nextline": 0.0, "stride": 0.0, "total": 0.0}
-    nl = float(annotated.nextline.sum()) / total
-    st = float(annotated.stride.sum()) / total
+    counts = population.counts
+    nl = float(counts[population.nextline].sum()) / total
+    st = float(counts[population.stride].sum()) / total
     return {"nextline": nl, "stride": st, "total": nl + st}
 
 
@@ -229,11 +234,10 @@ class PrefetchTradeoff(PrefetchGuidedPolicy):
     def __init__(
         self,
         model: ModeEnergyModel,
-        prefetchable: np.ndarray,
         np_threshold: float,
         name: str | None = None,
     ) -> None:
-        super().__init__(model, prefetchable, power_first=True, name=name)
+        super().__init__(model, power_first=True, name=name)
         if np_threshold < self.points.active_drowsy:
             raise PolicyError(
                 f"NP drowsy threshold {np_threshold!r} is below the "
@@ -254,7 +258,7 @@ class TradeoffPoint:
 
 
 def prefetch_tradeoff_curve(
-    annotated: AnnotatedIntervals,
+    population: IntervalPopulation,
     model: ModeEnergyModel,
     thresholds: "List[float]",
 ) -> "List[TradeoffPoint]":
@@ -265,10 +269,10 @@ def prefetch_tradeoff_curve(
     power/performance frontier the paper's §5.2 sketches.
     """
     points = []
-    total = annotated.intervals.total_cycles
+    total = population.total_cycles
     for threshold in thresholds:
-        policy = PrefetchTradeoff(model, annotated.prefetchable, threshold)
-        report, stalls = policy.price(annotated.intervals)
+        policy = PrefetchTradeoff(model, threshold)
+        report, stalls = policy.price(population)
         points.append(
             TradeoffPoint(
                 np_threshold=float(threshold),

@@ -83,7 +83,7 @@ def collect(spec: SweepSpec, engine=None) -> SweepResults:
             # cells still come out in the original deterministic order.
             models = [ModeEnergyModel(nodes[nm]) for nm in spec.nodes]
             grids = {
-                name: trio_savings(models, populations[name].intervals)
+                name: trio_savings(models, populations[name])
                 for name in spec.benchmarks
             }
             for column, feature_nm in enumerate(spec.nodes):

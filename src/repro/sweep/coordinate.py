@@ -15,9 +15,9 @@ every shard (on one host, or many hosts mounting the same cache):
   ``shard_totals``).
 
 Progress lives in the content-addressed result cache alone: a grid point
-is done when its key is present in the :class:`~repro.engine.ResultStore`.
-Re-running a shard is a cache hit for every finished point, ``status``
-checks presence, and ``merge`` reads results from the cache (recomputing
+is done when the :class:`~repro.engine.ResultStore` holds its key at the
+current schema version.  Re-running a shard is a cache hit for every
+finished point, ``status`` checks entry headers, and ``merge`` reads results from the cache (recomputing
 transparently if an entry is missing or rotted), which is what makes a
 merged report byte-identical to an unsharded run.
 """
@@ -196,8 +196,9 @@ class SweepCoordinator:
     def status(self) -> Dict:
         """Global progress: grid size, and which points the cache holds.
 
-        A point counts as done when its key is present in the result
-        store; presence is a file check, nothing is read or unpickled.
+        A point counts as done when the result store holds its key at the
+        current schema version; only entry headers are read, nothing is
+        unpickled.
         """
         points = expand(self.spec)
         store = ResultStore(self.cache_dir)

@@ -233,9 +233,7 @@ def _models_for(nodes: Sequence[int]) -> List[ModeEnergyModel]:
 
 def _trio_grid(annotated, models: Sequence[ModeEnergyModel]) -> Dict[str, np.ndarray]:
     return {
-        cache: trio_savings(
-            models, annotated.annotated_for(cache).as_normal().intervals
-        )
+        cache: trio_savings(models, annotated.annotated_for(cache).as_normal())
         for cache in CACHES
     }
 

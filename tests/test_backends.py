@@ -20,7 +20,6 @@ it survives infrastructure failure.  This module pins that promise down:
   ``cache info``, and cleaned by ``cache clear``.
 """
 
-import copy
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -46,6 +45,8 @@ from repro.engine import (
     resolve_backend_name,
     resolve_cache_dir,
 )
+from repro.core.intervals import KIND_SHIFT, NEXTLINE, PREFETCH_FLAGS, STRIDE
+from repro.engine.validate import check_raw
 from repro.errors import EngineError
 from repro.prefetch.analysis import annotate_workload_trace
 from repro.workloads import make_benchmark
@@ -98,12 +99,8 @@ def assert_results_identical(a, b):
     assert a.result.instructions == b.result.instructions
     assert a.result.stall_cycles == b.result.stall_cycles
     for cache in ("l1i", "l1d"):
-        va, vb = a.annotated_for(cache), b.annotated_for(cache)
-        assert np.array_equal(va.intervals.lengths, vb.intervals.lengths)
-        assert np.array_equal(va.intervals.kinds, vb.intervals.kinds)
-        assert np.array_equal(va.nextline, vb.nextline)
-        assert np.array_equal(va.stride, vb.stride)
-        assert np.array_equal(va.tail, vb.tail)
+        # Reduced populations: equal (length, class, count) rows.
+        assert a.annotated_for(cache) == b.annotated_for(cache)
 
 
 class TestBackendSelection:
@@ -513,15 +510,70 @@ class TestValidationGate:
     def test_overlapping_flags_caught(self, reference):
         job = SimulationJob("gzip", scale=SMALL)
         good = reference[job].annotated
-        # Constructor validation forbids overlapping flags, but pickling
-        # bypasses __post_init__ — sneak past it the same way a corrupt
-        # payload would.
-        everywhere = np.ones(len(good.l1i.nextline), dtype=bool)
-        poisoned = copy.copy(good.l1i)
-        object.__setattr__(poisoned, "nextline", everywhere)
-        object.__setattr__(poisoned, "stride", everywhere)
-        bad = replace(good, l1i=poisoned)
+        # A reduction never sets both flags, but a corrupt payload can.
+        classes = good.l1i.classes | NEXTLINE | STRIDE
+        bad = replace(good, l1i=replace(good.l1i, classes=classes))
         assert any("overlap" in v for v in check_result(bad))
+
+    @pytest.mark.parametrize(
+        "mangle, violation",
+        [
+            (lambda p: replace(p, lengths=p.lengths[::-1].copy()), "not sorted"),
+            (
+                lambda p: replace(p, counts=np.where(p.counts > 1, 0, p.counts)),
+                "counts must be positive",
+            ),
+            (
+                lambda p: replace(p, classes=p.classes | NEXTLINE | STRIDE),
+                "next-line and stride flags overlap",
+            ),
+            (
+                lambda p: replace(
+                    p, classes=(p.classes & PREFETCH_FLAGS) | (3 << KIND_SHIFT)
+                ),
+                "unknown interval kinds",
+            ),
+        ],
+        ids=["unsorted-lengths", "zero-count", "nextline-and-stride", "kind-3"],
+    )
+    def test_mangled_population_quarantined(
+        self, reference, tmp_path, monkeypatch, mangle, violation
+    ):
+        import repro.engine.parallel as parallel
+
+        job = SimulationJob("gzip", scale=SMALL)
+        good = reference[job].annotated
+        bad = replace(good, l1d=mangle(good.l1d))
+        assert any(violation in v for v in check_result(bad))
+        # The parent's gate quarantines it and re-runs the job.
+        results = iter([bad, good])
+        monkeypatch.setattr(parallel, "execute_job", lambda job: next(results))
+        engine = ExecutionEngine(jobs=1, store=ResultStore(tmp_path), retry=FAST_RETRY)
+        outcome = engine.run_one(job)
+        assert outcome.attempts == 2
+        (quarantine,) = engine.telemetry.quarantines
+        assert any(violation in v for v in quarantine["violations"])
+        cached = ResultStore(tmp_path).get(job.key())
+        assert cached is not None and check_result(cached) == []
+
+    def test_clean_raw_result_passes_the_job_gate(self):
+        raw = annotate_workload_trace(make_benchmark("gzip", scale=SMALL).chunks())
+        assert check_raw(raw) == []
+
+    def test_misaligned_raw_flags_raise_in_the_job(self, monkeypatch):
+        import repro.engine.jobs as jobs
+
+        simulate = jobs.AnnotatingSimulator.run
+
+        def misaligned(self, trace):
+            raw = simulate(self, trace)
+            # Constructors forbid this; a buggy annotator could not.
+            object.__setattr__(raw.l1d, "tail", raw.l1d.tail[:-1])
+            return raw
+
+        monkeypatch.setattr(jobs.AnnotatingSimulator, "run", misaligned)
+        with pytest.raises(InvalidResultError, match="tail flags misaligned"):
+            jobs.execute_job(SimulationJob("gzip", scale=SMALL))
 
     def test_garbage_result_quarantined_and_retried(self, reference, tmp_path):
         cache = tmp_path / "gate-cache"

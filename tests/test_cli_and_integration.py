@@ -82,11 +82,9 @@ class TestEndToEnd:
         from repro.core import DecaySleep
 
         for view in (annotated.l1i, annotated.l1d):
-            view = view.as_normal()
-            decay = evaluate_policy(
-                DecaySleep(model70, 10_000), view.intervals
-            ).saving_fraction
-            hybrid = evaluate_policy(OptHybrid(model70), view.intervals).saving_fraction
+            view = view.reduced().as_normal()
+            decay = evaluate_policy(DecaySleep(model70, 10_000), view).saving_fraction
+            hybrid = evaluate_policy(OptHybrid(model70), view).saving_fraction
             b = evaluate_prefetch_scheme(view, model70, power_first=True)
             assert decay - 0.02 <= b.savings.saving_fraction <= hybrid + 1e-9
 

@@ -52,8 +52,8 @@ class TestSuiteRunner:
     def test_intervals_views_are_normalized(self, suite):
         from repro.core.intervals import IntervalKind
 
-        annotated = suite.run("gzip").intervals("icache")
-        assert all(k == IntervalKind.NORMAL for k in annotated.intervals.kinds)
+        population = suite.run("gzip").intervals("icache")
+        assert all(k == IntervalKind.NORMAL for k in population.kinds)
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ExperimentError):

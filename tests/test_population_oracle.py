@@ -1,0 +1,247 @@
+"""Reduced interval populations against the raw intervals they came from.
+
+A simulation job returns each cache's
+:class:`~repro.core.intervals.IntervalPopulation` — (length, class,
+count) rows — while the simulator itself still returns raw
+:class:`~repro.prefetch.analysis.AnnotatedIntervals`.  For all six paper
+benchmarks at scale 0.05 and both caches, every count, statistic,
+spectrum and Figure 9 number read off the reduction must equal the
+per-interval computation on the raw arrays exactly, and every policy
+price must agree with per-interval pricing within 1e-12 relative.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.inflection import solve_sleep_drowsy_point
+from repro.core.intervals import IntervalKind, IntervalPopulation, LengthSpectrum
+from repro.core.policy import CODE_MODES, OptHybrid, trio_policies
+from repro.core.savings import evaluate_policy
+from repro.engine import ExecutionEngine, ResultStore, SimulationJob, execute_job
+from repro.prefetch.analysis import AnnotatingSimulator
+from repro.prefetch.schemes import (
+    PrefetchGuidedPolicy,
+    PrefetchTradeoff,
+    prefetchability_breakdown,
+    prefetchability_summary,
+)
+from repro.workloads.benchmarks import BENCHMARK_NAMES, make_benchmark
+
+SCALE = 0.05
+REL = 1e-12
+BOUNDARIES = [6, 100, 1057, 10_000, 100_000]
+CACHES = ("l1i", "l1d")
+
+
+@pytest.fixture(scope="module", params=BENCHMARK_NAMES)
+def pair(request):
+    """(reduced job result, raw simulator result) for one benchmark."""
+    name = request.param
+    reduced = execute_job(SimulationJob(name, scale=SCALE))
+    raw = AnnotatingSimulator().run(make_benchmark(name, scale=SCALE).chunks())
+    return reduced, raw
+
+
+def views(pair, cache):
+    """(population, lengths, kinds, raw flags) — as stored, and as_normal."""
+    reduced, raw = pair
+    population = reduced.annotated_for(cache)
+    annotated = raw.annotated_for(cache)
+    lengths = annotated.intervals.lengths
+    kinds = annotated.intervals.kinds
+    yield population, lengths, kinds, annotated
+    yield population.as_normal(), lengths, np.zeros_like(kinds), annotated
+
+
+def assert_same_spectrum(got, expected):
+    for column in ("lengths", "kinds", "prefetchable", "counts"):
+        a, b = getattr(got, column), getattr(expected, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b), column
+
+
+@pytest.mark.parametrize("cache", CACHES)
+class TestReducedAgainstRaw:
+    def test_result_scalars_carry_over(self, pair, cache):
+        reduced, raw = pair
+        for field in ("cycles", "instructions", "stall_cycles", "stats"):
+            assert getattr(reduced.result, field) == getattr(raw.result, field)
+        assert reduced.result.intervals_for(cache) is reduced.annotated_for(cache)
+
+    def test_counts_and_statistics_exact(self, pair, cache):
+        for population, lengths, kinds, _ in views(pair, cache):
+            assert len(population) == len(lengths)
+            assert population.total_cycles == int(lengths.sum())
+            edges = [0] + BOUNDARIES + [np.inf]
+            masks = [
+                (lengths > lo) & (lengths <= hi) for lo, hi in zip(edges, edges[1:])
+            ]
+            assert population.count_by_class(BOUNDARIES) == [
+                int(mask.sum()) for mask in masks
+            ]
+            total = float(lengths.sum())
+            assert population.cycle_mass_by_class(BOUNDARIES) == [
+                float(lengths[mask].sum()) / total for mask in masks
+            ]
+            stats = population.statistics()
+            assert stats.count == len(lengths)
+            assert stats.total_cycles == int(lengths.sum())
+            assert stats.mean_length == float(lengths.mean())
+            assert stats.median_length == int(np.median(lengths))
+            assert stats.max_length == int(lengths.max())
+            assert stats.dead_fraction == float(np.mean(kinds == IntervalKind.DEAD))
+            for kind in IntervalKind:
+                subset = population.of_kind(kind)
+                assert len(subset) == int((kinds == kind).sum())
+                assert subset.total_cycles == int(lengths[kinds == kind].sum())
+
+    def test_spectra_exact(self, pair, cache):
+        for population, lengths, kinds, annotated in views(pair, cache):
+            assert_same_spectrum(
+                population.spectrum(), LengthSpectrum.of(lengths, kinds)
+            )
+            assert_same_spectrum(
+                population.spectrum(flagged=True),
+                LengthSpectrum.of(lengths, kinds, annotated.prefetchable),
+            )
+
+    def test_figure9_exact(self, pair, cache, model70):
+        a = model70.durations.drowsy_overhead
+        b = solve_sleep_drowsy_point(model70)
+        for population, lengths, _, annotated in views(pair, cache):
+            ranges = [lengths <= a, (lengths > a) & (lengths <= b), lengths > b]
+            rows = prefetchability_breakdown(population, model70)
+            assert [(r.total, r.nextline, r.stride) for r in rows] == [
+                (
+                    int(mask.sum()),
+                    int((annotated.nextline & mask).sum()),
+                    int((annotated.stride & mask).sum()),
+                )
+                for mask in ranges
+            ]
+            n = len(lengths)
+            nextline = float(annotated.nextline.sum()) / n
+            stride = float(annotated.stride.sum()) / n
+            assert prefetchability_summary(population, model70) == {
+                "nextline": nextline,
+                "stride": stride,
+                "total": nextline + stride,
+            }
+            assert population.prefetchability == (
+                float(annotated.prefetchable.sum()) / n
+            )
+
+    def test_pricing_matches_per_interval(self, pair, cache, model70):
+        stored, normal = views(pair, cache)
+        policies = [
+            *trio_policies(model70),
+            PrefetchGuidedPolicy(model70, power_first=False),
+            PrefetchGuidedPolicy(model70, power_first=True),
+            PrefetchTradeoff(model70, np_threshold=2000),
+        ]
+        for policy in policies:
+            assert_priced_like_raw(policy, *normal, dead_aware=False)
+        assert_priced_like_raw(OptHybrid(model70), *stored, dead_aware=True)
+
+
+def assert_priced_like_raw(policy, population, lengths, kinds, annotated, dead_aware):
+    """Spectrum pricing of ``population`` against per-interval pricing."""
+    report = evaluate_policy(policy, population, dead_aware=dead_aware)
+    per_interval = policy
+    if isinstance(policy, PrefetchGuidedPolicy):
+        per_interval = policy.with_flags(annotated.prefetchable)
+        _, stalls = policy.price(population, dead_aware=dead_aware)
+        assert stalls == per_interval.wakeup_stall_cycles(lengths)
+    energies = per_interval.energies(lengths, kinds, dead_aware=dead_aware)
+    codes = per_interval.modes(lengths)
+    for code, mode in CODE_MODES.items():
+        mask = codes == code
+        entry = report.breakdown.get(mode)
+        if not mask.any():
+            assert entry is None
+            continue
+        assert entry.interval_count == int(mask.sum())
+        assert entry.cycles == int(lengths[mask].sum())
+        assert entry.energy == pytest.approx(float(energies[mask].sum()), rel=REL)
+    baseline = float(policy.model.active_energy_array(lengths).sum())
+    saving = 1.0 - (
+        float(energies.sum()) + policy.overhead_power_fraction * float(lengths.sum())
+    ) / baseline
+    assert report.saving_fraction == pytest.approx(saving, rel=REL, abs=REL)
+
+
+class TestWeightedStatistics:
+    """Mean and median off the rows equal numpy's on the expanded array."""
+
+    @staticmethod
+    def assert_matches_numpy(lengths, kinds=None):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        stats = IntervalPopulation.of(lengths, kinds).statistics()
+        assert stats.count == len(lengths)
+        assert stats.mean_length == float(np.mean(lengths))
+        assert stats.median_length == int(np.median(lengths))
+        assert stats.max_length == int(lengths.max())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(1, 10**7), st.integers(1, 40), st.integers(0, 2)),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_random_rows(self, rows):
+        lengths = np.repeat([r[0] for r in rows], [r[1] for r in rows])
+        kinds = np.repeat([r[2] for r in rows], [r[1] for r in rows])
+        self.assert_matches_numpy(lengths, kinds)
+
+    def test_even_total_takes_the_floor_of_the_middle_mean(self):
+        self.assert_matches_numpy([1, 4])
+        self.assert_matches_numpy([3, 3, 8, 8, 8, 10])
+        assert IntervalPopulation.of([1, 4]).statistics().median_length == 2
+
+    def test_single_row(self):
+        self.assert_matches_numpy([7, 7, 7])
+        assert IntervalPopulation.of([7, 7, 7]).lengths.size == 1
+
+    def test_all_equal_lengths_across_classes(self):
+        self.assert_matches_numpy([5, 5, 5, 5], kinds=[0, 1, 2, 0])
+        assert IntervalPopulation.of([5, 5, 5, 5], kinds=[0, 1, 2, 0]).lengths.size == 3
+
+    def test_empty(self):
+        stats = IntervalPopulation.of([]).statistics()
+        assert (stats.count, stats.total_cycles, stats.median_length) == (0, 0, 0)
+
+
+def _arrays(value, seen=None):
+    """Every numpy array reachable from ``value``."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item, seen)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _arrays(item, seen)
+    elif hasattr(value, "__dict__"):
+        yield from _arrays(vars(value), seen)
+
+
+class TestStoredEntry:
+    def test_stored_entry_holds_no_per_interval_array(self, tmp_path):
+        job = SimulationJob("gzip", scale=SCALE)
+        ExecutionEngine(jobs=1, store=ResultStore(tmp_path)).run_one(job)
+        stored = ResultStore(tmp_path).get(job.key())
+        assert stored.result.l1i_intervals is stored.l1i
+        assert stored.result.l1d_intervals is stored.l1d
+        intervals = min(len(stored.l1i), len(stored.l1d))
+        arrays = list(_arrays(stored))
+        assert arrays
+        assert max(array.size for array in arrays) < intervals
+        # The gate built spectra before the write; none were pickled.
+        assert stored.l1i._spectra == {} and stored.l1d._spectra == {}

@@ -112,7 +112,7 @@ class TestAnnotatedIntervals:
     def test_prefetchability_fraction(self):
         annotated = self._make([10, 20, 30, 40], [True, False, False, False],
                                [False, True, False, False])
-        assert annotated.prefetchability == pytest.approx(0.5)
+        assert annotated.reduced().prefetchability == pytest.approx(0.5)
 
 
 class TestAnnotatingSimulator:
@@ -180,39 +180,45 @@ class TestPrefetchSchemes:
 
     def test_prefetch_a_keeps_np_active(self, model70):
         annotated = self._annotated(model70)
-        policy = PrefetchGuidedPolicy(model70, annotated.prefetchable, power_first=False)
-        codes = policy.modes(annotated.intervals.lengths)
+        policy = PrefetchGuidedPolicy(model70, power_first=False)
+        codes = policy.with_flags(annotated.prefetchable).modes(
+            annotated.intervals.lengths
+        )
         # NP intervals (index 2 and 4) stay active; P intervals get modes.
         assert list(codes) == [0, 1, 0, 2, 0, 2]
 
     def test_prefetch_b_drowsies_np(self, model70):
         annotated = self._annotated(model70)
-        policy = PrefetchGuidedPolicy(model70, annotated.prefetchable, power_first=True)
-        codes = policy.modes(annotated.intervals.lengths)
+        policy = PrefetchGuidedPolicy(model70, power_first=True)
+        codes = policy.with_flags(annotated.prefetchable).modes(
+            annotated.intervals.lengths
+        )
         assert list(codes) == [0, 1, 1, 2, 1, 2]
 
     def test_b_saves_at_least_a(self, model70):
-        annotated = self._annotated(model70)
-        a = evaluate_prefetch_scheme(annotated, model70, power_first=False)
-        b = evaluate_prefetch_scheme(annotated, model70, power_first=True)
+        population = self._annotated(model70).reduced()
+        a = evaluate_prefetch_scheme(population, model70, power_first=False)
+        b = evaluate_prefetch_scheme(population, model70, power_first=True)
         assert b.savings.saving_fraction >= a.savings.saving_fraction
 
     def test_a_has_no_wakeup_stalls(self, model70):
-        annotated = self._annotated(model70)
-        a = evaluate_prefetch_scheme(annotated, model70, power_first=False)
-        b = evaluate_prefetch_scheme(annotated, model70, power_first=True)
+        population = self._annotated(model70).reduced()
+        a = evaluate_prefetch_scheme(population, model70, power_first=False)
+        b = evaluate_prefetch_scheme(population, model70, power_first=True)
         assert a.wakeup_stall_cycles == 0
         assert b.wakeup_stall_cycles == 2 * model70.durations.d3
         assert b.stall_overhead > 0
 
     def test_mask_alignment_enforced(self, model70):
-        policy = PrefetchGuidedPolicy(model70, np.array([True]), power_first=True)
+        policy = PrefetchGuidedPolicy(model70, power_first=True)
         with pytest.raises(PolicyError):
-            policy.modes(np.array([10, 20]))
+            policy.with_flags(np.array([True])).modes(np.array([10, 20]))
+        with pytest.raises(PolicyError):
+            policy.modes(np.array([10, 20]))  # bound to no flags at all
 
     def test_breakdown_ranges(self, model70):
-        annotated = self._annotated(model70)
-        rows = prefetchability_breakdown(annotated, model70)
+        population = self._annotated(model70).reduced()
+        rows = prefetchability_breakdown(population, model70)
         assert len(rows) == 3
         assert rows[0].total == 1           # the length-3 interval
         assert rows[1].total == 2           # the two 100-cycle intervals
@@ -220,7 +226,7 @@ class TestPrefetchSchemes:
         assert sum(r.nextline for r in rows) == 2
 
     def test_summary_fractions(self, model70):
-        annotated = self._annotated(model70)
-        summary = prefetchability_summary(annotated, model70)
+        population = self._annotated(model70).reduced()
+        summary = prefetchability_summary(population, model70)
         assert summary["nextline"] == pytest.approx(2 / 6)
         assert summary["stride"] == pytest.approx(0.0)

@@ -31,8 +31,9 @@ def annotated():
 
 class TestEndpoints:
     def test_threshold_a_reproduces_prefetch_b(self, model70, annotated):
-        tradeoff = PrefetchTradeoff(model70, annotated.prefetchable, np_threshold=6)
-        b_policy = PrefetchGuidedPolicy(model70, annotated.prefetchable, power_first=True)
+        flags = annotated.prefetchable
+        tradeoff = PrefetchTradeoff(model70, np_threshold=6).with_flags(flags)
+        b_policy = PrefetchGuidedPolicy(model70, power_first=True).with_flags(flags)
         lengths = annotated.intervals.lengths
         assert np.array_equal(tradeoff.modes(lengths), b_policy.modes(lengths))
         assert tradeoff.wakeup_stall_cycles(lengths) == b_policy.wakeup_stall_cycles(
@@ -40,12 +41,9 @@ class TestEndpoints:
         )
 
     def test_infinite_threshold_reproduces_prefetch_a(self, model70, annotated):
-        tradeoff = PrefetchTradeoff(
-            model70, annotated.prefetchable, np_threshold=math.inf
-        )
-        a_policy = PrefetchGuidedPolicy(
-            model70, annotated.prefetchable, power_first=False
-        )
+        flags = annotated.prefetchable
+        tradeoff = PrefetchTradeoff(model70, np_threshold=math.inf).with_flags(flags)
+        a_policy = PrefetchGuidedPolicy(model70, power_first=False).with_flags(flags)
         lengths = annotated.intervals.lengths
         assert np.array_equal(tradeoff.modes(lengths), a_policy.modes(lengths))
         assert tradeoff.wakeup_stall_cycles(lengths) == 0
@@ -54,7 +52,7 @@ class TestEndpoints:
 class TestFrontier:
     def test_savings_and_stalls_both_monotone(self, model70, annotated):
         curve = prefetch_tradeoff_curve(
-            annotated, model70, [6, 100, 2000, 50_000, math.inf]
+            annotated.reduced(), model70, [6, 100, 2000, 50_000, math.inf]
         )
         savings = [p.saving_fraction for p in curve]
         stalls = [p.stall_overhead for p in curve]
@@ -63,14 +61,17 @@ class TestFrontier:
         assert stalls[-1] == 0.0
 
     def test_intermediate_point_is_strictly_between(self, model70, annotated):
-        curve = prefetch_tradeoff_curve(annotated, model70, [6, 2000, math.inf])
+        curve = prefetch_tradeoff_curve(
+            annotated.reduced(), model70, [6, 2000, math.inf]
+        )
         b_point, mid, a_point = curve
         assert a_point.saving_fraction < mid.saving_fraction < b_point.saving_fraction
 
     def test_matches_scheme_evaluations(self, model70, annotated):
-        curve = prefetch_tradeoff_curve(annotated, model70, [6, math.inf])
-        b_report = evaluate_prefetch_scheme(annotated, model70, power_first=True)
-        a_report = evaluate_prefetch_scheme(annotated, model70, power_first=False)
+        population = annotated.reduced()
+        curve = prefetch_tradeoff_curve(population, model70, [6, math.inf])
+        b_report = evaluate_prefetch_scheme(population, model70, power_first=True)
+        a_report = evaluate_prefetch_scheme(population, model70, power_first=False)
         assert curve[0].saving_fraction == pytest.approx(
             b_report.savings.saving_fraction
         )
@@ -82,18 +83,18 @@ class TestFrontier:
 class TestValidation:
     def test_threshold_below_a_rejected(self, model70, annotated):
         with pytest.raises(PolicyError):
-            PrefetchTradeoff(model70, annotated.prefetchable, np_threshold=3)
+            PrefetchTradeoff(model70, np_threshold=3)
 
     def test_mask_alignment_enforced(self, model70):
-        policy = PrefetchTradeoff(model70, np.array([True]), np_threshold=100)
+        policy = PrefetchTradeoff(model70, np_threshold=100)
         with pytest.raises(PolicyError):
-            policy.modes(np.array([10, 20]))
+            policy.with_flags(np.array([True])).modes(np.array([10, 20]))
 
     def test_name(self, model70, annotated):
-        policy = PrefetchTradeoff(model70, annotated.prefetchable, np_threshold=2000)
+        policy = PrefetchTradeoff(model70, np_threshold=2000)
         assert policy.name == "Prefetch-T(2000)"
 
     def test_evaluable_through_standard_machinery(self, model70, annotated):
-        policy = PrefetchTradeoff(model70, annotated.prefetchable, np_threshold=2000)
-        report = evaluate_policy(policy, annotated.intervals)
+        policy = PrefetchTradeoff(model70, np_threshold=2000)
+        report = evaluate_policy(policy, annotated.reduced())
         assert 0.0 < report.saving_fraction < 1.0

@@ -4,13 +4,13 @@
 population's :class:`~repro.core.intervals.LengthSpectrum` once and
 weights it by its count.  The oracle here prices every interval on its
 own — ``policy.energies(lengths, kinds, dead_aware)`` summed over the
-whole population, exactly as the Figure 5 loop is written — and the two
-must agree: interval counts and cycles per mode exactly, energies and
-saving fractions within a relative 1e-12.
+whole raw population, exactly as the Figure 5 loop is written, with a
+prefetch policy bound to the per-interval flags — and the two must
+agree: interval counts and cycles per mode exactly, energies and saving
+fractions within a relative 1e-12.
 """
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.energy import ModeEnergyModel
-from repro.core.intervals import IntervalSet, LengthSpectrum
+from repro.core.intervals import IntervalPopulation, IntervalSet, LengthSpectrum
 from repro.core.policy import (
     CODE_MODES,
     TRIO_SCHEMES,
@@ -37,8 +37,10 @@ MODELS = {nm: ModeEnergyModel(node) for nm, node in paper_nodes().items()}
 REL = 1e-12
 
 
-def oracle(policy, intervals, dead_aware):
+def oracle(policy, intervals, dead_aware, prefetchable=None):
     """Per-interval Figure 5 accumulation: (per-mode stats, saving)."""
+    if isinstance(policy, PrefetchGuidedPolicy):
+        policy = policy.with_flags(prefetchable)
     lengths, kinds = intervals.lengths, intervals.kinds
     energies = policy.energies(lengths, kinds, dead_aware=dead_aware)
     codes = policy.modes(lengths)
@@ -58,9 +60,9 @@ def oracle(policy, intervals, dead_aware):
     return stats, 1.0 - total / baseline
 
 
-def assert_matches_oracle(policy, intervals, dead_aware):
-    report = evaluate_policy(policy, intervals, dead_aware=dead_aware)
-    stats, saving = oracle(policy, intervals, dead_aware)
+def assert_matches_oracle(policy, intervals, population, dead_aware, prefetchable):
+    report = evaluate_policy(policy, population, dead_aware=dead_aware)
+    stats, saving = oracle(policy, intervals, dead_aware, prefetchable)
     assert set(report.breakdown) == set(stats)
     for mode, (count, cycles, energy) in stats.items():
         entry = report.breakdown[mode]
@@ -77,21 +79,34 @@ length_pool = st.lists(
 )
 
 
+#: Valid (next-line, stride, tail) flag combinations: the two prefetch
+#: flags are disjoint.
+FLAG_CHOICES = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]
+
+
 @st.composite
 def populations(draw):
+    """(raw intervals, per-interval prefetchable mask, reduced population)."""
     pool = draw(length_pool)
     n = draw(st.integers(1, 120))
     picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     kinds = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return IntervalSet(picks, kinds), np.array(flags, dtype=bool)
+    flags = np.array(
+        draw(st.lists(st.sampled_from(FLAG_CHOICES), min_size=n, max_size=n)),
+        dtype=bool,
+    ).reshape(n, 3)
+    intervals = IntervalSet(picks, kinds)
+    population = IntervalPopulation.of(
+        intervals.lengths, intervals.kinds, flags[:, 0], flags[:, 1], flags[:, 2]
+    )
+    return intervals, flags.any(axis=1), population
 
 
 models = st.sampled_from(sorted(MODELS)).map(MODELS.get)
 
 
 @st.composite
-def policies(draw, prefetchable):
+def policies(draw):
     model = draw(models)
     b = OptHybrid(model).sleep_threshold
     choice = draw(st.integers(0, 6))
@@ -111,33 +126,33 @@ def policies(draw, prefetchable):
     if choice == 3:
         return OptHybrid(model, draw(st.floats(b, 10 * b)))
     if choice in (4, 5):
-        return PrefetchGuidedPolicy(model, prefetchable, power_first=choice == 5)
+        return PrefetchGuidedPolicy(model, power_first=choice == 5)
     threshold = draw(
         st.sampled_from([math.inf, float(model.drowsy_min_length)])
         | st.floats(model.drowsy_min_length, 300_000.0)
     )
-    return PrefetchTradeoff(model, prefetchable, threshold)
+    return PrefetchTradeoff(model, threshold)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), dead_aware=st.booleans())
 def test_spectrum_pricing_matches_scalar_oracle(data, dead_aware):
-    intervals, prefetchable = data.draw(populations())
-    policy = data.draw(policies(prefetchable))
-    assert_matches_oracle(policy, intervals, dead_aware)
+    intervals, prefetchable, population = data.draw(populations())
+    policy = data.draw(policies())
+    assert_matches_oracle(policy, intervals, population, dead_aware, prefetchable)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_stalls_match_per_interval_count(data):
-    intervals, prefetchable = data.draw(populations())
-    policy = data.draw(policies(prefetchable))
+    intervals, prefetchable, population = data.draw(populations())
+    policy = data.draw(policies())
     if not isinstance(policy, PrefetchGuidedPolicy):
         return
-    rows, spectrum = policy.on_spectrum(intervals)
+    rows, spectrum = policy.on_spectrum(population)
     assert rows.wakeup_stall_cycles(
         spectrum.lengths, spectrum.counts
-    ) == policy.wakeup_stall_cycles(intervals.lengths)
+    ) == policy.with_flags(prefetchable).wakeup_stall_cycles(intervals.lengths)
 
 
 class TestTrioSavings:
@@ -156,7 +171,13 @@ class TestTrioSavings:
 class TestLengthSpectrum:
     def test_rows_are_distinct_classes_with_counts(self):
         intervals = IntervalSet([5, 9, 5, 5, 9], kinds=[0, 0, 1, 0, 0])
-        spectrum = intervals.spectrum(np.array([1, 0, 0, 1, 0], dtype=bool))
+        population = IntervalPopulation.of(
+            intervals.lengths,
+            intervals.kinds,
+            nextline=np.array([1, 0, 0, 0, 0], dtype=bool),
+            tail=np.array([0, 0, 0, 1, 0], dtype=bool),
+        )
+        spectrum = population.spectrum(flagged=True)
         assert spectrum.lengths.tolist() == [5, 5, 9]
         assert spectrum.kinds.tolist() == [0, 1, 0]
         assert spectrum.prefetchable.tolist() == [True, False, False]
@@ -164,26 +185,18 @@ class TestLengthSpectrum:
         assert int(spectrum.cycles.sum()) == intervals.total_cycles
 
     def test_built_once_per_population_and_mask(self):
-        intervals = IntervalSet([3, 3, 7])
-        assert intervals.spectrum() is intervals.spectrum()
-        mask = np.array([True, False, False])
-        flagged = intervals.spectrum(mask)
-        assert intervals.spectrum(mask.copy()) is flagged
-        assert intervals.spectrum(~mask) is not flagged
-
-    def test_not_pickled_with_the_population(self):
-        intervals = IntervalSet([3, 3, 7])
-        intervals.spectrum()
-        intervals.spectrum(np.array([True, False, True]))
-        restored = pickle.loads(pickle.dumps(intervals))
-        assert restored == intervals
-        assert set(vars(restored)) == {"lengths", "kinds"}
-        assert pickle.dumps(restored) == pickle.dumps(IntervalSet([3, 3, 7]))
+        population = IntervalPopulation.of(
+            [3, 3, 7], tail=np.array([True, False, False])
+        )
+        assert population.spectrum() is population.spectrum()
+        flagged = population.spectrum(flagged=True)
+        assert population.spectrum(flagged=True) is flagged
+        assert population.spectrum() is not flagged
 
     def test_misaligned_prefetch_policy_raises(self, model70):
-        policy = PrefetchGuidedPolicy(model70, np.array([True]), power_first=True)
+        policy = PrefetchGuidedPolicy(model70, power_first=True)
         with pytest.raises(PolicyError):
-            evaluate_policy(policy, IntervalSet([10, 20]))
+            policy.with_flags(np.array([True])).energies(np.array([10, 20]))
 
     def test_empty_spectrum(self):
         spectrum = LengthSpectrum.of(
