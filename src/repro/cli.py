@@ -4,7 +4,7 @@ Four subcommands::
 
     repro-leakage run <experiment> [...]   # tables/figures (the default)
     repro-leakage cache {info,clear}       # result-cache maintenance
-    repro-leakage sweep {plan,run,status,merge}  # sharded parameter sweeps
+    repro-leakage sweep {plan,run}         # parameter sweeps
     repro-leakage trace {record,info,validate,convert,simpoints}  # traces
 
 The historical flat forms keep working — a bare experiment name implies
@@ -30,19 +30,16 @@ under
 telemetry footer — exportable as JSON via ``--manifest`` — reports where
 the time went, including every retry and degradation.  The report on
 stdout is byte-identical whatever the worker count, cache state, fault
-history, rerun or shard split; telemetry goes to stderr.  The result
-cache is also the only progress record: rerunning an interrupted command
-against the same cache simulates only the jobs it had not finished.
+history or rerun; telemetry goes to stderr.  The result cache is also
+the only progress record: rerunning an interrupted command against the
+same cache simulates only the jobs it had not finished.
 
 A sweep expands a declarative spec (benchmarks × scales × pipelines ×
-technology nodes) into engine jobs, optionally sharded across hosts
-(``--shard-index/--shard-count`` against a shared cache directory), and
-``sweep merge`` folds every shard's cached results into one report::
+technology nodes) into engine jobs, runs them all in one engine run and
+prints the report; a rerun against the same cache simulates nothing::
 
-    repro-leakage sweep plan --spec scaling.json --shard-count 4
-    repro-leakage sweep run --spec scaling.json --shard-index 0 --shard-count 4
-    repro-leakage sweep status --spec scaling.json
-    repro-leakage sweep merge --spec scaling.json --csv out/
+    repro-leakage sweep plan --sweep-name scaling --scales 0.25 --save s.json
+    repro-leakage sweep run --spec s.json --jobs 4 --csv out/
 
 Exit codes are uniform across every command: 0 success, 2 usage or
 runtime error (details on stderr), 130 interrupted.
@@ -65,16 +62,7 @@ from .engine import (
 from .errors import ReproError
 from .experiments.runner import experiment_names, run_all, run_experiment
 from .experiments.suite import SuiteRunner
-from .sweep import (
-    ShardAssignment,
-    SweepSpec,
-    collect_sharing_stats,
-    merge as sweep_merge,
-    plan_text,
-    run_shard,
-    shard_run_summary,
-    status_text,
-)
+from .sweep import SweepSpec, plan_text, run_sweep
 from .workloads.benchmarks import BENCHMARK_NAMES
 
 #: Top-level subcommands; anything else on the command line is treated
@@ -239,8 +227,9 @@ def _add_cache_parser(commands) -> None:
         "cache",
         help="inspect or empty the on-disk result cache",
         description=(
-            "Result-cache maintenance.  'info' reports location, size and "
-            "cross-run sharing statistics; 'clear' empties the cache."
+            "Result-cache maintenance.  'info' reports location, size, "
+            "quarantined entries and recorded traces; 'clear' empties the "
+            "cache."
         ),
     )
     cache.add_argument(
@@ -296,24 +285,19 @@ def _add_spec_arguments(parser) -> None:
 def _add_sweep_parser(commands) -> None:
     sweep = commands.add_parser(
         "sweep",
-        help="sharded parameter sweeps over the experiment grid",
+        help="parameter sweeps over the experiment grid",
         description=(
             "Expand a declarative spec (benchmarks x scales x pipelines x "
-            "technology nodes) into engine jobs, run them — optionally "
-            "sharded across hosts against a shared cache — and merge all "
-            "shards into one report."
+            "technology nodes) into engine jobs, run them all in one engine "
+            "run and print the sweep report."
         ),
     )
     verbs = sweep.add_subparsers(dest="verb", metavar="verb", required=True)
 
     plan = verbs.add_parser(
-        "plan", help="expand the grid and show the shard split (no runs)"
+        "plan", help="expand the grid and list its points (no runs)"
     )
     _add_spec_arguments(plan)
-    plan.add_argument(
-        "--shard-count", type=int, default=1, metavar="N",
-        help="preview the split across N shards",
-    )
     plan.add_argument(
         "--save", default=None, metavar="FILE",
         help="also write the (possibly flag-built) spec as JSON",
@@ -322,66 +306,32 @@ def _add_sweep_parser(commands) -> None:
 
     run = verbs.add_parser(
         "run",
-        help="run one shard's slice of the sweep (reruns skip cached points)",
+        help="run the whole grid and print the report "
+        "(reruns skip cached points)",
     )
     _add_spec_arguments(run)
     run.add_argument(
-        "--shard-index", type=int, default=0, metavar="I",
-        help="this host's shard index (default 0)",
-    )
-    run.add_argument(
-        "--shard-count", type=int, default=1, metavar="N",
-        help="total number of shards (default 1 = the whole grid)",
-    )
-    run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="simulation worker processes for this shard",
+        help="simulation worker processes",
     )
     run.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend for this shard "
+        help="execution backend "
         "(default: REPRO_BACKEND or 'pool'; see 'run --help')",
     )
-    run.set_defaults(handler=sweep_run_command)
-
-    status = verbs.add_parser(
-        "status", help="global progress: grid points present in the cache"
-    )
-    _add_spec_arguments(status)
-    status.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable status (stable key order)",
-    )
-    status.set_defaults(handler=sweep_status_command)
-
-    merge = verbs.add_parser(
-        "merge",
-        help="aggregate all shards into the sweep report + manifest",
-    )
-    _add_spec_arguments(merge)
-    merge.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for any points that still need simulating",
-    )
-    merge.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend for any remaining simulations "
-        "(see 'run --help')",
-    )
-    merge.add_argument(
+    run.add_argument(
         "--output", default=None, metavar="FILE",
-        help="also write the merged report to this file",
+        help="also write the report to this file",
     )
-    merge.add_argument(
+    run.add_argument(
         "--csv", default=None, metavar="DIR",
         help="also export the sweep cells as CSV into this directory",
     )
-    merge.add_argument(
+    run.add_argument(
         "--json", default=None, metavar="FILE",
         help="also write the sweep cells as JSON to this file",
     )
-    merge.set_defaults(handler=sweep_merge_command)
+    run.set_defaults(handler=sweep_run_command)
 
 
 def _add_trace_parser(commands) -> None:
@@ -533,7 +483,7 @@ def dumps_stable(payload) -> str:
 
 
 def cache_info_payload(store) -> Dict:
-    """Machine-readable ``cache info``: store state + sharing totals."""
+    """Machine-readable ``cache info``: the store's state."""
     info = store.info()
     # The flat trace_files/trace_bytes keys predate the nested "traces"
     # object and must stay equal to it.
@@ -550,20 +500,6 @@ def cache_info_payload(store) -> Dict:
         "trace_files": traces["files"],
         "trace_bytes": traces["bytes"],
         "traces": traces,
-        "sharing": collect_sharing_stats(store.directory),
-    }
-
-
-def sweep_status_payload(status: Dict) -> Dict:
-    """Machine-readable ``sweep status`` from the coordinator's status."""
-    return {
-        "sweep": status["sweep"],
-        "directory": status["directory"],
-        "spec_fingerprint": status["spec_fingerprint"],
-        "grid_jobs": int(status["grid_jobs"]),
-        "completed": int(status["completed"]),
-        "missing": list(status["missing"]),
-        "shards": [dict(shard) for shard in status["shards"]],
     }
 
 
@@ -608,17 +544,6 @@ def cache_command(args) -> int:
         )
     else:
         print("traces:          no recorded traces")
-    sharing = collect_sharing_stats(store.directory)
-    if sharing["manifests"]:
-        print(
-            f"sharing:         {sharing['manifests']} recorded run(s): "
-            f"{sharing['jobs']} job(s), {sharing['simulated']} simulated, "
-            f"{sharing['cached']} cache hit(s) "
-            f"({sharing['hits_from_earlier_runs']} produced by earlier "
-            f"runs, {sharing['hits_from_this_run']} by the hitting run)"
-        )
-    else:
-        print("sharing:         no sweep runs recorded yet")
     return 0
 
 
@@ -941,7 +866,7 @@ def _spec_from_args(args) -> SweepSpec:
 def sweep_plan_command(args) -> int:
     try:
         spec = _spec_from_args(args)
-        print(plan_text(spec, shard_count=args.shard_count))
+        print(plan_text(spec))
         if args.save:
             print(f"spec written: {spec.save(args.save)}", file=sys.stderr)
     except ReproError as error:
@@ -952,38 +877,8 @@ def sweep_plan_command(args) -> int:
 def sweep_run_command(args) -> int:
     try:
         spec = _spec_from_args(args)
-        assignment = ShardAssignment(args.shard_index, args.shard_count)
-        run = run_shard(spec, assignment, jobs=args.jobs, backend=args.backend)
-    except ReproError as error:
-        return _fail(str(error))
-    for line in shard_run_summary(run):
-        print(line, file=sys.stderr)
-    return 0
-
-
-def sweep_status_command(args) -> int:
-    try:
-        spec = _spec_from_args(args)
-        if args.json:
-            from .sweep import SweepCoordinator
-
-            coordinator = SweepCoordinator(spec)
-            coordinator.ensure_spec()
-            print(
-                dumps_stable(sweep_status_payload(coordinator.status())),
-                end="",
-            )
-            return 0
-        print(status_text(spec))
-    except ReproError as error:
-        return _fail(str(error))
-    return 0
-
-
-def sweep_merge_command(args) -> int:
-    try:
-        spec = _spec_from_args(args)
-        outcome = sweep_merge(spec, jobs=args.jobs, backend=args.backend)
+        engine = ExecutionEngine(jobs=args.jobs, backend=args.backend)
+        outcome = run_sweep(spec, engine)
     except ReproError as error:
         return _fail(str(error))
     print(outcome.report)
@@ -1005,19 +900,13 @@ def sweep_merge_command(args) -> int:
             if target.parent != Path("."):
                 target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(
-                json.dumps(
-                    to_json_dict(outcome.results), indent=2, sort_keys=True
-                )
-                + "\n",
-                encoding="utf-8",
+                dumps_stable(to_json_dict(outcome.results)), encoding="utf-8"
             )
             print(f"sweep json: {target}", file=sys.stderr)
     except OSError as error:
         return _fail(f"writing sweep outputs failed: {error}")
     if outcome.telemetry.jobs:
         print(outcome.telemetry.summary(), file=sys.stderr)
-    if outcome.manifest_path:
-        print(f"sweep manifest: {outcome.manifest_path}", file=sys.stderr)
     return 0
 
 

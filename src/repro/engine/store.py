@@ -141,7 +141,7 @@ class ResultStore:
         self.corruption_events: list = []
         #: Cross-run sharing split of ``hits``: entries written by this
         #: store instance (i.e. this run) vs. entries that already existed
-        #: — produced by an earlier run or another host sharing the cache.
+        #: — produced by an earlier run sharing the cache.
         self.hits_from_this_run = 0
         self.hits_from_earlier_runs = 0
         self._written_keys: set = set()
@@ -149,25 +149,6 @@ class ResultStore:
     def path_for(self, key: str) -> Path:
         """The entry file backing one job key."""
         return self.directory / f"{key}.pkl"
-
-    def contains(self, key: str) -> bool:
-        """Whether an entry for ``key`` exists at this store's schema version.
-
-        Reads the header line only: no checksum, no hit counted.  An entry
-        of another schema version is stale (:meth:`get` would evict it),
-        so it does not count; an unparseable header still does — only a
-        full read can tell corruption from a valid entry.
-        """
-        try:
-            with open(self.path_for(key), "rb") as handle:
-                header_line = handle.readline()
-        except OSError:
-            return False
-        try:
-            version = json.loads(header_line).get("schema_version")
-        except (ValueError, AttributeError):
-            return True
-        return version == self.schema_version
 
     @property
     def quarantine_dir(self) -> Path:

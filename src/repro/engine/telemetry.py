@@ -224,8 +224,8 @@ class RunTelemetry:
         """Snapshot the result store's counters (idempotent, cumulative).
 
         The sharing split — hits served by entries an *earlier* run wrote
-        vs. entries this run produced itself — is what makes shard overlap
-        and warm reruns visible in the manifest and ``cache info``.
+        vs. entries this run produced itself — is what makes warm reruns
+        visible in the manifest.
         """
         self.store_stats = {
             "hits": int(getattr(store, "hits", 0)),

@@ -11,8 +11,8 @@ passes through :func:`check_result` before it is cached or handed to an
 experiment.  The checks are the model's own physics and accounting
 identities, so a worker that silently returns garbage (bit flips, a
 miscompiled numpy, an injected ``garbage`` fault) is caught *here*
-rather than poisoning the content-addressed store every later run and
-every other shard reads from:
+rather than poisoning the content-addressed store every later run
+reads from:
 
 * cycle/instruction/stall counts are positive and consistent;
 * per-cache access statistics balance (``hits + misses == accesses``,

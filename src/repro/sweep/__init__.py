@@ -1,33 +1,26 @@
-"""Sharded parameter sweeps over one shared cache, with one merged report.
+"""Parameter sweeps over the experiment grid, as one engine run.
 
 The paper's headline results are grids — leakage-mode energy across
 (benchmark × cache scale × pipeline × technology node), e.g. the
 180→70 nm scaling study of Figures 7-9.  This package makes such a grid
-one command (or one command per host):
+one command:
 
 * :mod:`~repro.sweep.spec` — a declarative, JSON-round-trippable
   :class:`SweepSpec`, validated against known names up front.
 * :mod:`~repro.sweep.grid` — deterministic expansion into ordered
-  simulation points (reusing the single-run job construction, so cache
-  entries are shared) plus per-point analysis tasks.
-* :mod:`~repro.sweep.shard` — stable content-hash shard assignment
-  (``--shard-index/--shard-count``): disjoint slices whose union is the
-  grid, independent of host or expansion order.
-* :mod:`~repro.sweep.coordinate` — the shared sweep directory
-  (``<cache>/sweeps/<name>/``): spec pinning, one manifest per shard,
-  global status read from the result cache, atomic merged manifest.
+  simulation points, reusing the single-run job construction so cache
+  entries are shared.
 * :mod:`~repro.sweep.aggregate` — per-point results → the sweep report
   (per-node/per-benchmark savings tables, CSV + JSON).
-* :mod:`~repro.sweep.driver` — the ``plan`` / ``run`` / ``status`` /
-  ``merge`` verbs the CLI wires up.
+* :mod:`~repro.sweep.driver` — the ``plan`` / ``run`` verbs the CLI
+  wires up.
 
 Quickstart::
 
-    from repro.sweep import SweepSpec, run_shard, merge
+    from repro.sweep import SweepSpec, run_sweep
 
     spec = SweepSpec("demo", benchmarks=("gzip", "ammp"), scales=(0.05,))
-    run_shard(spec)                  # one host: the whole grid
-    print(merge(spec).report)        # the technology-scaling tables
+    print(run_sweep(spec).report)   # the technology-scaling tables
 """
 
 from .aggregate import (
@@ -42,65 +35,28 @@ from .aggregate import (
     to_csv,
     to_json_dict,
 )
-from .coordinate import (
-    SweepCoordinator,
-    collect_sharing_stats,
-    parse_shard_name,
-)
-from .grid import (
-    AnalysisTask,
-    SweepPoint,
-    expand,
-    expand_analysis,
-    grid_keys,
-    pipeline_label,
-    suite_contexts,
-    suite_for,
-)
-from .shard import ShardAssignment, shard_of, shard_points
+from .grid import SweepPoint, expand, pipeline_label, suite_contexts
 from .spec import DEFAULT_NODES, SweepSpec
-from .driver import (
-    MergeOutcome,
-    ShardRun,
-    merge,
-    plan_text,
-    run_shard,
-    shard_run_summary,
-    status_text,
-)
+from .driver import SweepRun, plan_text, run_sweep
 
 __all__ = [
     "AVERAGE",
-    "AnalysisTask",
     "DEFAULT_NODES",
-    "MergeOutcome",
     "SCHEMES",
-    "ShardAssignment",
-    "ShardRun",
     "SweepCell",
-    "SweepCoordinator",
     "SweepPoint",
     "SweepResults",
+    "SweepRun",
     "SweepSpec",
     "collect",
-    "collect_sharing_stats",
     "expand",
-    "expand_analysis",
-    "grid_keys",
-    "merge",
-    "parse_shard_name",
     "pipeline_label",
     "plan_text",
     "render_report",
     "report_tables",
-    "run_shard",
+    "run_sweep",
     "save_csv",
-    "shard_of",
-    "shard_points",
-    "shard_run_summary",
-    "status_text",
     "suite_contexts",
-    "suite_for",
     "to_csv",
     "to_json_dict",
 ]

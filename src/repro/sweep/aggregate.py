@@ -1,10 +1,9 @@
 """Sweep-level aggregation: per-point results → one scaling report.
 
-``sweep merge`` calls :func:`collect`, which walks the analysis grid in
-deterministic spec order, pulls every simulation result through the
-engine (all cache hits after the shards ran; anything missing or rotten
-is transparently recomputed), and evaluates the paper's three optimal
-policies per (scale, pipeline, node, cache, benchmark).  The output is
+``sweep run`` simulates the grid in one engine run and hands the
+outcomes to :func:`collect`, which walks them in deterministic spec
+order and evaluates the paper's three optimal policies per (scale,
+pipeline, node, cache, benchmark).  The output is
 
 * a plain-text report (the technology-scaling story: a per-node summary
   table per cache, plus per-benchmark detail tables),
@@ -12,8 +11,8 @@ policies per (scale, pipeline, node, cache, benchmark).  The output is
 * a JSON document (the same cells plus the spec and its fingerprint).
 
 Every artefact is a pure function of (spec, simulated results), and the
-results are bit-identical however they were computed — so the merged
-report of an N-shard sweep is byte-identical to a single-host run.
+results are bit-identical however they were computed — so the report is
+byte-identical whatever the worker count, cache state or fault history.
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ import numpy as np
 from ..core.energy import ModeEnergyModel
 from ..core.policy import TRIO_SCHEMES
 from ..core.savings import trio_savings
+from ..engine import JobOutcome
 from ..experiments.reporting import Table, fmt_pct
 from ..power.technology import paper_nodes
-from .grid import pipeline_label, suite_contexts, suite_for
+from .grid import SweepPoint, pipeline_label, suite_contexts
 from .spec import SweepSpec
 
 #: Scheme order of every table and CSV row.
@@ -56,7 +56,7 @@ class SweepCell:
 
 @dataclass
 class SweepResults:
-    """Everything ``sweep merge`` aggregates, in deterministic order."""
+    """Everything ``sweep run`` aggregates, in deterministic order."""
 
     spec: SweepSpec
     cells: List[SweepCell]
@@ -70,20 +70,28 @@ class SweepResults:
         }
 
 
-def collect(spec: SweepSpec, engine=None) -> SweepResults:
-    """Evaluate the full analysis grid; simulation comes via the engine."""
+def collect(
+    spec: SweepSpec, outcomes: Dict[SweepPoint, JobOutcome]
+) -> SweepResults:
+    """Evaluate the full analysis grid over every point's outcome."""
     nodes = paper_nodes()
+    models = [ModeEnergyModel(nodes[nm]) for nm in spec.nodes]
+    by_context: Dict[tuple, Dict[str, JobOutcome]] = {}
+    for point, outcome in outcomes.items():
+        context = by_context.setdefault((point.scale, point.pipeline), {})
+        context[point.benchmark] = outcome
     cells: List[SweepCell] = []
     for scale, pipeline in suite_contexts(spec):
-        suite = suite_for(spec, scale, pipeline, engine=engine)
+        context = by_context[(scale, pipeline)]
         label = pipeline_label(pipeline)
         for cache in ("icache", "dcache"):
-            populations = suite.intervals_by_benchmark(cache)
             # One grid per benchmark covers every node on one spectrum;
             # cells still come out in the original deterministic order.
-            models = [ModeEnergyModel(nodes[nm]) for nm in spec.nodes]
             grids = {
-                name: trio_savings(models, populations[name])
+                name: trio_savings(
+                    models,
+                    context[name].annotated.annotated_for(cache).as_normal(),
+                )
                 for name in spec.benchmarks
             }
             for column, feature_nm in enumerate(spec.nodes):
@@ -101,7 +109,7 @@ def collect(spec: SweepSpec, engine=None) -> SweepResults:
                                 cache=cache,
                                 benchmark=name,
                                 scheme=scheme,
-                                saving=float(saving),
+                                saving=saving,
                             )
                         )
                 for scheme in SCHEMES:

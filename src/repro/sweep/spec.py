@@ -4,8 +4,8 @@ A :class:`SweepSpec` names one design-space grid — benchmarks × workload
 scales × pipeline configurations × technology nodes — the way the
 paper's scaling study does (Figures 7-9 evaluate every benchmark at
 every node from 180 down to 70 nm).  Specs are plain frozen dataclasses
-with a JSON/dict round-trip, so the same file drives every shard of a
-multi-host sweep, and validation happens *up front*: an unknown
+with a JSON/dict round-trip, so ``sweep plan --save`` writes the file
+``sweep run --spec`` reads, and validation happens *up front*: an unknown
 benchmark or node fails when the spec is built, not hours into a run.
 
 Only the (benchmark, scale, pipeline) axes cost simulation time; the
@@ -81,9 +81,9 @@ class SweepSpec:
     Attributes
     ----------
     name:
-        Sweep identifier — names the shared sweep directory
-        (``<cache>/sweeps/<name>/``), so it must be a filesystem-safe
-        path component; every shard of one sweep must use the same name.
+        Sweep identifier — titles the report and names the CSV export
+        (``sweep_<name>.csv``), so it must be a filesystem-safe path
+        component.
     benchmarks:
         Benchmark axis; defaults to the paper's full §4.1 suite.
     scales:
@@ -256,8 +256,8 @@ class SweepSpec:
     def fingerprint(self) -> str:
         """SHA-256 over the canonical spec — the sweep's identity.
 
-        Shards of one sweep must agree on this; the coordinator refuses
-        to mix shards run under differing specs under one name.
+        Printed in the report header and the JSON export, so a report
+        names the exact grid it was computed from.
         """
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

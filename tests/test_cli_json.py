@@ -2,8 +2,8 @@
 
 Every ``--json`` document goes through one canonical serializer
 (:func:`repro.cli.dumps_stable`), so identical payloads print identical
-bytes; ``cache info --json`` and ``sweep status --json`` keep a fixed
-key set; usage and runtime errors exit 2 with the reason on stderr.
+bytes; ``cache info --json`` keeps a fixed key set; usage and runtime
+errors exit 2 with the reason on stderr.
 """
 
 import json
@@ -11,9 +11,6 @@ import json
 import pytest
 
 from repro.cli import dumps_stable, main
-
-#: Small enough that one simulation takes well under a second.
-SMALL = 0.02
 
 
 @pytest.fixture(autouse=True)
@@ -56,7 +53,6 @@ class TestCliJson:
             "entries",
             "max_bytes",
             "quarantined",
-            "sharing",
             "trace_bytes",
             "trace_files",
             "traces",
@@ -71,24 +67,6 @@ class TestCliJson:
     def test_cache_clear_rejects_json(self, capsys):
         assert main(["cache", "clear", "--json"]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_sweep_status_json(self, capsys):
-        spec_args = [
-            "--sweep-name", "cli-status",
-            "--benchmarks", "gzip",
-            "--scales", str(SMALL),
-        ]
-        assert main(["sweep", "run"] + spec_args + ["--backend", "serial"]) == 0
-        capsys.readouterr()
-        assert main(["sweep", "status"] + spec_args + ["--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["sweep"] == "cli-status"
-        assert document["completed"] == document["grid_jobs"]
-        assert document["missing"] == []
-        assert [sorted(shard) for shard in document["shards"]] == [
-            ["cached", "manifest", "name", "owned"]
-        ]
-        assert document["shards"][0]["cached"] == document["grid_jobs"]
 
     def test_run_output_write_failure_is_exit_2(self, tmp_path, capsys):
         target = tmp_path / "not-a-dir" / "deep" / "report.txt"

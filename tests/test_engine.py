@@ -137,23 +137,6 @@ class TestResultStore:
         assert store.write_errors == 1
         assert store.get("abcd") is None
 
-    def test_contains_checks_presence_only(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert not store.contains("feed")
-        store.put("feed", [1])
-        store.path_for("feed").write_bytes(b"not a valid entry")
-        assert store.contains("feed")  # present, even though corrupt
-        assert store.hits == store.misses == store.quarantined == 0
-
-    def test_contains_skips_entries_of_another_schema_version(self, tmp_path):
-        ResultStore(tmp_path, schema_version=2).put("feed", [1])
-        store = ResultStore(tmp_path)
-        assert SCHEMA_VERSION == 3
-        assert not store.contains("feed")  # stale: get() would evict it
-        assert ResultStore(tmp_path, schema_version=2).contains("feed")
-        assert store.path_for("feed").exists()  # nothing evicted by asking
-        assert store.hits == store.misses == store.evictions == 0
-
     def test_atomic_write_bytes_replaces_whole_file(self, tmp_path):
         target = tmp_path / "nested" / "out.json"
         atomic_write_bytes(target, b"first")

@@ -1,39 +1,33 @@
-"""Sharded parameter sweeps: spec, grid, shards, status, merge.
+"""Parameter sweeps: spec, grid, and one engine run to the report.
 
 The contract under test: a sweep spec expands into a deterministic grid
-whose shards are disjoint, cover the grid, and share cache entries with
-single runs — so the merged report of an N-shard sweep is byte-identical
-to an unsharded run, survives injected faults, and re-running a finished
-shard simulates nothing.
+whose jobs share cache entries with single runs, and ``sweep run``
+simulates every point once in one engine run — so the report is
+byte-identical to the pinned golden, survives injected faults and
+evicted entries, and a warm rerun simulates nothing.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.cpu.pipeline import PipelineConfig
-from repro.engine import ResultStore
-from repro.errors import ConfigurationError, EngineError
+from repro.engine import ExecutionEngine, NullStore, ResultStore
+from repro.errors import ConfigurationError
 from repro.experiments.suite import SuiteRunner
 from repro.sweep import (
-    ShardAssignment,
-    SweepCoordinator,
     SweepSpec,
-    collect_sharing_stats,
     expand,
-    expand_analysis,
-    grid_keys,
-    merge,
-    parse_shard_name,
     pipeline_label,
     plan_text,
-    run_shard,
-    shard_of,
-    shard_points,
+    run_sweep,
     to_csv,
     to_json_dict,
 )
+
+GOLDEN = Path(__file__).parent / "golden" / "sweep_small.txt"
 
 #: Small enough that one simulation takes well under a second.
 SMALL = 0.02
@@ -165,7 +159,8 @@ class TestGridExpansion:
     def test_keys_are_unique(self):
         spec = small_spec(scales=(SMALL, 0.05))
         points = expand(spec)
-        assert len(grid_keys(spec)) == len(points) == spec.simulation_points
+        keys = {point.key() for point in points}
+        assert len(keys) == len(points) == spec.simulation_points
 
     def test_jobs_share_cache_keys_with_single_runs(self):
         # The exact property that lets sweeps warm single runs: a sweep
@@ -182,195 +177,81 @@ class TestGridExpansion:
         assert [p.key() for p in expand(few)] == [
             p.key() for p in expand(many)
         ]
-        assert len(expand_analysis(many)) == 4 * len(expand_analysis(few))
+        assert many.analysis_points == 4 * few.analysis_points
 
 
 # ----------------------------------------------------------------------
-# Sharding: disjoint, covering, stable
-# ----------------------------------------------------------------------
-class TestSharding:
-    def test_invalid_assignments_rejected(self):
-        for index, count in ((0, 0), (-1, 2), (2, 2), (5, 3)):
-            with pytest.raises(ConfigurationError):
-                ShardAssignment(index, count)
-
-    def test_shards_are_disjoint_and_cover_the_grid(self):
-        spec = small_spec(
-            benchmarks=("ammp", "applu", "gcc", "gzip", "mesa", "vortex"),
-            scales=(SMALL, 0.05),
-        )
-        points = expand(spec)
-        for count in (1, 2, 3, 4):
-            slices = [
-                shard_points(points, ShardAssignment(index, count))
-                for index in range(count)
-            ]
-            keys = [p.key() for piece in slices for p in piece]
-            assert len(keys) == len(points)  # disjoint: no key twice
-            assert set(keys) == {p.key() for p in points}  # covering
-
-    def test_assignment_is_stable_under_spec_growth(self):
-        # Adding a benchmark must not reshuffle existing keys between
-        # shards: assignment hashes the job key, not the grid position.
-        before = {
-            p.key(): shard_of(p.key(), 4)
-            for p in expand(small_spec(benchmarks=("gzip", "ammp")))
-        }
-        after = {
-            p.key(): shard_of(p.key(), 4)
-            for p in expand(small_spec(benchmarks=("gzip", "ammp", "gcc")))
-        }
-        for key, shard in before.items():
-            assert after[key] == shard
-
-    def test_shard_names_round_trip(self):
-        assignment = ShardAssignment(2, 4)
-        assert assignment.dir_name == "shard-2-of-4"
-        assert parse_shard_name("shard-2-of-4") == assignment
-        assert parse_shard_name("shard-4-of-4") is None
-        assert parse_shard_name("nightly") is None
-
-
-# ----------------------------------------------------------------------
-# Coordinator: spec pinning
+# Planning: every point listed, one run for the whole grid
 # ----------------------------------------------------------------------
 class TestCoordinator:
-    def test_first_shard_pins_spec_and_matches_verify(self, tmp_path):
-        spec = small_spec()
-        SweepCoordinator(spec, tmp_path).ensure_spec()
-        assert (tmp_path / "sweeps" / spec.name / "spec.json").exists()
-        SweepCoordinator(small_spec(), tmp_path).ensure_spec()  # same grid
-
-    def test_mismatched_spec_under_same_name_is_an_error(self, tmp_path):
-        SweepCoordinator(small_spec(), tmp_path).ensure_spec()
-        other = small_spec(nodes=(70,))
-        with pytest.raises(EngineError, match="different spec"):
-            SweepCoordinator(other, tmp_path).ensure_spec()
-
     def test_plan_lists_every_point_with_its_shard(self):
-        text = plan_text(small_spec(), shard_count=2)
-        assert "spec fingerprint:" in text
-        for name in SUITE:
-            assert f"{name}@{SMALL:g}" in text
-        assert "shard 1/2" in text and "shard 2/2" in text
-
-
-# ----------------------------------------------------------------------
-# End to end: run shards, merge, byte-identical reports
-# ----------------------------------------------------------------------
-class TestSweepEndToEnd:
-    def run_all_shards(self, spec, count, cache_dir, jobs=2):
-        return [
-            run_shard(
-                spec, ShardAssignment(index, count),
-                jobs=jobs, cache_dir=cache_dir,
-            )
-            for index in range(count)
-        ]
-
-    def test_sharded_merge_identical_to_unsharded_run(self, tmp_path):
         spec = small_spec()
-        solo_cache = tmp_path / "solo"
-        run_shard(spec, jobs=2, cache_dir=solo_cache)
-        solo = merge(spec, cache_dir=solo_cache)
+        text = plan_text(spec)
+        assert f"spec fingerprint: {spec.fingerprint()}" in text
+        for point in expand(spec):
+            assert f"  {point.describe()}" in text
+        # The one engine run is the only shard: no split is shown.
+        assert "shard" not in text
 
-        for count in (2, 4):
-            sharded_cache = tmp_path / f"sharded-{count}"
-            runs = self.run_all_shards(spec, count, sharded_cache)
-            assert sum(r.jobs_run for r in runs) == spec.simulation_points
-            merged = merge(spec, cache_dir=sharded_cache)
 
-            assert merged.report == solo.report  # byte-identical
-            assert (
-                merged.manifest["report_sha256"]
-                == solo.manifest["report_sha256"]
-            )
-            assert merged.telemetry.simulated == 0  # merge reads the cache
+# ----------------------------------------------------------------------
+# End to end: one engine run, byte-identical reports
+# ----------------------------------------------------------------------
+def engine_for(cache_dir, jobs=2):
+    return ExecutionEngine(jobs=jobs, store=ResultStore(cache_dir))
 
-    def test_merge_is_idempotent(self, tmp_path):
-        spec = small_spec(nodes=(70,))
-        cache = tmp_path / "cache"
-        self.run_all_shards(spec, 2, cache)
-        first = merge(spec, cache_dir=cache)
-        second = merge(spec, cache_dir=cache)
-        assert second.report == first.report
-        assert second.manifest == first.manifest
+
+class TestSweepEndToEnd:
+    def test_each_point_simulated_exactly_once(self):
+        spec = small_spec(scales=(SMALL, 0.03), nodes=(70,))
+        run = run_sweep(spec, ExecutionEngine(jobs=2, store=NullStore()))
+        assert run.telemetry.jobs == spec.simulation_points
+        assert run.telemetry.simulated == spec.simulation_points
 
     def test_rerunning_finished_shards_simulates_nothing(self, tmp_path):
+        # The whole grid is one engine run, so a finished sweep is one
+        # finished shard: rerunning it against the same cache is all hits.
+        spec = small_spec(nodes=(70,))
+        first = run_sweep(spec, engine_for(tmp_path / "cache"))
+        rerun = run_sweep(spec, engine_for(tmp_path / "cache", jobs=1))
+        assert first.telemetry.simulated == spec.simulation_points
+        assert rerun.telemetry.simulated == 0
+        assert rerun.telemetry.cached == spec.simulation_points
+        assert rerun.report == first.report
+
+    def test_merge_is_idempotent(self, tmp_path):
+        # Aggregation (what ``merge`` used to do) is a pure function of
+        # the spec and the cached outcomes: every artifact repeats.
         spec = small_spec(nodes=(70,))
         cache = tmp_path / "cache"
-        runs = self.run_all_shards(spec, 2, cache)
-        reruns = self.run_all_shards(spec, 2, cache)
-        for first, rerun in zip(runs, reruns):
-            assert rerun.telemetry.cached == first.jobs_run
-            assert rerun.manifest_path is not None
-        assert sum(r.telemetry.simulated for r in reruns) == 0
+        run_sweep(spec, engine_for(cache))
+        first = run_sweep(spec, engine_for(cache))
+        second = run_sweep(spec, engine_for(cache))
+        assert second.report == first.report
+        assert to_csv(second.results) == to_csv(first.results)
+        assert to_json_dict(second.results) == to_json_dict(first.results)
 
-    def test_status_counts_only_points_present_in_the_cache(self, tmp_path):
+    def test_evicted_entry_is_recomputed(self, tmp_path):
         spec = small_spec(nodes=(70,))
         cache = tmp_path / "cache"
-        self.run_all_shards(spec, 2, cache)
-        coordinator = SweepCoordinator(spec, cache)
-        status = coordinator.status()
-        assert status["completed"] == status["grid_jobs"]
-        assert status["missing"] == []
-        evicted = expand(spec)[0]
-        ResultStore(cache).evict(evicted.key())
-        status = coordinator.status()
-        assert status["completed"] == status["grid_jobs"] - 1
-        assert status["missing"] == [evicted.describe()]
-        assert sum(shard["cached"] for shard in status["shards"]) == (
-            status["grid_jobs"] - 1
-        )
+        first = run_sweep(spec, engine_for(cache))
+        ResultStore(cache).evict(expand(spec)[0].key())
+        rerun = run_sweep(spec, engine_for(cache))
+        assert rerun.telemetry.simulated == 1
+        assert rerun.report == first.report
 
-    def test_merged_report_survives_injected_faults(
-        self, tmp_path, monkeypatch
-    ):
+    def test_report_survives_injected_faults(self, tmp_path, monkeypatch):
         spec = small_spec(nodes=(70,))
-        clean_cache = tmp_path / "clean"
-        run_shard(spec, jobs=2, cache_dir=clean_cache)
-        clean = merge(spec, cache_dir=clean_cache)
+        clean = run_sweep(spec, engine_for(tmp_path / "clean"))
 
         monkeypatch.setenv("REPRO_FAULTS", "raise:gzip@*:attempt=1")
-        faulty_cache = tmp_path / "faulty"
-        runs = self.run_all_shards(spec, 2, faulty_cache)
-        monkeypatch.delenv("REPRO_FAULTS")
-        totals = [r.telemetry.manifest()["totals"] for r in runs]
-        assert sum(t["retries"] for t in totals) >= 1
-
-        faulty = merge(spec, cache_dir=faulty_cache)
+        faulty = run_sweep(spec, engine_for(tmp_path / "faulty"))
+        assert faulty.telemetry.manifest()["totals"]["retries"] >= 1
         assert faulty.report == clean.report
-
-    def test_merge_recomputes_points_no_shard_ran(self, tmp_path):
-        # Shard 0 alone leaves part of the grid unsimulated; merge must
-        # fill the gap itself and still produce the full report.
-        spec = small_spec(nodes=(70,))
-        partial_cache = tmp_path / "partial"
-        run_shard(spec, ShardAssignment(0, 2), jobs=2,
-                  cache_dir=partial_cache)
-        partial = merge(spec, jobs=2, cache_dir=partial_cache)
-
-        full_cache = tmp_path / "full"
-        run_shard(spec, jobs=2, cache_dir=full_cache)
-        full = merge(spec, cache_dir=full_cache)
-        assert partial.report == full.report
-
-    def test_sharing_stats_count_shards_and_merge(self, tmp_path):
-        spec = small_spec(nodes=(70,))
-        cache = tmp_path / "cache"
-        self.run_all_shards(spec, 2, cache)
-        merge(spec, cache_dir=cache)
-        stats = collect_sharing_stats(cache)
-        assert stats["manifests"] == 3  # 2 shard manifests + merged
-        assert stats["simulated"] == spec.simulation_points
-        # The merge run read every point back out of the shards' cache.
-        assert stats["hits_from_earlier_runs"] == spec.simulation_points
 
     def test_csv_and_json_exports_cover_every_cell(self, tmp_path):
         spec = small_spec(nodes=(70, 180))
-        cache = tmp_path / "cache"
-        run_shard(spec, jobs=2, cache_dir=cache)
-        outcome = merge(spec, cache_dir=cache)
+        outcome = run_sweep(spec, engine_for(tmp_path / "cache"))
         # benchmarks+average x schemes x nodes x caches
         expected_cells = (len(SUITE) + 1) * 3 * 2 * 2
         assert len(outcome.results.cells) == expected_cells
@@ -393,11 +274,12 @@ class TestSweepCli:
     ]
 
     def test_plan_previews_without_running(self, capsys):
-        assert main(["sweep", "plan", *self.SPEC_FLAGS,
-                     "--shard-count", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "spec fingerprint:" in out
-        assert "shard 1/2" in out
+        assert main(["sweep", "plan", *self.SPEC_FLAGS]) == 0
+        captured = capsys.readouterr()
+        assert "spec fingerprint:" in captured.out
+        for name in SUITE:
+            assert f"{name}@{SMALL:g}" in captured.out
+        assert "engine:" not in captured.err
 
     def test_plan_save_then_spec_file_round_trip(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
@@ -415,49 +297,60 @@ class TestSweepCli:
         assert "conflicts" in capsys.readouterr().err
 
     def test_sweep_needs_a_spec(self, capsys):
-        assert main(["sweep", "status"]) == 2
+        assert main(["sweep", "run"]) == 2
         assert "--spec" in capsys.readouterr().err
 
-    def test_run_status_merge_cycle(self, capsys):
-        for index in ("0", "1"):
-            assert main(["sweep", "run", *self.SPEC_FLAGS,
-                         "--shard-index", index, "--shard-count", "2",
-                         "--jobs", "2"]) == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "status", "--sweep-name", "x"],
+            ["sweep", "merge", "--sweep-name", "x"],
+            ["sweep", "run", "--sweep-name", "x", "--shard-index", "0"],
+            ["sweep", "plan", "--sweep-name", "x", "--shard-count", "2"],
+        ],
+    )
+    def test_coordination_verbs_and_flags_are_gone(self, argv, capsys):
+        assert main(argv) == 2
         capsys.readouterr()
 
-        assert main(["sweep", "status", *self.SPEC_FLAGS]) == 0
-        status_out = capsys.readouterr().out
-        assert "complete: every grid job is cached" in status_out
+    def test_report_matches_golden(self, tmp_path, capsys):
+        report_file = tmp_path / "report.txt"
+        assert main(["sweep", "run", "--sweep-name", "small",
+                     "--benchmarks", *SUITE, "--scales", str(SMALL),
+                     "--nodes", "70", "180",
+                     "--output", str(report_file)]) == 0
+        capsys.readouterr()
+        assert report_file.read_bytes() == GOLDEN.read_bytes()
+        assert not (tmp_path / "cache" / "sweeps").exists()
 
-        assert main(["sweep", "merge", *self.SPEC_FLAGS]) == 0
-        merge_out = capsys.readouterr().out
-        assert "leakage-savings grid" in merge_out
-        assert "suite-average" in merge_out
+    def test_run_status_merge_cycle(self, capsys):
+        # The run/status/merge cycle is one verb now: ``sweep run``
+        # prints the merged report, and rerunning it is all cache hits.
+        assert main(["sweep", "run", *self.SPEC_FLAGS, "--jobs", "2"]) == 0
+        first = capsys.readouterr()
+        assert "leakage-savings grid" in first.out
+        assert "suite-average" in first.out
+        assert "2 simulated" in first.err
 
         assert main(["cache", "info"]) == 0
-        info_out = capsys.readouterr().out
-        assert "sharing:" in info_out
-        assert "3 recorded run(s)" in info_out
+        assert "entries:         2" in capsys.readouterr().out
+
+        assert main(["sweep", "run", *self.SPEC_FLAGS]) == 0
+        rerun = capsys.readouterr()
+        assert "0 simulated" in rerun.err
+        assert rerun.out == first.out
 
     def test_merge_artifacts_written(self, tmp_path, capsys):
-        assert main(["sweep", "run", *self.SPEC_FLAGS, "--jobs", "2"]) == 0
+        # ``--output``/``--csv``/``--json`` moved from ``merge`` to ``run``.
         report_file = tmp_path / "report.txt"
         json_file = tmp_path / "cells.json"
-        assert main(["sweep", "merge", *self.SPEC_FLAGS,
+        assert main(["sweep", "run", *self.SPEC_FLAGS, "--jobs", "2",
                      "--output", str(report_file),
                      "--csv", str(tmp_path),
                      "--json", str(json_file)]) == 0
         out = capsys.readouterr().out
-        assert report_file.read_text(encoding="utf-8").strip() == out.strip()
+        assert report_file.read_text(encoding="utf-8") == out
         csv_file = tmp_path / "sweep_cli-sweep.csv"
         assert csv_file.exists()
         document = json.loads(json_file.read_text(encoding="utf-8"))
         assert document["sweep"] == "cli-sweep"
-
-    def test_conflicting_grids_under_one_name_fail(self, capsys):
-        assert main(["sweep", "run", *self.SPEC_FLAGS, "--jobs", "2"]) == 0
-        capsys.readouterr()
-        assert main(["sweep", "status", "--sweep-name", "cli-sweep",
-                     "--benchmarks", "gzip",
-                     "--scales", str(SMALL), "--nodes", "70"]) == 2
-        assert "different spec" in capsys.readouterr().err

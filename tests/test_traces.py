@@ -742,6 +742,10 @@ class TestTraceCli:
         report = json.loads(capsys.readouterr().out)
         assert report["instructions"] == 4
         assert out.exists()
+        argv = ["sweep", "run", "--sweep-name", "gem5-sample",
+                "--benchmarks", f"trace:{out}", "--nodes", "70"]
+        assert main(argv) == 0
+        assert f"trace:{out}" in capsys.readouterr().out
 
     def test_run_accepts_trace_refs(self, tmp_path, capsys):
         out = tmp_path / "run.rtr"
