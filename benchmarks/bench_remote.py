@@ -16,17 +16,13 @@ from conftest import label_overhead_only
 from repro.engine import (
     ExecutionEngine,
     NullStore,
-    RetryPolicy,
     SimulationJob,
     WorkerBackend,
-    default_retry_policy,
     local_hosts,
 )
 
 #: Small enough that dispatch overhead dominates the measurement.
 DISPATCH_SCALE = 0.02
-
-FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01)
 
 
 @pytest.fixture(autouse=True)
@@ -36,9 +32,7 @@ def clean_env(tmp_path, monkeypatch):
 
 
 def run_workers(jobs):
-    engine = ExecutionEngine(
-        jobs=2, store=NullStore(), backend="subprocess", retry=FAST_RETRY
-    )
+    engine = ExecutionEngine(jobs=2, store=NullStore(), backend="subprocess")
     outcomes = engine.run(jobs)
     assert all(o.source == "subprocess" for o in outcomes.values())
     return outcomes
@@ -77,12 +71,9 @@ def test_remote_connect_handshake(benchmark):
     backend = WorkerBackend("subprocess", local_hosts(1))
 
     def handshake():
-        report = backend.run(
-            [SimulationJob("gzip", scale=DISPATCH_SCALE)],
-            default_retry_policy(),
-        )
+        report = backend.run([SimulationJob("gzip", scale=DISPATCH_SCALE)])
         assert len(report.completed) == 1
         return report
 
-    benchmark.pedantic(handshake, rounds=3, iterations=1)
+    benchmark.pedantic(handshake, rounds=5, iterations=1)
 

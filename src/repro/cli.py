@@ -18,21 +18,21 @@ The historical flat forms keep working — a bare experiment name implies
 Simulations go through the execution engine: benchmark jobs fan out over
 framed worker processes (``--jobs`` / ``REPRO_JOBS``) selected by
 ``--backend`` / ``REPRO_BACKEND`` — local workers (``pool`` when more
-than one worker and one job, ``subprocess`` always) — and whatever the
-workers cannot finish runs in-process (``serial``), so a run always
-completes; hung workers are killed by a heartbeat watchdog, failed or
-timed-out jobs are retried per job with deterministic backoff
-(``REPRO_RETRIES`` / ``REPRO_RETRY_DELAY``), every fresh result passes
-an invariant-validation gate before caching, results are cached on disk
-under
+than one worker and one job, ``subprocess`` always).  Each job goes to a
+worker at most once; a job the workers do not return — an error, a dead
+worker, an overrun of ``REPRO_JOB_TIMEOUT`` — runs once in-process
+(``serial``).  Every fresh result passes an invariant-validation gate
+before caching, results are cached on disk under
 ``~/.cache/repro-leakage`` (``REPRO_CACHE_DIR`` overrides,
 ``REPRO_CACHE_MAX_MB`` bounds the size, ``--no-cache`` bypasses), and a
 telemetry footer — exportable as JSON via ``--manifest`` — reports where
-the time went, including every retry and degradation.  The report on
-stdout is byte-identical whatever the worker count, cache state, fault
-history or rerun; telemetry goes to stderr.  The result cache is also
-the only progress record: rerunning an interrupted command against the
-same cache simulates only the jobs it had not finished.
+the time went, including every degradation.  The report on stdout is
+byte-identical whatever the worker count, cache state, fault history or
+rerun; telemetry goes to stderr.  A job that fails in-process fails the
+command: one ``error:`` line names it, the footer and ``--manifest``
+still record the run, and the exit code is 1.  The result cache is the
+only progress record: rerunning a failed or interrupted command against
+the same cache simulates only the jobs it had not finished.
 
 A sweep expands a declarative spec (benchmarks × scales × pipelines ×
 technology nodes) into engine jobs, runs them all in one engine run and
@@ -41,8 +41,9 @@ prints the report; a rerun against the same cache simulates nothing::
     repro-leakage sweep plan --sweep-name scaling --scales 0.25 --save s.json
     repro-leakage sweep run --spec s.json --jobs 4 --csv out/
 
-Exit codes are uniform across every command: 0 success, 2 usage or
-runtime error (details on stderr), 130 interrupted.
+Exit codes are uniform across every command: 0 success, 1 a simulation
+job failed, 2 usage or runtime error (details on stderr), 130
+interrupted.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from typing import Dict, List, Optional
 from .engine import (
     BACKEND_NAMES,
     ExecutionEngine,
+    JobFailedError,
     NullStore,
     ResultStore,
 )
@@ -68,6 +70,9 @@ from .workloads.benchmarks import BENCHMARK_NAMES
 #: Top-level subcommands; anything else on the command line is treated
 #: as an experiment name and routed to ``run`` (historical flat form).
 COMMANDS = ("run", "cache", "sweep", "trace")
+
+#: Exit code when a simulation job failed in-process.
+EXIT_JOB_FAILED = 1
 
 #: Exit code when the user interrupts a command (SIGINT convention).
 EXIT_INTERRUPTED = 130
@@ -470,6 +475,19 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _job_failed(error: JobFailedError, telemetry, manifest=None) -> int:
+    """Report a failed job: the footer, the manifest, one error line."""
+    print(telemetry.summary(), file=sys.stderr)
+    if manifest:
+        try:
+            telemetry.write_manifest(manifest)
+        except OSError as write_error:
+            print(f"error: writing the manifest failed: {write_error}",
+                  file=sys.stderr)
+    print(f"error: {error}", file=sys.stderr)
+    return EXIT_JOB_FAILED
+
+
 # ----------------------------------------------------------------------
 # --json documents
 # ----------------------------------------------------------------------
@@ -802,6 +820,8 @@ def run_command(args) -> int:
             results = run_all(suite)
         else:
             results = [run_experiment(args.experiment, suite)]
+    except JobFailedError as error:
+        return _job_failed(error, engine.telemetry, args.manifest)
     except ReproError as error:
         return _fail(str(error))
     report = "\n\n\n".join(result.render() for result in results)
@@ -879,6 +899,8 @@ def sweep_run_command(args) -> int:
         spec = _spec_from_args(args)
         engine = ExecutionEngine(jobs=args.jobs, backend=args.backend)
         outcome = run_sweep(spec, engine)
+    except JobFailedError as error:
+        return _job_failed(error, engine.telemetry)
     except ReproError as error:
         return _fail(str(error))
     print(outcome.report)

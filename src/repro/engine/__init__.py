@@ -5,12 +5,13 @@ name deterministic simulation points; :class:`ExecutionEngine`
 (:mod:`~repro.engine.parallel`) resolves them through a content-addressed
 on-disk cache (:mod:`~repro.engine.store`), then the framed-worker
 backend (:mod:`~repro.engine.backends`: local worker processes, each
-running :mod:`~repro.engine.worker` under a heartbeat watchdog), then
-in-process serial execution — with per-job retry
-(:mod:`~repro.engine.retry`), an invariant-validation gate on every
-fresh result (:mod:`~repro.engine.validate`), and run telemetry
-(:mod:`~repro.engine.telemetry`).  The result cache is the only record
-of progress: rerunning an interrupted run against the same cache
+running :mod:`~repro.engine.worker` and sent each job at most once),
+then one in-process run of every job the workers did not return — with
+an invariant-validation gate on every fresh result
+(:mod:`~repro.engine.validate`) and run telemetry
+(:mod:`~repro.engine.telemetry`).  An in-process failure is final and
+raises :class:`JobFailedError`.  The result cache is the only record of
+progress: rerunning a failed or interrupted run against the same cache
 simulates only the jobs it had not finished.  A deterministic
 fault-injection harness (:mod:`~repro.engine.faults`, off unless
 ``REPRO_FAULTS`` is set) makes every degradation path testable on
@@ -29,15 +30,11 @@ Quickstart::
 from .backends import (
     BACKEND_NAMES,
     ENV_BACKEND,
-    ENV_HEARTBEAT,
     ENV_JOB_TIMEOUT,
-    ENV_WATCHDOG,
     PoolReport,
     WorkerBackend,
     build_backend,
-    default_heartbeat_interval,
     default_job_timeout,
-    default_watchdog,
     ladder,
     local_hosts,
     resolve_backend_name,
@@ -45,7 +42,6 @@ from .backends import (
 from .faults import (
     CRASH_EXIT_CODE,
     ENV_FAULTS,
-    FLAP_EXIT_CODE,
     FaultPlan,
     FaultSpec,
     InjectedFault,
@@ -68,13 +64,8 @@ from .jobs import (
 from .parallel import (
     ENV_JOBS,
     ExecutionEngine,
+    JobFailedError,
     resolve_worker_count,
-)
-from .retry import (
-    ENV_RETRIES,
-    ENV_RETRY_DELAY,
-    RetryPolicy,
-    default_retry_policy,
 )
 from .store import (
     DEFAULT_CACHE_DIR,
@@ -97,18 +88,14 @@ __all__ = [
     "ENV_CACHE_DIR",
     "ENV_CACHE_MAX_MB",
     "ENV_FAULTS",
-    "ENV_HEARTBEAT",
     "ENV_JOBS",
     "ENV_JOB_TIMEOUT",
-    "ENV_RETRIES",
-    "ENV_RETRY_DELAY",
-    "ENV_WATCHDOG",
     "ExecutionEngine",
-    "FLAP_EXIT_CODE",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
     "InvalidResultError",
+    "JobFailedError",
     "JobOutcome",
     "JobRecord",
     "MANIFEST_VERSION",
@@ -116,7 +103,6 @@ __all__ = [
     "PoolReport",
     "ResultStore",
     "RunTelemetry",
-    "RetryPolicy",
     "SCHEMA_VERSION",
     "SOURCE_CACHED",
     "SOURCE_FALLBACK",
@@ -132,10 +118,7 @@ __all__ = [
     "build_backend",
     "check_raw",
     "check_result",
-    "default_heartbeat_interval",
     "default_job_timeout",
-    "default_retry_policy",
-    "default_watchdog",
     "execute_job",
     "job_result_payload",
     "ladder",

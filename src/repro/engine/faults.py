@@ -2,52 +2,45 @@
 
 Every degradation path in :mod:`~repro.engine.backends` and
 :mod:`~repro.engine.store` exists to survive rare events — worker
-deaths, hung jobs, bit rot — that never occur in a normal test run.
+deaths, stuck jobs, bit rot — that never occur in a normal test run.
 This module makes those events *schedulable*, so each path is exercised
 on purpose rather than by luck.  Faults are **never active by default**:
 they are switched on only by the ``REPRO_FAULTS`` environment variable
 or an explicit :class:`FaultPlan` handed to the engine, and injection is
 a pure function of (job, attempt number), so a faulted run is exactly
-reproducible.
+reproducible.  Attempt 1 is a job's first execution — on a worker when
+workers engage — and attempt 2 the in-process rerun of a job the
+workers did not return.
 
 ``REPRO_FAULTS`` grammar — a comma-separated list of specs::
 
     spec    := kind ":" target [":" option "=" value]...
-    kind    := crash | timeout | raise | hang | flap | garbage
-             | corrupt | partial
+    kind    := crash | timeout | raise | garbage | corrupt | partial
     target  := benchmark["@"scale]      ("*" wildcards either part)
     option  := attempt=N|*   (worker/result faults: which attempt fires,
-                              default 1; flap defaults to every attempt)
-             | seconds=X     (crash/timeout/hang/flap: sleep before
-                              acting, default 5 for timeout/hang, 0 for
-                              crash/flap)
+                              default 1)
+             | seconds=X     (crash/timeout: sleep before acting,
+                              default 5 for timeout, 0 for crash)
              | times=N       (store faults: how many injections, default 1)
 
-Examples: ``raise:gzip@*:attempt=1`` (gzip's first attempt raises, the
-retry succeeds), ``crash:ammp@0.02:seconds=1`` (the worker running ammp
-dies after 1 s), ``timeout:*:attempt=1:seconds=2`` (every job's first
-attempt stalls 2 s), ``corrupt:gzip@*`` (gzip's cache entry is corrupted
-right after it is written), ``partial:*:times=2`` (two entries are
-truncated as if a non-atomic writer crashed mid-write).
+Examples: ``raise:gzip@*:attempt=1`` (gzip's worker attempt raises, the
+in-process rerun succeeds), ``crash:ammp@0.02:seconds=1`` (the worker
+running ammp dies after 1 s), ``timeout:*:attempt=1:seconds=2`` (every
+job's worker attempt stalls 2 s), ``corrupt:gzip@*`` (gzip's cache entry
+is corrupted right after it is written), ``partial:*:times=2`` (two
+entries are truncated as if a non-atomic writer crashed mid-write).
 
 Fault kinds and the degradation path each one exercises:
 
 * ``crash``   — the worker process exits hard (``os._exit``): exercises
-  worker-death detection — the dead worker is respawned and its job
-  requeued.
-* ``timeout`` — the worker sleeps ``seconds`` before simulating (still
-  beating): exercises the per-dispatch deadline (``REPRO_JOB_TIMEOUT``),
-  which kills the worker and retries the job.
-* ``raise``   — the attempt raises :class:`InjectedFault`: exercises
-  per-job retry with backoff (worker and serial paths).
-* ``hang``    — the worker goes silent: its heartbeat stops and it
-  stalls ``seconds`` before continuing.  Exercises the heartbeat
-  watchdog, which kills the worker and requeues the job.
-* ``flap``    — the worker process exits hard on *every* matching
-  attempt (unless ``attempt=N`` narrows it): exercises worker respawn
-  and retry exhaustion — once the job's attempts are spent on dying
-  workers, the serial rung finishes it.
-* ``garbage`` — the worker completes but returns a mangled result
+  worker-death detection — the job runs in-process and the host
+  respawns a worker for its next job.
+* ``timeout`` — the worker sleeps ``seconds`` before simulating:
+  exercises the per-dispatch deadline (``REPRO_JOB_TIMEOUT``), which
+  kills the worker and runs the job in-process.
+* ``raise``   — the attempt raises :class:`InjectedFault`: on a worker
+  it exercises the in-process rerun; in-process it fails the run.
+* ``garbage`` — the attempt completes but returns a mangled result
   (negative cycle counts): exercises the invariant-validation gate,
   which must quarantine the result instead of caching it.
 * ``corrupt`` — the just-written cache entry's payload bytes are
@@ -55,12 +48,10 @@ Fault kinds and the degradation path each one exercises:
 * ``partial`` — the just-written cache entry is truncated: exercises
   the torn-write path (header or checksum no longer parse).
 
-``crash``, ``timeout``, ``hang`` and ``flap`` only make sense inside a
-worker process; on the serial in-process path only ``raise`` faults are
-injected (a serial crash would take the whole run down, which is the one
-thing the engine promises never to do deliberately) plus ``garbage``
-result mangling, which the validation gate turns into a retryable
-failure.
+``crash`` and ``timeout`` only make sense inside a worker process; on
+the in-process path only ``raise`` faults are injected (a crash there
+would take the whole run down) plus ``garbage`` result mangling, which
+the validation gate turns into a failed job.
 """
 
 from __future__ import annotations
@@ -78,27 +69,21 @@ ENV_FAULTS = "REPRO_FAULTS"
 #: Exit status used by injected worker crashes (recognisable in logs).
 CRASH_EXIT_CODE = 87
 
-#: Exit status used by injected worker flapping (distinct from crashes).
-FLAP_EXIT_CODE = 86
-
-WORKER_KINDS = ("crash", "timeout", "raise", "hang", "flap")
+WORKER_KINDS = ("crash", "timeout", "raise")
 RESULT_KINDS = ("garbage",)
 STORE_KINDS = ("corrupt", "partial")
 KINDS = WORKER_KINDS + RESULT_KINDS + STORE_KINDS
 
-#: Kinds whose pre-action sleep defaults to :data:`DEFAULT_FAULT_SECONDS`.
-_SLEEPY_KINDS = ("timeout", "hang")
-
-#: Default sleep for ``timeout``/``hang`` faults, seconds.
+#: Default sleep for ``timeout`` faults, seconds.
 DEFAULT_FAULT_SECONDS = 5.0
 
 
 class InjectedFault(Exception):
-    """A deliberately injected transient job failure.
+    """A deliberately injected job failure.
 
     Not a :class:`~repro.errors.ReproError`: to the engine it must look
-    exactly like an unexpected worker exception, so injected faults flow
-    through the same retry/fallback machinery as real ones.
+    exactly like an unexpected exception, so injected faults flow
+    through the same fallback and failure paths as real ones.
     """
 
 
@@ -136,7 +121,7 @@ class FaultSpec:
         """The pre-action sleep: explicit, else 5 s for timeout, 0 otherwise."""
         if self.seconds is not None:
             return self.seconds
-        return DEFAULT_FAULT_SECONDS if self.kind in _SLEEPY_KINDS else 0.0
+        return DEFAULT_FAULT_SECONDS if self.kind == "timeout" else 0.0
 
     def matches_job(self, job) -> bool:
         """Whether this spec targets ``job`` (ignoring the attempt)."""
@@ -158,7 +143,7 @@ class FaultSpec:
         parts = [f"{self.kind}:{target}"]
         if self.kind in WORKER_KINDS + RESULT_KINDS:
             parts.append(f"attempt={'*' if self.attempt is None else self.attempt}")
-            if self.kind in ("crash", "timeout", "hang", "flap"):
+            if self.kind in ("crash", "timeout"):
                 parts.append(f"seconds={self.sleep_seconds:g}")
         else:
             parts.append(f"times={self.times}")
@@ -215,9 +200,6 @@ def _parse_spec(text: str) -> FaultSpec:
         raise EngineError(
             f"fault spec {text!r}: 'times' only applies to store faults"
         )
-    if kind == "flap":
-        # Flapping means dying over and over: default to every attempt.
-        kwargs.setdefault("attempt", None)
     return FaultSpec(**kwargs)
 
 
@@ -261,32 +243,16 @@ class FaultPlan:
         for spec in self.specs:
             if spec.kind not in WORKER_KINDS or not spec.matches(job, attempt):
                 continue
-            if spec.kind in ("timeout", "hang"):
+            if spec.kind == "timeout":
                 time.sleep(spec.sleep_seconds)
             elif spec.kind == "crash":
                 if spec.sleep_seconds:
                     time.sleep(spec.sleep_seconds)
                 os._exit(CRASH_EXIT_CODE)
-            elif spec.kind == "flap":
-                if spec.sleep_seconds:
-                    time.sleep(spec.sleep_seconds)
-                os._exit(FLAP_EXIT_CODE)
             else:  # raise
                 raise InjectedFault(
                     f"injected fault for {job.describe()} on attempt {attempt}"
                 )
-
-    def matches_hang(self, job, attempt: int) -> bool:
-        """Whether a ``hang`` fault fires for this (job, attempt).
-
-        The worker checks this *before* :meth:`inject_worker`
-        so it can silence its heartbeat thread first — a truly hung
-        worker stops beating, which is exactly what the watchdog detects.
-        """
-        return any(
-            spec.kind == "hang" and spec.matches(job, attempt)
-            for spec in self.specs
-        )
 
     def mangle_result(self, job, attempt: int, annotated):
         """Apply ``garbage`` faults: poison an otherwise-complete result.

@@ -151,7 +151,9 @@ class JobOutcome:
     annotated: AnnotatedSimulationResult
     source: str
     wall_seconds: float
-    attempts: int = 1  #: Total execution attempts (1 = no retries needed).
+    #: Execution attempts: 1, or 2 when a worker attempt failed and the
+    #: job reran in-process.
+    attempts: int = 1
 
     @property
     def simulated(self) -> bool:
@@ -160,7 +162,7 @@ class JobOutcome:
 
     @property
     def retried(self) -> bool:
-        """Whether obtaining this result took more than one attempt."""
+        """Whether this result came from the in-process rerun."""
         return self.attempts > 1
 
 

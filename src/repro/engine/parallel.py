@@ -8,27 +8,26 @@ uses to obtain simulation results.  For every requested job it
    simulations);
 2. hands the misses to the framed-worker backend
    (:mod:`~repro.engine.backends`, selected by ``--backend`` /
-   ``REPRO_BACKEND``) when it is worth starting, and whatever the
-   workers leave behind — or everything, when they are not — to the
-   in-process serial executor, with the worker watchdog and per-job
-   retry backoff (:mod:`~repro.engine.retry`) deciding how work
-   degrades;
+   ``REPRO_BACKEND``) when it is worth starting, which dispatches each
+   job at most once; whatever the workers do not return — or
+   everything, when they are not started — runs once in-process;
 3. passes every fresh result through the invariant-validation gate
-   (:mod:`~repro.engine.validate`) — a result that violates the model's
-   own accounting identities is quarantined and recomputed, never
-   cached;
+   (:mod:`~repro.engine.validate`) — a worker result that violates the
+   model's own accounting identities is quarantined and rerun
+   in-process, never cached;
 4. writes validated results back to the store, and records everything
-   — outcomes, retries, injected faults, per-host worker counters and
-   hang events, quarantines — in a
-   :class:`~repro.engine.telemetry.RunTelemetry`.
+   — outcomes, injected faults, per-host worker counters, quarantines,
+   failures — in a :class:`~repro.engine.telemetry.RunTelemetry`.
 
-The store is the only record of which jobs are done: rerunning an
+An in-process failure is final: the remaining jobs still run and are
+cached, then :class:`JobFailedError` names the failed job.  The store is
+the only record of which jobs are done, so rerunning a failed or
 interrupted run against the same cache simulates only what is missing.
 
 Because :func:`~repro.engine.jobs.execute_job` is deterministic, serial,
-worker, retried, rerun, and fault-injected runs all produce
-bit-identical results; the engine only changes *when* and
-*where* simulations run, never what they compute.
+worker, rerun, and fault-injected runs all produce bit-identical
+results; the engine only changes *when* and *where* simulations run,
+never what they compute.
 """
 
 from __future__ import annotations
@@ -56,13 +55,22 @@ from .jobs import (
     SimulationJob,
     execute_job,
 )
-from .retry import RetryPolicy, _env_int, default_retry_policy
 from .store import ResultStore
 from .telemetry import RunTelemetry, Stopwatch
 from .validate import InvalidResultError, check_result
 
 #: Environment variable supplying the default worker count.
 ENV_JOBS = "REPRO_JOBS"
+
+
+class JobFailedError(EngineError):
+    """A job failed in-process, so the run cannot deliver its result."""
+
+    def __init__(self, job: SimulationJob, error: BaseException) -> None:
+        super().__init__(
+            f"job {job.describe()} failed: {type(error).__name__}: {error}"
+        )
+        self.job = job
 
 
 def resolve_worker_count(value: Optional[int] = None) -> int:
@@ -73,7 +81,16 @@ def resolve_worker_count(value: Optional[int] = None) -> int:
     :class:`~repro.errors.EngineError` naming the variable.
     """
     if value is None:
-        value = _env_int(ENV_JOBS, minimum=1)
+        raw = os.environ.get(ENV_JOBS)
+        if raw:
+            try:
+                value = int(raw)
+            except ValueError:
+                raise EngineError(
+                    f"{ENV_JOBS} must be an integer, got {raw!r}"
+                ) from None
+            if value < 1:
+                raise EngineError(f"{ENV_JOBS} must be at least 1, got {value!r}")
     if value is None:
         value = os.cpu_count() or 1
     value = int(value)
@@ -91,7 +108,6 @@ class ExecutionEngine:
         store: Optional[object] = None,
         timeout: Optional[float] = None,
         telemetry: Optional[RunTelemetry] = None,
-        retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
         backend: Optional[str] = None,
     ) -> None:
@@ -99,7 +115,6 @@ class ExecutionEngine:
         self.store = store if store is not None else ResultStore()
         self.timeout = timeout if timeout is not None else default_job_timeout()
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
-        self.retry = retry if retry is not None else default_retry_policy()
         self.faults = faults if faults is not None else active_plan()
         self.backend = resolve_backend_name(backend)
         self.workers = build_backend(
@@ -119,7 +134,6 @@ class ExecutionEngine:
                 "backend_chain": ladder(self.backend),
                 "cache_dir": self.store.describe(),
                 "timeout_seconds": self.timeout,
-                "retry": self.retry.describe(),
                 "faults": None if self.faults is None else self.faults.describe(),
                 "kernel_mode": self.kernel_mode,
                 "transport": self.transport,
@@ -154,8 +168,9 @@ class ExecutionEngine:
 
         Results are keyed by job and independent of execution order, so
         callers see identical outputs whatever path produced them —
-        including runs that retried, reran, or survived injected
-        faults.
+        including runs that fell back, reran, or survived injected
+        faults.  Raises :class:`JobFailedError` when a job fails
+        in-process; the telemetry still records every finished job.
         """
         ordered = self._deduplicate(jobs)
         run_start = time.perf_counter()
@@ -170,13 +185,15 @@ class ExecutionEngine:
             else:
                 pending.append(job)
 
-        if pending:
-            self._run_pending(pending, outcomes)
-
-        self.telemetry.add_wall(time.perf_counter() - run_start)
-        for job in ordered:
-            self.telemetry.record_outcome(outcomes[job])
-        self.telemetry.record_store(self.store)
+        try:
+            if pending:
+                self._run_pending(pending, outcomes)
+        finally:
+            self.telemetry.add_wall(time.perf_counter() - run_start)
+            for job in ordered:
+                if job in outcomes:
+                    self.telemetry.record_outcome(outcomes[job])
+            self.telemetry.record_store(self.store)
         return outcomes
 
     def run_one(self, job: SimulationJob) -> JobOutcome:
@@ -209,62 +226,65 @@ class ExecutionEngine:
             if engaged
             else PoolReport(leftovers=list(pending))
         )
-        # Serial work: (job, attempts already consumed, outcome source).
+        # In-process work: (job, its attempt number, outcome source).
+        # Attempt 1 is a job's first execution, 2 the rerun of a job a
+        # worker was sent but did not return.
         base_source = SOURCE_FALLBACK if engaged else SOURCE_SERIAL
         serial_work: List[Tuple[SimulationJob, int, str]] = [
-            (job, report.attempts.get(job, 0), base_source)
+            (job, 2 if job in report.dispatched else 1, base_source)
             for job in report.leftovers
         ]
         for job, (annotated, wall) in report.completed.items():
-            attempts = report.attempts.get(job, 1)
             violations = check_result(annotated)
             if violations:
-                # Never cache an invalid result: quarantine it and give
-                # the job to the serial path, where the gate re-checks.
+                # Never cache an invalid result: quarantine it and rerun
+                # the job in-process, where the gate re-checks.
                 self.telemetry.record_quarantine(
                     job, violations, where=self.workers.source
                 )
                 self.telemetry.note(
                     f"job {job.describe()} result failed the validation "
-                    f"gate ({violations[0]}); quarantined, re-running "
-                    "serially"
+                    f"gate ({violations[0]}); quarantined, running it "
+                    "in-process"
                 )
-                serial_work.append((job, attempts, SOURCE_FALLBACK))
+                serial_work.append((job, 2, SOURCE_FALLBACK))
                 continue
+            outcomes[job] = JobOutcome(job, annotated, self.workers.source, wall)
+            self._commit(job, annotated)
+
+        failure: Optional[JobFailedError] = None
+        for job, attempt, source in serial_work:
+            try:
+                annotated, seconds = self._execute_serial(job, attempt)
+            except JobFailedError as error:
+                failure = failure or error
+                continue  # the other jobs still run and are cached
             outcomes[job] = JobOutcome(
-                job, annotated, self.workers.source, wall, attempts=attempts
+                job, annotated, source, seconds, attempts=attempt
             )
             self._commit(job, annotated)
 
-        try:
-            for job, start, source in serial_work:
-                annotated, seconds, attempts = self._execute_serial(
-                    job, start_attempt=start
+        if engaged:
+            if report.leftovers:
+                self._ladder.append(
+                    {
+                        "from": self.backend,
+                        "to": "serial",
+                        "jobs": len(report.leftovers),
+                        "reason": (
+                            report.infra_failures[-1]
+                            if report.infra_failures
+                            else "jobs left unfinished"
+                        ),
+                    }
                 )
-                outcomes[job] = JobOutcome(
-                    job, annotated, source, seconds, attempts=attempts
-                )
-                self._commit(job, annotated)
-        finally:
-            if engaged:
-                if report.leftovers:
-                    self._ladder.append(
-                        {
-                            "from": self.backend,
-                            "to": "serial",
-                            "jobs": len(report.leftovers),
-                            "reason": (
-                                report.infra_failures[-1]
-                                if report.infra_failures
-                                else "jobs left unfinished"
-                            ),
-                        }
-                    )
-                if report.completed:
-                    self._rungs_used.append(self.backend)
-                if serial_work:
-                    self._rungs_used.append("serial")
-                self.telemetry.record_workers(self.workers_section())
+            if report.completed:
+                self._rungs_used.append(self.backend)
+            if serial_work:
+                self._rungs_used.append("serial")
+            self.telemetry.record_workers(self.workers_section())
+        if failure is not None:
+            raise failure
 
     def _dispatch(self, pending: List[SimulationJob]) -> PoolReport:
         """Run pending jobs on the workers.
@@ -282,21 +302,19 @@ class ExecutionEngine:
                 {"traces_published": self._traces_published}
             )
         try:
-            report = self.workers.run(pending, self.retry)
+            report = self.workers.run(pending)
         finally:
             transport.release_paths(published)
         for note in report.notes:
             self.telemetry.note(note)
-        for entry in report.retries:
-            self.telemetry.record_retry(entry)
         return report
 
     def workers_section(self) -> Dict:
         """The manifest's ``workers`` section; empty until workers engaged.
 
-        Per-host counters and hang events (cumulative over this
-        engine's runs), the descents to the serial rung, the
-        rungs that completed work and the final rung.
+        Per-host counters (cumulative over this engine's runs), the
+        descents to the serial rung, the rungs that completed work and
+        the final rung.
         """
         if not self._rungs_used:
             return {}
@@ -310,61 +328,32 @@ class ExecutionEngine:
         }
 
     def _execute_serial(
-        self, job: SimulationJob, start_attempt: int = 0
-    ) -> Tuple[object, float, int]:
-        """One job in-process, retried per the policy; raises when exhausted.
+        self, job: SimulationJob, attempt: int
+    ) -> Tuple[object, float]:
+        """Run one job in-process, once; a failure is final.
 
-        ``start_attempt`` continues the global attempt numbering of
-        whatever backends already tried this job, so deterministic fault
-        schedules and the retry budget span the degradation path; the
-        returned attempt count is the global total.
+        An exception or a result the validation gate rejects is recorded
+        and raised as :class:`JobFailedError`: the job is deterministic,
+        so running it again would fail the same way.
         """
-        attempt = start_attempt
-        while True:
-            attempt += 1
-            try:
-                if self.faults is not None:
-                    self.faults.inject_serial(job, attempt)
-                with Stopwatch() as sw:
-                    annotated = execute_job(job)
-                if self.faults is not None:
-                    annotated = self.faults.mangle_result(
-                        job, attempt, annotated
-                    )
-                violations = check_result(annotated)
-                if violations:
-                    self.telemetry.record_quarantine(
-                        job, violations, where="serial"
-                    )
-                    raise InvalidResultError(
-                        f"result for {job.describe()} failed the "
-                        f"validation gate: {violations[0]}"
-                    )
-                return annotated, sw.seconds, attempt
-            except Exception as error:
-                if self.retry.retries_left(attempt):
-                    delay = self.retry.delay_before(attempt + 1)
-                    self.telemetry.record_retry(
-                        {
-                            "job": job.describe(),
-                            "key": job.key(),
-                            "failed_attempt": attempt,
-                            "next_attempt": attempt + 1,
-                            "reason": f"{type(error).__name__}: {error}",
-                            "backoff_seconds": delay,
-                            "where": "serial",
-                        }
-                    )
-                    self.telemetry.note(
-                        f"job {job.describe()} failed serially "
-                        f"({type(error).__name__}); retrying "
-                        f"(attempt {attempt + 1}/{self.retry.max_attempts}) "
-                        f"in {delay:g}s"
-                    )
-                    time.sleep(delay)
-                    continue
-                self.telemetry.record_failure(job, error)
-                raise
+        try:
+            if self.faults is not None:
+                self.faults.inject_serial(job, attempt)
+            with Stopwatch() as sw:
+                annotated = execute_job(job)
+            if self.faults is not None:
+                annotated = self.faults.mangle_result(job, attempt, annotated)
+            violations = check_result(annotated)
+            if violations:
+                self.telemetry.record_quarantine(job, violations, where="serial")
+                raise InvalidResultError(
+                    f"result for {job.describe()} failed the validation "
+                    f"gate: {violations[0]}"
+                )
+        except Exception as error:
+            self.telemetry.record_failure(job, error)
+            raise JobFailedError(job, error) from error
+        return annotated, sw.seconds
 
     def _commit(self, job: SimulationJob, annotated: object) -> None:
         """Persist one fresh result: cache write, then fault hooks."""

@@ -139,12 +139,6 @@ class ResultStore:
         self.quarantined = 0
         #: One record per corrupt entry found, for the run manifest.
         self.corruption_events: list = []
-        #: Cross-run sharing split of ``hits``: entries written by this
-        #: store instance (i.e. this run) vs. entries that already existed
-        #: — produced by an earlier run sharing the cache.
-        self.hits_from_this_run = 0
-        self.hits_from_earlier_runs = 0
-        self._written_keys: set = set()
 
     def path_for(self, key: str) -> Path:
         """The entry file backing one job key."""
@@ -208,10 +202,6 @@ class ResultStore:
             self.misses += 1
             return None
         self.hits += 1
-        if key in self._written_keys:
-            self.hits_from_this_run += 1
-        else:
-            self.hits_from_earlier_runs += 1
         try:
             os.utime(path)  # refresh mtime: reads keep hot entries resident
         except OSError:
@@ -235,7 +225,6 @@ class ResultStore:
             # uncached operation and record the failure for telemetry.
             self.write_errors += 1
             return False
-        self._written_keys.add(key)
         self._enforce_limit(protect=path)
         return True
 
@@ -355,8 +344,6 @@ class NullStore:
         self.write_errors = 0
         self.quarantined = 0
         self.corruption_events: list = []
-        self.hits_from_this_run = 0
-        self.hits_from_earlier_runs = 0
 
     def get(self, key: str) -> None:
         self.misses += 1

@@ -56,8 +56,13 @@ from .store import atomic_write_bytes
 #: ``totals.breaker_trips``, no per-host ``breaker_state``,
 #: ``breaker_transitions``, ``partitioned``, ``trace_fetches`` or
 #: ``trace_bytes_sent``, and no ``engine.hosts`` list; version 13
-#: dropped run journals: no ``engine.run_id`` or ``engine.resumed``.
-MANIFEST_VERSION = 13
+#: dropped run journals: no ``engine.run_id`` or ``engine.resumed``;
+#: version 14 dropped retries, the heartbeat and the cache-sharing
+#: split: no ``retries`` section or ``engine.retry``, no
+#: ``totals.retries``, ``retried_jobs``, ``heartbeat_events`` or
+#: ``cache_hits_from_*``, no per-host ``hangs`` or ``requeues``, and no
+#: ``hits_from_*`` in the ``store`` section.
+MANIFEST_VERSION = 14
 
 
 class Stopwatch:
@@ -118,7 +123,6 @@ class RunTelemetry:
 
     records: List[JobRecord] = field(default_factory=list)
     failures: List[Dict] = field(default_factory=list)
-    retries: List[Dict] = field(default_factory=list)
     faults: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     quarantines: List[Dict] = field(default_factory=list)
@@ -129,9 +133,9 @@ class RunTelemetry:
     #: mode, residual implementation, trace transport mode and
     #: published-arena totals.
     substrate: Dict = field(default_factory=dict)
-    #: The framed workers of the run (manifest v10): per-host counters
-    #: and hang events, descents to the serial rung, rungs used and the
-    #: final rung.  Empty when no worker engaged.
+    #: The framed workers of the run (manifest v10): per-host counters,
+    #: descents to the serial rung, rungs used and the final rung.
+    #: Empty when no worker engaged.
     workers: Dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -179,10 +183,6 @@ class RunTelemetry:
         }
         self.failures.append(entry)
 
-    def record_retry(self, entry: Dict) -> None:
-        """Add one structured retry record (see ``PoolReport.retries``)."""
-        self.retries.append(dict(entry))
-
     def record_fault(self, description: str) -> None:
         """Add one injected-fault record (engine-side injections)."""
         self.faults.append(description)
@@ -221,12 +221,7 @@ class RunTelemetry:
         self.notes.append(message)
 
     def record_store(self, store) -> None:
-        """Snapshot the result store's counters (idempotent, cumulative).
-
-        The sharing split — hits served by entries an *earlier* run wrote
-        vs. entries this run produced itself — is what makes warm reruns
-        visible in the manifest.
-        """
+        """Snapshot the result store's counters (idempotent, cumulative)."""
         self.store_stats = {
             "hits": int(getattr(store, "hits", 0)),
             "misses": int(getattr(store, "misses", 0)),
@@ -236,10 +231,6 @@ class RunTelemetry:
             "corruption_events": [
                 dict(e) for e in getattr(store, "corruption_events", [])
             ],
-            "hits_from_earlier_runs": int(
-                getattr(store, "hits_from_earlier_runs", 0)
-            ),
-            "hits_from_this_run": int(getattr(store, "hits_from_this_run", 0)),
         }
 
     def add_wall(self, seconds: float) -> None:
@@ -273,19 +264,6 @@ class RunTelemetry:
     def fallbacks(self) -> int:
         """Jobs completed by a degraded path: the workers' serial rung."""
         return self.serial_fallbacks
-
-    @property
-    def heartbeat_events(self) -> int:
-        """How many hung workers the heartbeat watchdog killed."""
-        return sum(
-            len(host.get("hangs", []))
-            for host in self.workers.get("hosts", {}).values()
-        )
-
-    @property
-    def retried(self) -> int:
-        """Jobs whose result took more than one attempt."""
-        return sum(1 for r in self.records if r.attempts > 1)
 
     @property
     def instructions(self) -> int:
@@ -332,18 +310,9 @@ class RunTelemetry:
                 "failed": self.failed,
                 "serial_fallbacks": self.serial_fallbacks,
                 "fallbacks": self.fallbacks,
-                "retries": len(self.retries),
-                "retried_jobs": self.retried,
                 "faults_injected": len(self.faults),
                 "quarantined_results": len(self.quarantines),
                 "cache_quarantined": self.store_stats.get("quarantined", 0),
-                "heartbeat_events": self.heartbeat_events,
-                "cache_hits_from_earlier_runs": self.store_stats.get(
-                    "hits_from_earlier_runs", 0
-                ),
-                "cache_hits_from_this_run": self.store_stats.get(
-                    "hits_from_this_run", 0
-                ),
                 "wall_seconds": self.wall_seconds,
                 "instructions": self.instructions,
                 "simulated_instructions": self.simulated_instructions,
@@ -373,7 +342,6 @@ class RunTelemetry:
                 for r in self.records
             ],
             "failures": list(self.failures),
-            "retries": [dict(r) for r in self.retries],
             "faults": list(self.faults),
             "notes": list(self.notes),
             "quarantine": [dict(q) for q in self.quarantines],
@@ -409,8 +377,6 @@ class RunTelemetry:
             parts.append(f"| {100.0 * self.fast_path_share:.1f}% fast-path")
         if self.fallbacks:
             parts.append(f"| {self.fallbacks} fallback(s)")
-        if self.retries:
-            parts.append(f"| {len(self.retries)} retr{'y' if len(self.retries) == 1 else 'ies'}")
         if self.faults:
             parts.append(f"| {len(self.faults)} fault(s) injected")
         quarantined = len(self.quarantines) + self.store_stats.get(
@@ -418,9 +384,6 @@ class RunTelemetry:
         )
         if quarantined:
             parts.append(f"| {quarantined} quarantine(s)")
-        shared = self.store_stats.get("hits_from_earlier_runs", 0)
-        if shared:
-            parts.append(f"| {shared} hit(s) shared from earlier runs")
         cache_dir = self.context.get("cache_dir")
         if cache_dir:
             parts.append(f"| cache: {cache_dir}")

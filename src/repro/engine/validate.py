@@ -29,10 +29,10 @@ reads from:
 
 A failing result is *quarantined*: recorded in telemetry (manifest v5's
 ``quarantine`` section), never written to the store, and the job is
-re-run.  On the terminal serial path a failing result raises
-:class:`InvalidResultError`, which flows through the ordinary retry
-machinery — a transient mangling is survived, a persistent one surfaces
-as a clean per-job failure instead of a corrupt cache entry.
+rerun in-process.  On the in-process path a failing result raises
+:class:`InvalidResultError`, which fails the job like any other error —
+a mangled result surfaces as a clean per-job failure instead of a
+corrupt cache entry.
 
 The gate evaluates the energy checks at one fixed technology node (70 nm,
 the paper's headline node); the envelope identities it asserts are

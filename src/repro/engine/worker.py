@@ -5,22 +5,16 @@ is a local child process running this loop, and talks to the controller
 over its stdin/stdout using a tiny length-prefixed frame protocol::
 
     frame   := length(4 bytes, big-endian) || pickle((kind, payload))
-    to worker   : ("job", (SimulationJob, attempt)) | ("exit", None)
+    to worker   : ("job", SimulationJob) | ("exit", None)
     from worker : ("ready", {"pid": ...})
-                | ("heartbeat", monotonic_seconds)
-                | ("result", {"key", "wall", "payload"})
+                | ("result", {"wall", "payload"})
                 | ("error", {"kind", "message"})
 
-A daemon thread emits a heartbeat frame every ``--heartbeat`` seconds,
-so the controller can tell a worker that is busy simulating (beating,
-no result yet) from one that is hung or dead (silent) — and kill
-exactly that process.
-
-The worker re-executes ``REPRO_FAULTS`` from its inherited environment:
-``hang`` silences the heartbeat thread before stalling (so the watchdog
-sees a real hang), ``flap``/``crash`` exit hard, ``raise`` turns into an
-error frame, and ``garbage`` mangles the result so the engine-side
-validation gate can catch it.
+A job goes to a worker at most once, so the worker runs it as the
+job's attempt 1.  It re-executes ``REPRO_FAULTS`` from its inherited
+environment for that attempt: ``crash`` exits hard, ``timeout`` stalls
+before simulating, ``raise`` turns into an error frame, and ``garbage``
+mangles the result so the engine-side validation gate can catch it.
 
 On startup the worker duplicates its stdout file descriptor for the
 frame stream and re-points fd 1 at stderr, so stray ``print`` calls
@@ -30,17 +24,12 @@ anywhere in the simulation stack cannot corrupt the protocol.  After an
 
 from __future__ import annotations
 
-import argparse
 import os
 import pickle
 import struct
 import sys
-import threading
 import time
 from typing import Any, Optional, Tuple
-
-#: Default heartbeat interval, seconds (overridable via --heartbeat).
-DEFAULT_HEARTBEAT_SECONDS = 0.5
 
 _LENGTH = struct.Struct(">I")
 
@@ -67,42 +56,19 @@ def read_frame(stream) -> Optional[Tuple[str, Any]]:
         return None
 
 
-def main(argv=None) -> int:
+def main() -> int:
     """Worker loop: read job frames, simulate, write result frames."""
-    parser = argparse.ArgumentParser(prog="repro.engine.worker")
-    parser.add_argument(
-        "--heartbeat",
-        type=float,
-        default=DEFAULT_HEARTBEAT_SECONDS,
-        help="seconds between heartbeat frames (0 disables them)",
-    )
-    options = parser.parse_args(argv)
-
     # Claim the protocol channel, then shield it from stray prints.
     protocol_out = os.fdopen(os.dup(sys.stdout.fileno()), "wb")
     os.dup2(sys.stderr.fileno(), sys.stdout.fileno())
     protocol_in = sys.stdin.buffer
 
-    write_lock = threading.Lock()
-
     def emit(kind: str, payload: Any = None) -> None:
         try:
-            with write_lock:
-                write_frame(protocol_out, kind, payload)
+            write_frame(protocol_out, kind, payload)
         except (OSError, ValueError):
             # The controller went away; there is nobody left to serve.
             os._exit(0)
-
-    silenced = threading.Event()
-    if options.heartbeat > 0:
-
-        def beat() -> None:
-            while True:
-                time.sleep(options.heartbeat)
-                if not silenced.is_set():
-                    emit("heartbeat", time.monotonic())
-
-        threading.Thread(target=beat, name="heartbeat", daemon=True).start()
 
     emit("ready", {"pid": os.getpid()})
 
@@ -118,31 +84,22 @@ def main(argv=None) -> int:
             break
         if kind != "job":
             continue
-        job, attempt = payload
+        job = payload
         plan = active_plan()
         try:
             if plan is not None:
-                if plan.matches_hang(job, attempt):
-                    # A genuinely hung worker stops beating: silence the
-                    # heartbeat *before* stalling so the watchdog fires.
-                    silenced.set()
-                plan.inject_worker(job, attempt)
+                plan.inject_worker(job, 1)
             start = time.perf_counter()
             annotated = execute_job(job)
             wall = time.perf_counter() - start
             if plan is not None:
-                annotated = plan.mangle_result(job, attempt, annotated)
-            emit(
-                "result",
-                {"key": job.key(), "wall": wall, "payload": annotated},
-            )
+                annotated = plan.mangle_result(job, 1, annotated)
+            emit("result", {"wall": wall, "payload": annotated})
         except Exception as error:  # noqa: BLE001 — forwarded, not swallowed
             emit(
                 "error",
                 {"kind": type(error).__name__, "message": str(error)},
             )
-        finally:
-            silenced.clear()  # hangs silence one job, not the worker
     return 0
 
 

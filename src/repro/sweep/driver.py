@@ -4,9 +4,10 @@ Two verbs, each callable from the CLI or directly from Python:
 
 * :func:`plan_text` — expand the grid and list its points (no runs).
 * :func:`run_sweep` — simulate every point in one engine run (cache
-  hits first, then ``--jobs`` workers, retries and the validation gate)
-  and aggregate the outcomes into the sweep report.  Rerunning against
-  the same cache simulates only the points it does not hold.
+  hits first, then ``--jobs`` workers, the in-process fallback and the
+  validation gate) and aggregate the outcomes into the sweep report.
+  Rerunning against the same cache simulates only the points it does
+  not hold.
 """
 
 from __future__ import annotations

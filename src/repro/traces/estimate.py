@@ -11,8 +11,8 @@ so one clustering pass buys estimates for every downstream analysis:
    under ``<cache>/traces/`` by default).
 2. **Fan out** — each representative window becomes an ordinary
    ``trace:<path>#<window>:<n>`` :class:`~repro.engine.SimulationJob`,
-   so window simulations run through the engine with caching, retry,
-   supervision, and coalescing like any other job.  The window reader
+   so window simulations run through the engine with caching, worker
+   fan-out and the validation gate like any other job.  The window reader
    seeks past non-overlapping chunks, so each job touches O(window)
    disk bytes.
 3. **Reconstruct** — per-window leakage savings (the paper's

@@ -17,10 +17,8 @@ from repro.cli import dumps_stable, main
 def isolated_env(tmp_path, monkeypatch):
     """Each test gets its own cache dir and a clean engine environment."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_RETRY_DELAY", "0.01")
     for var in (
         "REPRO_FAULTS",
-        "REPRO_RETRIES",
         "REPRO_JOB_TIMEOUT",
         "REPRO_CACHE_MAX_MB",
         "REPRO_JOBS",

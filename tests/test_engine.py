@@ -13,7 +13,6 @@ from repro.engine import (
     ExecutionEngine,
     NullStore,
     ResultStore,
-    RetryPolicy,
     RunTelemetry,
     SimulationJob,
     atomic_write_bytes,
@@ -207,36 +206,34 @@ class TestRobustness:
         self, monkeypatch
     ):
         # Every attempt outlives the 0.2s deadline: each worker is killed
-        # and, with no retries left, its job is handed back for serial.
+        # and, with no worker retries, its job is handed back for serial.
         monkeypatch.setenv("REPRO_FAULTS", "timeout:*:attempt=*:seconds=2")
         jobs = small_jobs()
-        report = build_backend("subprocess", 2, timeout=0.2).run(
-            jobs, RetryPolicy(max_attempts=1)
-        )
+        backend = build_backend("subprocess", 2, timeout=0.2)
+        report = backend.run(jobs)
         assert report.completed == {}
         assert report.leftovers == jobs
-        assert any("timeout" in note for note in report.notes)
-        assert any("retries exhausted" in note for note in report.notes)
+        assert report.dispatched == set(jobs)
+        assert any("exceeded the 0.2s timeout" in n for n in report.notes)
+        assert sum(h["dispatches"] for h in backend.snapshot().values()) == 2
 
-    def test_worker_exception_retried_then_left_for_serial(self, monkeypatch):
+    def test_worker_exception_left_for_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "raise:*:attempt=*")
         jobs = small_jobs()
-        report = build_backend("subprocess", 2).run(
-            jobs, RetryPolicy(max_attempts=2, base_delay=0.0)
-        )
+        backend = build_backend("subprocess", 1)
+        report = backend.run(jobs)
         assert report.completed == {}
-        assert set(report.leftovers) == set(jobs)
-        assert any("raised on host" in note for note in report.notes)
-        assert any("retries exhausted" in note for note in report.notes)
-        # One retry per job was attempted before giving up.
-        assert len(report.retries) == len(jobs)
-        assert all(r["where"] == "subprocess" for r in report.retries)
-        assert all(report.attempts[job] == 2 for job in jobs)
+        assert report.leftovers == jobs
+        assert report.dispatched == set(jobs)
+        assert sum("raised on host" in note for note in report.notes) == 2
+        # One worker served both jobs: an error frame does not kill it.
+        host = backend.snapshot()["local0"]
+        assert (host["connects"], host["dispatches"]) == (1, 2)
 
     def test_worker_start_failure_falls_back_to_serial(self, monkeypatch):
         from repro.engine import backends
 
-        def no_fork(self, spec, heartbeat, inbox):
+        def no_fork(self, label, inbox):
             raise OSError("fork refused (test)")
 
         monkeypatch.setattr(backends._Connection, "__init__", no_fork)
@@ -294,7 +291,7 @@ class TestTelemetry:
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == 13
+        assert manifest["manifest_version"] == 14
         for dropped in ("service", "coordination"):
             assert dropped not in manifest  # went with the serving daemon
         assert "hosts" not in manifest["engine"]  # went with remote hosts
@@ -308,7 +305,7 @@ class TestTelemetry:
         assert substrate["traces_published"] == 0  # synthetic workloads
         for row in manifest["jobs"]:
             assert row["residual_impl"] in ("", "python", "compiled", "scalar")
-        assert manifest["retries"] == []
+        assert "retries" not in manifest  # v14: one dispatch, no retries
         assert manifest["faults"] == []
         assert manifest["quarantine"] == []
         for merged in ("heartbeats", "breakers", "fault_domains"):
@@ -321,14 +318,9 @@ class TestTelemetry:
             "failed",
             "serial_fallbacks",
             "fallbacks",
-            "retries",
-            "retried_jobs",
             "faults_injected",
             "quarantined_results",
             "cache_quarantined",
-            "heartbeat_events",
-            "cache_hits_from_earlier_runs",
-            "cache_hits_from_this_run",
             "wall_seconds",
             "instructions",
             "simulated_instructions",
@@ -338,28 +330,32 @@ class TestTelemetry:
             "fast_path_share",
         ):
             assert field in totals
-        assert "breaker_trips" not in totals  # v12: no breakers
-        # v12 per-host layout of the workers section: counters and hang
-        # events only, no breaker, partition or trace fetch fields.
+        for dropped in (
+            "breaker_trips",  # v12: no breakers
+            "retries",  # v14: no retries, heartbeat or sharing split
+            "retried_jobs",
+            "heartbeat_events",
+            "cache_hits_from_earlier_runs",
+            "cache_hits_from_this_run",
+        ):
+            assert dropped not in totals
+        assert "retry" not in manifest["engine"]
+        # v14 per-host layout of the workers section: counters only, no
+        # hang events or requeues.
         from repro.engine import build_backend
 
         host = build_backend("subprocess", 1).snapshot()["local0"]
         assert set(host) == {
             "dispatches",
             "completions",
-            "requeues",
             "connects",
             "connect_failures",
             "flaps",
-            "hangs",
         }
         assert totals["jobs"] == len(SUITE_NAMES)
         assert totals["cached"] == totals["jobs"]
-        # The warm store was filled by an earlier engine instance, so every
-        # hit counts as shared from an earlier run.
-        assert totals["cache_hits_from_earlier_runs"] == totals["jobs"]
-        assert totals["cache_hits_from_this_run"] == 0
         assert manifest["store"]["hits"] == totals["jobs"]
+        assert not any(key.startswith("hits_from") for key in manifest["store"])
         assert manifest["engine"]["max_workers"] == 2
         for row in manifest["jobs"]:
             assert row["benchmark"] in SUITE_NAMES

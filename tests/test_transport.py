@@ -22,13 +22,11 @@ from repro.engine import transport
 from repro.cli import dumps_stable
 from repro.engine.jobs import SimulationJob, job_result_payload
 from repro.engine.parallel import ExecutionEngine
-from repro.engine.retry import RetryPolicy
 from repro.engine.store import NullStore
 from repro.errors import ConfigurationError, EngineError
 from repro.traces.format import TraceRecording, record_benchmark
 
 SMALL = 0.03
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
 
 
 @pytest.fixture(scope="module")
@@ -251,20 +249,18 @@ class TestEngineEndToEnd:
         self, recorded, monkeypatch
     ):
         # kill -9 semantics: the worker os._exit()s mid-job on the first
-        # attempt, after the parent published the arena.  The job is
-        # requeued onto a respawned worker; the parent — sole owner of
-        # the segment — still unlinks it when the dispatch settles.
+        # attempt, after the parent published the arena.  The job then
+        # runs in-process; the parent — sole owner of the segment — still
+        # unlinks it when the dispatch settles.
         ref = f"trace:{recorded}"
         expected = self.reference(ref)
         monkeypatch.setenv(transport.ENV_TRANSPORT, "shm")
         monkeypatch.setenv("REPRO_FAULTS", "crash:*@*:attempt=1")
-        engine = ExecutionEngine(
-            jobs=2, backend="subprocess", store=NullStore(), retry=FAST_RETRY
-        )
+        engine = ExecutionEngine(jobs=2, backend="subprocess", store=NullStore())
         outcome = engine.run_one(SimulationJob(ref))
-        # The first worker could not have finished it: the job completed
-        # on its second attempt.
-        assert outcome.attempts == 2
+        # The worker could not have finished it: the job completed on
+        # its second attempt, in-process.
+        assert (outcome.source, outcome.attempts) == ("serial-fallback", 2)
         assert outcome.annotated.result == expected
         assert transport.REGISTRY.active_segments() == []
 
