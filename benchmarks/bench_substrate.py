@@ -17,7 +17,6 @@ from repro.core.energy import ModeEnergyModel
 from repro.core.intervals import IntervalSet
 from repro.core.policy import OptHybrid
 from repro.core.savings import evaluate_policy
-from repro.cpu.simulator import TraceSimulator
 from repro.engine import ExecutionEngine, NullStore, ResultStore, SimulationJob
 from repro.engine import transport
 from repro.power.technology import paper_nodes
@@ -29,20 +28,9 @@ from repro.workloads import make_gzip
 from conftest import label_overhead_only
 
 
-def test_simulator_throughput(benchmark):
-    """Instructions per second through the trace-driven simulator."""
-
-    def run():
-        workload = make_gzip(scale=0.05)
-        return TraceSimulator().run(workload.chunks())
-
-    result = benchmark.pedantic(run, rounds=10, iterations=1)
-    assert result.instructions > 50_000
-    benchmark.extra_info["instructions"] = result.instructions
-
-
 def test_annotating_simulator_throughput(benchmark):
-    """The prefetch-annotated path costs only modestly more."""
+    """Instructions per second through the trace simulator (timing and
+    prefetch annotation in one pass)."""
 
     def run():
         workload = make_gzip(scale=0.05)

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.cpu.simulator import simulate_trace
+from repro.prefetch.analysis import annotate_workload_trace
 from repro.traces import TraceRecording, record_benchmark
 
 #: Recording scale: gzip at 0.05 is ~228K instructions, enough that
@@ -88,8 +88,8 @@ def test_trace_streamed_simulation_matches_inline_cost(benchmark, recorded):
     """End-to-end: stream from disk straight into the batched kernel."""
 
     def run():
-        return simulate_trace(TraceRecording(recorded.path).chunks())
+        return annotate_workload_trace(TraceRecording(recorded.path).chunks())
 
-    result = benchmark.pedantic(run, rounds=2, iterations=1)
+    result = benchmark.pedantic(run, rounds=2, iterations=1).result
     assert result.instructions == recorded.instructions
     benchmark.extra_info["instructions"] = result.instructions

@@ -26,8 +26,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro.core import ModeEnergyModel, inflection_points
-from repro.cpu import TraceChunk, simulate_trace
+from repro.cpu import TraceChunk
 from repro.power import paper_nodes
+from repro.prefetch import annotate_workload_trace
 
 
 def two_level_loop(inner_trips: int, outer_trips: int = 12) -> TraceChunk:
@@ -50,7 +51,7 @@ def main() -> None:
 
     print(f"{'inner trips':>12s} {'add-line interval':>18s} {'optimal mode':>13s}")
     for inner_trips in (2, 40, 400, 4000, 40_000):
-        result = simulate_trace(two_level_loop(inner_trips))
+        result = annotate_workload_trace(two_level_loop(inner_trips)).result
         # The `add` line is the frame holding block 0x8000 >> 6 = 0x200.
         intervals = result.l1i_intervals.live_only()
         # Its re-access interval ~= inner loop duration; take the median

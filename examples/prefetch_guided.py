@@ -1,9 +1,10 @@
 """Prefetch-guided leakage management (the paper's §5).
 
-Runs the annotated simulation on a data-heavy benchmark, prints the
-Figure 9 prefetchability breakdown, and compares the implementable
-Prefetch-A / Prefetch-B schemes against the oracle hybrid and the
-cache-decay baseline — including Prefetch-B's (tiny) wake-up stall cost.
+Simulates a data-heavy benchmark (the simulator flags every interval's
+prefetchability as it closes), prints the Figure 9 prefetchability
+breakdown, and compares the implementable Prefetch-A / Prefetch-B schemes
+against the oracle hybrid and the cache-decay baseline — including
+Prefetch-B's (tiny) wake-up stall cost.
 
 Run:  python examples/prefetch_guided.py  [benchmark] [scale]
 """

@@ -13,8 +13,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import ModeEnergyModel, evaluate_policy, inflection_points, standard_policies
-from repro.cpu import simulate_trace
 from repro.power import paper_nodes
+from repro.prefetch import annotate_workload_trace
 from repro.workloads import make_gzip
 
 
@@ -35,7 +35,7 @@ def main() -> None:
     workload = make_gzip(scale=scale)
     print(f"\nsimulating {workload.total_instructions:,} instructions of "
           f"'{workload.name}' ...")
-    result = simulate_trace(workload.chunks())
+    result = annotate_workload_trace(workload.chunks()).result
     print(f"  {result.cycles:,} cycles, IPC {result.ipc:.2f}")
     for level in ("L1I", "L1D", "L2"):
         print("  " + result.stats.level(level).describe())

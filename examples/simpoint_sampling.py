@@ -15,8 +15,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import ModeEnergyModel, OptHybrid, evaluate_policy
-from repro.cpu import simulate_trace
 from repro.power import paper_nodes
+from repro.prefetch import annotate_workload_trace
 from repro.simpoint import estimate_weighted, profile_trace, select_simpoints, window_slice
 from repro.workloads import make_benchmark
 
@@ -30,7 +30,7 @@ def main() -> None:
     # Ground truth: the full run.
     workload = make_benchmark(name, scale=scale)
     print(f"full run: {workload.total_instructions:,} instructions of '{name}'")
-    full = simulate_trace(workload.chunks())
+    full = annotate_workload_trace(workload.chunks()).result
     truth = evaluate_policy(
         OptHybrid(model), full.l1i_intervals.as_normal()
     ).saving_fraction
@@ -48,7 +48,7 @@ def main() -> None:
     # Simulate only the representatives; combine with the weights.
     def window_saving(window: int) -> float:
         piece = window_slice(chunks, window, window_instructions)
-        result = simulate_trace(piece)
+        result = annotate_workload_trace(piece).result
         report = evaluate_policy(OptHybrid(model), result.l1i_intervals.as_normal())
         return report.saving_fraction
 

@@ -22,13 +22,13 @@ from repro.core import (
     evaluate_policy,
     inflection_points,
 )
-from repro.cpu import simulate_trace
 from repro.power import (
     DynamicEnergyModel,
     LeakageModel,
     TechnologyNode,
     paper_nodes,
 )
+from repro.prefetch import annotate_workload_trace
 from repro.units import joules_to_leakage_cycles
 from repro.workloads import make_benchmark
 
@@ -69,7 +69,7 @@ def main() -> None:
     workload = make_benchmark("mesa", scale=scale)
     print(f"\nsimulating '{workload.name}' "
           f"({workload.total_instructions:,} instructions) ...")
-    result = simulate_trace(workload.chunks())
+    result = annotate_workload_trace(workload.chunks()).result
     intervals = result.l1d_intervals.reduced().as_normal()
 
     print("\nD-cache optimal savings (%) — Table 2 extended to 45 nm:")

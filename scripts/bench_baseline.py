@@ -4,10 +4,10 @@ Runs ``benchmarks/bench_substrate.py``, ``benchmarks/bench_traces.py``
 and ``benchmarks/bench_remote.py`` through pytest-benchmark and writes
 the JSON results to ``BENCH_substrate.json`` at the repo root — the
 committed perf trajectory future changes are compared against (the
-batched-kernel acceptance bar was ">= 2x over the recorded
-``test_simulator_throughput`` mean"; ``bench_remote.py`` prices
-framed-worker dispatch and the worker start handshake on local
-``subprocess`` workers).
+batched-kernel acceptance bar was ">= 2x over the recorded mean of the
+plain trace simulator", a bench retired with that simulator;
+``bench_remote.py`` prices framed-worker dispatch and the worker start
+handshake on local ``subprocess`` workers).
 
 Usage::
 

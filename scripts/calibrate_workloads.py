@@ -3,7 +3,8 @@ import sys, time
 sys.path.insert(0, 'src')
 import numpy as np
 from repro.workloads import paper_suite
-from repro.cpu import simulate_trace
+from repro.experiments.paper_values import FIGURE8_AVERAGES, TABLE2
+from repro.prefetch import annotate_workload_trace
 from repro.power import paper_nodes
 from repro.core import (ModeEnergyModel, OptDrowsy, OptSleep, DecaySleep, OptHybrid,
                         evaluate_policy)
@@ -16,7 +17,7 @@ policies = lambda: [OptDrowsy(m, name="OPT-Drowsy"), DecaySleep(m, 10_000),
 rows = {"I": [], "D": []}
 for name, wl in paper_suite(scale).items():
     t0 = time.time()
-    res = simulate_trace(wl.chunks())
+    res = annotate_workload_trace(wl.chunks()).result
     for label, ivs in (("I", res.l1i_intervals), ("D", res.l1d_intervals)):
         ivs = ivs.reduced().as_normal()
         mass = ivs.cycle_mass_by_class([6, 1057, 10000])
@@ -30,5 +31,9 @@ for label in ("I", "D"):
     avg = np.mean(rows[label], axis=0)
     print(f"AVG {label}: drowsy={avg[0]:.3f} sleep10K={avg[1]:.3f} "
           f"optsleep10K={avg[2]:.3f} optsleep={avg[3]:.3f} hybrid={avg[4]:.3f}")
-print("paper  I: drowsy=0.664 sleep10K=0.704 optsleep10K=0.804 optsleep=0.952 hybrid=0.964")
-print("paper  D: drowsy=0.661 sleep10K=0.841 optsleep10K=0.871 optsleep=0.984 hybrid=0.991")
+for label, cache in (("I", "icache"), ("D", "dcache")):
+    opt, avg = TABLE2[cache][70], FIGURE8_AVERAGES[cache]
+    print(f"paper  {label}: drowsy={opt['OPT-Drowsy']:.3f} "
+          f"sleep10K={avg['Sleep(10K)']:.3f} "
+          f"optsleep10K={avg['OPT-Sleep(10K)']:.3f} "
+          f"optsleep={opt['OPT-Sleep']:.3f} hybrid={opt['OPT-Hybrid']:.3f}")

@@ -14,12 +14,13 @@ the answer rests on:
   energy models, the four paper technology nodes (calibrated so the
   Table 1 inflection points reproduce exactly), and the ITRS projection.
 * :mod:`repro.cache` / :mod:`repro.cpu` — the Alpha-21264-like simulation
-  substrate: a 64 KB/64 KB/2 MB hierarchy with generation tracking, a
-  width-limited timing model and trace-driven simulation.
+  substrate: a 64 KB/64 KB/2 MB hierarchy with generation tracking, the
+  batched simulation kernel and a width-limited timing model.
 * :mod:`repro.workloads` — six SPEC2000-like synthetic benchmarks.
 * :mod:`repro.simpoint` — BBV profiling + k-means phase selection.
-* :mod:`repro.prefetch` — next-line and stride prefetchers, interval
-  prefetchability, and the Prefetch-A/B oracle approximations.
+* :mod:`repro.prefetch` — the trace simulator (timing, interval
+  populations and their prefetchability in one pass), next-line and
+  stride prefetchers, and the Prefetch-A/B oracle approximations.
 * :mod:`repro.experiments` — one harness per paper table/figure.
 * :mod:`repro.engine` — the execution substrate: parallel simulation
   with on-disk result caching, fault tolerance and run telemetry.
@@ -32,13 +33,14 @@ Quickstart::
 or, for the full pipeline::
 
     from repro.workloads import make_gzip
-    from repro.cpu import simulate_trace
+    from repro.prefetch import annotate_workload_trace
     from repro.power import paper_nodes
     from repro.core import ModeEnergyModel, OptHybrid, evaluate_policy
 
-    result = simulate_trace(make_gzip(scale=0.2).chunks())
+    annotated = annotate_workload_trace(make_gzip(scale=0.2).chunks())
     model = ModeEnergyModel(paper_nodes()[70])
-    report = evaluate_policy(OptHybrid(model), result.l1i_intervals.as_normal())
+    intervals = annotated.result.l1i_intervals
+    report = evaluate_policy(OptHybrid(model), intervals.as_normal())
     print(report.describe())
 """
 
@@ -88,11 +90,11 @@ def quick_limits(scale: float = 0.2, feature_nm: int = 70) -> str:
     a fast taste of the full Figure 8 experiment.
     """
     from .core import ModeEnergyModel, OptHybrid, evaluate_policy
-    from .cpu import simulate_trace
     from .power import paper_nodes
+    from .prefetch import annotate_workload_trace
     from .workloads import make_gzip
 
-    result = simulate_trace(make_gzip(scale=scale).chunks())
+    result = annotate_workload_trace(make_gzip(scale=scale).chunks()).result
     model = ModeEnergyModel(paper_nodes()[feature_nm])
     lines = [f"gzip @ {feature_nm}nm (scale {scale:g}):"]
     for cache_name, intervals in (

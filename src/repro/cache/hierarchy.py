@@ -1,9 +1,9 @@
 """The paper's three-level memory hierarchy (§4.1).
 
 L1 instruction and data caches backed by a unified L2, which is backed by
-main memory.  Each access returns the latency the pipeline model should
-charge; the L1 caches carry generation trackers so per-frame access
-intervals can be extracted after a run.
+main memory.  An L1 miss costs :meth:`MemoryHierarchy.fill_latency`; the
+L1 caches carry generation trackers so per-frame access intervals can be
+extracted after a run.
 """
 
 from __future__ import annotations
@@ -75,36 +75,16 @@ class MemoryHierarchy:
         )
         self._finished = False
 
-    # ------------------------------------------------------------------
-    # Access paths (return the latency in cycles)
-    # ------------------------------------------------------------------
+    def fill_latency(self, block: int, time: int) -> int:
+        """Latency in cycles of an L1 miss on ``block`` at ``time``.
 
-    def fetch_instruction(self, address: int, time: int) -> int:
-        """Instruction fetch; returns its latency in cycles."""
-        block = address >> self.config.l1i.offset_bits
-        if self.l1i.access_block(block, time):
-            return self.config.l1i.hit_latency
-        return self._access_l2(block, time)
-
-    def access_data(self, address: int, time: int, is_store: bool = False) -> int:
-        """Data load/store; returns its latency in cycles.
-
-        Stores are modelled write-allocate/write-back, so they walk the
-        same fill path as loads.
+        The miss walks the L2, and main memory behind it on an L2 miss.
+        Stores are modelled write-allocate/write-back, so they take the
+        same fill path as loads and instruction fetches.
         """
-        block = address >> self.config.l1d.offset_bits
-        if self.l1d.access_block(block, time):
-            return self.config.l1d.hit_latency
-        return self._access_l2(block, time)
-
-    def _access_l2(self, block: int, time: int) -> int:
         if self.l2.access_block(block, time):
             return self.config.l2.hit_latency
         return self.config.l2.hit_latency + self.config.memory_latency
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
 
     def finish(self, end_time: int) -> None:
         """Close all generation timelines at the end of simulation."""

@@ -1,6 +1,6 @@
 """Batched simulation kernel: chunk-at-a-time cache and timing processing.
 
-The scalar simulation path calls :meth:`SetAssociativeCache.access_block`
+The scalar simulation path calls :meth:`SetAssociativeCache.access_block_ex`
 once per fetch group and data access — millions of Python-level calls per
 run.  This module processes whole trace chunks at a time instead, while
 staying *bit-identical* to the scalar path:
@@ -78,21 +78,18 @@ KERNEL_MODES = ("auto", "scalar", "batched", "compiled")
 RESIDUAL_IMPLS = ("python", "compiled")
 
 
-def resolve_kernel_mode(value: object = None) -> str:
+def resolve_kernel_mode(value: Optional[str] = None) -> str:
     """Resolve a kernel selector to ``scalar``/``batched``/``compiled``.
 
-    ``value`` may be a mode string, a legacy bool (``True`` = batched,
-    ``False`` = scalar), or ``None`` — which consults ``REPRO_KERNEL``
-    and defaults to ``auto``.  ``auto`` prefers the compiled residual
-    loop when the host can build/load it (:mod:`repro.cache.native`)
-    and degrades to the pure-python batched loop otherwise, so a
-    pure-python environment resolves identically everywhere with no
-    configuration.
+    ``value`` is a mode string, or ``None`` — which consults
+    ``REPRO_KERNEL`` and defaults to ``auto``.  ``auto`` prefers the
+    compiled residual loop when the host can build/load it
+    (:mod:`repro.cache.native`) and degrades to the pure-python batched
+    loop otherwise, so a pure-python environment resolves identically
+    everywhere with no configuration.
     """
     if value is None:
         value = os.environ.get(ENV_KERNEL, "").strip() or "auto"
-    if isinstance(value, bool):
-        value = "batched" if value else "scalar"
     mode = str(value).strip().lower()
     if mode not in KERNEL_MODES:
         raise ConfigurationError(
@@ -755,16 +752,15 @@ def _assemble_chunk(
         lane.set_last_block[ssets[last_of_set]] = sblocks[last_of_set]
         lane.set_last_time[ssets[last_of_set]] = t_ev[last_idx]
         lane.close_trailing_runs(sets, t_ev, last_idx[fast[last_idx]])
-        if observer is not None:
-            windows = t_ev - gaps
-            stage["assembly"] += perf() - t_start
-            t_start = perf()
-            if lane is lane_d:
-                observer(blocks, windows, t_ev, pcs[pos], addrs[pos], dstores)
-            else:
-                observer(blocks, windows, t_ev)
-            stage["annotate"] += perf() - t_start
-            t_start = perf()
+        windows = t_ev - gaps
+        stage["assembly"] += perf() - t_start
+        t_start = perf()
+        if lane is lane_d:
+            observer(blocks, windows, t_ev, pcs[pos], addrs[pos], dstores)
+        else:
+            observer(blocks, windows, t_ev)
+        stage["annotate"] += perf() - t_start
+        t_start = perf()
     stage["assembly"] += perf() - t_start
 
 
@@ -772,8 +768,8 @@ def run_batched(
     hierarchy: MemoryHierarchy,
     clock: IssueClock,
     trace: Iterable[TraceChunk],
-    i_observer: Optional[Callable] = None,
-    d_observer: Optional[Callable] = None,
+    i_observer: Callable,
+    d_observer: Callable,
     residual: Optional[str] = None,
 ) -> BatchedRunResult:
     """Drive a full hierarchy through the batched kernel.
@@ -804,20 +800,21 @@ def run_batched(
     store_buffer = config.store_buffer
     l1i_hit = hierarchy.config.l1i.hit_latency
     l1d_hit = hierarchy.config.l1d.hit_latency
-    l2_hit = hierarchy.config.l2.hit_latency
-    memory_latency = hierarchy.config.l2.hit_latency + hierarchy.config.memory_latency
-    l2_access = hierarchy.l2.access_block
+    fill_latency = hierarchy.fill_latency
 
     residual_impl = resolve_residual_impl(residual)
     if residual_impl == "compiled":
         native_lib = native.load_native()
-        native_miss_cb = native.make_miss_cb((lane_i, lane_d), l2_access)
+        native_miss_cb = native.make_miss_cb(
+            (lane_i, lane_d), hierarchy.l2.access_block
+        )
         native_rng_cb = native.make_rng_cb((lane_i, lane_d))
+        l2_hit = hierarchy.config.l2.hit_latency
         native_timing = {
             "l1i_hit": l1i_hit,
             "l1d_hit": l1d_hit,
             "l2_hit": l2_hit,
-            "memory_latency": memory_latency,
+            "memory_latency": l2_hit + hierarchy.config.memory_latency,
             "stall_on_miss": int(bool(stall_on_miss)),
             "load_mlp": load_mlp,
             "store_buffer": int(bool(store_buffer)),
@@ -1013,7 +1010,7 @@ def run_batched(
                     gaps_out.append(gap)
                     kinds_out.append(kind)
                 # The miss walks the L2; its latency stalls the stream.
-                latency = l2_hit if l2_access(block, now) else memory_latency
+                latency = fill_latency(block, now)
                 if is_d:
                     if not (is_store and store_buffer):
                         extra = -(-(latency - l1d_hit) // load_mlp)

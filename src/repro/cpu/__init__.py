@@ -1,13 +1,14 @@
-"""CPU substrate: traces, pipeline timing, trace-driven simulation.
+"""CPU substrate: traces, pipeline timing and the simulation result.
 
 The reproduction's substitute for SimpleScalar's sim-alpha (DESIGN.md
 §3.4): traces of retired instructions are timed by a 4-wide in-order
 issue model and driven through the cache hierarchy to produce the
-per-frame access-interval populations the limit study consumes.
+per-frame access-interval populations the limit study consumes.  The
+simulator itself is :class:`repro.prefetch.AnnotatingSimulator`.
 """
 
 from .pipeline import IssueClock, PipelineConfig
-from .simulator import SimulationResult, TraceSimulator, simulate_trace
+from .simulator import SimulationResult
 from .trace import (
     LOAD,
     NO_ACCESS,
@@ -30,11 +31,9 @@ __all__ = [
     "STORE",
     "SimulationResult",
     "TraceChunk",
-    "TraceSimulator",
     "load_trace_npz",
     "load_trace_text",
     "merge_chunks",
     "save_trace_npz",
     "save_trace_text",
-    "simulate_trace",
 ]

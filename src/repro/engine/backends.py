@@ -185,13 +185,13 @@ class _Connection:
         #: during start-up does not hold its start for the full timeout.
         self.ready = threading.Event()
         self.eof = False
-        reader = threading.Thread(
+        self._reader = threading.Thread(
             target=self._read_loop,
             args=(inbox,),
             name=f"worker-reader-{label}",
             daemon=True,
         )
-        reader.start()
+        self._reader.start()
 
     def _read_loop(self, inbox: "queue.Queue") -> None:
         while True:
@@ -226,6 +226,12 @@ class _Connection:
             pass
 
     def close(self) -> None:
+        """Stop the worker (killed ones too) and release both pipes.
+
+        The pipes close only once the process has exited and the reader
+        thread has returned: closing a pipe the reader still blocks on
+        would hang on its buffer lock.
+        """
         self.dead = True
         if self.proc.poll() is None:
             try:
@@ -240,7 +246,15 @@ class _Connection:
         try:
             self.proc.wait(timeout=2.0)
         except subprocess.TimeoutExpired:  # pragma: no cover — kernel lag
-            pass
+            return
+        self._reader.join(timeout=2.0)
+        if self._reader.is_alive():  # pragma: no cover — kernel lag
+            return
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except (OSError, ValueError):
+                pass
 
 
 class _HostState:

@@ -14,19 +14,19 @@ the interval, hiding the sleep/drowsy exit penalty:
 Intervals no longer than the active-drowsy point are always kept active,
 need no prefetch, and are counted non-prefetchable, as in the paper.
 
-:class:`AnnotatingSimulator` mirrors :class:`~repro.cpu.simulator.
-TraceSimulator` exactly (same hierarchy, same clock, same fetch line
-buffer) while additionally classifying every interval as it closes; the
-test suite pins the two simulators to identical timing and statistics.
+:class:`AnnotatingSimulator` is the trace simulator: it times a trace
+through the pipeline model and the memory hierarchy and classifies every
+interval as it closes, in one pass.
 
-Classification has two implementations with bit-identical flags.  The
-scalar path feeds every access to :class:`_CacheAnnotator` and a
-:class:`~repro.prefetch.stride.StridePredictor`; it is the oracle.  The
-batched kernel hands each chunk's event arrays to
-:class:`_ChunkAnnotator` and :class:`_StrideTable`, which resolve the
-whole chunk with sorts and searches, carrying only per-block and
-stride-table state across chunks.  ``tests/test_annotation_oracle.py``
-pins the two together.
+It has two execution paths with bit-identical results.  The scalar path
+walks every access through the caches, a :class:`_CacheAnnotator` per
+cache and a :class:`~repro.prefetch.stride.StridePredictor`; it is the
+oracle.  The batched kernel (:func:`~repro.cache.kernel.run_batched`)
+hands each chunk's event arrays to :class:`_ChunkAnnotator` and
+:class:`_StrideTable`, which resolve the whole chunk with sorts and
+searches, carrying only per-block and stride-table state across chunks.
+``tests/test_kernel_equivalence.py`` and
+``tests/test_annotation_oracle.py`` pin the two together.
 """
 
 from __future__ import annotations
@@ -399,14 +399,18 @@ class AnnotatedSimulationResult:
 class AnnotatingSimulator:
     """Trace simulation with per-interval prefetchability classification.
 
-    Timing-identical to :class:`~repro.cpu.simulator.TraceSimulator`; use
-    it whenever an experiment needs Prefetch-A/B or Figure 9 numbers.
+    ``kernel`` selects the execution path.  ``None`` follows
+    ``REPRO_KERNEL`` (default ``auto``) and falls back to the scalar
+    oracle on a hierarchy the batched kernel does not support; an
+    explicit ``"auto"``/``"scalar"``/``"batched"``/``"compiled"`` is
+    obeyed, and a batched mode raises on such a hierarchy.
     """
 
     def __init__(
         self,
         hierarchy: Optional[MemoryHierarchy] = None,
         pipeline: Optional[PipelineConfig] = None,
+        kernel: Optional[str] = None,
         stride_table_capacity: Optional[int] = 4096,
         active_floor: int = DEFAULT_ACTIVE_FLOOR,
     ) -> None:
@@ -416,6 +420,7 @@ class AnnotatingSimulator:
             else MemoryHierarchy(HierarchyConfig.paper())
         )
         self.clock = IssueClock(pipeline)
+        self.kernel = kernel
         if stride_table_capacity is not None and stride_table_capacity <= 0:
             raise ConfigurationError(
                 "stride table capacity must be positive or None, got "
@@ -426,7 +431,13 @@ class AnnotatingSimulator:
         self._ran = False
 
     def run(self, trace: Iterable[TraceChunk] | TraceChunk) -> AnnotatedSimulationResult:
-        """Consume the trace; return results with annotations."""
+        """Consume the whole trace; return results with annotations.
+
+        A simulator instance runs one trace; build a fresh instance (and
+        hierarchy) per workload.  Chunks are validated as they are
+        consumed on both paths: malformed input raises
+        :class:`~repro.errors.TraceValidationError` naming the chunk.
+        """
         if self._ran:
             raise SimulationError(
                 "AnnotatingSimulator instances are single-use; build a new one"
@@ -434,15 +445,16 @@ class AnnotatingSimulator:
         self._ran = True
         if isinstance(trace, TraceChunk):
             trace = (trace,)
-        # REPRO_KERNEL selects the path; auto prefers the batched kernel
-        # (with its best available residual loop) when the hierarchy
-        # supports it and the scalar loop otherwise.
-        mode = resolve_kernel_mode()
-        if mode != "scalar" and kernel_supported(self.hierarchy):
-            return self._run_batched(trace)
-        return self._run_scalar(trace)
+        mode = resolve_kernel_mode(self.kernel)
+        if mode == "scalar" or (
+            self.kernel is None and not kernel_supported(self.hierarchy)
+        ):
+            return self._run_scalar(trace)
+        return self._run_batched(trace, mode)
 
-    def _run_batched(self, trace: Iterable[TraceChunk]) -> AnnotatedSimulationResult:
+    def _run_batched(
+        self, trace: Iterable[TraceChunk], mode: str
+    ) -> AnnotatedSimulationResult:
         """Kernel timing plus chunk-vectorised annotation.
 
         The kernel hands each chunk's (block, window, time) event stream —
@@ -463,7 +475,8 @@ class AnnotatingSimulator:
             d_annotator.observe(blocks, windows, times, stride_hits)
 
         outcome = run_batched(
-            hierarchy, self.clock, trace, i_annotator.observe, d_observer
+            hierarchy, self.clock, trace, i_annotator.observe, d_observer,
+            residual="compiled" if mode == "compiled" else "python",
         )
         l1i_intervals = hierarchy.l1i.intervals()
         l1d_intervals = hierarchy.l1d.intervals()
@@ -492,23 +505,26 @@ class AnnotatingSimulator:
         d_annotator = _CacheAnnotator(hierarchy.l1d.config.n_lines, self.active_floor)
         clock = self.clock
         config = clock.config
-        l1i, l1d, l2 = hierarchy.l1i, hierarchy.l1d, hierarchy.l2
+        l1i, l1d = hierarchy.l1i, hierarchy.l1d
+        fill_latency = hierarchy.fill_latency
         offset_bits = hierarchy.config.l1i.offset_bits
         d_offset_bits = hierarchy.config.l1d.offset_bits
         l1i_hit = hierarchy.config.l1i.hit_latency
         l1d_hit = hierarchy.config.l1d.hit_latency
-        l2_hit = hierarchy.config.l2.hit_latency
-        memory_latency = hierarchy.config.memory_latency
         load_mlp = config.load_mlp
         store_buffer = config.store_buffer
         issue = clock.issue
         stall = clock.stall
         stride_access = StridePredictor(self.stride_table_capacity).access
+        # The fetch unit reads aligned instruction groups; the I-cache is
+        # accessed once per group, not once per instruction.
         group_bits = config.fetch_group_bytes.bit_length() - 1
         prev_igroup = -1
+        accesses_before = l1i.stats.accesses + l1d.stats.accesses
         started = _time.perf_counter()
 
-        # Mirror the batched kernel's entry validation on the scalar path.
+        # Same entry validation as the batched kernel: malformed chunks
+        # fail with a named error, not garbage deep in the access loop.
         for chunk in validated_chunks(trace):
             pcs = chunk.pcs
             addrs = chunk.data_addresses
@@ -523,12 +539,8 @@ class AnnotatingSimulator:
                     hit, frame = l1i.access_block_ex(iblock, now)
                     i_annotator.observe(iblock, frame, now, stride_hit=False)
                     if not hit:
-                        latency = (
-                            l2_hit
-                            if l2.access_block(iblock, now)
-                            else l2_hit + memory_latency
-                        )
-                        stall(latency - l1i_hit)
+                        # Front-end misses stall the in-order fetch fully.
+                        stall(fill_latency(iblock, now) - l1i_hit)
                 kind = kinds[i]
                 if kind != NO_ACCESS:
                     address = int(addrs[i])
@@ -538,23 +550,20 @@ class AnnotatingSimulator:
                     hit, frame = l1d.access_block_ex(block, now)
                     d_annotator.observe(block, frame, now, stride_hit)
                     if not hit:
-                        latency = (
-                            l2_hit
-                            if l2.access_block(block, now)
-                            else l2_hit + memory_latency
-                        )
+                        latency = fill_latency(block, now)
                         if not (is_store and store_buffer):
+                            # Load misses overlap via the MLP divisor.
                             stall(-(-(latency - l1d_hit) // load_mlp))
 
         end_time = clock.cycle + 1
         hierarchy.finish(end_time)
-        accesses = hierarchy.l1i.stats.accesses + hierarchy.l1d.stats.accesses
+        accesses = l1i.stats.accesses + l1d.stats.accesses - accesses_before
         result = SimulationResult(
             cycles=end_time,
             instructions=clock.instructions,
             stall_cycles=clock.stall_cycles,
-            l1i_intervals=hierarchy.l1i.intervals(),
-            l1d_intervals=hierarchy.l1d.intervals(),
+            l1i_intervals=l1i.intervals(),
+            l1d_intervals=l1d.intervals(),
             stats=hierarchy.stats(),
             profile=SimulationProfile(
                 mode="scalar",
@@ -575,6 +584,7 @@ def annotate_workload_trace(
     trace: Iterable[TraceChunk] | TraceChunk,
     hierarchy: Optional[MemoryHierarchy] = None,
     pipeline: Optional[PipelineConfig] = None,
+    kernel: Optional[str] = None,
 ) -> AnnotatedSimulationResult:
-    """One-shot convenience wrapper around :class:`AnnotatingSimulator`."""
-    return AnnotatingSimulator(hierarchy, pipeline).run(trace)
+    """Simulate one trace: one-shot wrapper around :class:`AnnotatingSimulator`."""
+    return AnnotatingSimulator(hierarchy, pipeline, kernel).run(trace)

@@ -65,9 +65,15 @@ def _assert_same_flags(a, b):
             assert np.array_equal(x, y), cache
 
 
+def _run(kernel, chunks, capacity):
+    return AnnotatingSimulator(
+        kernel=kernel, stride_table_capacity=capacity
+    ).run(chunks)
+
+
 def _both_paths(chunks, capacity=4096):
-    scalar = AnnotatingSimulator(stride_table_capacity=capacity)._run_scalar(chunks)
-    batched = AnnotatingSimulator(stride_table_capacity=capacity)._run_batched(chunks)
+    scalar = _run("scalar", chunks, capacity)
+    batched = _run("batched", chunks, capacity)
     assert scalar.result == batched.result
     return scalar, batched
 
@@ -199,17 +205,12 @@ class TestCraftedTraces:
             np.concatenate([part.data_kinds for part in parts]),
         )
         runs = [
-            AnnotatingSimulator(stride_table_capacity=64)._run_batched(
-                _split(whole, size)
-            )
+            _run("batched", _split(whole, size), 64)
             for size in (997, 7919, len(whole))
         ]
         for other in runs[1:]:
             _assert_same_flags(runs[0], other)
-        scalar = AnnotatingSimulator(stride_table_capacity=64)._run_scalar(
-            [whole]
-        )
-        _assert_same_flags(scalar, runs[0])
+        _assert_same_flags(_run("scalar", [whole], 64), runs[0])
 
 
 def _windows(frames, times):

@@ -417,6 +417,29 @@ class TestSubprocessBackend:
         )
 
     @pytest.mark.parametrize(
+        "faults", ["", "crash:gzip@*:attempt=1"], ids=["clean", "worker-died"]
+    )
+    def test_worker_pipes_closed_after_the_run(self, monkeypatch, faults):
+        # Both pipes of every worker are closed once its process has
+        # exited, so the garbage collector finds no open file to warn of.
+        import gc
+        import sys
+        import warnings
+
+        monkeypatch.setenv("REPRO_FAULTS", faults)
+        leaked = []
+        monkeypatch.setattr(sys, "unraisablehook", leaked.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            engine = ExecutionEngine(
+                jobs=1, backend="subprocess", store=NullStore()
+            )
+            engine.run([SimulationJob("gzip", scale=SMALL)])
+            del engine
+            gc.collect()
+        assert [str(hook.exc_value) for hook in leaked] == []
+
+    @pytest.mark.parametrize(
         "script",
         ["raise SystemExit(3)", "import time; time.sleep(30)"],
         ids=["exits-at-once", "never-ready"],

@@ -12,7 +12,6 @@ from repro.core import (
     evaluate_policy,
     inflection_points,
 )
-from repro.cpu import simulate_trace
 from repro.power import paper_nodes
 from repro.prefetch import annotate_workload_trace, evaluate_prefetch_scheme
 from repro.workloads import make_benchmark
@@ -53,8 +52,12 @@ class TestEndToEnd:
     """One benchmark, the full pipeline, checked against paper structure."""
 
     @pytest.fixture(scope="class")
-    def gzip_run(self):
-        return simulate_trace(make_benchmark("gzip", scale=0.15).chunks())
+    def gzip_annotated(self):
+        return annotate_workload_trace(make_benchmark("gzip", scale=0.15).chunks())
+
+    @pytest.fixture(scope="class")
+    def gzip_run(self, gzip_annotated):
+        return gzip_annotated.result
 
     def test_hybrid_beats_parts_on_real_intervals(self, gzip_run, model70):
         for intervals in (gzip_run.l1i_intervals, gzip_run.l1d_intervals):
@@ -77,11 +80,10 @@ class TestEndToEnd:
             ).saving_fraction
             assert abs(saving - target) < 0.08
 
-    def test_prefetch_b_between_decay_and_hybrid(self, model70):
-        annotated = annotate_workload_trace(make_benchmark("gzip", scale=0.15).chunks())
+    def test_prefetch_b_between_decay_and_hybrid(self, gzip_annotated, model70):
         from repro.core import DecaySleep
 
-        for view in (annotated.l1i, annotated.l1d):
+        for view in (gzip_annotated.l1i, gzip_annotated.l1d):
             view = view.reduced().as_normal()
             decay = evaluate_policy(DecaySleep(model70, 10_000), view).saving_fraction
             hybrid = evaluate_policy(OptHybrid(model70), view).saving_fraction

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cpu.pipeline import IssueClock, PipelineConfig
-from repro.cpu.simulator import TraceSimulator, simulate_trace
 from repro.cpu.trace import (
     LOAD,
     NO_ACCESS,
@@ -18,6 +17,12 @@ from repro.cpu.trace import (
     save_trace_text,
 )
 from repro.errors import ConfigurationError, SimulationError, TraceError
+from repro.prefetch.analysis import AnnotatingSimulator, annotate_workload_trace
+
+
+def _simulate(trace, **kwargs):
+    """The simulation result of one trace (annotations dropped)."""
+    return annotate_workload_trace(trace, **kwargs).result
 
 
 class TestAccess:
@@ -143,22 +148,22 @@ class TestTraceSimulator:
         return TraceChunk(pcs)
 
     def test_deterministic(self):
-        a = simulate_trace(self._loop_trace())
-        b = simulate_trace(self._loop_trace())
+        a = _simulate(self._loop_trace())
+        b = _simulate(self._loop_trace())
         assert a.cycles == b.cycles
         assert a.l1i_intervals == b.l1i_intervals
 
     def test_instruction_count(self):
-        result = simulate_trace(self._loop_trace(iterations=10, body=16))
+        result = _simulate(self._loop_trace(iterations=10, body=16))
         assert result.instructions == 160
 
     def test_fetch_groups_reduce_icache_accesses(self):
         # 32 instructions span 8 fetch groups (16B each) and 2 lines.
-        result = simulate_trace(self._loop_trace(iterations=1, body=32))
+        result = _simulate(self._loop_trace(iterations=1, body=32))
         assert result.stats.level("L1I").accesses == 8
 
     def test_loop_refetches_lines_every_iteration(self):
-        result = simulate_trace(self._loop_trace(iterations=10, body=32))
+        result = _simulate(self._loop_trace(iterations=10, body=32))
         # 2 lines x 8 groups per iteration... accesses = 8 per iteration.
         assert result.stats.level("L1I").accesses == 80
         assert result.stats.level("L1I").misses == 2  # compulsory only
@@ -166,44 +171,44 @@ class TestTraceSimulator:
     def test_load_misses_stall(self):
         pcs = np.zeros(4, dtype=np.int64)
         addrs = np.array([-1, 0x10000, -1, 0x20000], dtype=np.int64)
-        fast = simulate_trace(
+        fast = _simulate(
             TraceChunk(pcs, addrs),
             pipeline=PipelineConfig(stall_on_miss=False),
         )
-        slow = simulate_trace(TraceChunk(pcs, addrs))
+        slow = _simulate(TraceChunk(pcs, addrs))
         assert slow.cycles > fast.cycles
 
     def test_store_buffer_hides_store_misses(self):
         pcs = np.zeros(2, dtype=np.int64)
         addrs = np.array([-1, 0x10000], dtype=np.int64)
         kinds = np.array([NO_ACCESS, STORE], dtype=np.uint8)
-        with_buffer = simulate_trace(TraceChunk(pcs, addrs, kinds))
-        without = simulate_trace(
+        with_buffer = _simulate(TraceChunk(pcs, addrs, kinds))
+        without = _simulate(
             TraceChunk(pcs, addrs, kinds),
             pipeline=PipelineConfig(store_buffer=False),
         )
         assert with_buffer.stall_cycles < without.stall_cycles
 
     def test_single_use(self):
-        simulator = TraceSimulator()
+        simulator = AnnotatingSimulator()
         simulator.run(self._loop_trace())
         with pytest.raises(SimulationError):
             simulator.run(self._loop_trace())
 
     def test_interval_population_covers_whole_cache(self):
-        result = simulate_trace(self._loop_trace())
+        result = _simulate(self._loop_trace())
         assert (
             result.l1i_intervals.total_cycles
             == 1024 * result.cycles
         )
 
-    def test_intervals_for_selector(self):
-        result = simulate_trace(self._loop_trace())
-        assert result.intervals_for("icache") is result.l1i_intervals
-        assert result.intervals_for("L1D") is result.l1d_intervals
+    def test_annotated_for_selector(self):
+        annotated = annotate_workload_trace(self._loop_trace())
+        assert annotated.annotated_for("icache") is annotated.l1i
+        assert annotated.annotated_for("L1D") is annotated.l1d
         with pytest.raises(SimulationError):
-            result.intervals_for("l3")
+            annotated.annotated_for("l3")
 
     def test_ipc_bounded_by_width(self):
-        result = simulate_trace(self._loop_trace())
+        result = _simulate(self._loop_trace())
         assert 0 < result.ipc <= 4.0

@@ -17,8 +17,9 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.cache.kernel import BatchedCacheKernel, kernel_supported, stable_order
-from repro.cpu.simulator import simulate_trace
-from repro.errors import SimulationError
+from repro.cpu.pipeline import PipelineConfig
+from repro.cpu.trace import TraceChunk
+from repro.errors import ConfigurationError, SimulationError
 from repro.prefetch.analysis import AnnotatingSimulator
 from repro.workloads import make_benchmark
 
@@ -103,25 +104,6 @@ class TestBatchedCacheKernelGuards:
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-class TestSimulatorEquivalence:
-    def test_batched_run_is_bit_identical(self, policy):
-        def run(kernel):
-            return simulate_trace(
-                make_benchmark("gzip", scale=0.02).chunks(),
-                MemoryHierarchy(HierarchyConfig.paper(), replacement=policy),
-                kernel=kernel,
-            )
-
-        scalar, batched = run(False), run(True)
-        assert scalar == batched  # profile is excluded from equality
-        assert scalar.l1i_intervals == batched.l1i_intervals
-        assert scalar.l1d_intervals == batched.l1d_intervals
-        assert batched.profile.mode == "batched"
-        assert batched.profile.fast_path_share > 0.5
-        assert scalar.profile.mode == "scalar"
-
-
-@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("associativity", ASSOCIATIVITIES)
 class TestCompiledResidualKernel:
     """The compiled residual loop must be bit-identical to the scalar oracle.
@@ -155,52 +137,80 @@ class TestCompiledResidualKernel:
         assert compiled_cache.intervals() == scalar.intervals()
 
 
+def _simulate(kernel, policy="lru", pipeline=None, benchmark="gzip"):
+    return AnnotatingSimulator(
+        MemoryHierarchy(HierarchyConfig.paper(), replacement=policy),
+        pipeline,
+        kernel=kernel,
+    ).run(make_benchmark(benchmark, scale=0.02).chunks())
+
+
+def _assert_bit_identical(a, b):
+    """Timing, statistics, intervals and every annotation flag agree."""
+    # Cycles, statistics and both interval populations; the profile is
+    # excluded from equality.
+    assert a.result == b.result
+    for cache in ("l1i", "l1d"):
+        x, y = a.annotated_for(cache), b.annotated_for(cache)
+        for name in ("nextline", "stride", "tail"):
+            assert np.array_equal(getattr(x, name), getattr(y, name)), (cache, name)
+
+
+#: The paper pipeline under every policy, plus the non-default pipelines
+#: (no miss stalls; blocking stores without load overlap; the 2-wide
+#: configuration of the sweep tests) under LRU.
+_MATRIX = [pytest.param(policy, None, id=policy) for policy in POLICIES] + [
+    pytest.param("lru", PipelineConfig(stall_on_miss=False), id="lru-no-stall"),
+    pytest.param(
+        "lru", PipelineConfig(store_buffer=False, load_mlp=1), id="lru-blocking"
+    ),
+    pytest.param("lru", PipelineConfig(width=2, base_cpi=0.65), id="lru-width2"),
+]
+
+
 @pytest.mark.parametrize("policy", POLICIES)
+class TestSimulatorEquivalence:
+    def test_batched_run_is_bit_identical(self, policy):
+        scalar, batched = _simulate("scalar", policy), _simulate("batched", policy)
+        assert scalar.result == batched.result  # profile is excluded from equality
+        assert scalar.result.l1i_intervals == batched.result.l1i_intervals
+        assert scalar.result.l1d_intervals == batched.result.l1d_intervals
+        assert batched.result.profile.mode == "batched"
+        assert batched.result.profile.fast_path_share > 0.5
+        assert scalar.result.profile.mode == "scalar"
+
+
 class TestResidualImplMatrix:
     """scalar / python-batched / compiled full-simulation equivalence."""
 
-    def test_three_way_bit_identical(self, policy):
+    @pytest.mark.parametrize("policy, pipeline", _MATRIX)
+    def test_three_way_bit_identical(self, policy, pipeline):
         from repro.cache import native
 
-        def run(kernel):
-            return simulate_trace(
-                make_benchmark("gzip", scale=0.02).chunks(),
-                MemoryHierarchy(HierarchyConfig.paper(), replacement=policy),
-                kernel=kernel,
-            )
-
-        scalar = run("scalar")
-        batched = run("batched")
-        compiled = run("compiled")
-        assert scalar == batched
-        assert scalar == compiled
-        assert scalar.l1i_intervals == compiled.l1i_intervals
-        assert scalar.l1d_intervals == compiled.l1d_intervals
-        # The profile reports which residual implementation actually ran.
-        assert scalar.profile.residual_impl == "scalar"
-        assert batched.profile.mode == "batched"
-        assert batched.profile.residual_impl == "python"
-        assert compiled.profile.mode == "batched"
+        scalar, batched, compiled = (
+            _simulate(kernel, policy, pipeline)
+            for kernel in ("scalar", "batched", "compiled")
+        )
+        _assert_bit_identical(scalar, batched)
+        _assert_bit_identical(scalar, compiled)
+        assert batched.l1d.stride.any()
+        # The profile reports which path and residual loop actually ran.
+        assert scalar.result.profile.mode == "scalar"
+        assert scalar.result.profile.residual_impl == "scalar"
+        assert batched.result.profile.mode == "batched"
+        assert batched.result.profile.residual_impl == "python"
+        assert batched.result.profile.fast_path_share > 0.5
+        assert compiled.result.profile.mode == "batched"
         expected = "compiled" if native.native_available() else "python"
-        assert compiled.profile.residual_impl == expected
+        assert compiled.result.profile.residual_impl == expected
 
 
 class TestAnnotationEquivalence:
     def test_flags_identical_across_paths(self):
-        def run(batched):
-            simulator = AnnotatingSimulator()
-            trace = make_benchmark("gcc", scale=0.02).chunks()
-            runner = simulator._run_batched if batched else simulator._run_scalar
-            return runner(trace)
-
-        scalar, batched = run(False), run(True)
-        assert scalar.result == batched.result
-        for cache in ("l1i", "l1d"):
-            a = scalar.annotated_for(cache)
-            b = batched.annotated_for(cache)
-            assert np.array_equal(a.nextline, b.nextline)
-            assert np.array_equal(a.stride, b.stride)
-            assert np.array_equal(a.tail, b.tail)
+        _assert_bit_identical(
+            _simulate("scalar", benchmark="gcc"),
+            _simulate("batched", benchmark="gcc"),
+        )
 
 
 class TestKernelSupport:
@@ -209,8 +219,29 @@ class TestKernelSupport:
 
     def test_used_hierarchy_not_supported(self):
         hierarchy = MemoryHierarchy(HierarchyConfig.paper())
-        hierarchy.fetch_instruction(0, 0)
+        hierarchy.l1i.access_block(0, 0)
         assert not kernel_supported(hierarchy)
+
+    def test_selection_rule_on_an_unsupported_hierarchy(self):
+        def used():
+            hierarchy = MemoryHierarchy(HierarchyConfig.paper())
+            hierarchy.l1i.access_block(0, 0)
+            return hierarchy
+
+        trace = TraceChunk(np.arange(64, dtype=np.int64) * 4)
+        # No explicit mode: fall back on the scalar oracle.
+        fallback = AnnotatingSimulator(used()).run(trace)
+        assert fallback.result.profile.mode == "scalar"
+        # An explicit batched mode raises instead.
+        for kernel in ("batched", "compiled", "auto"):
+            with pytest.raises(SimulationError):
+                AnnotatingSimulator(used(), kernel=kernel).run(trace)
+
+    def test_kernel_takes_mode_strings_only(self):
+        with pytest.raises(ConfigurationError):
+            AnnotatingSimulator(kernel=True).run(
+                TraceChunk(np.zeros(4, dtype=np.int64))
+            )
 
 
 def _assert_stable_order(keys):

@@ -67,7 +67,8 @@ class TestReducedAgainstRaw:
         reduced, raw = pair
         for field in ("cycles", "instructions", "stall_cycles", "stats"):
             assert getattr(reduced.result, field) == getattr(raw.result, field)
-        assert reduced.result.intervals_for(cache) is reduced.annotated_for(cache)
+        intervals = getattr(reduced.result, f"{cache}_intervals")
+        assert intervals is reduced.annotated_for(cache)
 
     def test_counts_and_statistics_exact(self, pair, cache):
         for population, lengths, kinds, _ in views(pair, cache):

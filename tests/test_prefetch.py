@@ -6,7 +6,6 @@ import pytest
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
 from repro.core.intervals import IntervalSet
-from repro.cpu.simulator import simulate_trace
 from repro.cpu.trace import TraceChunk
 from repro.errors import PolicyError, SimulationError
 from repro.prefetch.analysis import (
@@ -116,14 +115,6 @@ class TestAnnotatedIntervals:
 
 
 class TestAnnotatingSimulator:
-    def test_timing_identical_to_plain_simulator(self):
-        plain = simulate_trace(make_gzip(scale=0.05).chunks())
-        annotated = annotate_workload_trace(make_gzip(scale=0.05).chunks())
-        assert annotated.result.cycles == plain.cycles
-        assert annotated.result.instructions == plain.instructions
-        assert annotated.result.l1i_intervals == plain.l1i_intervals
-        assert annotated.result.l1d_intervals == plain.l1d_intervals
-
     def test_flags_align_with_intervals(self):
         annotated = annotate_workload_trace(make_gzip(scale=0.05).chunks())
         for view in (annotated.l1i, annotated.l1d):

@@ -17,8 +17,8 @@ from repro.cache.config import CacheConfig
 from repro.cache.generations import GenerationTracker
 from repro.core.intervals import IntervalKind
 from repro.cpu.pipeline import IssueClock, PipelineConfig
-from repro.cpu.simulator import simulate_trace
 from repro.cpu.trace import TraceChunk
+from repro.prefetch.analysis import annotate_workload_trace
 
 
 class ReferenceLruCache:
@@ -135,7 +135,7 @@ class TestTimingProperties:
     @settings(max_examples=50, deadline=None)
     def test_simulation_conserves_counts(self, pcs):
         chunk = TraceChunk(np.array(pcs, dtype=np.int64) * 4)
-        result = simulate_trace(chunk)
+        result = annotate_workload_trace(chunk).result
         assert result.instructions == len(pcs)
         assert result.cycles >= 1
         stats = result.stats.level("L1I")

@@ -22,7 +22,6 @@ import pytest
 
 from repro.cache.kernel import validate_chunk, validated_chunks
 from repro.cli import dumps_stable, main
-from repro.cpu.simulator import simulate_trace
 from repro.cpu.trace import LOAD, NO_ACCESS, STORE, TraceChunk, merge_chunks
 from repro.engine import ExecutionEngine, ResultStore, SimulationJob
 from repro.engine.jobs import SOURCE_CACHED, job_result_payload
@@ -34,6 +33,7 @@ from repro.errors import (
     TraceValidationError,
     WorkloadRefError,
 )
+from repro.prefetch.analysis import annotate_workload_trace
 from repro.sweep import SweepSpec
 from repro.traces import (
     ConversionReport,
@@ -468,8 +468,12 @@ class TestStreamingEquality:
 
     def test_window_job_simulates_exactly_the_window(self, recorded, gzip_chunks):
         n = 20_000
-        windowed = simulate_trace(TraceRecording(recorded.path).window_chunks(1, n))
-        inline = simulate_trace(merge_chunks(gzip_chunks).slice(n, 2 * n))
+        windowed = annotate_workload_trace(
+            TraceRecording(recorded.path).window_chunks(1, n)
+        ).result
+        inline = annotate_workload_trace(
+            merge_chunks(gzip_chunks).slice(n, 2 * n)
+        ).result
         assert windowed.instructions == inline.instructions == n
         assert windowed.cycles == inline.cycles
         assert windowed.l1i_intervals == inline.l1i_intervals
@@ -528,11 +532,11 @@ class TestKernelValidation:
             validate_chunk(chunk)
 
     def test_simulate_trace_validates_on_both_paths(self):
-        for kernel in (True, False):
+        for kernel in ("batched", "scalar"):
             chunk = self.good_chunk()
             chunk.pcs = chunk.pcs.astype(np.int32)
             with pytest.raises(TraceValidationError):
-                simulate_trace([chunk], kernel=kernel)
+                annotate_workload_trace([chunk], kernel=kernel)
 
     def test_validated_chunks_is_lazy(self):
         stream = validated_chunks([self.good_chunk(), object()])
@@ -575,7 +579,7 @@ class TestGem5Adapter:
         chunk = merge_chunks(read_trace(report.info.path))
         assert list(chunk.data_kinds) == [NO_ACCESS, LOAD, STORE, NO_ACCESS]
         assert chunk.data_addresses[1] == 0x80004000
-        result = simulate_trace(chunk)
+        result = annotate_workload_trace(chunk).result
         assert result.instructions == 4
 
     def test_conversion_stamps_provenance(self, tmp_path):
