@@ -95,7 +95,7 @@ def main() -> int:
     parser.add_argument(
         "--codec", default="none",
         help="codec to record with (default none: the mmap reader; gzip "
-        "or zstd exercise the buffered read-ahead reader)",
+        "exercises the buffered read-ahead reader)",
     )
     parser.add_argument(
         "--budget-mb", type=float, default=128.0,

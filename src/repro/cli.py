@@ -65,6 +65,7 @@ from .errors import ReproError
 from .experiments.runner import experiment_names, run_all, run_experiment
 from .experiments.suite import SuiteRunner
 from .sweep import SweepSpec, plan_text, run_sweep
+from .traces.registry import check_workload, is_trace_ref
 from .workloads.benchmarks import BENCHMARK_NAMES
 
 #: Top-level subcommands; anything else on the command line is treated
@@ -371,8 +372,7 @@ def _add_trace_parser(commands) -> None:
     )
     record.add_argument(
         "--codec", default=None, metavar="NAME",
-        help="compression codec: none, gzip (default), or zstd when the "
-        "zstandard package is installed",
+        help="compression codec: none or gzip (default)",
     )
     record.add_argument(
         "--chunk-instructions", type=int, default=None, metavar="N",
@@ -568,19 +568,17 @@ def cache_command(args) -> int:
 # ----------------------------------------------------------------------
 # trace (recorded workload traces)
 # ----------------------------------------------------------------------
-def _resolve_benchmark_refs(names: List[str]) -> List[str]:
+def _resolve_benchmark_refs(names: List[str], scale: float) -> List[str]:
     """Normalize workload refs: lowercase plain names, keep trace: refs.
 
-    Every ref is validated through the workload registry, so unknown
-    names and unreadable trace files fail here with a named error
-    instead of deep inside the run.
+    Every ref is checked at the run's scale, so unknown names,
+    unreadable trace files and scaled trace refs fail here with a named
+    error instead of deep inside the run.
     """
-    from .traces.registry import DEFAULT_REGISTRY, is_trace_ref
-
     resolved = []
     for name in names:
         ref = name if is_trace_ref(name) else name.lower()
-        DEFAULT_REGISTRY.validate(ref)
+        check_workload(ref, scale)
         resolved.append(ref)
     return resolved
 
@@ -800,7 +798,7 @@ def run_command(args) -> int:
     benchmarks = args.benchmarks
     if benchmarks is not None:
         try:
-            benchmarks = _resolve_benchmark_refs(benchmarks)
+            benchmarks = _resolve_benchmark_refs(benchmarks, args.scale)
         except ReproError as error:
             return _fail(str(error))
     # Selection travels through the environment so pool and subprocess

@@ -19,7 +19,14 @@ from typing import Dict, Optional
 from ..cpu.pipeline import PipelineConfig
 from ..errors import EngineError, ReproError
 from ..prefetch.analysis import AnnotatedSimulationResult, AnnotatingSimulator
-from ..workloads.benchmarks import BENCHMARK_NAMES, make_benchmark
+from ..traces.registry import (
+    check_workload,
+    describe_workload,
+    is_trace_ref,
+    parse_trace_ref,
+    workload_chunks,
+    workload_identity,
+)
 from .validate import InvalidResultError, check_raw
 
 #: Version of the pickled result payload *and* of the simulation
@@ -51,11 +58,11 @@ SOURCE_SUBPROCESS = "subprocess"
 class SimulationJob:
     """One workload simulation point: workload ref x scale x pipeline config.
 
-    ``benchmark`` is any ref the workload registry
-    (:mod:`repro.traces.registry`) resolves: a synthetic benchmark name
-    (``"gzip"``) or a recorded trace ref (``"trace:/path/file.rtr"``,
-    optionally with a ``#window:window_instructions`` suffix).  Recorded
-    traces run at scale 1.0 — they carry their own length.
+    ``benchmark`` is a workload ref (:mod:`repro.traces.registry`): a
+    paper benchmark name (``"gzip"``) or a recorded trace ref
+    (``"trace:/path/file.rtr"``, optionally with a
+    ``#window:window_instructions`` suffix).  Recorded traces run at
+    scale 1.0 — they carry their own length.
     """
 
     benchmark: str
@@ -63,46 +70,25 @@ class SimulationJob:
     pipeline: Optional[PipelineConfig] = None
 
     def __post_init__(self) -> None:
-        if self.benchmark not in BENCHMARK_NAMES:
-            # Not a paper-suite benchmark: anything else must resolve
-            # through the workload registry (registered synthetics and
-            # trace refs).  Imported lazily: repro.traces sits above the
-            # engine in the layering, so a module-level import would cycle.
-            from ..traces.registry import DEFAULT_REGISTRY, is_trace_ref
-
-            try:
-                DEFAULT_REGISTRY.validate(self.benchmark)
-            except ReproError as error:
-                raise EngineError(str(error)) from None
-            if is_trace_ref(self.benchmark) and float(self.scale) != 1.0:
-                raise EngineError(
-                    f"{self.benchmark!r}: a recorded trace carries its own "
-                    f"scale; submit trace refs at scale 1.0 (got {self.scale!r})"
-                )
+        try:
+            check_workload(self.benchmark, self.scale)
+        except ReproError as error:
+            raise EngineError(str(error)) from None
         if not self.scale > 0:
             raise EngineError(f"scale must be positive, got {self.scale!r}")
 
     def fingerprint(self) -> Dict:
         """Canonical, JSON-stable parameter record this job is keyed by.
 
-        For registry-resolved workloads the identity comes from the
-        registry: a trace recorded from a synthetic benchmark fingerprints
+        A trace recorded from a paper benchmark fingerprints
         *identically* to the synthetic original (same content address →
-        same cache entry), and a foreign trace is keyed
-        by its chunking/codec-independent content digest.
+        same cache entry), and a foreign trace is keyed by its
+        chunking/codec-independent content digest.
         """
-        if self.benchmark in BENCHMARK_NAMES:
-            identity: Dict = {
-                "benchmark": self.benchmark,
-                "scale": repr(float(self.scale)),
-            }
-        else:
-            from ..traces.registry import resolve_workload
-
-            try:
-                identity = resolve_workload(self.benchmark).identity(self.scale)
-            except ReproError as error:
-                raise EngineError(str(error)) from None
+        try:
+            identity = workload_identity(self.benchmark, self.scale)
+        except ReproError as error:
+            raise EngineError(str(error)) from None
         identity["pipeline"] = None if self.pipeline is None else asdict(self.pipeline)
         return identity
 
@@ -132,15 +118,7 @@ class SimulationJob:
 
     def describe(self) -> str:
         """Short human-readable label for logs and telemetry."""
-        if self.benchmark in BENCHMARK_NAMES:
-            return f"{self.benchmark}@{self.scale:g}"
-        from ..traces.registry import DEFAULT_REGISTRY
-
-        try:
-            label = DEFAULT_REGISTRY.resolve(self.benchmark).describe()
-            return f"{label}@{self.scale:g}"
-        except ReproError:
-            return f"{self.benchmark}@{self.scale:g}"
+        return f"{describe_workload(self.benchmark)}@{self.scale:g}"
 
 
 @dataclass(frozen=True)
@@ -174,8 +152,8 @@ def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
     spectrum, after :func:`~repro.engine.validate.check_raw` has checked
     the raw arrays, which never leave this function.
 
-    Recorded traces are *streamed*: the registry hands back a chunk
-    iterator backed by the on-disk reader, which decodes one chunk ahead
+    Recorded traces are *streamed*: :func:`workload_chunks` hands back a
+    chunk iterator backed by the on-disk reader, which decodes one chunk ahead
     of the simulation, so peak memory stays bounded by two chunks
     however large the trace file is.  When the dispatching parent
     published the trace into an opt-in zero-copy arena
@@ -183,22 +161,14 @@ def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
     of re-reading the file — the chunks carry identical content either
     way, so results are bit-identical across transports.
     """
-    if job.benchmark in BENCHMARK_NAMES:
-        chunks = make_benchmark(job.benchmark, scale=job.scale).chunks()
-    else:
-        from ..traces.registry import is_trace_ref, parse_trace_ref, resolve_workload
+    chunks = None
+    if is_trace_ref(job.benchmark):
+        from .transport import overlay_chunks
 
-        source = resolve_workload(job.benchmark)
-        chunks = None
-        if is_trace_ref(job.benchmark):
-            from .transport import overlay_chunks
-
-            ref = parse_trace_ref(job.benchmark)
-            chunks = overlay_chunks(
-                ref.path, ref.window, ref.window_instructions
-            )
-        if chunks is None:
-            chunks = source.chunks(job.scale)
+        ref = parse_trace_ref(job.benchmark)
+        chunks = overlay_chunks(ref.path, ref.window, ref.window_instructions)
+    if chunks is None:
+        chunks = workload_chunks(job.benchmark, job.scale)
     annotated = AnnotatingSimulator(pipeline=job.pipeline).run(chunks)
     violations = check_raw(annotated)
     if violations:

@@ -172,14 +172,20 @@ class ExecutionEngine:
         faults.  Raises :class:`JobFailedError` when a job fails
         in-process; the telemetry still records every finished job.
         """
-        ordered = self._deduplicate(jobs)
+        # Jobs that share a content address (a trace recorded from a paper
+        # benchmark and the benchmark itself) run once: the first stands
+        # for the rest, which are served its result as cache hits.
+        keys = {job: job.key() for job in dict.fromkeys(jobs)}
+        firsts: Dict[str, SimulationJob] = {}
+        for job, key in keys.items():
+            firsts.setdefault(key, job)
         run_start = time.perf_counter()
         outcomes: Dict[SimulationJob, JobOutcome] = {}
 
         pending: List[SimulationJob] = []
-        for job in ordered:
+        for key, job in firsts.items():
             with Stopwatch() as sw:
-                hit = self.store.get(job.key())
+                hit = self.store.get(key)
             if hit is not None:
                 outcomes[job] = JobOutcome(job, hit, SOURCE_CACHED, sw.seconds)
             else:
@@ -190,7 +196,12 @@ class ExecutionEngine:
                 self._run_pending(pending, outcomes)
         finally:
             self.telemetry.add_wall(time.perf_counter() - run_start)
-            for job in ordered:
+            for job, key in keys.items():
+                first = outcomes.get(firsts[key])
+                if job not in outcomes and first is not None:
+                    outcomes[job] = JobOutcome(
+                        job, first.annotated, SOURCE_CACHED, 0.0
+                    )
                 if job in outcomes:
                     self.telemetry.record_outcome(outcomes[job])
             self.telemetry.record_store(self.store)
@@ -203,16 +214,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _deduplicate(jobs: Sequence[SimulationJob]) -> List[SimulationJob]:
-        seen = set()
-        ordered = []
-        for job in jobs:
-            if job not in seen:
-                seen.add(job)
-                ordered.append(job)
-        return ordered
-
     def _run_pending(
         self,
         pending: List[SimulationJob],

@@ -21,47 +21,7 @@ from .jobs import SOURCE_CACHED, JobOutcome
 from .store import atomic_write_bytes
 
 #: Version of the manifest JSON layout, independent of the result cache's
-#: payload schema version.  Version 2 added per-job attempts plus the
-#: ``retries`` and ``faults`` sections; version 3 added the ``store``
-#: section and the cross-run cache-sharing totals
-#: (``cache_hits_from_earlier_runs`` / ``cache_hits_from_this_run``);
-#: version 4 added the simulation-kernel profile: per-job
-#: ``kernel_mode`` / ``fast_path_accesses`` / ``slow_path_accesses`` /
-#: ``stage_seconds`` and the run-level fast-path totals; version 5 added
-#: supervised multi-backend execution: the ``quarantine`` (invalid
-#: results + corrupt cache entries), ``heartbeats`` (watchdog events)
-#: and ``breakers`` (circuit-breaker states and transitions) sections,
-#: their totals, and cache-quarantine counts in the ``store`` section;
-#: version 6 added the ``service`` section (the ``ServiceProfile`` a
-#: daemon run records: admission, coalescing, per-client and ticket
-#: counters — empty for plain CLI runs); version 7 added the
-#: ``coordination`` section (the ``CoordinationProfile`` of a
-#: multi-daemon fleet: peer id, lease acquire/reclaim/fence counters,
-#: guarded-publish outcomes, remote-coalescing and GC totals — empty
-#: outside a coordinating daemon); version 8 added the ``substrate``
-#: section (the run's resolved kernel mode, residual implementation,
-#: trace transport mode and published-arena totals) plus per-job
-#: ``residual_impl`` (which residual-loop implementation — ``python``,
-#: ``compiled`` or ``scalar`` — produced the result); version 9 added
-#: the ``fault_domains`` section (the ``FaultDomainProfile`` of a
-#: remote-capable run: per-host dispatch/retry/breaker-transition
-#: counters, degradation-ladder descents in order, the rungs that
-#: completed work and the final rung — empty for purely local runs);
-#: version 10 merged ``heartbeats``, ``breakers`` and ``fault_domains``
-#: into one ``workers`` section (per-host counters, hang events and
-#: breaker transitions, the descents to serial, the rungs used and the
-#: final rung — empty for runs whose jobs all ran in-process); version
-#: 11 dropped the ``service`` and ``coordination`` sections with the
-#: serving daemon; version 12 dropped remote hosts: no
-#: ``totals.breaker_trips``, no per-host ``breaker_state``,
-#: ``breaker_transitions``, ``partitioned``, ``trace_fetches`` or
-#: ``trace_bytes_sent``, and no ``engine.hosts`` list; version 13
-#: dropped run journals: no ``engine.run_id`` or ``engine.resumed``;
-#: version 14 dropped retries, the heartbeat and the cache-sharing
-#: split: no ``retries`` section or ``engine.retry``, no
-#: ``totals.retries``, ``retried_jobs``, ``heartbeat_events`` or
-#: ``cache_hits_from_*``, no per-host ``hangs`` or ``requeues``, and no
-#: ``hits_from_*`` in the ``store`` section.
+#: payload schema version; bump it whenever a section or field changes.
 MANIFEST_VERSION = 14
 
 

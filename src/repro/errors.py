@@ -84,9 +84,9 @@ class TraceValidationError(SimulationError):
 class WorkloadRefError(ReproError):
     """A workload reference could not be parsed or resolved.
 
-    Raised by the workload registry (:mod:`repro.traces.registry`) for
-    unknown benchmark names, malformed ``trace:`` refs, and trace refs
-    pointing at missing or unreadable files.
+    Raised by :mod:`repro.traces.registry` for unknown benchmark names,
+    malformed ``trace:`` refs, trace refs pointing at missing or
+    unreadable files, and trace refs at a scale other than 1.0.
     """
 
 

@@ -2,7 +2,7 @@
 
 Several experiments (Table 2, Figures 7/8/9) consume the same six
 simulations; :class:`SuiteRunner` hands out each benchmark's reduced,
-annotated results for one (scale, pipeline) configuration.  Since PR 1 the actual
+annotated results for one (scale, pipeline) configuration.  The actual
 simulation goes through :class:`~repro.engine.parallel.ExecutionEngine`:
 results come from the on-disk cache when available, misses fan out over
 worker processes, and a per-instance in-memory layer preserves the old
@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..engine import ExecutionEngine, SimulationJob
-from ..errors import ExperimentError
+from ..errors import ExperimentError, ReproError
 from ..core.intervals import IntervalPopulation
 from ..prefetch.analysis import AnnotatedSimulationResult
 from ..cpu.pipeline import PipelineConfig
+from ..traces.registry import check_workload
 from ..workloads.benchmarks import BENCHMARK_NAMES
 
 #: Default workload scale for experiments: full calibration scale.
@@ -69,24 +70,11 @@ class SuiteRunner:
         self.benchmark_names: List[str] = (
             list(benchmarks) if benchmarks is not None else list(BENCHMARK_NAMES)
         )
-        # Names outside the paper suite must resolve through the workload
-        # registry (registered synthetics and trace: refs).  Lazy import:
-        # repro.traces layers above the engine this module drives.
-        other = [n for n in self.benchmark_names if n not in BENCHMARK_NAMES]
-        if other:
-            from ..errors import ReproError
-            from ..traces.registry import DEFAULT_REGISTRY, is_trace_ref
-
-            for name in other:
-                try:
-                    DEFAULT_REGISTRY.validate(name)
-                except ReproError as error:
-                    raise ExperimentError(str(error)) from None
-                if is_trace_ref(name) and float(scale) != 1.0:
-                    raise ExperimentError(
-                        f"{name!r}: a recorded trace carries its own scale; "
-                        f"run trace refs at scale 1.0 (got {scale!r})"
-                    )
+        for name in self.benchmark_names:
+            try:
+                check_workload(name, scale)
+            except ReproError as error:
+                raise ExperimentError(str(error)) from None
         self._engine = engine
         self._cache: Dict[str, BenchmarkRun] = {}
 

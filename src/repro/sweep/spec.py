@@ -39,8 +39,9 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..cpu.pipeline import PipelineConfig
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 from ..power.technology import PAPER_INFLECTION_POINTS
+from ..traces.registry import check_workload
 from ..workloads.benchmarks import BENCHMARK_NAMES
 
 #: The paper's four technology nodes, the default sweep node axis.
@@ -133,29 +134,14 @@ class SweepSpec:
                     f"sweep {self.name!r}: duplicate entries on the "
                     f"{axis} axis: {list(values)}"
                 )
-        # Benchmarks outside the paper suite resolve through the workload
-        # registry: registered synthetics and trace: refs sweep like any
-        # other benchmark.  Lazy import — repro.traces layers above sweep.
-        other = [b for b in self.benchmarks if b not in BENCHMARK_NAMES]
-        if other:
-            from ..errors import ReproError
-            from ..traces.registry import DEFAULT_REGISTRY, is_trace_ref
-
-            for ref in other:
+        for ref in self.benchmarks:
+            for scale in self.scales:
                 try:
-                    DEFAULT_REGISTRY.validate(ref)
+                    check_workload(ref, scale)
                 except ReproError as error:
                     raise ConfigurationError(
                         f"sweep {self.name!r}: {error}"
                     ) from None
-                if is_trace_ref(ref):
-                    bad = [s for s in self.scales if float(s) != 1.0]
-                    if bad:
-                        raise ConfigurationError(
-                            f"sweep {self.name!r}: {ref!r} is a recorded trace "
-                            f"and carries its own scale; a sweep mixing trace "
-                            f"refs must use scales (1.0,), got {list(self.scales)}"
-                        )
         bad_scales = [s for s in self.scales if not s > 0]
         if bad_scales:
             raise ConfigurationError(

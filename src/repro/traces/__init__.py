@@ -1,107 +1,85 @@
-"""Real-trace ingestion: recorded trace files, adapters, workload registry.
+"""Real-trace ingestion: recorded trace files, adapters, workload refs.
 
 The data front door of the reproduction.  :mod:`~repro.traces.format`
 defines the versioned chunked on-disk trace format (streaming writer and
 reader); :mod:`~repro.traces.adapters` converts external dumps (gem5
 Exec text traces) into it; :mod:`~repro.traces.registry` makes recorded
-traces and synthetic generators interchangeable workload refs behind one
-interface; and :mod:`~repro.traces.estimate` wires :mod:`repro.simpoint`
-into the registry so whole-trace savings can be reconstructed from a few
+traces and paper benchmarks interchangeable workload refs through four
+functions (check, identity, chunks, label); and
+:mod:`~repro.traces.estimate` fans SimPoint windows of a trace out as
+window refs so whole-trace savings can be reconstructed from a few
 representative regions.
 
-``estimate`` pulls in the execution engine; import it directly
-(``from repro.traces import estimate`` or the names re-exported lazily
-here) only where the engine dependency is acceptable — the format,
-adapter and registry layers stay importable without it.
+Every name is re-exported lazily, on first use.  The engine resolves
+each job's workload through :mod:`~repro.traces.registry`, so a run of
+the paper suite imports that module and nothing else from here; and
+``estimate`` imports the engine, so loading it eagerly would cycle.
 """
 
 from __future__ import annotations
 
-from .adapters import ConversionReport, convert_gem5_text
-from .format import (
-    DEFAULT_CHUNK_INSTRUCTIONS,
-    DEFAULT_CODEC,
-    FORMAT_VERSION,
-    RECORD_DTYPE,
-    TRACE_SUFFIX,
-    TraceInfo,
-    TraceRecording,
-    TraceWriter,
-    available_codecs,
-    read_trace,
-    record_benchmark,
-    record_chunks,
-)
-from .registry import (
-    DEFAULT_REGISTRY,
-    TRACE_SCHEME,
-    RecordedTraceSource,
-    SyntheticSource,
-    TraceRef,
-    WorkloadRegistry,
-    WorkloadSource,
-    format_trace_ref,
-    is_trace_ref,
-    parse_trace_ref,
-    resolve_workload,
-    trace_info,
-    trace_store_dir,
-    validate_workload_ref,
-)
+from importlib import import_module
 
-_ESTIMATE_NAMES = {
-    "CACHES",
-    "DEFAULT_NODES",
-    "DEFAULT_WINDOW_INSTRUCTIONS",
-    "SavingsEstimate",
-    "SimPointPlan",
-    "default_plan_path",
-    "estimate_savings",
-    "exact_savings",
-    "load_plan",
-    "plan_simpoints",
-    "save_plan",
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("ConversionReport", "convert_gem5_text"), "adapters"),
+    **dict.fromkeys(
+        (
+            "DEFAULT_CHUNK_INSTRUCTIONS",
+            "DEFAULT_CODEC",
+            "FORMAT_VERSION",
+            "RECORD_DTYPE",
+            "TRACE_SUFFIX",
+            "TraceInfo",
+            "TraceRecording",
+            "TraceWriter",
+            "available_codecs",
+            "read_trace",
+            "record_benchmark",
+            "record_chunks",
+        ),
+        "format",
+    ),
+    **dict.fromkeys(
+        (
+            "TRACE_SCHEME",
+            "TraceRef",
+            "check_workload",
+            "describe_workload",
+            "format_trace_ref",
+            "is_trace_ref",
+            "parse_trace_ref",
+            "trace_info",
+            "trace_store_dir",
+            "workload_chunks",
+            "workload_identity",
+        ),
+        "registry",
+    ),
+    **dict.fromkeys(
+        (
+            "CACHES",
+            "DEFAULT_NODES",
+            "DEFAULT_WINDOW_INSTRUCTIONS",
+            "SavingsEstimate",
+            "SimPointPlan",
+            "default_plan_path",
+            "estimate_savings",
+            "exact_savings",
+            "load_plan",
+            "plan_simpoints",
+            "save_plan",
+        ),
+        "estimate",
+    ),
 }
 
 
 def __getattr__(name: str):
-    # Lazy re-export: repro.traces.estimate imports repro.engine, which
-    # imports this package's registry — loading it eagerly here would
-    # make `import repro.traces` drag the whole engine in (and cycle).
-    if name in _ESTIMATE_NAMES:
-        from . import estimate
-
-        return getattr(estimate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
 
 
-__all__ = [
-    "ConversionReport",
-    "DEFAULT_CHUNK_INSTRUCTIONS",
-    "DEFAULT_CODEC",
-    "DEFAULT_REGISTRY",
-    "FORMAT_VERSION",
-    "RECORD_DTYPE",
-    "RecordedTraceSource",
-    "SyntheticSource",
-    "TRACE_SCHEME",
-    "TRACE_SUFFIX",
-    "TraceInfo",
-    "TraceRecording",
-    "TraceRef",
-    "TraceWriter",
-    "WorkloadRegistry",
-    "WorkloadSource",
-    "available_codecs",
-    "convert_gem5_text",
-    "format_trace_ref",
-    "is_trace_ref",
-    "parse_trace_ref",
-    "read_trace",
-    "record_benchmark",
-    "record_chunks",
-    "resolve_workload",
-    "trace_info",
-    "trace_store_dir",
-    "validate_workload_ref",
-] + sorted(_ESTIMATE_NAMES)
+__all__ = sorted(_EXPORTS)

@@ -1,7 +1,7 @@
 """SimPoint-backed whole-trace estimation through the execution engine.
 
 Simulating a huge recorded trace in full defeats the point of recording
-it.  This module wires :mod:`repro.simpoint` into the workload registry
+it.  This module fans :mod:`repro.simpoint` windows out as window refs
 so one clustering pass buys estimates for every downstream analysis:
 
 1. **Plan** — stream the trace once through a

@@ -29,10 +29,8 @@ bounded by two chunks no matter how large the trace file is.
 that do not overlap the requested SimPoint window instead of decoding
 them.
 
-Compression codecs: ``none``, ``gzip`` (zlib, always available) and
-``zstd`` when the :mod:`zstandard` package is importable — the codec
-registry is probed at import time so a file recorded with zstd on one
-host fails with a clear error, not an ImportError, on a host without it.
+Compression codecs: ``none`` and ``gzip`` (zlib).  A header naming any
+other codec fails with a :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -78,33 +76,14 @@ logger = logging.getLogger(__name__)
 _MMAP_WARNED = False
 
 
-def _zstd_codec() -> Optional[Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]]:
-    try:
-        import zstandard
-    except ImportError:
-        return None
-    return (
-        lambda raw: zstandard.ZstdCompressor().compress(raw),
-        lambda buf: zstandard.ZstdDecompressor().decompress(buf),
-    )
-
-
-def _build_codecs() -> Dict[str, Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]]:
-    codecs: Dict[str, Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
-        "none": (lambda raw: raw, lambda buf: buf),
-        "gzip": (lambda raw: zlib.compress(raw, 6), zlib.decompress),
-    }
-    zstd = _zstd_codec()
-    if zstd is not None:
-        codecs["zstd"] = zstd
-    return codecs
-
-
-_CODECS = _build_codecs()
+_CODECS: Dict[str, Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
+    "none": (lambda raw: raw, lambda buf: buf),
+    "gzip": (lambda raw: zlib.compress(raw, 6), zlib.decompress),
+}
 
 
 def available_codecs() -> Tuple[str, ...]:
-    """Names of the compression codecs usable on this host."""
+    """Names of the compression codecs this reader and writer support."""
 
     return tuple(sorted(_CODECS))
 
@@ -113,10 +92,9 @@ def _codec_for(name: str) -> Tuple[Callable[[bytes], bytes], Callable[[bytes], b
     try:
         return _CODECS[name]
     except KeyError:
-        hint = "" if name != "zstd" else " (zstd needs the optional 'zstandard' package)"
         raise ConfigurationError(
             f"unknown trace codec {name!r}; available on this host: "
-            f"{list(available_codecs())}{hint}"
+            f"{list(available_codecs())}"
         ) from None
 
 
@@ -175,28 +153,6 @@ def _read_frame_meta(fh: BinaryIO, path: Path, context: str) -> Dict[str, Any]:
     return meta
 
 
-def _read_frame_meta_at(
-    buffer, pos: int, path: Path, context: str
-) -> Tuple[Dict[str, Any], int]:
-    """:func:`_read_frame_meta` against an in-memory buffer (mmap path)."""
-    end = pos + _LEN_STRUCT.size
-    if end > len(buffer):
-        raise TraceFormatError(f"{path}: truncated while reading {context} frame length")
-    (length,) = _LEN_STRUCT.unpack(buffer[pos:end])
-    if length == 0 or length > _MAX_META_BYTES:
-        raise TraceFormatError(f"{path}: implausible {context} frame length {length}")
-    blob = bytes(buffer[end : end + length])
-    if len(blob) != length:
-        raise TraceFormatError(f"{path}: truncated while reading {context} frame metadata")
-    try:
-        meta = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise TraceFormatError(f"{path}: corrupt {context} frame metadata: {error}") from None
-    if not isinstance(meta, dict) or "kind" not in meta:
-        raise TraceFormatError(f"{path}: malformed {context} frame metadata")
-    return meta, end + length
-
-
 def _encode_chunk(chunk: TraceChunk) -> bytes:
     rec = np.empty(len(chunk), dtype=RECORD_DTYPE)
     rec["pc"] = chunk.pcs
@@ -205,35 +161,19 @@ def _encode_chunk(chunk: TraceChunk) -> bytes:
     return rec.tobytes()
 
 
-def _decode_chunk(raw: bytes, path: Path, index: int) -> TraceChunk:
-    if len(raw) % RECORD_DTYPE.itemsize:
-        raise TraceFormatError(
-            f"{path}: chunk {index} payload is {len(raw)} bytes, not a multiple of "
-            f"the {RECORD_DTYPE.itemsize}-byte record size"
-        )
-    rec = np.frombuffer(raw, dtype=RECORD_DTYPE)
-    try:
-        return TraceChunk(
-            np.ascontiguousarray(rec["pc"], dtype=np.int64),
-            np.ascontiguousarray(rec["daddr"], dtype=np.int64),
-            np.ascontiguousarray(rec["kind"], dtype=np.uint8),
-        )
-    except TraceError as error:
-        raise TraceFormatError(f"{path}: chunk {index} holds invalid accesses: {error}") from None
+def _decode_chunk(raw, path: Path, index: int, copy: bool = True) -> TraceChunk:
+    """Columns of a verified chunk payload.
 
-
-def _decode_chunk_view(
-    buffer, offset: int, count: int, path: Path, index: int
-) -> TraceChunk:
-    """Zero-copy chunk decode: columns are strided views into ``buffer``.
-
-    Used by the mmap reader path (codec ``none``), where the payload
-    bytes already sit in the page cache — the kernel consumes the views
-    directly instead of materializing copies.
+    ``copy`` makes each column a contiguous array; without it the columns
+    are zero-copy strided views into ``raw`` (the mmap reader's page
+    cache), which the kernel consumes directly.
     """
-    rec = np.frombuffer(buffer, dtype=RECORD_DTYPE, count=count, offset=offset)
+    rec = np.frombuffer(raw, dtype=RECORD_DTYPE)
+    columns = (rec["pc"], rec["daddr"], rec["kind"])
+    if copy:
+        columns = tuple(np.ascontiguousarray(column) for column in columns)
     try:
-        return TraceChunk(rec["pc"], rec["daddr"], rec["kind"])
+        return TraceChunk(*columns)
     except TraceError as error:
         raise TraceFormatError(f"{path}: chunk {index} holds invalid accesses: {error}") from None
 
@@ -507,11 +447,61 @@ class TraceRecording:
             file_bytes=size,
         )
 
-    def _read_payload(self, fh: BinaryIO, meta: Dict[str, Any], index: int) -> bytes:
-        declared = meta.get("payload_bytes")
-        if not isinstance(declared, int) or declared < 0:
-            raise TraceFormatError(f"{self.path}: chunk {index} declares no payload size")
-        payload = fh.read(declared)
+    def _payloads(
+        self, fh, read: Callable[[int], Any], start: int = 0, stop: Optional[int] = None
+    ) -> Iterator[Tuple[int, int, Any]]:
+        """Walk the frames of ``fh`` (a file or an mmap), verifying each check.
+
+        Yields ``(index, first instruction, raw payload)`` for every chunk
+        frame, in order.  Payloads come from ``read``, so the mmap reader
+        can hand out zero-copy slices.  With a ``stop``, only the chunks
+        overlapping instructions ``[start, stop)`` are read: the rest are
+        skipped with ``seek``, and the whole-trace digest goes unchecked.
+        """
+        fh.seek(0)
+        self._read_header(fh)
+        running = hashlib.sha256() if stop is None else None
+        index = position = 0
+        while stop is None or position < stop:
+            meta = _read_frame_meta(fh, self.path, f"chunk {index}")
+            kind = meta.get("kind")
+            if kind == "end":
+                if meta.get("chunks") != index:
+                    raise TraceFormatError(
+                        f"{self.path}: end frame declares {meta.get('chunks')} chunks "
+                        f"but {index} were read"
+                    )
+                if running is not None and meta.get("digest") != running.hexdigest():
+                    raise TraceFormatError(
+                        f"{self.path}: whole-trace digest mismatch; the file is corrupt"
+                    )
+                return
+            if kind != "chunk":
+                raise TraceFormatError(f"{self.path}: unexpected frame kind {kind!r}")
+            if meta.get("index") != index:
+                raise TraceFormatError(
+                    f"{self.path}: chunk frames out of order "
+                    f"(expected index {index}, found {meta.get('index')!r})"
+                )
+            count = meta.get("instructions")
+            declared = meta.get("payload_bytes")
+            if not isinstance(count, int):
+                raise TraceFormatError(f"{self.path}: chunk {index} metadata incomplete")
+            if not isinstance(declared, int) or declared < 0:
+                raise TraceFormatError(f"{self.path}: chunk {index} declares no payload size")
+            if stop is not None and position + count <= start:
+                fh.seek(declared, os.SEEK_CUR)
+            else:
+                raw = self._check_payload(read(declared), meta, index)
+                if running is not None:
+                    running.update(raw)
+                yield index, position, raw
+            position += count
+            index += 1
+
+    def _check_payload(self, payload, meta: Dict[str, Any], index: int):
+        """Decompress one chunk payload and verify its size and checksum."""
+        declared = meta["payload_bytes"]
         if len(payload) != declared:
             raise TraceFormatError(
                 f"{self.path}: chunk {index} truncated "
@@ -519,7 +509,7 @@ class TraceRecording:
             )
         try:
             raw = self._decompress(payload)
-        except Exception as error:  # zlib.error / zstd errors
+        except zlib.error as error:
             raise TraceFormatError(
                 f"{self.path}: chunk {index} failed to decompress ({error}); "
                 "the file is corrupt"
@@ -528,11 +518,15 @@ class TraceRecording:
             raise TraceFormatError(
                 f"{self.path}: chunk {index} checksum mismatch; the file is corrupt"
             )
-        expected = meta.get("instructions")
-        if isinstance(expected, int) and len(raw) != expected * RECORD_DTYPE.itemsize:
+        if len(raw) % RECORD_DTYPE.itemsize:
+            raise TraceFormatError(
+                f"{self.path}: chunk {index} payload is {len(raw)} bytes, not a multiple of "
+                f"the {RECORD_DTYPE.itemsize}-byte record size"
+            )
+        if len(raw) != meta["instructions"] * RECORD_DTYPE.itemsize:
             raise TraceFormatError(
                 f"{self.path}: chunk {index} holds {len(raw) // RECORD_DTYPE.itemsize} "
-                f"accesses but declares {expected}"
+                f"accesses but declares {meta['instructions']}"
             )
         return raw
 
@@ -562,39 +556,10 @@ class TraceRecording:
                 yield from self._mapped_chunks(mapped)
                 return
         with self.path.open("rb") as fh:
-            fh.seek(len(MAGIC))
-            _read_frame_meta(fh, self.path, "header")
-            yield from _read_ahead(self._decoded_chunks(fh))
-
-    def _decoded_chunks(self, fh: BinaryIO) -> Iterator[TraceChunk]:
-        """Decode the chunk frames after the header, verifying every check."""
-        running = hashlib.sha256()
-        index = 0
-        while True:
-            meta = _read_frame_meta(fh, self.path, f"chunk {index}")
-            kind = meta.get("kind")
-            if kind == "end":
-                if meta.get("chunks") != index:
-                    raise TraceFormatError(
-                        f"{self.path}: end frame declares {meta.get('chunks')} chunks "
-                        f"but {index} were read"
-                    )
-                if meta.get("digest") != running.hexdigest():
-                    raise TraceFormatError(
-                        f"{self.path}: whole-trace digest mismatch; the file is corrupt"
-                    )
-                return
-            if kind != "chunk":
-                raise TraceFormatError(f"{self.path}: unexpected frame kind {kind!r}")
-            if meta.get("index") != index:
-                raise TraceFormatError(
-                    f"{self.path}: chunk frames out of order "
-                    f"(expected index {index}, found {meta.get('index')!r})"
-                )
-            raw = self._read_payload(fh, meta, index)
-            running.update(raw)
-            yield _decode_chunk(raw, self.path, index)
-            index += 1
+            yield from _read_ahead(
+                _decode_chunk(raw, self.path, index)
+                for index, _, raw in self._payloads(fh, fh.read)
+            )
 
     def _open_mmap(self) -> Optional[mmap.mmap]:
         """Map the file read-only; ``None`` (logged once) when mmap fails."""
@@ -613,76 +578,25 @@ class TraceRecording:
             return None
 
     def _mapped_chunks(self, mapped: mmap.mmap) -> Iterator[TraceChunk]:
-        """The mmap twin of :meth:`chunks`: same checks, zero-copy views."""
+        """:meth:`chunks` over a mapping: chunks are zero-copy views into it."""
         view = memoryview(mapped)
+
+        def read(size: int) -> memoryview:
+            pos = mapped.tell()
+            mapped.seek(min(pos + size, len(mapped)))
+            return view[pos : pos + size]
+
+        released = 0
         try:
-            if mapped[: len(MAGIC)] != MAGIC:
-                raise TraceFormatError(
-                    f"{self.path}: not a recorded trace (bad magic)"
-                )
-            pos = len(MAGIC)
-            _, pos = _read_frame_meta_at(mapped, pos, self.path, "header")
-            running = hashlib.sha256()
-            index = 0
-            while True:
-                meta, pos = _read_frame_meta_at(
-                    mapped, pos, self.path, f"chunk {index}"
-                )
-                kind = meta.get("kind")
-                if kind == "end":
-                    if meta.get("chunks") != index:
-                        raise TraceFormatError(
-                            f"{self.path}: end frame declares "
-                            f"{meta.get('chunks')} chunks but {index} were read"
-                        )
-                    if meta.get("digest") != running.hexdigest():
-                        raise TraceFormatError(
-                            f"{self.path}: whole-trace digest mismatch; "
-                            "the file is corrupt"
-                        )
-                    return
-                if kind != "chunk":
-                    raise TraceFormatError(
-                        f"{self.path}: unexpected frame kind {kind!r}"
-                    )
-                if meta.get("index") != index:
-                    raise TraceFormatError(
-                        f"{self.path}: chunk frames out of order "
-                        f"(expected index {index}, found {meta.get('index')!r})"
-                    )
-                declared = meta.get("payload_bytes")
-                if not isinstance(declared, int) or declared < 0:
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {index} declares no payload size"
-                    )
-                if pos + declared > len(mapped):
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {index} truncated "
-                        f"(expected {declared} payload bytes)"
-                    )
-                raw = view[pos : pos + declared]
-                if hashlib.sha256(raw).hexdigest() != meta.get("sha256"):
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {index} checksum mismatch; "
-                        "the file is corrupt"
-                    )
-                expected = meta.get("instructions")
-                if declared % RECORD_DTYPE.itemsize:
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {index} payload is {declared} "
-                        f"bytes, not a multiple of the "
-                        f"{RECORD_DTYPE.itemsize}-byte record size"
-                    )
-                count = declared // RECORD_DTYPE.itemsize
-                if isinstance(expected, int) and count != expected:
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {index} holds {count} accesses "
-                        f"but declares {expected}"
-                    )
-                running.update(raw)
-                yield _decode_chunk_view(mapped, pos, count, self.path, index)
-                pos += declared
-                index += 1
+            for index, _, raw in self._payloads(mapped, read):
+                yield _decode_chunk(raw, self.path, index, copy=False)
+                # The consumer is done with this chunk: drop its pages from
+                # the resident set, or RSS grows to the file's size.  They
+                # stay in the page cache, and a view still held faults its
+                # pages back in from the file.
+                end = mapped.tell() - mapped.tell() % mmap.PAGESIZE
+                mapped.madvise(mmap.MADV_DONTNEED, released, end - released)
+                released = end
         finally:
             view.release()
             # Chunk views handed to a still-running consumer keep the
@@ -711,35 +625,12 @@ class TraceRecording:
         stop = start + window_instructions
         yielded = False
         with self.path.open("rb") as fh:
-            fh.seek(len(MAGIC))
-            _read_frame_meta(fh, self.path, "header")
-            position = 0
-            index = 0
-            while position < stop:
-                meta = _read_frame_meta(fh, self.path, f"chunk {index}")
-                kind = meta.get("kind")
-                if kind == "end":
-                    break
-                if kind != "chunk":
-                    raise TraceFormatError(f"{self.path}: unexpected frame kind {kind!r}")
-                count = meta.get("instructions")
-                declared = meta.get("payload_bytes")
-                if not isinstance(count, int) or not isinstance(declared, int):
-                    raise TraceFormatError(f"{self.path}: chunk {index} metadata incomplete")
-                chunk_start, chunk_stop = position, position + count
-                if chunk_stop <= start:
-                    fh.seek(declared, os.SEEK_CUR)
-                else:
-                    raw = self._read_payload(fh, meta, index)
-                    chunk = _decode_chunk(raw, self.path, index)
-                    lo = max(start, chunk_start) - chunk_start
-                    hi = min(stop, chunk_stop) - chunk_start
-                    part = chunk.slice(lo, hi)
-                    if len(part):
-                        yield part
-                        yielded = True
-                position = chunk_stop
-                index += 1
+            for index, first, raw in self._payloads(fh, fh.read, start, stop):
+                chunk = _decode_chunk(raw, self.path, index)
+                part = chunk.slice(max(start - first, 0), min(stop - first, len(chunk)))
+                if len(part):
+                    yield part
+                    yielded = True
         if not yielded:
             raise ConfigurationError(
                 f"window {window} (instructions {start}..{stop}) lies beyond the end "

@@ -1,26 +1,28 @@
-"""Unified workload registry: synthetic generators and recorded traces.
+"""Workload refs: paper benchmarks and recorded traces behind four functions.
 
 Every place the system names a workload — `SimulationJob.benchmark`,
 `SweepSpec.benchmarks`, the CLI's ``--benchmarks`` — accepts a *workload
-ref* resolved through this module:
+ref*:
 
 ``"gzip"``
-    A registered synthetic generator (the paper suite by default;
-    more can be added with :meth:`WorkloadRegistry.register`).
+    A paper-suite benchmark, generated at any scale.
 
 ``"trace:/path/to/file.rtr"``
     A recorded trace file in the native format (see
-    :mod:`repro.traces.format`), streamed chunk-by-chunk.
+    :mod:`repro.traces.format`), streamed chunk-by-chunk.  A trace
+    carries its own length, so it runs at scale 1.0 only.
 
 ``"trace:/path/to/file.rtr#3:100000"``
     One SimPoint window of a recorded trace: window index 3 of
     100 000-instruction windows.  Used by SimPoint estimation to fan
     representative regions out through the engine as ordinary jobs.
 
-Content addressing flows through :meth:`WorkloadSource.identity`: a
-synthetic workload's identity is its ``{benchmark, scale}`` pair, and a
-trace recorded from a synthetic benchmark (provenance in the header)
-gets the *identical* identity — so the recorded file produces the same
+:func:`check_workload` says whether a ref runs at a scale,
+:func:`workload_identity` gives its part of the content address,
+:func:`workload_chunks` streams it and :func:`describe_workload` labels
+it.  A paper benchmark's identity is its ``{benchmark, scale}`` pair,
+and a trace recorded from one (provenance in the header) gets the
+*identical* identity — so the recorded file produces the same
 `SimulationJob.key()`, hits the same cache entries, and coalesces with
 inline submissions of the original benchmark.  A foreign trace (e.g.
 converted from a gem5 dump) is identified by its content digest, which
@@ -33,11 +35,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 
 from ..cpu.trace import TraceChunk
 from ..errors import ReproError, WorkloadRefError
-from .format import TraceInfo, TraceRecording
+from ..workloads.benchmarks import BENCHMARK_NAMES, make_benchmark
+
+if TYPE_CHECKING:
+    from .format import TraceInfo
 
 TRACE_SCHEME = "trace:"
 
@@ -118,177 +123,95 @@ def trace_info(path: Path | str) -> TraceInfo:
     cached = _INFO_CACHE.get(key)
     if cached is not None and cached[0] == signature:
         return cached[1]
+    from .format import TraceRecording
+
     info = TraceRecording(p).info()
     _INFO_CACHE[key] = (signature, info)
     return info
 
 
-class WorkloadSource:
-    """One resolvable workload: identity for content addressing + chunks."""
+def _require_unit_scale(ref: str, scale: float) -> TraceRef:
+    """Parse a trace ref, refusing any scale but 1.0."""
 
-    kind = "abstract"
-
-    def identity(self, scale: float) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def chunks(self, scale: float) -> Iterator[TraceChunk]:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
+    trace = parse_trace_ref(ref)
+    if float(scale) != 1.0:
+        raise WorkloadRefError(
+            f"{ref!r}: a recorded trace carries its own scale; "
+            f"use scale 1.0 (got {scale!r})"
+        )
+    return trace
 
 
-@dataclass(frozen=True)
-class SyntheticSource(WorkloadSource):
-    """A registered synthetic workload generator."""
+def check_workload(ref: str, scale: float) -> None:
+    """Raise :class:`WorkloadRefError` unless ``ref`` runs at ``scale``.
 
-    name: str
-    factory: Callable[..., Any]
+    A paper benchmark runs at any scale; a trace ref must name a
+    readable trace file and run at scale 1.0.
+    """
 
-    kind = "synthetic"
-
-    def identity(self, scale: float) -> Dict[str, Any]:
-        return {"benchmark": self.name, "scale": repr(float(scale))}
-
-    def chunks(self, scale: float) -> Iterator[TraceChunk]:
-        return self.factory(scale=scale).chunks()
-
-    def describe(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class RecordedTraceSource(WorkloadSource):
-    """A recorded trace file (optionally one SimPoint window of it)."""
-
-    trace: TraceRef
-
-    kind = "trace"
-
-    def _require_unit_scale(self, scale: float) -> None:
-        if float(scale) != 1.0:
+    if not is_trace_ref(ref):
+        if ref not in BENCHMARK_NAMES:
             raise WorkloadRefError(
-                f"{self.trace.ref!r}: a recorded trace carries its own scale; "
-                f"use scale 1.0 (got {scale!r})"
-            )
-
-    def info(self) -> TraceInfo:
-        return trace_info(self.trace.path)
-
-    def identity(self, scale: float) -> Dict[str, Any]:
-        self._require_unit_scale(scale)
-        info = self.info()
-        provenance = info.provenance or {}
-        benchmark = provenance.get("benchmark")
-        if benchmark in _paper_benchmark_names() and "scale" in provenance:
-            # Recorded from a known synthetic workload: identical content
-            # address, so the trace caches/coalesces like the original.
-            base: Dict[str, Any] = {
-                "benchmark": benchmark,
-                "scale": repr(float(provenance["scale"])),
-            }
-        else:
-            base = {"trace": info.digest}
-        if self.trace.window is not None:
-            base["window"] = self.trace.window
-            base["window_instructions"] = self.trace.window_instructions
-        return base
-
-    def chunks(self, scale: float) -> Iterator[TraceChunk]:
-        self._require_unit_scale(scale)
-        recording = TraceRecording(self.trace.path)
-        if self.trace.window is None:
-            return recording.chunks()
-        assert self.trace.window_instructions is not None
-        return recording.window_chunks(self.trace.window, self.trace.window_instructions)
-
-    def describe(self) -> str:
-        label = f"{TRACE_SCHEME}{Path(self.trace.path).name}"
-        if self.trace.window is not None:
-            label += f"#{self.trace.window}:{self.trace.window_instructions}"
-        return label
-
-
-def _paper_benchmark_names() -> Tuple[str, ...]:
-    from ..workloads.benchmarks import BENCHMARK_NAMES
-
-    return tuple(BENCHMARK_NAMES)
-
-
-class WorkloadRegistry:
-    """Resolve workload refs to :class:`WorkloadSource` objects."""
-
-    def __init__(self) -> None:
-        from ..workloads.benchmarks import BENCHMARK_FACTORIES
-
-        self._synthetic: Dict[str, Callable[..., Any]] = dict(BENCHMARK_FACTORIES)
-
-    @property
-    def synthetic_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._synthetic))
-
-    def register(self, name: str, factory: Callable[..., Any]) -> None:
-        """Register a synthetic generator under ``name``.
-
-        ``factory`` must accept a ``scale`` keyword and return an object
-        with a ``chunks()`` iterator (the :class:`Workload` contract).
-        """
-
-        if not name or not isinstance(name, str):
-            raise WorkloadRefError(f"workload name must be a non-empty string, got {name!r}")
-        if is_trace_ref(name):
-            raise WorkloadRefError(
-                f"cannot register {name!r}: the '{TRACE_SCHEME}' prefix is reserved "
-                "for recorded trace refs"
-            )
-        self._synthetic[name] = factory
-
-    def resolve(self, ref: str) -> WorkloadSource:
-        """Resolve a ref without touching the filesystem."""
-
-        if not isinstance(ref, str) or not ref:
-            raise WorkloadRefError(f"workload ref must be a non-empty string, got {ref!r}")
-        if is_trace_ref(ref):
-            return RecordedTraceSource(parse_trace_ref(ref))
-        factory = self._synthetic.get(ref)
-        if factory is None:
-            raise WorkloadRefError(
-                f"unknown benchmark {ref!r}; known: {list(self.synthetic_names)} "
+                f"unknown benchmark {ref!r}; known: {BENCHMARK_NAMES} "
                 f"(or a '{TRACE_SCHEME}<path>' ref to a recorded trace)"
             )
-        return SyntheticSource(ref, factory)
-
-    def validate(self, ref: str) -> WorkloadSource:
-        """Resolve a ref and, for trace refs, verify the file is readable."""
-
-        source = self.resolve(ref)
-        if isinstance(source, RecordedTraceSource):
-            try:
-                source.info()
-            except WorkloadRefError:
-                raise
-            except ReproError as error:
-                raise WorkloadRefError(str(error)) from None
-        return source
-
-    def is_known(self, ref: str) -> bool:
-        try:
-            self.resolve(ref)
-        except ReproError:
-            return False
-        return True
+        return
+    trace = _require_unit_scale(ref, scale)
+    try:
+        trace_info(trace.path)
+    except ReproError as error:
+        raise WorkloadRefError(str(error)) from None
 
 
-#: Process-wide default registry used by jobs, sweeps and the CLI.
-DEFAULT_REGISTRY = WorkloadRegistry()
+def workload_identity(ref: str, scale: float) -> Dict[str, Any]:
+    """The workload part of a job's content address.
+
+    A trace recorded from a paper benchmark (provenance in its header)
+    gets that benchmark's ``{benchmark, scale}`` identity; any other
+    trace is identified by its content digest.
+    """
+
+    if not is_trace_ref(ref):
+        return {"benchmark": ref, "scale": repr(float(scale))}
+    trace = _require_unit_scale(ref, scale)
+    info = trace_info(trace.path)
+    provenance = info.provenance or {}
+    if provenance.get("benchmark") in BENCHMARK_NAMES and "scale" in provenance:
+        identity: Dict[str, Any] = {
+            "benchmark": provenance["benchmark"],
+            "scale": repr(float(provenance["scale"])),
+        }
+    else:
+        identity = {"trace": info.digest}
+    if trace.window is not None:
+        identity["window"] = trace.window
+        identity["window_instructions"] = trace.window_instructions
+    return identity
 
 
-def resolve_workload(ref: str) -> WorkloadSource:
-    return DEFAULT_REGISTRY.resolve(ref)
+def workload_chunks(ref: str, scale: float) -> Iterator[TraceChunk]:
+    """Stream the workload's chunks: generated, or read from the trace file."""
+
+    if not is_trace_ref(ref):
+        return make_benchmark(ref, scale=scale).chunks()
+    from .format import TraceRecording
+
+    trace = _require_unit_scale(ref, scale)
+    recording = TraceRecording(trace.path)
+    if trace.window is None:
+        return recording.chunks()
+    return recording.window_chunks(trace.window, trace.window_instructions)
 
 
-def validate_workload_ref(ref: str) -> WorkloadSource:
-    return DEFAULT_REGISTRY.validate(ref)
+def describe_workload(ref: str) -> str:
+    """Short label for logs: a benchmark's name, or a trace's file name."""
+
+    if not is_trace_ref(ref):
+        return ref
+    trace = parse_trace_ref(ref)
+    return format_trace_ref(
+        Path(trace.path).name, trace.window, trace.window_instructions
+    )
 
 
 def trace_store_dir(directory: Optional[Path | str] = None) -> Path:

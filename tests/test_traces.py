@@ -22,8 +22,9 @@ import pytest
 
 from repro.cache.kernel import validate_chunk, validated_chunks
 from repro.cli import dumps_stable, main
+from repro.cpu.pipeline import PipelineConfig
 from repro.cpu.trace import LOAD, NO_ACCESS, STORE, TraceChunk, merge_chunks
-from repro.engine import ExecutionEngine, ResultStore, SimulationJob
+from repro.engine import ExecutionEngine, NullStore, ResultStore, SimulationJob
 from repro.engine.jobs import SOURCE_CACHED, job_result_payload
 from repro.errors import (
     ConfigurationError,
@@ -39,8 +40,8 @@ from repro.traces import (
     ConversionReport,
     TraceRecording,
     TraceWriter,
-    WorkloadRegistry,
     available_codecs,
+    check_workload,
     convert_gem5_text,
     format_trace_ref,
     is_trace_ref,
@@ -203,6 +204,13 @@ class TestFormat:
     def test_unknown_codec_is_a_config_error(self, tmp_path, gzip_chunks):
         with pytest.raises(ConfigurationError):
             record_chunks(gzip_chunks, tmp_path / "x.rtr", codec="brotli")
+        # A header naming a codec this reader lacks (zstd was dropped).
+        path = Path(record_chunks(gzip_chunks, tmp_path / "z.rtr", codec="none").path)
+        data = path.read_bytes()
+        assert data.count(b'"codec":"none"') == 1
+        path.write_bytes(data.replace(b'"codec":"none"', b'"codec":"zstd"'))
+        with pytest.raises(ConfigurationError, match="unknown trace codec 'zstd'"):
+            TraceRecording(path)
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +246,25 @@ class TestReadAhead:
         )
         return Path(info.path)
 
+    @pytest.fixture
+    def codec_traces(self, tmp_path, gzip_chunks):
+        """One trace per reader: ``gzip`` is read ahead, ``none`` memory-mapped.
+
+        The corruption tests loop over both in one body, so each reader
+        is held to the same error at the same chunk.
+        """
+        return [
+            Path(
+                record_chunks(
+                    gzip_chunks,
+                    tmp_path / f"ra-{codec}.rtr",
+                    codec=codec,
+                    chunk_instructions=self.CHUNK,
+                ).path
+            )
+            for codec in ("gzip", "none")
+        ]
+
     @pytest.fixture(autouse=True)
     def no_helper_leaks(self):
         before = set(threading.enumerate())
@@ -268,47 +295,50 @@ class TestReadAhead:
                 assert np.array_equal(actual, reference)
 
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
-    def test_corrupt_chunk_raises_after_exactly_k_chunks(self, gzip_trace, position):
-        spans = _payload_spans(gzip_trace)
-        k = {"first": 0, "middle": len(spans) // 2, "last": len(spans) - 1}[position]
-        start, stop = spans[k]
-        data = bytearray(gzip_trace.read_bytes())
-        data[(start + stop) // 2] ^= 0xFF
-        gzip_trace.write_bytes(bytes(data))
-        # The same chunk read on its own (no read-ahead) names the error.
-        with pytest.raises(TraceFormatError) as sequential:
-            list(TraceRecording(gzip_trace).window_chunks(k, self.CHUNK))
-        yielded = 0
-        with pytest.raises(TraceFormatError) as streamed:
-            for _ in TraceRecording(gzip_trace).chunks():
-                yielded += 1
-        assert yielded == k
-        assert str(streamed.value) == str(sequential.value)
-        assert f"chunk {k} " in str(streamed.value)
+    def test_corrupt_chunk_raises_after_exactly_k_chunks(self, codec_traces, position):
+        for path in codec_traces:
+            spans = _payload_spans(path)
+            k = {"first": 0, "middle": len(spans) // 2, "last": len(spans) - 1}[position]
+            start, stop = spans[k]
+            data = bytearray(path.read_bytes())
+            data[(start + stop) // 2] ^= 0xFF
+            path.write_bytes(bytes(data))
+            # The same chunk read on its own (no read-ahead) names the error.
+            with pytest.raises(TraceFormatError) as sequential:
+                list(TraceRecording(path).window_chunks(k, self.CHUNK))
+            yielded = 0
+            with pytest.raises(TraceFormatError) as streamed:
+                for _ in TraceRecording(path).chunks():
+                    yielded += 1
+            assert yielded == k, path.name
+            assert str(streamed.value) == str(sequential.value)
+            assert f"chunk {k} " in str(streamed.value)
 
-    def test_truncated_file_still_raises(self, gzip_trace):
-        spans = _payload_spans(gzip_trace)
-        k = len(spans) // 2
-        data = gzip_trace.read_bytes()
-        gzip_trace.write_bytes(data[: spans[k][0] + 3])
-        yielded = 0
-        with pytest.raises(TraceFormatError, match=f"chunk {k} truncated"):
-            for _ in TraceRecording(gzip_trace).chunks():
-                yielded += 1
-        assert yielded == k
+    def test_truncated_file_still_raises(self, codec_traces):
+        for path in codec_traces:
+            spans = _payload_spans(path)
+            k = len(spans) // 2
+            data = path.read_bytes()
+            path.write_bytes(data[: spans[k][0] + 3])
+            yielded = 0
+            with pytest.raises(TraceFormatError, match=f"chunk {k} truncated"):
+                for _ in TraceRecording(path).chunks():
+                    yielded += 1
+            assert yielded == k, path.name
 
-    def test_whole_trace_digest_mismatch_still_raises(self, gzip_trace):
-        recording = TraceRecording(gzip_trace)
-        digest = recording.info().digest
-        forged = ("0" if digest[0] != "0" else "1") + digest[1:]
-        data = gzip_trace.read_bytes()
-        assert data.count(digest.encode()) == 1
-        gzip_trace.write_bytes(data.replace(digest.encode(), forged.encode()))
-        yielded = 0
-        with pytest.raises(TraceFormatError, match="whole-trace digest mismatch"):
-            for _ in TraceRecording(gzip_trace).chunks():
-                yielded += 1
-        assert yielded == recording.info().chunks
+    def test_whole_trace_digest_mismatch_still_raises(self, codec_traces):
+        for path in codec_traces:
+            recording = TraceRecording(path)
+            digest = recording.info().digest
+            forged = ("0" if digest[0] != "0" else "1") + digest[1:]
+            data = path.read_bytes()
+            assert data.count(digest.encode()) == 1
+            path.write_bytes(data.replace(digest.encode(), forged.encode()))
+            yielded = 0
+            with pytest.raises(TraceFormatError, match="whole-trace digest mismatch"):
+                for _ in TraceRecording(path).chunks():
+                    yielded += 1
+            assert yielded == recording.info().chunks, path.name
 
     def test_decodes_at_most_one_chunk_ahead(self, gzip_trace, monkeypatch):
         calls = []
@@ -373,15 +403,8 @@ class TestRegistry:
             parse_trace_ref("gzip")
 
     def test_unknown_benchmark_names_the_alternatives(self):
-        with pytest.raises(WorkloadRefError, match="unknown benchmark"):
-            WorkloadRegistry().resolve("quake3")
-
-    def test_register_rejects_reserved_names(self):
-        registry = WorkloadRegistry()
-        with pytest.raises(WorkloadRefError):
-            registry.register("", lambda **kw: None)
-        with pytest.raises(WorkloadRefError):
-            registry.register("trace:sneaky", lambda **kw: None)
+        with pytest.raises(WorkloadRefError, match="unknown benchmark.*'gzip'"):
+            check_workload("quake3", 1.0)
 
     def test_recorded_paper_trace_shares_the_synthetic_content_address(
         self, recorded
@@ -444,6 +467,46 @@ class TestRegistry:
             SweepSpec(name="traced", benchmarks=(ref,))
 
 
+class TestContentAddresses:
+    """``SimulationJob.key()`` pinned to literals: a change here moves cache entries."""
+
+    GZIP_002 = "dfd2cc71b5215ad021fdc266305fe858f70db3664688f018d29465ced557cc1c"
+
+    def test_paper_benchmark_at_full_scale(self):
+        assert SimulationJob("gzip").key() == (
+            "af2433011657da52352cd755dfca0db0467ae4d205cde520e8b2eeb79a6e80e4"
+        )
+
+    def test_scaled_benchmark_with_a_pipeline(self):
+        job = SimulationJob(
+            "gzip", scale=0.5, pipeline=PipelineConfig(width=2, base_cpi=0.65)
+        )
+        assert job.key() == (
+            "177fc8e26fc9319374d5e51f4f1fa58a05e89c351d7a1edd16dfbdf3bdfdfba4"
+        )
+
+    def test_recorded_trace_keeps_the_synthetic_key(self, recorded):
+        assert SimulationJob("gzip", scale=SMALL).key() == self.GZIP_002
+        assert SimulationJob(format_trace_ref(recorded.path)).key() == self.GZIP_002
+
+    def test_foreign_trace_is_keyed_by_digest(self, tmp_path, gzip_chunks):
+        info = record_chunks(
+            gzip_chunks, tmp_path / "foreign.rtr", codec="none", chunk_instructions=9_000
+        )
+        assert info.digest == (
+            "d98a1643a0402fe916fbe5a04daa8b094b385c9fd1bc8554a35b2cdb0095f859"
+        )
+        assert SimulationJob(format_trace_ref(info.path)).key() == (
+            "d891fbd020dec340bf9085feb1f91101e58b3a36d22428605b64b433a6c11d5b"
+        )
+
+    def test_window_ref(self, recorded):
+        ref = format_trace_ref(recorded.path, window=1, window_instructions=20_000)
+        assert SimulationJob(ref).key() == (
+            "141dec76d7e202bdb7f81aeb193dbf3ca151b766c45e2595c6c13becee3a8465"
+        )
+
+
 # ----------------------------------------------------------------------
 # Streaming equality: recorded == inline, through engine and protocol
 # ----------------------------------------------------------------------
@@ -465,6 +528,18 @@ class TestStreamingEquality:
         engine.run_one(SimulationJob("gzip", scale=SMALL))
         outcome = engine.run_one(SimulationJob(format_trace_ref(recorded.path)))
         assert outcome.source == SOURCE_CACHED
+
+    def test_jobs_sharing_a_content_address_simulate_once(self, recorded):
+        # No store to hit: the second job is served from the first one's
+        # result within the same run.
+        engine = ExecutionEngine(jobs=1, backend="serial", store=NullStore())
+        synthetic = SimulationJob("gzip", scale=SMALL)
+        traced = SimulationJob(format_trace_ref(recorded.path))
+        outcomes = engine.run([synthetic, traced])
+        assert outcomes[synthetic].simulated
+        assert outcomes[traced].source == SOURCE_CACHED
+        assert outcomes[traced].annotated is outcomes[synthetic].annotated
+        assert (engine.telemetry.simulated, engine.telemetry.cached) == (1, 1)
 
     def test_window_job_simulates_exactly_the_window(self, recorded, gzip_chunks):
         n = 20_000

@@ -234,9 +234,11 @@ class TestEngineEndToEnd:
         monkeypatch.setenv(transport.ENV_TRANSPORT, mode)
         engine = ExecutionEngine(jobs=2, backend="pool", store=NullStore())
         # Two pending jobs: the pool engages its workers (and publishes
-        # the trace); one job alone would run in-process.
+        # the trace); one job alone would run in-process.  The second is
+        # ammp: gzip at SMALL shares the trace's content address, so the
+        # engine would run the pair as one job.
         job = SimulationJob(ref)
-        outcome = engine.run([job, SimulationJob("gzip", scale=SMALL)])[job]
+        outcome = engine.run([job, SimulationJob("ammp", scale=SMALL)])[job]
         assert outcome.source == "parallel"
         assert outcome.annotated.result == expected
         assert transport.REGISTRY.active_segments() == []
