@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 
 from repro.cache import native
-from repro.cache.cache import SetAssociativeCache
-from repro.cache.config import CacheConfig
-from repro.cache.kernel import BatchedCacheKernel
 from repro.core.energy import ModeEnergyModel
 from repro.core.intervals import IntervalSet
 from repro.core.policy import OptHybrid
 from repro.core.savings import evaluate_policy
+from repro.cpu.trace import TraceChunk
 from repro.engine import ExecutionEngine, NullStore, ResultStore, SimulationJob
 from repro.engine import transport
 from repro.power.technology import paper_nodes
@@ -54,7 +52,7 @@ def test_engine_parallel_throughput(benchmark):
         return outcomes
 
     label_overhead_only(benchmark)
-    outcomes = benchmark.pedantic(run, rounds=2, iterations=1)
+    outcomes = benchmark.pedantic(run, rounds=5, iterations=1)
     assert all(o.annotated.result.instructions > 50_000 for o in outcomes.values())
 
 
@@ -70,48 +68,54 @@ def test_engine_warm_cache_throughput(benchmark, tmp_path):
     assert all(o.source == "cached" for o in outcomes.values())
 
 
-def _conflict_stream(n_accesses: int):
-    """A stream of guaranteed conflict misses: pure residual-loop work.
+def _alternating_loads(n_loads: int) -> TraceChunk:
+    """Loads alternating between two blocks of one L1D set.
 
-    Four blocks map to one set of a 2-way cache and cycle, so every
-    access misses, evicts, and lands in the residual loop — the
-    vectorized fast path never engages.  This isolates exactly the code
-    the compiled kernel replaces.
+    Addresses 0 and 32768 share set 0 of the paper's 512-set 2-way L1D,
+    so after two cold misses every load hits, yet none repeats its set's
+    previous block: each lands in the residual loop as a hit that makes
+    no L2 callback.  One PC keeps the I-side to a single fetch.  This
+    isolates the per-event work the compiled loop replaces.
     """
-    blocks = (np.arange(n_accesses, dtype=np.int64) % 4) * 32
-    times = np.arange(n_accesses, dtype=np.int64)
-    return blocks, times
+    addrs = (np.arange(n_loads, dtype=np.int64) % 2) * 32768
+    return TraceChunk(np.zeros(n_loads, dtype=np.int64), addrs)
 
 
-def _run_residual(residual: str, blocks, times) -> tuple:
-    cache = SetAssociativeCache(
-        CacheConfig("bench", 4096, 64, 2, 1), "lru"
-    )
-    kernel = BatchedCacheKernel(cache, residual=residual)
-    kernel.access_blocks(blocks, times)
-    kernel.finish(int(times[-1]) + 1)
-    return cache.stats.accesses, cache.stats.misses
+def _bench_residual(benchmark, kernel: str):
+    """Time ``kernel`` on the alternating stream.
+
+    ``extra_info.residual_s`` is the fastest round's residual stage.
+    """
+    chunk = _alternating_loads(200_000)
+    residual_s = []
+
+    def run():
+        profile = AnnotatingSimulator(kernel=kernel).run(chunk).result.profile
+        residual_s.append(profile.stage_seconds["residual"])
+        return profile
+
+    profile = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert profile.slow_path_accesses == profile.total_accesses > 200_000
+    benchmark.extra_info["residual_s"] = min(residual_s)
+    return profile
 
 
 def test_residual_python_throughput(benchmark):
-    """The pure-python residual loop on an all-conflict stream."""
-    blocks, times = _conflict_stream(200_000)
-    accesses, misses = benchmark(_run_residual, "python", blocks, times)
-    assert misses == accesses  # nothing hit: all work was residual
+    """The pure-python residual loop, through ``kernel="batched"``."""
+    assert _bench_residual(benchmark, "batched").residual_impl == "python"
 
 
 def test_residual_compiled_throughput(benchmark):
-    """The compiled residual loop on the same all-conflict stream.
+    """The compiled residual loop on the same stream (``kernel="compiled"``).
 
-    The committed baseline demonstrates the >= 3x residual-loop speedup
-    over ``test_residual_python_throughput``; on compiler-less hosts the
-    bench is skipped rather than silently timing the fallback.
+    The committed baseline's residual stage (``extra_info.residual_s``)
+    is about 45x faster than ``test_residual_python_throughput``'s; on
+    compiler-less hosts the bench is skipped rather than silently
+    timing the fallback.
     """
     if not native.native_available():
         pytest.skip(f"native kernel unavailable: {native.native_build_error()}")
-    blocks, times = _conflict_stream(200_000)
-    accesses, misses = benchmark(_run_residual, "compiled", blocks, times)
-    assert misses == accesses
+    assert _bench_residual(benchmark, "compiled").residual_impl == "compiled"
 
 
 @pytest.fixture(scope="module")

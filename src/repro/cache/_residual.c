@@ -1,23 +1,20 @@
-/* Compiled residual loops for the batched simulation kernel.
+/* Compiled residual loop for the batched simulation kernel.
  *
  * This file is deliberately a *plain* C shared library — no Python.h —
  * so it can be built lazily with nothing but a C compiler and loaded
- * through ctypes (see repro/cache/native.py).  It mirrors, operation
- * for operation, the two pure-python residual loops in
- * repro/cache/kernel.py:
- *
- *   repro_residual_timed   <->  the merged I/D residual loop inside
- *                               run_batched (tag probe, victim pick,
- *                               interval records, stall accrual)
- *   repro_residual_access  <->  BatchedCacheKernel.access_blocks'
- *                               residual loop (times are inputs)
+ * through ctypes (see repro/cache/native.py).  Its one entry point,
+ * repro_residual_timed, mirrors operation for operation the merged I/D
+ * residual loop inside run_batched in repro/cache/kernel.py (tag probe,
+ * victim pick, interval records, stall accrual).
  *
  * Everything that involves unbounded python state stays in python and
- * is reached through callbacks: the L2 walk + compulsory-miss set on a
- * miss, and the live random-policy rng on a random eviction.  That is
+ * is reached through callbacks: on a miss, the compulsory-miss set and
+ * MemoryHierarchy.fill_latency (the L2 walk and the L1-miss latency
+ * rule); on a random eviction, the live random-policy rng.  That is
  * what keeps the compiled path bit-identical to the scalar oracle —
  * the rng draws the same MT19937 stream, the L2 keeps its own exact
- * statistics — while the per-event arithmetic runs at C speed.
+ * statistics, the latency rule is stated once — while the per-event
+ * arithmetic runs at C speed.
  *
  * All integers are int64 (block numbers, cycle counts and frame
  * indices all fit comfortably); python floor-division semantics are
@@ -29,12 +26,10 @@
 typedef int64_t i64;
 typedef uint8_t u8;
 
-/* (lane_id, block, now) -> bit0: L2 hit, bit1: block already seen.   */
+/* (lane_id, block, now) -> fill latency << 1 | 1 if already seen.     */
 typedef i64 (*repro_miss_cb)(i64, i64, i64);
 /* (lane_id, set_index) -> victim way, drawn from the live python rng. */
 typedef i64 (*repro_rng_cb)(i64, i64);
-/* (lane_id, block) -> 1 if already seen (recording it otherwise).     */
-typedef i64 (*repro_seen_cb)(i64, i64);
 
 /* One cache lane's folded state (aliases numpy int64 arrays that the
  * python wrapper snapshots from the scalar cache's lists and writes
@@ -54,9 +49,7 @@ typedef struct {
     i64 *rec_keys;
     i64 *rec_gaps;
     u8  *rec_kinds;
-    i64 *rec_frames;    /* may be NULL (access loop records no frames) */
     i64 rec_n;          /* records emitted (gap > 0) */
-    i64 frames_n;       /* frames recorded == events seen by this lane */
     i64 hits;
     i64 misses;
     i64 compulsory;
@@ -70,8 +63,6 @@ typedef struct {
     i64 kind_dead;
     i64 l1i_hit;
     i64 l1d_hit;
-    i64 l2_hit;
-    i64 memory_latency;
     i64 stall_on_miss;
     i64 load_mlp;
     i64 store_buffer;
@@ -220,7 +211,7 @@ i64 repro_residual_timed(
             i64 probe, latency, last;
             lane->misses += 1;
             probe = miss_cb(lane->lane_id, block, now);
-            if (!(probe & 2))
+            if (!(probe & 1))
                 lane->compulsory += 1;
             frame = base + repro_victim(lane, base, set_index,
                                         cfg->invalid_tag, rng_cb);
@@ -231,8 +222,8 @@ i64 repro_residual_timed(
                              (u8)cfg->kind_cold);
             else
                 repro_record(lane, pos, now - last, (u8)cfg->kind_dead);
-            /* The miss walks the L2; its latency stalls the stream. */
-            latency = (probe & 1) ? cfg->l2_hit : cfg->memory_latency;
+            /* The miss walked the L2; its latency stalls the stream. */
+            latency = probe >> 1;
             if (is_d) {
                 if (!(m_store[e] && cfg->store_buffer)) {
                     i64 extra = -repro_floordiv(
@@ -257,70 +248,14 @@ i64 repro_residual_timed(
         if (lane->lru_touch)
             lane->lru_touch[frame] = now;
         lane->frame_last[frame] = now;
-        lane->rec_frames[lane->frames_n] = frame;
-        lane->frames_n += 1;
         lane->set_last_frame[set_index] = frame;
     }
     *n_stalls_out = n_stalls;
     return stalls;
 }
 
-/* The residual loop of BatchedCacheKernel.access_blocks: access times
- * are inputs here, so there is no stall bookkeeping and no L2 walk —
- * only the seen-set callback on a miss and the rng on a random
- * eviction.  hit_out[k] is set to 1 when residual event k hit. */
-void repro_residual_access(
-    i64 n_res,
-    const i64 *res_event, const i64 *res_block, const i64 *res_set,
-    const i64 *res_catch, const i64 *times,
-    repro_lane *lane, const repro_cfg *cfg,
-    repro_seen_cb seen_cb, repro_rng_cb rng_cb,
-    u8 *hit_out)
-{
-    i64 k;
-    for (k = 0; k < n_res; k++) {
-        i64 event = res_event[k];
-        i64 block = res_block[k];
-        i64 set_index = res_set[k];
-        i64 catch_pos = res_catch[k];
-        i64 now = times[event];
-        i64 base, way, frame;
-
-        if (catch_pos >= 0)
-            repro_catch_up(lane, set_index, times[catch_pos]);
-
-        base = set_index * lane->assoc;
-        way = repro_probe(lane, base, block);
-        if (way >= 0) {
-            lane->hits += 1;
-            hit_out[k] = 1;
-            frame = base + way;
-            repro_record(lane, event, now - lane->frame_last[frame],
-                         (u8)cfg->kind_normal);
-        } else {
-            i64 last;
-            lane->misses += 1;
-            if (!seen_cb(lane->lane_id, block))
-                lane->compulsory += 1;
-            frame = base + repro_victim(lane, base, set_index,
-                                        cfg->invalid_tag, rng_cb);
-            lane->tags[frame] = block;
-            last = lane->frame_last[frame];
-            if (last == -1)
-                repro_record(lane, event, now - lane->start_time,
-                             (u8)cfg->kind_cold);
-            else
-                repro_record(lane, event, now - last, (u8)cfg->kind_dead);
-        }
-        if (lane->lru_touch)
-            lane->lru_touch[frame] = now;
-        lane->frame_last[frame] = now;
-        lane->set_last_frame[set_index] = frame;
-    }
-}
-
 /* ABI version stamp so the loader can reject a stale cached build. */
 i64 repro_residual_abi(void)
 {
-    return 1;
+    return 2;
 }

@@ -19,8 +19,14 @@ staying *bit-identical* to the scalar path:
 
 3. **Residual loop** — the (small) remaining stream of potential misses
    and conflicts runs through a tight scalar loop that probes tags, picks
-   victims through the real replacement policy state, charges L2/memory
-   latencies and accrues pipeline stalls.
+   victims through the real replacement policy state, charges the
+   :meth:`~repro.cache.hierarchy.MemoryHierarchy.fill_latency` of each
+   miss and accrues pipeline stalls.  The loop has one compiled twin,
+   ``repro_residual_timed`` in ``_residual.c`` (:mod:`repro.cache.native`),
+   which reaches ``fill_latency`` through its miss callback, so the
+   L1-miss latency rule is stated once.
+
+:func:`run_batched` is the kernel's only entry point.
 
 Timing closes the loop exactly: the fixed-point issue clock
 (:mod:`repro.cpu.pipeline`) gives instruction ``i`` the closed-form base
@@ -207,15 +213,6 @@ class _Lane:
     """Batched per-cache state: carries, aliases into the scalar cache."""
 
     def __init__(self, cache: SetAssociativeCache) -> None:
-        if type(cache.replacement) not in EXACT_POLICIES:
-            raise SimulationError(
-                "batched kernel supports lru/fifo/random replacement only; "
-                f"got {type(cache.replacement).__name__}"
-            )
-        if cache.stats.accesses:
-            raise SimulationError(
-                "batched kernel must attach to a fresh cache"
-            )
         self.cache = cache
         config = cache.config
         self.assoc = config.associativity
@@ -355,10 +352,9 @@ def _compiled_timed_chunk(
     """
     n = len(m_pos)
     n_d = int(np.count_nonzero(m_is_d))
-    bridge_i = native.LaneBridge(lane_i, n - n_d, want_frames=True)
-    bridge_d = native.LaneBridge(lane_d, n_d, want_frames=True)
-    bridge_d.set_lane_id(1)
-    cfg = native.make_config(
+    bridge_i = native.LaneBridge(lane_i, 0, n - n_d)
+    bridge_d = native.LaneBridge(lane_d, 1, n_d)
+    cfg = native.NativeConfig(
         invalid_tag=INVALID,
         kind_normal=_NORMAL,
         kind_cold=_COLD,
@@ -399,220 +395,11 @@ def _compiled_timed_chunk(
         stalls,
         stall_positions[:count],
         stall_totals[:count],
-        bridge_i.records()[:3],
-        bridge_d.records()[:3],
+        bridge_i.records(),
+        bridge_d.records(),
         bridge_i.counters(),
         bridge_d.counters(),
     )
-
-
-class BatchedCacheKernel:
-    """Array-at-a-time access engine for one :class:`SetAssociativeCache`.
-
-    Accepts arrays of ``(block, time)`` per chunk and applies them with
-    results bit-identical to calling :meth:`~SetAssociativeCache.
-    access_block` in a loop: same statistics, same evictions, same
-    generation intervals in the same order.  Attach to a *fresh* cache;
-    times must be non-decreasing across all calls.
-
-    This is the standalone form of the kernel (used directly by tests and
-    by array-driven workloads); the trace simulator drives the same lane
-    machinery through :func:`run_batched`, where access times additionally
-    depend on the misses the kernel itself discovers.
-    """
-
-    def __init__(
-        self, cache: SetAssociativeCache, residual: Optional[str] = None
-    ) -> None:
-        self._lane = _Lane(cache)
-        self.cache = cache
-        #: Residual implementation actually in use ("python"/"compiled").
-        self.residual_impl = resolve_residual_impl(residual)
-        self._seen_cb = None
-        self._rng_cb = None
-        if self.residual_impl == "compiled":
-            lanes = (self._lane, self._lane)
-            self._seen_cb = native.make_seen_cb(lanes)
-            self._rng_cb = native.make_rng_cb(lanes)
-
-    def access_blocks(self, blocks: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Access ``blocks[k]`` at ``times[k]``; returns the hit mask."""
-        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
-        times = np.ascontiguousarray(times, dtype=np.int64)
-        if blocks.shape != times.shape:
-            raise SimulationError("blocks and times must align")
-        count = len(blocks)
-        if count == 0:
-            return np.zeros(0, dtype=bool)
-        if bool(np.any(np.diff(times) < 0)) or (
-            int(times[0]) < int(self._lane.set_last_time.max())
-        ):
-            raise TraceValidationError(
-                "access times must be non-decreasing: the trace's timestamps "
-                "move backwards (within this batch or relative to an earlier "
-                "one); sort the trace by time before feeding it to the kernel"
-            )
-        lane = self._lane
-        sets, order, ssets, sblocks, fast, pred = lane.classify(blocks)
-        hits = fast.copy()
-        res_idx = np.flatnonzero(~fast)
-        catch = lane.catchup_positions(res_idx, pred, fast, np.arange(count))
-        lane.fast_accesses += int(fast.sum())
-        lane.slow_accesses += len(res_idx)
-
-        if self.residual_impl == "compiled" and len(res_idx):
-            records, counters = self._access_residual_compiled(
-                hits, blocks, times, sets, res_idx, catch
-            )
-            res_keys, res_gaps, res_kinds = records
-            n_hits, n_miss, n_comp, n_evict = counters
-        else:
-            # Residual loop (times are inputs; no stall bookkeeping).
-            tags = lane.tags
-            assoc = lane.assoc
-            frame_last = lane.frame_last
-            lru_touch = lane.lru_touch
-            fifo_next = lane.fifo_next
-            rng = lane.rng
-            blocks_seen = lane.blocks_seen
-            set_last_frame = lane.set_last_frame
-            start_time = lane.start_time
-            res_keys, res_gaps, res_kinds = [], [], []
-            n_hits = n_miss = n_comp = n_evict = 0
-            for event, block, set_index, catch_pos in zip(
-                res_idx.tolist(),
-                blocks[res_idx].tolist(),
-                sets[res_idx].tolist(),
-                catch.tolist(),
-            ):
-                now = int(times[event])
-                if catch_pos >= 0:
-                    stamp = int(times[catch_pos])
-                    run_frame = set_last_frame[set_index]
-                    frame_last[run_frame] = stamp
-                    if lru_touch is not None:
-                        lru_touch[run_frame] = stamp
-                base = set_index * assoc
-                way = -1
-                for candidate in range(assoc):
-                    if tags[base + candidate] == block:
-                        way = candidate
-                        break
-                if way >= 0:
-                    n_hits += 1
-                    hits[event] = True
-                    frame = base + way
-                    last = frame_last[frame]
-                    gap = now - last
-                    if gap > 0:
-                        res_keys.append(event)
-                        res_gaps.append(gap)
-                        res_kinds.append(_NORMAL)
-                else:
-                    n_miss += 1
-                    if block not in blocks_seen:
-                        n_comp += 1
-                        blocks_seen.add(block)
-                    victim = -1
-                    for candidate in range(assoc):
-                        if tags[base + candidate] == INVALID:
-                            victim = candidate
-                            break
-                    if victim < 0:
-                        if lru_touch is not None:
-                            window = lru_touch[base : base + assoc]
-                            victim = window.index(min(window))
-                        elif fifo_next is not None:
-                            victim = fifo_next[set_index]
-                            fifo_next[set_index] = (victim + 1) % assoc
-                        else:
-                            victim = rng.randrange(assoc)
-                        n_evict += 1
-                    frame = base + victim
-                    tags[frame] = block
-                    last = frame_last[frame]
-                    if last == -1:
-                        gap = now - start_time
-                        kind = _COLD
-                    else:
-                        gap = now - last
-                        kind = _DEAD
-                    if gap > 0:
-                        res_keys.append(event)
-                        res_gaps.append(gap)
-                        res_kinds.append(kind)
-                if lru_touch is not None:
-                    lru_touch[frame] = now
-                frame_last[frame] = now
-                set_last_frame[set_index] = frame
-
-        lane.flush_stats(count, n_hits + int(fast.sum()), n_miss, n_comp, n_evict)
-
-        # Fast-path gaps (vectorized), scattered with the residual records.
-        fast_idx = np.flatnonzero(fast)
-        fast_pred = pred[fast_idx]
-        prev_times = np.where(
-            fast_pred >= 0,
-            times[np.maximum(fast_pred, 0)],
-            lane.set_last_time[sets[fast_idx]],
-        )
-        _emit_intervals(
-            lane, count, fast_idx, times[fast_idx] - prev_times,
-            np.asarray(res_keys, dtype=np.int64),
-            np.asarray(res_gaps, dtype=np.int64),
-            np.asarray(res_kinds, dtype=np.uint8),
-        )
-
-        # Chunk-end carries: per-set last block/time, trailing-run catch-up.
-        last_of_set = np.empty(count, dtype=bool)
-        last_of_set[-1] = True
-        np.not_equal(ssets[1:], ssets[:-1], out=last_of_set[:-1])
-        last_idx = order[last_of_set]
-        lane.set_last_block[ssets[last_of_set]] = sblocks[last_of_set]
-        lane.set_last_time[ssets[last_of_set]] = times[last_idx]
-        lane.close_trailing_runs(sets, times, last_idx[fast[last_idx]])
-        return hits
-
-    def _access_residual_compiled(self, hits, blocks, times, sets, res_idx, catch):
-        """One chunk's residual stream through the C loop (access form)."""
-        lane = self._lane
-        lib = native.load_native()
-        n_res = len(res_idx)
-        bridge = native.LaneBridge(lane, n_res, want_frames=False)
-        cfg = native.make_config(
-            invalid_tag=INVALID,
-            kind_normal=_NORMAL,
-            kind_cold=_COLD,
-            kind_dead=_DEAD,
-        )
-        hit_out = np.zeros(n_res, dtype=np.uint8)
-        lib.repro_residual_access(
-            n_res,
-            native.ptr_i64(np.ascontiguousarray(res_idx)),
-            native.ptr_i64(np.ascontiguousarray(blocks[res_idx])),
-            native.ptr_i64(np.ascontiguousarray(sets[res_idx])),
-            native.ptr_i64(np.ascontiguousarray(catch)),
-            native.ptr_i64(times),
-            ctypes.byref(bridge.struct),
-            ctypes.byref(cfg),
-            self._seen_cb,
-            self._rng_cb,
-            native.ptr_u8(hit_out),
-        )
-        bridge.writeback()
-        hits[res_idx[hit_out.astype(bool)]] = True
-        keys, gaps, kinds, _ = bridge.records()
-        return (keys, gaps, kinds), bridge.counters()
-
-    def finish(self, end_time: int) -> None:
-        """Sync folded state and close the cache's generation timelines."""
-        self._lane.sync_tracker()
-        self.cache.finish(end_time)
-
-    @property
-    def profile_counts(self):
-        """``(fast_path, slow_path)`` access counts so far."""
-        return self._lane.fast_accesses, self._lane.slow_accesses
 
 
 @dataclass(frozen=True)
@@ -805,16 +592,11 @@ def run_batched(
     residual_impl = resolve_residual_impl(residual)
     if residual_impl == "compiled":
         native_lib = native.load_native()
-        native_miss_cb = native.make_miss_cb(
-            (lane_i, lane_d), hierarchy.l2.access_block
-        )
+        native_miss_cb = native.make_miss_cb((lane_i, lane_d), fill_latency)
         native_rng_cb = native.make_rng_cb((lane_i, lane_d))
-        l2_hit = hierarchy.config.l2.hit_latency
         native_timing = {
             "l1i_hit": l1i_hit,
             "l1d_hit": l1d_hit,
-            "l2_hit": l2_hit,
-            "memory_latency": l2_hit + hierarchy.config.memory_latency,
             "stall_on_miss": int(bool(stall_on_miss)),
             "load_mlp": load_mlp,
             "store_buffer": int(bool(store_buffer)),

@@ -1,7 +1,9 @@
 """Lazy builder/loader for the compiled residual kernel.
 
 The compiled residual loop lives in ``_residual.c`` next to this module
-— plain C with no Python dependency — and is built on first use with
+— plain C with no Python dependency, one entry point
+(``repro_residual_timed``, the C twin of the residual loop inside
+:func:`repro.cache.kernel.run_batched`) — and is built on first use with
 whatever C compiler the host provides (``$CC``, else ``cc``/``gcc``/
 ``clang`` on ``$PATH``)::
 
@@ -40,7 +42,7 @@ import numpy as np
 ENV_NATIVE_DIR = "REPRO_NATIVE_DIR"
 
 #: ABI stamp the built library must report (see ``_residual.c``).
-NATIVE_ABI = 1
+NATIVE_ABI = 2
 
 _SOURCE = Path(__file__).with_name("_residual.c")
 
@@ -48,12 +50,10 @@ _i64 = ctypes.c_int64
 _i64p = ctypes.POINTER(ctypes.c_int64)
 _u8p = ctypes.POINTER(ctypes.c_uint8)
 
-#: (lane_id, block, now) -> bit0: L2 hit, bit1: block already seen.
+#: (lane_id, block, now) -> fill latency << 1 | 1 if block already seen.
 MISS_CB = ctypes.CFUNCTYPE(_i64, _i64, _i64, _i64)
 #: (lane_id, set_index) -> victim way from the live python rng.
 RNG_CB = ctypes.CFUNCTYPE(_i64, _i64, _i64)
-#: (lane_id, block) -> 1 if already seen (recording it otherwise).
-SEEN_CB = ctypes.CFUNCTYPE(_i64, _i64, _i64)
 
 
 class NativeLane(ctypes.Structure):
@@ -71,9 +71,7 @@ class NativeLane(ctypes.Structure):
         ("rec_keys", _i64p),
         ("rec_gaps", _i64p),
         ("rec_kinds", _u8p),
-        ("rec_frames", _i64p),
         ("rec_n", _i64),
-        ("frames_n", _i64),
         ("hits", _i64),
         ("misses", _i64),
         ("compulsory", _i64),
@@ -91,8 +89,6 @@ class NativeConfig(ctypes.Structure):
         ("kind_dead", _i64),
         ("l1i_hit", _i64),
         ("l1d_hit", _i64),
-        ("l2_hit", _i64),
-        ("memory_latency", _i64),
         ("stall_on_miss", _i64),
         ("load_mlp", _i64),
         ("store_buffer", _i64),
@@ -104,11 +100,6 @@ _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _probed = False
 _error: Optional[str] = None
-
-
-def native_source() -> Path:
-    """Path of the C source the library is built from."""
-    return _SOURCE
 
 
 def native_build_dir() -> Path:
@@ -184,15 +175,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         MISS_CB, RNG_CB,
         _i64p, _i64p, _i64p,        # stall_positions, stall_totals, n_out
     ]
-    lib.repro_residual_access.restype = None
-    lib.repro_residual_access.argtypes = [
-        _i64,                       # n_res
-        _i64p, _i64p, _i64p,        # res_event, res_block, res_set
-        _i64p, _i64p,               # res_catch, times
-        ctypes.POINTER(NativeLane), ctypes.POINTER(NativeConfig),
-        SEEN_CB, RNG_CB,
-        _u8p,                       # hit_out
-    ]
     return lib
 
 
@@ -236,17 +218,8 @@ def native_build_error() -> Optional[str]:
     return _error
 
 
-def reset_native_cache() -> None:
-    """Forget the memoized load (tests re-probe after monkeypatching)."""
-    global _lib, _probed, _error
-    with _lock:
-        _lib = None
-        _probed = False
-        _error = None
-
-
 # ----------------------------------------------------------------------
-# Marshalling helpers shared by both compiled entry points
+# Marshalling helpers for the compiled entry point
 # ----------------------------------------------------------------------
 
 def ptr_i64(array: Optional[np.ndarray]):
@@ -269,7 +242,7 @@ class LaneBridge:
     every alias.
     """
 
-    def __init__(self, lane, n_events: int, want_frames: bool) -> None:
+    def __init__(self, lane, lane_id: int, n_events: int) -> None:
         self.lane = lane
         self.tags = np.asarray(lane.tags, dtype=np.int64)
         self.frame_last = np.asarray(lane.frame_last, dtype=np.int64)
@@ -285,9 +258,8 @@ class LaneBridge:
         self.keys = np.empty(n_events, dtype=np.int64)
         self.gaps = np.empty(n_events, dtype=np.int64)
         self.kinds = np.empty(n_events, dtype=np.uint8)
-        self.frames = np.empty(n_events, dtype=np.int64) if want_frames else None
         self.struct = NativeLane()
-        self.struct.lane_id = 0
+        self.struct.lane_id = lane_id
         self.struct.assoc = int(lane.assoc)
         self.struct.start_time = int(lane.start_time)
         self.struct.tags = ptr_i64(self.tags)
@@ -298,16 +270,11 @@ class LaneBridge:
         self.struct.rec_keys = ptr_i64(self.keys)
         self.struct.rec_gaps = ptr_i64(self.gaps)
         self.struct.rec_kinds = ptr_u8(self.kinds)
-        self.struct.rec_frames = ptr_i64(self.frames)
         self.struct.rec_n = 0
-        self.struct.frames_n = 0
         self.struct.hits = 0
         self.struct.misses = 0
         self.struct.compulsory = 0
         self.struct.evictions = 0
-
-    def set_lane_id(self, lane_id: int) -> None:
-        self.struct.lane_id = int(lane_id)
 
     def writeback(self) -> None:
         lane = self.lane
@@ -319,49 +286,13 @@ class LaneBridge:
             lane.fifo_next[:] = self.fifo.tolist()
         lane.set_last_frame[:] = self.set_last_frame.tolist()
 
-    def records(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def records(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = int(self.struct.rec_n)
-        frames = (
-            self.frames[: int(self.struct.frames_n)]
-            if self.frames is not None
-            else np.zeros(0, dtype=np.int64)
-        )
-        return self.keys[:n], self.gaps[:n], self.kinds[:n], frames
+        return self.keys[:n], self.gaps[:n], self.kinds[:n]
 
     def counters(self) -> List[int]:
         s = self.struct
         return [int(s.hits), int(s.misses), int(s.compulsory), int(s.evictions)]
-
-
-def make_config(
-    *,
-    invalid_tag: int,
-    kind_normal: int,
-    kind_cold: int,
-    kind_dead: int,
-    l1i_hit: int = 0,
-    l1d_hit: int = 0,
-    l2_hit: int = 0,
-    memory_latency: int = 0,
-    stall_on_miss: int = 0,
-    load_mlp: int = 1,
-    store_buffer: int = 0,
-    chunk_start_stalls: int = 0,
-) -> NativeConfig:
-    return NativeConfig(
-        invalid_tag=invalid_tag,
-        kind_normal=kind_normal,
-        kind_cold=kind_cold,
-        kind_dead=kind_dead,
-        l1i_hit=l1i_hit,
-        l1d_hit=l1d_hit,
-        l2_hit=l2_hit,
-        memory_latency=memory_latency,
-        stall_on_miss=stall_on_miss,
-        load_mlp=load_mlp,
-        store_buffer=store_buffer,
-        chunk_start_stalls=chunk_start_stalls,
-    )
 
 
 def make_rng_cb(lanes) -> RNG_CB:
@@ -375,39 +306,22 @@ def make_rng_cb(lanes) -> RNG_CB:
     return RNG_CB(_draw)
 
 
-def make_seen_cb(lanes) -> SEEN_CB:
-    """Compulsory-miss callback against each lane's live seen-set."""
-    seen = [lane.blocks_seen for lane in lanes]
+def make_miss_cb(lanes, fill_latency) -> MISS_CB:
+    """Seen-set probe plus ``MemoryHierarchy.fill_latency`` on an L1 miss.
 
-    def _probe(lane_id: int, block: int) -> int:
-        s = seen[lane_id]
-        if block in s:
-            return 1
-        s.add(block)
-        return 0
-
-    return SEEN_CB(_probe)
-
-
-def make_miss_cb(lanes, l2_access) -> MISS_CB:
-    """Combined seen-set + L2-walk callback for the timed loop.
-
-    The L1 victim draw and the L2 walk touch disjoint state (each
+    Returns ``latency << 1 | seen``.  The L1 victim draw and the L2 walk
+    touch disjoint state (each
     :class:`~repro.cache.replacement.RandomPolicy` owns its own seeded
-    rng), so folding the L2 access into the miss probe — ahead of the
-    victim pick — is observably identical to the python loop's order.
+    rng), so walking the L2 inside the miss probe — ahead of the victim
+    pick — is observably identical to the python loop's order.
     """
     seen = [lane.blocks_seen for lane in lanes]
 
     def _probe(lane_id: int, block: int, now: int) -> int:
-        result = 0
         s = seen[lane_id]
-        if block in s:
-            result = 2
-        else:
+        known = block in s
+        if not known:
             s.add(block)
-        if l2_access(block, now):
-            result |= 1
-        return result
+        return fill_latency(block, now) << 1 | known
 
     return MISS_CB(_probe)

@@ -20,6 +20,9 @@ classes the paper's own numbers imply (Figures 7/8/9):
   *cold* structures (large arrays, linked heaps): the per-frame event
   rate is so low that cold frames rest for hundreds of kilocycles, which
   is what makes sleep mode dominant in the data cache (Figure 7(b)).
+  Each ``make_*`` builder states its split in a local ``mix(cold, w, i)``
+  that weights the hot sweep, a column sweep, a reuse pool and the cold
+  pattern (weight ``w``).
 * The FP pair (ammp, applu) leans colder (more streaming, smaller hot
   set) than the integer codes, mirroring why the leakage literature
   singles them out as sleep-friendly.
@@ -31,7 +34,7 @@ contrasts follow the suite's published characterization.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from ..errors import ConfigurationError
 from .patterns import (
@@ -82,19 +85,6 @@ class PoolAllocator:
             )
         l2_region = unique % 32
         return DATA_BASE + unique * (8 << 20) + (l2_region * 2048 + l1_line_offset) * 64
-
-
-def hot_cold_mixture(
-    hot: DataPattern,
-    cold: DataPattern,
-    cold_weight: float,
-    extra: List = None,
-) -> List[Tuple[DataPattern, float]]:
-    """The hot/cold load split described in the module docstring."""
-    components = [(hot, 1.0 - cold_weight), (cold, cold_weight)]
-    if extra:
-        components.extend(extra)
-    return components
 
 
 def _rounds(base_rounds: int, scale: float) -> int:
