@@ -63,7 +63,7 @@ def test_serial_baseline_for_dispatch(benchmark):
         SimulationJob("gzip", scale=DISPATCH_SCALE),
         SimulationJob("ammp", scale=DISPATCH_SCALE),
     ]
-    benchmark.pedantic(run_serial, args=(jobs,), rounds=3, iterations=1)
+    benchmark.pedantic(run_serial, args=(jobs,), rounds=5, iterations=1)
 
 
 def test_remote_connect_handshake(benchmark):

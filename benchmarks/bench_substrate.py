@@ -231,7 +231,7 @@ def _policy_population():
 
 def test_policy_evaluation_first_call(benchmark):
     """Figure 5 accumulation on a fresh reduced population, the form a
-    job result arrives in (collapses its rows to a spectrum, then prices)."""
+    job result arrives in (lays out its pricing view, then prices)."""
     model = ModeEnergyModel(paper_nodes()[70])
     lengths = _policy_population()
     policy = OptHybrid(model)
@@ -259,7 +259,7 @@ def test_bbv_profiling_throughput(benchmark):
     def run():
         return profile_trace(make_gzip(scale=0.05).chunks(), window_instructions=10_000)
 
-    profile = benchmark.pedantic(run, rounds=2, iterations=1)
+    profile = benchmark.pedantic(run, rounds=5, iterations=1)
     assert profile.n_windows >= 5
 
 
@@ -292,7 +292,7 @@ def test_functional_decay_cache(benchmark):
         cache.finish(end_time)
         return cache.energy_report()
 
-    report_ = benchmark.pedantic(run, rounds=2, iterations=1)
+    report_ = benchmark.pedantic(run, rounds=5, iterations=1)
 
     tracked = SetAssociativeCache(config)
     for block, t in events:

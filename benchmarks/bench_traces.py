@@ -44,7 +44,7 @@ def drop_page_cache(path) -> None:
 def test_trace_stream_throughput_cached(benchmark, recorded):
     """Accesses/s streamed from an OS-cached trace file."""
     accesses = benchmark.pedantic(
-        stream_accesses, args=(recorded.path,), rounds=3, iterations=1
+        stream_accesses, args=(recorded.path,), rounds=5, iterations=1
     )
     assert accesses == recorded.instructions
     benchmark.extra_info["accesses"] = accesses
@@ -59,7 +59,7 @@ def test_trace_stream_throughput_cold(benchmark, recorded):
         stream_accesses,
         args=(recorded.path,),
         setup=lambda: drop_page_cache(recorded.path),
-        rounds=3,
+        rounds=5,
         iterations=1,
     )
     assert accesses == recorded.instructions
@@ -77,7 +77,7 @@ def test_trace_record_throughput(benchmark, tmp_path):
         dest = tmp_path / f"rec-{next(counter)}.rtr"
         return record_benchmark("gzip", dest, scale=RECORD_SCALE)
 
-    info = benchmark.pedantic(record, rounds=2, iterations=1)
+    info = benchmark.pedantic(record, rounds=5, iterations=1)
     assert info.instructions > 100_000
     benchmark.extra_info["accesses_per_second"] = round(
         info.instructions / benchmark.stats.stats.mean
@@ -90,6 +90,6 @@ def test_trace_streamed_simulation_matches_inline_cost(benchmark, recorded):
     def run():
         return annotate_workload_trace(TraceRecording(recorded.path).chunks())
 
-    result = benchmark.pedantic(run, rounds=2, iterations=1).result
+    result = benchmark.pedantic(run, rounds=5, iterations=1).result
     assert result.instructions == recorded.instructions
     benchmark.extra_info["instructions"] = result.instructions

@@ -44,7 +44,8 @@ or, for the full pipeline::
     print(report.describe())
 """
 
-from . import cache, core, cpu, engine, experiments, power, prefetch, simpoint, workloads
+from importlib import import_module
+
 from .errors import (
     ConfigurationError,
     EngineError,
@@ -58,6 +59,27 @@ from .errors import (
 )
 
 __version__ = "1.0.0"
+
+#: Subpackages, imported on first attribute access: a command loads only
+#: what it runs.
+_SUBPACKAGES = (
+    "cache",
+    "core",
+    "cpu",
+    "engine",
+    "experiments",
+    "power",
+    "prefetch",
+    "simpoint",
+    "workloads",
+)
+
+
+def __getattr__(name: str):
+    if name not in _SUBPACKAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return import_module(f".{name}", __name__)
+
 
 __all__ = [
     "ConfigurationError",

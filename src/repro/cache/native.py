@@ -30,7 +30,6 @@ import ctypes
 import hashlib
 import os
 import shutil
-import subprocess
 import tempfile
 import threading
 from pathlib import Path
@@ -128,6 +127,8 @@ def _compiler() -> Optional[List[str]]:
 
 def _build(source: Path, target: Path) -> None:
     """Compile ``source`` into ``target`` atomically (tmp + rename)."""
+    import subprocess  # only a build spawns a process
+
     compiler = _compiler()
     if compiler is None:
         raise RuntimeError("no C compiler found ($CC, cc, gcc or clang)")

@@ -52,7 +52,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .engine import (
     BACKEND_NAMES,
@@ -64,9 +64,11 @@ from .engine import (
 from .errors import ReproError
 from .experiments.runner import experiment_names, run_all, run_experiment
 from .experiments.suite import SuiteRunner
-from .sweep import SweepSpec, plan_text, run_sweep
 from .traces.registry import check_workload, is_trace_ref
 from .workloads.benchmarks import BENCHMARK_NAMES
+
+if TYPE_CHECKING:
+    from .sweep import SweepSpec
 
 #: Top-level subcommands; anything else on the command line is treated
 #: as an experiment name and routed to ``run`` (historical flat form).
@@ -851,6 +853,8 @@ def run_command(args) -> int:
 # ----------------------------------------------------------------------
 def _spec_from_args(args) -> SweepSpec:
     """Resolve the sweep spec: a JSON file, or constructed from flags."""
+    from .sweep import SweepSpec
+
     flag_axes = {
         "benchmarks": args.benchmarks,
         "scales": args.scales,
@@ -882,6 +886,8 @@ def _spec_from_args(args) -> SweepSpec:
 
 
 def sweep_plan_command(args) -> int:
+    from .sweep import plan_text
+
     try:
         spec = _spec_from_args(args)
         print(plan_text(spec))
@@ -893,6 +899,8 @@ def sweep_plan_command(args) -> int:
 
 
 def sweep_run_command(args) -> int:
+    from .sweep import run_sweep
+
     try:
         spec = _spec_from_args(args)
         engine = ExecutionEngine(jobs=args.jobs, backend=args.backend)

@@ -33,6 +33,7 @@ energy is the node's ``refetch_energy_cycles``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -226,7 +227,7 @@ class ModeEnergyModel:
                 f"interval of {length} cycles leaves {length - wait} after a "
                 f"{wait}-cycle decay wait; sleep needs >= {self.sleep_min_length}"
             )
-        return self.p_active * wait + self.sleep_energy(length - wait) - 0.0
+        return self.p_active * wait + self.sleep_energy(length - wait)
 
     def energy(self, mode: Mode, length: float) -> float:
         """Dispatch to the per-mode energy function."""
@@ -242,8 +243,16 @@ class ModeEnergyModel:
         """Energy saved versus leaving the line active for the interval."""
         return self.active_energy(length) - self.energy(mode, length)
 
+    def affine(self, mode: Mode) -> Tuple[float, float]:
+        """``(slope, intercept)`` of ``mode``'s energy, ``slope * L + intercept``."""
+        if mode is Mode.ACTIVE:
+            return self.p_active, 0.0
+        if mode is Mode.DROWSY:
+            return self.p_drowsy, self.drowsy_constant
+        return self.p_sleep, self.sleep_constant
+
     # ------------------------------------------------------------------
-    # Vectorized energies (used by the policy evaluator on large traces)
+    # Vectorized energies (the per-interval pricing oracle)
     # ------------------------------------------------------------------
 
     def active_energy_array(self, lengths: np.ndarray) -> np.ndarray:

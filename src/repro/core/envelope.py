@@ -78,9 +78,10 @@ def envelope_series(
     logarithmic length grid up to ``max_length``; infeasible modes are NaN
     so a plotting front end naturally truncates their segments.
     """
-    grid = np.unique(
-        np.round(np.logspace(0, np.log10(max_length), n_points)).astype(np.int64)
-    )
+    grid = np.round(np.logspace(0, np.log10(max_length), n_points)).astype(np.int64)
+    # The grid ascends; keep each length once.  (np.unique would import
+    # numpy.ma, which costs a warm run more than the whole figure.)
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     rows = []
     for length in grid:
         length = int(length)

@@ -24,8 +24,8 @@ object lists; :class:`Interval` is the scalar view used at API edges and
 in tests.  An :class:`IntervalSet` is what the cache tracker emits; every
 analysis works on its :class:`IntervalPopulation` — the distinct
 (length, class) rows with counts, a sufficient statistic for the whole
-limit study — and policies are priced on the population's
-:class:`LengthSpectrum`.
+limit study — and policies are priced from prefix sums over the
+population's rows (its :class:`PricingView`).
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ class LengthSpectrum:
 
     Row ``i`` stands for ``counts[i]`` intervals of ``lengths[i]`` cycles
     whose *class* is (``kinds[i]``, ``prefetchable[i]``).  Rows are sorted
-    by length, then kind, then flag.  Every mode energy is affine in the
-    interval length (Equations 1 and 2), so pricing each row once and
-    weighting by its count prices the whole population; interval counts
-    and cycles stay exact integer sums.
+    by length, then kind, then flag.  An energy priced once per row and
+    weighted by its count prices all the row's intervals, as the
+    validation gate prices the all-active baseline and the oracle
+    envelope; interval counts and cycles stay exact integer sums.
     """
 
     lengths: np.ndarray
@@ -128,6 +128,60 @@ PREFETCH_FLAGS = NEXTLINE | STRIDE | TAIL
 CLASS_BITS = 5
 CLASS_MASK = (1 << CLASS_BITS) - 1
 
+#: Pricing classes ``kind << 1 | prefetchable``: two kind bits and the
+#: prefetchable bit, all a policy's price depends on besides the length.
+PRICING_CLASSES = 1 << (CLASS_BITS - KIND_SHIFT + 1)
+
+
+@dataclass(frozen=True)
+class PricingView:
+    """A population's rows laid out for prefix-sum pricing.
+
+    Every mode energy is affine in the interval length (Equations 1 and
+    2), and every policy assigns modes by length cuts within a pricing
+    class, so a policy's price is a few cumulative sums read at its
+    cuts.  The rows are ordered stably by pricing class, so within a
+    class they stay length-sorted.  ``counts`` and ``cycles`` are
+    cumulative with a leading zero: rows ``[i, j)`` hold ``counts[j] -
+    counts[i]`` intervals of ``cycles[j] - cycles[i]`` cycles in all.
+
+    ``classes`` lists the non-empty pricing classes as ``(kind,
+    prefetchable, first row, their lengths)``.
+    """
+
+    lengths: np.ndarray
+    counts: np.ndarray
+    cycles: np.ndarray
+    classes: Tuple[Tuple[int, bool, int, np.ndarray], ...]
+
+    @classmethod
+    def of(cls, population: "IntervalPopulation") -> "PricingView":
+        """Lay out ``population``'s rows."""
+        pricing_class = (population.kinds << 1) | population.prefetchable
+        order = np.argsort(pricing_class, kind="stable")
+        lengths = population.lengths[order]
+        counts = population.counts[order]
+        offsets = np.searchsorted(
+            pricing_class[order], np.arange(PRICING_CLASSES + 1)
+        ).tolist()
+        return cls(
+            lengths=lengths,
+            counts=np.concatenate(([0], np.cumsum(counts))),
+            cycles=np.concatenate(([0], np.cumsum(lengths * counts))),
+            classes=tuple(
+                (c >> 1, bool(c & 1), lo, lengths[lo:hi])
+                for c, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+                if lo < hi
+            ),
+        )
+
+    def band(self, start: int, end: int) -> Tuple[int, int]:
+        """(intervals, cycles) of rows ``[start, end)``, exact integers."""
+        return (
+            int(self.counts[end] - self.counts[start]),
+            int(self.cycles[end] - self.cycles[start]),
+        )
+
 
 def _merge(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct ``keys`` in ascending order, with their summed ``counts``."""
@@ -152,15 +206,16 @@ class IntervalPopulation:
     breakdown and policy price comes from these rows: a simulation job
     returns this reduction and never its raw intervals.
 
-    The :class:`LengthSpectrum` views policies are priced on are built on
-    first use and then reused; they are never pickled — a population
-    pickles as its three columns.
+    Derived views — the :class:`PricingView` policies are priced on and
+    the :class:`LengthSpectrum` rows — are built on first use and then
+    reused; they are never pickled — a population pickles as its three
+    columns.
     """
 
     lengths: np.ndarray
     classes: np.ndarray
     counts: np.ndarray
-    _spectra: dict = field(default_factory=dict, init=False, repr=False)
+    _views: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(
@@ -198,7 +253,7 @@ class IntervalPopulation:
         )
 
     def __reduce__(self):
-        # Spectra are derived data: pickle the three columns only.
+        # Views are derived data: pickle the three columns only.
         return (type(self), (self.lengths, self.classes, self.counts))
 
     def __len__(self) -> int:
@@ -261,14 +316,21 @@ class IntervalPopulation:
         intervals' columns, so every float sum priced on them sees the
         same operands in the same order.
         """
-        spectrum = self._spectra.get(flagged)
+        spectrum = self._views.get(flagged)
         if spectrum is None:
             keys = (self.lengths << 3) | (self.kinds.astype(np.int64) << 1)
             if flagged:
                 keys |= self.prefetchable
             spectrum = LengthSpectrum._of_keys(*_merge(keys, self.counts))
-            self._spectra[flagged] = spectrum
+            self._views[flagged] = spectrum
         return spectrum
+
+    def pricing_view(self) -> PricingView:
+        """The rows laid out for prefix-sum pricing, built once."""
+        view = self._views.get("pricing")
+        if view is None:
+            view = self._views["pricing"] = PricingView.of(self)
+        return view
 
     def as_normal(self) -> "IntervalPopulation":
         """Every interval re-labelled ``NORMAL`` (the paper's view, §3.1)."""
@@ -521,8 +583,7 @@ class IntervalSet:
         return IntervalPopulation.of(self.lengths, self.kinds)
 
     def spectrum(self, flagged: bool = False) -> LengthSpectrum:
-        """The reduction's :class:`LengthSpectrum`, so policies price a raw
-        set like any population (rebuilt on every call)."""
+        """The reduction's :class:`LengthSpectrum` (rebuilt on every call)."""
         return self.reduced().spectrum(flagged)
 
 

@@ -15,13 +15,18 @@ schemes the paper evaluates in Figures 7 and 8:
 * :class:`OptHybrid` — OPT-Hybrid: Theorem 1's optimal three-mode policy,
   with an optional raised sleep threshold for the Figure 7 sweep.
 
-Policies assign modes vectorially over numpy length arrays; per-interval
-energies come from the :class:`~repro.core.energy.ModeEnergyModel`.
-Evaluation prices a population's distinct lengths (its
-:class:`~repro.core.intervals.LengthSpectrum`) rather than every interval.  The
-``dead_aware`` evaluation path (used by the dead-interval ablation) prices
-``DEAD``/``COLD`` intervals without the induced-miss re-fetch, since no
-live data is destroyed by sleeping them.
+Each policy states its mode assignment once, as length cuts per
+prefetch class (:meth:`Policy.cuts`).  :meth:`Policy.modes` applies the
+cuts to numpy length arrays, and
+:func:`~repro.core.savings.evaluate_policy` reads them off a population's
+cumulative sums (its :class:`~repro.core.intervals.PricingView`): every
+mode energy is affine in the length, so a band of rows prices as a slope
+times its cycles plus an intercept times its count
+(:meth:`Policy.affine`).  :meth:`Policy.energies` prices every interval
+on its own and stays the oracle the prefix pricing is tested against.
+The ``dead_aware`` evaluation path (used by the dead-interval ablation)
+prices ``DEAD``/``COLD`` intervals without the induced-miss re-fetch,
+since no live data is destroyed by sleeping them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from ..errors import PolicyError
 from .energy import ModeEnergyModel
 from .inflection import InflectionPoints, inflection_points
-from .intervals import IntervalKind, IntervalPopulation, IntervalSet, LengthSpectrum
+from .intervals import IntervalKind
 from .modes import Mode
 
 #: Integer codes used in vectorized mode arrays.
@@ -46,14 +51,19 @@ ACTIVE, DROWSY, SLEEP = 0, 1, 2
 class Policy:
     """Base class: assigns modes to intervals and prices the assignment.
 
-    Subclasses implement :meth:`modes`; energy evaluation is shared.  A
-    policy is bound to a :class:`ModeEnergyModel` at construction, since
-    its decisions depend on the model's inflection points.
+    Subclasses state their length cuts (:meth:`cuts`); the assignment
+    (:meth:`modes`), its feasibility and its price all derive from them.
+    A policy is bound to a :class:`ModeEnergyModel` at construction,
+    since its decisions depend on the model's inflection points.
     """
 
     #: Extra always-on leakage (fraction of a line's active power) the
     #: policy's bookkeeping hardware costs — e.g. decay counters.
     overhead_power_fraction: float = 0.0
+
+    #: Cycles a line idles at full power before it is put to sleep (a
+    #: decay policy has no oracle; the oracle policies sleep at once).
+    sleep_wait: float = 0.0
 
     def __init__(self, model: ModeEnergyModel, name: str | None = None) -> None:
         self.model = model
@@ -64,29 +74,63 @@ class Policy:
     # Assignment
     # ------------------------------------------------------------------
 
+    def cuts(self, prefetchable: bool) -> Tuple[Tuple[Mode, float, bool], ...]:
+        """The length cuts of one prefetch class, ascending.
+
+        Each ``(mode, threshold, inclusive)`` puts the intervals longer
+        than ``threshold`` (or as long, when ``inclusive``) into ``mode``,
+        up to the next cut; intervals below the first cut stay active.
+        Only prefetch-guided policies tell the two classes apart.
+        """
+        return ()
+
     def modes(self, lengths: np.ndarray) -> np.ndarray:
         """Return an array of mode codes, one per interval length."""
-        raise NotImplementedError
+        lengths = np.asarray(lengths)
+        codes = np.zeros(lengths.shape, dtype=np.uint8)
+        for prefetchable, rows in self._flag_rows(lengths):
+            for mode, threshold, inclusive in self.cuts(prefetchable):
+                above = lengths >= threshold if inclusive else lengths > threshold
+                codes[rows & above] = MODE_CODES[mode]
+        return codes
+
+    def _flag_rows(self, lengths: np.ndarray):
+        """``(prefetchable, row mask)`` pairs that cover ``lengths``."""
+        return ((False, True),)
 
     def mode_for(self, length: int) -> Mode:
         """Scalar convenience wrapper around :meth:`modes`."""
         code = int(self.modes(np.array([length], dtype=np.int64))[0])
         return CODE_MODES[code]
 
-    def on_spectrum(
-        self, population: IntervalPopulation | IntervalSet
-    ) -> Tuple["Policy", LengthSpectrum]:
-        """The spectrum to price ``population`` on, and the policy for its rows.
-
-        A policy whose modes depend on length alone prices the plain
-        (length, kind) rows itself; policies that also read a class bit
-        return a copy bound to the spectrum's class column.
-        """
-        return self, population.spectrum()
+    def floor(self, mode: Mode) -> float:
+        """The shortest interval this policy may put into ``mode``."""
+        if mode is Mode.DROWSY:
+            return self.model.drowsy_min_length
+        if mode is Mode.SLEEP:
+            return self.sleep_wait + self.model.sleep_min_length
+        return 0
 
     # ------------------------------------------------------------------
     # Pricing
     # ------------------------------------------------------------------
+
+    def affine(self, mode: Mode, kind: int, dead_aware: bool) -> Tuple[float, float]:
+        """``(slope, intercept)`` of an interval's energy in ``mode``.
+
+        An interval of ``kind`` and length ``L`` costs ``slope * L +
+        intercept``; the sleep intercept carries the decay wait at full
+        power and, with ``dead_aware``, drops what :meth:`energies` does
+        not charge a slept ``DEAD`` or ``COLD`` interval.
+        """
+        slope, intercept = self.model.affine(mode)
+        if mode is Mode.SLEEP:
+            intercept += (self.model.p_active - slope) * self.sleep_wait
+            if dead_aware and kind != IntervalKind.NORMAL:
+                intercept -= self.model.refetch_energy
+                if kind == IntervalKind.COLD:
+                    intercept -= self._entry_ramp_saving()
+        return slope, intercept
 
     def energies(
         self,
@@ -110,7 +154,9 @@ class Policy:
             energy[drowsy_mask] = self.model.drowsy_energy_array(lengths[drowsy_mask])
         sleep_mask = codes == SLEEP
         if np.any(sleep_mask):
-            energy[sleep_mask] = self._sleep_energies(lengths[sleep_mask])
+            energy[sleep_mask] = self.model.decay_sleep_energy_array(
+                lengths[sleep_mask], self.sleep_wait
+            )
             if dead_aware and kinds is not None:
                 kinds = np.asarray(kinds)
                 not_live = sleep_mask & (kinds != IntervalKind.NORMAL)
@@ -119,54 +165,47 @@ class Policy:
                 cold = sleep_mask & (kinds == IntervalKind.COLD)
                 if np.any(cold):
                     # No entry ramp either: the frame starts unpowered.
-                    d = self.model.durations
-                    ramp_saving = (
-                        0.5 * (self.model.p_active - self.model.p_sleep) * d.s1
-                        if self.model.trapezoidal_ramps
-                        else (self.model.p_active - self.model.p_sleep) * d.s1
-                    )
-                    energy[cold] -= ramp_saving
+                    energy[cold] -= self._entry_ramp_saving()
         return energy
 
-    def _sleep_energies(self, lengths: np.ndarray) -> np.ndarray:
-        """Energy of slept intervals; subclasses may model a decay wait."""
-        return self.model.sleep_energy_array(lengths)
+    def _entry_ramp_saving(self) -> float:
+        """What the sleep entry ramp ``s1`` costs above sleep power."""
+        model = self.model
+        ramp = 0.5 if model.trapezoidal_ramps else 1.0
+        return ramp * (model.p_active - model.p_sleep) * model.durations.s1
 
     def _validate_feasibility(self, lengths: np.ndarray, codes: np.ndarray) -> None:
-        drowsy_bad = np.any(
-            (codes == DROWSY) & (lengths < self.model.drowsy_min_length)
-        )
-        sleep_bad = np.any(
-            (codes == SLEEP) & (lengths < self._sleep_feasibility_floor())
-        )
-        if drowsy_bad or sleep_bad:
-            raise PolicyError(
-                f"policy {self.name!r} assigned a mode to an interval shorter "
-                "than the mode's transition time"
-            )
+        for mode in (Mode.DROWSY, Mode.SLEEP):
+            if np.any((codes == MODE_CODES[mode]) & (lengths < self.floor(mode))):
+                raise self.infeasible()
 
-    def _sleep_feasibility_floor(self) -> float:
-        return self.model.sleep_min_length
+    def infeasible(self) -> PolicyError:
+        """The error for an interval too short for its assigned mode."""
+        return PolicyError(
+            f"policy {self.name!r} assigned a mode to an interval shorter "
+            "than the mode's transition time"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def _threshold_label(threshold: float) -> str:
+    """A threshold as a policy name shows it: ``10K`` for 10 000."""
+    if threshold >= 1000 and threshold % 1000 == 0:
+        return f"{int(threshold) // 1000}K"
+    return f"{threshold:g}"
+
+
 class AlwaysActive(Policy):
     """The unmanaged baseline: every line stays at full Vdd."""
-
-    def modes(self, lengths: np.ndarray) -> np.ndarray:
-        return np.zeros(np.asarray(lengths).shape, dtype=np.uint8)
 
 
 class OptDrowsy(Policy):
     """OPT-Drowsy: drowsy for every interval longer than ``a = d1 + d3``."""
 
-    def modes(self, lengths: np.ndarray) -> np.ndarray:
-        lengths = np.asarray(lengths)
-        codes = np.zeros(lengths.shape, dtype=np.uint8)
-        codes[lengths > self.points.active_drowsy] = DROWSY
-        return codes
+    def cuts(self, prefetchable: bool) -> Tuple[Tuple[Mode, float, bool], ...]:
+        return ((Mode.DROWSY, self.points.active_drowsy, False),)
 
 
 class OptSleep(Policy):
@@ -194,18 +233,10 @@ class OptSleep(Policy):
             )
         self.threshold = float(threshold)
         if name is None:
-            self.name = f"OPT-Sleep({self._format_threshold()})"
+            self.name = f"OPT-Sleep({_threshold_label(self.threshold)})"
 
-    def _format_threshold(self) -> str:
-        if self.threshold >= 1000 and self.threshold % 1000 == 0:
-            return f"{int(self.threshold) // 1000}K"
-        return f"{self.threshold:g}"
-
-    def modes(self, lengths: np.ndarray) -> np.ndarray:
-        lengths = np.asarray(lengths)
-        codes = np.zeros(lengths.shape, dtype=np.uint8)
-        codes[lengths > self.threshold] = SLEEP
-        return codes
+    def cuts(self, prefetchable: bool) -> Tuple[Tuple[Mode, float, bool], ...]:
+        return ((Mode.SLEEP, self.threshold, False),)
 
 
 class DecaySleep(Policy):
@@ -234,28 +265,14 @@ class DecaySleep(Policy):
             raise PolicyError(
                 f"counter overhead cannot be negative, got {counter_overhead!r}"
             )
-        self.decay_interval = float(decay_interval)
+        self.decay_interval = self.sleep_wait = float(decay_interval)
         self.overhead_power_fraction = float(counter_overhead)
         if name is None:
-            threshold = (
-                f"{int(self.decay_interval) // 1000}K"
-                if self.decay_interval >= 1000 and self.decay_interval % 1000 == 0
-                else f"{self.decay_interval:g}"
-            )
-            self.name = f"Sleep({threshold})"
+            self.name = f"Sleep({_threshold_label(self.decay_interval)})"
 
-    def modes(self, lengths: np.ndarray) -> np.ndarray:
-        lengths = np.asarray(lengths)
-        codes = np.zeros(lengths.shape, dtype=np.uint8)
-        sleepable = lengths >= self.decay_interval + self.model.sleep_min_length
-        codes[sleepable] = SLEEP
-        return codes
-
-    def _sleep_energies(self, lengths: np.ndarray) -> np.ndarray:
-        return self.model.decay_sleep_energy_array(lengths, self.decay_interval)
-
-    def _sleep_feasibility_floor(self) -> float:
-        return self.decay_interval + self.model.sleep_min_length
+    def cuts(self, prefetchable: bool) -> Tuple[Tuple[Mode, float, bool], ...]:
+        # Sleep once the wait leaves room for the sleep transitions.
+        return ((Mode.SLEEP, self.floor(Mode.SLEEP), True),)
 
 
 class OptHybrid(Policy):
@@ -292,12 +309,11 @@ class OptHybrid(Policy):
         if name is None:
             self.name = "OPT-Hybrid"
 
-    def modes(self, lengths: np.ndarray) -> np.ndarray:
-        lengths = np.asarray(lengths)
-        codes = np.zeros(lengths.shape, dtype=np.uint8)
-        codes[lengths > self.points.active_drowsy] = DROWSY
-        codes[lengths > self.sleep_threshold] = SLEEP
-        return codes
+    def cuts(self, prefetchable: bool) -> Tuple[Tuple[Mode, float, bool], ...]:
+        return (
+            (Mode.DROWSY, self.points.active_drowsy, False),
+            (Mode.SLEEP, self.sleep_threshold, False),
+        )
 
 
 def standard_policies(model: ModeEnergyModel) -> list:

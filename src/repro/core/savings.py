@@ -35,6 +35,8 @@ class ModeBreakdown:
     cycles: int
     energy: float
     total_cycles: int = 0  #: All interval cycles of the population.
+    #: Of ``interval_count``, the intervals a prefetch covers.
+    prefetchable_count: int = 0
 
     @property
     def cycle_share(self) -> float:
@@ -92,11 +94,14 @@ def evaluate_policy(
 ) -> SavingsReport:
     """Run the Figure 5 accumulation for one policy.
 
-    The policy prices each row of the population's
-    :class:`~repro.core.intervals.LengthSpectrum` once; interval counts
-    and cycles are exact integer sums weighted by the row counts, and
-    energies are count-weighted sums of the per-length energies (equal to
-    the per-interval sums up to float rounding).
+    Prices from prefix sums: in each pricing class of the population's
+    :class:`~repro.core.intervals.PricingView`, one ``searchsorted`` per
+    cut of :meth:`Policy.cuts` splits the length-sorted rows into mode
+    bands.  A band's interval count and cycles are exact integer
+    differences of the cumulative columns, and its energy is the mode's
+    slope times its cycles plus its intercept times its count
+    (:meth:`Policy.affine`) — equal to the per-interval sum of
+    :meth:`Policy.energies` up to float rounding.
 
     Parameters
     ----------
@@ -110,32 +115,55 @@ def evaluate_policy(
         When True, slept dead/cold intervals are not charged re-fetch
         energy (the ablation of §3.1); the paper's default is False.
     """
-    if not len(population):
+    if isinstance(population, IntervalSet):
+        population = population.reduced()
+    view = population.pricing_view()
+    if not view.counts[-1]:
         raise IntervalError("cannot evaluate a policy over zero intervals")
-    rows, spectrum = policy.on_spectrum(population)
-    lengths, counts = spectrum.lengths, spectrum.counts
-    codes = rows.modes(lengths)
-    energies = rows.energies(lengths, spectrum.kinds, dead_aware=dead_aware) * counts
-    cycles = spectrum.cycles
-    total_cycles = int(cycles.sum())
-    overhead = policy.overhead_power_fraction * float(total_cycles)
-    breakdown: Dict[Mode, ModeBreakdown] = {}
-    for code, mode in CODE_MODES.items():
-        mask = codes == code
-        if not np.any(mask):
-            continue
-        breakdown[mode] = ModeBreakdown(
+    # Per mode: [intervals, cycles, energy, prefetchable intervals].
+    totals = {mode: [0, 0, 0.0, 0] for mode in CODE_MODES.values()}
+    for kind, prefetchable, first, lengths in view.classes:
+        # Walk the cuts from the top: each band ends where a later one
+        # starts, and the rows below every cut stay active.
+        end = first + lengths.size
+        bands = []
+        for mode, threshold, inclusive in reversed(policy.cuts(prefetchable)):
+            side = "left" if inclusive else "right"
+            start = first + int(lengths.searchsorted(threshold, side))
+            if start < end:
+                if view.lengths[start] < policy.floor(mode):
+                    raise policy.infeasible()
+                bands.append((mode, start, end))
+                end = start
+        if first < end:
+            bands.append((Mode.ACTIVE, first, end))
+        for mode, start, end in bands:
+            count, cycles = view.band(start, end)
+            slope, intercept = policy.affine(mode, kind, dead_aware)
+            entry = totals[mode]
+            entry[0] += count
+            entry[1] += cycles
+            entry[2] += slope * cycles + intercept * count
+            if prefetchable:
+                entry[3] += count
+    total_cycles = int(view.cycles[-1])
+    breakdown: Dict[Mode, ModeBreakdown] = {
+        mode: ModeBreakdown(
             mode=mode,
-            interval_count=int(counts[mask].sum()),
-            cycles=int(cycles[mask].sum()),
-            energy=float(energies[mask].sum()),
+            interval_count=count,
+            cycles=cycles,
+            energy=energy,
             total_cycles=total_cycles,
+            prefetchable_count=prefetchable_count,
         )
+        for mode, (count, cycles, energy, prefetchable_count) in totals.items()
+        if count
+    }
     return SavingsReport(
         policy_name=policy.name,
         baseline_energy=policy.model.active_energy(total_cycles),
-        policy_energy=float(energies.sum()),
-        overhead_energy=overhead,
+        policy_energy=sum(entry.energy for entry in breakdown.values()),
+        overhead_energy=policy.overhead_power_fraction * float(total_cycles),
         breakdown=breakdown,
     )
 
@@ -155,8 +183,10 @@ def trio_savings(
     """Saving fractions of Table 2's oracle trio under every model.
 
     ``grid[i, j]`` is scheme ``TRIO_SCHEMES[i]`` under ``models[j]``; all
-    cells share the population's spectrum.
+    cells share the population's pricing view.
     """
+    if isinstance(population, IntervalSet):
+        population = population.reduced()
     grid = np.empty((len(TRIO_SCHEMES), len(models)))
     for column, model in enumerate(models):
         for row, policy in enumerate(trio_policies(model)):

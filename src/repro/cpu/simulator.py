@@ -16,11 +16,13 @@ so it stays at this module path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..cache.kernel import SimulationProfile
 from ..cache.stats import HierarchyStats
 from ..core.intervals import IntervalPopulation, IntervalSet
+
+if TYPE_CHECKING:
+    from ..cache.kernel import SimulationProfile
 
 
 @dataclass(frozen=True)

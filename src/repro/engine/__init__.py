@@ -25,107 +25,92 @@ Quickstart::
     outcomes = engine.run([SimulationJob("gzip", scale=0.25),
                            SimulationJob("ammp", scale=0.25)])
     print(engine.telemetry.summary())
+
+Every name is re-exported lazily, on first use: a run that finds all
+its results in the cache never loads the worker backend, the trace
+transport or the fault harness.
 """
 
-from .backends import (
-    BACKEND_NAMES,
-    ENV_BACKEND,
-    ENV_JOB_TIMEOUT,
-    PoolReport,
-    WorkerBackend,
-    build_backend,
-    default_job_timeout,
-    ladder,
-    local_hosts,
-    resolve_backend_name,
-)
-from .faults import (
-    CRASH_EXIT_CODE,
-    ENV_FAULTS,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    active_plan,
-    apply_store_fault,
-    parse_fault_plan,
-)
-from .jobs import (
-    SCHEMA_VERSION,
-    SOURCE_CACHED,
-    SOURCE_FALLBACK,
-    SOURCE_PARALLEL,
-    SOURCE_SERIAL,
-    SOURCE_SUBPROCESS,
-    JobOutcome,
-    SimulationJob,
-    execute_job,
-    job_result_payload,
-)
-from .parallel import (
-    ENV_JOBS,
-    ExecutionEngine,
-    JobFailedError,
-    resolve_worker_count,
-)
-from .store import (
-    DEFAULT_CACHE_DIR,
-    ENV_CACHE_DIR,
-    ENV_CACHE_MAX_MB,
-    NullStore,
-    ResultStore,
-    atomic_write_bytes,
-    resolve_cache_dir,
-    resolve_cache_limit,
-)
-from .telemetry import MANIFEST_VERSION, JobRecord, RunTelemetry, Stopwatch
-from .validate import InvalidResultError, check_raw, check_result
+from __future__ import annotations
 
-__all__ = [
-    "BACKEND_NAMES",
-    "CRASH_EXIT_CODE",
-    "DEFAULT_CACHE_DIR",
-    "ENV_BACKEND",
-    "ENV_CACHE_DIR",
-    "ENV_CACHE_MAX_MB",
-    "ENV_FAULTS",
-    "ENV_JOBS",
-    "ENV_JOB_TIMEOUT",
-    "ExecutionEngine",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "InvalidResultError",
-    "JobFailedError",
-    "JobOutcome",
-    "JobRecord",
-    "MANIFEST_VERSION",
-    "NullStore",
-    "PoolReport",
-    "ResultStore",
-    "RunTelemetry",
-    "SCHEMA_VERSION",
-    "SOURCE_CACHED",
-    "SOURCE_FALLBACK",
-    "SOURCE_PARALLEL",
-    "SOURCE_SERIAL",
-    "SOURCE_SUBPROCESS",
-    "SimulationJob",
-    "Stopwatch",
-    "WorkerBackend",
-    "active_plan",
-    "apply_store_fault",
-    "atomic_write_bytes",
-    "build_backend",
-    "check_raw",
-    "check_result",
-    "default_job_timeout",
-    "execute_job",
-    "job_result_payload",
-    "ladder",
-    "local_hosts",
-    "parse_fault_plan",
-    "resolve_backend_name",
-    "resolve_cache_dir",
-    "resolve_cache_limit",
-    "resolve_worker_count",
-]
+from importlib import import_module
+
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("PoolReport", "WorkerBackend", "build_backend", "local_hosts"),
+        "backends",
+    ),
+    **dict.fromkeys(
+        (
+            "BACKEND_NAMES",
+            "ENV_BACKEND",
+            "ENV_FAULTS",
+            "ENV_JOBS",
+            "ENV_JOB_TIMEOUT",
+            "default_job_timeout",
+            "ladder",
+            "resolve_backend_name",
+            "resolve_worker_count",
+        ),
+        "config",
+    ),
+    **dict.fromkeys(
+        (
+            "CRASH_EXIT_CODE",
+            "FaultPlan",
+            "FaultSpec",
+            "InjectedFault",
+            "active_plan",
+            "apply_store_fault",
+            "parse_fault_plan",
+        ),
+        "faults",
+    ),
+    **dict.fromkeys(
+        (
+            "SCHEMA_VERSION",
+            "SOURCE_CACHED",
+            "SOURCE_FALLBACK",
+            "SOURCE_PARALLEL",
+            "SOURCE_SERIAL",
+            "SOURCE_SUBPROCESS",
+            "JobOutcome",
+            "SimulationJob",
+            "execute_job",
+            "job_result_payload",
+        ),
+        "jobs",
+    ),
+    **dict.fromkeys(("ExecutionEngine", "JobFailedError"), "parallel"),
+    **dict.fromkeys(
+        (
+            "DEFAULT_CACHE_DIR",
+            "ENV_CACHE_DIR",
+            "ENV_CACHE_MAX_MB",
+            "NullStore",
+            "ResultStore",
+            "atomic_write_bytes",
+            "resolve_cache_dir",
+            "resolve_cache_limit",
+        ),
+        "store",
+    ),
+    **dict.fromkeys(
+        ("MANIFEST_VERSION", "JobRecord", "RunTelemetry", "Stopwatch"),
+        "telemetry",
+    ),
+    **dict.fromkeys(
+        ("InvalidResultError", "check_raw", "check_result"), "validate"
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+__all__ = sorted(_EXPORTS)

@@ -6,8 +6,8 @@ to worker processes speaking the length-framed pipe protocol of
 completions, leftovers, infrastructure failures.  Jobs it does not
 return run once in the engine's in-process serial executor
 (:mod:`~repro.engine.parallel`), so the degradation ladder is always
-*workers → serial* (:func:`ladder`).  ``--backend`` only decides when
-the workers engage:
+*workers → serial* (:func:`~repro.engine.config.ladder`).  ``--backend``
+only decides when the workers engage:
 
 ``pool`` (the default)
     ``--jobs`` local workers, engaged only when ``--jobs > 1`` and more
@@ -36,7 +36,6 @@ store's atomic writes.
 
 from __future__ import annotations
 
-import math
 import os
 import queue
 import subprocess
@@ -49,18 +48,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import EngineError
+from .config import resolve_backend_name
 from .jobs import SOURCE_PARALLEL, SOURCE_SUBPROCESS, SimulationJob
 from .worker import read_frame, write_frame
-
-#: Environment variable selecting the backend.
-ENV_BACKEND = "REPRO_BACKEND"
-
-#: Environment variable: per-job timeout, seconds — the deadline of one
-#: worker dispatch (unset: no limit).
-ENV_JOB_TIMEOUT = "REPRO_JOB_TIMEOUT"
-
-#: Valid ``--backend`` / ``REPRO_BACKEND`` values.
-BACKEND_NAMES = ("pool", "subprocess", "serial")
 
 #: ``JobOutcome.source`` of a job a worker completed, per backend.
 _SOURCES = {
@@ -73,51 +63,6 @@ _READY_TIMEOUT_SECONDS = 10.0
 
 #: Grace period for a worker to exit after the "exit" frame.
 _EXIT_GRACE_SECONDS = 0.5
-
-def resolve_backend_name(value: Optional[str] = None) -> str:
-    """Backend name from the argument, ``REPRO_BACKEND``, or ``pool``."""
-    if value is None:
-        value = os.environ.get(ENV_BACKEND) or None
-    if value is None:
-        return "pool"
-    name = str(value).strip().lower()
-    if name not in BACKEND_NAMES:
-        raise EngineError(
-            f"{ENV_BACKEND} / --backend must be one of "
-            f"{', '.join(BACKEND_NAMES)}, got {value!r}"
-        )
-    return name
-
-
-def ladder(name: Optional[str] = None) -> List[str]:
-    """The rungs a run on backend ``name`` can use, in descent order.
-
-    Every worker backend has exactly one rung below it — the in-process
-    serial executor — and ``serial`` is that rung alone.
-    """
-    name = resolve_backend_name(name)
-    return ["serial"] if name == "serial" else [name, "serial"]
-
-
-def default_job_timeout() -> Optional[float]:
-    """Per-job timeout from ``REPRO_JOB_TIMEOUT``, or ``None`` (no limit)."""
-    raw = os.environ.get(ENV_JOB_TIMEOUT)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise EngineError(
-            f"{ENV_JOB_TIMEOUT} must be a number of seconds, got {raw!r}"
-        ) from None
-    # nan/inf would silently disable the deadline (no wait is >= nan).
-    if not math.isfinite(value) or value <= 0:
-        raise EngineError(
-            f"{ENV_JOB_TIMEOUT} must be a positive, finite number of "
-            f"seconds, got {raw!r}"
-        )
-    return value
-
 
 def local_hosts(count: int) -> List[str]:
     """Labels of ``count`` local worker hosts (``local0``, ``local1``, ...)."""

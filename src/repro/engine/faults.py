@@ -62,9 +62,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import EngineError
-
-#: Environment variable carrying the fault plan (inherited by workers).
-ENV_FAULTS = "REPRO_FAULTS"
+from .config import ENV_FAULTS
 
 #: Exit status used by injected worker crashes (recognisable in logs).
 CRASH_EXIT_CODE = 87

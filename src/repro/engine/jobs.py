@@ -148,8 +148,8 @@ def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
     """Simulate one job; deterministic in the job parameters.
 
     The result is :meth:`~repro.prefetch.analysis.AnnotatedSimulationResult.reduced`:
-    each cache's annotated intervals collapse to their per-class length
-    spectrum, after :func:`~repro.engine.validate.check_raw` has checked
+    each cache's annotated intervals collapse to their (length, class)
+    population rows, after :func:`~repro.engine.validate.check_raw` has checked
     the raw arrays, which never leave this function.
 
     Recorded traces are *streamed*: :func:`workload_chunks` hands back a

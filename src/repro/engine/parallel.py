@@ -34,19 +34,18 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..cache.kernel import resolve_kernel_mode
 from ..errors import EngineError
-from . import transport
-from .backends import (
-    PoolReport,
-    build_backend,
+from .config import (
+    ENV_FAULTS,
     default_job_timeout,
     ladder,
     resolve_backend_name,
+    resolve_transport_mode,
+    resolve_worker_count,
 )
-from .faults import FaultPlan, active_plan, apply_store_fault
 from .jobs import (
     SOURCE_CACHED,
     SOURCE_FALLBACK,
@@ -59,8 +58,12 @@ from .store import ResultStore
 from .telemetry import RunTelemetry, Stopwatch
 from .validate import InvalidResultError, check_result
 
-#: Environment variable supplying the default worker count.
-ENV_JOBS = "REPRO_JOBS"
+if TYPE_CHECKING:
+    from .backends import PoolReport, WorkerBackend
+    from .faults import FaultPlan
+
+#: ``ExecutionEngine.workers`` before its first use builds it.
+_UNBUILT = object()
 
 
 class JobFailedError(EngineError):
@@ -71,32 +74,6 @@ class JobFailedError(EngineError):
             f"job {job.describe()} failed: {type(error).__name__}: {error}"
         )
         self.job = job
-
-
-def resolve_worker_count(value: Optional[int] = None) -> int:
-    """Worker count from the argument, ``REPRO_JOBS``, or the CPU count.
-
-    ``REPRO_JOBS`` is validated like the other engine environment knobs:
-    a non-integer or non-positive value raises a clear
-    :class:`~repro.errors.EngineError` naming the variable.
-    """
-    if value is None:
-        raw = os.environ.get(ENV_JOBS)
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise EngineError(
-                    f"{ENV_JOBS} must be an integer, got {raw!r}"
-                ) from None
-            if value < 1:
-                raise EngineError(f"{ENV_JOBS} must be at least 1, got {value!r}")
-    if value is None:
-        value = os.cpu_count() or 1
-    value = int(value)
-    if value < 1:
-        raise EngineError(f"worker count must be at least 1, got {value!r}")
-    return value
 
 
 class ExecutionEngine:
@@ -115,16 +92,18 @@ class ExecutionEngine:
         self.store = store if store is not None else ResultStore()
         self.timeout = timeout if timeout is not None else default_job_timeout()
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
-        self.faults = faults if faults is not None else active_plan()
+        if faults is None and os.environ.get(ENV_FAULTS):
+            from .faults import active_plan
+
+            faults = active_plan()
+        self.faults = faults
         self.backend = resolve_backend_name(backend)
-        self.workers = build_backend(
-            self.backend, self.max_workers, self.timeout
-        )
+        self._workers = _UNBUILT
         #: Descents to the serial rung and rungs that completed work,
         #: across this engine's runs (the ``workers`` manifest section).
         self._ladder: List[Dict] = []
         self._rungs_used: List[str] = []
-        self.transport = transport.resolve_transport_mode()
+        self.transport = resolve_transport_mode()
         self.kernel_mode = resolve_kernel_mode()
         self._traces_published = 0
         self.telemetry.context.update(
@@ -157,6 +136,21 @@ class ExecutionEngine:
                 "traces_published": 0,
             }
         )
+
+    @property
+    def workers(self) -> Optional["WorkerBackend"]:
+        """The worker backend (``None`` for ``serial``), built on first use."""
+        if self._workers is _UNBUILT:
+            from .backends import build_backend
+
+            self._workers = build_backend(
+                self.backend, self.max_workers, self.timeout
+            )
+        return self._workers
+
+    @workers.setter
+    def workers(self, backend: Optional["WorkerBackend"]) -> None:
+        self._workers = backend
 
     # ------------------------------------------------------------------
     # Public API
@@ -219,6 +213,8 @@ class ExecutionEngine:
         pending: List[SimulationJob],
         outcomes: Dict[SimulationJob, JobOutcome],
     ) -> None:
+        from .backends import PoolReport
+
         engaged = self.workers is not None and self.workers.worth_starting(
             len(pending)
         )
@@ -296,6 +292,8 @@ class ExecutionEngine:
         owns them and unlinks them when the dispatch settles, however
         the workers fared.
         """
+        from . import transport
+
         published = transport.publish_for_jobs(pending, self.transport)
         if published:
             self._traces_published += len(published)
@@ -360,6 +358,8 @@ class ExecutionEngine:
         """Persist one fresh result: cache write, then fault hooks."""
         wrote = self.store.put(job.key(), annotated)
         if wrote and self.faults is not None:
+            from .faults import apply_store_fault
+
             for spec in self.faults.take_store_faults(job):
                 description = apply_store_fault(self.store, job.key(), spec)
                 if description:

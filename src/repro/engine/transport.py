@@ -51,19 +51,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import EngineError
+from .config import resolve_transport_mode
 
 logger = logging.getLogger(__name__)
-
-#: Environment variable selecting the trace transport mode.
-ENV_TRANSPORT = "REPRO_TRANSPORT"
 
 #: Environment variable pointing workers at the handle-manifest
 #: directory (set by the publishing parent, inherited by workers).
 ENV_TRANSPORT_DIR = "REPRO_TRANSPORT_DIR"
-
-#: Valid ``REPRO_TRANSPORT`` values.  ``auto`` resolves to ``pickle``:
-#: workers stream the trace file, and nothing is published.
-TRANSPORT_MODES = ("auto", "pickle", "shm", "disk")
 
 #: Schema version of the JSON handle files.
 HANDLE_VERSION = 1
@@ -81,19 +75,6 @@ def _shared_memory_module():
     except ImportError:  # pragma: no cover — always present on CPython 3.8+
         return None
     return shared_memory
-
-
-def resolve_transport_mode(value: Optional[str] = None) -> str:
-    """Resolve a transport selector to ``pickle``/``shm``/``disk``."""
-    if value is None:
-        value = os.environ.get(ENV_TRANSPORT, "").strip() or "auto"
-    mode = str(value).strip().lower()
-    if mode not in TRANSPORT_MODES:
-        raise EngineError(
-            f"unknown trace transport {value!r}; choose one of "
-            f"{list(TRANSPORT_MODES)} (also settable via {ENV_TRANSPORT})"
-        )
-    return "pickle" if mode == "auto" else mode
 
 
 def handle_name(trace_path: str) -> str:

@@ -2,8 +2,8 @@
 
 The gate has two halves.  Inside the job, :func:`check_raw` checks the
 simulator's raw interval arrays just before
-:func:`~repro.engine.jobs.execute_job` reduces them to per-class length
-spectra: lengths positive, annotation flags aligned with the intervals,
+:func:`~repro.engine.jobs.execute_job` reduces them to (length, class)
+population rows: lengths positive, annotation flags aligned with the intervals,
 next-line and stride flags disjoint.  Raw arrays never leave the job.
 
 In the parent, every fresh result — whatever backend produced it —
@@ -248,7 +248,8 @@ def _gate_energies(population):
     """``(all-active baseline, oracle)`` energy of a population at the gate node.
 
     Both are count-weighted sums over the population's length spectrum,
-    the one :func:`~repro.core.savings.evaluate_policy` prices on too.
+    priced per row independently of the prefix sums
+    :func:`~repro.core.savings.evaluate_policy` reads.
     """
     from ..core.envelope import envelope_array
 

@@ -46,7 +46,7 @@ class BenchmarkRun:
         Kinds are re-labelled NORMAL — the paper's default treatment of
         live/dead intervals (§3.1); the dead-interval ablation asks for
         the population with its kinds via ``annotated`` directly.  Every
-        call returns the same view, so its spectra are built only once.
+        call returns the same view, so its pricing view is built only once.
         """
         if cache not in self._views:
             self._views[cache] = self.annotated.annotated_for(cache).as_normal()

@@ -21,8 +21,8 @@ SCHEMES = list(TRIO_SCHEMES)
 def compute(suite: SuiteRunner) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Benchmark-average savings per cache, node and scheme.
 
-    Every node prices the same per-population length spectrum, so each
-    cell costs a pass over distinct lengths, not over intervals.
+    Every node prices the same per-population pricing view, so each
+    cell costs a few prefix-sum lookups, not a pass over intervals.
     """
     results: Dict[str, Dict[int, Dict[str, float]]] = {}
     ordered = sorted(paper_nodes().items())

@@ -12,10 +12,10 @@ approximations of the oracle:
   small wake-up stall (``d3`` cycles) the drowsy literature shows to be
   tolerable.
 
-Both are expressed as :class:`~repro.core.policy.Policy` subclasses that
-select a population's rows by their prefetch class bits, so the standard
-Figure 5 evaluation machinery prices them, and the wake-up stalls B
-accepts are reported separately as a performance-cost estimate.  Every
+Both are expressed as :class:`~repro.core.policy.Policy` subclasses
+whose length cuts differ by prefetch class, so the standard Figure 5
+evaluation prices them, and the wake-up stalls B accepts are reported
+separately as a performance-cost estimate.  Every
 function here takes an :class:`~repro.core.intervals.IntervalPopulation`
 (a simulation job's reduced result, or
 :meth:`~repro.prefetch.analysis.AnnotatedIntervals.reduced`).
@@ -31,8 +31,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..core.energy import ModeEnergyModel
-from ..core.intervals import IntervalPopulation, LengthSpectrum
-from ..core.policy import DROWSY, SLEEP, Policy
+from ..core.intervals import IntervalPopulation
+from ..core.modes import Mode
+from ..core.policy import Policy
 from ..core.savings import SavingsReport, evaluate_policy
 from ..errors import PolicyError
 
@@ -48,9 +49,9 @@ class PrefetchGuidedPolicy(Policy):
         False = Prefetch-A (non-prefetchable stays active);
         True = Prefetch-B (non-prefetchable goes drowsy when feasible).
 
-    Pricing a population reads the prefetchable class bit of every row of
-    its flagged spectrum (:meth:`on_spectrum`); :meth:`with_flags` binds
-    any other mask, e.g. per-interval flags for an oracle.
+    Pricing a population reads the prefetchable bit of its pricing
+    classes; :meth:`modes` and :meth:`energies` read the per-length flags
+    :meth:`with_flags` binds, e.g. per-interval flags for an oracle.
     """
 
     #: Prefetchability aligned with the lengths :meth:`modes` is asked
@@ -78,15 +79,15 @@ class PrefetchGuidedPolicy(Policy):
         bound.prefetchable = np.asarray(prefetchable, dtype=bool)
         return bound
 
-    def on_spectrum(
-        self, population: IntervalPopulation
-    ) -> Tuple["PrefetchGuidedPolicy", LengthSpectrum]:
-        """The flagged spectrum, and a copy bound to its prefetchable rows."""
-        spectrum = population.spectrum(flagged=True)
-        return self.with_flags(spectrum.prefetchable), spectrum
+    def cuts(self, prefetchable: bool) -> Tuple[Tuple[Mode, float, bool], ...]:
+        if prefetchable:
+            return (
+                (Mode.DROWSY, self.points.active_drowsy, False),
+                (Mode.SLEEP, self.points.drowsy_sleep, False),
+            )
+        return ((Mode.DROWSY, self.np_threshold, False),)
 
-    def modes(self, lengths: np.ndarray) -> np.ndarray:
-        lengths = np.asarray(lengths)
+    def _flag_rows(self, lengths: np.ndarray):
         mask = self.prefetchable
         if mask is None or mask.shape != lengths.shape:
             raise PolicyError(
@@ -94,11 +95,7 @@ class PrefetchGuidedPolicy(Policy):
                 f"{lengths.shape[0]} length(s) it assigns; price it on a "
                 "population or bind flags with with_flags()"
             )
-        codes = np.zeros(lengths.shape, dtype=np.uint8)
-        codes[mask & (lengths > self.points.active_drowsy)] = DROWSY
-        codes[mask & (lengths > self.points.drowsy_sleep)] = SLEEP
-        codes[~mask & (lengths > self.np_threshold)] = DROWSY
-        return codes
+        return ((False, ~mask), (True, mask))
 
     def wakeup_stall_cycles(
         self, lengths: np.ndarray, counts: np.ndarray | None = None
@@ -108,7 +105,9 @@ class PrefetchGuidedPolicy(Policy):
         Prefetchable intervals exit their mode behind a prefetch (no
         stall); non-prefetchable drowsy intervals each pay the ``d3``
         ramp on their closing access.  Prefetch-A never stalls.  With
-        ``counts``, entry ``i`` stands for ``counts[i]`` intervals.
+        ``counts``, entry ``i`` stands for ``counts[i]`` intervals.  This
+        reads the bound flags per length; :meth:`price` reads the same
+        count off its population's pricing.
         """
         lengths = np.asarray(lengths)
         unhidden = (~self.prefetchable) & (lengths > self.np_threshold)
@@ -118,10 +117,15 @@ class PrefetchGuidedPolicy(Policy):
     def price(
         self, population: IntervalPopulation, dead_aware: bool = False
     ) -> Tuple[SavingsReport, int]:
-        """Savings and wake-up stall cycles over one population."""
+        """Savings and wake-up stall cycles over one population.
+
+        The stalled intervals are the non-prefetchable drowsy band, read
+        off the same pricing as the savings.
+        """
         savings = evaluate_policy(self, population, dead_aware=dead_aware)
-        rows, spectrum = self.on_spectrum(population)
-        return savings, rows.wakeup_stall_cycles(spectrum.lengths, spectrum.counts)
+        drowsy = savings.breakdown.get(Mode.DROWSY)
+        stalled = drowsy.interval_count - drowsy.prefetchable_count if drowsy else 0
+        return savings, stalled * self.model.durations.d3
 
 
 @dataclass(frozen=True)

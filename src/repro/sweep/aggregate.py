@@ -85,7 +85,7 @@ def collect(
         context = by_context[(scale, pipeline)]
         label = pipeline_label(pipeline)
         for cache in ("icache", "dcache"):
-            # One grid per benchmark covers every node on one spectrum;
+            # One grid per benchmark covers every node on one pricing view;
             # cells still come out in the original deterministic order.
             grids = {
                 name: trio_savings(

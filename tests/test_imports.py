@@ -1,0 +1,118 @@
+"""What importing the package loads, and the names that must stay importable.
+
+``repro``, ``repro.engine`` and ``repro.traces`` re-export lazily, and
+the CLI imports the ``sweep`` verb's modules only when it runs, so a
+paper run never loads the sweep driver, SimPoint, the trace arenas or
+``subprocess``.  Each check starts a fresh interpreter: this test
+process has imported everything already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_leaves_unused_layers_unloaded():
+    loaded = json.loads(
+        run_python(
+            "import json, sys; import repro.cli; "
+            "print(json.dumps(sorted(sys.modules)))"
+        )
+    )
+    for name in (
+        "repro.sweep",
+        "repro.simpoint",
+        "repro.engine.transport",
+        "repro.engine.backends",
+        "repro.engine.faults",
+        "subprocess",
+    ):
+        assert name not in loaded, name
+
+
+def test_package_attributes_resolve_lazily():
+    out = run_python(
+        "import repro; "
+        "print(repro.core.OptHybrid.__name__, repro.quick_limits.__name__, "
+        "repro.simpoint.__name__); "
+        "from repro import engine, ConfigurationError; "
+        "from repro.engine import ExecutionEngine, BACKEND_NAMES, FaultPlan; "
+        "print(ExecutionEngine.__name__, BACKEND_NAMES, FaultPlan.__name__)"
+    )
+    assert out.split("\n")[:2] == [
+        "OptHybrid quick_limits repro.simpoint",
+        "ExecutionEngine ('pool', 'subprocess', 'serial') FaultPlan",
+    ]
+
+
+def test_unknown_package_attribute_raises():
+    run_python(
+        "import repro, repro.engine\n"
+        "for module in (repro, repro.engine):\n"
+        "    try:\n"
+        "        module.no_such_name\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(1)\n"
+    )
+
+
+def test_traced_layer_names_stay_importable():
+    """The layer functions a span tracer wraps, at their module paths."""
+    import repro.core.savings as savings
+    import repro.engine.jobs as jobs
+    import repro.engine.parallel as parallel
+    import repro.engine.store as store
+    import repro.engine.transport as transport
+    import repro.engine.validate as validate
+    import repro.experiments.reporting as reporting
+    import repro.experiments.runner as runner
+    import repro.traces.format as trace_format
+    import repro.workloads.program as program
+
+    for owner, name in (
+        (savings, "evaluate_policy"),
+        (jobs, "execute_job"),
+        (validate, "check_result"),
+        (transport, "publish_for_jobs"),
+        (parallel.ExecutionEngine, "run"),
+        (store.ResultStore, "get"),
+        (store.ResultStore, "put"),
+        (reporting.ExperimentResult, "render"),
+        (program.Workload, "chunks"),
+        (trace_format.TraceRecording, "chunks"),
+    ):
+        assert callable(getattr(owner, name)), name
+    assert runner._STATIC and runner._SUITE
+    assert all(callable(fn) for fn in runner._STATIC.values())
+    assert all(callable(fn) for fn in runner._SUITE.values())
+
+
+def test_cached_results_unpickle_from_their_module_paths():
+    from repro.cache.kernel import SimulationProfile
+    from repro.cpu.simulator import SimulationResult
+    from repro.prefetch.analysis import AnnotatedSimulationResult
+
+    for cls, module in (
+        (SimulationProfile, "repro.cache.kernel"),
+        (SimulationResult, "repro.cpu.simulator"),
+        (AnnotatedSimulationResult, "repro.prefetch.analysis"),
+    ):
+        assert cls.__module__ == module

@@ -244,5 +244,5 @@ class TestStoredEntry:
         arrays = list(_arrays(stored))
         assert arrays
         assert max(array.size for array in arrays) < intervals
-        # The gate built spectra before the write; none were pickled.
-        assert stored.l1i._spectra == {} and stored.l1d._spectra == {}
+        # The gate built views before the write; none were pickled.
+        assert stored.l1i._views == {} and stored.l1d._views == {}

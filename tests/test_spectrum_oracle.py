@@ -1,9 +1,8 @@
-"""Spectrum pricing against the per-interval scalar oracle.
+"""Prefix pricing against the per-interval scalar oracle.
 
-``evaluate_policy`` prices each distinct (length, class) row of a
-population's :class:`~repro.core.intervals.LengthSpectrum` once and
-weights it by its count.  The oracle here prices every interval on its
-own — ``policy.energies(lengths, kinds, dead_aware)`` summed over the
+``evaluate_policy`` prices a population from cumulative sums over its
+rows, read at each policy's length cuts.  The oracle here prices every
+interval on its own — ``policy.energies(lengths, kinds, dead_aware)`` summed over the
 whole raw population, exactly as the Figure 5 loop is written, with a
 prefetch policy bound to the per-interval flags — and the two must
 agree: interval counts and cycles per mode exactly, energies and saving
@@ -149,10 +148,14 @@ def test_stalls_match_per_interval_count(data):
     policy = data.draw(policies())
     if not isinstance(policy, PrefetchGuidedPolicy):
         return
-    rows, spectrum = policy.on_spectrum(population)
-    assert rows.wakeup_stall_cycles(
+    _, stalls = policy.price(population)
+    spectrum = population.spectrum(flagged=True)
+    assert stalls == policy.with_flags(prefetchable).wakeup_stall_cycles(
+        intervals.lengths
+    )
+    assert stalls == policy.with_flags(spectrum.prefetchable).wakeup_stall_cycles(
         spectrum.lengths, spectrum.counts
-    ) == policy.with_flags(prefetchable).wakeup_stall_cycles(intervals.lengths)
+    )
 
 
 class TestTrioSavings:

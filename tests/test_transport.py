@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cpu.trace import merge_chunks
-from repro.engine import transport
+from repro.engine import config, transport
 from repro.cli import dumps_stable
 from repro.engine.jobs import SimulationJob, job_result_payload
 from repro.engine.parallel import ExecutionEngine
@@ -61,17 +61,17 @@ def assert_chunks_equal(actual, expected):
 
 class TestModeResolution:
     def test_env_selects_mode(self, monkeypatch):
-        monkeypatch.setenv(transport.ENV_TRANSPORT, "disk")
-        assert transport.resolve_transport_mode() == "disk"
+        monkeypatch.setenv(config.ENV_TRANSPORT, "disk")
+        assert config.resolve_transport_mode() == "disk"
 
     def test_auto_streams(self, monkeypatch):
-        monkeypatch.delenv(transport.ENV_TRANSPORT, raising=False)
-        assert transport.resolve_transport_mode() == "pickle"
-        assert transport.resolve_transport_mode("auto") == "pickle"
+        monkeypatch.delenv(config.ENV_TRANSPORT, raising=False)
+        assert config.resolve_transport_mode() == "pickle"
+        assert config.resolve_transport_mode("auto") == "pickle"
 
     def test_unknown_mode_names_the_variable(self):
         with pytest.raises(EngineError, match="REPRO_TRANSPORT"):
-            transport.resolve_transport_mode("carrier-pigeon")
+            config.resolve_transport_mode("carrier-pigeon")
 
 
 @pytest.mark.parametrize("mode", ("shm", "disk"))
@@ -217,13 +217,13 @@ class TestMmapReader:
 
 class TestEngineEndToEnd:
     def reference(self, ref):
-        os.environ[transport.ENV_TRANSPORT] = "pickle"
+        os.environ[config.ENV_TRANSPORT] = "pickle"
         try:
             engine = ExecutionEngine(jobs=1, backend="serial",
                                      store=NullStore())
             return engine.run_one(SimulationJob(ref)).annotated.result
         finally:
-            os.environ.pop(transport.ENV_TRANSPORT, None)
+            os.environ.pop(config.ENV_TRANSPORT, None)
 
     @pytest.mark.parametrize("mode", ("pickle", "shm", "disk"))
     def test_pool_results_identical_across_transports(
@@ -231,7 +231,7 @@ class TestEngineEndToEnd:
     ):
         ref = f"trace:{recorded}"
         expected = self.reference(ref)
-        monkeypatch.setenv(transport.ENV_TRANSPORT, mode)
+        monkeypatch.setenv(config.ENV_TRANSPORT, mode)
         engine = ExecutionEngine(jobs=2, backend="pool", store=NullStore())
         # Two pending jobs: the pool engages its workers (and publishes
         # the trace); one job alone would run in-process.  The second is
@@ -256,7 +256,7 @@ class TestEngineEndToEnd:
         # unlinks it when the dispatch settles.
         ref = f"trace:{recorded}"
         expected = self.reference(ref)
-        monkeypatch.setenv(transport.ENV_TRANSPORT, "shm")
+        monkeypatch.setenv(config.ENV_TRANSPORT, "shm")
         monkeypatch.setenv("REPRO_FAULTS", "crash:*@*:attempt=1")
         engine = ExecutionEngine(jobs=2, backend="subprocess", store=NullStore())
         outcome = engine.run_one(SimulationJob(ref))
@@ -273,9 +273,9 @@ class TestEngineEndToEnd:
         results = {}
         for mode in (None, "shm"):
             if mode is None:
-                monkeypatch.delenv(transport.ENV_TRANSPORT, raising=False)
+                monkeypatch.delenv(config.ENV_TRANSPORT, raising=False)
             else:
-                monkeypatch.setenv(transport.ENV_TRANSPORT, mode)
+                monkeypatch.setenv(config.ENV_TRANSPORT, mode)
             engine = ExecutionEngine(jobs=1, backend="subprocess",
                                      store=NullStore())
             outcome = engine.run_one(SimulationJob(ref))
@@ -299,7 +299,7 @@ class TestEngineEndToEnd:
         scratch.mkdir()
         monkeypatch.setenv("TMPDIR", str(scratch))
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-        monkeypatch.setenv(transport.ENV_TRANSPORT, "shm")
+        monkeypatch.setenv(config.ENV_TRANSPORT, "shm")
         monkeypatch.delenv(transport.ENV_TRANSPORT_DIR, raising=False)
         engine = ExecutionEngine(jobs=1, backend="subprocess",
                                  store=NullStore())
@@ -313,7 +313,7 @@ class TestEngineEndToEnd:
                                                   monkeypatch):
         ref = f"trace:{recorded}"
         expected = self.reference(ref)
-        monkeypatch.setenv(transport.ENV_TRANSPORT, "shm")
+        monkeypatch.setenv(config.ENV_TRANSPORT, "shm")
         engine = ExecutionEngine(jobs=2, backend="subprocess",
                                  store=NullStore())
         outcome = engine.run_one(SimulationJob(ref))
