@@ -39,7 +39,7 @@ def run_workers(jobs):
 
 
 def run_serial(jobs):
-    engine = ExecutionEngine(jobs=1, store=NullStore(), backend="serial")
+    engine = ExecutionEngine(jobs=1, store=NullStore())
     return engine.run(jobs)
 
 

@@ -32,9 +32,7 @@ FIXTURE = Path(__file__).resolve().parent / "data" / "gem5_exec_sample.txt"
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.05
     workdir = Path(tempfile.mkdtemp(prefix="trace-pipeline-"))
-    engine = ExecutionEngine(
-        jobs=1, backend="serial", store=ResultStore(workdir / "cache")
-    )
+    engine = ExecutionEngine(jobs=1, store=ResultStore(workdir / "cache"))
 
     # 1. Record a scaled benchmark: synthetic chunks -> chunked, checksummed
     #    on-disk trace.  The provenance header remembers (gzip, scale).

@@ -16,19 +16,19 @@ The historical flat forms keep working — a bare experiment name implies
     repro-leakage all --scale 0.5 --output results.txt
 
 Simulations go through the execution engine: benchmark jobs fan out over
-framed worker processes (``--jobs`` / ``REPRO_JOBS``) selected by
-``--backend`` / ``REPRO_BACKEND`` — local workers (``pool`` when more
-than one worker and one job, ``subprocess`` always).  Each job goes to a
-worker at most once; a job the workers do not return — an error, a dead
-worker, an overrun of ``REPRO_JOB_TIMEOUT`` — runs once in-process
-(``serial``).  Every fresh result passes an invariant-validation gate
-before caching, results are cached on disk under
-``~/.cache/repro-leakage`` (``REPRO_CACHE_DIR`` overrides,
-``REPRO_CACHE_MAX_MB`` bounds the size, ``--no-cache`` bypasses), and a
-telemetry footer — exportable as JSON via ``--manifest`` — reports where
-the time went, including every degradation.  The report on stdout is
-byte-identical whatever the worker count, cache state, fault history or
-rerun; telemetry goes to stderr.  A job that fails in-process fails the
+``--jobs`` / ``REPRO_JOBS`` local worker processes, engaged as
+``--backend`` / ``REPRO_BACKEND`` says (``pool`` when more than one
+worker and one job, ``subprocess`` always); ``--jobs 1`` under ``pool``
+runs every job in-process.  Each job goes to a worker at most once; a
+job the workers do not return — an error, a dead worker, an overrun of
+``REPRO_JOB_TIMEOUT`` — runs once in-process.  Every fresh result passes
+an invariant-validation gate before caching, results are cached on disk
+under ``~/.cache/repro-leakage`` (``REPRO_CACHE_DIR`` overrides,
+``--no-cache`` bypasses), and a telemetry footer — exportable as JSON
+via ``--manifest`` — reports where the time went, including every
+degradation.  The report on stdout is byte-identical whatever the
+worker count, cache state, fault history or rerun; telemetry goes to
+stderr.  A job that fails in-process fails the
 command: one ``error:`` line names it, the footer and ``--manifest``
 still record the run, and the exit code is 1.  The result cache is the
 only progress record: rerunning a failed or interrupted command against
@@ -185,8 +185,8 @@ def _add_run_parser(commands) -> None:
         help="execution backend (default: REPRO_BACKEND or 'pool'): pool "
         "runs --jobs local workers when --jobs > 1 and more than one job "
         "is pending, else in-process; subprocess always ships jobs to "
-        "--jobs local workers; serial runs every job in-process.  Jobs workers cannot finish run in-process, so a run "
-        "always completes",
+        "--jobs local workers.  Jobs workers cannot finish run "
+        "in-process, so a run always completes",
     )
     run.add_argument(
         "--kernel",
@@ -515,7 +515,6 @@ def cache_info_payload(store) -> Dict:
         "directory": info["directory"],
         "entries": int(info["entries"]),
         "bytes": int(info["bytes"]),
-        "max_bytes": info["max_bytes"],
         "quarantined": int(info.get("quarantined", 0)),
         "trace_files": traces["files"],
         "trace_bytes": traces["bytes"],
@@ -543,11 +542,6 @@ def cache_command(args) -> int:
     print(f"cache directory: {info['directory']}")
     print(f"entries:         {info['entries']}")
     print(f"size:            {info['bytes'] / (1024 * 1024):.2f} MB")
-    limit = info["max_bytes"]
-    print(
-        "size limit:      "
-        + ("unbounded" if not limit else f"{limit / (1024 * 1024):.2f} MB")
-    )
     quarantined = info.get("quarantined", 0)
     print(
         f"quarantined:     {quarantined} corrupt "
@@ -559,8 +553,7 @@ def cache_command(args) -> int:
         print(
             f"traces:          {trace_files} artifact(s), "
             f"{info.get('trace_bytes', 0) / (1024 * 1024):.2f} MB "
-            f"(under {store.traces_dir}; counted against the size limit, "
-            f"never evicted)"
+            f"(under {store.traces_dir})"
         )
     else:
         print("traces:          no recorded traces")

@@ -72,50 +72,6 @@ class Interval:
         return self.kind is IntervalKind.NORMAL
 
 
-@dataclass(frozen=True)
-class LengthSpectrum:
-    """An interval population reduced to its distinct lengths per class.
-
-    Row ``i`` stands for ``counts[i]`` intervals of ``lengths[i]`` cycles
-    whose *class* is (``kinds[i]``, ``prefetchable[i]``).  Rows are sorted
-    by length, then kind, then flag.  An energy priced once per row and
-    weighted by its count prices all the row's intervals, as the
-    validation gate prices the all-active baseline and the oracle
-    envelope; interval counts and cycles stay exact integer sums.
-    """
-
-    lengths: np.ndarray
-    kinds: np.ndarray
-    prefetchable: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def of(cls, lengths, kinds, prefetchable=None) -> "LengthSpectrum":
-        """Build from per-interval columns (``prefetchable`` defaults to False)."""
-        # One sortable key per interval: length, then 2 kind bits, then
-        # the flag bit.  Lengths stay far below 2**60 cycles.
-        key = (lengths << 3) | (kinds.astype(np.int64) << 1)
-        if prefetchable is not None:
-            key |= prefetchable
-        distinct, counts = np.unique(key, return_counts=True)
-        return cls._of_keys(distinct, counts)
-
-    @classmethod
-    def _of_keys(cls, keys: np.ndarray, counts: np.ndarray) -> "LengthSpectrum":
-        """Decode ascending distinct ``length << 3 | kind << 1 | flag`` keys."""
-        return cls(
-            lengths=keys >> 3,
-            kinds=((keys >> 1) & 3).astype(np.uint8),
-            prefetchable=(keys & 1).astype(bool),
-            counts=counts.astype(np.int64),
-        )
-
-    @property
-    def cycles(self) -> np.ndarray:
-        """Interval cycles per row (``lengths * counts``)."""
-        return self.lengths * self.counts
-
-
 #: Class bits of an :class:`IntervalPopulation` row: the interval kind
 #: sits above the next-line, stride and tail prefetch flags.
 KIND_SHIFT = 3
@@ -206,10 +162,9 @@ class IntervalPopulation:
     breakdown and policy price comes from these rows: a simulation job
     returns this reduction and never its raw intervals.
 
-    Derived views — the :class:`PricingView` policies are priced on and
-    the :class:`LengthSpectrum` rows — are built on first use and then
-    reused; they are never pickled — a population pickles as its three
-    columns.
+    The :class:`PricingView` policies are priced on is built on first
+    use and then reused; it is never pickled — a population pickles as
+    its three columns.
     """
 
     lengths: np.ndarray
@@ -306,24 +261,6 @@ class IntervalPopulation:
         """Prefetchable intervals over all intervals (the Figure 9 ratio)."""
         n = len(self)
         return float(self.counts[self.prefetchable].sum()) / n if n else 0.0
-
-    def spectrum(self, flagged: bool = False) -> LengthSpectrum:
-        """The rows collapsed to (length, kind) classes, built once.
-
-        ``flagged`` keeps one more class bit, whether the row is
-        prefetchable.  Collapsing only sums integer counts, and the rows
-        come out exactly as :meth:`LengthSpectrum.of` lays out the raw
-        intervals' columns, so every float sum priced on them sees the
-        same operands in the same order.
-        """
-        spectrum = self._views.get(flagged)
-        if spectrum is None:
-            keys = (self.lengths << 3) | (self.kinds.astype(np.int64) << 1)
-            if flagged:
-                keys |= self.prefetchable
-            spectrum = LengthSpectrum._of_keys(*_merge(keys, self.counts))
-            self._views[flagged] = spectrum
-        return spectrum
 
     def pricing_view(self) -> PricingView:
         """The rows laid out for prefix-sum pricing, built once."""
@@ -581,10 +518,6 @@ class IntervalSet:
         """This set's :class:`IntervalPopulation` (no prefetch flags), on
         which every count and statistic is read."""
         return IntervalPopulation.of(self.lengths, self.kinds)
-
-    def spectrum(self, flagged: bool = False) -> LengthSpectrum:
-        """The reduction's :class:`LengthSpectrum` (rebuilt on every call)."""
-        return self.reduced().spectrum(flagged)
 
 
 @dataclass(frozen=True)

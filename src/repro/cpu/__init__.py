@@ -15,11 +15,7 @@ from .trace import (
     STORE,
     Access,
     TraceChunk,
-    load_trace_npz,
-    load_trace_text,
     merge_chunks,
-    save_trace_npz,
-    save_trace_text,
 )
 
 __all__ = [
@@ -31,9 +27,5 @@ __all__ = [
     "STORE",
     "SimulationResult",
     "TraceChunk",
-    "load_trace_npz",
-    "load_trace_text",
     "merge_chunks",
-    "save_trace_npz",
-    "save_trace_text",
 ]

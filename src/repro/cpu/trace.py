@@ -5,20 +5,14 @@ Alpha binaries — see DESIGN.md §3.4): a trace is a sequence of retired
 instructions, each carrying its fetch PC and at most one data access.
 Traces are held column-wise in :class:`TraceChunk` objects (numpy arrays)
 and streamed chunk-by-chunk so multi-million-instruction workloads never
-materialize object lists.
-
-Two interchange formats are supported:
-
-* ``.npz`` — the native format (compressed numpy columns);
-* a line-oriented text format ``pc[,daddr,L|S]`` for human-written test
-  fixtures.
+materialize object lists.  On disk, traces live in the ``.rtr`` format
+(:mod:`repro.traces.format`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -149,71 +143,3 @@ def merge_chunks(chunks: Iterable[TraceChunk]) -> TraceChunk:
         np.concatenate([c.data_addresses for c in chunks]),
         np.concatenate([c.data_kinds for c in chunks]),
     )
-
-
-# ----------------------------------------------------------------------
-# Interchange formats
-# ----------------------------------------------------------------------
-
-
-def save_trace_npz(path: str | Path, chunk: TraceChunk) -> None:
-    """Write a chunk in the native compressed format."""
-    np.savez_compressed(
-        Path(path),
-        pcs=chunk.pcs,
-        data_addresses=chunk.data_addresses,
-        data_kinds=chunk.data_kinds,
-    )
-
-
-def load_trace_npz(path: str | Path) -> TraceChunk:
-    """Read a chunk written by :func:`save_trace_npz`."""
-    path = Path(path)
-    if not path.exists():
-        raise TraceError(f"trace file {path} does not exist")
-    with np.load(path) as data:
-        try:
-            return TraceChunk(
-                data["pcs"], data["data_addresses"], data["data_kinds"]
-            )
-        except KeyError as exc:
-            raise TraceError(f"trace file {path} is missing column {exc}") from None
-
-
-def save_trace_text(path: str | Path, chunk: TraceChunk) -> None:
-    """Write the line format ``pc[,daddr,L|S]`` (one instruction per line)."""
-    with open(Path(path), "w", encoding="ascii") as handle:
-        for access in chunk:
-            if access.data_address is None:
-                handle.write(f"{access.pc}\n")
-            else:
-                kind = "S" if access.is_store else "L"
-                handle.write(f"{access.pc},{access.data_address},{kind}\n")
-
-
-def load_trace_text(path: str | Path) -> TraceChunk:
-    """Read the line format written by :func:`save_trace_text`."""
-    accesses: List[Access] = []
-    path = Path(path)
-    if not path.exists():
-        raise TraceError(f"trace file {path} does not exist")
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) == 1:
-                    accesses.append(Access(int(parts[0])))
-                elif len(parts) == 3:
-                    accesses.append(
-                        Access(int(parts[0]), int(parts[1]), parts[2].strip() == "S")
-                    )
-                else:
-                    raise ValueError("wrong field count")
-            except (ValueError, TraceError) as exc:
-                raise TraceError(
-                    f"{path}:{lineno}: malformed trace line {line!r} ({exc})"
-                ) from None
-    return TraceChunk.from_accesses(accesses)

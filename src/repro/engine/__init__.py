@@ -49,7 +49,6 @@ _EXPORTS = {
             "ENV_JOBS",
             "ENV_JOB_TIMEOUT",
             "default_job_timeout",
-            "ladder",
             "resolve_backend_name",
             "resolve_worker_count",
         ),
@@ -87,12 +86,10 @@ _EXPORTS = {
         (
             "DEFAULT_CACHE_DIR",
             "ENV_CACHE_DIR",
-            "ENV_CACHE_MAX_MB",
             "NullStore",
             "ResultStore",
             "atomic_write_bytes",
             "resolve_cache_dir",
-            "resolve_cache_limit",
         ),
         "store",
     ),

@@ -3,11 +3,9 @@
 :class:`WorkerBackend` ships :class:`~repro.engine.jobs.SimulationJob`\\ s
 to worker processes speaking the length-framed pipe protocol of
 :mod:`~repro.engine.worker` and returns a :class:`PoolReport` —
-completions, leftovers, infrastructure failures.  Jobs it does not
-return run once in the engine's in-process serial executor
-(:mod:`~repro.engine.parallel`), so the degradation ladder is always
-*workers → serial* (:func:`~repro.engine.config.ladder`).  ``--backend``
-only decides when the workers engage:
+completions, leftovers, notes.  Jobs it does not return run once
+in-process (:mod:`~repro.engine.parallel`).  ``--backend`` only decides
+when the workers engage:
 
 ``pool`` (the default)
     ``--jobs`` local workers, engaged only when ``--jobs > 1`` and more
@@ -16,15 +14,13 @@ only decides when the workers engage:
 ``subprocess``
     the same local workers, always engaged: even one job ships to a
     worker.
-``serial``
-    no workers at all.
 
 Each worker slot is a *host* with a label (``local0``, ``local1``, ...)
 that keys its counters in the manifest.  A host runs one child process
 at a time, :func:`repro.engine.worker.main`.  Every job is dispatched
 **at most once**: an error frame, a worker that dies, a pipe that
 closes or an overrun of the per-dispatch deadline (``REPRO_JOB_TIMEOUT``,
-off by default) hands the job to the in-process rung, and the host
+off by default) hands the job back to run in-process, and the host
 respawns a worker for its next job.  :func:`~repro.engine.jobs.execute_job`
 is deterministic, so a second worker attempt would only repeat the
 first.  A host whose worker fails to start, or sends no ``ready`` frame
@@ -93,12 +89,11 @@ class PoolReport:
     """Everything one :meth:`WorkerBackend.run` call did and left behind.
 
     ``completed[job]`` is an ``(annotated_result, worker_wall_seconds)``
-    pair; ``leftovers`` are the jobs the serial executor must run — those
+    pair; ``leftovers`` are the jobs that must run in-process — those
     the workers did not return, or never got; ``dispatched`` are the
-    jobs sent to a worker (each at most once), so the serial rung numbers
-    its rerun attempt 2; ``notes`` are human-readable degradation
-    messages and ``infra_failures`` describes infrastructure breakdowns
-    — worker deaths, failed starts — as opposed to per-job errors.
+    jobs sent to a worker (each at most once), so the in-process rerun
+    of one is attempt 2; ``notes`` are human-readable degradation
+    messages.
     """
 
     completed: Dict[SimulationJob, Tuple[object, float]] = field(
@@ -107,7 +102,6 @@ class PoolReport:
     leftovers: List[SimulationJob] = field(default_factory=list)
     dispatched: Set[SimulationJob] = field(default_factory=set)
     notes: List[str] = field(default_factory=list)
-    infra_failures: List[str] = field(default_factory=list)
 
 
 class _Connection:
@@ -272,7 +266,6 @@ class WorkerBackend:
             """Count a worker that never started and retire its host."""
             state.stats["connect_failures"] += 1
             hosts.remove(state)
-            report.infra_failures.append(message)
             report.notes.append(f"{message}; host dropped for this run")
 
         def connect(state: _HostState) -> bool:
@@ -319,12 +312,11 @@ class WorkerBackend:
             if not conn.send("job", job):
                 conn.kill()
                 state.conn = None
-                closed = (
+                report.notes.append(
                     f"host {state.label} pipe closed before "
-                    f"{job.describe()} could be dispatched"
+                    f"{job.describe()} could be dispatched; running it "
+                    "in-process"
                 )
-                report.infra_failures.append(closed)
-                report.notes.append(f"{closed}; running it in-process")
 
         def dispatch_pass() -> None:
             """Offer every free host one ready job."""
@@ -396,15 +388,11 @@ class WorkerBackend:
             except subprocess.TimeoutExpired:  # pragma: no cover
                 exit_code = sender.proc.poll()
             state.stats["flaps"] += 1
-            died = f"host {state.label} worker died (exit {exit_code})"
-            if current is None:
-                report.infra_failures.append(died)
-                return
-            job = current[0]
-            report.infra_failures.append(f"{died} running {job.describe()}")
-            report.notes.append(
-                f"{died} running {job.describe()}; running it in-process"
-            )
+            if current is not None:
+                report.notes.append(
+                    f"host {state.label} worker died (exit {exit_code}) "
+                    f"running {current[0].describe()}; running it in-process"
+                )
         elif current is None:
             return  # "ready"
         elif kind == "result":
@@ -440,12 +428,7 @@ class WorkerBackend:
 
 def build_backend(
     name: str, max_workers: int, timeout: Optional[float] = None
-) -> Optional[WorkerBackend]:
-    """The worker backend for ``--backend name``; ``None`` for serial.
-
-    ``pool`` and ``subprocess`` get ``max_workers`` local hosts.
-    """
+) -> WorkerBackend:
+    """The worker backend for ``--backend name``: ``max_workers`` local hosts."""
     name = resolve_backend_name(name)
-    if name == "serial":
-        return None
     return WorkerBackend(name, local_hosts(max(1, max_workers)), timeout)

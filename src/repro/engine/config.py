@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import List, Optional
+from typing import Optional
 
 from ..errors import EngineError
 
@@ -27,7 +27,7 @@ ENV_BACKEND = "REPRO_BACKEND"
 ENV_JOB_TIMEOUT = "REPRO_JOB_TIMEOUT"
 
 #: Valid ``--backend`` / ``REPRO_BACKEND`` values.
-BACKEND_NAMES = ("pool", "subprocess", "serial")
+BACKEND_NAMES = ("pool", "subprocess")
 
 #: Environment variable selecting the trace transport mode.
 ENV_TRANSPORT = "REPRO_TRANSPORT"
@@ -79,16 +79,6 @@ def resolve_backend_name(value: Optional[str] = None) -> str:
             f"{', '.join(BACKEND_NAMES)}, got {value!r}"
         )
     return name
-
-
-def ladder(name: Optional[str] = None) -> List[str]:
-    """The rungs a run on backend ``name`` can use, in descent order.
-
-    Every worker backend has exactly one rung below it — the in-process
-    serial executor — and ``serial`` is that rung alone.
-    """
-    name = resolve_backend_name(name)
-    return ["serial"] if name == "serial" else [name, "serial"]
 
 
 def default_job_timeout() -> Optional[float]:

@@ -45,8 +45,8 @@ from .validate import InvalidResultError, check_raw
 SCHEMA_VERSION = 3
 
 #: ``JobOutcome.source`` values: a cache hit, a worker completion per
-#: backend (``pool`` → parallel), or the serial rung — planned, or a
-#: fallback after workers engaged.
+#: backend (``pool`` → parallel), or an in-process run — planned
+#: (``serial``: no worker engaged), or a fallback after workers engaged.
 SOURCE_CACHED = "cached"
 SOURCE_PARALLEL = "parallel"
 SOURCE_SERIAL = "serial"
@@ -137,11 +137,6 @@ class JobOutcome:
     def simulated(self) -> bool:
         """Whether this outcome ran a simulation (vs. a cache hit)."""
         return self.source != SOURCE_CACHED
-
-    @property
-    def retried(self) -> bool:
-        """Whether this result came from the in-process rerun."""
-        return self.attempts > 1
 
 
 def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:

@@ -7,10 +7,10 @@ uses to obtain simulation results.  For every requested job it
    (content-addressed by job parameters — a warm cache run performs zero
    simulations);
 2. hands the misses to the framed-worker backend
-   (:mod:`~repro.engine.backends`, selected by ``--backend`` /
-   ``REPRO_BACKEND``) when it is worth starting, which dispatches each
-   job at most once; whatever the workers do not return — or
-   everything, when they are not started — runs once in-process;
+   (:mod:`~repro.engine.backends`, ``--backend`` / ``REPRO_BACKEND``
+   decides when it engages), which dispatches each job at most once;
+   whatever the workers do not return — or everything, when they are
+   not started — runs once in-process;
 3. passes every fresh result through the invariant-validation gate
    (:mod:`~repro.engine.validate`) — a worker result that violates the
    model's own accounting identities is quarantined and rerun
@@ -41,7 +41,6 @@ from ..errors import EngineError
 from .config import (
     ENV_FAULTS,
     default_job_timeout,
-    ladder,
     resolve_backend_name,
     resolve_transport_mode,
     resolve_worker_count,
@@ -61,9 +60,6 @@ from .validate import InvalidResultError, check_result
 if TYPE_CHECKING:
     from .backends import PoolReport, WorkerBackend
     from .faults import FaultPlan
-
-#: ``ExecutionEngine.workers`` before its first use builds it.
-_UNBUILT = object()
 
 
 class JobFailedError(EngineError):
@@ -98,11 +94,7 @@ class ExecutionEngine:
             faults = active_plan()
         self.faults = faults
         self.backend = resolve_backend_name(backend)
-        self._workers = _UNBUILT
-        #: Descents to the serial rung and rungs that completed work,
-        #: across this engine's runs (the ``workers`` manifest section).
-        self._ladder: List[Dict] = []
-        self._rungs_used: List[str] = []
+        self._workers: Optional["WorkerBackend"] = None
         self.transport = resolve_transport_mode()
         self.kernel_mode = resolve_kernel_mode()
         self._traces_published = 0
@@ -110,7 +102,6 @@ class ExecutionEngine:
             {
                 "max_workers": self.max_workers,
                 "backend": self.backend,
-                "backend_chain": ladder(self.backend),
                 "cache_dir": self.store.describe(),
                 "timeout_seconds": self.timeout,
                 "faults": None if self.faults is None else self.faults.describe(),
@@ -138,9 +129,9 @@ class ExecutionEngine:
         )
 
     @property
-    def workers(self) -> Optional["WorkerBackend"]:
-        """The worker backend (``None`` for ``serial``), built on first use."""
-        if self._workers is _UNBUILT:
+    def workers(self) -> "WorkerBackend":
+        """The worker backend, built on first use."""
+        if self._workers is None:
             from .backends import build_backend
 
             self._workers = build_backend(
@@ -149,7 +140,7 @@ class ExecutionEngine:
         return self._workers
 
     @workers.setter
-    def workers(self, backend: Optional["WorkerBackend"]) -> None:
+    def workers(self, backend: "WorkerBackend") -> None:
         self._workers = backend
 
     # ------------------------------------------------------------------
@@ -158,7 +149,7 @@ class ExecutionEngine:
     def run(
         self, jobs: Sequence[SimulationJob]
     ) -> Dict[SimulationJob, JobOutcome]:
-        """Obtain every job's result; cache first, then workers, then serial.
+        """Obtain every job's result; cache first, then workers, then in-process.
 
         Results are keyed by job and independent of execution order, so
         callers see identical outputs whatever path produced them —
@@ -215,20 +206,18 @@ class ExecutionEngine:
     ) -> None:
         from .backends import PoolReport
 
-        engaged = self.workers is not None and self.workers.worth_starting(
-            len(pending)
-        )
+        engaged = self.workers.worth_starting(len(pending))
         report = (
             self._dispatch(pending)
             if engaged
             else PoolReport(leftovers=list(pending))
         )
-        # In-process work: (job, its attempt number, outcome source).
-        # Attempt 1 is a job's first execution, 2 the rerun of a job a
-        # worker was sent but did not return.
-        base_source = SOURCE_FALLBACK if engaged else SOURCE_SERIAL
-        serial_work: List[Tuple[SimulationJob, int, str]] = [
-            (job, 2 if job in report.dispatched else 1, base_source)
+        # In-process work: (job, its attempt number).  Attempt 1 is a
+        # job's first execution, 2 the rerun of a job a worker was sent
+        # but did not return.
+        source = SOURCE_FALLBACK if engaged else SOURCE_SERIAL
+        in_process: List[Tuple[SimulationJob, int]] = [
+            (job, 2 if job in report.dispatched else 1)
             for job in report.leftovers
         ]
         for job, (annotated, wall) in report.completed.items():
@@ -244,13 +233,13 @@ class ExecutionEngine:
                     f"gate ({violations[0]}); quarantined, running it "
                     "in-process"
                 )
-                serial_work.append((job, 2, SOURCE_FALLBACK))
+                in_process.append((job, 2))
                 continue
             outcomes[job] = JobOutcome(job, annotated, self.workers.source, wall)
             self._commit(job, annotated)
 
         failure: Optional[JobFailedError] = None
-        for job, attempt, source in serial_work:
+        for job, attempt in in_process:
             try:
                 annotated, seconds = self._execute_serial(job, attempt)
             except JobFailedError as error:
@@ -261,30 +250,11 @@ class ExecutionEngine:
             )
             self._commit(job, annotated)
 
-        if engaged:
-            if report.leftovers:
-                self._ladder.append(
-                    {
-                        "from": self.backend,
-                        "to": "serial",
-                        "jobs": len(report.leftovers),
-                        "reason": (
-                            report.infra_failures[-1]
-                            if report.infra_failures
-                            else "jobs left unfinished"
-                        ),
-                    }
-                )
-            if report.completed:
-                self._rungs_used.append(self.backend)
-            if serial_work:
-                self._rungs_used.append("serial")
-            self.telemetry.record_workers(self.workers_section())
         if failure is not None:
             raise failure
 
     def _dispatch(self, pending: List[SimulationJob]) -> PoolReport:
-        """Run pending jobs on the workers.
+        """Run pending jobs on the workers and snapshot their host counters.
 
         By default workers stream recorded traces from their files and
         nothing is published.  Under an opt-in ``shm``/``disk``
@@ -306,25 +276,8 @@ class ExecutionEngine:
             transport.release_paths(published)
         for note in report.notes:
             self.telemetry.note(note)
+        self.telemetry.record_workers({"hosts": self.workers.snapshot()})
         return report
-
-    def workers_section(self) -> Dict:
-        """The manifest's ``workers`` section; empty until workers engaged.
-
-        Per-host counters (cumulative over this engine's runs), the
-        descents to the serial rung, the rungs that completed work and
-        the final rung.
-        """
-        if not self._rungs_used:
-            return {}
-        return {
-            "hosts": self.workers.snapshot(),
-            "ladder": [dict(d) for d in self._ladder],
-            "rungs_used": list(self._rungs_used),
-            "final_rung": (
-                self._rungs_used[-1] if self._rungs_used else None
-            ),
-        }
 
     def _execute_serial(
         self, job: SimulationJob, attempt: int

@@ -20,32 +20,24 @@ and ``repro-leakage cache info``.  Writes
 go through a temporary file and an atomic rename, so a crashed or
 interrupted run never leaves a half-written entry behind; write failures
 (read-only or full disk) degrade to running uncached rather than raising.
-
-The cache can be size-bounded (``REPRO_CACHE_MAX_MB`` or the ``max_mb``
-argument): after every write the least-recently-used entries — by file
-mtime, which reads refresh — are evicted until the cache fits.  The
-``repro-leakage cache {info,clear}`` subcommands inspect and empty it.
+The ``repro-leakage cache {info,clear}`` subcommands inspect and empty
+the cache.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import pickle
 import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
-from ..errors import EngineError
 from .jobs import SCHEMA_VERSION
 
 #: Environment variable overriding the cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-
-#: Environment variable bounding the cache size in megabytes.
-ENV_CACHE_MAX_MB = "REPRO_CACHE_MAX_MB"
 
 #: Default cache location when neither argument nor environment is set.
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro-leakage"
@@ -91,34 +83,6 @@ def resolve_cache_dir(directory: Optional[os.PathLike] = None) -> Path:
     return DEFAULT_CACHE_DIR
 
 
-def resolve_cache_limit(max_mb: Optional[float] = None) -> Optional[int]:
-    """Cache size bound in bytes from the argument or ``REPRO_CACHE_MAX_MB``.
-
-    ``None`` means unbounded (the default).  Invalid values — not a
-    number, not finite, or not positive — raise
-    :class:`~repro.errors.EngineError`, mirroring the other engine
-    environment knobs.
-    """
-    name = "cache size bound"
-    if max_mb is None:
-        raw = os.environ.get(ENV_CACHE_MAX_MB)
-        if not raw:
-            return None
-        name = ENV_CACHE_MAX_MB
-        try:
-            max_mb = float(raw)
-        except ValueError:
-            raise EngineError(
-                f"{name} must be a number of megabytes, got {raw!r}"
-            ) from None
-    if not math.isfinite(max_mb) or max_mb <= 0:
-        raise EngineError(
-            f"{name} must be a positive finite number of megabytes, "
-            f"got {max_mb!r}"
-        )
-    return int(max_mb * 1024 * 1024)
-
-
 class ResultStore:
     """Pickle-backed result cache keyed by job content address."""
 
@@ -126,11 +90,9 @@ class ResultStore:
         self,
         directory: Optional[os.PathLike] = None,
         schema_version: int = SCHEMA_VERSION,
-        max_mb: Optional[float] = None,
     ) -> None:
         self.directory = resolve_cache_dir(directory)
         self.schema_version = schema_version
-        self.max_bytes = resolve_cache_limit(max_mb)
         #: Counters exposed for telemetry and tests.
         self.hits = 0
         self.misses = 0
@@ -155,11 +117,7 @@ class ResultStore:
         return self.directory / TRACES_SUBDIR
 
     def _trace_usage(self) -> tuple:
-        """(file count, total bytes) of trace artifacts under the cache.
-
-        Recorded traces and SimPoint plans are derived artifacts living
-        in the cache's budget envelope.
-        """
+        """(file count, total bytes) of trace artifacts under the cache."""
         files = 0
         total = 0
         try:
@@ -202,10 +160,6 @@ class ResultStore:
             self.misses += 1
             return None
         self.hits += 1
-        try:
-            os.utime(path)  # refresh mtime: reads keep hot entries resident
-        except OSError:
-            pass
         return value
 
     def put(self, key: str, value: Any) -> bool:
@@ -225,44 +179,7 @@ class ResultStore:
             # uncached operation and record the failure for telemetry.
             self.write_errors += 1
             return False
-        self._enforce_limit(protect=path)
         return True
-
-    def _enforce_limit(self, protect: Optional[Path] = None) -> None:
-        """Evict least-recently-used entries until the cache fits.
-
-        The entry just written (``protect``) is never evicted, so a
-        single oversized result cannot churn the cache forever.  Trace
-        artifacts under ``traces/`` count *toward* the budget — they are
-        real disk usage the ``REPRO_CACHE_MAX_MB`` bound must stay honest
-        about — but are never evicted themselves: a recorded trace is an
-        irreplaceable input, not a recomputable result.
-        """
-        if not self.max_bytes:
-            return
-        entries = []
-        total = self._trace_usage()[1]
-        try:
-            candidates = list(self.directory.glob("*.pkl"))
-        except OSError:
-            return
-        for path in candidates:
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            total += stat.st_size
-            if protect is None or path != protect:
-                entries.append((stat.st_mtime, stat.st_size, path))
-        entries.sort()
-        while total > self.max_bytes and entries:
-            _, size, path = entries.pop(0)
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            self.evictions += 1
-            total -= size
 
     def evict(self, key: str) -> None:
         """Remove one entry (missing entries are fine)."""
@@ -301,7 +218,7 @@ class ResultStore:
         return removed
 
     def info(self) -> dict:
-        """Entry count, total bytes, and configuration — for ``cache info``."""
+        """Entry count, total bytes and trace usage — for ``cache info``."""
         entries = 0
         total = 0
         try:
@@ -323,7 +240,6 @@ class ResultStore:
             "directory": str(self.directory),
             "entries": entries,
             "bytes": total,
-            "max_bytes": self.max_bytes,
             "quarantined": quarantined,
             "trace_files": trace_files,
             "trace_bytes": trace_bytes,

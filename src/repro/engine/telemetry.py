@@ -17,12 +17,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .jobs import SOURCE_CACHED, JobOutcome
+from .jobs import SOURCE_CACHED, SOURCE_FALLBACK, JobOutcome
 from .store import atomic_write_bytes
 
 #: Version of the manifest JSON layout, independent of the result cache's
 #: payload schema version; bump it whenever a section or field changes.
-MANIFEST_VERSION = 14
+MANIFEST_VERSION = 15
 
 
 class Stopwatch:
@@ -93,8 +93,7 @@ class RunTelemetry:
     #: mode, residual implementation, trace transport mode and
     #: published-arena totals.
     substrate: Dict = field(default_factory=dict)
-    #: The framed workers of the run (manifest v10): per-host counters,
-    #: descents to the serial rung, rungs used and the final rung.
+    #: The framed workers of the run (manifest v10): per-host counters.
     #: Empty when no worker engaged.
     workers: Dict = field(default_factory=dict)
 
@@ -217,13 +216,9 @@ class RunTelemetry:
         return len(self.failures)
 
     @property
-    def serial_fallbacks(self) -> int:
-        return sum(1 for r in self.records if r.source == "serial-fallback")
-
-    @property
     def fallbacks(self) -> int:
-        """Jobs completed by a degraded path: the workers' serial rung."""
-        return self.serial_fallbacks
+        """Jobs the workers did not finish, completed in-process."""
+        return sum(1 for r in self.records if r.source == SOURCE_FALLBACK)
 
     @property
     def instructions(self) -> int:
@@ -268,7 +263,6 @@ class RunTelemetry:
                 "cached": self.cached,
                 "simulated": self.simulated,
                 "failed": self.failed,
-                "serial_fallbacks": self.serial_fallbacks,
                 "fallbacks": self.fallbacks,
                 "faults_injected": len(self.faults),
                 "quarantined_results": len(self.quarantines),

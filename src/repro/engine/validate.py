@@ -247,17 +247,16 @@ def _check_cache(cache_name, level, population, result, cycles) -> List[str]:
 def _gate_energies(population):
     """``(all-active baseline, oracle)`` energy of a population at the gate node.
 
-    Both are count-weighted sums over the population's length spectrum,
-    priced per row independently of the prefix sums
+    Both are count-weighted sums over the population's rows, priced per
+    row independently of the prefix sums
     :func:`~repro.core.savings.evaluate_policy` reads.
     """
     from ..core.envelope import envelope_array
 
     model, _ = _gate_context()
-    spectrum = population.spectrum()
-    counts = spectrum.counts
-    baseline = float((model.active_energy_array(spectrum.lengths) * counts).sum())
-    oracle = float((envelope_array(model, spectrum.lengths) * counts).sum())
+    lengths, counts = population.lengths, population.counts
+    baseline = float((model.active_energy_array(lengths) * counts).sum())
+    oracle = float((envelope_array(model, lengths) * counts).sum())
     return baseline, oracle
 
 

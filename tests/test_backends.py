@@ -1,10 +1,11 @@
 """Framed-worker execution: engagement, one dispatch per job, the gate.
 
-The engine promises that the *backend* — local workers or in-process
-serial — never changes *what* a run computes, only where it runs and how
-it survives infrastructure failure.  This module pins that promise down:
+The engine promises that *where* a job runs — a local worker or
+in-process — never changes *what* a run computes, only how it survives
+infrastructure failure.  This module pins that promise down:
 
-* every backend produces bit-identical results and labels its sources;
+* every backend, and ``--jobs 1`` under ``pool``, produces bit-identical
+  results and labels its sources;
 * ``pool`` engages workers only for ``--jobs > 1`` and more than one
   pending job, ``subprocess`` always — the contract the benchmark
   workloads depend on;
@@ -37,7 +38,6 @@ from repro.engine import (
     SimulationJob,
     build_backend,
     check_result,
-    ladder,
     parse_fault_plan,
     resolve_backend_name,
     resolve_cache_dir,
@@ -67,7 +67,6 @@ def isolated_env(tmp_path, monkeypatch):
     for var in (
         "REPRO_FAULTS",
         "REPRO_JOB_TIMEOUT",
-        "REPRO_CACHE_MAX_MB",
         "REPRO_JOBS",
         "REPRO_BACKEND",
         "REPRO_TRANSPORT",
@@ -98,7 +97,7 @@ class TestBackendSelection:
         assert resolve_backend_name() == "pool"
         monkeypatch.setenv("REPRO_BACKEND", "subprocess")
         assert resolve_backend_name() == "subprocess"
-        assert resolve_backend_name("serial") == "serial"  # argument wins
+        assert resolve_backend_name("pool") == "pool"  # argument wins
 
     def test_invalid_backend_rejected(self, monkeypatch):
         with pytest.raises(EngineError, match="REPRO_BACKEND"):
@@ -108,16 +107,23 @@ class TestBackendSelection:
             ExecutionEngine(jobs=1, store=NullStore())
 
     def test_chain_shapes(self):
-        # One worker rung, then serial: the only ladder there is.
-        assert ladder("pool") == ["pool", "serial"]
-        assert ladder("subprocess") == ["subprocess", "serial"]
-        assert ladder("serial") == ["serial"]
-        assert build_backend("serial", 2) is None
+        # Every backend is the one worker backend with --jobs local hosts.
         assert list(build_backend("pool", 3).snapshot()) == [
             "local0",
             "local1",
             "local2",
         ]
+        only = build_backend("subprocess", 1)
+        assert (only.name, list(only.snapshot())) == ("subprocess", ["local0"])
+        assert ExecutionEngine(jobs=1, store=NullStore()).workers.name == "pool"
+
+    def test_serial_is_not_a_backend(self, capsys, monkeypatch):
+        # No workers is --jobs 1 under pool, not a backend of its own.
+        assert main([*CLI_BASE, "--backend", "serial"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        with pytest.raises(EngineError, match="pool, subprocess"):
+            ExecutionEngine(jobs=1, store=NullStore())
 
     def test_cli_rejects_unknown_backend(self, capsys):
         assert main([*CLI_BASE, "--backend", "quantum"]) == 2
@@ -126,19 +132,22 @@ class TestBackendSelection:
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize(
-        ("backend", "source"),
+        ("backend", "jobs", "source"),
         [
-            ("serial", "serial"),
-            ("pool", "parallel"),
-            ("subprocess", "subprocess"),
+            # No workers: --jobs 1 under pool runs every job in-process.
+            pytest.param("pool", 1, "serial", id="serial-serial"),
+            pytest.param("pool", 2, "parallel", id="pool-parallel"),
+            pytest.param(
+                "subprocess", 2, "subprocess", id="subprocess-subprocess"
+            ),
         ],
     )
-    def test_identical_results_and_sources(self, backend, source, reference):
-        # Every worker backend runs --jobs 2: two local workers.
-        engine = ExecutionEngine(jobs=2, store=NullStore(), backend=backend)
+    def test_identical_results_and_sources(
+        self, backend, jobs, source, reference
+    ):
+        engine = ExecutionEngine(jobs=jobs, store=NullStore(), backend=backend)
         outcomes = engine.run(small_jobs())
         assert engine.telemetry.context["backend"] == backend
-        assert engine.telemetry.context["backend_chain"][-1] == "serial"
         for job in small_jobs():
             assert outcomes[job].source == source
             assert outcomes[job].attempts == 1
@@ -146,12 +155,10 @@ class TestBackendEquivalence:
                 outcomes[job].annotated, reference[job].annotated
             )
         section = engine.telemetry.workers
-        if backend == "serial":
+        if jobs == 1:
             assert section == {}
         else:
-            assert section["rungs_used"] == [backend]
-            assert section["final_rung"] == backend
-            assert section["ladder"] == []
+            assert list(section) == ["hosts"]
             assert set(section["hosts"]) == {"local0", "local1"}
 
     def test_single_job_skips_the_pool(self):
@@ -285,7 +292,10 @@ class TestLocalHosts:
         assert len(list(store.directory.glob("*.pkl"))) == len(SUITE_NAMES)
         profile = engine.telemetry.manifest()["workers"]
         assert sum(host["flaps"] for host in profile["hosts"].values()) == 1
-        assert profile["final_rung"] == "serial"
+        assert any(
+            "died (exit 87)" in note and "in-process" in note
+            for note in engine.telemetry.notes
+        )
         more = engine.run(small_jobs())
         assert all(o.source == "cached" for o in more.values())
 
@@ -315,7 +325,6 @@ def _broken(jobs):
     return PoolReport(
         leftovers=list(jobs),
         dispatched=set(jobs),
-        infra_failures=["backend exploded"],
         notes=["backend exploded"],
     )
 
@@ -327,7 +336,7 @@ def _scripted_engine(behavior):
 
 
 class TestSupervisor:
-    """The engine's ladder: workers, then the in-process serial rung."""
+    """What the workers do not return runs in-process."""
 
     def test_degrades_to_next_backend_with_attempts_intact(self, reference):
         engine = _scripted_engine(_broken)
@@ -339,16 +348,8 @@ class TestSupervisor:
             assert_results_identical(
                 outcomes[job].annotated, reference[job].annotated
             )
-        section = engine.telemetry.workers
-        assert section["ladder"] == [
-            {
-                "from": "subprocess",
-                "to": "serial",
-                "jobs": 2,
-                "reason": "backend exploded",
-            }
-        ]
-        assert section["final_rung"] == "serial"
+        assert engine.telemetry.notes == ["backend exploded"]
+        assert engine.telemetry.workers == {"hosts": {}}
 
     def test_exhausted_jobs_skip_remaining_backends(self):
         # Jobs the workers never got (every host dropped) run in-process
@@ -400,18 +401,13 @@ class TestSubprocessBackend:
         gzip_job = SimulationJob("gzip", scale=SMALL)
         assert outcomes[gzip_job].source == "serial-fallback"
         assert outcomes[gzip_job].attempts == 2
-        section = engine.telemetry.workers
-        assert section["hosts"]["local0"]["dispatches"] == len(SUITE_NAMES)
-        assert section["ladder"] == [
-            {
-                "from": "subprocess",
-                "to": "serial",
-                "jobs": 1,
-                "reason": "host local0 worker died (exit 87) running "
-                f"gzip@{SMALL}",
-            }
+        host = engine.telemetry.workers["hosts"]["local0"]
+        assert host["dispatches"] == len(SUITE_NAMES)
+        assert host["flaps"] == 1
+        assert engine.telemetry.notes == [
+            f"host local0 worker died (exit 87) running gzip@{SMALL}; "
+            "running it in-process"
         ]
-        assert section["final_rung"] == "serial"
         assert_results_identical(
             outcomes[gzip_job].annotated, reference[gzip_job].annotated
         )
@@ -490,7 +486,7 @@ class TestValidationGate:
         for cache in ("l1i", "l1d"):
             intervals = annotated.annotated_for(cache).intervals
             lengths = intervals.lengths
-            baseline, oracle = _gate_energies(intervals)
+            baseline, oracle = _gate_energies(intervals.reduced())
             assert baseline == pytest.approx(
                 float(model.active_energy_array(lengths).sum()), rel=1e-9
             )
@@ -702,7 +698,7 @@ class TestGracefulDegradation:
         degraded = capsys.readouterr()
         assert degraded.out == clean
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["engine"]["backend_chain"] == ["pool", "serial"]
+        assert manifest["engine"]["backend"] == "pool"
         assert manifest["totals"]["fallbacks"] == 1
         assert sum(
             host["flaps"] for host in manifest["workers"]["hosts"].values()

@@ -20,7 +20,6 @@ def isolated_env(tmp_path, monkeypatch):
     for var in (
         "REPRO_FAULTS",
         "REPRO_JOB_TIMEOUT",
-        "REPRO_CACHE_MAX_MB",
         "REPRO_JOBS",
         "REPRO_BACKEND",
     ):
@@ -49,7 +48,6 @@ class TestCliJson:
             "bytes",
             "directory",
             "entries",
-            "max_bytes",
             "quarantined",
             "trace_bytes",
             "trace_files",

@@ -10,14 +10,11 @@ from repro.cpu.trace import (
     STORE,
     Access,
     TraceChunk,
-    load_trace_npz,
-    load_trace_text,
     merge_chunks,
-    save_trace_npz,
-    save_trace_text,
 )
 from repro.errors import ConfigurationError, SimulationError, TraceError
 from repro.prefetch.analysis import AnnotatingSimulator, annotate_workload_trace
+from repro.traces import convert_gem5_text, read_trace, record_chunks
 
 
 def _simulate(trace, **kwargs):
@@ -69,41 +66,62 @@ class TestTraceChunk:
         assert len(merge_chunks([])) == 0
 
 
+def _exec_lines(chunk):
+    """gem5 Exec-flag text lines for a chunk, one instruction per line."""
+    lines = []
+    for tick, access in enumerate(chunk):
+        line = f"{tick * 500}: system.cpu T0 : {access.pc:#x} : op : "
+        if access.data_address is None:
+            line += "IntAlu :"
+        else:
+            kind = "MemWrite" if access.is_store else "MemRead"
+            line += f"{kind} : D=0x0 A={access.data_address:#x}"
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
 class TestTraceIO:
+    """The one on-disk trace format (``.rtr``) and its text import."""
+
     def test_npz_roundtrip(self, tmp_path):
+        # The native format is .rtr: a chunk reads back column for column.
         chunk = TraceChunk([0, 4], data_addresses=[-1, 64])
-        path = tmp_path / "trace.npz"
-        save_trace_npz(path, chunk)
-        loaded = load_trace_npz(path)
+        path = tmp_path / "trace.rtr"
+        record_chunks([chunk], path)
+        loaded = merge_chunks(read_trace(path))
         assert np.array_equal(loaded.pcs, chunk.pcs)
         assert np.array_equal(loaded.data_addresses, chunk.data_addresses)
+        assert np.array_equal(loaded.data_kinds, chunk.data_kinds)
 
     def test_text_roundtrip(self, tmp_path):
         chunk = TraceChunk.from_accesses(
             [Access(0), Access(4, 64), Access(8, 128, is_store=True)]
         )
-        path = tmp_path / "trace.txt"
-        save_trace_text(path, chunk)
-        loaded = load_trace_text(path)
-        assert list(loaded) == list(chunk)
+        text = tmp_path / "trace.txt"
+        text.write_text(_exec_lines(chunk))
+        report = convert_gem5_text(text, tmp_path / "trace.rtr")
+        assert (report.instructions, report.loads, report.stores) == (3, 1, 1)
+        assert list(merge_chunks(read_trace(tmp_path / "trace.rtr"))) == list(chunk)
 
     def test_text_comments_and_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("# header\n\n16\n20,64,L\n")
-        loaded = load_trace_text(path)
-        assert len(loaded) == 2
+        text = tmp_path / "trace.txt"
+        chunk = TraceChunk.from_accesses([Access(16), Access(20, 64)])
+        text.write_text("# header\n\n" + _exec_lines(chunk))
+        report = convert_gem5_text(text, tmp_path / "trace.rtr")
+        assert (report.instructions, report.skipped_lines) == (2, 2)
 
     def test_malformed_text_line_reports_location(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("16\nnot-a-pc\n")
-        with pytest.raises(TraceError, match=":2:"):
-            load_trace_text(path)
+        # Malformed lines are skipped; a file of nothing else names itself.
+        text = tmp_path / "trace.txt"
+        text.write_text("16\nnot-a-pc\n")
+        with pytest.raises(TraceError, match="trace.txt.*2 lines skipped"):
+            convert_gem5_text(text, tmp_path / "trace.rtr")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError):
-            load_trace_npz(tmp_path / "missing.npz")
+            read_trace(tmp_path / "missing.rtr")
         with pytest.raises(TraceError):
-            load_trace_text(tmp_path / "missing.txt")
+            convert_gem5_text(tmp_path / "missing.txt", tmp_path / "out.rtr")
 
 
 class TestIssueClock:

@@ -242,7 +242,8 @@ class TestRobustness:
         assert all(o.source == SOURCE_FALLBACK for o in outcomes.values())
         assert engine.telemetry.fallbacks == len(outcomes)
         assert any("failed to start" in note for note in engine.telemetry.notes)
-        assert engine.telemetry.workers["final_rung"] == "serial"
+        hosts = engine.telemetry.workers["hosts"]
+        assert [h["connect_failures"] for h in hosts.values()] == [1, 1]
 
     def test_timeout_env_validation(self, monkeypatch):
         from repro.engine import default_job_timeout
@@ -291,7 +292,7 @@ class TestTelemetry:
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == 14
+        assert manifest["manifest_version"] == 15
         for dropped in ("service", "coordination"):
             assert dropped not in manifest  # went with the serving daemon
         assert "hosts" not in manifest["engine"]  # went with remote hosts
@@ -316,7 +317,6 @@ class TestTelemetry:
             "cached",
             "simulated",
             "failed",
-            "serial_fallbacks",
             "fallbacks",
             "faults_injected",
             "quarantined_results",
@@ -337,9 +337,11 @@ class TestTelemetry:
             "heartbeat_events",
             "cache_hits_from_earlier_runs",
             "cache_hits_from_this_run",
+            "serial_fallbacks",  # v15: always equal to fallbacks
         ):
             assert dropped not in totals
         assert "retry" not in manifest["engine"]
+        assert "backend_chain" not in manifest["engine"]  # v15: no ladder
         # v14 per-host layout of the workers section: counters only, no
         # hang events or requeues.
         from repro.engine import build_backend

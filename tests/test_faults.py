@@ -1,4 +1,4 @@
-"""Fault injection, the in-process rerun, failed runs, and cache bounds.
+"""Fault injection, the in-process rerun, failed runs, and cache commands.
 
 Every degradation path the engine promises to survive is exercised here
 *on purpose* via the deterministic fault harness (``repro.engine.faults``):
@@ -13,7 +13,6 @@ manifest and every finished job's cache entry behind.
 
 import json
 import os
-import time
 
 import pytest
 
@@ -30,7 +29,6 @@ from repro.engine import (
     default_job_timeout,
     parse_fault_plan,
     resolve_cache_dir,
-    resolve_cache_limit,
 )
 from repro.errors import EngineError
 
@@ -53,7 +51,6 @@ def isolated_env(tmp_path, monkeypatch):
     for var in (
         "REPRO_FAULTS",
         "REPRO_JOB_TIMEOUT",
-        "REPRO_CACHE_MAX_MB",
         "REPRO_JOBS",
         "REPRO_BACKEND",
     ):
@@ -165,7 +162,6 @@ class TestSerialRetry:
         ammp_job = SimulationJob("ammp", scale=SMALL)
         assert outcomes[gzip_job].source == "serial-fallback"
         assert outcomes[gzip_job].attempts == 2
-        assert outcomes[gzip_job].retried
         assert outcomes[ammp_job].source == "parallel"
         assert outcomes[ammp_job].attempts == 1
         assert any(
@@ -199,7 +195,6 @@ class TestSerialRetry:
         engine = ExecutionEngine(
             jobs=1,
             store=ResultStore(cache),
-            backend="serial",
             faults=parse_fault_plan("raise:gzip@*:attempt=1"),
         )
         with pytest.raises(JobFailedError, match="gzip"):
@@ -237,14 +232,8 @@ class TestPoolFaults:
         assert sum(host["dispatches"] for host in hosts) == len(SUITE_NAMES)
         assert sum(host["completions"] for host in hosts) == len(SUITE_NAMES) - 1
         assert sum(host["flaps"] for host in hosts) == 0
-        assert section["ladder"] == [
-            {
-                "from": "pool",
-                "to": "serial",
-                "jobs": 1,
-                "reason": "jobs left unfinished",
-            }
-        ]
+        assert outcomes[gzip_job].source == "serial-fallback"
+        assert sum("raised on host" in n for n in engine.telemetry.notes) == 1
         for job in small_jobs():
             assert_results_identical(
                 outcomes[job].annotated, reference[job].annotated
@@ -411,63 +400,11 @@ class TestRerun:
 
 
 class TestCacheBound:
-    def _filler(self, size=200_000):
-        return b"x" * size
-
-    def test_limit_resolution(self, monkeypatch):
-        assert resolve_cache_limit() is None
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "2")
-        assert resolve_cache_limit() == 2 * 1024 * 1024
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "lots")
-        with pytest.raises(EngineError, match="REPRO_CACHE_MAX_MB"):
-            resolve_cache_limit()
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "-1")
-        with pytest.raises(EngineError, match="REPRO_CACHE_MAX_MB"):
-            resolve_cache_limit()
-        for raw in ("nan", "inf", "-inf"):
-            monkeypatch.setenv("REPRO_CACHE_MAX_MB", raw)
-            with pytest.raises(EngineError, match="REPRO_CACHE_MAX_MB"):
-                resolve_cache_limit()
-        monkeypatch.delenv("REPRO_CACHE_MAX_MB")
-        for value in (float("nan"), float("inf")):
-            with pytest.raises(EngineError, match="cache size bound"):
-                resolve_cache_limit(value)
-
-    def test_lru_eviction_by_mtime(self, tmp_path):
-        store = ResultStore(tmp_path / "bounded", max_mb=0.5)
-        now = time.time()
-        store.put("aaaa", self._filler())
-        os.utime(store.path_for("aaaa"), (now - 100, now - 100))
-        store.put("bbbb", self._filler())
-        os.utime(store.path_for("bbbb"), (now - 50, now - 50))
-        store.put("cccc", self._filler())  # pushes total over 0.5 MB
-        assert not store.path_for("aaaa").exists()  # oldest went first
-        assert store.path_for("bbbb").exists()
-        assert store.path_for("cccc").exists()
-        assert store.evictions >= 1
-
-    def test_reads_refresh_recency(self, tmp_path):
-        store = ResultStore(tmp_path / "touched", max_mb=0.5)
-        now = time.time()
-        store.put("aaaa", self._filler())
-        os.utime(store.path_for("aaaa"), (now - 100, now - 100))
-        store.put("bbbb", self._filler())
-        os.utime(store.path_for("bbbb"), (now - 50, now - 50))
-        assert store.get("aaaa") is not None  # touch: aaaa is now the hottest
-        store.put("cccc", self._filler())
-        assert store.path_for("aaaa").exists()
-        assert not store.path_for("bbbb").exists()
-
-    def test_just_written_entry_is_protected(self, tmp_path):
-        store = ResultStore(tmp_path / "protected", max_mb=0.1)
-        store.put("big1", self._filler(200_000))  # alone over the limit
-        assert store.path_for("big1").exists()
-
     def test_unbounded_by_default(self, tmp_path):
+        # The cache has no size bound: a write never evicts an entry.
         store = ResultStore(tmp_path / "unbounded")
-        assert store.max_bytes is None
         for index in range(5):
-            store.put(f"key{index}", self._filler(50_000))
+            store.put(f"key{index}", b"x" * 50_000)
         assert store.info()["entries"] == 5
         assert store.evictions == 0
 
@@ -481,16 +418,10 @@ class TestCliCacheCommands:
         out = capsys.readouterr().out
         assert "entries:         2" in out
         assert str(resolve_cache_dir()) in out
-        assert "unbounded" in out
         assert main(["cache", "clear"]) == 0
         assert "removed 2" in capsys.readouterr().out
         assert main(["cache", "info"]) == 0
         assert "entries:         0" in capsys.readouterr().out
-
-    def test_cache_info_reports_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1")
-        assert main(["cache", "info"]) == 0
-        assert "1.00 MB" in capsys.readouterr().out
 
     def test_unknown_cache_action_rejected(self, capsys):
         assert main(["cache", "shrink"]) == 2
@@ -553,7 +484,7 @@ class TestByteIdenticalUnderFaults:
         faulted = capsys.readouterr()
         assert faulted.out == clean
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["manifest_version"] == 14
+        assert manifest["manifest_version"] == 15
         assert "retries" not in manifest
         assert manifest["totals"]["fallbacks"] == 1
         assert manifest["totals"]["faults_injected"] == 1
@@ -581,7 +512,7 @@ class TestCliJobFailure:
         code = main(
             [
                 "run", "figure9", "--scale", str(SMALL), "--jobs", "1",
-                "--backend", "serial", "--manifest", str(manifest_path),
+                "--manifest", str(manifest_path),
             ]
         )
         assert code == 1
@@ -608,9 +539,11 @@ class TestCliJobFailure:
         assert "(1 simulated," in capsys.readouterr().err
 
 
-#: The CI chaos matrix sets REPRO_CHAOS_BACKEND to pool/subprocess/serial
-#: (each engages the workers differently); locally the default is pool.
+#: The CI chaos matrix sets REPRO_CHAOS_BACKEND to pool/subprocess (each
+#: engages the workers differently) or in-process (``--jobs 1``: no
+#: workers at all); locally the default is pool.
 CHAOS_BACKEND = os.environ.get("REPRO_CHAOS_BACKEND", "pool")
+IN_PROCESS = CHAOS_BACKEND == "in-process"
 
 
 @pytest.mark.skipif(
@@ -622,34 +555,30 @@ class TestChaos:
 
     def _run(self, manifest_name, *extra):
         manifest_path = resolve_cache_dir().parent / manifest_name
+        workers = (
+            ["--jobs", "1"]
+            if IN_PROCESS
+            else ["--jobs", "2", "--backend", CHAOS_BACKEND]
+        )
         code = main(
-            [
-                *CLI_BASE,
-                "--jobs",
-                "2",
-                "--backend",
-                CHAOS_BACKEND,
-                "--manifest",
-                str(manifest_path),
-                *extra,
-            ]
+            [*CLI_BASE, *workers, "--manifest", str(manifest_path), *extra]
         )
         return code, json.loads(manifest_path.read_text())
 
     def test_chaos_run_matches_clean(self, capsys, monkeypatch):
         assert main([*CLI_BASE, "--jobs", "1", "--no-cache"]) == 0
         clean = capsys.readouterr().out
-        # The serial backend runs every job in-process, where a raise
+        # With no workers every job runs in-process, where a raise
         # would fail the run: it gets the store faults only.
         faults = "partial:gzip@*,corrupt:ammp@*"
-        if CHAOS_BACKEND != "serial":
+        if not IN_PROCESS:
             faults += ",crash:gzip@*:attempt=1,raise:ammp@*:attempt=1"
         monkeypatch.setenv("REPRO_FAULTS", faults)
         code, manifest = self._run("chaos-manifest.json")
         assert code == 0
         assert capsys.readouterr().out == clean
         assert manifest["totals"]["faults_injected"] == 2
-        if CHAOS_BACKEND != "serial":
+        if not IN_PROCESS:
             # Both worker attempts failed; both jobs reran in-process.
             assert manifest["totals"]["fallbacks"] == 2
             assert manifest["notes"]
@@ -673,7 +602,7 @@ class TestChaos:
 
         On the worker backends the per-job deadline kills the stuck
         worker and the validation gate quarantines the garbage result;
-        both jobs then run in-process.  The serial backend never sees
+        both jobs then run in-process.  A run with no workers never sees
         the worker-side faults at all.  Either way the report must be
         byte-identical to a clean run.
         """
@@ -681,15 +610,17 @@ class TestChaos:
         clean = capsys.readouterr().out
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "1.5")
         faults = "timeout:gzip@*:attempt=1:seconds=4"
-        if CHAOS_BACKEND != "serial":
+        if not IN_PROCESS:
             faults += ",garbage:ammp@*:attempt=1"
         monkeypatch.setenv("REPRO_FAULTS", faults)
         code, manifest = self._run("degrade-manifest.json", "--no-cache")
         assert code == 0
         assert capsys.readouterr().out == clean
-        assert manifest["engine"]["backend"] == CHAOS_BACKEND
-        assert manifest["engine"]["backend_chain"][-1] == "serial"
-        if CHAOS_BACKEND != "serial":
+        assert manifest["engine"]["backend"] == (
+            "pool" if IN_PROCESS else CHAOS_BACKEND
+        )
+        assert (manifest["workers"] == {}) == IN_PROCESS
+        if not IN_PROCESS:
             totals = manifest["totals"]
             assert totals["fallbacks"] == 2
             assert totals["quarantined_results"] == 1

@@ -57,7 +57,7 @@ def test_package_attributes_resolve_lazily():
     )
     assert out.split("\n")[:2] == [
         "OptHybrid quick_limits repro.simpoint",
-        "ExecutionEngine ('pool', 'subprocess', 'serial') FaultPlan",
+        "ExecutionEngine ('pool', 'subprocess') FaultPlan",
     ]
 
 

@@ -5,7 +5,7 @@ A simulation job returns each cache's
 count) rows — while the simulator itself still returns raw
 :class:`~repro.prefetch.analysis.AnnotatedIntervals`.  For all six paper
 benchmarks at scale 0.05 and both caches, every count, statistic,
-spectrum and Figure 9 number read off the reduction must equal the
+length spectrum and Figure 9 number read off the reduction must equal the
 per-interval computation on the raw arrays exactly, and every policy
 price must agree with per-interval pricing within 1e-12 relative.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.inflection import solve_sleep_drowsy_point
-from repro.core.intervals import IntervalKind, IntervalPopulation, LengthSpectrum
+from repro.core.intervals import IntervalKind, IntervalPopulation
 from repro.core.policy import CODE_MODES, OptHybrid, trio_policies
 from repro.core.savings import evaluate_policy
 from repro.engine import ExecutionEngine, ResultStore, SimulationJob, execute_job
@@ -55,10 +55,20 @@ def views(pair, cache):
     yield population.as_normal(), lengths, np.zeros_like(kinds), annotated
 
 
+def spectrum(lengths, kinds, flags, counts=None):
+    """Distinct ``(length, kind, flag)`` keys, ascending, with counts."""
+    keys = (np.asarray(lengths, dtype=np.int64) << 3) | (
+        np.asarray(kinds, dtype=np.int64) << 1
+    ) | np.asarray(flags, dtype=np.int64)
+    if counts is None:
+        return np.unique(keys, return_counts=True)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct, np.bincount(inverse, weights=counts).astype(np.int64)
+
+
 def assert_same_spectrum(got, expected):
-    for column in ("lengths", "kinds", "prefetchable", "counts"):
-        a, b = getattr(got, column), getattr(expected, column)
-        assert a.dtype == b.dtype and np.array_equal(a, b), column
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("cache", CACHES)
@@ -98,14 +108,18 @@ class TestReducedAgainstRaw:
                 assert subset.total_cycles == int(lengths[kinds == kind].sum())
 
     def test_spectra_exact(self, pair, cache):
+        # The rows collapse to the raw intervals' exact length spectrum
+        # per kind, and per (kind, prefetchable) class.
         for population, lengths, kinds, annotated in views(pair, cache):
-            assert_same_spectrum(
-                population.spectrum(), LengthSpectrum.of(lengths, kinds)
-            )
-            assert_same_spectrum(
-                population.spectrum(flagged=True),
-                LengthSpectrum.of(lengths, kinds, annotated.prefetchable),
-            )
+            rows = (population.lengths, population.kinds)
+            for flags, row_flags in (
+                (np.zeros_like(kinds), np.zeros_like(population.kinds)),
+                (annotated.prefetchable, population.prefetchable),
+            ):
+                assert_same_spectrum(
+                    spectrum(*rows, row_flags, population.counts),
+                    spectrum(lengths, kinds, flags),
+                )
 
     def test_figure9_exact(self, pair, cache, model70):
         a = model70.durations.drowsy_overhead

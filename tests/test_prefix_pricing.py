@@ -11,7 +11,7 @@ hypothesis populations whose lengths sit exactly on every cut.  The
 oracle prices every raw interval with :meth:`Policy.energies`: per-mode
 counts, cycles and prefetchable counts must match exactly, energies and
 savings within a relative 1e-12, and the wake-up stalls must equal the
-per-interval and flagged-spectrum counts.
+per-interval and count-weighted per-row stalls.
 """
 
 import math
@@ -121,11 +121,9 @@ def assert_priced_like_oracle(
     assert report.saving_fraction == pytest.approx(saving, rel=REL, abs=REL)
     if isinstance(policy, PrefetchGuidedPolicy):
         _, stalls = policy.price(population, dead_aware=dead_aware)
-        spectrum = population.spectrum(flagged=True)
         assert stalls == policy.with_flags(prefetchable).wakeup_stall_cycles(lengths)
-        assert stalls == policy.with_flags(spectrum.prefetchable).wakeup_stall_cycles(
-            spectrum.lengths, spectrum.counts
-        )
+        rows = policy.with_flags(population.prefetchable)
+        assert stalls == rows.wakeup_stall_cycles(population.lengths, population.counts)
 
 
 # ----------------------------------------------------------------------

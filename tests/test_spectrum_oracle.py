@@ -17,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.energy import ModeEnergyModel
-from repro.core.intervals import IntervalPopulation, IntervalSet, LengthSpectrum
+from repro.core.intervals import (
+    NEXTLINE,
+    TAIL,
+    IntervalPopulation,
+    IntervalSet,
+)
 from repro.core.policy import (
     CODE_MODES,
     TRIO_SCHEMES,
@@ -28,7 +33,7 @@ from repro.core.policy import (
     trio_policies,
 )
 from repro.core.savings import evaluate_policy, trio_savings
-from repro.errors import PolicyError
+from repro.errors import IntervalError, PolicyError
 from repro.power.technology import paper_nodes
 from repro.prefetch.schemes import PrefetchGuidedPolicy, PrefetchTradeoff
 
@@ -149,13 +154,11 @@ def test_stalls_match_per_interval_count(data):
     if not isinstance(policy, PrefetchGuidedPolicy):
         return
     _, stalls = policy.price(population)
-    spectrum = population.spectrum(flagged=True)
     assert stalls == policy.with_flags(prefetchable).wakeup_stall_cycles(
         intervals.lengths
     )
-    assert stalls == policy.with_flags(spectrum.prefetchable).wakeup_stall_cycles(
-        spectrum.lengths, spectrum.counts
-    )
+    rows = policy.with_flags(population.prefetchable)
+    assert stalls == rows.wakeup_stall_cycles(population.lengths, population.counts)
 
 
 class TestTrioSavings:
@@ -172,6 +175,8 @@ class TestTrioSavings:
 
 
 class TestLengthSpectrum:
+    """The population's rows: each distinct (length, class) once, counted."""
+
     def test_rows_are_distinct_classes_with_counts(self):
         intervals = IntervalSet([5, 9, 5, 5, 9], kinds=[0, 0, 1, 0, 0])
         population = IntervalPopulation.of(
@@ -180,29 +185,37 @@ class TestLengthSpectrum:
             nextline=np.array([1, 0, 0, 0, 0], dtype=bool),
             tail=np.array([0, 0, 0, 1, 0], dtype=bool),
         )
-        spectrum = population.spectrum(flagged=True)
-        assert spectrum.lengths.tolist() == [5, 5, 9]
-        assert spectrum.kinds.tolist() == [0, 1, 0]
-        assert spectrum.prefetchable.tolist() == [True, False, False]
-        assert spectrum.counts.tolist() == [2, 1, 2]
-        assert int(spectrum.cycles.sum()) == intervals.total_cycles
+        assert population.lengths.tolist() == [5, 5, 5, 9]
+        assert population.classes.tolist() == [TAIL, NEXTLINE, 1 << 3, 0]
+        assert population.kinds.tolist() == [0, 0, 1, 0]
+        assert population.prefetchable.tolist() == [True, True, False, False]
+        assert population.counts.tolist() == [1, 1, 1, 2]
+        assert population.total_cycles == intervals.total_cycles
 
     def test_built_once_per_population_and_mask(self):
+        # The pricing view is built on first use, reused, and never
+        # pickled: a copy rebuilds its own.
+        import pickle
+
         population = IntervalPopulation.of(
             [3, 3, 7], tail=np.array([True, False, False])
         )
-        assert population.spectrum() is population.spectrum()
-        flagged = population.spectrum(flagged=True)
-        assert population.spectrum(flagged=True) is flagged
-        assert population.spectrum() is not flagged
+        view = population.pricing_view()
+        assert population.pricing_view() is view
+        copy = pickle.loads(pickle.dumps(population))
+        assert copy == population
+        assert copy.pricing_view() is not view
 
     def test_misaligned_prefetch_policy_raises(self, model70):
         policy = PrefetchGuidedPolicy(model70, power_first=True)
         with pytest.raises(PolicyError):
             policy.with_flags(np.array([True])).energies(np.array([10, 20]))
 
-    def test_empty_spectrum(self):
-        spectrum = LengthSpectrum.of(
+    def test_empty_spectrum(self, model70):
+        population = IntervalPopulation.of(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
         )
-        assert spectrum.counts.size == 0
+        assert population.counts.size == 0
+        assert (len(population), population.total_cycles) == (0, 0)
+        with pytest.raises(IntervalError, match="zero intervals"):
+            evaluate_policy(OptHybrid(model70), population)

@@ -48,7 +48,6 @@ def isolated_env(tmp_path, monkeypatch):
     for var in (
         "REPRO_FAULTS",
         "REPRO_JOB_TIMEOUT",
-        "REPRO_CACHE_MAX_MB",
         "REPRO_JOBS",
     ):
         monkeypatch.delenv(var, raising=False)

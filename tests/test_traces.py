@@ -70,7 +70,7 @@ SMALL = 0.02
 def isolated_env(tmp_path, monkeypatch):
     """Each test gets its own cache dir and a clean engine environment."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in ("REPRO_CACHE_MAX_MB", "REPRO_JOBS", "REPRO_BACKEND"):
+    for var in ("REPRO_JOBS", "REPRO_BACKEND"):
         monkeypatch.delenv(var, raising=False)
     return tmp_path
 
@@ -90,9 +90,7 @@ def recorded(tmp_path_factory, gzip_chunks):
 
 
 def serial_engine(tmp_path):
-    return ExecutionEngine(
-        jobs=1, backend="serial", store=ResultStore(tmp_path / "engine-cache")
-    )
+    return ExecutionEngine(jobs=1, store=ResultStore(tmp_path / "engine-cache"))
 
 
 # ----------------------------------------------------------------------
@@ -532,7 +530,7 @@ class TestStreamingEquality:
     def test_jobs_sharing_a_content_address_simulate_once(self, recorded):
         # No store to hit: the second job is served from the first one's
         # result within the same run.
-        engine = ExecutionEngine(jobs=1, backend="serial", store=NullStore())
+        engine = ExecutionEngine(jobs=1, store=NullStore())
         synthetic = SimulationJob("gzip", scale=SMALL)
         traced = SimulationJob(format_trace_ref(recorded.path))
         outcomes = engine.run([synthetic, traced])
@@ -696,16 +694,19 @@ class TestTraceStoreAccounting:
     def test_traces_count_toward_the_limit_but_are_never_evicted(
         self, tmp_path
     ):
-        store = ResultStore(tmp_path / "acct", max_mb=0.001)  # ~1 KiB budget
+        # The cache has no size bound: trace artifacts count in its
+        # usage, and result writes next to them evict nothing.
+        store = ResultStore(tmp_path / "acct")
         store.traces_dir.mkdir(parents=True)
         trace = store.traces_dir / "precious.rtr"
-        trace.write_bytes(b"t" * 4096)  # alone exceeds the budget
+        trace.write_bytes(b"t" * 4096)
         for i in range(3):
             store.put(f"{i:064x}", {"payload": "p" * 256})
-        # Entries get evicted to chase a budget the traces already blow,
-        # but the trace artifact itself must survive.
         assert trace.exists()
-        assert store.evictions > 0
+        assert store.evictions == 0
+        info = store.info()
+        assert (info["trace_files"], info["trace_bytes"]) == (1, 4096)
+        assert info["entries"] == 3
 
     def test_cli_cache_info_reports_traces(self, tmp_path, capsys):
         store = ResultStore()  # REPRO_CACHE_DIR from the fixture

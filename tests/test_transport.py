@@ -219,8 +219,7 @@ class TestEngineEndToEnd:
     def reference(self, ref):
         os.environ[config.ENV_TRANSPORT] = "pickle"
         try:
-            engine = ExecutionEngine(jobs=1, backend="serial",
-                                     store=NullStore())
+            engine = ExecutionEngine(jobs=1, store=NullStore())
             return engine.run_one(SimulationJob(ref)).annotated.result
         finally:
             os.environ.pop(config.ENV_TRANSPORT, None)
