@@ -1,63 +1,62 @@
 """SimPoint sampling: estimate the limits from representative windows.
 
 The paper keeps simulation time reasonable by simulating only SimPoint-
-selected windows (§4.1).  This example profiles a benchmark into basic-
-block vectors, clusters the windows, simulates *only* the representative
-windows, and compares the weighted leakage-savings estimate against the
-full-run ground truth.
+selected windows (§4.1).  This example records a benchmark to a trace
+file, profiles it into basic-block vectors, clusters the windows,
+simulates *only* the representative windows through the execution
+engine, and compares the weighted leakage-savings estimate against the
+full-run ground truth — the same pipeline as ``trace simpoints``.
 
 Run:  python examples/simpoint_sampling.py  [benchmark] [scale]
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import ModeEnergyModel, OptHybrid, evaluate_policy
-from repro.power import paper_nodes
-from repro.prefetch import annotate_workload_trace
-from repro.simpoint import estimate_weighted, profile_trace, select_simpoints, window_slice
-from repro.workloads import make_benchmark
+from repro.engine import ExecutionEngine, NullStore
+from repro.traces import record_benchmark
+from repro.traces.estimate import estimate_savings, exact_savings, plan_simpoints
 
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "gcc"
     scale = float(sys.argv[2]) if len(sys.argv) > 2 else 0.4
     window_instructions = 50_000
-    model = ModeEnergyModel(paper_nodes()[70])
+    node = 70
+    engine = ExecutionEngine(jobs=1, store=NullStore())
 
-    # Ground truth: the full run.
-    workload = make_benchmark(name, scale=scale)
-    print(f"full run: {workload.total_instructions:,} instructions of '{name}'")
-    full = annotate_workload_trace(workload.chunks()).result
-    truth = evaluate_policy(
-        OptHybrid(model), full.l1i_intervals.as_normal()
-    ).saving_fraction
-    print(f"  I-cache OPT-Hybrid (ground truth): {100 * truth:.2f}%")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / f"{name}.rtr"
+        total = record_benchmark(name, path, scale=scale).instructions
 
-    # SimPoint: profile, cluster, select.
-    chunks = list(make_benchmark(name, scale=scale).chunks())
-    profile = profile_trace(chunks, window_instructions=window_instructions)
-    selection = select_simpoints(profile, max_k=8)
-    print(f"\nSimPoint: {profile.n_windows} windows of "
-          f"{window_instructions:,} instructions -> {selection.k} simulation points")
-    for window, weight in zip(selection.windows, selection.weights):
-        print(f"  window {window:>3d}  weight {weight:.3f}")
+        # Ground truth: the full run.
+        print(f"full run: {total:,} instructions of '{name}'")
+        exact = exact_savings(path, nodes=(node,), engine=engine)
+        truth = exact.saving("icache", "OPT-Hybrid", node)
+        print(f"  I-cache OPT-Hybrid (ground truth): {100 * truth:.2f}%")
 
-    # Simulate only the representatives; combine with the weights.
-    def window_saving(window: int) -> float:
-        piece = window_slice(chunks, window, window_instructions)
-        result = annotate_workload_trace(piece).result
-        report = evaluate_policy(OptHybrid(model), result.l1i_intervals.as_normal())
-        return report.saving_fraction
+        # SimPoint: profile, cluster, select.
+        plan = plan_simpoints(
+            path, window_instructions=window_instructions, max_k=8
+        )
+        print(f"\nSimPoint: {plan.n_windows} windows of "
+              f"{window_instructions:,} instructions -> "
+              f"{len(plan.windows)} simulation points")
+        for window, weight in zip(plan.windows, plan.weights):
+            print(f"  window {window:>3d}  weight {weight:.3f}")
 
-    estimate = estimate_weighted(selection, window_saving)
-    simulated = selection.k * window_instructions
+        # Simulate only the representatives; combine with the weights.
+        estimated = estimate_savings(plan, nodes=(node,), engine=engine)
+
+    estimate = estimated.saving("icache", "OPT-Hybrid", node)
+    simulated = len(plan.windows) * window_instructions
     print(f"\nweighted estimate: {100 * estimate:.2f}% "
           f"(error {100 * abs(estimate - truth):.2f} points)")
-    print(f"simulated only {simulated:,} of {workload.total_instructions:,} "
-          f"instructions ({100 * simulated / workload.total_instructions:.1f}%)")
+    print(f"simulated only {simulated:,} of {total:,} "
+          f"instructions ({100 * simulated / total:.1f}%)")
 
 
 if __name__ == "__main__":

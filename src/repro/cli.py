@@ -443,11 +443,6 @@ def _add_trace_parser(commands) -> None:
         "--seed", type=int, default=0, help="k-means seed (default 0)"
     )
     simpoints.add_argument(
-        "--plan-out", default=None, metavar="FILE",
-        help="where to save the plan JSON (default: <cache>/traces/"
-        "simpoints-<digest>-w<N>.json)",
-    )
-    simpoints.add_argument(
         "--estimate", action="store_true",
         help="simulate the representative windows through the engine and "
         "print the weight-averaged whole-trace savings",
@@ -708,8 +703,6 @@ def _print_estimate(label: str, document: dict) -> None:
 
 
 def trace_simpoints_command(args) -> int:
-    from pathlib import Path
-
     from .traces import estimate as est
 
     if args.window_instructions is not None and args.window_instructions <= 0:
@@ -723,16 +716,15 @@ def trace_simpoints_command(args) -> int:
         return _fail("--max-error needs --exact (nothing to compare against)")
     wants_estimate = args.estimate or args.exact
     try:
-        plan_kwargs = {}
-        if args.window_instructions is not None:
-            plan_kwargs["window_instructions"] = args.window_instructions
         plan = est.plan_simpoints(
-            args.path, max_k=args.max_k, seed=args.seed, **plan_kwargs
+            args.path,
+            window_instructions=(
+                args.window_instructions or est.DEFAULT_WINDOW_INSTRUCTIONS
+            ),
+            max_k=args.max_k,
+            seed=args.seed,
         )
-        plan_path = est.save_plan(
-            plan, Path(args.plan_out) if args.plan_out else None
-        )
-        document = {"plan": plan.to_dict(), "plan_path": str(plan_path)}
+        document = {"plan": plan.to_dict()}
         if wants_estimate:
             nodes = tuple(args.nodes) if args.nodes else est.DEFAULT_NODES
             engine = ExecutionEngine()
@@ -759,7 +751,6 @@ def trace_simpoints_command(args) -> int:
         print(f"simpoints ({len(plan.windows)}):")
         for window, weight in zip(plan.windows, plan.weights):
             print(f"  window {window:>6}  weight {weight:.4f}")
-        print(f"plan:     {plan_path}")
         if wants_estimate:
             _print_estimate("estimated", document["estimate"])
         if args.exact:

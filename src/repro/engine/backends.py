@@ -233,14 +233,6 @@ class WorkerBackend:
             label: _HostState(label) for label in hosts
         }
 
-    def worth_starting(self, pending: int) -> bool:
-        """Whether workers should run ``pending`` jobs at all.
-
-        ``pool`` keeps a run in-process unless it has more than one
-        local worker and more than one job.
-        """
-        return self.name != "pool" or (len(self._hosts) >= 2 and pending >= 2)
-
     def snapshot(self) -> Dict[str, Dict]:
         """Per-host counters for the manifest's ``workers`` section."""
         return {

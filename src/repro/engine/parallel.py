@@ -58,7 +58,7 @@ from .telemetry import RunTelemetry, Stopwatch
 from .validate import InvalidResultError, check_result
 
 if TYPE_CHECKING:
-    from .backends import PoolReport, WorkerBackend
+    from .backends import WorkerBackend
     from .faults import FaultPlan
 
 
@@ -204,39 +204,21 @@ class ExecutionEngine:
         pending: List[SimulationJob],
         outcomes: Dict[SimulationJob, JobOutcome],
     ) -> None:
-        from .backends import PoolReport
-
-        engaged = self.workers.worth_starting(len(pending))
-        report = (
-            self._dispatch(pending)
-            if engaged
-            else PoolReport(leftovers=list(pending))
+        # ``subprocess`` always starts workers; ``pool`` only with two or
+        # more of them and two or more jobs.  Deciding here means an
+        # in-process run never builds (or imports) the worker backend.
+        engaged = self.backend == "subprocess" or (
+            self.max_workers >= 2 and len(pending) >= 2
         )
         # In-process work: (job, its attempt number).  Attempt 1 is a
         # job's first execution, 2 the rerun of a job a worker was sent
         # but did not return.
-        source = SOURCE_FALLBACK if engaged else SOURCE_SERIAL
-        in_process: List[Tuple[SimulationJob, int]] = [
-            (job, 2 if job in report.dispatched else 1)
-            for job in report.leftovers
-        ]
-        for job, (annotated, wall) in report.completed.items():
-            violations = check_result(annotated)
-            if violations:
-                # Never cache an invalid result: quarantine it and rerun
-                # the job in-process, where the gate re-checks.
-                self.telemetry.record_quarantine(
-                    job, violations, where=self.workers.source
-                )
-                self.telemetry.note(
-                    f"job {job.describe()} result failed the validation "
-                    f"gate ({violations[0]}); quarantined, running it "
-                    "in-process"
-                )
-                in_process.append((job, 2))
-                continue
-            outcomes[job] = JobOutcome(job, annotated, self.workers.source, wall)
-            self._commit(job, annotated)
+        if engaged:
+            in_process = self._dispatch(pending, outcomes)
+            source = SOURCE_FALLBACK
+        else:
+            in_process = [(job, 1) for job in pending]
+            source = SOURCE_SERIAL
 
         failure: Optional[JobFailedError] = None
         for job, attempt in in_process:
@@ -253,8 +235,16 @@ class ExecutionEngine:
         if failure is not None:
             raise failure
 
-    def _dispatch(self, pending: List[SimulationJob]) -> PoolReport:
-        """Run pending jobs on the workers and snapshot their host counters.
+    def _dispatch(
+        self,
+        pending: List[SimulationJob],
+        outcomes: Dict[SimulationJob, JobOutcome],
+    ) -> List[Tuple[SimulationJob, int]]:
+        """Run pending jobs on the workers; return what must run in-process.
+
+        Valid worker results are recorded and committed.  A job the
+        workers did not return, or whose result fails the validation
+        gate, comes back with the attempt number of its in-process run.
 
         By default workers stream recorded traces from their files and
         nothing is published.  Under an opt-in ``shm``/``disk``
@@ -277,7 +267,29 @@ class ExecutionEngine:
         for note in report.notes:
             self.telemetry.note(note)
         self.telemetry.record_workers({"hosts": self.workers.snapshot()})
-        return report
+
+        in_process: List[Tuple[SimulationJob, int]] = [
+            (job, 2 if job in report.dispatched else 1)
+            for job in report.leftovers
+        ]
+        for job, (annotated, wall) in report.completed.items():
+            violations = check_result(annotated)
+            if violations:
+                # Never cache an invalid result: quarantine it and rerun
+                # the job in-process, where the gate re-checks.
+                self.telemetry.record_quarantine(
+                    job, violations, where=self.workers.source
+                )
+                self.telemetry.note(
+                    f"job {job.describe()} result failed the validation "
+                    f"gate ({violations[0]}); quarantined, running it "
+                    "in-process"
+                )
+                in_process.append((job, 2))
+                continue
+            outcomes[job] = JobOutcome(job, annotated, self.workers.source, wall)
+            self._commit(job, annotated)
+        return in_process
 
     def _execute_serial(
         self, job: SimulationJob, attempt: int

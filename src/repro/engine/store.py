@@ -42,8 +42,8 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 #: Default cache location when neither argument nor environment is set.
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro-leakage"
 
-#: Subdirectory (under the cache) holding recorded traces and SimPoint
-#: plans — durable *inputs*, unlike the recomputable result entries.
+#: Subdirectory (under the cache) holding recorded traces — durable
+#: *inputs*, unlike the recomputable result entries.
 TRACES_SUBDIR = "traces"
 
 
@@ -113,7 +113,7 @@ class ResultStore:
 
     @property
     def traces_dir(self) -> Path:
-        """Where recorded traces and SimPoint plans live."""
+        """Where recorded traces live."""
         return self.directory / TRACES_SUBDIR
 
     def _trace_usage(self) -> tuple:

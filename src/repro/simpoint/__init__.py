@@ -6,25 +6,15 @@ keep simulation time reasonable (§4.1); see DESIGN.md §3.6.
 
 from .bbv import BBVProfile, BBVProfiler, profile_trace
 from .kmeans import KMeansResult, bic_score, choose_k, kmeans
-from .simpoint import (
-    SimPointSelection,
-    estimate_weighted,
-    select_simpoints,
-    select_simpoints_for_trace,
-    window_slice,
-)
+from .simpoint import select_simpoints
 
 __all__ = [
     "BBVProfile",
     "BBVProfiler",
     "KMeansResult",
-    "SimPointSelection",
     "bic_score",
     "choose_k",
-    "estimate_weighted",
     "kmeans",
     "profile_trace",
     "select_simpoints",
-    "select_simpoints_for_trace",
-    "window_slice",
 ]

@@ -6,9 +6,8 @@ Windows with similar vectors execute similar code, so a handful of
 representative windows can stand in for the whole run.
 
 Our traces carry PCs rather than compiler basic blocks, so blocks are
-approximated by aligned code regions of ``block_bytes`` (64 B = one cache
-line ≈ a few basic blocks) — the standard approximation when profiling
-at trace level.
+approximated by aligned 64 B code regions (one cache line ≈ a few basic
+blocks) — the standard approximation when profiling at trace level.
 """
 
 from __future__ import annotations
@@ -21,6 +20,9 @@ import numpy as np
 from ..cpu.trace import TraceChunk
 from ..errors import ConfigurationError
 
+#: log2 of the code-region size (64 B) that stands in for a basic block.
+BLOCK_SHIFT = 6
+
 
 @dataclass(frozen=True)
 class BBVProfile:
@@ -28,13 +30,12 @@ class BBVProfile:
 
     Attributes
     ----------
-    vectors: (n_windows, n_blocks) row-normalized frequency matrix.
-    block_ids: column index -> block id (aligned code-region number).
+    vectors: (n_windows, n_blocks) row-normalized frequency matrix, one
+        column per aligned code region the trace executed.
     window_instructions: instructions per profiling window.
     """
 
     vectors: np.ndarray
-    block_ids: np.ndarray
     window_instructions: int
 
     @property
@@ -42,35 +43,21 @@ class BBVProfile:
         """Number of profiled windows."""
         return int(self.vectors.shape[0])
 
-    def distance(self, i: int, j: int) -> float:
-        """Manhattan distance between two windows' vectors."""
-        return float(np.abs(self.vectors[i] - self.vectors[j]).sum())
-
 
 class BBVProfiler:
     """Streams a trace into a :class:`BBVProfile`.
 
-    Parameters
-    ----------
-    window_instructions:
-        Instructions per window (the paper's SimPoint methodology uses
-        fixed windows; anything from 10K to 100M works — smaller windows
-        suit our shorter synthetic runs).
-    block_bytes:
-        Code-region granularity approximating a basic block.
+    ``window_instructions`` is the instructions per window (the paper's
+    SimPoint methodology uses fixed windows; anything from 10K to 100M
+    works — smaller windows suit our shorter synthetic runs).
     """
 
-    def __init__(self, window_instructions: int = 100_000, block_bytes: int = 64) -> None:
+    def __init__(self, window_instructions: int = 100_000) -> None:
         if window_instructions <= 0:
             raise ConfigurationError(
                 f"window size must be positive, got {window_instructions!r}"
             )
-        if block_bytes <= 0 or block_bytes & (block_bytes - 1):
-            raise ConfigurationError(
-                f"block granularity must be a positive power of two, got {block_bytes!r}"
-            )
         self.window_instructions = window_instructions
-        self._block_shift = block_bytes.bit_length() - 1
         self._windows: List[Dict[int, int]] = []
         self._current: Dict[int, int] = {}
         self._filled = 0
@@ -83,7 +70,7 @@ class BBVProfiler:
         while position < n:
             take = min(n - position, self.window_instructions - self._filled)
             blocks, counts = np.unique(
-                pcs[position : position + take] >> self._block_shift,
+                pcs[position : position + take] >> BLOCK_SHIFT,
                 return_counts=True,
             )
             current = self._current
@@ -97,15 +84,13 @@ class BBVProfiler:
                 self._current = {}
                 self._filled = 0
 
-    def profile(self, drop_partial: bool = True) -> BBVProfile:
+    def profile(self) -> BBVProfile:
         """Finalize into a row-normalized :class:`BBVProfile`.
 
-        ``drop_partial`` discards a trailing window that did not fill
-        completely (SimPoint's convention).
+        A trailing window that did not fill completely is discarded
+        (SimPoint's convention).
         """
-        windows = list(self._windows)
-        if not drop_partial and self._current:
-            windows.append(self._current)
+        windows = self._windows
         if not windows:
             raise ConfigurationError(
                 "no complete profiling window; shrink window_instructions"
@@ -120,18 +105,15 @@ class BBVProfiler:
         totals[totals == 0] = 1.0
         return BBVProfile(
             vectors=vectors / totals,
-            block_ids=np.array(block_ids, dtype=np.int64),
             window_instructions=self.window_instructions,
         )
 
 
 def profile_trace(
-    chunks: Iterable[TraceChunk],
-    window_instructions: int = 100_000,
-    block_bytes: int = 64,
+    chunks: Iterable[TraceChunk], window_instructions: int = 100_000
 ) -> BBVProfile:
     """Profile a whole trace in one call."""
-    profiler = BBVProfiler(window_instructions, block_bytes)
+    profiler = BBVProfiler(window_instructions)
     for chunk in chunks:
         profiler.observe(chunk)
     return profiler.profile()

@@ -1,146 +1,47 @@
 """SimPoint: representative-window selection (Sherwood et al. [14]).
 
 The paper cuts simulation cost by running only the simulation points
-SimPoint selects.  This module reproduces the pipeline: profile the trace
-into basic-block vectors, cluster the windows, and pick — per cluster —
-the window closest to the centroid, weighted by cluster population.
+SimPoint selects.  This module picks them: given the basic-block-vector
+profile of a trace, cluster the windows and take — per cluster — the
+window closest to the centroid, weighted by cluster population.
 
-:func:`estimate_weighted` then lets an experiment evaluate any per-window
-metric on the selected windows only and combine the results with the
-SimPoint weights, the same way the paper extrapolates whole-benchmark
-behaviour from a few windows.
+:mod:`repro.traces.estimate` runs the rest of the pipeline: it simulates
+the selected windows of a recorded trace through the engine and combines
+their savings with these weights, the same way the paper extrapolates
+whole-benchmark behaviour from a few windows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence
+from typing import Tuple
 
 import numpy as np
 
-from ..cpu.trace import TraceChunk, merge_chunks
-from ..errors import ConfigurationError
-from .bbv import BBVProfile, profile_trace
-from .kmeans import KMeansResult, choose_k, kmeans
-
-
-@dataclass(frozen=True)
-class SimPointSelection:
-    """Chosen simulation points and their weights.
-
-    Attributes
-    ----------
-    windows: indices of the representative windows, ascending.
-    weights: fraction of the run each representative stands for.
-    labels: cluster assignment of every window.
-    window_instructions: profiling window size in instructions.
-    """
-
-    windows: np.ndarray
-    weights: np.ndarray
-    labels: np.ndarray
-    window_instructions: int
-
-    def __post_init__(self) -> None:
-        if self.windows.shape != self.weights.shape:
-            raise ConfigurationError("windows and weights must align")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ConfigurationError("simpoint weights must sum to 1")
-
-    @property
-    def k(self) -> int:
-        """Number of simulation points."""
-        return int(self.windows.size)
-
-    def coverage(self) -> float:
-        """Fraction of windows the selection summarizes (always 1.0 for a
-        full clustering; exposed for API symmetry with sampled modes)."""
-        return 1.0
+from .bbv import BBVProfile
+from .kmeans import choose_k
 
 
 def select_simpoints(
-    profile: BBVProfile,
-    max_k: int = 10,
-    k: int | None = None,
-    seed: int = 0,
-) -> SimPointSelection:
+    profile: BBVProfile, max_k: int = 10, seed: int = 0
+) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
     """Cluster a BBV profile and pick representative windows.
 
-    ``k=None`` chooses the cluster count by BIC (SimPoint's default).
+    The cluster count is chosen by BIC (SimPoint's default).  Returns
+    ``(windows, weights)``: the representative window indices in
+    ascending order and the fraction of the run each stands for.
     """
     points = profile.vectors
-    if k is not None:
-        result: KMeansResult = kmeans(points, k, seed=seed)
-    else:
-        result = choose_k(points, max_k=max_k, seed=seed)
-    windows: List[int] = []
-    weights: List[float] = []
+    result = choose_k(points, max_k=max_k, seed=seed)
     n = points.shape[0]
+    picks = []
     for cluster in range(result.k):
         members = np.flatnonzero(result.labels == cluster)
         if members.size == 0:
             continue
         distances = ((points[members] - result.centroids[cluster]) ** 2).sum(axis=1)
-        windows.append(int(members[distances.argmin()]))
-        weights.append(members.size / n)
-    order = np.argsort(windows)
-    return SimPointSelection(
-        windows=np.array(windows, dtype=np.int64)[order],
-        weights=np.array(weights, dtype=np.float64)[order],
-        labels=result.labels,
-        window_instructions=profile.window_instructions,
+        picks.append((int(members[distances.argmin()]), members.size / n))
+    picks.sort()
+    return (
+        tuple(window for window, _ in picks),
+        tuple(weight for _, weight in picks),
     )
-
-
-def select_simpoints_for_trace(
-    chunks: Iterable[TraceChunk],
-    window_instructions: int = 100_000,
-    max_k: int = 10,
-    seed: int = 0,
-) -> SimPointSelection:
-    """Profile and select in one call."""
-    return select_simpoints(
-        profile_trace(chunks, window_instructions), max_k=max_k, seed=seed
-    )
-
-
-def window_slice(
-    chunks: Sequence[TraceChunk], window: int, window_instructions: int
-) -> TraceChunk:
-    """Extract one profiling window's instructions from a chunked trace."""
-    if window < 0:
-        raise ConfigurationError(f"window index cannot be negative, got {window!r}")
-    start = window * window_instructions
-    stop = start + window_instructions
-    pieces: List[TraceChunk] = []
-    position = 0
-    for chunk in chunks:
-        chunk_start, chunk_stop = position, position + len(chunk)
-        if chunk_stop > start and chunk_start < stop:
-            lo = max(start - chunk_start, 0)
-            hi = min(stop - chunk_start, len(chunk))
-            pieces.append(chunk.slice(lo, hi))
-        position = chunk_stop
-        if position >= stop:
-            break
-    if not pieces:
-        raise ConfigurationError(
-            f"window {window} lies beyond the end of the trace"
-        )
-    return merge_chunks(pieces)
-
-
-def estimate_weighted(
-    selection: SimPointSelection,
-    metric: Callable[[int], float],
-) -> float:
-    """Weighted combination of a per-window metric over the simpoints.
-
-    ``metric(window_index)`` evaluates the quantity of interest (miss
-    rate, leakage saving, IPC...) on one representative window; the
-    return value is the SimPoint estimate for the whole run.
-    """
-    total = 0.0
-    for window, weight in zip(selection.windows, selection.weights):
-        total += weight * metric(int(window))
-    return total

@@ -63,12 +63,9 @@ _EXPORTS = {
             "DEFAULT_WINDOW_INSTRUCTIONS",
             "SavingsEstimate",
             "SimPointPlan",
-            "default_plan_path",
             "estimate_savings",
             "exact_savings",
-            "load_plan",
             "plan_simpoints",
-            "save_plan",
         ),
         "estimate",
     ),

@@ -1,20 +1,19 @@
 """SimPoint-backed whole-trace estimation through the execution engine.
 
 Simulating a huge recorded trace in full defeats the point of recording
-it.  This module fans :mod:`repro.simpoint` windows out as window refs
-so one clustering pass buys estimates for every downstream analysis:
+it.  This module is the reproduction's one SimPoint pipeline: it fans
+:mod:`repro.simpoint` windows out as window refs so one clustering pass
+buys estimates for every downstream analysis:
 
-1. **Plan** — stream the trace once through a
-   :class:`~repro.simpoint.bbv.BBVProfiler`, cluster the basic-block
-   vectors, and keep the representative windows plus their cluster
-   weights as a :class:`SimPointPlan` (JSON, persisted next to the trace
-   under ``<cache>/traces/`` by default).
+1. **Plan** — profile the trace's basic-block vectors in one streaming
+   pass, cluster them, and keep the representative windows plus their
+   cluster weights as a :class:`SimPointPlan`.
 2. **Fan out** — each representative window becomes an ordinary
    ``trace:<path>#<window>:<n>`` :class:`~repro.engine.SimulationJob`,
    so window simulations run through the engine with caching, worker
    fan-out and the validation gate like any other job.  The window reader
-   seeks past non-overlapping chunks, so each job touches O(window)
-   disk bytes.
+   (:meth:`~repro.traces.format.TraceRecording.window_chunks`) seeks
+   past non-overlapping chunks, so each job touches O(window) disk bytes.
 3. **Reconstruct** — per-window leakage savings (the paper's
    OPT-Drowsy / OPT-Sleep / OPT-Hybrid trio, per technology node) are
    combined as a weight-averaged estimate of the whole-trace savings.
@@ -26,7 +25,6 @@ afford both.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -37,13 +35,13 @@ from ..core.energy import ModeEnergyModel
 from ..core.policy import TRIO_SCHEMES
 from ..core.savings import trio_savings
 from ..cpu.pipeline import PipelineConfig
-from ..engine import ExecutionEngine, SimulationJob, atomic_write_bytes
-from ..errors import ConfigurationError, TraceError
+from ..engine import ExecutionEngine, SimulationJob
+from ..errors import ConfigurationError
 from ..power.technology import paper_nodes
-from ..simpoint.bbv import BBVProfiler
+from ..simpoint.bbv import profile_trace
 from ..simpoint.simpoint import select_simpoints
 from .format import TraceRecording
-from .registry import format_trace_ref, trace_info, trace_store_dir
+from .registry import format_trace_ref, trace_info
 
 #: Caches simulated by every estimate, in reporting order.
 CACHES = ("icache", "dcache")
@@ -53,8 +51,6 @@ DEFAULT_WINDOW_INSTRUCTIONS = 100_000
 
 #: Default technology nodes (nm) an estimate covers.
 DEFAULT_NODES = (70, 100, 130, 180)
-
-PLAN_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,6 @@ class SimPointPlan:
 
     def to_dict(self) -> Dict:
         return {
-            "version": PLAN_VERSION,
             "trace_path": self.trace_path,
             "trace_digest": self.trace_digest,
             "window_instructions": self.window_instructions,
@@ -92,22 +87,6 @@ class SimPointPlan:
             "weights": list(self.weights),
             "n_windows": self.n_windows,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "SimPointPlan":
-        if payload.get("version") != PLAN_VERSION:
-            raise ConfigurationError(
-                f"unsupported simpoint plan version {payload.get('version')!r} "
-                f"(expected {PLAN_VERSION})"
-            )
-        return cls(
-            trace_path=str(payload["trace_path"]),
-            trace_digest=str(payload["trace_digest"]),
-            window_instructions=int(payload["window_instructions"]),
-            windows=tuple(int(w) for w in payload["windows"]),
-            weights=tuple(float(w) for w in payload["weights"]),
-            n_windows=int(payload["n_windows"]),
-        )
 
     def window_jobs(
         self, pipeline: Optional[PipelineConfig] = None
@@ -128,7 +107,6 @@ def plan_simpoints(
     *,
     window_instructions: int = DEFAULT_WINDOW_INSTRUCTIONS,
     max_k: int = 10,
-    k: Optional[int] = None,
     seed: int = 0,
 ) -> SimPointPlan:
     """Profile + cluster one recorded trace into a :class:`SimPointPlan`.
@@ -137,50 +115,16 @@ def plan_simpoints(
     from the seeded k-means in :mod:`repro.simpoint`.
     """
     info = trace_info(path)
-    profiler = BBVProfiler(window_instructions=window_instructions)
-    for chunk in TraceRecording(path).chunks():
-        profiler.observe(chunk)
-    profile = profiler.profile()
-    selection = select_simpoints(profile, max_k=max_k, k=k, seed=seed)
+    profile = profile_trace(TraceRecording(path).chunks(), window_instructions)
+    windows, weights = select_simpoints(profile, max_k=max_k, seed=seed)
     return SimPointPlan(
         trace_path=str(Path(path)),
         trace_digest=info.digest,
         window_instructions=window_instructions,
-        windows=tuple(int(w) for w in selection.windows),
-        weights=tuple(float(w) for w in selection.weights),
+        windows=windows,
+        weights=weights,
         n_windows=profile.n_windows,
     )
-
-
-def default_plan_path(plan: SimPointPlan, directory: Optional[Path] = None) -> Path:
-    """Canonical location of a plan file under the cache's trace store."""
-    base = trace_store_dir(directory)
-    return base / (
-        f"simpoints-{plan.trace_digest[:16]}-w{plan.window_instructions}.json"
-    )
-
-
-def save_plan(plan: SimPointPlan, path: Optional[Path] = None) -> Path:
-    """Persist a plan as JSON (atomic write); returns its path."""
-    dest = Path(path) if path is not None else default_plan_path(plan)
-    payload = json.dumps(plan.to_dict(), sort_keys=True, indent=2) + "\n"
-    atomic_write_bytes(dest, payload.encode("utf-8"))
-    return dest
-
-
-def load_plan(path: Path | str) -> SimPointPlan:
-    """Load a persisted plan, verifying its schema."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as error:
-        raise TraceError(f"cannot read simpoint plan {path}: {error}") from None
-    except json.JSONDecodeError as error:
-        raise TraceError(f"simpoint plan {path} is not valid JSON: {error}") from None
-    try:
-        return SimPointPlan.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as error:
-        raise TraceError(f"simpoint plan {path} is malformed: {error}") from None
 
 
 @dataclass(frozen=True)

@@ -609,8 +609,8 @@ class TraceRecording:
         """Yield only the accesses of one SimPoint window, seeking past the rest.
 
         ``window`` is a 0-based index of a ``window_instructions``-sized
-        region, the same addressing :func:`repro.simpoint.window_slice`
-        uses.  Chunk payloads that do not overlap the window are skipped
+        region, the addressing of SimPoint's profiling windows
+        (:mod:`repro.simpoint`).  Chunk payloads that do not overlap the window are skipped
         with ``seek`` — they are neither decompressed nor checksummed —
         so extracting one region of a huge trace touches O(window) data.
         """

@@ -217,8 +217,8 @@ def describe_workload(ref: str) -> str:
 def trace_store_dir(directory: Optional[Path | str] = None) -> Path:
     """The trace-artifact directory under the result cache.
 
-    Recorded traces and SimPoint plans stored here are counted by
-    ``repro-leakage cache info`` and by the cache's size accounting.
+    Recorded traces stored here are counted by ``repro-leakage cache
+    info``; nothing evicts them.
     """
 
     from ..engine.store import TRACES_SUBDIR, resolve_cache_dir

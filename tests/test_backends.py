@@ -310,9 +310,6 @@ class _ScriptedWorkers:
         self.behavior = behavior
         self.calls = []
 
-    def worth_starting(self, pending):
-        return True
-
     def snapshot(self):
         return {}
 
@@ -546,7 +543,9 @@ class TestValidationGate:
         # A worker returns it; the parent's gate quarantines it and
         # reruns the job in-process.
         monkeypatch.setattr(parallel, "execute_job", lambda job: good)
-        engine = ExecutionEngine(jobs=1, store=ResultStore(tmp_path))
+        engine = ExecutionEngine(
+            jobs=1, store=ResultStore(tmp_path), backend="subprocess"
+        )
         engine.workers = _ScriptedWorkers(
             lambda jobs: PoolReport(
                 completed={job: (bad, 0.0)}, dispatched={job}

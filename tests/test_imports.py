@@ -46,6 +46,28 @@ def test_cli_import_leaves_unused_layers_unloaded():
         assert name not in loaded, name
 
 
+def test_in_process_run_leaves_the_worker_backend_unloaded(tmp_path):
+    # A --jobs 1 run never starts workers, so it must not pay for them.
+    loaded, code = json.loads(
+        run_python(
+            "import contextlib, io, json, os, sys\n"
+            "for var in ('REPRO_BACKEND', 'REPRO_JOBS', 'REPRO_FAULTS'):\n"
+            "    os.environ.pop(var, None)\n"
+            f"os.environ['REPRO_CACHE_DIR'] = {str(tmp_path)!r}\n"
+            "from repro.cli import main\n"
+            "sink = io.StringIO()\n"
+            "with contextlib.redirect_stdout(sink), "
+            "contextlib.redirect_stderr(sink):\n"
+            "    code = main(['run', 'figure9', '--scale', '0.02', "
+            "'--jobs', '1'])\n"
+            "print(json.dumps([sorted(sys.modules), code]))\n"
+        )
+    )
+    assert code == 0
+    for name in ("repro.engine.backends", "repro.engine.worker"):
+        assert name not in loaded, name
+
+
 def test_package_attributes_resolve_lazily():
     out = run_python(
         "import repro; "

@@ -7,12 +7,7 @@ from repro.cpu.trace import TraceChunk
 from repro.errors import ConfigurationError
 from repro.simpoint.bbv import BBVProfiler, profile_trace
 from repro.simpoint.kmeans import bic_score, choose_k, kmeans
-from repro.simpoint.simpoint import (
-    estimate_weighted,
-    select_simpoints,
-    select_simpoints_for_trace,
-    window_slice,
-)
+from repro.simpoint.simpoint import select_simpoints
 
 
 def phase_trace(phase_pcs, window=100, windows_per_phase=4, repeats=2):
@@ -36,18 +31,18 @@ class TestBBV:
     def test_distinct_phases_have_distant_vectors(self):
         chunks = phase_trace([0x0, 0x10000])
         profile = profile_trace(chunks, window_instructions=100)
-        assert profile.distance(0, 4) > 1.0  # different phases
-        assert profile.distance(0, 1) == pytest.approx(0.0, abs=1e-12)
+        vectors = profile.vectors
+
+        def distance(i, j):  # Manhattan, as SimPoint compares BBVs
+            return float(np.abs(vectors[i] - vectors[j]).sum())
+
+        assert distance(0, 4) > 1.0  # different phases
+        assert distance(0, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_partial_window_dropped_by_default(self):
         profiler = BBVProfiler(window_instructions=100)
         profiler.observe(TraceChunk(np.zeros(150, dtype=np.int64)))
         assert profiler.profile().n_windows == 1
-
-    def test_partial_window_kept_on_request(self):
-        profiler = BBVProfiler(window_instructions=100)
-        profiler.observe(TraceChunk(np.zeros(150, dtype=np.int64)))
-        assert profiler.profile(drop_partial=False).n_windows == 2
 
     def test_no_complete_window_rejected(self):
         profiler = BBVProfiler(window_instructions=1000)
@@ -58,8 +53,6 @@ class TestBBV:
     def test_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             BBVProfiler(window_instructions=0)
-        with pytest.raises(ConfigurationError):
-            BBVProfiler(block_bytes=48)
 
 
 class TestKMeans:
@@ -105,41 +98,17 @@ class TestKMeans:
 class TestSimPoint:
     def test_selection_covers_phases(self):
         chunks = phase_trace([0x0, 0x10000], windows_per_phase=5, repeats=2)
-        selection = select_simpoints_for_trace(chunks, window_instructions=100)
-        assert selection.k == 2
-        assert selection.weights.sum() == pytest.approx(1.0)
+        profile = profile_trace(chunks, window_instructions=100)
+        windows, weights = select_simpoints(profile)
+        assert len(windows) == 2
+        assert list(windows) == sorted(windows)
+        assert sum(weights) == pytest.approx(1.0)
 
     def test_weights_reflect_population(self):
         # Phase A runs 3x as many windows as phase B.
         chunks = phase_trace([0x0], windows_per_phase=9, repeats=1)
         chunks += phase_trace([0x10000], windows_per_phase=3, repeats=1)
-        selection = select_simpoints_for_trace(chunks, window_instructions=100)
-        assert selection.k == 2
-        assert max(selection.weights) == pytest.approx(0.75)
-
-    def test_fixed_k(self):
-        chunks = phase_trace([0x0, 0x10000, 0x20000])
         profile = profile_trace(chunks, window_instructions=100)
-        selection = select_simpoints(profile, k=3)
-        assert selection.k == 3
-
-    def test_window_slice_extracts_right_instructions(self):
-        chunks = [TraceChunk(np.full(60, i * 4, dtype=np.int64)) for i in range(5)]
-        window = window_slice(chunks, window=1, window_instructions=100)
-        assert len(window) == 100
-        # Window 1 spans instructions 100..200: chunks 1 (tail 20), 2, 3 (head 20).
-        assert window.pcs[0] == 4 and window.pcs[-1] == 12
-
-    def test_window_beyond_trace_rejected(self):
-        chunks = [TraceChunk(np.zeros(50, dtype=np.int64))]
-        with pytest.raises(ConfigurationError):
-            window_slice(chunks, window=3, window_instructions=100)
-
-    def test_estimate_weighted_reproduces_phase_mean(self):
-        chunks = phase_trace([0x0, 0x10000], windows_per_phase=4, repeats=1)
-        selection = select_simpoints_for_trace(chunks, window_instructions=100)
-        # Metric: 1.0 for windows of phase A (pcs < 0x10000), else 0.0.
-        def metric(window):
-            return 1.0 if window < 4 else 0.0
-
-        assert estimate_weighted(selection, metric) == pytest.approx(0.5)
+        windows, weights = select_simpoints(profile)
+        assert len(windows) == 2
+        assert max(weights) == pytest.approx(0.75)

@@ -56,9 +56,7 @@ from repro.traces.estimate import (
     SimPointPlan,
     estimate_savings,
     exact_savings,
-    load_plan,
     plan_simpoints,
-    save_plan,
 )
 from repro.workloads.benchmarks import make_benchmark
 
@@ -724,7 +722,7 @@ class TestTraceStoreAccounting:
 # SimPoint-backed whole-trace estimation
 # ----------------------------------------------------------------------
 class TestSimPointEstimation:
-    def test_plan_is_deterministic_and_round_trips(self, tmp_path, recorded):
+    def test_plan_is_deterministic_and_round_trips(self, recorded):
         plan = plan_simpoints(
             recorded.path, window_instructions=20_000, max_k=4, seed=0
         )
@@ -733,8 +731,8 @@ class TestSimPointEstimation:
         )
         assert plan == again
         assert abs(sum(plan.weights) - 1.0) < 1e-9
-        path = save_plan(plan, tmp_path / "plan.json")
-        assert load_plan(path) == plan
+        document = plan.to_dict()
+        assert json.loads(dumps_stable(document)) == document
 
     def test_plan_rejects_inconsistent_weights(self, recorded):
         with pytest.raises(ConfigurationError):
@@ -858,3 +856,21 @@ class TestTraceCli:
         document = json.loads(capsys.readouterr().out)
         assert document["max_abs_error"] < 0.08
         assert document["plan"]["trace_digest"]
+
+    def test_simpoints_estimate_writes_no_plan_file(self, tmp_path, capsys):
+        # The plan is printed, never persisted: nothing reads it back.
+        out = tmp_path / "sp.rtr"
+        record_benchmark("gzip", out, scale=SMALL, chunk_instructions=20_000)
+        code = main(
+            [
+                "trace", "simpoints", str(out),
+                "--window-instructions", "50000",
+                "--max-k", "2",
+                "--estimate",
+                "--nodes", "70",
+            ]
+        )
+        assert code == 0
+        assert "OPT-Hybrid" in capsys.readouterr().out
+        traces = ResultStore().traces_dir  # REPRO_CACHE_DIR from the fixture
+        assert list(traces.glob("simpoints-*.json")) == []
