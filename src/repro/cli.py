@@ -20,10 +20,10 @@ Simulations go through the execution engine: benchmark jobs fan out over
 ``--backend`` / ``REPRO_BACKEND`` says (``pool`` when more than one
 worker and one job, ``subprocess`` always); ``--jobs 1`` under ``pool``
 runs every job in-process.  Each job goes to a worker at most once; a
-job the workers do not return — an error, a dead worker, an overrun of
-``REPRO_JOB_TIMEOUT`` — runs once in-process.  Every fresh result passes
-an invariant-validation gate before caching, results are cached on disk
-under ``~/.cache/repro-leakage`` (``REPRO_CACHE_DIR`` overrides,
+job the workers do not return — an error frame or a dead worker — runs
+once in-process.  Every fresh result passes an invariant-validation
+gate before caching, results are cached on disk under
+``~/.cache/repro-leakage`` (``REPRO_CACHE_DIR`` overrides,
 ``--no-cache`` bypasses), and a telemetry footer — exportable as JSON
 via ``--manifest`` — reports where the time went, including every
 degradation.  The report on stdout is byte-identical whatever the
@@ -499,21 +499,9 @@ def dumps_stable(payload) -> str:
 
 def cache_info_payload(store) -> Dict:
     """Machine-readable ``cache info``: the store's state."""
-    info = store.info()
-    # The flat trace_files/trace_bytes keys predate the nested "traces"
-    # object and must stay equal to it.
-    traces = {
-        "files": int(info.get("trace_files", 0)),
-        "bytes": int(info.get("trace_bytes", 0)),
-    }
     return {
-        "directory": info["directory"],
-        "entries": int(info["entries"]),
-        "bytes": int(info["bytes"]),
-        "quarantined": int(info.get("quarantined", 0)),
-        "trace_files": traces["files"],
-        "trace_bytes": traces["bytes"],
-        "traces": traces,
+        key: value if key == "directory" else int(value)
+        for key, value in store.info().items()
     }
 
 

@@ -19,93 +19,92 @@ The public surface:
   model behind Table 2.
 * :mod:`~repro.core.envelope` / :mod:`~repro.core.oracle` — Figure 10 and
   the Theorem 1 optimality machinery.
+
+Every name is re-exported lazily, on first use: a run that only prices
+policies never loads the §3.3 model or the optimality oracle.
 """
 
-from .energy import ModeEnergyModel, TransitionDurations
-from .envelope import (
-    envelope_array,
-    envelope_energy,
-    envelope_mode,
-    envelope_series,
-    verify_envelope_matches_policy,
-    verify_lemma1,
-)
-from .inflection import (
-    InflectionPoints,
-    breakeven_table,
-    inflection_points,
-    inflection_points_for_node,
-    solve_sleep_drowsy_point,
-)
-from .intervals import (
-    Interval,
-    IntervalKind,
-    IntervalPopulation,
-    IntervalSet,
-    IntervalStatistics,
-)
-from .model import StateMachineModel, Transition, technology_sweep
-from .modes import Mode
-from .oracle import (
-    assignment_energy,
-    is_optimal_assignment,
-    oracle_energy,
-    oracle_modes,
-)
-from .policy import (
-    AlwaysActive,
-    DecaySleep,
-    OptDrowsy,
-    OptHybrid,
-    OptSleep,
-    Policy,
-    standard_policies,
-)
-from .savings import (
-    ModeBreakdown,
-    SavingsReport,
-    average_saving,
-    evaluate_policies,
-    evaluate_policy,
-)
+from __future__ import annotations
 
-__all__ = [
-    "AlwaysActive",
-    "DecaySleep",
-    "InflectionPoints",
-    "Interval",
-    "IntervalKind",
-    "IntervalPopulation",
-    "IntervalSet",
-    "IntervalStatistics",
-    "Mode",
-    "ModeBreakdown",
-    "ModeEnergyModel",
-    "OptDrowsy",
-    "OptHybrid",
-    "OptSleep",
-    "Policy",
-    "SavingsReport",
-    "StateMachineModel",
-    "Transition",
-    "TransitionDurations",
-    "assignment_energy",
-    "average_saving",
-    "breakeven_table",
-    "envelope_array",
-    "envelope_energy",
-    "envelope_mode",
-    "envelope_series",
-    "evaluate_policies",
-    "evaluate_policy",
-    "inflection_points",
-    "inflection_points_for_node",
-    "is_optimal_assignment",
-    "oracle_energy",
-    "oracle_modes",
-    "solve_sleep_drowsy_point",
-    "standard_policies",
-    "technology_sweep",
-    "verify_envelope_matches_policy",
-    "verify_lemma1",
-]
+from importlib import import_module
+
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("ModeEnergyModel", "TransitionDurations"), "energy"),
+    **dict.fromkeys(
+        (
+            "envelope_array",
+            "envelope_energy",
+            "envelope_mode",
+            "envelope_series",
+            "verify_envelope_matches_policy",
+            "verify_lemma1",
+        ),
+        "envelope",
+    ),
+    **dict.fromkeys(
+        (
+            "InflectionPoints",
+            "breakeven_table",
+            "inflection_points",
+            "inflection_points_for_node",
+            "solve_sleep_drowsy_point",
+        ),
+        "inflection",
+    ),
+    **dict.fromkeys(
+        (
+            "Interval",
+            "IntervalKind",
+            "IntervalPopulation",
+            "IntervalSet",
+            "IntervalStatistics",
+        ),
+        "intervals",
+    ),
+    **dict.fromkeys(
+        ("StateMachineModel", "Transition", "technology_sweep"), "model"
+    ),
+    "Mode": "modes",
+    **dict.fromkeys(
+        (
+            "assignment_energy",
+            "is_optimal_assignment",
+            "oracle_energy",
+            "oracle_modes",
+        ),
+        "oracle",
+    ),
+    **dict.fromkeys(
+        (
+            "AlwaysActive",
+            "DecaySleep",
+            "OptDrowsy",
+            "OptHybrid",
+            "OptSleep",
+            "Policy",
+            "standard_policies",
+        ),
+        "policy",
+    ),
+    **dict.fromkeys(
+        (
+            "ModeBreakdown",
+            "SavingsReport",
+            "average_saving",
+            "evaluate_policies",
+            "evaluate_policy",
+        ),
+        "savings",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+__all__ = sorted(_EXPORTS)

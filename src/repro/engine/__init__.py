@@ -47,8 +47,6 @@ _EXPORTS = {
             "ENV_BACKEND",
             "ENV_FAULTS",
             "ENV_JOBS",
-            "ENV_JOB_TIMEOUT",
-            "default_job_timeout",
             "resolve_backend_name",
             "resolve_worker_count",
         ),

@@ -18,16 +18,16 @@ when the workers engage:
 Each worker slot is a *host* with a label (``local0``, ``local1``, ...)
 that keys its counters in the manifest.  A host runs one child process
 at a time, :func:`repro.engine.worker.main`.  Every job is dispatched
-**at most once**: an error frame, a worker that dies, a pipe that
-closes or an overrun of the per-dispatch deadline (``REPRO_JOB_TIMEOUT``,
-off by default) hands the job back to run in-process, and the host
-respawns a worker for its next job.  :func:`~repro.engine.jobs.execute_job`
-is deterministic, so a second worker attempt would only repeat the
-first.  A host whose worker fails to start, or sends no ``ready`` frame
-within ``_READY_TIMEOUT_SECONDS``, is dropped for the rest of the run;
-once no host is left, the remaining jobs run in-process too.  Results
-are published to the cache exactly once, controller-side, through the
-store's atomic writes.
+**at most once**: an error frame, a worker that dies or a pipe that
+closes hands the job back to run in-process, and the host respawns a
+worker for its next job.  :func:`~repro.engine.jobs.execute_job` is
+deterministic, so a second worker attempt would only repeat the first.
+For the same reason a dispatch has no deadline: a job that hangs on a
+worker would hang again in-process.  A host whose worker fails to
+start, or sends no ``ready`` frame within ``_READY_TIMEOUT_SECONDS``,
+is dropped for the rest of the run; once no host is left, the
+remaining jobs run in-process too.  Results are published to the cache
+exactly once, controller-side, through the store's atomic writes.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ class _Connection:
             env=env,
         )
         self.started = time.monotonic()
-        #: ``(job, dispatched_at)`` while busy, else ``None``.
-        self.current: Optional[Tuple[SimulationJob, float]] = None
+        #: The job in flight, else ``None``.
+        self.current: Optional[SimulationJob] = None
         self.dead = False
         #: Set by the ``ready`` frame — or by EOF, so a worker that dies
         #: during start-up does not hold its start for the full timeout.
@@ -222,13 +222,11 @@ class WorkerBackend:
         self,
         name: str,
         hosts: Sequence[str],
-        timeout: Optional[float] = None,
     ) -> None:
         if not hosts:
             raise EngineError(f"the {name} backend needs at least one host")
         self.name = name
         self.source = _SOURCES[name]
-        self.deadline = timeout
         self._hosts: Dict[str, _HostState] = {
             label: _HostState(label) for label in hosts
         }
@@ -300,7 +298,7 @@ class WorkerBackend:
             conn = state.conn
             state.stats["dispatches"] += 1
             report.dispatched.add(job)
-            conn.current = (job, time.monotonic())
+            conn.current = job
             if not conn.send("job", job):
                 conn.kill()
                 state.conn = None
@@ -332,20 +330,10 @@ class WorkerBackend:
             # host, so the loop ends.
             while (ready and hosts) or busy_conns():
                 dispatch_pass()
-                busy = busy_conns()
-                if not busy:
-                    continue
-                block = None
-                if self.deadline is not None:
-                    first = min(c.current[1] for c in busy) + self.deadline
-                    block = max(0.0, first - time.monotonic()) + 0.01
-                try:
-                    sender, kind, payload = inbox.get(timeout=block)
-                except queue.Empty:
-                    pass
-                else:
-                    self._handle_frame(sender, kind, payload, report)
-                self._deadline_pass(report)
+                if busy_conns():
+                    # A busy worker always answers: a result, an error
+                    # frame, or EOF when it dies.
+                    self._handle_frame(*inbox.get(), report)
         finally:
             for conn in connections:
                 conn.close()
@@ -383,44 +371,24 @@ class WorkerBackend:
             if current is not None:
                 report.notes.append(
                     f"host {state.label} worker died (exit {exit_code}) "
-                    f"running {current[0].describe()}; running it in-process"
+                    f"running {current.describe()}; running it in-process"
                 )
         elif current is None:
             return  # "ready"
         elif kind == "result":
             sender.current = None
-            report.completed[current[0]] = (payload["payload"], payload["wall"])
+            report.completed[current] = (payload["payload"], payload["wall"])
             state.stats["completions"] += 1
         elif kind == "error":
             sender.current = None
             report.notes.append(
-                f"job {current[0].describe()} raised on host {state.label} "
+                f"job {current.describe()} raised on host {state.label} "
                 f"({payload.get('kind')}: {payload.get('message')}); "
                 "running it in-process"
             )
 
-    def _deadline_pass(self, report) -> None:
-        """Kill every worker whose job has overrun the per-job deadline."""
-        if self.deadline is None:
-            return
-        now = time.monotonic()
-        for state in self._hosts.values():
-            conn = state.conn
-            if conn is None or conn.dead or conn.current is None:
-                continue
-            job, dispatched = conn.current
-            if now - dispatched >= self.deadline:
-                conn.kill()
-                state.conn = None
-                report.notes.append(
-                    f"job {job.describe()} exceeded the {self.deadline:g}s "
-                    f"timeout on host {state.label}; running it in-process"
-                )
 
-
-def build_backend(
-    name: str, max_workers: int, timeout: Optional[float] = None
-) -> WorkerBackend:
+def build_backend(name: str, max_workers: int) -> WorkerBackend:
     """The worker backend for ``--backend name``: ``max_workers`` local hosts."""
     name = resolve_backend_name(name)
-    return WorkerBackend(name, local_hosts(max(1, max_workers)), timeout)
+    return WorkerBackend(name, local_hosts(max(1, max_workers)))

@@ -1,8 +1,8 @@
 """Engine settings read from the command line or the environment.
 
-Every run resolves its worker count, backend, per-dispatch deadline,
-trace transport and fault plan when its
-:class:`~repro.engine.parallel.ExecutionEngine` is built, so a bad
+Every run resolves its worker count, backend, trace transport and fault
+plan when its :class:`~repro.engine.parallel.ExecutionEngine` is built,
+so a bad
 ``REPRO_*`` value fails before any simulation starts.  The modules that
 act on these settings — the worker backend, the trace arenas, the fault
 harness — load only when a run engages them.
@@ -10,7 +10,6 @@ harness — load only when a run engages them.
 
 from __future__ import annotations
 
-import math
 import os
 from typing import Optional
 
@@ -21,10 +20,6 @@ ENV_JOBS = "REPRO_JOBS"
 
 #: Environment variable selecting the backend.
 ENV_BACKEND = "REPRO_BACKEND"
-
-#: Environment variable: per-job timeout, seconds — the deadline of one
-#: worker dispatch (unset: no limit).
-ENV_JOB_TIMEOUT = "REPRO_JOB_TIMEOUT"
 
 #: Valid ``--backend`` / ``REPRO_BACKEND`` values.
 BACKEND_NAMES = ("pool", "subprocess")
@@ -79,26 +74,6 @@ def resolve_backend_name(value: Optional[str] = None) -> str:
             f"{', '.join(BACKEND_NAMES)}, got {value!r}"
         )
     return name
-
-
-def default_job_timeout() -> Optional[float]:
-    """Per-job timeout from ``REPRO_JOB_TIMEOUT``, or ``None`` (no limit)."""
-    raw = os.environ.get(ENV_JOB_TIMEOUT)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise EngineError(
-            f"{ENV_JOB_TIMEOUT} must be a number of seconds, got {raw!r}"
-        ) from None
-    # nan/inf would silently disable the deadline (no wait is >= nan).
-    if not math.isfinite(value) or value <= 0:
-        raise EngineError(
-            f"{ENV_JOB_TIMEOUT} must be a positive, finite number of "
-            f"seconds, got {raw!r}"
-        )
-    return value
 
 
 def resolve_transport_mode(value: Optional[str] = None) -> str:

@@ -2,31 +2,29 @@
 
 Every degradation path in :mod:`~repro.engine.backends` and
 :mod:`~repro.engine.store` exists to survive rare events — worker
-deaths, stuck jobs, bit rot — that never occur in a normal test run.
-This module makes those events *schedulable*, so each path is exercised
-on purpose rather than by luck.  Faults are **never active by default**:
-they are switched on only by the ``REPRO_FAULTS`` environment variable
-or an explicit :class:`FaultPlan` handed to the engine, and injection is
-a pure function of (job, attempt number), so a faulted run is exactly
-reproducible.  Attempt 1 is a job's first execution — on a worker when
+deaths, raised errors, mangled results, bit rot — that never occur in a
+normal test run.  This module makes those events *schedulable*, so each
+path is exercised on purpose rather than by luck.  Faults are **never
+active by default**: they are switched on only by the ``REPRO_FAULTS``
+environment variable or an explicit :class:`FaultPlan` handed to the
+engine, and injection is a pure function of (job, attempt number), so a
+faulted run is exactly reproducible.  Attempt 1 is a job's first execution — on a worker when
 workers engage — and attempt 2 the in-process rerun of a job the
 workers did not return.
 
 ``REPRO_FAULTS`` grammar — a comma-separated list of specs::
 
     spec    := kind ":" target [":" option "=" value]...
-    kind    := crash | timeout | raise | garbage | corrupt | partial
+    kind    := crash | raise | garbage | corrupt | partial
     target  := benchmark["@"scale]      ("*" wildcards either part)
     option  := attempt=N|*   (worker/result faults: which attempt fires,
                               default 1)
-             | seconds=X     (crash/timeout: sleep before acting,
-                              default 5 for timeout, 0 for crash)
+             | seconds=X     (crash: sleep before exiting, default 0)
              | times=N       (store faults: how many injections, default 1)
 
 Examples: ``raise:gzip@*:attempt=1`` (gzip's worker attempt raises, the
 in-process rerun succeeds), ``crash:ammp@0.02:seconds=1`` (the worker
-running ammp dies after 1 s), ``timeout:*:attempt=1:seconds=2`` (every
-job's worker attempt stalls 2 s), ``corrupt:gzip@*`` (gzip's cache entry
+running ammp dies after 1 s), ``corrupt:gzip@*`` (gzip's cache entry
 is corrupted right after it is written), ``partial:*:times=2`` (two
 entries are truncated as if a non-atomic writer crashed mid-write).
 
@@ -35,9 +33,6 @@ Fault kinds and the degradation path each one exercises:
 * ``crash``   — the worker process exits hard (``os._exit``): exercises
   worker-death detection — the job runs in-process and the host
   respawns a worker for its next job.
-* ``timeout`` — the worker sleeps ``seconds`` before simulating:
-  exercises the per-dispatch deadline (``REPRO_JOB_TIMEOUT``), which
-  kills the worker and runs the job in-process.
 * ``raise``   — the attempt raises :class:`InjectedFault`: on a worker
   it exercises the in-process rerun; in-process it fails the run.
 * ``garbage`` — the attempt completes but returns a mangled result
@@ -48,10 +43,10 @@ Fault kinds and the degradation path each one exercises:
 * ``partial`` — the just-written cache entry is truncated: exercises
   the torn-write path (header or checksum no longer parse).
 
-``crash`` and ``timeout`` only make sense inside a worker process; on
-the in-process path only ``raise`` faults are injected (a crash there
-would take the whole run down) plus ``garbage`` result mangling, which
-the validation gate turns into a failed job.
+``crash`` only makes sense inside a worker process; on the in-process
+path only ``raise`` faults are injected (a crash there would take the
+whole run down) plus ``garbage`` result mangling, which the validation
+gate turns into a failed job.
 """
 
 from __future__ import annotations
@@ -67,13 +62,10 @@ from .config import ENV_FAULTS
 #: Exit status used by injected worker crashes (recognisable in logs).
 CRASH_EXIT_CODE = 87
 
-WORKER_KINDS = ("crash", "timeout", "raise")
+WORKER_KINDS = ("crash", "raise")
 RESULT_KINDS = ("garbage",)
 STORE_KINDS = ("corrupt", "partial")
 KINDS = WORKER_KINDS + RESULT_KINDS + STORE_KINDS
-
-#: Default sleep for ``timeout`` faults, seconds.
-DEFAULT_FAULT_SECONDS = 5.0
 
 
 class InjectedFault(Exception):
@@ -93,7 +85,7 @@ class FaultSpec:
     benchmark: str = "*"
     scale: str = "*"
     attempt: Optional[int] = 1  #: ``None`` = every attempt (``attempt=*``).
-    seconds: Optional[float] = None  #: default: 5 for timeout, 0 for crash.
+    seconds: float = 0.0  #: ``crash`` only: sleep before exiting.
     times: int = 1
 
     def __post_init__(self) -> None:
@@ -105,7 +97,7 @@ class FaultSpec:
             raise EngineError(
                 f"fault attempt must be at least 1, got {self.attempt!r}"
             )
-        if self.seconds is not None and self.seconds < 0:
+        if self.seconds < 0:
             raise EngineError(
                 f"fault seconds must be non-negative, got {self.seconds!r}"
             )
@@ -113,13 +105,6 @@ class FaultSpec:
             raise EngineError(
                 f"fault times must be at least 1, got {self.times!r}"
             )
-
-    @property
-    def sleep_seconds(self) -> float:
-        """The pre-action sleep: explicit, else 5 s for timeout, 0 otherwise."""
-        if self.seconds is not None:
-            return self.seconds
-        return DEFAULT_FAULT_SECONDS if self.kind == "timeout" else 0.0
 
     def matches_job(self, job) -> bool:
         """Whether this spec targets ``job`` (ignoring the attempt)."""
@@ -141,8 +126,8 @@ class FaultSpec:
         parts = [f"{self.kind}:{target}"]
         if self.kind in WORKER_KINDS + RESULT_KINDS:
             parts.append(f"attempt={'*' if self.attempt is None else self.attempt}")
-            if self.kind in ("crash", "timeout"):
-                parts.append(f"seconds={self.sleep_seconds:g}")
+            if self.kind == "crash":
+                parts.append(f"seconds={self.seconds:g}")
         else:
             parts.append(f"times={self.times}")
         return ":".join(parts)
@@ -198,6 +183,10 @@ def _parse_spec(text: str) -> FaultSpec:
         raise EngineError(
             f"fault spec {text!r}: 'times' only applies to store faults"
         )
+    if kind != "crash" and "seconds" in kwargs:
+        raise EngineError(
+            f"fault spec {text!r}: 'seconds' only applies to crash faults"
+        )
     return FaultSpec(**kwargs)
 
 
@@ -216,7 +205,7 @@ def parse_fault_plan(text: str) -> "FaultPlan":
 class FaultPlan:
     """A schedule of deterministic faults plus a log of what fired.
 
-    Worker-side kinds (``crash``/``timeout``/``raise``) fire inside
+    Worker-side kinds (``crash``/``raise``) fire inside
     worker processes, which re-read ``REPRO_FAULTS`` from their
     inherited environment; store-side kinds (``corrupt``/``partial``)
     fire in the engine process right after a cache write and are counted
@@ -241,11 +230,8 @@ class FaultPlan:
         for spec in self.specs:
             if spec.kind not in WORKER_KINDS or not spec.matches(job, attempt):
                 continue
-            if spec.kind == "timeout":
-                time.sleep(spec.sleep_seconds)
-            elif spec.kind == "crash":
-                if spec.sleep_seconds:
-                    time.sleep(spec.sleep_seconds)
+            if spec.kind == "crash":
+                time.sleep(spec.seconds)
                 os._exit(CRASH_EXIT_CODE)
             else:  # raise
                 raise InjectedFault(

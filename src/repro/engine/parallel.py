@@ -40,7 +40,6 @@ from ..cache.kernel import resolve_kernel_mode
 from ..errors import EngineError
 from .config import (
     ENV_FAULTS,
-    default_job_timeout,
     resolve_backend_name,
     resolve_transport_mode,
     resolve_worker_count,
@@ -79,14 +78,12 @@ class ExecutionEngine:
         self,
         jobs: Optional[int] = None,
         store: Optional[object] = None,
-        timeout: Optional[float] = None,
         telemetry: Optional[RunTelemetry] = None,
         faults: Optional[FaultPlan] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.max_workers = resolve_worker_count(jobs)
         self.store = store if store is not None else ResultStore()
-        self.timeout = timeout if timeout is not None else default_job_timeout()
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
         if faults is None and os.environ.get(ENV_FAULTS):
             from .faults import active_plan
@@ -103,10 +100,7 @@ class ExecutionEngine:
                 "max_workers": self.max_workers,
                 "backend": self.backend,
                 "cache_dir": self.store.describe(),
-                "timeout_seconds": self.timeout,
                 "faults": None if self.faults is None else self.faults.describe(),
-                "kernel_mode": self.kernel_mode,
-                "transport": self.transport,
             }
         )
         from ..cache.kernel import resolve_residual_impl
@@ -134,9 +128,7 @@ class ExecutionEngine:
         if self._workers is None:
             from .backends import build_backend
 
-            self._workers = build_backend(
-                self.backend, self.max_workers, self.timeout
-            )
+            self._workers = build_backend(self.backend, self.max_workers)
         return self._workers
 
     @workers.setter

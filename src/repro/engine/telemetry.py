@@ -22,7 +22,7 @@ from .store import atomic_write_bytes
 
 #: Version of the manifest JSON layout, independent of the result cache's
 #: payload schema version; bump it whenever a section or field changes.
-MANIFEST_VERSION = 15
+MANIFEST_VERSION = 16
 
 
 class Stopwatch:

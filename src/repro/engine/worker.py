@@ -12,9 +12,9 @@ over its stdin/stdout using a tiny length-prefixed frame protocol::
 
 A job goes to a worker at most once, so the worker runs it as the
 job's attempt 1.  It re-executes ``REPRO_FAULTS`` from its inherited
-environment for that attempt: ``crash`` exits hard, ``timeout`` stalls
-before simulating, ``raise`` turns into an error frame, and ``garbage``
-mangles the result so the engine-side validation gate can catch it.
+environment for that attempt: ``crash`` exits hard, ``raise`` turns
+into an error frame, and ``garbage`` mangles the result so the
+engine-side validation gate can catch it.
 
 On startup the worker duplicates its stdout file descriptor for the
 frame stream and re-points fd 1 at stderr, so stray ``print`` calls

@@ -5,14 +5,12 @@ keep simulation time reasonable (§4.1); see DESIGN.md §3.6.
 """
 
 from .bbv import BBVProfile, BBVProfiler, profile_trace
-from .kmeans import KMeansResult, bic_score, choose_k, kmeans
+from .kmeans import choose_k, kmeans
 from .simpoint import select_simpoints
 
 __all__ = [
     "BBVProfile",
     "BBVProfiler",
-    "KMeansResult",
-    "bic_score",
     "choose_k",
     "kmeans",
     "profile_trace",

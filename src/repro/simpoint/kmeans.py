@@ -28,10 +28,6 @@ class KMeansResult:
         """Number of clusters."""
         return int(self.centroids.shape[0])
 
-    def cluster_sizes(self) -> np.ndarray:
-        """Members per cluster."""
-        return np.bincount(self.labels, minlength=self.k)
-
 
 def _plus_plus_init(
     points: np.ndarray, k: int, rng: np.random.Generator
@@ -109,7 +105,7 @@ def bic_score(points: np.ndarray, result: KMeansResult) -> float:
     variance = result.inertia / (d * (n - k))
     if variance <= 0:
         variance = 1e-12
-    sizes = result.cluster_sizes()
+    sizes = np.bincount(result.labels, minlength=k)
     log_likelihood = 0.0
     for size in sizes:
         if size <= 0:

@@ -19,7 +19,6 @@ def isolated_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     for var in (
         "REPRO_FAULTS",
-        "REPRO_JOB_TIMEOUT",
         "REPRO_JOBS",
         "REPRO_BACKEND",
     ):
@@ -51,12 +50,9 @@ class TestCliJson:
             "quarantined",
             "trace_bytes",
             "trace_files",
-            "traces",
         }
-        assert document["traces"] == {
-            "files": document["trace_files"],
-            "bytes": document["trace_bytes"],
-        }
+        for key, value in document.items():
+            assert isinstance(value, str if key == "directory" else int), key
         assert main(["cache", "info", "--json"]) == 0
         assert capsys.readouterr().out == first
 

@@ -202,21 +202,6 @@ class TestEngineCaching:
 
 
 class TestRobustness:
-    def test_timeout_exhausts_retries_then_leaves_serial_work(
-        self, monkeypatch
-    ):
-        # Every attempt outlives the 0.2s deadline: each worker is killed
-        # and, with no worker retries, its job is handed back for serial.
-        monkeypatch.setenv("REPRO_FAULTS", "timeout:*:attempt=*:seconds=2")
-        jobs = small_jobs()
-        backend = build_backend("subprocess", 2, timeout=0.2)
-        report = backend.run(jobs)
-        assert report.completed == {}
-        assert report.leftovers == jobs
-        assert report.dispatched == set(jobs)
-        assert any("exceeded the 0.2s timeout" in n for n in report.notes)
-        assert sum(h["dispatches"] for h in backend.snapshot().values()) == 2
-
     def test_worker_exception_left_for_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "raise:*:attempt=*")
         jobs = small_jobs()
@@ -244,18 +229,6 @@ class TestRobustness:
         assert any("failed to start" in note for note in engine.telemetry.notes)
         hosts = engine.telemetry.workers["hosts"]
         assert [h["connect_failures"] for h in hosts.values()] == [1, 1]
-
-    def test_timeout_env_validation(self, monkeypatch):
-        from repro.engine import default_job_timeout
-
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "2.5")
-        assert default_job_timeout() == 2.5
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "zero")
-        with pytest.raises(EngineError):
-            default_job_timeout()
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "-1")
-        with pytest.raises(EngineError):
-            default_job_timeout()
 
 
 class TestWorkerCount:
@@ -292,7 +265,7 @@ class TestTelemetry:
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == 15
+        assert manifest["manifest_version"] == 16
         for dropped in ("service", "coordination"):
             assert dropped not in manifest  # went with the serving daemon
         assert "hosts" not in manifest["engine"]  # went with remote hosts
@@ -342,6 +315,9 @@ class TestTelemetry:
             assert dropped not in totals
         assert "retry" not in manifest["engine"]
         assert "backend_chain" not in manifest["engine"]  # v15: no ladder
+        # v16: no deadline, and no copies of the substrate section's facts.
+        for dropped in ("timeout_seconds", "kernel_mode", "transport"):
+            assert dropped not in manifest["engine"]
         # v14 per-host layout of the workers section: counters only, no
         # hang events or requeues.
         from repro.engine import build_backend

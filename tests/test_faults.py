@@ -2,7 +2,7 @@
 
 Every degradation path the engine promises to survive is exercised here
 *on purpose* via the deterministic fault harness (``repro.engine.faults``):
-worker crashes, job timeouts, transient exceptions, corrupt and
+worker crashes, transient exceptions, garbage results, corrupt and
 partially-written cache entries, and rerunning against the same cache
 after a simulated mid-run crash.  The invariant under test throughout:
 faults may change where and when a simulation runs, but never what it
@@ -26,7 +26,6 @@ from repro.engine import (
     PoolReport,
     ResultStore,
     SimulationJob,
-    default_job_timeout,
     parse_fault_plan,
     resolve_cache_dir,
 )
@@ -50,7 +49,6 @@ def isolated_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     for var in (
         "REPRO_FAULTS",
-        "REPRO_JOB_TIMEOUT",
         "REPRO_JOBS",
         "REPRO_BACKEND",
     ):
@@ -79,10 +77,10 @@ class TestFaultGrammar:
     def test_round_trip(self):
         plan = parse_fault_plan(
             "raise:gzip@*:attempt=1, crash:ammp@0.02:seconds=1,"
-            "timeout:*:attempt=*:seconds=2, corrupt:gzip, partial:*:times=2"
+            "garbage:*:attempt=*, corrupt:gzip, partial:*:times=2"
         )
         kinds = [spec.kind for spec in plan.specs]
-        assert kinds == ["raise", "crash", "timeout", "corrupt", "partial"]
+        assert kinds == ["raise", "crash", "garbage", "corrupt", "partial"]
         reparsed = parse_fault_plan(plan.describe())
         assert reparsed.describe() == plan.describe()
 
@@ -96,14 +94,18 @@ class TestFaultGrammar:
         assert FaultSpec("raise", "gzip", "*", attempt=None).matches(job, 7)
 
     def test_default_sleep_depends_on_kind(self):
-        assert FaultSpec("timeout").sleep_seconds == 5.0
-        assert FaultSpec("crash").sleep_seconds == 0.0
-        assert FaultSpec("crash", seconds=1.5).sleep_seconds == 1.5
+        assert FaultSpec("crash").seconds == 0.0
+        assert FaultSpec("crash", seconds=1.5).seconds == 1.5
+        assert FaultSpec("crash", seconds=1.5).describe() == (
+            "crash:*:attempt=1:seconds=1.5"
+        )
+        assert FaultSpec("raise").describe() == "raise:*:attempt=1"
 
     @pytest.mark.parametrize(
         "bad",
         [
             "explode:gzip",  # unknown kind
+            "timeout:gzip",  # no per-dispatch deadline, so no timeout kind
             "raise",  # no target
             "raise:gzip:attempt",  # option without value
             "raise:gzip:bogus=1",  # unknown option
@@ -111,6 +113,7 @@ class TestFaultGrammar:
             "raise:gzip:attempt=0",  # attempt below 1
             "corrupt:gzip:attempt=1",  # attempt on a store fault
             "raise:gzip:times=2",  # times on a worker fault
+            "raise:gzip:seconds=1",  # seconds on a fault that never sleeps
             "  ,  ",  # empty plan
         ],
     )
@@ -127,26 +130,6 @@ class TestFaultGrammar:
         engine = ExecutionEngine(jobs=1, store=NullStore())
         assert engine.faults is not None
         assert engine.telemetry.context["faults"] == "raise:gzip:attempt=1"
-
-
-class TestRetryPolicy:
-    """The retry policy: a job gets one worker dispatch, bounded by
-    ``REPRO_JOB_TIMEOUT``, then at most one in-process run."""
-
-    @pytest.mark.parametrize(
-        ("var", "raw"),
-        [
-            ("REPRO_JOB_TIMEOUT", "nan"),
-            ("REPRO_JOB_TIMEOUT", "inf"),
-            ("REPRO_JOB_TIMEOUT", "0"),
-        ],
-    )
-    def test_env_validation(self, monkeypatch, var, raw):
-        # Non-finite values would silently disable the deadline (no wait
-        # is ever >= nan), so the knob rejects them.
-        monkeypatch.setenv(var, raw)
-        with pytest.raises(EngineError, match=var):
-            default_job_timeout()
 
 
 class TestSerialRetry:
@@ -234,26 +217,6 @@ class TestPoolFaults:
         assert sum(host["flaps"] for host in hosts) == 0
         assert outcomes[gzip_job].source == "serial-fallback"
         assert sum("raised on host" in n for n in engine.telemetry.notes) == 1
-        for job in small_jobs():
-            assert_results_identical(
-                outcomes[job].annotated, reference[job].annotated
-            )
-
-    def test_timeout_then_success_on_retry(self, reference, monkeypatch):
-        # The worker overruns its deadline and is killed; the job's one
-        # retry is the in-process rerun.
-        monkeypatch.setenv(
-            "REPRO_FAULTS", "timeout:gzip@*:attempt=1:seconds=3"
-        )
-        engine = ExecutionEngine(jobs=2, store=NullStore(), timeout=1.0)
-        outcomes = engine.run(small_jobs())
-        gzip_job = SimulationJob("gzip", scale=SMALL)
-        assert outcomes[gzip_job].source == "serial-fallback"
-        assert outcomes[gzip_job].attempts == 2
-        assert any(
-            "exceeded the 1s timeout" in note
-            for note in engine.telemetry.notes
-        )
         for job in small_jobs():
             assert_results_identical(
                 outcomes[job].annotated, reference[job].annotated
@@ -484,7 +447,7 @@ class TestByteIdenticalUnderFaults:
         faulted = capsys.readouterr()
         assert faulted.out == clean
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["manifest_version"] == 15
+        assert manifest["manifest_version"] == 16
         assert "retries" not in manifest
         assert manifest["totals"]["fallbacks"] == 1
         assert manifest["totals"]["faults_injected"] == 1
@@ -598,21 +561,18 @@ class TestChaos:
         assert manifest["failures"][0]["benchmark"] == "gzip"
 
     def test_chaos_degradation_matches_clean(self, capsys, monkeypatch):
-        """Stuck workers and garbage results on every backend.
+        """Garbage results on every backend.
 
-        On the worker backends the per-job deadline kills the stuck
-        worker and the validation gate quarantines the garbage result;
-        both jobs then run in-process.  A run with no workers never sees
-        the worker-side faults at all.  Either way the report must be
-        byte-identical to a clean run.
+        On the worker backends the validation gate quarantines the
+        garbage result of ammp's worker attempt and the job reruns
+        in-process.  A run with no workers runs each job once, as
+        attempt 1, so a fault aimed at attempt 2 never fires.  Either way
+        the report must be byte-identical to a clean run.
         """
         assert main([*CLI_BASE, "--jobs", "1", "--no-cache"]) == 0
         clean = capsys.readouterr().out
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "1.5")
-        faults = "timeout:gzip@*:attempt=1:seconds=4"
-        if not IN_PROCESS:
-            faults += ",garbage:ammp@*:attempt=1"
-        monkeypatch.setenv("REPRO_FAULTS", faults)
+        attempt = 2 if IN_PROCESS else 1
+        monkeypatch.setenv("REPRO_FAULTS", f"garbage:ammp@*:attempt={attempt}")
         code, manifest = self._run("degrade-manifest.json", "--no-cache")
         assert code == 0
         assert capsys.readouterr().out == clean
@@ -622,6 +582,6 @@ class TestChaos:
         assert (manifest["workers"] == {}) == IN_PROCESS
         if not IN_PROCESS:
             totals = manifest["totals"]
-            assert totals["fallbacks"] == 2
+            assert totals["fallbacks"] == 1
             assert totals["quarantined_results"] == 1
             assert manifest["quarantine"][0]["benchmark"] == "ammp"

@@ -1,9 +1,10 @@
 """What importing the package loads, and the names that must stay importable.
 
-``repro``, ``repro.engine`` and ``repro.traces`` re-export lazily, and
-the CLI imports the ``sweep`` verb's modules only when it runs, so a
-paper run never loads the sweep driver, SimPoint, the trace arenas or
-``subprocess``.  Each check starts a fresh interpreter: this test
+``repro``, ``repro.core``, ``repro.cache``, ``repro.engine`` and
+``repro.traces`` re-export lazily, and the CLI imports the ``sweep``
+verb's modules only when it runs, so a paper run never loads the sweep
+driver, SimPoint, the trace arenas, ``subprocess`` or the analysis
+modules it does not call.  Each check starts a fresh interpreter: this test
 process has imported everything already.
 """
 
@@ -46,14 +47,14 @@ def test_cli_import_leaves_unused_layers_unloaded():
         assert name not in loaded, name
 
 
-def test_in_process_run_leaves_the_worker_backend_unloaded(tmp_path):
-    # A --jobs 1 run never starts workers, so it must not pay for them.
+def run_figure9(cache_dir) -> list:
+    """Modules loaded by one ``run figure9 --scale 0.02 --jobs 1``."""
     loaded, code = json.loads(
         run_python(
             "import contextlib, io, json, os, sys\n"
             "for var in ('REPRO_BACKEND', 'REPRO_JOBS', 'REPRO_FAULTS'):\n"
             "    os.environ.pop(var, None)\n"
-            f"os.environ['REPRO_CACHE_DIR'] = {str(tmp_path)!r}\n"
+            f"os.environ['REPRO_CACHE_DIR'] = {str(cache_dir)!r}\n"
             "from repro.cli import main\n"
             "sink = io.StringIO()\n"
             "with contextlib.redirect_stdout(sink), "
@@ -64,8 +65,28 @@ def test_in_process_run_leaves_the_worker_backend_unloaded(tmp_path):
         )
     )
     assert code == 0
+    return loaded
+
+
+def test_in_process_run_leaves_the_worker_backend_unloaded(tmp_path):
+    # A --jobs 1 run never starts workers, so it must not pay for them.
+    loaded = run_figure9(tmp_path)
     for name in ("repro.engine.backends", "repro.engine.worker"):
         assert name not in loaded, name
+
+
+def test_cached_run_leaves_the_oracles_unloaded(tmp_path):
+    # A cached run only prices policies: it never calls the generalized
+    # model, the optimality oracle or the decay cache.
+    run_figure9(tmp_path)
+    loaded = run_figure9(tmp_path)
+    for name in ("repro.core.model", "repro.core.oracle", "repro.cache.decay"):
+        assert name not in loaded, name
+    out = run_python(
+        "import repro.cache, repro.core; "
+        "print(repro.core.OptHybrid.__name__, repro.cache.DecayCache.__name__)"
+    )
+    assert out == "OptHybrid DecayCache\n"
 
 
 def test_package_attributes_resolve_lazily():

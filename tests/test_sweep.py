@@ -47,7 +47,6 @@ def isolated_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     for var in (
         "REPRO_FAULTS",
-        "REPRO_JOB_TIMEOUT",
         "REPRO_JOBS",
     ):
         monkeypatch.delenv(var, raising=False)

@@ -241,7 +241,7 @@ class TestEngineEndToEnd:
         assert outcome.source == "parallel"
         assert outcome.annotated.result == expected
         assert transport.REGISTRY.active_segments() == []
-        assert engine.telemetry.context["transport"] == mode
+        assert engine.telemetry.substrate["transport"] == mode
         substrate = engine.telemetry.manifest()["substrate"]
         assert substrate["transport"] == mode
         assert substrate["traces_published"] == (0 if mode == "pickle" else 1)
