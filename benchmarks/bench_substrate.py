@@ -19,7 +19,6 @@ from repro.engine import ExecutionEngine, NullStore, ResultStore, SimulationJob
 from repro.engine import transport
 from repro.power.technology import paper_nodes
 from repro.prefetch.analysis import AnnotatingSimulator
-from repro.simpoint.bbv import profile_trace
 from repro.traces.format import TraceRecording, record_benchmark
 from repro.workloads import make_gzip
 
@@ -251,16 +250,6 @@ def test_policy_evaluation_repeat_call(benchmark):
     evaluate_policy(policy, population)
     result = benchmark.pedantic(evaluate_policy, args=(policy, population), rounds=100)
     assert 0.9 < result.saving_fraction < 1.0
-
-
-def test_bbv_profiling_throughput(benchmark):
-    """SimPoint profiling cost over a gzip trace."""
-
-    def run():
-        return profile_trace(make_gzip(scale=0.05).chunks(), window_instructions=10_000)
-
-    profile = benchmark.pedantic(run, rounds=5, iterations=1)
-    assert profile.n_windows >= 5
 
 
 def test_functional_decay_cache(benchmark):

@@ -17,7 +17,6 @@ the answer rests on:
   substrate: a 64 KB/64 KB/2 MB hierarchy with generation tracking, the
   batched simulation kernel and a width-limited timing model.
 * :mod:`repro.workloads` — six SPEC2000-like synthetic benchmarks.
-* :mod:`repro.simpoint` — BBV profiling + k-means phase selection.
 * :mod:`repro.prefetch` — the trace simulator (timing, interval
   populations and their prefetchability in one pass), next-line and
   stride prefetchers, and the Prefetch-A/B oracle approximations.
@@ -70,7 +69,6 @@ _SUBPACKAGES = (
     "experiments",
     "power",
     "prefetch",
-    "simpoint",
     "workloads",
 )
 
@@ -99,7 +97,6 @@ __all__ = [
     "power",
     "prefetch",
     "quick_limits",
-    "simpoint",
     "workloads",
 ]
 

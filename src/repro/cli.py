@@ -5,7 +5,7 @@ Four subcommands::
     repro-leakage run <experiment> [...]   # tables/figures (the default)
     repro-leakage cache {info,clear}       # result-cache maintenance
     repro-leakage sweep {plan,run}         # parameter sweeps
-    repro-leakage trace {record,info,validate,convert,simpoints}  # traces
+    repro-leakage trace {record,info,validate,convert}  # traces
 
 The historical flat forms keep working — a bare experiment name implies
 ``run``::
@@ -425,47 +425,6 @@ def _add_trace_parser(commands) -> None:
     )
     convert.set_defaults(handler=trace_convert_command)
 
-    simpoints = verbs.add_parser(
-        "simpoints",
-        help="cluster a trace into SimPoint windows; optionally estimate "
-        "whole-trace savings from the representatives",
-    )
-    simpoints.add_argument("path", metavar="FILE")
-    simpoints.add_argument(
-        "--window-instructions", type=int, default=None, metavar="N",
-        help="profiling window size (default 100000)",
-    )
-    simpoints.add_argument(
-        "--max-k", type=int, default=10, metavar="K",
-        help="cluster-count ceiling for the BIC-style search (default 10)",
-    )
-    simpoints.add_argument(
-        "--seed", type=int, default=0, help="k-means seed (default 0)"
-    )
-    simpoints.add_argument(
-        "--estimate", action="store_true",
-        help="simulate the representative windows through the engine and "
-        "print the weight-averaged whole-trace savings",
-    )
-    simpoints.add_argument(
-        "--exact", action="store_true",
-        help="also simulate the full trace and report the estimation error "
-        "(implies --estimate)",
-    )
-    simpoints.add_argument(
-        "--max-error", type=float, default=None, metavar="X",
-        help="with --exact: fail (exit 2) if the max absolute savings "
-        "error exceeds X",
-    )
-    simpoints.add_argument(
-        "--nodes", nargs="*", type=int, default=None,
-        help="technology nodes in nm for --estimate (default 70 100 130 180)",
-    )
-    simpoints.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    simpoints.set_defaults(handler=trace_simpoints_command)
-
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -676,82 +635,6 @@ def trace_convert_command(args) -> int:
         f"{report.skipped_lines} line(s) skipped"
     )
     _print_trace_info(report.info, False)
-    return 0
-
-
-def _print_estimate(label: str, document: dict) -> None:
-    print(f"{label} savings (scheme x node):")
-    nodes = document["nodes"]
-    for cache, grid in document["savings"].items():
-        for scheme, row in zip(document["schemes"], grid):
-            cells = "  ".join(
-                f"{nm}nm {value:.3f}" for nm, value in zip(nodes, row)
-            )
-            print(f"  {cache:<6} {scheme:<11} {cells}")
-
-
-def trace_simpoints_command(args) -> int:
-    from .traces import estimate as est
-
-    if args.window_instructions is not None and args.window_instructions <= 0:
-        return _fail(
-            f"--window-instructions must be positive, "
-            f"got {args.window_instructions}"
-        )
-    if args.max_k < 1:
-        return _fail(f"--max-k must be at least 1, got {args.max_k}")
-    if args.max_error is not None and not args.exact:
-        return _fail("--max-error needs --exact (nothing to compare against)")
-    wants_estimate = args.estimate or args.exact
-    try:
-        plan = est.plan_simpoints(
-            args.path,
-            window_instructions=(
-                args.window_instructions or est.DEFAULT_WINDOW_INSTRUCTIONS
-            ),
-            max_k=args.max_k,
-            seed=args.seed,
-        )
-        document = {"plan": plan.to_dict()}
-        if wants_estimate:
-            nodes = tuple(args.nodes) if args.nodes else est.DEFAULT_NODES
-            engine = ExecutionEngine()
-            estimated = est.estimate_savings(plan, nodes=nodes, engine=engine)
-            document["estimate"] = estimated.to_dict()
-            if args.exact:
-                exact = est.exact_savings(
-                    plan.trace_path, nodes=nodes, engine=engine
-                )
-                document["exact"] = exact.to_dict()
-                document["max_abs_error"] = estimated.max_abs_error(exact)
-    except ReproError as error:
-        return _fail(str(error))
-    except OSError as error:
-        return _fail(f"simpoint planning failed: {error}")
-    if args.json:
-        print(dumps_stable(document), end="")
-    else:
-        print(f"trace:    {plan.trace_path}")
-        print(
-            f"windows:  {plan.n_windows} x {plan.window_instructions} "
-            f"instructions"
-        )
-        print(f"simpoints ({len(plan.windows)}):")
-        for window, weight in zip(plan.windows, plan.weights):
-            print(f"  window {window:>6}  weight {weight:.4f}")
-        if wants_estimate:
-            _print_estimate("estimated", document["estimate"])
-        if args.exact:
-            _print_estimate("exact", document["exact"])
-            print(f"max abs savings error: {document['max_abs_error']:.4f}")
-    if (
-        args.max_error is not None
-        and document["max_abs_error"] > args.max_error
-    ):
-        return _fail(
-            f"simpoint estimation error {document['max_abs_error']:.4f} "
-            f"exceeds the --max-error bound {args.max_error}"
-        )
     return 0
 
 

@@ -60,9 +60,8 @@ class SimulationJob:
 
     ``benchmark`` is a workload ref (:mod:`repro.traces.registry`): a
     paper benchmark name (``"gzip"``) or a recorded trace ref
-    (``"trace:/path/file.rtr"``, optionally with a
-    ``#window:window_instructions`` suffix).  Recorded traces run at
-    scale 1.0 — they carry their own length.
+    (``"trace:/path/file.rtr"``).  Recorded traces run at scale 1.0 —
+    they carry their own length.
     """
 
     benchmark: str
@@ -109,10 +108,10 @@ class SimulationJob:
         *synthetic* name and scale it was recorded at, so every document
         derived from it (result payloads, reports) serializes
         byte-identically to the inline synthetic run sharing its key.
-        Foreign traces and window refs keep the job's own fields.
+        Foreign traces keep the job's own fields.
         """
         identity = self.fingerprint()
-        if set(identity) == {"benchmark", "scale", "pipeline"}:
+        if "benchmark" in identity:
             return identity["benchmark"], float(identity["scale"])
         return self.benchmark, float(self.scale)
 
@@ -160,8 +159,7 @@ def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
     if is_trace_ref(job.benchmark):
         from .transport import overlay_chunks
 
-        ref = parse_trace_ref(job.benchmark)
-        chunks = overlay_chunks(ref.path, ref.window, ref.window_instructions)
+        chunks = overlay_chunks(parse_trace_ref(job.benchmark))
     if chunks is None:
         chunks = workload_chunks(job.benchmark, job.scale)
     annotated = AnnotatingSimulator(pipeline=job.pipeline).run(chunks)

@@ -30,8 +30,8 @@ unlinks them when the dispatch that published them completes, so a
 worker killed mid-chunk can never leak a segment, and it removes the
 manifest directory once the last arena is released.
 
-Arenas preserve the on-disk chunk boundaries, so chunked simulation and
-SimPoint window slicing behave identically to the streaming reader.
+Arenas preserve the on-disk chunk boundaries, so chunked simulation
+behaves identically to the streaming reader.
 """
 
 from __future__ import annotations
@@ -362,10 +362,10 @@ def trace_paths_for_jobs(jobs: Sequence[object]) -> List[str]:
         benchmark = getattr(job, "benchmark", None)
         if isinstance(benchmark, str) and is_trace_ref(benchmark):
             try:
-                ref = parse_trace_ref(benchmark)
+                path = parse_trace_ref(benchmark)
             except Exception:  # noqa: BLE001 — job validation owns errors
                 continue
-            seen.setdefault(os.path.abspath(ref.path))
+            seen.setdefault(os.path.abspath(path))
     return list(seen)
 
 
@@ -479,17 +479,11 @@ def _attach_columns(handle: Dict):
     }
 
 
-def overlay_chunks(
-    trace_path: str,
-    window: Optional[int] = None,
-    window_instructions: Optional[int] = None,
-) -> Optional[Iterator["object"]]:
+def overlay_chunks(trace_path: str) -> Optional[Iterator["object"]]:
     """Chunk iterator over a published arena, or ``None`` to fall back.
 
     Yields :class:`~repro.cpu.trace.TraceChunk` views straight into the
-    arena, honouring the original on-disk chunk boundaries — windowed
-    refs slice exactly like
-    :meth:`~repro.traces.format.TraceRecording.window_chunks`.
+    arena, honouring the original on-disk chunk boundaries.
     """
     handle = _read_handle(trace_path)
     if handle is None:
@@ -504,50 +498,17 @@ def overlay_chunks(
         )
         return None
     offsets = [int(o) for o in handle["chunk_offsets"]]
-    total = int(handle["instructions"])
-    return _arena_chunks(
-        trace_path, columns, offsets, total, window, window_instructions
-    )
+    return _arena_chunks(columns, offsets, int(handle["instructions"]))
 
 
-def _arena_chunks(
-    trace_path, columns, offsets, total, window, window_instructions
-) -> Iterator["object"]:
+def _arena_chunks(columns, offsets, total) -> Iterator["object"]:
     from ..cpu.trace import TraceChunk
-    from ..errors import ConfigurationError
 
-    if window is None:
-        start, stop = 0, total
-    else:
-        if window < 0:
-            raise ConfigurationError(
-                f"window must be non-negative, got {window}"
-            )
-        if not window_instructions or window_instructions <= 0:
-            raise ConfigurationError(
-                f"window_instructions must be positive, got "
-                f"{window_instructions}"
-            )
-        start = window * window_instructions
-        stop = start + window_instructions
-    yielded = False
     bounds = offsets + [total]
-    for index in range(len(offsets)):
-        chunk_start, chunk_stop = bounds[index], bounds[index + 1]
-        if chunk_stop <= start or chunk_start >= stop:
-            continue
-        lo = max(start, chunk_start)
-        hi = min(stop, chunk_stop)
-        if hi <= lo:
-            continue
-        yield TraceChunk(
-            columns["pcs"][lo:hi],
-            columns["data_addresses"][lo:hi],
-            columns["data_kinds"][lo:hi],
-        )
-        yielded = True
-    if window is not None and not yielded:
-        raise ConfigurationError(
-            f"window {window} (instructions {start}..{stop}) lies "
-            f"beyond the end of trace {trace_path}"
-        )
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > lo:
+            yield TraceChunk(
+                columns["pcs"][lo:hi],
+                columns["data_addresses"][lo:hi],
+                columns["data_kinds"][lo:hi],
+            )

@@ -5,15 +5,11 @@ defines the versioned chunked on-disk trace format (streaming writer and
 reader); :mod:`~repro.traces.adapters` converts external dumps (gem5
 Exec text traces) into it; :mod:`~repro.traces.registry` makes recorded
 traces and paper benchmarks interchangeable workload refs through four
-functions (check, identity, chunks, label); and
-:mod:`~repro.traces.estimate` fans SimPoint windows of a trace out as
-window refs so whole-trace savings can be reconstructed from a few
-representative regions.
+functions (check, identity, chunks, label).
 
 Every name is re-exported lazily, on first use.  The engine resolves
 each job's workload through :mod:`~repro.traces.registry`, so a run of
-the paper suite imports that module and nothing else from here; and
-``estimate`` imports the engine, so loading it eagerly would cycle.
+the paper suite imports that module and nothing else from here.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "TRACE_SCHEME",
-            "TraceRef",
             "check_workload",
             "describe_workload",
             "format_trace_ref",
@@ -55,19 +50,6 @@ _EXPORTS = {
             "workload_identity",
         ),
         "registry",
-    ),
-    **dict.fromkeys(
-        (
-            "CACHES",
-            "DEFAULT_NODES",
-            "DEFAULT_WINDOW_INSTRUCTIONS",
-            "SavingsEstimate",
-            "SimPointPlan",
-            "estimate_savings",
-            "exact_savings",
-            "plan_simpoints",
-        ),
-        "estimate",
     ),
 }
 

@@ -24,10 +24,8 @@ straight to the end frame without scanning the file.
 
 The reader is streaming: :meth:`TraceRecording.chunks` decodes at most
 one chunk ahead of its consumer, on a helper thread, so peak memory is
-bounded by two chunks no matter how large the trace file is.
-:meth:`TraceRecording.window_chunks` additionally *seeks over* chunks
-that do not overlap the requested SimPoint window instead of decoding
-them.
+bounded by two chunks no matter how large the trace file is.  Every
+read walks the whole file, so the whole-trace digest is always checked.
 
 Compression codecs: ``none`` and ``gzip`` (zlib).  A header naming any
 other codec fails with a :class:`~repro.errors.ConfigurationError`.
@@ -207,8 +205,7 @@ class TraceWriter:
 
     The writer re-chunks its input: appended chunks are buffered and
     emitted as exact ``chunk_instructions``-sized chunks (the final
-    chunk may be shorter), so the on-disk chunking — and therefore the
-    window addressing used by SimPoint estimation — is independent of
+    chunk may be shorter), so the on-disk chunking is independent of
     how the producer happened to batch its accesses.  Output goes to a
     temporary file in the destination directory and is atomically
     renamed into place on :meth:`close`; an aborted writer leaves
@@ -447,22 +444,19 @@ class TraceRecording:
             file_bytes=size,
         )
 
-    def _payloads(
-        self, fh, read: Callable[[int], Any], start: int = 0, stop: Optional[int] = None
-    ) -> Iterator[Tuple[int, int, Any]]:
+    def _payloads(self, fh, read: Callable[[int], Any]) -> Iterator[Tuple[int, Any]]:
         """Walk the frames of ``fh`` (a file or an mmap), verifying each check.
 
-        Yields ``(index, first instruction, raw payload)`` for every chunk
-        frame, in order.  Payloads come from ``read``, so the mmap reader
-        can hand out zero-copy slices.  With a ``stop``, only the chunks
-        overlapping instructions ``[start, stop)`` are read: the rest are
-        skipped with ``seek``, and the whole-trace digest goes unchecked.
+        Yields ``(index, raw payload)`` for every chunk frame, in order,
+        and checks the whole-trace digest at the end frame.  Payloads
+        come from ``read``, so the mmap reader can hand out zero-copy
+        slices.
         """
         fh.seek(0)
         self._read_header(fh)
-        running = hashlib.sha256() if stop is None else None
-        index = position = 0
-        while stop is None or position < stop:
+        running = hashlib.sha256()
+        index = 0
+        while True:
             meta = _read_frame_meta(fh, self.path, f"chunk {index}")
             kind = meta.get("kind")
             if kind == "end":
@@ -471,7 +465,7 @@ class TraceRecording:
                         f"{self.path}: end frame declares {meta.get('chunks')} chunks "
                         f"but {index} were read"
                     )
-                if running is not None and meta.get("digest") != running.hexdigest():
+                if meta.get("digest") != running.hexdigest():
                     raise TraceFormatError(
                         f"{self.path}: whole-trace digest mismatch; the file is corrupt"
                     )
@@ -483,20 +477,14 @@ class TraceRecording:
                     f"{self.path}: chunk frames out of order "
                     f"(expected index {index}, found {meta.get('index')!r})"
                 )
-            count = meta.get("instructions")
             declared = meta.get("payload_bytes")
-            if not isinstance(count, int):
+            if not isinstance(meta.get("instructions"), int):
                 raise TraceFormatError(f"{self.path}: chunk {index} metadata incomplete")
             if not isinstance(declared, int) or declared < 0:
                 raise TraceFormatError(f"{self.path}: chunk {index} declares no payload size")
-            if stop is not None and position + count <= start:
-                fh.seek(declared, os.SEEK_CUR)
-            else:
-                raw = self._check_payload(read(declared), meta, index)
-                if running is not None:
-                    running.update(raw)
-                yield index, position, raw
-            position += count
+            raw = self._check_payload(read(declared), meta, index)
+            running.update(raw)
+            yield index, raw
             index += 1
 
     def _check_payload(self, payload, meta: Dict[str, Any], index: int):
@@ -558,7 +546,7 @@ class TraceRecording:
         with self.path.open("rb") as fh:
             yield from _read_ahead(
                 _decode_chunk(raw, self.path, index)
-                for index, _, raw in self._payloads(fh, fh.read)
+                for index, raw in self._payloads(fh, fh.read)
             )
 
     def _open_mmap(self) -> Optional[mmap.mmap]:
@@ -588,7 +576,7 @@ class TraceRecording:
 
         released = 0
         try:
-            for index, _, raw in self._payloads(mapped, read):
+            for index, raw in self._payloads(mapped, read):
                 yield _decode_chunk(raw, self.path, index, copy=False)
                 # The consumer is done with this chunk: drop its pages from
                 # the resident set, or RSS grows to the file's size.  They
@@ -604,38 +592,6 @@ class TraceRecording:
             # is released when the last view is garbage-collected.
             with contextlib.suppress(BufferError):
                 mapped.close()
-
-    def window_chunks(self, window: int, window_instructions: int) -> Iterator[TraceChunk]:
-        """Yield only the accesses of one SimPoint window, seeking past the rest.
-
-        ``window`` is a 0-based index of a ``window_instructions``-sized
-        region, the addressing of SimPoint's profiling windows
-        (:mod:`repro.simpoint`).  Chunk payloads that do not overlap the window are skipped
-        with ``seek`` — they are neither decompressed nor checksummed —
-        so extracting one region of a huge trace touches O(window) data.
-        """
-
-        if window < 0:
-            raise ConfigurationError(f"window must be non-negative, got {window}")
-        if window_instructions <= 0:
-            raise ConfigurationError(
-                f"window_instructions must be positive, got {window_instructions}"
-            )
-        start = window * window_instructions
-        stop = start + window_instructions
-        yielded = False
-        with self.path.open("rb") as fh:
-            for index, first, raw in self._payloads(fh, fh.read, start, stop):
-                chunk = _decode_chunk(raw, self.path, index)
-                part = chunk.slice(max(start - first, 0), min(stop - first, len(chunk)))
-                if len(part):
-                    yield part
-                    yielded = True
-        if not yielded:
-            raise ConfigurationError(
-                f"window {window} (instructions {start}..{stop}) lies beyond the end "
-                f"of trace {self.path}"
-            )
 
     def validate(self) -> TraceInfo:
         """Walk the whole file verifying every checksum and the trailer."""

@@ -9,13 +9,9 @@ ref*:
 
 ``"trace:/path/to/file.rtr"``
     A recorded trace file in the native format (see
-    :mod:`repro.traces.format`), streamed chunk-by-chunk.  A trace
-    carries its own length, so it runs at scale 1.0 only.
-
-``"trace:/path/to/file.rtr#3:100000"``
-    One SimPoint window of a recorded trace: window index 3 of
-    100 000-instruction windows.  Used by SimPoint estimation to fan
-    representative regions out through the engine as ordinary jobs.
+    :mod:`repro.traces.format`), streamed chunk-by-chunk from start to
+    end.  Everything after the scheme is the path.  A trace carries its
+    own length, so it runs at scale 1.0 only.
 
 :func:`check_workload` says whether a ref runs at a scale,
 :func:`workload_identity` gives its part of the content address,
@@ -32,8 +28,6 @@ trace does not change its content address.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 
@@ -46,8 +40,6 @@ if TYPE_CHECKING:
 
 TRACE_SCHEME = "trace:"
 
-_WINDOW_RE = re.compile(r"#(\d+):(\d+)$")
-
 
 def is_trace_ref(ref: str) -> bool:
     """True when ``ref`` names a recorded trace rather than a generator."""
@@ -55,53 +47,23 @@ def is_trace_ref(ref: str) -> bool:
     return isinstance(ref, str) and ref.startswith(TRACE_SCHEME)
 
 
-@dataclass(frozen=True)
-class TraceRef:
-    """Parsed form of a ``trace:`` workload ref."""
-
-    path: str
-    window: Optional[int] = None
-    window_instructions: Optional[int] = None
-
-    @property
-    def ref(self) -> str:
-        base = f"{TRACE_SCHEME}{self.path}"
-        if self.window is None:
-            return base
-        return f"{base}#{self.window}:{self.window_instructions}"
-
-
-def format_trace_ref(
-    path: Path | str, window: Optional[int] = None, window_instructions: Optional[int] = None
-) -> str:
+def format_trace_ref(path: Path | str) -> str:
     """Build the canonical string form of a trace ref."""
 
-    return TraceRef(str(path), window, window_instructions).ref
+    return f"{TRACE_SCHEME}{path}"
 
 
-def parse_trace_ref(ref: str) -> TraceRef:
-    """Parse ``trace:<path>[#<window>:<window_instructions>]``."""
+def parse_trace_ref(ref: str) -> str:
+    """The file path of a ``trace:<path>`` ref."""
 
     if not is_trace_ref(ref):
         raise WorkloadRefError(f"{ref!r} is not a trace ref (expected '{TRACE_SCHEME}<path>')")
-    body = ref[len(TRACE_SCHEME):]
-    window: Optional[int] = None
-    window_instructions: Optional[int] = None
-    match = _WINDOW_RE.search(body)
-    if match:
-        window = int(match.group(1))
-        window_instructions = int(match.group(2))
-        if window_instructions <= 0:
-            raise WorkloadRefError(
-                f"{ref!r}: window instruction count must be positive"
-            )
-        body = body[: match.start()]
-    if not body:
+    path = ref[len(TRACE_SCHEME):]
+    if not path:
         raise WorkloadRefError(
-            f"{ref!r}: a trace ref needs a file path "
-            f"('{TRACE_SCHEME}<path>[#<window>:<instructions>]')"
+            f"{ref!r}: a trace ref needs a file path ('{TRACE_SCHEME}<path>')"
         )
-    return TraceRef(path=body, window=window, window_instructions=window_instructions)
+    return path
 
 
 # Trace header info memoized by (path, size, mtime_ns) so repeated
@@ -130,16 +92,16 @@ def trace_info(path: Path | str) -> TraceInfo:
     return info
 
 
-def _require_unit_scale(ref: str, scale: float) -> TraceRef:
-    """Parse a trace ref, refusing any scale but 1.0."""
+def _require_unit_scale(ref: str, scale: float) -> str:
+    """Parse a trace ref to its path, refusing any scale but 1.0."""
 
-    trace = parse_trace_ref(ref)
+    path = parse_trace_ref(ref)
     if float(scale) != 1.0:
         raise WorkloadRefError(
             f"{ref!r}: a recorded trace carries its own scale; "
             f"use scale 1.0 (got {scale!r})"
         )
-    return trace
+    return path
 
 
 def check_workload(ref: str, scale: float) -> None:
@@ -156,9 +118,9 @@ def check_workload(ref: str, scale: float) -> None:
                 f"(or a '{TRACE_SCHEME}<path>' ref to a recorded trace)"
             )
         return
-    trace = _require_unit_scale(ref, scale)
+    path = _require_unit_scale(ref, scale)
     try:
-        trace_info(trace.path)
+        trace_info(path)
     except ReproError as error:
         raise WorkloadRefError(str(error)) from None
 
@@ -173,20 +135,14 @@ def workload_identity(ref: str, scale: float) -> Dict[str, Any]:
 
     if not is_trace_ref(ref):
         return {"benchmark": ref, "scale": repr(float(scale))}
-    trace = _require_unit_scale(ref, scale)
-    info = trace_info(trace.path)
+    info = trace_info(_require_unit_scale(ref, scale))
     provenance = info.provenance or {}
     if provenance.get("benchmark") in BENCHMARK_NAMES and "scale" in provenance:
-        identity: Dict[str, Any] = {
+        return {
             "benchmark": provenance["benchmark"],
             "scale": repr(float(provenance["scale"])),
         }
-    else:
-        identity = {"trace": info.digest}
-    if trace.window is not None:
-        identity["window"] = trace.window
-        identity["window_instructions"] = trace.window_instructions
-    return identity
+    return {"trace": info.digest}
 
 
 def workload_chunks(ref: str, scale: float) -> Iterator[TraceChunk]:
@@ -196,11 +152,7 @@ def workload_chunks(ref: str, scale: float) -> Iterator[TraceChunk]:
         return make_benchmark(ref, scale=scale).chunks()
     from .format import TraceRecording
 
-    trace = _require_unit_scale(ref, scale)
-    recording = TraceRecording(trace.path)
-    if trace.window is None:
-        return recording.chunks()
-    return recording.window_chunks(trace.window, trace.window_instructions)
+    return TraceRecording(_require_unit_scale(ref, scale)).chunks()
 
 
 def describe_workload(ref: str) -> str:
@@ -208,10 +160,7 @@ def describe_workload(ref: str) -> str:
 
     if not is_trace_ref(ref):
         return ref
-    trace = parse_trace_ref(ref)
-    return format_trace_ref(
-        Path(trace.path).name, trace.window, trace.window_instructions
-    )
+    return format_trace_ref(Path(parse_trace_ref(ref)).name)
 
 
 def trace_store_dir(directory: Optional[Path | str] = None) -> Path:

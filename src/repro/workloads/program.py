@@ -266,25 +266,15 @@ class Workload:
         """Total instruction footprint across regions (assumes disjoint)."""
         return sum(phase.code_bytes for phase in self.phases)
 
-    def chunks(self, chunk_limit: Optional[int] = None) -> Iterator[TraceChunk]:
+    def chunks(self) -> Iterator[TraceChunk]:
         """Generate the trace, one chunk per visit.
 
-        ``chunk_limit`` truncates the run after roughly that many
-        instructions — used by tests and the SimPoint profiler.  Patterns
-        are stateful, so a ``Workload`` should be rebuilt before being
-        generated a second time.
+        Patterns are stateful, so a ``Workload`` should be rebuilt before
+        being generated a second time.
         """
-        emitted = 0
         for _ in range(self.rounds):
             for visit in self.schedule:
-                take = visit.instructions
-                if chunk_limit is not None:
-                    remaining = chunk_limit - emitted
-                    if remaining <= 0:
-                        return
-                    take = min(take, remaining)
-                yield self.phases[visit.phase_index].emit(take)
-                emitted += take
+                yield self.phases[visit.phase_index].emit(visit.instructions)
 
     def describe(self) -> str:
         """Multi-line human-readable structure summary."""

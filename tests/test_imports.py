@@ -3,7 +3,7 @@
 ``repro``, ``repro.core``, ``repro.cache``, ``repro.engine`` and
 ``repro.traces`` re-export lazily, and the CLI imports the ``sweep``
 verb's modules only when it runs, so a paper run never loads the sweep
-driver, SimPoint, the trace arenas, ``subprocess`` or the analysis
+driver, the trace arenas, ``subprocess`` or the analysis
 modules it does not call.  Each check starts a fresh interpreter: this test
 process has imported everything already.
 """
@@ -38,7 +38,6 @@ def test_cli_import_leaves_unused_layers_unloaded():
     )
     for name in (
         "repro.sweep",
-        "repro.simpoint",
         "repro.engine.transport",
         "repro.engine.backends",
         "repro.engine.faults",
@@ -93,13 +92,13 @@ def test_package_attributes_resolve_lazily():
     out = run_python(
         "import repro; "
         "print(repro.core.OptHybrid.__name__, repro.quick_limits.__name__, "
-        "repro.simpoint.__name__); "
+        "repro.experiments.__name__); "
         "from repro import engine, ConfigurationError; "
         "from repro.engine import ExecutionEngine, BACKEND_NAMES, FaultPlan; "
         "print(ExecutionEngine.__name__, BACKEND_NAMES, FaultPlan.__name__)"
     )
     assert out.split("\n")[:2] == [
-        "OptHybrid quick_limits repro.simpoint",
+        "OptHybrid quick_limits repro.experiments",
         "ExecutionEngine ('pool', 'subprocess') FaultPlan",
     ]
 

@@ -1,17 +1,16 @@
-"""Real-trace ingestion: format, registry, streaming equality, SimPoint.
+"""Real-trace ingestion: format, registry, streaming equality.
 
 The contract under test: *where a workload comes from never changes
 what it computes*.  A benchmark recorded to disk and streamed back
 shares the synthetic original's content address and serializes to the
 byte-identical result document; a foreign trace is keyed by a
 chunking- and codec-independent content digest; corruption anywhere in
-a trace file is detected and named before it can poison a simulation;
-and SimPoint estimation over a recorded trace reconstructs whole-trace
-savings within a stated error bound.
+a trace file is detected and named before it can poison a simulation.
 """
 
 import gc
 import json
+import re
 import struct
 import threading
 import time
@@ -52,12 +51,6 @@ from repro.traces import (
     trace_info,
 )
 from repro.traces import format as trace_format
-from repro.traces.estimate import (
-    SimPointPlan,
-    estimate_savings,
-    exact_savings,
-    plan_simpoints,
-)
 from repro.workloads.benchmarks import make_benchmark
 
 #: Small enough that one simulation takes well under a second.
@@ -184,19 +177,6 @@ class TestFormat:
         assert info.digest == recorded.digest
         assert info.instructions == recorded.instructions
 
-    def test_window_chunks_match_inline_slice(self, recorded, gzip_chunks):
-        n = 20_000
-        window = merge_chunks(TraceRecording(recorded.path).window_chunks(1, n))
-        inline = merge_chunks(gzip_chunks).slice(n, 2 * n)
-        assert np.array_equal(window.pcs, inline.pcs)
-        assert np.array_equal(window.data_addresses, inline.data_addresses)
-        assert np.array_equal(window.data_kinds, inline.data_kinds)
-
-    def test_window_beyond_eof_is_an_error(self, recorded):
-        beyond = recorded.instructions // 1000 + 5
-        with pytest.raises(ConfigurationError):
-            list(TraceRecording(recorded.path).window_chunks(beyond, 1000))
-
     def test_unknown_codec_is_a_config_error(self, tmp_path, gzip_chunks):
         with pytest.raises(ConfigurationError):
             record_chunks(gzip_chunks, tmp_path / "x.rtr", codec="brotli")
@@ -299,9 +279,10 @@ class TestReadAhead:
             data = bytearray(path.read_bytes())
             data[(start + stop) // 2] ^= 0xFF
             path.write_bytes(bytes(data))
-            # The same chunk read on its own (no read-ahead) names the error.
-            with pytest.raises(TraceFormatError) as sequential:
-                list(TraceRecording(path).window_chunks(k, self.CHUNK))
+            # A plain sequential walk of the file (no read-ahead, no
+            # mmap) names the error.
+            with pytest.raises(TraceFormatError) as sequential, path.open("rb") as fh:
+                list(TraceRecording(path)._payloads(fh, fh.read))
             yielded = 0
             with pytest.raises(TraceFormatError) as streamed:
                 for _ in TraceRecording(path).chunks():
@@ -383,16 +364,8 @@ class TestRegistry:
     def test_ref_round_trip(self, tmp_path):
         ref = format_trace_ref(tmp_path / "t.rtr")
         assert is_trace_ref(ref)
-        parsed = parse_trace_ref(ref)
-        assert str(parsed.path) == str(tmp_path / "t.rtr")
-        assert parsed.window is None
-
-        windowed = format_trace_ref(
-            tmp_path / "t.rtr", window=3, window_instructions=50_000
-        )
-        parsed = parse_trace_ref(windowed)
-        assert (parsed.window, parsed.window_instructions) == (3, 50_000)
-        assert parsed.ref == windowed
+        assert parse_trace_ref(ref) == str(tmp_path / "t.rtr")
+        assert format_trace_ref(parse_trace_ref(ref)) == ref
 
     def test_malformed_ref_is_named(self):
         with pytest.raises(WorkloadRefError):
@@ -427,20 +400,16 @@ class TestRegistry:
         # ...and differs from the provenance-carrying recording's key.
         assert job_a.key() != SimulationJob("gzip", scale=SMALL).key()
 
-    def test_window_ref_has_its_own_key(self, recorded):
-        full = SimulationJob(format_trace_ref(recorded.path))
-        window = SimulationJob(
-            format_trace_ref(recorded.path, window=0, window_instructions=20_000)
-        )
-        assert full.key() != window.key()
-
     def test_trace_ref_requires_unit_scale(self, recorded):
         with pytest.raises(EngineError, match="scale"):
             SimulationJob(format_trace_ref(recorded.path), scale=0.5)
 
-    def test_missing_trace_file_fails_at_job_construction(self, tmp_path):
-        with pytest.raises(EngineError, match="does not exist"):
-            SimulationJob(format_trace_ref(tmp_path / "nope.rtr"))
+    def test_missing_trace_file_fails_at_job_construction(self, tmp_path, recorded):
+        # A ref has no window grammar, so in a stale window ref the
+        # "#1:20000" is part of a path that does not exist.
+        for path in (tmp_path / "nope.rtr", f"{recorded.path}#1:20000"):
+            with pytest.raises(EngineError, match=re.escape(f"{path} does not exist")):
+                SimulationJob(f"trace:{path}")
 
     def test_trace_info_caches_by_stat(self, recorded):
         first = trace_info(recorded.path)
@@ -496,12 +465,6 @@ class TestContentAddresses:
             "d891fbd020dec340bf9085feb1f91101e58b3a36d22428605b64b433a6c11d5b"
         )
 
-    def test_window_ref(self, recorded):
-        ref = format_trace_ref(recorded.path, window=1, window_instructions=20_000)
-        assert SimulationJob(ref).key() == (
-            "141dec76d7e202bdb7f81aeb193dbf3ca151b766c45e2595c6c13becee3a8465"
-        )
-
 
 # ----------------------------------------------------------------------
 # Streaming equality: recorded == inline, through engine and protocol
@@ -536,19 +499,6 @@ class TestStreamingEquality:
         assert outcomes[traced].source == SOURCE_CACHED
         assert outcomes[traced].annotated is outcomes[synthetic].annotated
         assert (engine.telemetry.simulated, engine.telemetry.cached) == (1, 1)
-
-    def test_window_job_simulates_exactly_the_window(self, recorded, gzip_chunks):
-        n = 20_000
-        windowed = annotate_workload_trace(
-            TraceRecording(recorded.path).window_chunks(1, n)
-        ).result
-        inline = annotate_workload_trace(
-            merge_chunks(gzip_chunks).slice(n, 2 * n)
-        ).result
-        assert windowed.instructions == inline.instructions == n
-        assert windowed.cycles == inline.cycles
-        assert windowed.l1i_intervals == inline.l1i_intervals
-        assert windowed.l1d_intervals == inline.l1d_intervals
 
 
 # ----------------------------------------------------------------------
@@ -719,72 +669,6 @@ class TestTraceStoreAccounting:
 
 
 # ----------------------------------------------------------------------
-# SimPoint-backed whole-trace estimation
-# ----------------------------------------------------------------------
-class TestSimPointEstimation:
-    def test_plan_is_deterministic_and_round_trips(self, recorded):
-        plan = plan_simpoints(
-            recorded.path, window_instructions=20_000, max_k=4, seed=0
-        )
-        again = plan_simpoints(
-            recorded.path, window_instructions=20_000, max_k=4, seed=0
-        )
-        assert plan == again
-        assert abs(sum(plan.weights) - 1.0) < 1e-9
-        document = plan.to_dict()
-        assert json.loads(dumps_stable(document)) == document
-
-    def test_plan_rejects_inconsistent_weights(self, recorded):
-        with pytest.raises(ConfigurationError):
-            SimPointPlan(
-                trace_path=str(recorded.path),
-                trace_digest=recorded.digest,
-                window_instructions=20_000,
-                windows=(0, 1),
-                weights=(0.9, 0.3),
-                n_windows=10,
-            )
-
-    def test_window_jobs_have_distinct_keys(self, recorded):
-        plan = plan_simpoints(recorded.path, window_instructions=20_000, max_k=4)
-        jobs = plan.window_jobs(None)
-        assert len(jobs) == len(plan.windows)
-        assert len({job.key() for job in jobs}) == len(jobs)
-
-    def test_estimate_matches_exact_within_bound(self, tmp_path, recorded):
-        # The stated bound: on the calibrated 70/100 nm nodes (where
-        # leakage dominates and the breakeven intervals fit inside a
-        # window) the SimPoint estimate reconstructs whole-trace savings
-        # to within 0.08 absolute.  Measured error on this fixture is
-        # ~0.01; the bound leaves ~7x headroom for platform variance.
-        engine = serial_engine(tmp_path)
-        plan = plan_simpoints(recorded.path, window_instructions=50_000, max_k=3)
-        est = estimate_savings(plan, nodes=(70, 100), engine=engine)
-        exact = exact_savings(recorded.path, nodes=(70, 100), engine=engine)
-        assert est.max_abs_error(exact) < 0.08
-
-    def test_window_truncation_only_loses_sleep_savings(self, tmp_path, recorded):
-        # Windowing truncates idle intervals, so the estimator can only
-        # *under*-state OPT-Sleep savings at nodes whose breakeven
-        # interval exceeds the window (180 nm) — never invent them.
-        engine = serial_engine(tmp_path)
-        plan = plan_simpoints(recorded.path, window_instructions=50_000, max_k=3)
-        est = estimate_savings(plan, nodes=(180,), engine=engine)
-        exact = exact_savings(recorded.path, nodes=(180,), engine=engine)
-        for cache in ("icache", "dcache"):
-            assert est.saving(cache, "OPT-Sleep", 180) <= (
-                exact.saving(cache, "OPT-Sleep", 180) + 0.02
-            )
-
-    def test_estimate_document_is_json_stable(self, tmp_path, recorded):
-        engine = serial_engine(tmp_path)
-        plan = plan_simpoints(recorded.path, window_instructions=50_000, max_k=2)
-        est = estimate_savings(plan, nodes=(70,), engine=engine)
-        document = est.to_dict()
-        assert json.loads(dumps_stable(document)) == document
-
-
-# ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
 class TestTraceCli:
@@ -837,40 +721,3 @@ class TestTraceCli:
         )
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
-
-    def test_simpoints_estimate_against_exact(self, tmp_path, capsys):
-        out = tmp_path / "sp.rtr"
-        record_benchmark("gzip", out, scale=SMALL, chunk_instructions=20_000)
-        code = main(
-            [
-                "trace", "simpoints", str(out),
-                "--window-instructions", "50000",
-                "--max-k", "3",
-                "--estimate", "--exact",
-                "--nodes", "70", "100",
-                "--max-error", "0.08",
-                "--json",
-            ]
-        )
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["max_abs_error"] < 0.08
-        assert document["plan"]["trace_digest"]
-
-    def test_simpoints_estimate_writes_no_plan_file(self, tmp_path, capsys):
-        # The plan is printed, never persisted: nothing reads it back.
-        out = tmp_path / "sp.rtr"
-        record_benchmark("gzip", out, scale=SMALL, chunk_instructions=20_000)
-        code = main(
-            [
-                "trace", "simpoints", str(out),
-                "--window-instructions", "50000",
-                "--max-k", "2",
-                "--estimate",
-                "--nodes", "70",
-            ]
-        )
-        assert code == 0
-        assert "OPT-Hybrid" in capsys.readouterr().out
-        traces = ResultStore().traces_dir  # REPRO_CACHE_DIR from the fixture
-        assert list(traces.glob("simpoints-*.json")) == []

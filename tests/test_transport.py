@@ -23,7 +23,7 @@ from repro.cli import dumps_stable
 from repro.engine.jobs import SimulationJob, job_result_payload
 from repro.engine.parallel import ExecutionEngine
 from repro.engine.store import NullStore
-from repro.errors import ConfigurationError, EngineError
+from repro.errors import EngineError
 from repro.traces.format import TraceRecording, record_benchmark
 
 SMALL = 0.03
@@ -85,23 +85,6 @@ class TestArenaRoundTrip:
             overlay = transport.overlay_chunks(str(recorded))
             assert overlay is not None
             assert_chunks_equal(list(overlay), reference_chunks)
-        finally:
-            transport.REGISTRY.release(str(recorded))
-
-    def test_window_slicing_matches_window_chunks(self, recorded, mode):
-        transport.REGISTRY.acquire(str(recorded), mode)
-        try:
-            expected = list(TraceRecording(recorded).window_chunks(1, 7_500))
-            overlay = transport.overlay_chunks(str(recorded), 1, 7_500)
-            assert_chunks_equal(list(overlay), expected)
-        finally:
-            transport.REGISTRY.release(str(recorded))
-
-    def test_window_beyond_end_raises_like_reader(self, recorded, mode):
-        transport.REGISTRY.acquire(str(recorded), mode)
-        try:
-            with pytest.raises(ConfigurationError, match="window"):
-                list(transport.overlay_chunks(str(recorded), 999, 100_000))
         finally:
             transport.REGISTRY.release(str(recorded))
 

@@ -98,7 +98,7 @@ class TestPackageSurface:
 
     def test_subpackages_importable(self):
         for name in ("cache", "core", "cpu", "experiments", "power",
-                     "prefetch", "simpoint", "workloads"):
+                     "prefetch", "workloads"):
             assert hasattr(repro, name)
 
     def test_core_public_api(self):

@@ -167,10 +167,6 @@ class TestWorkload:
         assert [len(c) for c in chunks] == [32, 16]
         assert chunks[1].pcs[0] >= 0x100
 
-    def test_chunk_limit_truncates(self):
-        chunks = list(self._workload(rounds=10).chunks(chunk_limit=40))
-        assert sum(len(c) for c in chunks) == 40
-
     def test_schedule_bounds_checked(self):
         with pytest.raises(ConfigurationError):
             Workload("w", [Phase("a", 0, 16)], [Visit(5, 10)])
