@@ -28,7 +28,6 @@ DISPATCH_SCALE = 0.02
 @pytest.fixture(autouse=True)
 def clean_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 
 def run_workers(jobs):

@@ -23,6 +23,10 @@ the answer rests on:
 * :mod:`repro.experiments` — one harness per paper table/figure.
 * :mod:`repro.engine` — the execution substrate: parallel simulation
   with on-disk result caching, fault tolerance and run telemetry.
+* :mod:`repro.sweep` — design-space sweeps over benchmarks, scales and
+  technology nodes.
+* :mod:`repro.traces` — the ``.rtr`` recorded-trace format and the
+  ``trace:<path>`` workload refs.
 
 Quickstart::
 
@@ -69,6 +73,8 @@ _SUBPACKAGES = (
     "experiments",
     "power",
     "prefetch",
+    "sweep",
+    "traces",
     "workloads",
 )
 
@@ -97,6 +103,8 @@ __all__ = [
     "power",
     "prefetch",
     "quick_limits",
+    "sweep",
+    "traces",
     "workloads",
 ]
 

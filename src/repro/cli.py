@@ -27,7 +27,7 @@ gate before caching, results are cached on disk under
 ``--no-cache`` bypasses), and a telemetry footer — exportable as JSON
 via ``--manifest`` — reports where the time went, including every
 degradation.  The report on stdout is byte-identical whatever the
-worker count, cache state, fault history or rerun; telemetry goes to
+worker count, cache state, worker failures or rerun; telemetry goes to
 stderr.  A job that fails in-process fails the
 command: one ``error:`` line names it, the footer and ``--manifest``
 still record the run, and the exit code is 1.  The result cache is the

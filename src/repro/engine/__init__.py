@@ -12,10 +12,7 @@ an invariant-validation gate on every fresh result
 (:mod:`~repro.engine.telemetry`).  An in-process failure is final and
 raises :class:`JobFailedError`.  The result cache is the only record of
 progress: rerunning a failed or interrupted run against the same cache
-simulates only the jobs it had not finished.  A deterministic
-fault-injection harness (:mod:`~repro.engine.faults`, off unless
-``REPRO_FAULTS`` is set) makes every degradation path testable on
-purpose.
+simulates only the jobs it had not finished.
 
 Quickstart::
 
@@ -27,8 +24,8 @@ Quickstart::
     print(engine.telemetry.summary())
 
 Every name is re-exported lazily, on first use: a run that finds all
-its results in the cache never loads the worker backend, the trace
-transport or the fault harness.
+its results in the cache never loads the worker backend or the trace
+transport.
 """
 
 from __future__ import annotations
@@ -45,24 +42,11 @@ _EXPORTS = {
         (
             "BACKEND_NAMES",
             "ENV_BACKEND",
-            "ENV_FAULTS",
             "ENV_JOBS",
             "resolve_backend_name",
             "resolve_worker_count",
         ),
         "config",
-    ),
-    **dict.fromkeys(
-        (
-            "CRASH_EXIT_CODE",
-            "FaultPlan",
-            "FaultSpec",
-            "InjectedFault",
-            "active_plan",
-            "apply_store_fault",
-            "parse_fault_plan",
-        ),
-        "faults",
     ),
     **dict.fromkeys(
         (

@@ -1,11 +1,10 @@
 """Engine settings read from the command line or the environment.
 
-Every run resolves its worker count, backend, trace transport and fault
-plan when its :class:`~repro.engine.parallel.ExecutionEngine` is built,
-so a bad
+Every run resolves its worker count, backend and trace transport when
+its :class:`~repro.engine.parallel.ExecutionEngine` is built, so a bad
 ``REPRO_*`` value fails before any simulation starts.  The modules that
-act on these settings — the worker backend, the trace arenas, the fault
-harness — load only when a run engages them.
+act on these settings — the worker backend and the trace arenas — load
+only when a run engages them.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ ENV_TRANSPORT = "REPRO_TRANSPORT"
 #: Valid ``REPRO_TRANSPORT`` values.  ``auto`` resolves to ``pickle``:
 #: workers stream the trace file, and nothing is published.
 TRANSPORT_MODES = ("auto", "pickle", "shm", "disk")
-
-#: Environment variable carrying the fault plan (inherited by workers).
-ENV_FAULTS = "REPRO_FAULTS"
 
 
 def resolve_worker_count(value: Optional[int] = None) -> int:

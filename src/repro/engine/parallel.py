@@ -16,8 +16,8 @@ uses to obtain simulation results.  For every requested job it
    model's own accounting identities is quarantined and rerun
    in-process, never cached;
 4. writes validated results back to the store, and records everything
-   — outcomes, injected faults, per-host worker counters, quarantines,
-   failures — in a :class:`~repro.engine.telemetry.RunTelemetry`.
+   — outcomes, per-host worker counters, quarantines, failures — in a
+   :class:`~repro.engine.telemetry.RunTelemetry`.
 
 An in-process failure is final: the remaining jobs still run and are
 cached, then :class:`JobFailedError` names the failed job.  The store is
@@ -25,21 +25,19 @@ the only record of which jobs are done, so rerunning a failed or
 interrupted run against the same cache simulates only what is missing.
 
 Because :func:`~repro.engine.jobs.execute_job` is deterministic, serial,
-worker, rerun, and fault-injected runs all produce bit-identical
-results; the engine only changes *when* and *where* simulations run,
-never what they compute.
+worker and rerun runs all produce bit-identical results; the engine
+only changes *when* and *where* simulations run, never what they
+compute.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..cache.kernel import resolve_kernel_mode
 from ..errors import EngineError
 from .config import (
-    ENV_FAULTS,
     resolve_backend_name,
     resolve_transport_mode,
     resolve_worker_count,
@@ -58,7 +56,6 @@ from .validate import InvalidResultError, check_result
 
 if TYPE_CHECKING:
     from .backends import WorkerBackend
-    from .faults import FaultPlan
 
 
 class JobFailedError(EngineError):
@@ -79,17 +76,11 @@ class ExecutionEngine:
         jobs: Optional[int] = None,
         store: Optional[object] = None,
         telemetry: Optional[RunTelemetry] = None,
-        faults: Optional[FaultPlan] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.max_workers = resolve_worker_count(jobs)
         self.store = store if store is not None else ResultStore()
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
-        if faults is None and os.environ.get(ENV_FAULTS):
-            from .faults import active_plan
-
-            faults = active_plan()
-        self.faults = faults
         self.backend = resolve_backend_name(backend)
         self._workers: Optional["WorkerBackend"] = None
         self.transport = resolve_transport_mode()
@@ -100,7 +91,6 @@ class ExecutionEngine:
                 "max_workers": self.max_workers,
                 "backend": self.backend,
                 "cache_dir": self.store.describe(),
-                "faults": None if self.faults is None else self.faults.describe(),
             }
         )
         from ..cache.kernel import resolve_residual_impl
@@ -145,9 +135,9 @@ class ExecutionEngine:
 
         Results are keyed by job and independent of execution order, so
         callers see identical outputs whatever path produced them —
-        including runs that fell back, reran, or survived injected
-        faults.  Raises :class:`JobFailedError` when a job fails
-        in-process; the telemetry still records every finished job.
+        including runs that fell back to an in-process rerun.  Raises
+        :class:`JobFailedError` when a job fails in-process; the
+        telemetry still records every finished job.
         """
         # Jobs that share a content address (a trace recorded from a paper
         # benchmark and the benchmark itself) run once: the first stands
@@ -215,14 +205,14 @@ class ExecutionEngine:
         failure: Optional[JobFailedError] = None
         for job, attempt in in_process:
             try:
-                annotated, seconds = self._execute_serial(job, attempt)
+                annotated, seconds = self._execute_serial(job)
             except JobFailedError as error:
                 failure = failure or error
                 continue  # the other jobs still run and are cached
             outcomes[job] = JobOutcome(
                 job, annotated, source, seconds, attempts=attempt
             )
-            self._commit(job, annotated)
+            self.store.put(job.key(), annotated)
 
         if failure is not None:
             raise failure
@@ -234,7 +224,7 @@ class ExecutionEngine:
     ) -> List[Tuple[SimulationJob, int]]:
         """Run pending jobs on the workers; return what must run in-process.
 
-        Valid worker results are recorded and committed.  A job the
+        Valid worker results are recorded and cached.  A job the
         workers did not return, or whose result fails the validation
         gate, comes back with the attempt number of its in-process run.
 
@@ -280,12 +270,10 @@ class ExecutionEngine:
                 in_process.append((job, 2))
                 continue
             outcomes[job] = JobOutcome(job, annotated, self.workers.source, wall)
-            self._commit(job, annotated)
+            self.store.put(job.key(), annotated)
         return in_process
 
-    def _execute_serial(
-        self, job: SimulationJob, attempt: int
-    ) -> Tuple[object, float]:
+    def _execute_serial(self, job: SimulationJob) -> Tuple[object, float]:
         """Run one job in-process, once; a failure is final.
 
         An exception or a result the validation gate rejects is recorded
@@ -293,12 +281,8 @@ class ExecutionEngine:
         so running it again would fail the same way.
         """
         try:
-            if self.faults is not None:
-                self.faults.inject_serial(job, attempt)
             with Stopwatch() as sw:
                 annotated = execute_job(job)
-            if self.faults is not None:
-                annotated = self.faults.mangle_result(job, attempt, annotated)
             violations = check_result(annotated)
             if violations:
                 self.telemetry.record_quarantine(job, violations, where="serial")
@@ -310,14 +294,3 @@ class ExecutionEngine:
             self.telemetry.record_failure(job, error)
             raise JobFailedError(job, error) from error
         return annotated, sw.seconds
-
-    def _commit(self, job: SimulationJob, annotated: object) -> None:
-        """Persist one fresh result: cache write, then fault hooks."""
-        wrote = self.store.put(job.key(), annotated)
-        if wrote and self.faults is not None:
-            from .faults import apply_store_fault
-
-            for spec in self.faults.take_store_faults(job):
-                description = apply_store_fault(self.store, job.key(), spec)
-                if description:
-                    self.telemetry.record_fault(description)

@@ -22,7 +22,7 @@ from .store import atomic_write_bytes
 
 #: Version of the manifest JSON layout, independent of the result cache's
 #: payload schema version; bump it whenever a section or field changes.
-MANIFEST_VERSION = 16
+MANIFEST_VERSION = 17
 
 
 class Stopwatch:
@@ -83,7 +83,6 @@ class RunTelemetry:
 
     records: List[JobRecord] = field(default_factory=list)
     failures: List[Dict] = field(default_factory=list)
-    faults: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     quarantines: List[Dict] = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -141,10 +140,6 @@ class RunTelemetry:
             "error": f"{type(error).__name__}: {error}",
         }
         self.failures.append(entry)
-
-    def record_fault(self, description: str) -> None:
-        """Add one injected-fault record (engine-side injections)."""
-        self.faults.append(description)
 
     def record_quarantine(self, job, violations, where: str) -> None:
         """Add one invalid-result quarantine (the validation gate fired)."""
@@ -264,7 +259,6 @@ class RunTelemetry:
                 "simulated": self.simulated,
                 "failed": self.failed,
                 "fallbacks": self.fallbacks,
-                "faults_injected": len(self.faults),
                 "quarantined_results": len(self.quarantines),
                 "cache_quarantined": self.store_stats.get("quarantined", 0),
                 "wall_seconds": self.wall_seconds,
@@ -296,7 +290,6 @@ class RunTelemetry:
                 for r in self.records
             ],
             "failures": list(self.failures),
-            "faults": list(self.faults),
             "notes": list(self.notes),
             "quarantine": [dict(q) for q in self.quarantines],
             "store": dict(self.store_stats),
@@ -331,8 +324,6 @@ class RunTelemetry:
             parts.append(f"| {100.0 * self.fast_path_share:.1f}% fast-path")
         if self.fallbacks:
             parts.append(f"| {self.fallbacks} fallback(s)")
-        if self.faults:
-            parts.append(f"| {len(self.faults)} fault(s) injected")
         quarantined = len(self.quarantines) + self.store_stats.get(
             "quarantined", 0
         )

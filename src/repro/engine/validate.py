@@ -10,7 +10,7 @@ In the parent, every fresh result — whatever backend produced it —
 passes through :func:`check_result` before it is cached or handed to an
 experiment.  The checks are the model's own physics and accounting
 identities, so a worker that silently returns garbage (bit flips, a
-miscompiled numpy, an injected ``garbage`` fault) is caught *here*
+miscompiled numpy, a buggy kernel) is caught *here*
 rather than poisoning the content-addressed store every later run
 reads from:
 

@@ -10,11 +10,9 @@ over its stdin/stdout using a tiny length-prefixed frame protocol::
                 | ("result", {"wall", "payload"})
                 | ("error", {"kind", "message"})
 
-A job goes to a worker at most once, so the worker runs it as the
-job's attempt 1.  It re-executes ``REPRO_FAULTS`` from its inherited
-environment for that attempt: ``crash`` exits hard, ``raise`` turns
-into an error frame, and ``garbage`` mangles the result so the
-engine-side validation gate can catch it.
+A job goes to a worker at most once.  An exception in the job turns
+into an error frame; the engine-side validation gate checks every
+result frame before anything is cached.
 
 On startup the worker duplicates its stdout file descriptor for the
 frame stream and re-points fd 1 at stderr, so stray ``print`` calls
@@ -72,7 +70,6 @@ def main() -> int:
 
     emit("ready", {"pid": os.getpid()})
 
-    from .faults import active_plan
     from .jobs import execute_job
 
     while True:
@@ -84,16 +81,10 @@ def main() -> int:
             break
         if kind != "job":
             continue
-        job = payload
-        plan = active_plan()
         try:
-            if plan is not None:
-                plan.inject_worker(job, 1)
             start = time.perf_counter()
-            annotated = execute_job(job)
+            annotated = execute_job(payload)
             wall = time.perf_counter() - start
-            if plan is not None:
-                annotated = plan.mangle_result(job, 1, annotated)
             emit("result", {"wall": wall, "payload": annotated})
         except Exception as error:  # noqa: BLE001 — forwarded, not swallowed
             emit(

@@ -8,8 +8,8 @@ results come from the on-disk cache when available, misses fan out over
 worker processes, and a per-instance in-memory layer preserves the old
 guarantee that one ``SuiteRunner`` simulates each benchmark exactly once
 and always returns the same objects.  Rerunning an interrupted run
-against the same cache picks up every finished benchmark from it; serial
-fallbacks and injected faults inside the engine never change
+against the same cache picks up every finished benchmark from it;
+in-process fallbacks inside the engine never change
 what a ``BenchmarkRun`` contains, only how long it took to obtain.
 """
 
@@ -87,7 +87,7 @@ class SuiteRunner:
 
     @property
     def telemetry(self):
-        """The engine's run telemetry (failures, faults, notes included)."""
+        """The engine's run telemetry (failures and notes included)."""
         return self.engine.telemetry
 
     def job_for(self, name: str) -> SimulationJob:

@@ -12,7 +12,7 @@ pipeline, node, cache, benchmark).  The output is
 
 Every artefact is a pure function of (spec, simulated results), and the
 results are bit-identical however they were computed — so the report is
-byte-identical whatever the worker count, cache state or fault history.
+byte-identical whatever the worker count, cache state or worker failures.
 """
 
 from __future__ import annotations

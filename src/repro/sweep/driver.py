@@ -53,7 +53,7 @@ def run_sweep(
 
     The report is a pure function of the spec and the (deterministic)
     simulation results, so it is byte-identical whatever the worker
-    count, cache state or fault history.
+    count, cache state or worker failures.
     """
     engine = engine if engine is not None else ExecutionEngine()
     engine.telemetry.context.update(

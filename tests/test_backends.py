@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import broken_in_process, broken_workers
 
 from repro.cli import main
 from repro.engine import (
@@ -38,7 +39,6 @@ from repro.engine import (
     SimulationJob,
     build_backend,
     check_result,
-    parse_fault_plan,
     resolve_backend_name,
     resolve_cache_dir,
 )
@@ -65,7 +65,6 @@ def isolated_env(tmp_path, monkeypatch):
     """Each test gets its own cache dir and a clean engine environment."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     for var in (
-        "REPRO_FAULTS",
         "REPRO_JOBS",
         "REPRO_BACKEND",
         "REPRO_TRANSPORT",
@@ -269,15 +268,15 @@ class TestLocalHosts:
         assert sorted(p.name for p in store.directory.glob("*.pkl")) == entries
 
     def test_killed_host_mid_run_publishes_exactly_once(
-        self, tmp_path, reference, monkeypatch
+        self, tmp_path, reference
     ):
         # gzip's worker dies after accepting the job; gzip finishes
         # in-process, each entry is published exactly once, and the
         # outcomes match the serial oracle.
-        monkeypatch.setenv("REPRO_FAULTS", "crash:gzip@*:attempt=1")
         store = ResultStore(tmp_path / "chaos-cache")
         engine = self._engine(store=store)
-        outcomes = engine.run(small_jobs())
+        with broken_workers(gzip="crash"):
+            outcomes = engine.run(small_jobs())
         gzip_job = SimulationJob("gzip", scale=SMALL)
         for job in small_jobs():
             expected = "serial-fallback" if job == gzip_job else "subprocess"
@@ -289,7 +288,7 @@ class TestLocalHosts:
         profile = engine.telemetry.manifest()["workers"]
         assert sum(host["flaps"] for host in profile["hosts"].values()) == 1
         assert any(
-            "died (exit 87)" in note and "in-process" in note
+            "worker died" in note and "in-process" in note
             for note in engine.telemetry.notes
         )
         more = engine.run(small_jobs())
@@ -359,20 +358,18 @@ class TestSupervisor:
 
 
 class TestSubprocessBackend:
-    def test_flapping_worker_respawned_transparently(
-        self, reference, monkeypatch
-    ):
+    def test_flapping_worker_respawned_transparently(self, reference):
         # gzip's worker dies once.  The single host respawns a worker and
         # runs ammp on it; gzip finishes in-process as attempt 2.
-        monkeypatch.setenv("REPRO_FAULTS", "crash:gzip@*:attempt=1")
         engine = ExecutionEngine(jobs=1, store=NullStore(), backend="subprocess")
-        outcomes = engine.run(small_jobs())
+        with broken_workers(gzip="crash"):
+            outcomes = engine.run(small_jobs())
         gzip_job = SimulationJob("gzip", scale=SMALL)
         ammp_job = SimulationJob("ammp", scale=SMALL)
         assert outcomes[ammp_job].source == "subprocess"
         assert outcomes[ammp_job].attempts == 1
         assert outcomes[gzip_job].attempts == 2
-        assert any("died (exit 87)" in note for note in engine.telemetry.notes)
+        assert any("worker died" in note for note in engine.telemetry.notes)
         host = engine.telemetry.workers["hosts"]["local0"]
         assert (host["flaps"], host["connects"]) == (1, 2)
         assert host["completions"] == 1
@@ -381,44 +378,39 @@ class TestSubprocessBackend:
                 outcomes[job].annotated, reference[job].annotated
             )
 
-    def test_persistent_flapping_exhausts_retries_then_serial(
-        self, reference, monkeypatch
-    ):
-        # gzip kills its worker on *every* attempt.  Its one worker
-        # dispatch is its whole worker budget: it is never sent to a
-        # worker again and finishes in-process (where crash faults are
-        # not injected).
-        monkeypatch.setenv("REPRO_FAULTS", "crash:gzip@*:attempt=*")
+    def test_persistent_flapping_exhausts_retries_then_serial(self, reference):
+        # gzip kills every worker that runs it.  Its one worker dispatch
+        # is its whole worker budget: it is never sent to a worker again
+        # and finishes in-process.
         engine = ExecutionEngine(jobs=1, store=NullStore(), backend="subprocess")
-        outcomes = engine.run(small_jobs())
+        with broken_workers(gzip="crash"):
+            outcomes = engine.run(small_jobs())
         gzip_job = SimulationJob("gzip", scale=SMALL)
         assert outcomes[gzip_job].source == "serial-fallback"
         assert outcomes[gzip_job].attempts == 2
         host = engine.telemetry.workers["hosts"]["local0"]
         assert host["dispatches"] == len(SUITE_NAMES)
         assert host["flaps"] == 1
-        assert engine.telemetry.notes == [
-            f"host local0 worker died (exit 87) running gzip@{SMALL}; "
-            "running it in-process"
-        ]
+        [note] = engine.telemetry.notes
+        assert note.startswith("host local0 worker died (exit ")
+        assert note.endswith(f"running gzip@{SMALL}; running it in-process")
         assert_results_identical(
             outcomes[gzip_job].annotated, reference[gzip_job].annotated
         )
 
     @pytest.mark.parametrize(
-        "faults", ["", "crash:gzip@*:attempt=1"], ids=["clean", "worker-died"]
+        "modes", [{}, {"gzip": "crash"}], ids=["clean", "worker-died"]
     )
-    def test_worker_pipes_closed_after_the_run(self, monkeypatch, faults):
+    def test_worker_pipes_closed_after_the_run(self, monkeypatch, modes):
         # Both pipes of every worker are closed once its process has
         # exited, so the garbage collector finds no open file to warn of.
         import gc
         import sys
         import warnings
 
-        monkeypatch.setenv("REPRO_FAULTS", faults)
         leaked = []
         monkeypatch.setattr(sys, "unraisablehook", leaked.append)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), broken_workers(**modes):
             warnings.simplefilter("error", ResourceWarning)
             engine = ExecutionEngine(
                 jobs=1, backend="subprocess", store=NullStore()
@@ -574,17 +566,15 @@ class TestValidationGate:
         with pytest.raises(InvalidResultError, match="tail flags misaligned"):
             jobs.execute_job(SimulationJob("gzip", scale=SMALL))
 
-    def test_garbage_result_quarantined_and_retried(
-        self, reference, tmp_path, monkeypatch
-    ):
+    def test_garbage_result_quarantined_and_retried(self, reference, tmp_path):
         # The worker's result is garbage; the in-process rerun is clean.
-        monkeypatch.setenv("REPRO_FAULTS", "garbage:gzip@*:attempt=1")
         cache = tmp_path / "gate-cache"
         engine = ExecutionEngine(
             jobs=1, store=ResultStore(cache), backend="subprocess"
         )
         job = SimulationJob("gzip", scale=SMALL)
-        outcome = engine.run_one(job)
+        with broken_workers(gzip="garbage"):
+            outcome = engine.run_one(job)
         assert outcome.attempts == 2
         quarantine = engine.telemetry.quarantines
         assert len(quarantine) == 1
@@ -597,24 +587,21 @@ class TestValidationGate:
 
     def test_persistent_garbage_never_cached(self, tmp_path):
         cache = tmp_path / "poisoned"
-        engine = ExecutionEngine(
-            jobs=1,
-            store=ResultStore(cache),
-            faults=parse_fault_plan("garbage:gzip@*:attempt=*"),
-        )
+        engine = ExecutionEngine(jobs=1, store=ResultStore(cache))
         job = SimulationJob("gzip", scale=SMALL)
-        with pytest.raises(JobFailedError) as excinfo:
-            engine.run_one(job)
+        with broken_in_process(gzip="garbage"):
+            with pytest.raises(JobFailedError) as excinfo:
+                engine.run_one(job)
         assert isinstance(excinfo.value.__cause__, InvalidResultError)
         assert engine.telemetry.failed == 1
         assert len(engine.telemetry.quarantines) == 1  # one attempt
         assert ResultStore(cache).get(job.key()) is None
         assert not ResultStore(cache).path_for(job.key()).exists()
 
-    def test_gate_covers_subprocess_completions(self, reference, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "garbage:gzip@*:attempt=1")
+    def test_gate_covers_subprocess_completions(self, reference):
         engine = ExecutionEngine(jobs=2, store=NullStore(), backend="subprocess")
-        outcomes = engine.run(small_jobs())
+        with broken_workers(gzip="garbage"):
+            outcomes = engine.run(small_jobs())
         gzip_job = SimulationJob("gzip", scale=SMALL)
         assert outcomes[gzip_job].source == "serial-fallback"
         assert outcomes[gzip_job].attempts == 2
@@ -670,13 +657,12 @@ class TestStoreQuarantine:
 class TestGracefulDegradation:
     """The acceptance criterion: a dead worker never changes the report."""
 
-    def test_degraded_run_report_byte_identical(self, capsys, monkeypatch):
+    def test_degraded_run_report_byte_identical(self, capsys):
         assert main([*CLI_BASE, "--jobs", "1", "--no-cache"]) == 0
         clean = capsys.readouterr().out
-        monkeypatch.setenv("REPRO_FAULTS", "crash:gzip@*:attempt=1")
         manifest_path = resolve_cache_dir().parent / "degraded-manifest.json"
-        assert (
-            main(
+        with broken_workers(gzip="crash"):
+            code = main(
                 [
                     *CLI_BASE,
                     "--jobs",
@@ -688,8 +674,7 @@ class TestGracefulDegradation:
                     str(manifest_path),
                 ]
             )
-            == 0
-        )
+        assert code == 0
         degraded = capsys.readouterr()
         assert degraded.out == clean
         manifest = json.loads(manifest_path.read_text())

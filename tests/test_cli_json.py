@@ -18,7 +18,6 @@ def isolated_env(tmp_path, monkeypatch):
     """Each test gets its own cache dir and a clean engine environment."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     for var in (
-        "REPRO_FAULTS",
         "REPRO_JOBS",
         "REPRO_BACKEND",
     ):

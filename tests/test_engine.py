@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from conftest import broken_workers
 
 from repro.cli import main
 from repro.cpu.pipeline import PipelineConfig
@@ -202,11 +203,11 @@ class TestEngineCaching:
 
 
 class TestRobustness:
-    def test_worker_exception_left_for_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "raise:*:attempt=*")
+    def test_worker_exception_left_for_serial(self):
         jobs = small_jobs()
         backend = build_backend("subprocess", 1)
-        report = backend.run(jobs)
+        with broken_workers(**{job.benchmark: "raise" for job in jobs}):
+            report = backend.run(jobs)
         assert report.completed == {}
         assert report.leftovers == jobs
         assert report.dispatched == set(jobs)
@@ -265,7 +266,7 @@ class TestTelemetry:
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == 16
+        assert manifest["manifest_version"] == 17
         for dropped in ("service", "coordination"):
             assert dropped not in manifest  # went with the serving daemon
         assert "hosts" not in manifest["engine"]  # went with remote hosts
@@ -280,7 +281,10 @@ class TestTelemetry:
         for row in manifest["jobs"]:
             assert row["residual_impl"] in ("", "python", "compiled", "scalar")
         assert "retries" not in manifest  # v14: one dispatch, no retries
-        assert manifest["faults"] == []
+        # v17: no fault injection, so no fault section, count or plan.
+        assert "faults" not in manifest
+        assert "faults" not in manifest["engine"]
+        assert [name for name in manifest["totals"] if "fault" in name] == []
         assert manifest["quarantine"] == []
         for merged in ("heartbeats", "breakers", "fault_domains"):
             assert merged not in manifest  # folded into "workers"
@@ -291,7 +295,6 @@ class TestTelemetry:
             "simulated",
             "failed",
             "fallbacks",
-            "faults_injected",
             "quarantined_results",
             "cache_quarantined",
             "wall_seconds",

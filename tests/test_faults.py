@@ -1,12 +1,11 @@
-"""Fault injection, the in-process rerun, failed runs, and cache commands.
+"""Broken jobs, the in-process rerun, failed runs, and cache commands.
 
 Every degradation path the engine promises to survive is exercised here
-*on purpose* via the deterministic fault harness (``repro.engine.faults``):
-worker crashes, transient exceptions, garbage results, corrupt and
-partially-written cache entries, and rerunning against the same cache
-after a simulated mid-run crash.  The invariant under test throughout:
-faults may change where and when a simulation runs, but never what it
-computes — reports stay byte-identical to a clean serial run.  A job
+*on purpose* with the test doubles of ``conftest``: worker crashes,
+raised errors, garbage results, corrupt and truncated cache entries, and
+rerunning against the same cache after a simulated mid-run crash.  The
+invariant under test throughout: faults may change where and when a
+simulation runs, but never what it computes — reports stay byte-identical to a clean serial run.  A job
 that fails in-process fails the run, and the run still leaves its
 manifest and every finished job's cache entry behind.
 """
@@ -15,21 +14,18 @@ import json
 import os
 
 import pytest
+from conftest import broken_in_process, broken_workers, damage_entry
 
 from repro.cli import main
 from repro.engine import (
     ExecutionEngine,
-    FaultSpec,
-    InjectedFault,
     JobFailedError,
     NullStore,
     PoolReport,
     ResultStore,
     SimulationJob,
-    parse_fault_plan,
     resolve_cache_dir,
 )
-from repro.errors import EngineError
 
 #: Small enough that one simulation takes well under a second.
 SMALL = 0.02
@@ -48,7 +44,6 @@ def isolated_env(tmp_path, monkeypatch):
     """Each test gets its own cache dir and a clean engine environment."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     for var in (
-        "REPRO_FAULTS",
         "REPRO_JOBS",
         "REPRO_BACKEND",
     ):
@@ -73,74 +68,15 @@ def assert_results_identical(a, b):
         assert a.annotated_for(cache) == b.annotated_for(cache)
 
 
-class TestFaultGrammar:
-    def test_round_trip(self):
-        plan = parse_fault_plan(
-            "raise:gzip@*:attempt=1, crash:ammp@0.02:seconds=1,"
-            "garbage:*:attempt=*, corrupt:gzip, partial:*:times=2"
-        )
-        kinds = [spec.kind for spec in plan.specs]
-        assert kinds == ["raise", "crash", "garbage", "corrupt", "partial"]
-        reparsed = parse_fault_plan(plan.describe())
-        assert reparsed.describe() == plan.describe()
-
-    def test_matching(self):
-        job = SimulationJob("gzip", scale=SMALL)
-        assert FaultSpec("raise", "gzip", "*").matches(job, 1)
-        assert FaultSpec("raise", "*", str(SMALL)).matches(job, 1)
-        assert not FaultSpec("raise", "ammp", "*").matches(job, 1)
-        assert not FaultSpec("raise", "gzip", "0.5").matches(job, 1)
-        assert not FaultSpec("raise", "gzip", "*", attempt=2).matches(job, 1)
-        assert FaultSpec("raise", "gzip", "*", attempt=None).matches(job, 7)
-
-    def test_default_sleep_depends_on_kind(self):
-        assert FaultSpec("crash").seconds == 0.0
-        assert FaultSpec("crash", seconds=1.5).seconds == 1.5
-        assert FaultSpec("crash", seconds=1.5).describe() == (
-            "crash:*:attempt=1:seconds=1.5"
-        )
-        assert FaultSpec("raise").describe() == "raise:*:attempt=1"
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "explode:gzip",  # unknown kind
-            "timeout:gzip",  # no per-dispatch deadline, so no timeout kind
-            "raise",  # no target
-            "raise:gzip:attempt",  # option without value
-            "raise:gzip:bogus=1",  # unknown option
-            "raise:gzip@fast",  # non-numeric scale
-            "raise:gzip:attempt=0",  # attempt below 1
-            "corrupt:gzip:attempt=1",  # attempt on a store fault
-            "raise:gzip:times=2",  # times on a worker fault
-            "raise:gzip:seconds=1",  # seconds on a fault that never sleeps
-            "  ,  ",  # empty plan
-        ],
-    )
-    def test_bad_specs_rejected(self, bad):
-        with pytest.raises(EngineError):
-            parse_fault_plan(bad)
-
-    def test_engine_inactive_by_default(self):
-        engine = ExecutionEngine(jobs=1, store=NullStore())
-        assert engine.faults is None
-
-    def test_engine_activated_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "raise:gzip@*:attempt=1")
-        engine = ExecutionEngine(jobs=1, store=NullStore())
-        assert engine.faults is not None
-        assert engine.telemetry.context["faults"] == "raise:gzip:attempt=1"
-
-
 class TestSerialRetry:
     """A job the workers do not return is retried once, in-process."""
 
-    def test_transient_fault_retried_then_succeeds(self, reference, monkeypatch):
+    def test_transient_fault_retried_then_succeeds(self, reference):
         # The worker attempt raises; the in-process rerun (attempt 2)
         # succeeds and nothing else is retried.
-        monkeypatch.setenv("REPRO_FAULTS", "raise:gzip@*:attempt=1")
         engine = ExecutionEngine(jobs=2, store=NullStore(), backend="pool")
-        outcomes = engine.run(small_jobs())
+        with broken_workers(gzip="raise"):
+            outcomes = engine.run(small_jobs())
         gzip_job = SimulationJob("gzip", scale=SMALL)
         ammp_job = SimulationJob("ammp", scale=SMALL)
         assert outcomes[gzip_job].source == "serial-fallback"
@@ -148,7 +84,7 @@ class TestSerialRetry:
         assert outcomes[ammp_job].source == "parallel"
         assert outcomes[ammp_job].attempts == 1
         assert any(
-            "raised on host" in note and "InjectedFault" in note
+            "raised on host" in note and "RuntimeError" in note
             for note in engine.telemetry.notes
         )
         for job in small_jobs():
@@ -156,18 +92,19 @@ class TestSerialRetry:
                 outcomes[job].annotated, reference[job].annotated
             )
 
-    def test_retries_exhausted_raises_and_is_recorded(self, monkeypatch):
+    def test_retries_exhausted_raises_and_is_recorded(self):
         # Worker attempt and in-process rerun both raise: the run fails,
         # naming the job, after one attempt of each.
-        monkeypatch.setenv("REPRO_FAULTS", "raise:gzip@*:attempt=*")
         engine = ExecutionEngine(jobs=1, store=NullStore(), backend="subprocess")
         job = SimulationJob("gzip", scale=SMALL)
-        with pytest.raises(JobFailedError, match="gzip") as excinfo:
-            engine.run_one(job)
-        assert isinstance(excinfo.value.__cause__, InjectedFault)
-        assert "attempt 2" in str(excinfo.value)
+        with broken_workers(gzip="raise"), broken_in_process(gzip="raise"):
+            with pytest.raises(JobFailedError, match="gzip") as excinfo:
+                engine.run_one(job)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert "planted failure" in str(excinfo.value)
+        assert sum("raised on host" in n for n in engine.telemetry.notes) == 1
         assert engine.telemetry.failed == 1
-        assert "InjectedFault" in engine.telemetry.failures[0]["error"]
+        assert "RuntimeError" in engine.telemetry.failures[0]["error"]
         host = engine.telemetry.workers["hosts"]["local0"]
         assert host["dispatches"] == 1
 
@@ -175,13 +112,10 @@ class TestSerialRetry:
         # With no workers, attempt 1 runs in-process: its failure fails
         # the run at once, while the other job still runs and is cached.
         cache = tmp_path / "final"
-        engine = ExecutionEngine(
-            jobs=1,
-            store=ResultStore(cache),
-            faults=parse_fault_plan("raise:gzip@*:attempt=1"),
-        )
-        with pytest.raises(JobFailedError, match="gzip"):
-            engine.run(small_jobs())
+        engine = ExecutionEngine(jobs=1, store=ResultStore(cache))
+        with broken_in_process(gzip="raise"):
+            with pytest.raises(JobFailedError, match="gzip"):
+                engine.run(small_jobs())
         assert engine.telemetry.failed == 1
         assert engine.telemetry.simulated == 1  # ammp finished
         ammp_job = SimulationJob("ammp", scale=SMALL)
@@ -189,25 +123,22 @@ class TestSerialRetry:
         assert engine.telemetry.manifest()["totals"]["jobs"] == 2
 
     def test_untargeted_jobs_unaffected(self, reference):
-        engine = ExecutionEngine(
-            jobs=1,
-            store=NullStore(),
-            faults=parse_fault_plan("raise:gzip@0.5:attempt=*"),
-        )
-        job = SimulationJob("gzip", scale=SMALL)  # different scale: no match
-        outcome = engine.run_one(job)
+        engine = ExecutionEngine(jobs=1, store=NullStore())
+        job = SimulationJob("gzip", scale=SMALL)  # different benchmark
+        with broken_in_process(ammp="raise"):
+            outcome = engine.run_one(job)
         assert outcome.attempts == 1
         assert_results_identical(outcome.annotated, reference[job].annotated)
 
 
 class TestPoolFaults:
-    def test_transient_worker_fault_retried_in_pool(self, reference, monkeypatch):
+    def test_transient_worker_fault_retried_in_pool(self, reference):
         # A raise does not kill the pool worker: each job is dispatched
         # once, the pool keeps running ammp, and only gzip moves on to
         # its in-process rerun.
-        monkeypatch.setenv("REPRO_FAULTS", "raise:gzip@*:attempt=1")
         engine = ExecutionEngine(jobs=2, store=NullStore(), backend="pool")
-        outcomes = engine.run(small_jobs())
+        with broken_workers(gzip="raise"):
+            outcomes = engine.run(small_jobs())
         gzip_job = SimulationJob("gzip", scale=SMALL)
         assert outcomes[gzip_job].attempts == 2
         section = engine.telemetry.workers
@@ -222,13 +153,11 @@ class TestPoolFaults:
                 outcomes[job].annotated, reference[job].annotated
             )
 
-    def test_worker_crash_finishes_run_on_fallback(self, reference, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "crash:gzip@*:attempt=1")
+    def test_worker_crash_finishes_run_on_fallback(self, reference):
         engine = ExecutionEngine(jobs=2, store=NullStore())
-        outcomes = engine.run(small_jobs())
-        assert any(
-            "worker died (exit 87)" in note for note in engine.telemetry.notes
-        )
+        with broken_workers(gzip="crash"):
+            outcomes = engine.run(small_jobs())
+        assert any("worker died" in note for note in engine.telemetry.notes)
         # The crashed job is not sent to a worker again: it finishes
         # in-process as attempt 2.
         gzip_job = SimulationJob("gzip", scale=SMALL)
@@ -239,15 +168,13 @@ class TestPoolFaults:
                 outcomes[job].annotated, reference[job].annotated
             )
 
-    def test_finished_futures_harvested_when_pool_breaks(
-        self, reference, monkeypatch
-    ):
-        # gzip's worker dies 1 s in, after ammp finished: ammp's
+    def test_finished_futures_harvested_when_pool_breaks(self, reference):
+        # gzip's worker dies while ammp runs on the other host: ammp's
         # completed result is kept, never re-simulated, and only gzip
         # runs again, in-process.
-        monkeypatch.setenv("REPRO_FAULTS", "crash:gzip@*:attempt=1:seconds=1")
         engine = ExecutionEngine(jobs=2, store=NullStore())
-        outcomes = engine.run(small_jobs())
+        with broken_workers(gzip="crash"):
+            outcomes = engine.run(small_jobs())
         ammp_job = SimulationJob("ammp", scale=SMALL)
         gzip_job = SimulationJob("gzip", scale=SMALL)
         assert outcomes[ammp_job].source == "parallel"
@@ -268,13 +195,9 @@ class TestStoreFaults:
     def test_corrupt_entry_quarantined_and_recomputed(self, reference, tmp_path):
         cache = tmp_path / "store-corrupt"
         job = SimulationJob("gzip", scale=SMALL)
-        engine = ExecutionEngine(
-            jobs=1,
-            store=ResultStore(cache),
-            faults=parse_fault_plan("corrupt:gzip@*"),
-        )
+        engine = ExecutionEngine(jobs=1, store=ResultStore(cache))
         engine.run_one(job)
-        assert len(engine.telemetry.faults) == 1
+        damage_entry(engine.store, job.key(), "flip")
         # The corrupted entry fails its checksum and is quarantined (moved
         # aside for forensics, never served).
         fresh = ResultStore(cache)
@@ -294,36 +217,14 @@ class TestStoreFaults:
     def test_partial_write_ignored(self, reference, tmp_path):
         cache = tmp_path / "store-partial"
         job = SimulationJob("ammp", scale=SMALL)
-        engine = ExecutionEngine(
-            jobs=1,
-            store=ResultStore(cache),
-            faults=parse_fault_plan("partial:ammp@*"),
-        )
+        engine = ExecutionEngine(jobs=1, store=ResultStore(cache))
         engine.run_one(job)
-        assert len(engine.telemetry.faults) == 1
+        damage_entry(engine.store, job.key(), "truncate")
         fresh = ResultStore(cache)
         assert fresh.get(job.key()) is None
         outcome = ExecutionEngine(jobs=1, store=ResultStore(cache)).run_one(job)
         assert outcome.simulated
         assert_results_identical(outcome.annotated, reference[job].annotated)
-
-    def test_times_bounds_store_injections(self, tmp_path):
-        engine = ExecutionEngine(
-            jobs=1,
-            store=ResultStore(tmp_path / "store-times"),
-            faults=parse_fault_plan("partial:*:times=1"),
-        )
-        engine.run(small_jobs())
-        assert len(engine.telemetry.faults) == 1
-
-    def test_null_store_is_left_alone(self):
-        engine = ExecutionEngine(
-            jobs=1,
-            store=NullStore(),
-            faults=parse_fault_plan("corrupt:*"),
-        )
-        engine.run_one(SimulationJob("gzip", scale=SMALL))
-        assert engine.telemetry.faults == []
 
 
 class TestRerun:
@@ -433,25 +334,19 @@ class TestCliRerun:
 class TestByteIdenticalUnderFaults:
     """The acceptance criterion: faults never change the report."""
 
-    def test_faulted_parallel_run_matches_clean_serial(self, capsys, monkeypatch):
+    def test_faulted_parallel_run_matches_clean_serial(self, capsys):
         assert main([*CLI_BASE, "--jobs", "1", "--no-cache"]) == 0
         clean = capsys.readouterr().out
-        monkeypatch.setenv(
-            "REPRO_FAULTS", "raise:gzip@*:attempt=1,corrupt:ammp@*"
-        )
         manifest_path = resolve_cache_dir().parent / "faulted-manifest.json"
-        assert (
-            main([*CLI_BASE, "--jobs", "2", "--manifest", str(manifest_path)])
-            == 0
-        )
+        with broken_workers(gzip="raise"):
+            code = main([*CLI_BASE, "--jobs", "2", "--manifest", str(manifest_path)])
+        assert code == 0
         faulted = capsys.readouterr()
         assert faulted.out == clean
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["manifest_version"] == 16
+        assert manifest["manifest_version"] == 17
         assert "retries" not in manifest
         assert manifest["totals"]["fallbacks"] == 1
-        assert manifest["totals"]["faults_injected"] == 1
-        assert manifest["faults"]
         gzip_row = next(
             row for row in manifest["jobs"] if row["benchmark"] == "gzip"
         )
@@ -461,23 +356,26 @@ class TestByteIdenticalUnderFaults:
         )
         # ammp's corrupted entry is quarantined on the next run: the
         # report is still identical and the run recomputes transparently.
-        monkeypatch.delenv("REPRO_FAULTS")
+        ammp_key = SimulationJob("ammp", scale=SMALL).key()
+        damage_entry(ResultStore(resolve_cache_dir()), ammp_key, "flip")
         assert main([*CLI_BASE, "--jobs", "1"]) == 0
-        assert capsys.readouterr().out == clean
+        rerun = capsys.readouterr()
+        assert rerun.out == clean
+        assert "(1 simulated, 1 cached)" in rerun.err
 
 
 class TestCliJobFailure:
     """A job that fails in-process fails the command, not the record."""
 
-    def test_failed_job_exits_1_with_manifest(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_FAULTS", "raise:gzip@*:attempt=*")
+    def test_failed_job_exits_1_with_manifest(self, capsys, tmp_path):
         manifest_path = tmp_path / "failed.json"
-        code = main(
-            [
-                "run", "figure9", "--scale", str(SMALL), "--jobs", "1",
-                "--manifest", str(manifest_path),
-            ]
-        )
+        with broken_in_process(gzip="raise"):
+            code = main(
+                [
+                    "run", "figure9", "--scale", str(SMALL), "--jobs", "1",
+                    "--manifest", str(manifest_path),
+                ]
+            )
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -486,7 +384,7 @@ class TestCliJobFailure:
             if line.startswith("error:")
         ]
         assert len(errors) == 1
-        assert "gzip" in errors[0] and "InjectedFault" in errors[0]
+        assert "gzip" in errors[0] and "RuntimeError" in errors[0]
         assert "1 failed" in captured.err  # the footer is still printed
         manifest = json.loads(manifest_path.read_text())
         totals = manifest["totals"]
@@ -497,7 +395,6 @@ class TestCliJobFailure:
         assert totals["simulated"] == totals["jobs"] - 1
         entries = list(resolve_cache_dir().glob("*.pkl"))
         assert len(entries) == totals["jobs"] - 1
-        monkeypatch.delenv("REPRO_FAULTS")
         assert main(["run", "figure9", "--scale", str(SMALL), "--jobs", "1"]) == 0
         assert "(1 simulated," in capsys.readouterr().err
 
@@ -528,52 +425,52 @@ class TestChaos:
         )
         return code, json.loads(manifest_path.read_text())
 
-    def test_chaos_run_matches_clean(self, capsys, monkeypatch):
+    def test_chaos_run_matches_clean(self, capsys):
         assert main([*CLI_BASE, "--jobs", "1", "--no-cache"]) == 0
         clean = capsys.readouterr().out
-        # With no workers every job runs in-process, where a raise
-        # would fail the run: it gets the store faults only.
-        faults = "partial:gzip@*,corrupt:ammp@*"
-        if not IN_PROCESS:
-            faults += ",crash:gzip@*:attempt=1,raise:ammp@*:attempt=1"
-        monkeypatch.setenv("REPRO_FAULTS", faults)
-        code, manifest = self._run("chaos-manifest.json")
+        # Workers crash on gzip and raise on ammp; with no workers
+        # nothing breaks until the cache entries are damaged below.
+        with broken_workers(gzip="crash", ammp="raise"):
+            code, manifest = self._run("chaos-manifest.json")
         assert code == 0
         assert capsys.readouterr().out == clean
-        assert manifest["totals"]["faults_injected"] == 2
         if not IN_PROCESS:
             # Both worker attempts failed; both jobs reran in-process.
             assert manifest["totals"]["fallbacks"] == 2
             assert manifest["notes"]
-        # Survivors of the chaos run are corrupt on disk; a clean rerun
-        # quarantines them and still reproduces the same report.
-        monkeypatch.delenv("REPRO_FAULTS")
-        assert main([*CLI_BASE, "--jobs", "2"]) == 0
+        # Damage both entries the run wrote; a clean rerun quarantines
+        # them and still reproduces the same report.
+        store = ResultStore(resolve_cache_dir())
+        damage_entry(store, SimulationJob("gzip", scale=SMALL).key(), "truncate")
+        damage_entry(store, SimulationJob("ammp", scale=SMALL).key(), "flip")
+        code, manifest = self._run("rerun-manifest.json")
+        assert code == 0
         assert capsys.readouterr().out == clean
+        assert manifest["totals"]["simulated"] == 2
+        assert manifest["totals"]["cache_quarantined"] == 2
 
-    def test_chaos_in_process_raise_fails_with_manifest(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "raise:gzip@*:attempt=*")
-        code, manifest = self._run("raise-manifest.json")
+    def test_chaos_in_process_raise_fails_with_manifest(self, capsys):
+        with broken_workers(gzip="raise"), broken_in_process(gzip="raise"):
+            code, manifest = self._run("raise-manifest.json")
         assert code == 1
         err = capsys.readouterr().err
         assert "error: job gzip" in err
         assert manifest["totals"]["failed"] == 1
         assert manifest["failures"][0]["benchmark"] == "gzip"
 
-    def test_chaos_degradation_matches_clean(self, capsys, monkeypatch):
+    def test_chaos_degradation_matches_clean(self, capsys):
         """Garbage results on every backend.
 
         On the worker backends the validation gate quarantines the
         garbage result of ammp's worker attempt and the job reruns
-        in-process.  A run with no workers runs each job once, as
-        attempt 1, so a fault aimed at attempt 2 never fires.  Either way
-        the report must be byte-identical to a clean run.
+        in-process.  A run with no workers starts no broken worker, so
+        nothing breaks.  Either way the report must be byte-identical to
+        a clean run.
         """
         assert main([*CLI_BASE, "--jobs", "1", "--no-cache"]) == 0
         clean = capsys.readouterr().out
-        attempt = 2 if IN_PROCESS else 1
-        monkeypatch.setenv("REPRO_FAULTS", f"garbage:ammp@*:attempt={attempt}")
-        code, manifest = self._run("degrade-manifest.json", "--no-cache")
+        with broken_workers(ammp="garbage"):
+            code, manifest = self._run("degrade-manifest.json", "--no-cache")
         assert code == 0
         assert capsys.readouterr().out == clean
         assert manifest["engine"]["backend"] == (

@@ -40,7 +40,6 @@ def test_cli_import_leaves_unused_layers_unloaded():
         "repro.sweep",
         "repro.engine.transport",
         "repro.engine.backends",
-        "repro.engine.faults",
         "subprocess",
     ):
         assert name not in loaded, name
@@ -51,7 +50,7 @@ def run_figure9(cache_dir) -> list:
     loaded, code = json.loads(
         run_python(
             "import contextlib, io, json, os, sys\n"
-            "for var in ('REPRO_BACKEND', 'REPRO_JOBS', 'REPRO_FAULTS'):\n"
+            "for var in ('REPRO_BACKEND', 'REPRO_JOBS'):\n"
             "    os.environ.pop(var, None)\n"
             f"os.environ['REPRO_CACHE_DIR'] = {str(cache_dir)!r}\n"
             "from repro.cli import main\n"
@@ -94,12 +93,14 @@ def test_package_attributes_resolve_lazily():
         "print(repro.core.OptHybrid.__name__, repro.quick_limits.__name__, "
         "repro.experiments.__name__); "
         "from repro import engine, ConfigurationError; "
-        "from repro.engine import ExecutionEngine, BACKEND_NAMES, FaultPlan; "
-        "print(ExecutionEngine.__name__, BACKEND_NAMES, FaultPlan.__name__)"
+        "from repro.engine import ExecutionEngine, BACKEND_NAMES; "
+        "print(ExecutionEngine.__name__, BACKEND_NAMES); "
+        "print(repro.sweep.SweepSpec.__name__, repro.traces.TraceRecording.__name__)"
     )
-    assert out.split("\n")[:2] == [
+    assert out.split("\n")[:3] == [
         "OptHybrid quick_limits repro.experiments",
-        "ExecutionEngine ('pool', 'subprocess') FaultPlan",
+        "ExecutionEngine ('pool', 'subprocess')",
+        "SweepSpec TraceRecording",
     ]
 
 

@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import broken_in_process, broken_workers
 
 from repro.cli import main
 from repro.cpu.pipeline import PipelineConfig
@@ -46,7 +47,6 @@ def isolated_env(tmp_path, monkeypatch):
     """Each test gets its own cache dir and a clean engine environment."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     for var in (
-        "REPRO_FAULTS",
         "REPRO_JOBS",
     ):
         monkeypatch.delenv(var, raising=False)
@@ -236,15 +236,32 @@ class TestSweepEndToEnd:
         assert rerun.telemetry.simulated == 1
         assert rerun.report == first.report
 
-    def test_report_survives_injected_faults(self, tmp_path, monkeypatch):
+    def test_report_survives_injected_faults(self, tmp_path):
         spec = small_spec(nodes=(70,))
         clean = run_sweep(spec, engine_for(tmp_path / "clean"))
 
         # gzip's worker attempt raises; its in-process rerun succeeds.
-        monkeypatch.setenv("REPRO_FAULTS", "raise:gzip@*:attempt=1")
-        faulty = run_sweep(spec, engine_for(tmp_path / "faulty"))
+        with broken_workers(gzip="raise"):
+            faulty = run_sweep(spec, engine_for(tmp_path / "faulty"))
         assert faulty.telemetry.manifest()["totals"]["fallbacks"] == 1
         assert faulty.report == clean.report
+
+    def test_killed_worker_publishes_each_entry_once(self, tmp_path):
+        spec = small_spec(nodes=(70, 180))
+        solo = run_sweep(spec, engine_for(tmp_path / "solo", jobs=1))
+
+        # gzip's worker dies mid-run; gzip reruns in-process.
+        cache = tmp_path / "killed"
+        engine = ExecutionEngine(
+            jobs=2, store=ResultStore(cache), backend="subprocess"
+        )
+        with broken_workers(gzip="crash"):
+            killed = run_sweep(spec, engine)
+        assert killed.telemetry.manifest()["totals"]["fallbacks"] == 1
+        # Two benchmarks at one scale: the node axis reuses the same
+        # simulation, so exactly 2 content-addressed entries exist.
+        assert len(list(cache.glob("*.pkl"))) == 2
+        assert killed.report == solo.report
 
     def test_csv_and_json_exports_cover_every_cell(self, tmp_path):
         spec = small_spec(nodes=(70, 180))
@@ -337,9 +354,10 @@ class TestSweepCli:
         assert "0 simulated" in rerun.err
         assert rerun.out == first.out
 
-    def test_failed_point_exits_1_with_footer(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_FAULTS", "raise:gzip@*:attempt=*")
-        assert main(["sweep", "run", *self.SPEC_FLAGS, "--jobs", "1"]) == 1
+    def test_failed_point_exits_1_with_footer(self, capsys):
+        with broken_in_process(gzip="raise"):
+            code = main(["sweep", "run", *self.SPEC_FLAGS, "--jobs", "1"])
+        assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "1 failed" in captured.err

@@ -16,6 +16,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from conftest import broken_workers
 
 from repro.cpu.trace import merge_chunks
 from repro.engine import config, transport
@@ -239,9 +240,9 @@ class TestEngineEndToEnd:
         ref = f"trace:{recorded}"
         expected = self.reference(ref)
         monkeypatch.setenv(config.ENV_TRANSPORT, "shm")
-        monkeypatch.setenv("REPRO_FAULTS", "crash:*@*:attempt=1")
         engine = ExecutionEngine(jobs=2, backend="subprocess", store=NullStore())
-        outcome = engine.run_one(SimulationJob(ref))
+        with broken_workers(**{ref: "crash"}):
+            outcome = engine.run_one(SimulationJob(ref))
         # The worker could not have finished it: the job completed on
         # its second attempt, in-process.
         assert (outcome.source, outcome.attempts) == ("serial-fallback", 2)
