@@ -1,7 +1,7 @@
 """Benches: framed-worker dispatch overhead on local worker processes.
 
-Not paper artifacts — these price what the framed-worker backend adds
-on top of the computation itself: worker start + ready handshake and
+Not paper artifacts — these price what local worker processes add on
+top of the computation itself: worker start + ready handshake and
 frame round-trips per job, measured on ``--backend subprocess`` (real
 child processes speaking the real worker protocol).  The bench names
 keep their historical ``remote`` prefix so their entries in
@@ -13,13 +13,7 @@ workers cannot beat one process.
 import pytest
 
 from conftest import label_overhead_only
-from repro.engine import (
-    ExecutionEngine,
-    NullStore,
-    SimulationJob,
-    WorkerBackend,
-    local_hosts,
-)
+from repro.engine import ExecutionEngine, NullStore, SimulationJob, run_workers
 
 #: Small enough that dispatch overhead dominates the measurement.
 DISPATCH_SCALE = 0.02
@@ -30,10 +24,10 @@ def clean_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
 
-def run_workers(jobs):
+def run_on_workers(jobs):
     engine = ExecutionEngine(jobs=2, store=NullStore(), backend="subprocess")
     outcomes = engine.run(jobs)
-    assert all(o.source == "subprocess" for o in outcomes.values())
+    assert all(o.source == "worker" for o in outcomes.values())
     return outcomes
 
 
@@ -53,7 +47,7 @@ def test_remote_dispatch_overhead(benchmark):
         SimulationJob("ammp", scale=DISPATCH_SCALE),
     ]
     label_overhead_only(benchmark)
-    benchmark.pedantic(run_workers, args=(jobs,), rounds=5, iterations=1)
+    benchmark.pedantic(run_on_workers, args=(jobs,), rounds=5, iterations=1)
 
 
 def test_serial_baseline_for_dispatch(benchmark):
@@ -67,10 +61,8 @@ def test_serial_baseline_for_dispatch(benchmark):
 
 def test_remote_connect_handshake(benchmark):
     """Worker start + ready-frame latency for one local worker."""
-    backend = WorkerBackend("subprocess", local_hosts(1))
-
     def handshake():
-        report = backend.run([SimulationJob("gzip", scale=DISPATCH_SCALE)])
+        report = run_workers([SimulationJob("gzip", scale=DISPATCH_SCALE)], 1)
         assert len(report.completed) == 1
         return report
 

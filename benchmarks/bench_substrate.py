@@ -47,7 +47,7 @@ def test_engine_parallel_throughput(benchmark):
     def run():
         engine = ExecutionEngine(jobs=2, store=NullStore())
         outcomes = engine.run(jobs)
-        assert all(o.source == "parallel" for o in outcomes.values())
+        assert all(o.source == "worker" for o in outcomes.values())
         return outcomes
 
     label_overhead_only(benchmark)

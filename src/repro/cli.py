@@ -16,12 +16,12 @@ The historical flat forms keep working — a bare experiment name implies
     repro-leakage all --scale 0.5 --output results.txt
 
 Simulations go through the execution engine: benchmark jobs fan out over
-``--jobs`` / ``REPRO_JOBS`` local worker processes, engaged as
-``--backend`` / ``REPRO_BACKEND`` says (``pool`` when more than one
-worker and one job, ``subprocess`` always); ``--jobs 1`` under ``pool``
-runs every job in-process.  Each job goes to a worker at most once; a
-job the workers do not return — an error frame or a dead worker — runs
-once in-process.  Every fresh result passes an invariant-validation
+``--jobs`` local worker processes, engaged as ``--backend`` says
+(``pool`` when more than one worker and one job, ``subprocess``
+always); ``--jobs 1`` under ``pool`` runs every job in-process.  Each
+job goes to a worker at most once; a job the workers do not return —
+an error frame or a dead worker — runs once in-process.  Every fresh
+result passes an invariant-validation
 gate before caching, results are cached on disk under
 ``~/.cache/repro-leakage`` (``REPRO_CACHE_DIR`` overrides,
 ``--no-cache`` bypasses), and a telemetry footer — exportable as JSON
@@ -176,13 +176,13 @@ def _add_run_parser(commands) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="simulation worker processes (default: REPRO_JOBS or the CPU count)",
+        help="simulation worker processes (default: the CPU count)",
     )
     run.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
         default=None,
-        help="execution backend (default: REPRO_BACKEND or 'pool'): pool "
+        help="execution backend (default: 'pool'): pool "
         "runs --jobs local workers when --jobs > 1 and more than one job "
         "is pending, else in-process; subprocess always ships jobs to "
         "--jobs local workers.  Jobs workers cannot finish run "
@@ -320,12 +320,11 @@ def _add_sweep_parser(commands) -> None:
     _add_spec_arguments(run)
     run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="simulation worker processes",
+        help="simulation worker processes (default: the CPU count)",
     )
     run.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend "
-        "(default: REPRO_BACKEND or 'pool'; see 'run --help')",
+        help="execution backend (default: 'pool'; see 'run --help')",
     )
     run.add_argument(
         "--output", default=None, metavar="FILE",

@@ -3,11 +3,11 @@
 The substrate under every experiment.  Jobs (:mod:`~repro.engine.jobs`)
 name deterministic simulation points; :class:`ExecutionEngine`
 (:mod:`~repro.engine.parallel`) resolves them through a content-addressed
-on-disk cache (:mod:`~repro.engine.store`), then the framed-worker
-backend (:mod:`~repro.engine.backends`: local worker processes, each
-running :mod:`~repro.engine.worker` and sent each job at most once),
-then one in-process run of every job the workers did not return — with
-an invariant-validation gate on every fresh result
+on-disk cache (:mod:`~repro.engine.store`), then local worker processes
+(:func:`~repro.engine.backends.run_workers`: one thread per worker slot,
+each worker running :mod:`~repro.engine.worker` and sent each job at
+most once), then one in-process run of every job the workers did not
+return — with an invariant-validation gate on every fresh result
 (:mod:`~repro.engine.validate`) and run telemetry
 (:mod:`~repro.engine.telemetry`).  An in-process failure is final and
 raises :class:`JobFailedError`.  The result cache is the only record of
@@ -24,7 +24,7 @@ Quickstart::
     print(engine.telemetry.summary())
 
 Every name is re-exported lazily, on first use: a run that finds all
-its results in the cache never loads the worker backend or the trace
+its results in the cache never loads the worker module or the trace
 transport.
 """
 
@@ -34,18 +34,9 @@ from importlib import import_module
 
 #: Re-exported name -> the submodule that defines it.
 _EXPORTS = {
+    **dict.fromkeys(("PoolReport", "run_workers"), "backends"),
     **dict.fromkeys(
-        ("PoolReport", "WorkerBackend", "build_backend", "local_hosts"),
-        "backends",
-    ),
-    **dict.fromkeys(
-        (
-            "BACKEND_NAMES",
-            "ENV_BACKEND",
-            "ENV_JOBS",
-            "resolve_backend_name",
-            "resolve_worker_count",
-        ),
+        ("BACKEND_NAMES", "resolve_backend_name", "resolve_worker_count"),
         "config",
     ),
     **dict.fromkeys(
@@ -53,9 +44,8 @@ _EXPORTS = {
             "SCHEMA_VERSION",
             "SOURCE_CACHED",
             "SOURCE_FALLBACK",
-            "SOURCE_PARALLEL",
             "SOURCE_SERIAL",
-            "SOURCE_SUBPROCESS",
+            "SOURCE_WORKER",
             "JobOutcome",
             "SimulationJob",
             "execute_job",

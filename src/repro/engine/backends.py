@@ -1,68 +1,41 @@
-"""The framed-worker backend: local worker processes, one dispatch per job.
+"""Local worker processes: :func:`run_workers` sends each job at most once.
 
-:class:`WorkerBackend` ships :class:`~repro.engine.jobs.SimulationJob`\\ s
-to worker processes speaking the length-framed pipe protocol of
-:mod:`~repro.engine.worker` and returns a :class:`PoolReport` —
-completions, leftovers, notes.  Jobs it does not return run once
-in-process (:mod:`~repro.engine.parallel`).  ``--backend`` only decides
-when the workers engage:
-
-``pool`` (the default)
-    ``--jobs`` local workers, engaged only when ``--jobs > 1`` and more
-    than one job is pending — otherwise the run stays in-process and no
-    worker is started.
-``subprocess``
-    the same local workers, always engaged: even one job ships to a
-    worker.
-
-Each worker slot is a *host* with a label (``local0``, ``local1``, ...)
-that keys its counters in the manifest.  A host runs one child process
-at a time, :func:`repro.engine.worker.main`.  Every job is dispatched
-**at most once**: an error frame, a worker that dies or a pipe that
-closes hands the job back to run in-process, and the host respawns a
-worker for its next job.  :func:`~repro.engine.jobs.execute_job` is
-deterministic, so a second worker attempt would only repeat the first.
-For the same reason a dispatch has no deadline: a job that hangs on a
-worker would hang again in-process.  A host whose worker fails to
-start, or sends no ``ready`` frame within ``_READY_TIMEOUT_SECONDS``,
-is dropped for the rest of the run; once no host is left, the
-remaining jobs run in-process too.  Results are published to the cache
-exactly once, controller-side, through the store's atomic writes.
+:func:`run_workers` ships :class:`~repro.engine.jobs.SimulationJob`\\ s
+to worker processes speaking the framed pipe protocol of
+:mod:`~repro.engine.worker` and returns a :class:`PoolReport`.  Each of
+its slots is a thread that drives one worker process at a time, in plain
+request/response, and all slots pop from one queue.  A job is sent
+**at most once**: :func:`~repro.engine.jobs.execute_job` is
+deterministic, so a second worker attempt would only repeat the first,
+and a job that hangs on a worker would hang again in-process — hence no
+deadline either.  A job whose worker raises or dies comes back to run
+in-process (:mod:`~repro.engine.parallel`), and the slot spawns a fresh
+worker for its next job.  A worker that fails to start, or sends no
+``ready`` frame within ``_READY_TIMEOUT_SECONDS``, ends its slot; once
+no slot is left, the remaining jobs run in-process too.  Workers leave
+through the ``exit`` frame, so their ``atexit`` hooks run.
 """
 
 from __future__ import annotations
 
 import os
-import queue
+import select
 import subprocess
 import sys
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import EngineError
-from .config import resolve_backend_name
-from .jobs import SOURCE_PARALLEL, SOURCE_SUBPROCESS, SimulationJob
+from .jobs import SimulationJob
 from .worker import read_frame, write_frame
-
-#: ``JobOutcome.source`` of a job a worker completed, per backend.
-_SOURCES = {
-    "pool": SOURCE_PARALLEL,
-    "subprocess": SOURCE_SUBPROCESS,
-}
 
 #: Seconds a fresh worker has to send its ``ready`` frame.
 _READY_TIMEOUT_SECONDS = 10.0
 
 #: Grace period for a worker to exit after the "exit" frame.
 _EXIT_GRACE_SECONDS = 0.5
-
-def local_hosts(count: int) -> List[str]:
-    """Labels of ``count`` local worker hosts (``local0``, ``local1``, ...)."""
-    return [f"local{index}" for index in range(count)]
 
 
 def _spawn_command() -> Tuple[List[str], Dict]:
@@ -86,7 +59,7 @@ def _spawn_command() -> Tuple[List[str], Dict]:
 
 @dataclass
 class PoolReport:
-    """Everything one :meth:`WorkerBackend.run` call did and left behind.
+    """Everything one :func:`run_workers` call did and left behind.
 
     ``completed[job]`` is an ``(annotated_result, worker_wall_seconds)``
     pair; ``leftovers`` are the jobs that must run in-process — those
@@ -104,11 +77,10 @@ class PoolReport:
     notes: List[str] = field(default_factory=list)
 
 
-class _Connection:
-    """One live worker: process, pipes, reader thread."""
+class _Worker:
+    """One live worker process and its two pipes."""
 
-    def __init__(self, label: str, inbox: "queue.Queue") -> None:
-        self.label = label
+    def __init__(self) -> None:
         command, env = _spawn_command()
         self.proc = subprocess.Popen(  # noqa: S603 — our own worker cmd
             command,
@@ -116,279 +88,121 @@ class _Connection:
             stdout=subprocess.PIPE,
             env=env,
         )
-        self.started = time.monotonic()
-        #: The job in flight, else ``None``.
-        self.current: Optional[SimulationJob] = None
-        self.dead = False
-        #: Set by the ``ready`` frame — or by EOF, so a worker that dies
-        #: during start-up does not hold its start for the full timeout.
-        self.ready = threading.Event()
-        self.eof = False
-        self._reader = threading.Thread(
-            target=self._read_loop,
-            args=(inbox,),
-            name=f"worker-reader-{label}",
-            daemon=True,
+
+    def ready(self) -> bool:
+        """Whether the worker says ``ready`` within the start-up bound."""
+        readable, _, _ = select.select(
+            [self.proc.stdout], [], [], _READY_TIMEOUT_SECONDS
         )
-        self._reader.start()
+        frame = read_frame(self.proc.stdout) if readable else None
+        return frame is not None and frame[0] == "ready"
 
-    def _read_loop(self, inbox: "queue.Queue") -> None:
-        while True:
-            frame = read_frame(self.proc.stdout)
-            if frame is None:
-                self.eof = True
-                self.ready.set()
-                inbox.put((self, "eof", None))
-                return
-            if frame[0] == "ready":
-                self.ready.set()
-            inbox.put((self, frame[0], frame[1]))
-
-    def await_ready(self, timeout: float) -> bool:
-        """Whether the worker said ``ready`` within ``timeout`` of start."""
-        remaining = self.started + timeout - time.monotonic()
-        return self.ready.wait(max(0.0, remaining)) and not self.eof
-
-    def send(self, kind: str, payload=None) -> bool:
+    def call(self, job: SimulationJob):
+        """Send one job and read the reply; ``None`` once the worker is gone."""
         try:
-            write_frame(self.proc.stdin, kind, payload)
+            write_frame(self.proc.stdin, "job", job)
         except (OSError, ValueError):
-            return False
-        return True
+            return None
+        return read_frame(self.proc.stdout)
 
-    def kill(self) -> None:
-        self.dead = True
-        self.current = None
-        try:
-            self.proc.kill()
-        except OSError:
-            pass
+    def close(self) -> int:
+        """Stop the worker, release both pipes and return its exit code.
 
-    def close(self) -> None:
-        """Stop the worker (killed ones too) and release both pipes.
-
-        The pipes close only once the process has exited and the reader
-        thread has returned: closing a pipe the reader still blocks on
-        would hang on its buffer lock.
+        A live worker gets the ``exit`` frame and a grace period, so its
+        ``atexit`` hooks run; only one that overstays it is killed.
         """
-        self.dead = True
         if self.proc.poll() is None:
             try:
                 write_frame(self.proc.stdin, "exit")
-                self.proc.stdin.close()
             except (OSError, ValueError):
                 pass
             try:
                 self.proc.wait(timeout=_EXIT_GRACE_SECONDS)
             except subprocess.TimeoutExpired:
-                self.kill()
-        try:
-            self.proc.wait(timeout=2.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover — kernel lag
-            return
-        self._reader.join(timeout=2.0)
-        if self._reader.is_alive():  # pragma: no cover — kernel lag
-            return
+                self.proc.kill()
+        code = self.proc.wait()
         for pipe in (self.proc.stdin, self.proc.stdout):
             try:
                 pipe.close()
             except (OSError, ValueError):
                 pass
+        return code
 
 
-class _HostState:
-    """What the backend tracks about one worker host, across runs."""
+def _start_worker(report: PoolReport) -> Optional[_Worker]:
+    """A worker that said ``ready``, or ``None`` (with a note) if none did."""
+    try:
+        worker = _Worker()
+    except (OSError, ValueError) as error:
+        report.notes.append(
+            f"a worker failed to start ({error}); its slot is closed"
+        )
+        return None
+    if worker.ready():
+        return worker
+    worker.proc.kill()
+    worker.close()
+    report.notes.append(
+        f"a worker sent no ready frame within {_READY_TIMEOUT_SECONDS:g}s; "
+        "its slot is closed"
+    )
+    return None
 
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.conn: Optional[_Connection] = None
-        self.stats: Dict[str, int] = {
-            "dispatches": 0,
-            "completions": 0,
-            "connects": 0,
-            "connect_failures": 0,
-            "flaps": 0,
-        }
 
+def run_workers(jobs: Sequence[SimulationJob], count: int) -> PoolReport:
+    """Run ``jobs`` on up to ``count`` local workers, each job at most once.
 
-class WorkerBackend:
-    """Jobs on local framed workers, one process per host at a time.
-
-    Host counters persist across ``run`` calls, so the manifest's
-    ``workers`` section covers every dispatch of one engine.
+    Jobs the workers do not return come back as leftovers.
     """
+    report = PoolReport()
+    queue = deque(jobs)
 
-    def __init__(
-        self,
-        name: str,
-        hosts: Sequence[str],
-    ) -> None:
-        if not hosts:
-            raise EngineError(f"the {name} backend needs at least one host")
-        self.name = name
-        self.source = _SOURCES[name]
-        self._hosts: Dict[str, _HostState] = {
-            label: _HostState(label) for label in hosts
-        }
-
-    def snapshot(self) -> Dict[str, Dict]:
-        """Per-host counters for the manifest's ``workers`` section."""
-        return {
-            name: dict(state.stats) for name, state in self._hosts.items()
-        }
-
-    # ------------------------------------------------------------------
-    # Dispatch loop
-    # ------------------------------------------------------------------
-    def run(self, jobs: Sequence[SimulationJob]) -> PoolReport:
-        """Run ``jobs`` on the hosts, each at most once.
-
-        Jobs the workers do not return come back as leftovers.
-        """
-        report = PoolReport()
-        inbox: "queue.Queue" = queue.Queue()
-        ready: deque = deque(jobs)
-        connections: List[_Connection] = []
-        # Hosts still in this run; one whose worker cannot start leaves.
-        hosts = list(self._hosts.values())
-
-        def drop(state: _HostState, message: str) -> None:
-            """Count a worker that never started and retire its host."""
-            state.stats["connect_failures"] += 1
-            hosts.remove(state)
-            report.notes.append(f"{message}; host dropped for this run")
-
-        def connect(state: _HostState) -> bool:
-            """Start one worker on a host."""
-            state.stats["connects"] += 1
-            try:
-                state.conn = _Connection(state.label, inbox)
-            except (OSError, ValueError) as error:
-                drop(
-                    state, f"host {state.label} failed to start a worker ({error})"
-                )
-                return False
-            connections.append(state.conn)
-            return True
-
-        def await_ready(state: _HostState) -> bool:
-            """Wait out a fresh worker's ``ready`` frame (deadline-bounded)."""
-            if state.conn.await_ready(_READY_TIMEOUT_SECONDS):
-                return True
-            state.conn.kill()
-            state.conn = None
-            drop(
-                state,
-                f"host {state.label} sent no ready frame within "
-                f"{_READY_TIMEOUT_SECONDS:g}s",
-            )
-            return False
-
-        def busy_conns() -> List[_Connection]:
-            return [
-                state.conn
-                for state in hosts
-                if state.conn is not None
-                and not state.conn.dead
-                and state.conn.current is not None
-            ]
-
-        def dispatch_one(state: _HostState, job: SimulationJob) -> None:
-            """Send one job to one host — the only time it is sent."""
-            conn = state.conn
-            state.stats["dispatches"] += 1
-            report.dispatched.add(job)
-            conn.current = job
-            if not conn.send("job", job):
-                conn.kill()
-                state.conn = None
-                report.notes.append(
-                    f"host {state.label} pipe closed before "
-                    f"{job.describe()} could be dispatched; running it "
-                    "in-process"
-                )
-
-        def dispatch_pass() -> None:
-            """Offer every free host one ready job."""
-            takers: List[_HostState] = []
-            for state in list(hosts):
-                if len(takers) >= len(ready):
-                    break
-                if state.conn is not None and state.conn.dead:
-                    state.conn = None
-                if state.conn is not None and state.conn.current is not None:
-                    continue  # busy
-                if state.conn is not None or connect(state):
-                    takers.append(state)
-            # New workers start concurrently above; only now wait for each.
-            for state in takers:
-                if ready and await_ready(state):
-                    dispatch_one(state, ready.popleft())
-
+    def slot() -> None:
+        worker: Optional[_Worker] = None
         try:
-            # With no worker busy, a pass dispatches a job or drops a
-            # host, so the loop ends.
-            while (ready and hosts) or busy_conns():
-                dispatch_pass()
-                if busy_conns():
-                    # A busy worker always answers: a result, an error
-                    # frame, or EOF when it dies.
-                    self._handle_frame(*inbox.get(), report)
+            while queue:
+                if worker is None:
+                    worker = _start_worker(report)
+                    if worker is None:
+                        return
+                try:
+                    job = queue.popleft()
+                except IndexError:
+                    return  # a sibling slot took the last job
+                report.dispatched.add(job)
+                reply = worker.call(job)
+                if reply is None:
+                    report.notes.append(
+                        f"worker died (exit {worker.close()}) running "
+                        f"{job.describe()}; running it in-process"
+                    )
+                    worker = None
+                elif reply[0] == "result":
+                    report.completed[job] = (
+                        reply[1]["payload"],
+                        reply[1]["wall"],
+                    )
+                else:
+                    report.notes.append(
+                        f"job {job.describe()} raised in a worker "
+                        f"({reply[1].get('kind')}: {reply[1].get('message')}); "
+                        "running it in-process"
+                    )
         finally:
-            for conn in connections:
-                conn.close()
-            for state in self._hosts.values():
-                state.conn = None
-        if ready:
-            report.notes.append(
-                f"no worker host left; {len(ready)} job(s) run in-process"
-            )
-        report.leftovers = [
-            job for job in jobs if job not in report.completed
-        ]
-        return report
+            if worker is not None:
+                worker.close()
 
-    # ------------------------------------------------------------------
-    # Frame handling
-    # ------------------------------------------------------------------
-    def _handle_frame(self, sender, kind, payload, report) -> None:
-        state = self._hosts[sender.label]
-        if sender.dead:
-            return  # killed on purpose: its job already left the workers
-        current = sender.current
-        if kind == "eof":
-            sender.dead = True
-            sender.current = None
-            if state.conn is sender:
-                state.conn = None
-            try:
-                # EOF on the pipe can precede process teardown; wait
-                # briefly so the note carries the real exit code.
-                exit_code = sender.proc.wait(timeout=1.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                exit_code = sender.proc.poll()
-            state.stats["flaps"] += 1
-            if current is not None:
-                report.notes.append(
-                    f"host {state.label} worker died (exit {exit_code}) "
-                    f"running {current.describe()}; running it in-process"
-                )
-        elif current is None:
-            return  # "ready"
-        elif kind == "result":
-            sender.current = None
-            report.completed[current] = (payload["payload"], payload["wall"])
-            state.stats["completions"] += 1
-        elif kind == "error":
-            sender.current = None
-            report.notes.append(
-                f"job {current.describe()} raised on host {state.label} "
-                f"({payload.get('kind')}: {payload.get('message')}); "
-                "running it in-process"
-            )
-
-
-def build_backend(name: str, max_workers: int) -> WorkerBackend:
-    """The worker backend for ``--backend name``: ``max_workers`` local hosts."""
-    name = resolve_backend_name(name)
-    return WorkerBackend(name, local_hosts(max(1, max_workers)))
+    slots = [
+        threading.Thread(target=slot, name=f"worker-slot-{index}", daemon=True)
+        for index in range(min(count, len(jobs)))
+    ]
+    for thread in slots:
+        thread.start()
+    for thread in slots:
+        thread.join()
+    if queue:
+        report.notes.append(
+            f"no worker left; {len(queue)} job(s) run in-process"
+        )
+    report.leftovers = [job for job in jobs if job not in report.completed]
+    return report

@@ -2,9 +2,10 @@
 
 Every run resolves its worker count, backend and trace transport when
 its :class:`~repro.engine.parallel.ExecutionEngine` is built, so a bad
-``REPRO_*`` value fails before any simulation starts.  The modules that
-act on these settings — the worker backend and the trace arenas — load
-only when a run engages them.
+value fails before any simulation starts.  The worker count and backend
+come from ``--jobs`` and ``--backend`` only; the trace transport also
+reads ``REPRO_TRANSPORT``.  The modules that act on these settings —
+the workers and the trace arenas — load only when a run engages them.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from typing import Optional
 
 from ..errors import EngineError
 
-#: Environment variable supplying the default worker count.
-ENV_JOBS = "REPRO_JOBS"
-
-#: Environment variable selecting the backend.
-ENV_BACKEND = "REPRO_BACKEND"
-
-#: Valid ``--backend`` / ``REPRO_BACKEND`` values.
+#: Valid ``--backend`` values.
 BACKEND_NAMES = ("pool", "subprocess")
 
 #: Environment variable selecting the trace transport mode.
@@ -32,23 +27,7 @@ TRANSPORT_MODES = ("auto", "pickle", "shm", "disk")
 
 
 def resolve_worker_count(value: Optional[int] = None) -> int:
-    """Worker count from the argument, ``REPRO_JOBS``, or the CPU count.
-
-    ``REPRO_JOBS`` is validated like the other engine environment knobs:
-    a non-integer or non-positive value raises a clear
-    :class:`~repro.errors.EngineError` naming the variable.
-    """
-    if value is None:
-        raw = os.environ.get(ENV_JOBS)
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise EngineError(
-                    f"{ENV_JOBS} must be an integer, got {raw!r}"
-                ) from None
-            if value < 1:
-                raise EngineError(f"{ENV_JOBS} must be at least 1, got {value!r}")
+    """Worker count from the argument, else the CPU count."""
     if value is None:
         value = os.cpu_count() or 1
     value = int(value)
@@ -58,15 +37,13 @@ def resolve_worker_count(value: Optional[int] = None) -> int:
 
 
 def resolve_backend_name(value: Optional[str] = None) -> str:
-    """Backend name from the argument, ``REPRO_BACKEND``, or ``pool``."""
-    if value is None:
-        value = os.environ.get(ENV_BACKEND) or None
+    """Backend name from the argument, else ``pool``."""
     if value is None:
         return "pool"
     name = str(value).strip().lower()
     if name not in BACKEND_NAMES:
         raise EngineError(
-            f"{ENV_BACKEND} / --backend must be one of "
+            "--backend must be one of "
             f"{', '.join(BACKEND_NAMES)}, got {value!r}"
         )
     return name

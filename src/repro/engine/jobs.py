@@ -44,14 +44,14 @@ from .validate import InvalidResultError, check_raw
 #: count) rows — instead of the raw interval and flag arrays.
 SCHEMA_VERSION = 3
 
-#: ``JobOutcome.source`` values: a cache hit, a worker completion per
-#: backend (``pool`` → parallel), or an in-process run — planned
-#: (``serial``: no worker engaged), or a fallback after workers engaged.
+#: ``JobOutcome.source`` values: a cache hit, a worker completion, or an
+#: in-process run — planned (``serial``: no worker engaged), or a
+#: fallback after workers engaged.  Which ``--backend`` engaged the
+#: workers is the manifest's ``engine.backend``.
 SOURCE_CACHED = "cached"
-SOURCE_PARALLEL = "parallel"
+SOURCE_WORKER = "worker"
 SOURCE_SERIAL = "serial"
 SOURCE_FALLBACK = "serial-fallback"
-SOURCE_SUBPROCESS = "subprocess"
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,17 @@ uses to obtain simulation results.  For every requested job it
 1. consults the on-disk :class:`~repro.engine.store.ResultStore`
    (content-addressed by job parameters — a warm cache run performs zero
    simulations);
-2. hands the misses to the framed-worker backend
-   (:mod:`~repro.engine.backends`, ``--backend`` / ``REPRO_BACKEND``
-   decides when it engages), which dispatches each job at most once;
-   whatever the workers do not return — or everything, when they are
-   not started — runs once in-process;
+2. hands the misses to local worker processes
+   (:mod:`~repro.engine.backends`; ``--backend`` and ``--jobs`` decide
+   whether they engage), which get each job at most once; whatever the
+   workers do not return — or everything, when they are not started —
+   runs once in-process;
 3. passes every fresh result through the invariant-validation gate
    (:mod:`~repro.engine.validate`) — a worker result that violates the
    model's own accounting identities is quarantined and rerun
    in-process, never cached;
 4. writes validated results back to the store, and records everything
-   — outcomes, per-host worker counters, quarantines, failures — in a
+   — outcomes, degradation notes, quarantines, failures — in a
    :class:`~repro.engine.telemetry.RunTelemetry`.
 
 An in-process failure is final: the remaining jobs still run and are
@@ -33,7 +33,7 @@ compute.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache.kernel import resolve_kernel_mode
 from ..errors import EngineError
@@ -46,6 +46,7 @@ from .jobs import (
     SOURCE_CACHED,
     SOURCE_FALLBACK,
     SOURCE_SERIAL,
+    SOURCE_WORKER,
     JobOutcome,
     SimulationJob,
     execute_job,
@@ -53,9 +54,6 @@ from .jobs import (
 from .store import ResultStore
 from .telemetry import RunTelemetry, Stopwatch
 from .validate import InvalidResultError, check_result
-
-if TYPE_CHECKING:
-    from .backends import WorkerBackend
 
 
 class JobFailedError(EngineError):
@@ -82,7 +80,6 @@ class ExecutionEngine:
         self.store = store if store is not None else ResultStore()
         self.telemetry = telemetry if telemetry is not None else RunTelemetry()
         self.backend = resolve_backend_name(backend)
-        self._workers: Optional["WorkerBackend"] = None
         self.transport = resolve_transport_mode()
         self.kernel_mode = resolve_kernel_mode()
         self._traces_published = 0
@@ -111,19 +108,6 @@ class ExecutionEngine:
                 "traces_published": 0,
             }
         )
-
-    @property
-    def workers(self) -> "WorkerBackend":
-        """The worker backend, built on first use."""
-        if self._workers is None:
-            from .backends import build_backend
-
-            self._workers = build_backend(self.backend, self.max_workers)
-        return self._workers
-
-    @workers.setter
-    def workers(self, backend: "WorkerBackend") -> None:
-        self._workers = backend
 
     # ------------------------------------------------------------------
     # Public API
@@ -188,7 +172,7 @@ class ExecutionEngine:
     ) -> None:
         # ``subprocess`` always starts workers; ``pool`` only with two or
         # more of them and two or more jobs.  Deciding here means an
-        # in-process run never builds (or imports) the worker backend.
+        # in-process run never imports the worker module.
         engaged = self.backend == "subprocess" or (
             self.max_workers >= 2 and len(pending) >= 2
         )
@@ -234,7 +218,7 @@ class ExecutionEngine:
         owns them and unlinks them when the dispatch settles, however
         the workers fared.
         """
-        from . import transport
+        from . import backends, transport
 
         published = transport.publish_for_jobs(pending, self.transport)
         if published:
@@ -243,12 +227,11 @@ class ExecutionEngine:
                 {"traces_published": self._traces_published}
             )
         try:
-            report = self.workers.run(pending)
+            report = backends.run_workers(pending, self.max_workers)
         finally:
             transport.release_paths(published)
         for note in report.notes:
             self.telemetry.note(note)
-        self.telemetry.record_workers({"hosts": self.workers.snapshot()})
 
         in_process: List[Tuple[SimulationJob, int]] = [
             (job, 2 if job in report.dispatched else 1)
@@ -260,7 +243,7 @@ class ExecutionEngine:
                 # Never cache an invalid result: quarantine it and rerun
                 # the job in-process, where the gate re-checks.
                 self.telemetry.record_quarantine(
-                    job, violations, where=self.workers.source
+                    job, violations, where=SOURCE_WORKER
                 )
                 self.telemetry.note(
                     f"job {job.describe()} result failed the validation "
@@ -269,7 +252,7 @@ class ExecutionEngine:
                 )
                 in_process.append((job, 2))
                 continue
-            outcomes[job] = JobOutcome(job, annotated, self.workers.source, wall)
+            outcomes[job] = JobOutcome(job, annotated, SOURCE_WORKER, wall)
             self.store.put(job.key(), annotated)
         return in_process
 

@@ -163,7 +163,12 @@ class ResultStore:
         return value
 
     def put(self, key: str, value: Any) -> bool:
-        """Store a payload atomically; returns whether the write landed."""
+        """Store a payload atomically; returns whether the write landed.
+
+        The engine ignores the value (a failed write only costs a later
+        recomputation), but tracing tools read it: a wrapper around
+        ``put`` counts the bytes of written entries only when it is true.
+        """
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         header = json.dumps(
             {

@@ -22,7 +22,7 @@ from .store import atomic_write_bytes
 
 #: Version of the manifest JSON layout, independent of the result cache's
 #: payload schema version; bump it whenever a section or field changes.
-MANIFEST_VERSION = 17
+MANIFEST_VERSION = 18
 
 
 class Stopwatch:
@@ -92,9 +92,6 @@ class RunTelemetry:
     #: mode, residual implementation, trace transport mode and
     #: published-arena totals.
     substrate: Dict = field(default_factory=dict)
-    #: The framed workers of the run (manifest v10): per-host counters.
-    #: Empty when no worker engaged.
-    workers: Dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Recording
@@ -151,14 +148,6 @@ class RunTelemetry:
             "violations": [str(v) for v in violations],
         }
         self.quarantines.append(entry)
-
-    def record_workers(self, section: Dict) -> None:
-        """Snapshot the ``workers`` section (manifest v10, idempotent).
-
-        The engine's section is cumulative over its runs, so each
-        dispatch replaces the previous snapshot.
-        """
-        self.workers = dict(section)
 
     def record_substrate(self, profile: Dict) -> None:
         """Merge substrate facts (kernel + transport) into the manifest.
@@ -294,7 +283,6 @@ class RunTelemetry:
             "quarantine": [dict(q) for q in self.quarantines],
             "store": dict(self.store_stats),
             "substrate": dict(self.substrate),
-            "workers": dict(self.workers),
         }
 
     def write_manifest(self, path) -> str:

@@ -1,8 +1,9 @@
 """The framed worker loop: ``python -m repro.engine.worker``.
 
-Every worker of the framed-worker backend (:mod:`~repro.engine.backends`)
-is a local child process running this loop, and talks to the controller
-over its stdin/stdout using a tiny length-prefixed frame protocol::
+Every worker :func:`~repro.engine.backends.run_workers` starts is a
+local child process running this loop, and talks to its slot thread in
+the controller over its stdin/stdout, one request and one reply at a
+time, using a tiny length-prefixed frame protocol::
 
     frame   := length(4 bytes, big-endian) || pickle((kind, payload))
     to worker   : ("job", SimulationJob) | ("exit", None)

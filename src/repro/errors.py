@@ -98,6 +98,7 @@ class EngineError(ReproError):
     """The execution engine was misconfigured or reached a broken state.
 
     Raised for invalid jobs (unknown benchmark, non-positive scale),
-    invalid worker counts or backends, and engine-level invariants; pool
-    and cache *failures* are handled by falling back, not by raising.
+    invalid worker counts or backends, and engine-level invariants;
+    worker and cache *failures* are handled by falling back, not by
+    raising.
     """

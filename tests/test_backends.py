@@ -9,11 +9,11 @@ infrastructure failure.  This module pins that promise down:
 * ``pool`` engages workers only for ``--jobs > 1`` and more than one
   pending job, ``subprocess`` always — the contract the benchmark
   workloads depend on;
-* per-host counters land in the manifest, and each fresh result is
-  published to the cache exactly once, even when a worker dies mid-run;
+* each fresh result is published to the cache exactly once, even when a
+  worker dies mid-run;
 * a job is sent to a worker at most once: one the workers do not
-  return runs in-process as attempt 2, and a host whose worker cannot
-  start is dropped for the run;
+  return runs in-process as attempt 2, a slot spawns a fresh worker
+  for its next job, and a slot whose worker cannot start ends;
 * the invariant-validation gate quarantines garbage results before they
   can reach the cache, on every path;
 * corrupt cache entries are quarantined (moved aside), surfaced in
@@ -21,6 +21,7 @@ infrastructure failure.  This module pins that promise down:
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,10 +38,10 @@ from repro.engine import (
     PoolReport,
     ResultStore,
     SimulationJob,
-    build_backend,
     check_result,
     resolve_backend_name,
     resolve_cache_dir,
+    run_workers,
 )
 from repro.core.intervals import KIND_SHIFT, NEXTLINE, PREFETCH_FLAGS, STRIDE
 from repro.engine.validate import check_raw
@@ -64,12 +65,7 @@ def small_jobs():
 def isolated_env(tmp_path, monkeypatch):
     """Each test gets its own cache dir and a clean engine environment."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in (
-        "REPRO_JOBS",
-        "REPRO_BACKEND",
-        "REPRO_TRANSPORT",
-    ):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
     return tmp_path
 
 
@@ -91,37 +87,33 @@ def assert_results_identical(a, b):
 
 
 class TestBackendSelection:
-    def test_argument_env_default_precedence(self, monkeypatch):
+    def test_argument_env_default_precedence(self):
+        # The argument (--backend) is the only selector; the default is pool.
         assert resolve_backend_name() == "pool"
-        monkeypatch.setenv("REPRO_BACKEND", "subprocess")
-        assert resolve_backend_name() == "subprocess"
-        assert resolve_backend_name("pool") == "pool"  # argument wins
+        assert resolve_backend_name("subprocess") == "subprocess"
+        assert resolve_backend_name(" Pool ") == "pool"
 
-    def test_invalid_backend_rejected(self, monkeypatch):
-        with pytest.raises(EngineError, match="REPRO_BACKEND"):
+    def test_invalid_backend_rejected(self):
+        with pytest.raises(EngineError, match="--backend"):
             resolve_backend_name("quantum")
-        monkeypatch.setenv("REPRO_BACKEND", "cloud")
         with pytest.raises(EngineError, match="cloud"):
-            ExecutionEngine(jobs=1, store=NullStore())
+            ExecutionEngine(jobs=1, store=NullStore(), backend="cloud")
 
-    def test_chain_shapes(self):
-        # Every backend is the one worker backend with --jobs local hosts.
-        assert list(build_backend("pool", 3).snapshot()) == [
-            "local0",
-            "local1",
-            "local2",
-        ]
-        only = build_backend("subprocess", 1)
-        assert (only.name, list(only.snapshot())) == ("subprocess", ["local0"])
-        assert ExecutionEngine(jobs=1, store=NullStore()).workers.name == "pool"
+    def test_chain_shapes(self, spawns):
+        # Every backend runs the same local workers: one slot per job, at
+        # most --jobs of them, each slot starting one worker.
+        assert len(run_workers(small_jobs(), 3).completed) == len(SUITE_NAMES)
+        assert len(spawns) == len(SUITE_NAMES)
+        assert len(run_workers(small_jobs(), 1).completed) == len(SUITE_NAMES)
+        assert len(spawns) == len(SUITE_NAMES) + 1
+        assert ExecutionEngine(jobs=1, store=NullStore()).backend == "pool"
 
-    def test_serial_is_not_a_backend(self, capsys, monkeypatch):
+    def test_serial_is_not_a_backend(self, capsys):
         # No workers is --jobs 1 under pool, not a backend of its own.
         assert main([*CLI_BASE, "--backend", "serial"]) == 2
         assert "invalid choice" in capsys.readouterr().err
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
         with pytest.raises(EngineError, match="pool, subprocess"):
-            ExecutionEngine(jobs=1, store=NullStore())
+            resolve_backend_name("serial")
 
     def test_cli_rejects_unknown_backend(self, capsys):
         assert main([*CLI_BASE, "--backend", "quantum"]) == 2
@@ -134,10 +126,9 @@ class TestBackendEquivalence:
         [
             # No workers: --jobs 1 under pool runs every job in-process.
             pytest.param("pool", 1, "serial", id="serial-serial"),
-            pytest.param("pool", 2, "parallel", id="pool-parallel"),
-            pytest.param(
-                "subprocess", 2, "subprocess", id="subprocess-subprocess"
-            ),
+            # Either backend's workers label their completions "worker".
+            pytest.param("pool", 2, "worker", id="pool-parallel"),
+            pytest.param("subprocess", 2, "worker", id="subprocess-subprocess"),
         ],
     )
     def test_identical_results_and_sources(
@@ -152,12 +143,7 @@ class TestBackendEquivalence:
             assert_results_identical(
                 outcomes[job].annotated, reference[job].annotated
             )
-        section = engine.telemetry.workers
-        if jobs == 1:
-            assert section == {}
-        else:
-            assert list(section) == ["hosts"]
-            assert set(section["hosts"]) == {"local0", "local1"}
+        assert "workers" not in engine.telemetry.manifest()
 
     def test_single_job_skips_the_pool(self):
         # One pending job is not worth a pool: plain serial, no fallback.
@@ -169,17 +155,17 @@ class TestBackendEquivalence:
 
 @pytest.fixture()
 def spawns(monkeypatch):
-    """Counts worker processes the backend starts (hosts, in order)."""
+    """Records one entry per worker process a slot starts."""
     from repro.engine import backends
 
     started = []
-    real = backends._Connection.__init__
+    real = backends._spawn_command
 
-    def counting(self, label, inbox):
-        started.append(label)
-        real(self, label, inbox)
+    def counting():
+        started.append("worker")
+        return real()
 
-    monkeypatch.setattr(backends._Connection, "__init__", counting)
+    monkeypatch.setattr(backends, "_spawn_command", counting)
     return started
 
 
@@ -199,19 +185,17 @@ class TestEngagement:
     def test_jobs1_runs_in_process(self, extra, spawns, tmp_path, capsys):
         manifest = self._run(extra, tmp_path / "m.json")
         assert [row["source"] for row in manifest["jobs"]] == ["serial"] * 2
-        assert manifest["workers"] == {}
+        assert "workers" not in manifest
         assert spawns == []
 
     def test_subprocess_jobs1_uses_one_worker(self, spawns, tmp_path, capsys):
         manifest = self._run(
             ["--backend", "subprocess", "--jobs", "1"], tmp_path / "m.json"
         )
-        assert [row["source"] for row in manifest["jobs"]] == [
-            "subprocess"
-        ] * 2
-        assert spawns == ["local0"]
-        host = manifest["workers"]["hosts"]["local0"]
-        assert (host["connects"], host["dispatches"]) == (1, 2)
+        assert [row["source"] for row in manifest["jobs"]] == ["worker"] * 2
+        assert [row["attempts"] for row in manifest["jobs"]] == [1, 1]
+        assert spawns == ["worker"]  # one worker took both jobs
+        assert "workers" not in manifest
 
     def test_arenas_published_only_when_workers_run(self, tmp_path,
                                                     monkeypatch):
@@ -234,7 +218,7 @@ class TestEngagement:
 
 
 class TestLocalHosts:
-    """Per-host counters and exactly-once publication on local workers."""
+    """Worker reuse and exactly-once publication on local workers."""
 
     def _engine(self, **kwargs):
         kwargs.setdefault("jobs", 2)
@@ -247,13 +231,18 @@ class TestLocalHosts:
         # Only a worker's start-up is bounded; a dispatch has no deadline.
         assert backends._READY_TIMEOUT_SECONDS == 10.0
 
-    def test_host_counters_in_manifest(self):
+    def test_host_counters_in_manifest(self, spawns):
+        # One slot, one worker, every job completed on it; the manifest
+        # has rows and notes, and no per-worker section.
         engine = self._engine(jobs=1)
-        engine.run(small_jobs())
-        host = engine.telemetry.manifest()["workers"]["hosts"]["local0"]
-        assert host["connects"] == 1
-        assert host["dispatches"] == len(SUITE_NAMES)
-        assert host["completions"] == len(SUITE_NAMES)
+        outcomes = engine.run(small_jobs())
+        assert len(spawns) == 1
+        assert [(o.source, o.attempts) for o in outcomes.values()] == [
+            ("worker", 1)
+        ] * len(SUITE_NAMES)
+        manifest = engine.telemetry.manifest()
+        assert "workers" not in manifest
+        assert manifest["notes"] == []
 
     def test_results_cached_exactly_once(self, tmp_path):
         store = ResultStore(tmp_path / "worker-cache")
@@ -279,38 +268,32 @@ class TestLocalHosts:
             outcomes = engine.run(small_jobs())
         gzip_job = SimulationJob("gzip", scale=SMALL)
         for job in small_jobs():
-            expected = "serial-fallback" if job == gzip_job else "subprocess"
+            expected = "serial-fallback" if job == gzip_job else "worker"
             assert outcomes[job].source == expected
             assert_results_identical(
                 outcomes[job].annotated, reference[job].annotated
             )
         assert len(list(store.directory.glob("*.pkl"))) == len(SUITE_NAMES)
-        profile = engine.telemetry.manifest()["workers"]
-        assert sum(host["flaps"] for host in profile["hosts"].values()) == 1
-        assert any(
+        assert sum(
             "worker died" in note and "in-process" in note
             for note in engine.telemetry.notes
-        )
+        ) == 1
         more = engine.run(small_jobs())
         assert all(o.source == "cached" for o in more.values())
 
 
-class _ScriptedWorkers:
-    """Stands in for the worker backend; returns a programmed report."""
+def _script_workers(monkeypatch, behavior):
+    """Workers that return ``behavior(jobs)``; returns the calls made."""
+    from repro.engine import backends
 
-    name = "subprocess"
-    source = "subprocess"
+    calls = []
 
-    def __init__(self, behavior):
-        self.behavior = behavior
-        self.calls = []
+    def scripted(jobs, count):
+        calls.append(list(jobs))
+        return behavior(jobs)
 
-    def snapshot(self):
-        return {}
-
-    def run(self, jobs):
-        self.calls.append(list(jobs))
-        return self.behavior(jobs)
+    monkeypatch.setattr(backends, "run_workers", scripted)
+    return calls
 
 
 def _broken(jobs):
@@ -321,17 +304,18 @@ def _broken(jobs):
     )
 
 
-def _scripted_engine(behavior):
-    engine = ExecutionEngine(jobs=2, store=NullStore(), backend="subprocess")
-    engine.workers = _ScriptedWorkers(behavior)
-    return engine
+def _scripted_engine():
+    return ExecutionEngine(jobs=2, store=NullStore(), backend="subprocess")
 
 
 class TestSupervisor:
     """What the workers do not return runs in-process."""
 
-    def test_degrades_to_next_backend_with_attempts_intact(self, reference):
-        engine = _scripted_engine(_broken)
+    def test_degrades_to_next_backend_with_attempts_intact(
+        self, reference, monkeypatch
+    ):
+        _script_workers(monkeypatch, _broken)
+        engine = _scripted_engine()
         outcomes = engine.run(small_jobs())
         for job in small_jobs():
             # Serial numbers its rerun after the worker attempt.
@@ -341,44 +325,44 @@ class TestSupervisor:
                 outcomes[job].annotated, reference[job].annotated
             )
         assert engine.telemetry.notes == ["backend exploded"]
-        assert engine.telemetry.workers == {"hosts": {}}
 
-    def test_exhausted_jobs_skip_remaining_backends(self):
-        # Jobs the workers never got (every host dropped) run in-process
+    def test_exhausted_jobs_skip_remaining_backends(self, monkeypatch):
+        # Jobs the workers never got (every slot ended) run in-process
         # as attempt 1, and the workers are not asked again.
         def no_hosts(jobs):
             return PoolReport(leftovers=list(jobs))
 
-        engine = _scripted_engine(no_hosts)
+        calls = _script_workers(monkeypatch, no_hosts)
+        engine = _scripted_engine()
         job = SimulationJob("gzip", scale=SMALL)
         outcome = engine.run_one(job)
         assert outcome.source == "serial-fallback"
         assert outcome.attempts == 1
-        assert engine.workers.calls == [[job]]
+        assert calls == [[job]]
 
 
 class TestSubprocessBackend:
-    def test_flapping_worker_respawned_transparently(self, reference):
-        # gzip's worker dies once.  The single host respawns a worker and
-        # runs ammp on it; gzip finishes in-process as attempt 2.
+    def test_flapping_worker_respawned_transparently(self, reference, spawns):
+        # gzip's worker dies once.  The single slot spawns a new worker
+        # and runs ammp on it; gzip finishes in-process as attempt 2.
         engine = ExecutionEngine(jobs=1, store=NullStore(), backend="subprocess")
         with broken_workers(gzip="crash"):
             outcomes = engine.run(small_jobs())
         gzip_job = SimulationJob("gzip", scale=SMALL)
         ammp_job = SimulationJob("ammp", scale=SMALL)
-        assert outcomes[ammp_job].source == "subprocess"
+        assert outcomes[ammp_job].source == "worker"
         assert outcomes[ammp_job].attempts == 1
         assert outcomes[gzip_job].attempts == 2
-        assert any("worker died" in note for note in engine.telemetry.notes)
-        host = engine.telemetry.workers["hosts"]["local0"]
-        assert (host["flaps"], host["connects"]) == (1, 2)
-        assert host["completions"] == 1
+        assert sum("worker died" in n for n in engine.telemetry.notes) == 1
+        assert len(spawns) == 2  # the first worker, then its replacement
         for job in small_jobs():
             assert_results_identical(
                 outcomes[job].annotated, reference[job].annotated
             )
 
-    def test_persistent_flapping_exhausts_retries_then_serial(self, reference):
+    def test_persistent_flapping_exhausts_retries_then_serial(
+        self, reference, spawns
+    ):
         # gzip kills every worker that runs it.  Its one worker dispatch
         # is its whole worker budget: it is never sent to a worker again
         # and finishes in-process.
@@ -388,15 +372,76 @@ class TestSubprocessBackend:
         gzip_job = SimulationJob("gzip", scale=SMALL)
         assert outcomes[gzip_job].source == "serial-fallback"
         assert outcomes[gzip_job].attempts == 2
-        host = engine.telemetry.workers["hosts"]["local0"]
-        assert host["dispatches"] == len(SUITE_NAMES)
-        assert host["flaps"] == 1
+        ammp_job = SimulationJob("ammp", scale=SMALL)
+        assert (outcomes[ammp_job].source, outcomes[ammp_job].attempts) == (
+            "worker",
+            1,
+        )
+        assert len(spawns) == 2
         [note] = engine.telemetry.notes
-        assert note.startswith("host local0 worker died (exit ")
+        assert note.startswith("worker died (exit ")
         assert note.endswith(f"running gzip@{SMALL}; running it in-process")
         assert_results_identical(
             outcomes[gzip_job].annotated, reference[gzip_job].annotated
         )
+
+    def test_two_slots_share_one_queue(self, tmp_path, spawns):
+        # Two slots race for three jobs and gzip kills its worker: the
+        # slots left take the rest, each job is sent once, and each
+        # result is cached once.
+        jobs = [
+            SimulationJob(name, scale=SMALL) for name in ("gzip", "ammp", "applu")
+        ]
+        serial = ExecutionEngine(jobs=1, store=NullStore()).run(jobs)
+        store = ResultStore(tmp_path / "race-cache")
+        engine = ExecutionEngine(jobs=2, store=store, backend="subprocess")
+        with broken_workers(gzip="crash"):
+            outcomes = engine.run(jobs)
+        for job in jobs:
+            expected = (
+                ("serial-fallback", 2) if job.benchmark == "gzip" else ("worker", 1)
+            )
+            assert (outcomes[job].source, outcomes[job].attempts) == expected
+            assert_results_identical(
+                outcomes[job].annotated, serial[job].annotated
+            )
+        assert sum("worker died" in n for n in engine.telemetry.notes) == 1
+        assert len(list(store.directory.glob("*.pkl"))) == len(jobs)
+        assert 2 <= len(spawns) <= 3  # a respawn only if a job was left
+
+    def test_slots_share_the_queue_under_stress(self, monkeypatch):
+        # More slots than cores, a short switch interval and workers that
+        # answer at once: every job is sent once and credited to itself.
+        import sys
+        import threading
+
+        from repro.engine import backends
+
+        spawn = backends._spawn_command
+
+        def echo_spawn():
+            _, env = spawn()
+            return [sys.executable, "-c", _ECHO_WORKER], env
+
+        monkeypatch.setattr(backends, "_spawn_command", echo_spawn)
+        jobs = [SimulationJob("gzip", scale=0.01 * k) for k in range(1, 61)]
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: reports.append(run_workers(jobs, 6))
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        [report] = reports
+        assert report.dispatched == set(jobs)
+        payloads = {job: done[0] for job, done in report.completed.items()}
+        assert payloads == {job: job.scale for job in jobs}
+        assert report.leftovers == [] and report.notes == []
 
     @pytest.mark.parametrize(
         "modes", [{}, {"gzip": "crash"}], ids=["clean", "worker-died"]
@@ -432,7 +477,10 @@ class TestSubprocessBackend:
 
         from repro.engine import backends
 
+        started = []
+
         def broken_spawn():
+            started.append(script)
             return [sys.executable, "-c", script], None
 
         monkeypatch.setattr(backends, "_spawn_command", broken_spawn)
@@ -445,14 +493,71 @@ class TestSubprocessBackend:
             assert_results_identical(
                 outcomes[job].annotated, reference[job].annotated
             )
-        hosts = engine.telemetry.workers["hosts"]
-        for host in hosts.values():
-            # Each host tried one start, failed it and left the run.
-            assert host["connect_failures"] == 1
-            assert (host["connects"], host["dispatches"]) == (1, 0)
-        assert any(
-            "no worker host left" in note for note in engine.telemetry.notes
+        # Each slot tried one start, failed it and ended.
+        assert len(started) == 2
+        notes = engine.telemetry.notes
+        assert sum("its slot is closed" in note for note in notes) == 2
+        assert notes[-1] == "no worker left; 2 job(s) run in-process"
+
+
+#: A worker that answers every job at once with the job's scale.
+_ECHO_WORKER = """
+import sys
+from repro.engine.worker import read_frame, write_frame
+write_frame(sys.stdout.buffer, "ready", {})
+while True:
+    frame = read_frame(sys.stdin.buffer)
+    if frame is None or frame[0] == "exit":
+        break
+    reply = {"wall": 0.0, "payload": frame[1].scale}
+    write_frame(sys.stdout.buffer, "result", reply)
+"""
+
+
+@contextmanager
+def exit_markers(directory):
+    """Workers started inside the block leave a file in ``directory``
+    from an ``atexit`` hook; yields the list of workers started."""
+    from repro.engine import backends
+
+    spawn = backends._spawn_command
+    started = []
+
+    def marking_spawn():
+        command, env = spawn()
+        code = command.index("-c") + 1
+        command[code] = (
+            "import atexit, os; atexit.register(lambda: open(os.path.join("
+            f"{str(directory)!r}, str(os.getpid())), 'w').close()); "
+            + command[code]
         )
+        started.append(command)
+        return command, env
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backends, "_spawn_command", marking_spawn)
+        yield started
+
+
+class TestWorkerExit:
+    """Workers leave through the ``exit`` frame, so ``atexit`` hooks run
+    (a traced benchmark run collects worker spans from one)."""
+
+    def test_clean_workers_run_their_atexit_hooks(self, tmp_path):
+        with exit_markers(tmp_path) as started:
+            report = run_workers(small_jobs(), 2)
+        assert len(report.completed) == len(SUITE_NAMES)
+        assert len(started) == 2
+        assert len(list(tmp_path.iterdir())) == len(started)
+
+    def test_crashed_worker_skips_its_atexit_hooks(self, tmp_path):
+        # os._exit skips the hooks; every other worker still runs them.
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        with broken_workers(gzip="crash"), exit_markers(markers) as started:
+            report = run_workers(small_jobs(), 2)
+        assert list(report.completed) == [SimulationJob("ammp", scale=SMALL)]
+        assert len(list(markers.iterdir())) == len(started) - 1
 
 
 class TestValidationGate:
@@ -531,13 +636,14 @@ class TestValidationGate:
         # A worker returns it; the parent's gate quarantines it and
         # reruns the job in-process.
         monkeypatch.setattr(parallel, "execute_job", lambda job: good)
-        engine = ExecutionEngine(
-            jobs=1, store=ResultStore(tmp_path), backend="subprocess"
-        )
-        engine.workers = _ScriptedWorkers(
+        _script_workers(
+            monkeypatch,
             lambda jobs: PoolReport(
                 completed={job: (bad, 0.0)}, dispatched={job}
-            )
+            ),
+        )
+        engine = ExecutionEngine(
+            jobs=1, store=ResultStore(tmp_path), backend="subprocess"
         )
         outcome = engine.run_one(job)
         assert outcome.source == "serial-fallback"
@@ -578,7 +684,7 @@ class TestValidationGate:
         assert outcome.attempts == 2
         quarantine = engine.telemetry.quarantines
         assert len(quarantine) == 1
-        assert quarantine[0]["where"] == "subprocess"
+        assert quarantine[0]["where"] == "worker"
         assert any("cycles" in v for v in quarantine[0]["violations"])
         # Only the clean rerun reached the cache, and it passes the gate.
         cached = ResultStore(cache).get(job.key())
@@ -606,7 +712,7 @@ class TestValidationGate:
         assert outcomes[gzip_job].source == "serial-fallback"
         assert outcomes[gzip_job].attempts == 2
         quarantine = engine.telemetry.quarantines
-        assert quarantine and quarantine[0]["where"] == "subprocess"
+        assert quarantine and quarantine[0]["where"] == "worker"
         assert_results_identical(
             outcomes[gzip_job].annotated, reference[gzip_job].annotated
         )
@@ -680,9 +786,7 @@ class TestGracefulDegradation:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["engine"]["backend"] == "pool"
         assert manifest["totals"]["fallbacks"] == 1
-        assert sum(
-            host["flaps"] for host in manifest["workers"]["hosts"].values()
-        ) == 1
+        assert sum("worker died" in note for note in manifest["notes"]) == 1
         gzip_row = next(
             row for row in manifest["jobs"] if row["benchmark"] == "gzip"
         )

@@ -15,13 +15,8 @@ from repro.cli import dumps_stable, main
 
 @pytest.fixture(autouse=True)
 def isolated_env(tmp_path, monkeypatch):
-    """Each test gets its own cache dir and a clean engine environment."""
+    """Each test gets its own cache dir."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in (
-        "REPRO_JOBS",
-        "REPRO_BACKEND",
-    ):
-        monkeypatch.delenv(var, raising=False)
     return tmp_path
 
 

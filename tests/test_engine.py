@@ -17,9 +17,9 @@ from repro.engine import (
     RunTelemetry,
     SimulationJob,
     atomic_write_bytes,
-    build_backend,
     resolve_cache_dir,
     resolve_worker_count,
+    run_workers,
 )
 from repro.errors import EngineError, ExperimentError
 from repro.experiments.runner import run_all
@@ -86,7 +86,7 @@ class TestParallelEquivalence:
         _, serial = warm_store
         parallel = ExecutionEngine(jobs=2, store=NullStore()).run(small_jobs())
         for job in small_jobs():
-            assert parallel[job].source == "parallel"
+            assert parallel[job].source == "worker"
             assert_results_identical(parallel[job].annotated, serial[job].annotated)
 
     def test_duplicate_jobs_deduplicated(self):
@@ -203,60 +203,54 @@ class TestEngineCaching:
 
 
 class TestRobustness:
-    def test_worker_exception_left_for_serial(self):
+    def test_worker_exception_left_for_serial(self, monkeypatch):
+        from repro.engine import backends
+
         jobs = small_jobs()
-        backend = build_backend("subprocess", 1)
+        spawn = backends._spawn_command
+        spawns = []
+
+        def counting():
+            spawns.append(1)
+            return spawn()
+
+        monkeypatch.setattr(backends, "_spawn_command", counting)
         with broken_workers(**{job.benchmark: "raise" for job in jobs}):
-            report = backend.run(jobs)
+            report = run_workers(jobs, 1)
         assert report.completed == {}
         assert report.leftovers == jobs
         assert report.dispatched == set(jobs)
-        assert sum("raised on host" in note for note in report.notes) == 2
+        assert sum("raised in a worker" in note for note in report.notes) == 2
         # One worker served both jobs: an error frame does not kill it.
-        host = backend.snapshot()["local0"]
-        assert (host["connects"], host["dispatches"]) == (1, 2)
+        assert spawns == [1]
 
     def test_worker_start_failure_falls_back_to_serial(self, monkeypatch):
         from repro.engine import backends
 
-        def no_fork(self, label, inbox):
+        def no_fork():
             raise OSError("fork refused (test)")
 
-        monkeypatch.setattr(backends._Connection, "__init__", no_fork)
+        monkeypatch.setattr(backends, "_spawn_command", no_fork)
         engine = ExecutionEngine(jobs=2, store=NullStore())
         outcomes = engine.run(small_jobs())
         assert all(o.source == SOURCE_FALLBACK for o in outcomes.values())
+        assert all(o.attempts == 1 for o in outcomes.values())
         assert engine.telemetry.fallbacks == len(outcomes)
-        assert any("failed to start" in note for note in engine.telemetry.notes)
-        hosts = engine.telemetry.workers["hosts"]
-        assert [h["connect_failures"] for h in hosts.values()] == [1, 1]
+        notes = engine.telemetry.notes
+        assert sum("failed to start" in note for note in notes) == 2
 
 
 class TestWorkerCount:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "7")
+    def test_explicit_wins(self):
         assert resolve_worker_count(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_worker_count() == 5
-
-    def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_default_is_cpu_count(self):
         assert resolve_worker_count() >= 1
 
-    def test_invalid_rejected(self, monkeypatch):
-        with pytest.raises(EngineError):
-            resolve_worker_count(0)
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(EngineError, match="REPRO_JOBS"):
-            resolve_worker_count()
-
-    def test_env_validation_names_the_variable(self, monkeypatch):
-        for raw in ("0", "-3", "2.5", "all"):
-            monkeypatch.setenv("REPRO_JOBS", raw)
-            with pytest.raises(EngineError, match="REPRO_JOBS"):
-                resolve_worker_count()
+    def test_invalid_rejected(self):
+        for value in (0, -3):
+            with pytest.raises(EngineError, match="at least 1"):
+                resolve_worker_count(value)
 
 
 class TestTelemetry:
@@ -266,13 +260,14 @@ class TestTelemetry:
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == 17
+        assert manifest["manifest_version"] == 18
         for dropped in ("service", "coordination"):
             assert dropped not in manifest  # went with the serving daemon
         assert "hosts" not in manifest["engine"]  # went with remote hosts
         for dropped in ("run_id", "resumed"):
             assert dropped not in manifest["engine"]  # went with run journals
-        assert manifest["workers"] == {}  # no worker engaged
+        # v18: no per-worker section; a row's source says what ran it.
+        assert "workers" not in manifest
         substrate = manifest["substrate"]
         assert substrate["kernel_mode"] in ("scalar", "batched", "compiled")
         assert substrate["residual_impl"] in ("python", "compiled", "scalar")
@@ -287,7 +282,7 @@ class TestTelemetry:
         assert [name for name in manifest["totals"] if "fault" in name] == []
         assert manifest["quarantine"] == []
         for merged in ("heartbeats", "breakers", "fault_domains"):
-            assert merged not in manifest  # folded into "workers"
+            assert merged not in manifest  # folded into "workers", now gone
         totals = manifest["totals"]
         for field in (
             "jobs",
@@ -321,18 +316,6 @@ class TestTelemetry:
         # v16: no deadline, and no copies of the substrate section's facts.
         for dropped in ("timeout_seconds", "kernel_mode", "transport"):
             assert dropped not in manifest["engine"]
-        # v14 per-host layout of the workers section: counters only, no
-        # hang events or requeues.
-        from repro.engine import build_backend
-
-        host = build_backend("subprocess", 1).snapshot()["local0"]
-        assert set(host) == {
-            "dispatches",
-            "completions",
-            "connects",
-            "connect_failures",
-            "flaps",
-        }
         assert totals["jobs"] == len(SUITE_NAMES)
         assert totals["cached"] == totals["jobs"]
         assert manifest["store"]["hits"] == totals["jobs"]

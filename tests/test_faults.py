@@ -41,13 +41,8 @@ def small_jobs():
 
 @pytest.fixture(autouse=True)
 def isolated_env(tmp_path, monkeypatch):
-    """Each test gets its own cache dir and a clean engine environment."""
+    """Each test gets its own cache dir."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in (
-        "REPRO_JOBS",
-        "REPRO_BACKEND",
-    ):
-        monkeypatch.delenv(var, raising=False)
     return tmp_path
 
 
@@ -81,10 +76,10 @@ class TestSerialRetry:
         ammp_job = SimulationJob("ammp", scale=SMALL)
         assert outcomes[gzip_job].source == "serial-fallback"
         assert outcomes[gzip_job].attempts == 2
-        assert outcomes[ammp_job].source == "parallel"
+        assert outcomes[ammp_job].source == "worker"
         assert outcomes[ammp_job].attempts == 1
         assert any(
-            "raised on host" in note and "RuntimeError" in note
+            "raised in a worker" in note and "RuntimeError" in note
             for note in engine.telemetry.notes
         )
         for job in small_jobs():
@@ -92,9 +87,20 @@ class TestSerialRetry:
                 outcomes[job].annotated, reference[job].annotated
             )
 
-    def test_retries_exhausted_raises_and_is_recorded(self):
+    def test_retries_exhausted_raises_and_is_recorded(self, monkeypatch):
         # Worker attempt and in-process rerun both raise: the run fails,
         # naming the job, after one attempt of each.
+        from repro.engine import backends
+
+        calls = []
+        run_workers = backends.run_workers
+
+        def counting(jobs, count):
+            report = run_workers(jobs, count)
+            calls.append(report)
+            return report
+
+        monkeypatch.setattr(backends, "run_workers", counting)
         engine = ExecutionEngine(jobs=1, store=NullStore(), backend="subprocess")
         job = SimulationJob("gzip", scale=SMALL)
         with broken_workers(gzip="raise"), broken_in_process(gzip="raise"):
@@ -102,11 +108,12 @@ class TestSerialRetry:
                 engine.run_one(job)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
         assert "planted failure" in str(excinfo.value)
-        assert sum("raised on host" in n for n in engine.telemetry.notes) == 1
+        assert sum("raised in a worker" in n for n in engine.telemetry.notes) == 1
         assert engine.telemetry.failed == 1
         assert "RuntimeError" in engine.telemetry.failures[0]["error"]
-        host = engine.telemetry.workers["hosts"]["local0"]
-        assert host["dispatches"] == 1
+        # The job went to a worker once, in one dispatch.
+        [report] = calls
+        assert report.dispatched == {job}
 
     def test_in_process_failure_is_final(self, tmp_path):
         # With no workers, attempt 1 runs in-process: its failure fails
@@ -140,14 +147,15 @@ class TestPoolFaults:
         with broken_workers(gzip="raise"):
             outcomes = engine.run(small_jobs())
         gzip_job = SimulationJob("gzip", scale=SMALL)
+        ammp_job = SimulationJob("ammp", scale=SMALL)
         assert outcomes[gzip_job].attempts == 2
-        section = engine.telemetry.workers
-        hosts = section["hosts"].values()
-        assert sum(host["dispatches"] for host in hosts) == len(SUITE_NAMES)
-        assert sum(host["completions"] for host in hosts) == len(SUITE_NAMES) - 1
-        assert sum(host["flaps"] for host in hosts) == 0
+        assert (outcomes[ammp_job].source, outcomes[ammp_job].attempts) == (
+            "worker",
+            1,
+        )
         assert outcomes[gzip_job].source == "serial-fallback"
-        assert sum("raised on host" in n for n in engine.telemetry.notes) == 1
+        [note] = engine.telemetry.notes  # no worker died
+        assert "raised in a worker" in note
         for job in small_jobs():
             assert_results_identical(
                 outcomes[job].annotated, reference[job].annotated
@@ -177,7 +185,7 @@ class TestPoolFaults:
             outcomes = engine.run(small_jobs())
         ammp_job = SimulationJob("ammp", scale=SMALL)
         gzip_job = SimulationJob("gzip", scale=SMALL)
-        assert outcomes[ammp_job].source == "parallel"
+        assert outcomes[ammp_job].source == "worker"
         assert outcomes[ammp_job].attempts == 1
         assert outcomes[gzip_job].attempts == 2
         for job in small_jobs():
@@ -344,8 +352,9 @@ class TestByteIdenticalUnderFaults:
         faulted = capsys.readouterr()
         assert faulted.out == clean
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["manifest_version"] == 17
+        assert manifest["manifest_version"] == 18
         assert "retries" not in manifest
+        assert "workers" not in manifest
         assert manifest["totals"]["fallbacks"] == 1
         gzip_row = next(
             row for row in manifest["jobs"] if row["benchmark"] == "gzip"
@@ -476,7 +485,9 @@ class TestChaos:
         assert manifest["engine"]["backend"] == (
             "pool" if IN_PROCESS else CHAOS_BACKEND
         )
-        assert (manifest["workers"] == {}) == IN_PROCESS
+        assert "workers" not in manifest
+        sources = {row["source"] for row in manifest["jobs"]}
+        assert ("worker" in sources) != IN_PROCESS
         if not IN_PROCESS:
             totals = manifest["totals"]
             assert totals["fallbacks"] == 1

@@ -50,8 +50,6 @@ def run_figure9(cache_dir) -> list:
     loaded, code = json.loads(
         run_python(
             "import contextlib, io, json, os, sys\n"
-            "for var in ('REPRO_BACKEND', 'REPRO_JOBS'):\n"
-            "    os.environ.pop(var, None)\n"
             f"os.environ['REPRO_CACHE_DIR'] = {str(cache_dir)!r}\n"
             "from repro.cli import main\n"
             "sink = io.StringIO()\n"

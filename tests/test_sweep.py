@@ -44,12 +44,8 @@ def small_spec(name="test-sweep", **overrides):
 
 @pytest.fixture(autouse=True)
 def isolated_env(tmp_path, monkeypatch):
-    """Each test gets its own cache dir and a clean engine environment."""
+    """Each test gets its own cache dir."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in (
-        "REPRO_JOBS",
-    ):
-        monkeypatch.delenv(var, raising=False)
     return tmp_path
 
 

@@ -59,10 +59,8 @@ SMALL = 0.02
 
 @pytest.fixture(autouse=True)
 def isolated_env(tmp_path, monkeypatch):
-    """Each test gets its own cache dir and a clean engine environment."""
+    """Each test gets its own cache dir."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    for var in ("REPRO_JOBS", "REPRO_BACKEND"):
-        monkeypatch.delenv(var, raising=False)
     return tmp_path
 
 

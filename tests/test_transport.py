@@ -222,7 +222,7 @@ class TestEngineEndToEnd:
         # engine would run the pair as one job.
         job = SimulationJob(ref)
         outcome = engine.run([job, SimulationJob("ammp", scale=SMALL)])[job]
-        assert outcome.source == "parallel"
+        assert outcome.source == "worker"
         assert outcome.annotated.result == expected
         assert transport.REGISTRY.active_segments() == []
         assert engine.telemetry.substrate["transport"] == mode
@@ -262,7 +262,7 @@ class TestEngineEndToEnd:
             engine = ExecutionEngine(jobs=1, backend="subprocess",
                                      store=NullStore())
             outcome = engine.run_one(SimulationJob(ref))
-            assert outcome.source == "subprocess"
+            assert outcome.source == "worker"
             substrate = engine.telemetry.manifest()["substrate"]
             results[mode] = (outcome.annotated, substrate)
         default, shm = results[None], results["shm"]
