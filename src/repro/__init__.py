@@ -9,7 +9,7 @@ the answer rests on:
 * :mod:`repro.core` — the oracle limit analysis itself: access intervals,
   the per-mode energy equations, inflection points, the optimal policies
   (OPT-Drowsy / OPT-Sleep / OPT-Hybrid / cache-decay Sleep(θ)) and the
-  generalized state-machine model behind the technology sweep.
+  generalized state-machine model that cross-checks their energies.
 * :mod:`repro.power` — HotLeakage-style leakage and CACTI-style dynamic
   energy models, the four paper technology nodes (calibrated so the
   Table 1 inflection points reproduce exactly), and the ITRS projection.
@@ -18,8 +18,8 @@ the answer rests on:
   batched simulation kernel and a width-limited timing model.
 * :mod:`repro.workloads` — six SPEC2000-like synthetic benchmarks.
 * :mod:`repro.prefetch` — the trace simulator (timing, interval
-  populations and their prefetchability in one pass), next-line and
-  stride prefetchers, and the Prefetch-A/B oracle approximations.
+  populations and their next-line and stride prefetchability in one
+  pass) and the Prefetch-A/B oracle approximations.
 * :mod:`repro.experiments` — one harness per paper table/figure.
 * :mod:`repro.engine` — the execution substrate: parallel simulation
   with on-disk result caching, fault tolerance and run telemetry.

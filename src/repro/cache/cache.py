@@ -128,14 +128,6 @@ class SetAssociativeCache:
         base = (block & self._set_mask) * self._assoc
         return any(self._tags[base + way] == block for way in range(self._assoc))
 
-    def resident_block(self, frame: int) -> int:
-        """Block currently held by ``frame`` (``INVALID`` when empty)."""
-        if not 0 <= frame < self.config.n_lines:
-            raise SimulationError(
-                f"frame {frame} outside 0..{self.config.n_lines - 1}"
-            )
-        return self._tags[frame]
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -162,11 +154,6 @@ class SetAssociativeCache:
         """
         self._tags = [INVALID] * self.config.n_lines
         self.replacement.reset()
-
-    def occupancy(self) -> float:
-        """Fraction of frames currently holding a block."""
-        filled = sum(1 for tag in self._tags if tag != INVALID)
-        return filled / self.config.n_lines
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SetAssociativeCache({self.config.describe()})"

@@ -88,16 +88,6 @@ class CacheConfig:
         """Bits of set index."""
         return self.n_sets.bit_length() - 1
 
-    def block_of(self, address: int) -> int:
-        """Block (line-aligned) number of a byte address."""
-        if address < 0:
-            raise ConfigurationError(f"address cannot be negative, got {address!r}")
-        return address >> self.offset_bits
-
-    def set_of_block(self, block: int) -> int:
-        """Set index holding a block number."""
-        return block & (self.n_sets - 1)
-
     def describe(self) -> str:
         """Human-readable one-liner, e.g. '64KB 2-way 64B-line (1-cycle)'."""
         size = (

@@ -22,11 +22,6 @@ class CacheStats:
         """Misses per access (0 when no accesses)."""
         return self.misses / self.accesses if self.accesses else 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits per access (0 when no accesses)."""
-        return self.hits / self.accesses if self.accesses else 0.0
-
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Combine counters from another stats object (same cache name)."""
         return CacheStats(
@@ -37,17 +32,6 @@ class CacheStats:
             compulsory_misses=self.compulsory_misses + other.compulsory_misses,
             evictions=self.evictions + other.evictions,
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict form for reports."""
-        return {
-            "accesses": self.accesses,
-            "hits": self.hits,
-            "misses": self.misses,
-            "compulsory_misses": self.compulsory_misses,
-            "evictions": self.evictions,
-            "miss_rate": self.miss_rate,
-        }
 
     def describe(self) -> str:
         """Human-readable one-liner."""

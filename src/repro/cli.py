@@ -189,14 +189,6 @@ def _add_run_parser(commands) -> None:
         "in-process, so a run always completes",
     )
     run.add_argument(
-        "--kernel",
-        choices=("auto", "scalar", "batched", "compiled"),
-        default=None,
-        help="simulation kernel (default: REPRO_KERNEL or 'auto'); auto "
-        "prefers the compiled residual loop and degrades to the "
-        "pure-python batched kernel — results are bit-identical either way",
-    )
-    run.add_argument(
         "--transport",
         choices=("auto", "pickle", "shm", "disk"),
         default=None,
@@ -658,9 +650,7 @@ def run_command(args) -> int:
         except ReproError as error:
             return _fail(str(error))
     # Selection travels through the environment so pool and subprocess
-    # workers resolve the same kernel/transport the parent did.
-    if args.kernel is not None:
-        os.environ["REPRO_KERNEL"] = args.kernel
+    # workers resolve the same transport the parent did.
     if args.transport is not None:
         os.environ["REPRO_TRANSPORT"] = args.transport
     try:

@@ -16,7 +16,7 @@ The public surface:
 * Policies (:class:`~repro.core.policy.OptHybrid` et al.) — Figures 7/8.
 * :func:`~repro.core.savings.evaluate_policy` — the Figure 5 algorithm.
 * :class:`~repro.core.model.StateMachineModel` — the §3.3 generalized
-  model behind Table 2.
+  model, the cycle-by-cycle reference for Equations 1 and 2.
 * :mod:`~repro.core.envelope` / :mod:`~repro.core.oracle` — Figure 10 and
   the Theorem 1 optimality machinery.
 
@@ -45,7 +45,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "InflectionPoints",
-            "breakeven_table",
             "inflection_points",
             "inflection_points_for_node",
             "solve_sleep_drowsy_point",
@@ -54,17 +53,13 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "Interval",
             "IntervalKind",
             "IntervalPopulation",
             "IntervalSet",
-            "IntervalStatistics",
         ),
         "intervals",
     ),
-    **dict.fromkeys(
-        ("StateMachineModel", "Transition", "technology_sweep"), "model"
-    ),
+    **dict.fromkeys(("StateMachineModel", "Transition"), "model"),
     "Mode": "modes",
     **dict.fromkeys(
         (
@@ -91,8 +86,6 @@ _EXPORTS = {
         (
             "ModeBreakdown",
             "SavingsReport",
-            "average_saving",
-            "evaluate_policies",
             "evaluate_policy",
         ),
         "savings",

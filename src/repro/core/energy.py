@@ -88,17 +88,6 @@ class TransitionDurations:
         """
         return self.d1 + self.d3
 
-    @classmethod
-    def for_l2_latency(cls, l2_latency: int, **overrides: int) -> "TransitionDurations":
-        """Build durations with ``s4`` derived from an L2 hit latency."""
-        s3 = int(overrides.pop("s3", 3))
-        if l2_latency < s3:
-            raise ConfigurationError(
-                f"L2 latency {l2_latency} is below the sleep wakeup time {s3}; "
-                "a just-in-time re-fetch would finish before the supply recovers"
-            )
-        return cls(s3=s3, s4=l2_latency - s3, **overrides)
-
 
 #: Leakage power of a fully-active line in normalized units.
 P_ACTIVE = 1.0

@@ -21,7 +21,6 @@ closed form against the raw energy functions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import PowerModelError
@@ -126,20 +125,3 @@ def inflection_points_for_node(
     """Convenience wrapper: build the energy model and solve."""
     return inflection_points(ModeEnergyModel(node, durations=durations))
 
-
-def breakeven_table(
-    nodes: dict,
-    durations: TransitionDurations | None = None,
-) -> dict:
-    """Compute a Table 1-style mapping ``feature_nm -> InflectionPoints``."""
-    return {
-        key: inflection_points_for_node(node, durations)
-        for key, node in sorted(nodes.items(), key=lambda item: item[0])
-    }
-
-
-def sanity_check_lemma1(points: InflectionPoints) -> bool:
-    """Lemma 1: the active-drowsy point is below the sleep-drowsy point."""
-    return points.active_drowsy < points.drowsy_sleep and math.isfinite(
-        points.drowsy_sleep
-    )

@@ -20,8 +20,7 @@ interval ablation):
 
 For efficiency on multi-million-access traces, intervals are held
 column-wise in an :class:`IntervalSet` (numpy arrays) rather than as
-object lists; :class:`Interval` is the scalar view used at API edges and
-in tests.  An :class:`IntervalSet` is what the cache tracker emits; every
+object lists.  An :class:`IntervalSet` is what the cache tracker emits; every
 analysis works on its :class:`IntervalPopulation` — the distinct
 (length, class) rows with counts, a sufficient statistic for the whole
 limit study — and policies are priced from prefix sums over the
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,31 +44,6 @@ class IntervalKind(enum.IntEnum):
     NORMAL = 0
     DEAD = 1
     COLD = 2
-
-
-@dataclass(frozen=True)
-class Interval:
-    """One cache access interval.
-
-    Attributes
-    ----------
-    length: duration in cycles (strictly positive).
-    kind: where in the generation the interval sits.
-    """
-
-    length: int
-    kind: IntervalKind = IntervalKind.NORMAL
-
-    def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise IntervalError(
-                f"interval length must be positive, got {self.length!r}"
-            )
-
-    @property
-    def is_live(self) -> bool:
-        """Whether the resident data is accessed again after this interval."""
-        return self.kind is IntervalKind.NORMAL
 
 
 #: Class bits of an :class:`IntervalPopulation` row: the interval kind
@@ -288,57 +262,26 @@ class IntervalPopulation:
             self.lengths[mask], self.classes[mask], self.counts[mask]
         )
 
-    def count_by_class(self, boundaries: Sequence[float]) -> List[int]:
-        """Interval counts per length class.
-
-        ``boundaries=[a, b]`` yields counts for ``(0, a]``, ``(a, b]``,
-        ``(b, inf)`` — the three ranges of Figure 9.
-        """
-        return [int(v) for v in self._class_sums(boundaries, cycles=False)]
-
     def cycle_mass_by_class(self, boundaries: Sequence[float]) -> List[float]:
-        """Fraction of total cycles falling in each length class."""
-        mass = self._class_sums(boundaries, cycles=True)
-        total = float(self.total_cycles)
-        if total == 0:
-            return [0.0] * len(mass)
-        return [float(v) / total for v in mass]
+        """Fraction of total cycles falling in each length class.
 
-    def _class_sums(self, boundaries: Sequence[float], cycles: bool) -> np.ndarray:
-        """Exact per-class interval counts (or cycles) over the rows."""
+        ``boundaries=[a, b]`` yields the shares of ``(0, a]``, ``(a, b]``
+        and ``(b, inf)``.
+        """
         boundaries = list(boundaries)
         if any(b <= 0 for b in boundaries) or sorted(boundaries) != boundaries:
             raise IntervalError(
                 f"class boundaries must be positive and sorted, got {boundaries!r}"
             )
-        weights = self.lengths * self.counts if cycles else self.counts
-        running = np.concatenate(([0], np.cumsum(weights)))
+        running = np.concatenate(([0], np.cumsum(self.lengths * self.counts)))
         # The paper's classes are (lo, hi]: each edge sits half a cycle
         # above its boundary, and searchsorted counts the rows below it.
         edges = np.array([0.5] + [b + 0.5 for b in boundaries] + [np.inf])
-        return np.diff(running[np.searchsorted(self.lengths, edges)])
-
-    def statistics(self) -> "IntervalStatistics":
-        """Summary statistics for reports, exact from the weighted rows."""
-        count = len(self)
-        if not count:
-            return IntervalStatistics(0, 0, 0.0, 0, 0, 0.0)
-        total = self.total_cycles
-        # The middle interval(s) in length order; an even count takes the
-        # floor of the two middle lengths' mean, as int(np.median) does.
-        middle = np.searchsorted(
-            np.cumsum(self.counts), [(count - 1) // 2, count // 2], side="right"
-        )
-        low, high = (int(v) for v in self.lengths[middle])
-        dead = int(self.counts[self.kinds == IntervalKind.DEAD].sum())
-        return IntervalStatistics(
-            count=count,
-            total_cycles=total,
-            mean_length=total / count,
-            median_length=(low + high) // 2,
-            max_length=int(self.lengths.max()),
-            dead_fraction=dead / count,
-        )
+        mass = np.diff(running[np.searchsorted(self.lengths, edges)])
+        total = float(self.total_cycles)
+        if total == 0:
+            return [0.0] * len(mass)
+        return [float(v) / total for v in mass]
 
 
 class IntervalSet:
@@ -387,15 +330,6 @@ class IntervalSet:
     def empty(cls) -> "IntervalSet":
         """An interval set with no intervals."""
         return cls(np.empty(0, dtype=np.int64))
-
-    @classmethod
-    def from_intervals(cls, intervals: Iterable[Interval]) -> "IntervalSet":
-        """Build from scalar :class:`Interval` objects."""
-        intervals = list(intervals)
-        return cls(
-            np.array([iv.length for iv in intervals], dtype=np.int64),
-            np.array([int(iv.kind) for iv in intervals], dtype=np.uint8),
-        )
 
     @classmethod
     def from_access_times(
@@ -467,13 +401,6 @@ class IntervalSet:
     def __len__(self) -> int:
         return int(self.lengths.size)
 
-    def __iter__(self) -> Iterator[Interval]:
-        for length, kind in zip(self.lengths, self.kinds):
-            yield Interval(int(length), IntervalKind(int(kind)))
-
-    def __getitem__(self, index: int) -> Interval:
-        return Interval(int(self.lengths[index]), IntervalKind(int(self.kinds[index])))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
@@ -519,25 +446,3 @@ class IntervalSet:
         which every count and statistic is read."""
         return IntervalPopulation.of(self.lengths, self.kinds)
 
-
-@dataclass(frozen=True)
-class IntervalStatistics:
-    """Summary statistics over an interval set."""
-
-    count: int
-    total_cycles: int
-    mean_length: float
-    median_length: int
-    max_length: int
-    dead_fraction: float
-
-    def as_rows(self) -> List[Tuple[str, str]]:
-        """Render as (label, value) rows for the report formatter."""
-        return [
-            ("intervals", f"{self.count}"),
-            ("total cycles", f"{self.total_cycles}"),
-            ("mean length", f"{self.mean_length:.1f}"),
-            ("median length", f"{self.median_length}"),
-            ("max length", f"{self.max_length}"),
-            ("dead fraction", f"{self.dead_fraction:.3f}"),
-        ]

@@ -4,9 +4,9 @@ The paper abstracts its limit analysis into a three-state machine —
 Active, Drowsy, Sleep — where each state carries a static power and each
 edge a transition energy and duration.  All circuit assumptions (from
 CACTI, HotLeakage, and the interval trace from the simulator) enter as
-parameters, and the outputs are the optimal saving percentages of the
-OPT-Drowsy, OPT-Sleep and OPT-Hybrid methods — exactly what Table 2
-reports per technology node.
+parameters.  Table 2's saving percentages are priced from the closed
+forms (:func:`repro.core.savings.trio_savings`); this module is their
+reference.
 
 Two evaluation paths are provided and must agree:
 
@@ -20,15 +20,11 @@ Two evaluation paths are provided and must agree:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..errors import ConfigurationError, PolicyError
-from ..power.technology import TechnologyNode
-from .energy import ModeEnergyModel, TransitionDurations
-from .intervals import IntervalSet
+from .energy import ModeEnergyModel
 from .modes import Mode
-from .policy import trio_policies
-from .savings import SavingsReport, evaluate_policy
 
 
 @dataclass(frozen=True)
@@ -226,43 +222,3 @@ class StateMachineModel:
             frac = (k + 0.5) / duration
             total += p_from + (p_to - p_from) * frac
         return total
-
-    # ------------------------------------------------------------------
-    # Table 2 outputs
-    # ------------------------------------------------------------------
-
-    def optimal_savings(
-        self, model: ModeEnergyModel, intervals: IntervalSet
-    ) -> Dict[str, SavingsReport]:
-        """The three Table 2 columns for one interval population."""
-        return {
-            policy.name: evaluate_policy(policy, intervals)
-            for policy in trio_policies(model)
-        }
-
-
-def technology_sweep(
-    nodes: Iterable[TechnologyNode],
-    intervals: IntervalSet,
-    durations: TransitionDurations | None = None,
-) -> List[Dict[str, object]]:
-    """Evaluate the Table 2 schemes across technology nodes.
-
-    Returns one row per node with the node itself, its inflection points
-    and the three saving fractions — the raw material of Table 2.
-    """
-    from .inflection import inflection_points
-
-    rows: List[Dict[str, object]] = []
-    for node in nodes:
-        model = ModeEnergyModel(node, durations=durations)
-        machine = StateMachineModel.from_energy_model(model)
-        reports = machine.optimal_savings(model, intervals)
-        rows.append(
-            {
-                "node": node,
-                "points": inflection_points(model),
-                "savings": {name: r.saving_fraction for name, r in reports.items()},
-            }
-        )
-    return rows

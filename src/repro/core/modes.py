@@ -25,8 +25,3 @@ class Mode(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-    @property
-    def preserves_state(self) -> bool:
-        """Whether data survives the interval in this mode."""
-        return self is not Mode.SLEEP

@@ -98,11 +98,6 @@ class Policy:
         """``(prefetchable, row mask)`` pairs that cover ``lengths``."""
         return ((False, True),)
 
-    def mode_for(self, length: int) -> Mode:
-        """Scalar convenience wrapper around :meth:`modes`."""
-        code = int(self.modes(np.array([length], dtype=np.int64))[0])
-        return CODE_MODES[code]
-
     def floor(self, mode: Mode) -> float:
         """The shortest interval this policy may put into ``mode``."""
         if mode is Mode.DROWSY:

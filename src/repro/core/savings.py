@@ -15,7 +15,7 @@ experiments can explain *where* the savings come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -67,16 +67,6 @@ class SavingsReport:
         if self.baseline_energy <= 0:
             return 0.0
         return 1.0 - self.total_energy / self.baseline_energy
-
-    @property
-    def remaining_fraction(self) -> float:
-        """Leakage left after the policy, as a fraction of baseline."""
-        return 1.0 - self.saving_fraction
-
-    def cycles_in(self, mode: Mode) -> int:
-        """Interval cycles assigned to ``mode``."""
-        entry = self.breakdown.get(mode)
-        return entry.cycles if entry is not None else 0
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -168,15 +158,6 @@ def evaluate_policy(
     )
 
 
-def evaluate_policies(
-    policies: Iterable[Policy],
-    population: IntervalPopulation | IntervalSet,
-    dead_aware: bool = False,
-) -> List[SavingsReport]:
-    """Evaluate several policies over the same interval population."""
-    return [evaluate_policy(p, population, dead_aware=dead_aware) for p in policies]
-
-
 def trio_savings(
     models: Sequence[ModeEnergyModel], population: IntervalPopulation | IntervalSet
 ) -> np.ndarray:
@@ -193,10 +174,3 @@ def trio_savings(
             grid[row, column] = evaluate_policy(policy, population).saving_fraction
     return grid
 
-
-def average_saving(reports: Iterable[SavingsReport]) -> float:
-    """Arithmetic mean of saving fractions (the paper's benchmark average)."""
-    reports = list(reports)
-    if not reports:
-        raise IntervalError("cannot average zero savings reports")
-    return float(np.mean([r.saving_fraction for r in reports]))

@@ -13,13 +13,11 @@ from .trace import (
     LOAD,
     NO_ACCESS,
     STORE,
-    Access,
     TraceChunk,
     merge_chunks,
 )
 
 __all__ = [
-    "Access",
     "IssueClock",
     "LOAD",
     "NO_ACCESS",

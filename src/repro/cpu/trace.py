@@ -11,8 +11,7 @@ materialize object lists.  On disk, traces live in the ``.rtr`` format
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,25 +19,6 @@ from ..errors import TraceError
 
 #: Data-kind codes in a chunk's ``data_kinds`` column.
 NO_ACCESS, LOAD, STORE = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class Access:
-    """Scalar view of one retired instruction."""
-
-    pc: int
-    data_address: Optional[int] = None
-    is_store: bool = False
-
-    def __post_init__(self) -> None:
-        if self.pc < 0:
-            raise TraceError(f"pc cannot be negative, got {self.pc!r}")
-        if self.data_address is not None and self.data_address < 0:
-            raise TraceError(
-                f"data address cannot be negative, got {self.data_address!r}"
-            )
-        if self.is_store and self.data_address is None:
-            raise TraceError("a store must carry a data address")
 
 
 class TraceChunk:
@@ -87,42 +67,6 @@ class TraceChunk:
 
     def __len__(self) -> int:
         return int(self.pcs.size)
-
-    def __iter__(self) -> Iterator[Access]:
-        for pc, addr, kind in zip(self.pcs, self.data_addresses, self.data_kinds):
-            yield Access(
-                int(pc),
-                int(addr) if kind != NO_ACCESS else None,
-                bool(kind == STORE),
-            )
-
-    @classmethod
-    def from_accesses(cls, accesses: Iterable[Access]) -> "TraceChunk":
-        """Build a chunk from scalar records (test convenience)."""
-        accesses = list(accesses)
-        pcs = np.array([a.pc for a in accesses], dtype=np.int64)
-        addrs = np.array(
-            [a.data_address if a.data_address is not None else -1 for a in accesses],
-            dtype=np.int64,
-        )
-        kinds = np.array(
-            [
-                NO_ACCESS
-                if a.data_address is None
-                else (STORE if a.is_store else LOAD)
-                for a in accesses
-            ],
-            dtype=np.uint8,
-        )
-        return cls(pcs, addrs, kinds)
-
-    def concat(self, other: "TraceChunk") -> "TraceChunk":
-        """Concatenate two chunks."""
-        return TraceChunk(
-            np.concatenate([self.pcs, other.pcs]),
-            np.concatenate([self.data_addresses, other.data_addresses]),
-            np.concatenate([self.data_kinds, other.data_kinds]),
-        )
 
     def slice(self, start: int, stop: int) -> "TraceChunk":
         """A sub-chunk covering instructions ``start..stop``."""

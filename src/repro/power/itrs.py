@@ -59,13 +59,3 @@ def projection_series(
         )
     return [(year, leakage_fraction(year)) for year in range(start, end + 1, step)]
 
-
-def fit_error() -> float:
-    """Maximum absolute deviation of the logistic fit from the anchors.
-
-    Exposed so tests can pin the fit quality (must stay below 5 points).
-    """
-    return max(
-        abs(leakage_fraction(year) - fraction)
-        for year, fraction in ITRS_ANCHORS.items()
-    )

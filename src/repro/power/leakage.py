@@ -158,12 +158,6 @@ class LeakageModel:
         """Drowsy/active leakage ratio predicted by the physics."""
         return self.line_drowsy_power() / self.line_active_power()
 
-    def cache_active_power(self, n_lines: int) -> float:
-        """Leakage power of a whole cache with every line active (watts)."""
-        if n_lines <= 0:
-            raise PowerModelError(f"cache must have lines, got {n_lines!r}")
-        return n_lines * self.line_active_power()
-
     def summary(self) -> dict:
         """Key quantities as a plain dict (for reports and examples)."""
         return {

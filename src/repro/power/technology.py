@@ -138,30 +138,6 @@ class TechnologyNode:
         """Return a copy of this node with a new re-fetch energy."""
         return replace(self, refetch_energy_cycles=refetch_energy_cycles)
 
-    def with_ratios(
-        self, drowsy_ratio: float, sleep_ratio: float
-    ) -> "TechnologyNode":
-        """Return a copy of this node with new mode-leakage ratios."""
-        return replace(self, drowsy_ratio=drowsy_ratio, sleep_ratio=sleep_ratio)
-
-    def scaled_clone(self, feature_nm: float) -> "TechnologyNode":
-        """Return a crude constant-field-scaled variant of this node.
-
-        Voltages scale linearly with feature size; the re-fetch energy is
-        left untouched (use the physical models plus
-        :mod:`repro.power.calibration` for a principled derivation).  This
-        is a convenience for quick what-if sweeps in examples.
-        """
-        factor = feature_nm / self.feature_nm
-        return replace(
-            self,
-            feature_nm=feature_nm,
-            vdd=self.vdd * factor,
-            vth=self.vth * factor,
-            vdd_drowsy=self.vdd_drowsy * factor,
-            name=f"{feature_nm:g}nm",
-        )
-
 
 def make_paper_node(feature_nm: int, **overrides: float) -> TechnologyNode:
     """Build one of the four paper technology nodes (uncalibrated).

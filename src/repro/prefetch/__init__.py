@@ -1,8 +1,8 @@
 """Prefetching: approximating the oracle's perfect future knowledge (§5).
 
-Next-line and per-static-load stride prefetchers, the interval
-prefetchability analysis behind Figure 9, and the Prefetch-A /
-Prefetch-B leakage schemes of Table 3.
+The per-static-load stride predictor, the interval prefetchability
+analysis behind Figure 9 (next-line and stride flags, judged in
+retrospect), and the Prefetch-A / Prefetch-B leakage schemes of Table 3.
 """
 
 from .analysis import (
@@ -11,7 +11,6 @@ from .analysis import (
     AnnotatingSimulator,
     annotate_workload_trace,
 )
-from .nextline import NextLinePrefetcher
 from .schemes import (
     PrefetchGuidedPolicy,
     PrefetchSchemeReport,
@@ -30,7 +29,6 @@ __all__ = [
     "AnnotatedSimulationResult",
     "AnnotatingSimulator",
     "CONFIRMATIONS_REQUIRED",
-    "NextLinePrefetcher",
     "PrefetchGuidedPolicy",
     "PrefetchSchemeReport",
     "PrefetchTradeoff",

@@ -110,9 +110,9 @@ class AnnotatedIntervals:
 class _CacheAnnotator:
     """Streams one cache's accesses into annotated intervals."""
 
-    def __init__(self, n_frames: int, active_floor: int, start_time: int = 0) -> None:
+    def __init__(self, n_frames: int, floor: int, start_time: int = 0) -> None:
         self.n_frames = n_frames
-        self.active_floor = active_floor
+        self.floor = floor
         self.start_time = start_time
         self._frame_last = [-1] * n_frames
         self._block_last: dict = {}
@@ -128,7 +128,7 @@ class _CacheAnnotator:
         last = self._frame_last[frame]
         gap = time - (last if last >= 0 else self.start_time)
         if gap > 0:
-            if gap <= self.active_floor:
+            if gap <= self.floor:
                 self._nextline.append(False)
                 self._stride.append(False)
             else:
@@ -187,8 +187,8 @@ class _ChunkAnnotator:
     consult the carried per-block last-touch times.
     """
 
-    def __init__(self, active_floor: int) -> None:
-        self.active_floor = active_floor
+    def __init__(self, floor: int) -> None:
+        self.floor = floor
         self._block_last: dict = {}
         self._last_time = -1  # latest event time of the earlier chunks
         self._nextline: List[np.ndarray] = []
@@ -222,7 +222,7 @@ class _ChunkAnnotator:
         bfirst = _run_starts(sblocks)
         rank = np.cumsum(bfirst) - 1
         keys = rank * n + border  # (block, event index), strictly ascending
-        probed = (gaps > self.active_floor)[border]
+        probed = (gaps > self.floor)[border]
         probe = border[probed]
         targets = sblocks[probed] - 1
         at = np.searchsorted(keys, (rank[probed] - 1) * n + probe) - 1
@@ -412,7 +412,6 @@ class AnnotatingSimulator:
         pipeline: Optional[PipelineConfig] = None,
         kernel: Optional[str] = None,
         stride_table_capacity: Optional[int] = 4096,
-        active_floor: int = DEFAULT_ACTIVE_FLOOR,
     ) -> None:
         self.hierarchy = (
             hierarchy
@@ -427,7 +426,6 @@ class AnnotatingSimulator:
                 f"{stride_table_capacity!r}"
             )
         self.stride_table_capacity = stride_table_capacity
-        self.active_floor = active_floor
         self._ran = False
 
     def run(self, trace: Iterable[TraceChunk] | TraceChunk) -> AnnotatedSimulationResult:
@@ -464,8 +462,8 @@ class AnnotatingSimulator:
         exact array twins of the scalar annotator and stride predictor.
         """
         hierarchy = self.hierarchy
-        i_annotator = _ChunkAnnotator(self.active_floor)
-        d_annotator = _ChunkAnnotator(self.active_floor)
+        i_annotator = _ChunkAnnotator(DEFAULT_ACTIVE_FLOOR)
+        d_annotator = _ChunkAnnotator(DEFAULT_ACTIVE_FLOOR)
         table = _StrideTable(self.stride_table_capacity)
 
         def d_observer(blocks, windows, times, pcs, addrs, stores):
@@ -501,8 +499,12 @@ class AnnotatingSimulator:
     def _run_scalar(self, trace: Iterable[TraceChunk]) -> AnnotatedSimulationResult:
         """The per-access oracle path: scalar caches, annotators and predictor."""
         hierarchy = self.hierarchy
-        i_annotator = _CacheAnnotator(hierarchy.l1i.config.n_lines, self.active_floor)
-        d_annotator = _CacheAnnotator(hierarchy.l1d.config.n_lines, self.active_floor)
+        i_annotator = _CacheAnnotator(
+            hierarchy.l1i.config.n_lines, DEFAULT_ACTIVE_FLOOR
+        )
+        d_annotator = _CacheAnnotator(
+            hierarchy.l1d.config.n_lines, DEFAULT_ACTIVE_FLOOR
+        )
         clock = self.clock
         config = clock.config
         l1i, l1d = hierarchy.l1i, hierarchy.l1d

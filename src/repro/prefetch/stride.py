@@ -5,9 +5,8 @@ load*: a reference-prediction table keyed by the load's PC holds the last
 address and the last observed stride, and an access counts as a *stride
 access* once the same stride has been seen at least twice for that PC.
 This module implements that table and the
-confirmed-twice rule; it is used both as a functional prefetcher (predict
-the next address) and by the prefetchability analysis (was this access
-predictable when it issued?).
+confirmed-twice rule for the scalar prefetchability analysis (was this
+access predictable when it issued?).
 """
 
 from __future__ import annotations

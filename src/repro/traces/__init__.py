@@ -30,7 +30,6 @@ _EXPORTS = {
             "TraceRecording",
             "TraceWriter",
             "available_codecs",
-            "read_trace",
             "record_benchmark",
             "record_chunks",
         ),

@@ -611,12 +611,6 @@ class TraceRecording:
         return info
 
 
-def read_trace(path: Path | str) -> Iterator[TraceChunk]:
-    """Convenience: stream a recorded trace's chunks."""
-
-    return TraceRecording(path).chunks()
-
-
 def record_chunks(
     chunks: Iterable[TraceChunk],
     path: Path | str,

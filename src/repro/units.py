@@ -73,18 +73,3 @@ def joules_to_leakage_cycles(
         )
     return energy_j / (line_leakage_w * cycle_time_s(frequency_hz))
 
-
-def leakage_cycles_to_joules(
-    cycles: float, line_leakage_w: float, frequency_hz: float
-) -> float:
-    """Inverse of :func:`joules_to_leakage_cycles`."""
-    if line_leakage_w <= 0:
-        raise ConfigurationError(
-            f"line leakage power must be positive, got {line_leakage_w!r} W"
-        )
-    return cycles * line_leakage_w * cycle_time_s(frequency_hz)
-
-
-def as_percentage(fraction: float, digits: int = 1) -> str:
-    """Format a 0..1 fraction as a percentage string, e.g. ``'96.4%'``."""
-    return f"{100.0 * fraction:.{digits}f}%"

@@ -20,7 +20,6 @@ from .benchmarks import (
 )
 from .patterns import (
     DataPattern,
-    MixturePattern,
     PointerChase,
     RotatingPattern,
     SequentialStream,
@@ -32,8 +31,6 @@ from .program import (
     Phase,
     Visit,
     Workload,
-    round_robin_schedule,
-    super_schedule,
 )
 
 __all__ = [
@@ -41,7 +38,6 @@ __all__ = [
     "BENCHMARK_NAMES",
     "DataPattern",
     "INSTRUCTION_BYTES",
-    "MixturePattern",
     "Phase",
     "PointerChase",
     "RotatingPattern",
@@ -58,6 +54,4 @@ __all__ = [
     "make_mesa",
     "make_vortex",
     "paper_suite",
-    "round_robin_schedule",
-    "super_schedule",
 ]

@@ -189,40 +189,3 @@ class RotatingPattern(DataPattern):
         pattern = self.patterns[self._index]
         self._index = (self._index + 1) % len(self.patterns)
         return pattern.addresses(n)
-
-
-class MixturePattern(DataPattern):
-    """Interleave several sub-patterns with fixed weights.
-
-    Models a program touching a hot shared structure (stack, globals)
-    alongside its phase-private data: every batch is split between the
-    sub-patterns in proportion to their weights and shuffled together.
-    """
-
-    def __init__(self, components: list, seed: int = 0) -> None:
-        if not components:
-            raise ConfigurationError("mixture needs at least one component")
-        total = sum(weight for _, weight in components)
-        if total <= 0 or any(weight < 0 for _, weight in components):
-            raise ConfigurationError(
-                "mixture weights must be non-negative with a positive sum, "
-                f"got {[w for _, w in components]!r}"
-            )
-        self.patterns = [pattern for pattern, _ in components]
-        self._weights = np.array(
-            [weight / total for _, weight in components], dtype=np.float64
-        )
-        self._rng = np.random.default_rng(seed)
-
-    def addresses(self, n: int) -> np.ndarray:
-        self._check_n(n)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        choices = self._rng.choice(len(self.patterns), size=n, p=self._weights)
-        out = np.empty(n, dtype=np.int64)
-        for index, pattern in enumerate(self.patterns):
-            mask = choices == index
-            count = int(mask.sum())
-            if count:
-                out[mask] = pattern.addresses(count)
-        return out

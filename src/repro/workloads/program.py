@@ -290,32 +290,3 @@ class Workload:
                 f"mem={100 * mem:.0f}%"
             )
         return "\n".join(lines)
-
-
-def round_robin_schedule(visits: Sequence[Tuple[int, int]]) -> List[Visit]:
-    """Build a schedule from ``(phase_index, instructions)`` pairs."""
-    return [Visit(index, instructions) for index, instructions in visits]
-
-
-def super_schedule(
-    groups: Sequence[Sequence[Visit]], inner_rounds: int = 4
-) -> List[Visit]:
-    """Two-level phase schedule (coarse program phases).
-
-    Real programs rotate between coarse *super-phases* (init, compute,
-    output; different compilation units) on top of their fine loop
-    rotation: each group's visits repeat ``inner_rounds`` times before
-    the next group takes over, so the inactive groups' code and data
-    idle for whole super-epochs.  Useful for modelling workloads whose
-    interval tails reach far beyond the schedule round.
-    """
-    if inner_rounds <= 0:
-        raise ConfigurationError(
-            f"inner_rounds must be positive, got {inner_rounds!r}"
-        )
-    if not groups or any(not group for group in groups):
-        raise ConfigurationError("super_schedule needs non-empty visit groups")
-    schedule: List[Visit] = []
-    for group in groups:
-        schedule.extend(list(group) * inner_rounds)
-    return schedule

@@ -43,16 +43,16 @@ class TestCacheConfig:
             CacheConfig("x", 64, 128, 1, 1)
 
     def test_address_mapping(self):
-        config = paper_l1i_config()
-        assert config.block_of(0) == 0
-        assert config.block_of(63) == 0
-        assert config.block_of(64) == 1
-        assert config.set_of_block(512) == 0
-        assert config.set_of_block(513) == 1
-
-    def test_negative_address_rejected(self):
-        with pytest.raises(ConfigurationError):
-            paper_l1i_config().block_of(-1)
+        # 64B lines; 512 sets of 2 ways: bytes 0..63 are block 0, and
+        # blocks 0, 512 and 1024 share set 0 while 513 sits in set 1.
+        cache = SetAssociativeCache(paper_l1i_config())
+        assert cache.access(0, 0) is False
+        assert cache.access(63, 1) is True
+        assert cache.access(64, 2) is False
+        for time, block in enumerate((512, 513, 1024), start=3):
+            cache.access_block(block, time)
+        assert not cache.probe(0)  # the LRU way of set 0
+        assert cache.probe(1) and cache.probe(513)
 
     def test_describe(self):
         assert paper_l1i_config().describe() == "64KB 2-way 64B-line (1-cycle)"
@@ -126,17 +126,13 @@ class TestSetAssociativeCache:
     def test_access_block_ex_returns_frame(self, tiny):
         hit, frame = tiny.access_block_ex(5, 0)
         assert hit is False
-        assert tiny.resident_block(frame) == 5
-
-    def test_occupancy(self, tiny):
-        assert tiny.occupancy() == 0.0
-        tiny.access_block(0, 0)
-        assert tiny.occupancy() == pytest.approx(1 / 8)
+        assert tiny.probe(5)
+        assert frame // tiny.config.associativity == 5 % tiny.config.n_sets
 
     def test_flush_invalidates(self, tiny):
         tiny.access_block(0, 0)
         tiny.flush()
-        assert tiny.occupancy() == 0.0
+        assert not tiny.probe(0)
         assert tiny.access_block(0, 1) is False
 
     def test_byte_address_access(self, tiny):
@@ -149,10 +145,6 @@ class TestSetAssociativeCache:
         )
         with pytest.raises(SimulationError):
             cache.intervals()
-
-    def test_resident_block_bounds(self, tiny):
-        with pytest.raises(SimulationError):
-            tiny.resident_block(99)
 
 
 class TestGenerationTracker:

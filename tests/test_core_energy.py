@@ -17,14 +17,6 @@ class TestTransitionDurations:
         assert durations.sleep_overhead == 37
         assert durations.drowsy_overhead == 6
 
-    def test_for_l2_latency_derives_s4(self):
-        d = TransitionDurations.for_l2_latency(7)
-        assert d.s4 == 4 and d.s3 == 3
-
-    def test_for_l2_latency_rejects_too_fast_l2(self):
-        with pytest.raises(ConfigurationError):
-            TransitionDurations.for_l2_latency(2)
-
     def test_rejects_negative_duration(self):
         with pytest.raises(ConfigurationError):
             TransitionDurations(s1=-1)

@@ -1,14 +1,15 @@
 """Tests for repro.core.inflection — Equation 3 and Table 1."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.core.energy import ModeEnergyModel, TransitionDurations
 from repro.core.inflection import (
     InflectionPoints,
-    breakeven_table,
     inflection_points,
     inflection_points_for_node,
-    sanity_check_lemma1,
     solve_sleep_drowsy_point,
     solve_sleep_drowsy_point_bisect,
 )
@@ -31,8 +32,10 @@ class TestTable1:
         assert points.active_drowsy == 6
 
     def test_points_decrease_with_technology_scaling(self, nodes):
-        table = breakeven_table(nodes)
-        values = [table[nm].drowsy_sleep for nm in (70, 100, 130, 180)]
+        values = [
+            inflection_points_for_node(nodes[nm]).drowsy_sleep
+            for nm in (70, 100, 130, 180)
+        ]
         assert values == sorted(values)
 
 
@@ -52,8 +55,8 @@ class TestSolver:
         assert model70.sleep_energy(b - 10) > model70.drowsy_energy(b - 10)
 
     def test_no_crossing_without_leakage_gap(self, node70):
-        degenerate = node70.with_ratios(
-            drowsy_ratio=0.01, sleep_ratio=0.009
+        degenerate = dataclasses.replace(
+            node70, drowsy_ratio=0.01, sleep_ratio=0.009
         ).with_refetch_energy(1e9)
         model = ModeEnergyModel(degenerate)
         with pytest.raises(PowerModelError):
@@ -76,7 +79,10 @@ class TestClassification:
         assert points.classify(10**7) is Mode.SLEEP
 
     def test_lemma1_sanity(self, model70):
-        assert sanity_check_lemma1(inflection_points(model70))
+        # Lemma 1: the active-drowsy point lies below the sleep-drowsy one.
+        points = inflection_points(model70)
+        assert points.active_drowsy < points.drowsy_sleep
+        assert math.isfinite(points.drowsy_sleep)
 
     def test_rounding_to_cycles(self):
         points = InflectionPoints(active_drowsy=6, drowsy_sleep=1056.7)

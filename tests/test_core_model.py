@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.energy import ModeEnergyModel
 from repro.core.intervals import IntervalSet
-from repro.core.model import StateMachineModel, Transition, technology_sweep
+from repro.core.model import StateMachineModel, Transition
 from repro.core.modes import Mode
+from repro.core.policy import TRIO_SCHEMES
+from repro.core.savings import trio_savings
 from repro.errors import ConfigurationError, PolicyError
 from repro.power.technology import paper_nodes
 
@@ -94,27 +97,31 @@ class TestDiscreteSimulation:
 
 
 class TestTechnologySweep:
+    """Table 2's ordering findings, priced the way ``run all`` prices them."""
+
+    @staticmethod
+    def sweep(feature_nms, intervals):
+        models = [ModeEnergyModel(paper_nodes()[nm]) for nm in feature_nms]
+        grid = trio_savings(models, intervals)
+        return [dict(zip(TRIO_SCHEMES, grid[:, j])) for j in range(len(models))]
+
     def test_sweep_produces_table2_structure(self):
         intervals = IntervalSet([5, 500, 5_000, 500_000] * 10)
-        rows = technology_sweep(
-            [paper_nodes()[nm] for nm in (70, 180)], intervals
-        )
+        rows = self.sweep((70, 180), intervals)
         assert len(rows) == 2
-        for row in rows:
-            assert set(row["savings"]) == {"OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid"}
-            assert row["savings"]["OPT-Hybrid"] >= row["savings"]["OPT-Drowsy"] - 1e-9
-            assert row["savings"]["OPT-Hybrid"] >= row["savings"]["OPT-Sleep"] - 1e-9
+        for savings in rows:
+            assert set(savings) == {"OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid"}
+            assert savings["OPT-Hybrid"] >= savings["OPT-Drowsy"] - 1e-9
+            assert savings["OPT-Hybrid"] >= savings["OPT-Sleep"] - 1e-9
 
     def test_drowsy_beats_sleep_at_180nm(self):
         # The paper's Table 2 finding: at 180nm the inflection point is so
         # high that drowsy mode leads.
         intervals = IntervalSet([500, 5_000, 50_000] * 20)
-        rows = technology_sweep([paper_nodes()[180]], intervals)
-        savings = rows[0]["savings"]
+        (savings,) = self.sweep((180,), intervals)
         assert savings["OPT-Drowsy"] > savings["OPT-Sleep"]
 
     def test_sleep_beats_drowsy_at_70nm(self):
         intervals = IntervalSet([500, 5_000, 50_000] * 20)
-        rows = technology_sweep([paper_nodes()[70]], intervals)
-        savings = rows[0]["savings"]
+        (savings,) = self.sweep((70,), intervals)
         assert savings["OPT-Sleep"] > savings["OPT-Drowsy"]

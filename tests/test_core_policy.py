@@ -8,6 +8,7 @@ from repro.core.intervals import IntervalKind
 from repro.core.modes import Mode
 from repro.core.policy import (
     ACTIVE,
+    CODE_MODES,
     DROWSY,
     SLEEP,
     AlwaysActive,
@@ -164,9 +165,12 @@ class TestDeadAwarePricing:
 class TestSafety:
     def test_scalar_mode_for(self, model70):
         policy = OptHybrid(model70)
-        assert policy.mode_for(3) is Mode.ACTIVE
-        assert policy.mode_for(100) is Mode.DROWSY
-        assert policy.mode_for(5000) is Mode.SLEEP
+        codes = policy.modes(np.array([3, 100, 5000], dtype=np.int64))
+        assert [CODE_MODES[int(code)] for code in codes] == [
+            Mode.ACTIVE,
+            Mode.DROWSY,
+            Mode.SLEEP,
+        ]
 
     def test_standard_policies_order(self, model70):
         names = [p.name for p in standard_policies(model70)]

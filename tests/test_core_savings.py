@@ -1,17 +1,11 @@
 """Tests for repro.core.savings — the Figure 5 accumulation."""
 
-import numpy as np
 import pytest
 
 from repro.core.intervals import IntervalSet
 from repro.core.modes import Mode
 from repro.core.policy import AlwaysActive, DecaySleep, OptDrowsy, OptHybrid
-from repro.core.savings import (
-    ModeBreakdown,
-    average_saving,
-    evaluate_policies,
-    evaluate_policy,
-)
+from repro.core.savings import ModeBreakdown, evaluate_policy
 from repro.errors import IntervalError
 
 
@@ -39,7 +33,8 @@ class TestEvaluatePolicy:
 
     def test_saving_plus_remaining_is_one(self, model70, intervals):
         report = evaluate_policy(OptHybrid(model70), intervals)
-        assert report.saving_fraction + report.remaining_fraction == pytest.approx(1.0)
+        remaining = report.total_energy / report.baseline_energy
+        assert report.saving_fraction + remaining == pytest.approx(1.0)
 
     def test_breakdown_partitions_population(self, model70, intervals):
         report = evaluate_policy(OptHybrid(model70), intervals)
@@ -68,9 +63,9 @@ class TestEvaluatePolicy:
     def test_cycles_in_accessor(self, model70):
         intervals = IntervalSet([3, 100, 50_000])
         report = evaluate_policy(OptHybrid(model70), intervals)
-        assert report.cycles_in(Mode.ACTIVE) == 3
-        assert report.cycles_in(Mode.DROWSY) == 100
-        assert report.cycles_in(Mode.SLEEP) == 50_000
+        assert report.breakdown[Mode.ACTIVE].cycles == 3
+        assert report.breakdown[Mode.DROWSY].cycles == 100
+        assert report.breakdown[Mode.SLEEP].cycles == 50_000
 
     def test_describe_mentions_policy(self, model70, intervals):
         report = evaluate_policy(OptHybrid(model70), intervals)
@@ -106,25 +101,6 @@ class TestCycleShare:
             mode=Mode.ACTIVE, interval_count=0, cycles=10, energy=0.0
         )
         assert entry.cycle_share == 0.0
-
-
-class TestHelpers:
-    def test_evaluate_policies_order(self, model70, intervals):
-        reports = evaluate_policies(
-            [OptDrowsy(model70), OptHybrid(model70)], intervals
-        )
-        assert [r.policy_name for r in reports] == ["OptDrowsy", "OPT-Hybrid"]
-
-    def test_average_saving(self, model70, intervals):
-        reports = evaluate_policies(
-            [OptDrowsy(model70), OptHybrid(model70)], intervals
-        )
-        expected = np.mean([r.saving_fraction for r in reports])
-        assert average_saving(reports) == pytest.approx(expected)
-
-    def test_average_of_nothing_rejected(self):
-        with pytest.raises(IntervalError):
-            average_saving([])
 
 
 class TestKnownValues:

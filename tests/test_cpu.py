@@ -8,13 +8,12 @@ from repro.cpu.trace import (
     LOAD,
     NO_ACCESS,
     STORE,
-    Access,
     TraceChunk,
     merge_chunks,
 )
 from repro.errors import ConfigurationError, SimulationError, TraceError
 from repro.prefetch.analysis import AnnotatingSimulator, annotate_workload_trace
-from repro.traces import convert_gem5_text, read_trace, record_chunks
+from repro.traces import TraceRecording, convert_gem5_text, record_chunks
 
 
 def _simulate(trace, **kwargs):
@@ -23,28 +22,20 @@ def _simulate(trace, **kwargs):
 
 
 class TestAccess:
+    """Each instruction row of a chunk: a PC and at most one data access."""
+
     def test_store_requires_address(self):
         with pytest.raises(TraceError):
-            Access(pc=0, data_address=None, is_store=True)
+            TraceChunk([0], data_addresses=[-1], data_kinds=[STORE])
 
     def test_negative_fields_rejected(self):
         with pytest.raises(TraceError):
-            Access(pc=-4)
+            TraceChunk([-4])
         with pytest.raises(TraceError):
-            Access(pc=0, data_address=-8)
+            TraceChunk([0], data_addresses=[-8], data_kinds=[LOAD])
 
 
 class TestTraceChunk:
-    def test_roundtrip_through_accesses(self):
-        source = [
-            Access(0x1000),
-            Access(0x1004, 0x2000, is_store=False),
-            Access(0x1008, 0x2008, is_store=True),
-        ]
-        chunk = TraceChunk.from_accesses(source)
-        assert list(chunk) == source
-        assert list(chunk.data_kinds) == [NO_ACCESS, LOAD, STORE]
-
     def test_kind_address_consistency_enforced(self):
         with pytest.raises(TraceError):
             TraceChunk([0], data_addresses=[-1], data_kinds=[LOAD])
@@ -57,7 +48,7 @@ class TestTraceChunk:
 
     def test_slice_and_concat(self):
         chunk = TraceChunk([0, 4, 8, 12])
-        merged = chunk.slice(0, 2).concat(chunk.slice(2, 4))
+        merged = merge_chunks([chunk.slice(0, 2), chunk.slice(2, 4)])
         assert np.array_equal(merged.pcs, chunk.pcs)
 
     def test_merge_chunks(self):
@@ -69,13 +60,16 @@ class TestTraceChunk:
 def _exec_lines(chunk):
     """gem5 Exec-flag text lines for a chunk, one instruction per line."""
     lines = []
-    for tick, access in enumerate(chunk):
-        line = f"{tick * 500}: system.cpu T0 : {access.pc:#x} : op : "
-        if access.data_address is None:
+    rows = zip(
+        chunk.pcs.tolist(), chunk.data_addresses.tolist(), chunk.data_kinds.tolist()
+    )
+    for tick, (pc, address, kind) in enumerate(rows):
+        line = f"{tick * 500}: system.cpu T0 : {pc:#x} : op : "
+        if kind == NO_ACCESS:
             line += "IntAlu :"
         else:
-            kind = "MemWrite" if access.is_store else "MemRead"
-            line += f"{kind} : D=0x0 A={access.data_address:#x}"
+            op = "MemWrite" if kind == STORE else "MemRead"
+            line += f"{op} : D=0x0 A={address:#x}"
         lines.append(line + "\n")
     return "".join(lines)
 
@@ -88,24 +82,29 @@ class TestTraceIO:
         chunk = TraceChunk([0, 4], data_addresses=[-1, 64])
         path = tmp_path / "trace.rtr"
         record_chunks([chunk], path)
-        loaded = merge_chunks(read_trace(path))
+        loaded = merge_chunks(TraceRecording(path).chunks())
         assert np.array_equal(loaded.pcs, chunk.pcs)
         assert np.array_equal(loaded.data_addresses, chunk.data_addresses)
         assert np.array_equal(loaded.data_kinds, chunk.data_kinds)
 
     def test_text_roundtrip(self, tmp_path):
-        chunk = TraceChunk.from_accesses(
-            [Access(0), Access(4, 64), Access(8, 128, is_store=True)]
+        chunk = TraceChunk(
+            [0, 4, 8],
+            data_addresses=[-1, 64, 128],
+            data_kinds=[NO_ACCESS, LOAD, STORE],
         )
         text = tmp_path / "trace.txt"
         text.write_text(_exec_lines(chunk))
         report = convert_gem5_text(text, tmp_path / "trace.rtr")
         assert (report.instructions, report.loads, report.stores) == (3, 1, 1)
-        assert list(merge_chunks(read_trace(tmp_path / "trace.rtr"))) == list(chunk)
+        loaded = merge_chunks(TraceRecording(tmp_path / "trace.rtr").chunks())
+        assert np.array_equal(loaded.pcs, chunk.pcs)
+        assert np.array_equal(loaded.data_addresses, chunk.data_addresses)
+        assert np.array_equal(loaded.data_kinds, chunk.data_kinds)
 
     def test_text_comments_and_blank_lines_skipped(self, tmp_path):
         text = tmp_path / "trace.txt"
-        chunk = TraceChunk.from_accesses([Access(16), Access(20, 64)])
+        chunk = TraceChunk([16, 20], data_addresses=[-1, 64])
         text.write_text("# header\n\n" + _exec_lines(chunk))
         report = convert_gem5_text(text, tmp_path / "trace.rtr")
         assert (report.instructions, report.skipped_lines) == (2, 2)
@@ -119,7 +118,7 @@ class TestTraceIO:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError):
-            read_trace(tmp_path / "missing.rtr")
+            TraceRecording(tmp_path / "missing.rtr").chunks()
         with pytest.raises(TraceError):
             convert_gem5_text(tmp_path / "missing.txt", tmp_path / "out.rtr")
 

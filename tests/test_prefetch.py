@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cache.cache import SetAssociativeCache
-from repro.cache.config import CacheConfig
 from repro.core.intervals import IntervalSet
 from repro.cpu.trace import TraceChunk
 from repro.errors import PolicyError, SimulationError
@@ -13,7 +11,6 @@ from repro.prefetch.analysis import (
     AnnotatingSimulator,
     annotate_workload_trace,
 )
-from repro.prefetch.nextline import NextLinePrefetcher
 from repro.prefetch.schemes import (
     PrefetchGuidedPolicy,
     evaluate_prefetch_scheme,
@@ -64,30 +61,6 @@ class TestStridePredictor:
         assert predictor.predictions == 2
         assert predictor.correct == 1
         assert predictor.accuracy == pytest.approx(0.5)
-
-
-class TestNextLinePrefetcher:
-    def _cache(self):
-        return SetAssociativeCache(
-            CacheConfig("x", 1024, 64, 2, 1), track_generations=False
-        )
-
-    def test_prefetches_next_block_on_miss(self):
-        prefetcher = NextLinePrefetcher(self._cache())
-        prefetcher.access(0, 0)
-        assert prefetcher.cache.probe(1)
-        assert prefetcher.issued == 1
-
-    def test_redundant_prefetch_counted_useless(self):
-        prefetcher = NextLinePrefetcher(self._cache(), on_miss_only=False)
-        prefetcher.access(0, 0)   # prefetches 1
-        prefetcher.access(0, 1)   # hit; 1 already resident
-        assert prefetcher.useless >= 1
-
-    def test_degree(self):
-        prefetcher = NextLinePrefetcher(self._cache(), degree=3)
-        prefetcher.access(0, 0)
-        assert all(prefetcher.cache.probe(b) for b in (1, 2, 3))
 
 
 class TestAnnotatedIntervals:

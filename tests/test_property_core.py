@@ -155,8 +155,6 @@ class TestIntervalSetProperties:
         ivs = IntervalSet(np.array(lengths, dtype=np.int64)).reduced()
         mass = ivs.cycle_mass_by_class([6, 1057, 10_000])
         assert sum(mass) == pytest.approx(1.0)
-        counts = ivs.count_by_class([6, 1057, 10_000])
-        assert sum(counts) == len(lengths)
 
     @given(
         times=st.lists(st.integers(0, 10**6), min_size=2, max_size=60),

@@ -45,7 +45,6 @@ from repro.traces import (
     format_trace_ref,
     is_trace_ref,
     parse_trace_ref,
-    read_trace,
     record_benchmark,
     record_chunks,
     trace_info,
@@ -93,7 +92,7 @@ class TestFormat:
         path = tmp_path / f"rt-{codec}.rtr"
         info = record_chunks(gzip_chunks, path, codec=codec)
         original = merge_chunks(gzip_chunks)
-        restored = merge_chunks(read_trace(path))
+        restored = merge_chunks(TraceRecording(path).chunks())
         assert np.array_equal(original.pcs, restored.pcs)
         assert np.array_equal(original.data_addresses, restored.data_addresses)
         assert np.array_equal(original.data_kinds, restored.data_kinds)
@@ -122,7 +121,7 @@ class TestFormat:
         info = record_chunks(
             gzip_chunks, tmp_path / "re.rtr", chunk_instructions=10_000
         )
-        sizes = [len(c) for c in read_trace(info.path)]
+        sizes = [len(c) for c in TraceRecording(info.path).chunks()]
         assert all(n == 10_000 for n in sizes[:-1])
         assert 0 < sizes[-1] <= 10_000
         assert sum(sizes) == info.instructions
@@ -486,6 +485,30 @@ class TestStreamingEquality:
         outcome = engine.run_one(SimulationJob(format_trace_ref(recorded.path)))
         assert outcome.source == SOURCE_CACHED
 
+    def test_damaged_paper_trace_is_served_its_benchmarks_result(self, tmp_path):
+        # A recording whose header names a paper benchmark has that
+        # benchmark's content address, so a cache hit answers without
+        # reading the payload: the result served is the benchmark's own.
+        # `trace validate` (TraceRecording.validate) is the check that
+        # finds the damage.
+        engine = serial_engine(tmp_path)
+        synthetic = SimulationJob("gzip", scale=SMALL)
+        clean = engine.run_one(synthetic)
+        info = record_benchmark(
+            "gzip", tmp_path / "damaged.rtr", scale=SMALL, codec="none"
+        )
+        data = bytearray(Path(info.path).read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        Path(info.path).write_bytes(bytes(data))
+        traced = SimulationJob(format_trace_ref(info.path))
+        outcome = engine.run_one(traced)
+        assert outcome.source == SOURCE_CACHED
+        assert dumps_stable(job_result_payload(traced, outcome.annotated)) == (
+            dumps_stable(job_result_payload(synthetic, clean.annotated))
+        )
+        with pytest.raises(TraceFormatError):
+            TraceRecording(info.path).validate()
+
     def test_jobs_sharing_a_content_address_simulate_once(self, recorded):
         # No store to hit: the second job is served from the first one's
         # result within the same run.
@@ -595,7 +618,7 @@ class TestGem5Adapter:
         assert report.loads == 1
         assert report.stores == 1
         assert report.skipped_lines == 1
-        chunk = merge_chunks(read_trace(report.info.path))
+        chunk = merge_chunks(TraceRecording(report.info.path).chunks())
         assert list(chunk.data_kinds) == [NO_ACCESS, LOAD, STORE, NO_ACCESS]
         assert chunk.data_addresses[1] == 0x80004000
         result = annotate_workload_trace(chunk).result

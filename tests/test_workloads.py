@@ -12,7 +12,6 @@ from repro.workloads.benchmarks import (
     paper_suite,
 )
 from repro.workloads.patterns import (
-    MixturePattern,
     PointerChase,
     RotatingPattern,
     SequentialStream,
@@ -61,10 +60,14 @@ class TestPatterns:
         assert rotation.addresses(1)[0] == 8
 
     def test_mixture_respects_weights(self):
+        # A phase binds each memory position to one weighted component.
         a = SequentialStream(0, 8)
         b = SequentialStream(1 << 30, 8)
-        mixture = MixturePattern([(a, 0.9), (b, 0.1)], seed=5)
-        addresses = mixture.addresses(10_000)
+        phase = Phase(
+            "mix", 0, 1000, load_fraction=1.0, pattern=[(a, 0.9), (b, 0.1)],
+            block_instructions=0, seed=5,
+        )
+        addresses = phase.emit(10_000).data_addresses
         share_b = float(np.mean(addresses >= (1 << 30)))
         assert 0.07 < share_b < 0.13
 
@@ -78,7 +81,7 @@ class TestPatterns:
         with pytest.raises(ConfigurationError):
             RotatingPattern([])
         with pytest.raises(ConfigurationError):
-            MixturePattern([(SequentialStream(0), -1.0)])
+            Phase("p", 0, 8, load_fraction=0.5, pattern=[(SequentialStream(0), -1.0)])
 
 
 class TestPhase:
