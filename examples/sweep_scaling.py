@@ -1,15 +1,17 @@
 """A technology-scaling sweep, end to end (the `repro.sweep` subsystem).
 
 The paper's scaling study (Table 2 / Figures 7-9) is a grid: every
-benchmark at every technology node.  This example plans that grid, runs
-it as one engine run against a fresh cache and prints the report, then
-verifies the sweep contract: a rerun against the same cache simulates
-nothing and prints a byte-identical report.
+benchmark at every technology node.  This example plans a sweep that
+runs Table 2 and Figure 8 in one context, fills it as one engine run
+against a fresh cache and prints the report, then verifies the sweep
+contract: a rerun against the same cache simulates nothing and prints a
+byte-identical report.
 
 Everything here also works from the command line::
 
     repro-leakage sweep plan --sweep-name scaling-demo \
-        --benchmarks gzip ammp mesa --scales 0.05 --save spec.json
+        --benchmarks gzip ammp mesa --scales 0.05 \
+        --experiments table2 figure8 --save spec.json
     repro-leakage sweep run  --spec spec.json --jobs 2
 
 Run:  python examples/sweep_scaling.py  [scale]
@@ -32,7 +34,7 @@ def main() -> None:
         "scaling-demo",
         benchmarks=("gzip", "ammp", "mesa"),
         scales=(SCALE,),
-        nodes=(70, 100, 130, 180),
+        experiments=("table2", "figure8"),
     )
 
     print("=== plan ===")

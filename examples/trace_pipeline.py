@@ -5,10 +5,10 @@ Demonstrates the full real-trace path end to end:
 1. record a scaled synthetic benchmark to a ``.rtr`` trace file,
 2. convert the bundled gem5 Exec-style text fixture into the same format,
 3. run both — plus the inline synthetic for comparison — through one
-   sweep grid, resolving every workload through the registry.
+   sweep context, resolving every workload through the registry.
 
 The recorded benchmark shares the synthetic original's content address,
-so its sweep point is a cache hit if the synthetic ran first (and vice
+so its sweep job is a cache hit if the synthetic ran first (and vice
 versa); the converted gem5 trace is keyed by its content digest.
 
 Run:  python examples/trace_pipeline.py  [scale]
@@ -24,7 +24,7 @@ from repro.cli import dumps_stable
 from repro.engine import ExecutionEngine, ResultStore, SimulationJob
 from repro.engine.jobs import job_result_payload
 from repro.traces import convert_gem5_text, format_trace_ref, record_benchmark
-from repro.sweep import SweepSpec, expand
+from repro.sweep import SweepSpec, sweep_suites
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "gem5_exec_sample.txt"
 
@@ -77,11 +77,11 @@ def main() -> None:
             format_trace_ref(report.info.path),
         ),
         scales=(1.0,),
-        nodes=(70, 180),
     )
     print(f"\n{spec.describe()}")
-    for point in expand(spec):
-        job = point.job
+    (suite,) = sweep_suites(spec, engine)
+    for name in suite.benchmark_names:
+        job = suite.job_for(name)
         outcome = engine.run_one(job)
         result = outcome.annotated.result
         print(

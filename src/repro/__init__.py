@@ -23,8 +23,8 @@ the answer rests on:
 * :mod:`repro.experiments` — one harness per paper table/figure.
 * :mod:`repro.engine` — the execution substrate: parallel simulation
   with on-disk result caching, fault tolerance and run telemetry.
-* :mod:`repro.sweep` — design-space sweeps over benchmarks, scales and
-  technology nodes.
+* :mod:`repro.sweep` — the suite experiments (Table 2 by default) over
+  a grid of benchmarks, scales and pipelines, in one engine run.
 * :mod:`repro.traces` — the ``.rtr`` recorded-trace format and the
   ``trace:<path>`` workload refs.
 

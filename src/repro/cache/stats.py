@@ -22,17 +22,6 @@ class CacheStats:
         """Misses per access (0 when no accesses)."""
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Combine counters from another stats object (same cache name)."""
-        return CacheStats(
-            name=self.name or other.name,
-            accesses=self.accesses + other.accesses,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            compulsory_misses=self.compulsory_misses + other.compulsory_misses,
-            evictions=self.evictions + other.evictions,
-        )
-
     def describe(self) -> str:
         """Human-readable one-liner."""
         return (

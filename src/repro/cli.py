@@ -34,12 +34,13 @@ still record the run, and the exit code is 1.  The result cache is the
 only progress record: rerunning a failed or interrupted command against
 the same cache simulates only the jobs it had not finished.
 
-A sweep expands a declarative spec (benchmarks × scales × pipelines ×
-technology nodes) into engine jobs, runs them all in one engine run and
-prints the report; a rerun against the same cache simulates nothing::
+A sweep runs registered suite experiments (``table2`` by default) over
+a declarative grid of benchmarks × scales × pipelines: every (scale,
+pipeline) context is filled in one engine run and rendered exactly as
+``run`` renders it; a rerun against the same cache simulates nothing::
 
     repro-leakage sweep plan --sweep-name scaling --scales 0.25 --save s.json
-    repro-leakage sweep run --spec s.json --jobs 4 --csv out/
+    repro-leakage sweep run --spec s.json --jobs 4
 
 Exit codes are uniform across every command: 0 success, 1 a simulation
 job failed, 2 usage or runtime error (details on stderr), 130
@@ -274,11 +275,10 @@ def _add_spec_arguments(parser) -> None:
         help="workload-scale axis (default: 1.0)",
     )
     parser.add_argument(
-        "--nodes",
+        "--experiments",
         nargs="*",
-        type=int,
         default=None,
-        help="technology-node axis in nm (default: 70 100 130 180)",
+        help="suite experiments to run in every context (default: table2)",
     )
 
 
@@ -287,15 +287,16 @@ def _add_sweep_parser(commands) -> None:
         "sweep",
         help="parameter sweeps over the experiment grid",
         description=(
-            "Expand a declarative spec (benchmarks x scales x pipelines x "
-            "technology nodes) into engine jobs, run them all in one engine "
-            "run and print the sweep report."
+            "Run suite experiments (default: table2) over a declarative "
+            "grid of benchmarks x scales x pipelines: every (scale, "
+            "pipeline) context is filled in one engine run and printed as "
+            "'run' prints it."
         ),
     )
     verbs = sweep.add_subparsers(dest="verb", metavar="verb", required=True)
 
     plan = verbs.add_parser(
-        "plan", help="expand the grid and list its points (no runs)"
+        "plan", help="list the grid's simulation jobs (no runs)"
     )
     _add_spec_arguments(plan)
     plan.add_argument(
@@ -321,14 +322,6 @@ def _add_sweep_parser(commands) -> None:
     run.add_argument(
         "--output", default=None, metavar="FILE",
         help="also write the report to this file",
-    )
-    run.add_argument(
-        "--csv", default=None, metavar="DIR",
-        help="also export the sweep cells as CSV into this directory",
-    )
-    run.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="also write the sweep cells as JSON to this file",
     )
     run.set_defaults(handler=sweep_run_command)
 
@@ -702,7 +695,7 @@ def _spec_from_args(args) -> SweepSpec:
     flag_axes = {
         "benchmarks": args.benchmarks,
         "scales": args.scales,
-        "nodes": args.nodes,
+        "experiments": args.experiments,
     }
     if args.spec is not None:
         conflicting = [
@@ -719,7 +712,7 @@ def _spec_from_args(args) -> SweepSpec:
     if args.sweep_name is None:
         raise ReproError(
             "a sweep needs --spec FILE or --sweep-name NAME (plus optional "
-            "--benchmarks/--scales/--nodes)"
+            "--benchmarks/--scales/--experiments)"
         )
     kwargs = {
         name: tuple(value)
@@ -754,29 +747,12 @@ def sweep_run_command(args) -> int:
     except ReproError as error:
         return _fail(str(error))
     print(outcome.report)
-    try:
-        if args.output:
+    if args.output:
+        try:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(outcome.report + "\n")
-        if args.csv:
-            from .sweep import save_csv as save_sweep_csv
-
-            path = save_sweep_csv(outcome.results, args.csv)
-            print(f"sweep csv: {path}", file=sys.stderr)
-        if args.json:
-            from pathlib import Path
-
-            from .sweep import to_json_dict
-
-            target = Path(args.json)
-            if target.parent != Path("."):
-                target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(
-                dumps_stable(to_json_dict(outcome.results)), encoding="utf-8"
-            )
-            print(f"sweep json: {target}", file=sys.stderr)
-    except OSError as error:
-        return _fail(f"writing sweep outputs failed: {error}")
+        except OSError as error:
+            return _fail(f"writing the sweep report failed: {error}")
     if outcome.telemetry.jobs:
         print(outcome.telemetry.summary(), file=sys.stderr)
     return 0

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -382,17 +382,6 @@ class IntervalSet:
                 lengths.append(np.array([dead], dtype=np.int64))
                 kinds.append(np.array([IntervalKind.DEAD], dtype=np.uint8))
         return cls(np.concatenate(lengths), np.concatenate(kinds))
-
-    @classmethod
-    def merge(cls, sets: Iterable["IntervalSet"]) -> "IntervalSet":
-        """Concatenate several interval sets (e.g. one per cache frame)."""
-        sets = [s for s in sets if len(s)]
-        if not sets:
-            return cls.empty()
-        return cls(
-            np.concatenate([s.lengths for s in sets]),
-            np.concatenate([s.kinds for s in sets]),
-        )
 
     # ------------------------------------------------------------------
     # Container protocol

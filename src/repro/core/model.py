@@ -5,8 +5,7 @@ Active, Drowsy, Sleep — where each state carries a static power and each
 edge a transition energy and duration.  All circuit assumptions (from
 CACTI, HotLeakage, and the interval trace from the simulator) enter as
 parameters.  Table 2's saving percentages are priced from the closed
-forms (:func:`repro.core.savings.trio_savings`); this module is their
-reference.
+forms in :mod:`repro.core.savings`; this module is their reference.
 
 Two evaluation paths are provided and must agree:
 

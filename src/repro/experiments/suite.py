@@ -16,7 +16,7 @@ what a ``BenchmarkRun`` contains, only how long it took to obtain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..engine import ExecutionEngine, SimulationJob
 from ..errors import ExperimentError, ReproError
@@ -93,10 +93,9 @@ class SuiteRunner:
     def job_for(self, name: str) -> SimulationJob:
         """The engine job backing one benchmark of this suite.
 
-        Public so the sweep grid (:mod:`repro.sweep.grid`) expands its
-        points through the exact same job construction — a sweep point
-        and a single-run suite entry with the same (benchmark, scale,
-        pipeline) share one content address, hence one cache entry.
+        A sweep is a list of suites, so a sweep context and a single run
+        with the same (benchmark, scale, pipeline) build the same job and
+        share one content address, hence one cache entry.
         """
         if name not in self.benchmark_names:
             raise ExperimentError(
@@ -114,12 +113,7 @@ class SuiteRunner:
 
     def all_runs(self) -> Dict[str, BenchmarkRun]:
         """Simulate the whole suite; misses fan out across workers."""
-        missing = [n for n in self.benchmark_names if n not in self._cache]
-        if missing:
-            outcomes = self.engine.run([self.job_for(n) for n in missing])
-            for name in missing:
-                annotated = outcomes[self.job_for(name)].annotated
-                self._cache[name] = BenchmarkRun(name=name, annotated=annotated)
+        run_suites([self])
         return {name: self._cache[name] for name in self.benchmark_names}
 
     def intervals_by_benchmark(self, cache: str) -> Dict[str, IntervalPopulation]:
@@ -127,3 +121,22 @@ class SuiteRunner:
         return {
             name: run.intervals(cache) for name, run in self.all_runs().items()
         }
+
+
+def run_suites(suites: Sequence[SuiteRunner]) -> None:
+    """Fill every suite's missing benchmarks from one engine run.
+
+    The suites share the first one's engine, so a sweep's whole grid is
+    one fan-out over workers and one pass over the result cache.
+    """
+    missing = [
+        (suite, name, suite.job_for(name))
+        for suite in suites
+        for name in suite.benchmark_names
+        if name not in suite._cache
+    ]
+    if not missing:
+        return
+    outcomes = suites[0].engine.run([job for _, _, job in missing])
+    for suite, name, job in missing:
+        suite._cache[name] = BenchmarkRun(name=name, annotated=outcomes[job].annotated)

@@ -34,12 +34,6 @@ class StrideEntry:
         """Whether the stride has been seen often enough to predict."""
         return self.confirmations >= CONFIRMATIONS_REQUIRED
 
-    def prediction(self) -> Optional[int]:
-        """Predicted next address, or None when not confident."""
-        if not self.confident:
-            return None
-        return self.last_address + self.stride
-
 
 class StridePredictor:
     """Reference prediction table keyed by load PC.
@@ -59,15 +53,6 @@ class StridePredictor:
             )
         self.capacity = capacity
         self._table: "OrderedDict[int, StrideEntry]" = OrderedDict()
-        self.predictions = 0
-        self.correct = 0
-
-    def predict(self, pc: int) -> Optional[int]:
-        """Predicted next address for ``pc`` (None when unknown)."""
-        entry = self._table.get(pc)
-        if entry is None:
-            return None
-        return entry.prediction()
 
     def access(self, pc: int, address: int) -> bool:
         """Observe one load and report whether it was predicted.
@@ -80,11 +65,9 @@ class StridePredictor:
         entry = self._table.get(pc)
         predicted = False
         if entry is not None:
-            if entry.confident:
-                self.predictions += 1
-                if entry.last_address + entry.stride == address:
-                    predicted = True
-                    self.correct += 1
+            predicted = (
+                entry.confident and entry.last_address + entry.stride == address
+            )
             stride = address - entry.last_address
             if stride == entry.stride:
                 entry.confirmations += 1
@@ -98,11 +81,6 @@ class StridePredictor:
             if self.capacity is not None and len(self._table) > self.capacity:
                 self._table.popitem(last=False)
         return predicted
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of confident predictions that were correct."""
-        return self.correct / self.predictions if self.predictions else 0.0
 
     def __len__(self) -> int:
         return len(self._table)

@@ -1,17 +1,14 @@
-"""Parameter sweeps over the experiment grid, as one engine run.
+"""Parameter sweeps: the registered experiments over a grid, as one engine run.
 
-The paper's headline results are grids — leakage-mode energy across
-(benchmark × cache scale × pipeline × technology node), e.g. the
-180→70 nm scaling study of Figures 7-9.  This package makes such a grid
-one command:
+The paper's scaling study is a grid — every benchmark at every
+technology node, per cache scale and pipeline.  A sweep is one
+:class:`~repro.experiments.suite.SuiteRunner` per (scale, pipeline),
+all filled by a single engine run; each context then renders the
+spec's experiments exactly as ``repro-leakage run`` does, so the
+default sweep's section per context *is* Table 2.
 
 * :mod:`~repro.sweep.spec` — a declarative, JSON-round-trippable
   :class:`SweepSpec`, validated against known names up front.
-* :mod:`~repro.sweep.grid` — deterministic expansion into ordered
-  simulation points, reusing the single-run job construction so cache
-  entries are shared.
-* :mod:`~repro.sweep.aggregate` — per-point results → the sweep report
-  (per-node/per-benchmark savings tables, CSV + JSON).
 * :mod:`~repro.sweep.driver` — the ``plan`` / ``run`` verbs the CLI
   wires up.
 
@@ -20,43 +17,17 @@ Quickstart::
     from repro.sweep import SweepSpec, run_sweep
 
     spec = SweepSpec("demo", benchmarks=("gzip", "ammp"), scales=(0.05,))
-    print(run_sweep(spec).report)   # the technology-scaling tables
+    print(run_sweep(spec).report)   # Table 2 at scale 0.05
 """
 
-from .aggregate import (
-    AVERAGE,
-    SCHEMES,
-    SweepCell,
-    SweepResults,
-    collect,
-    render_report,
-    report_tables,
-    save_csv,
-    to_csv,
-    to_json_dict,
-)
-from .grid import SweepPoint, expand, pipeline_label, suite_contexts
-from .spec import DEFAULT_NODES, SweepSpec
-from .driver import SweepRun, plan_text, run_sweep
+from .spec import SweepSpec
+from .driver import SweepRun, pipeline_label, plan_text, run_sweep, sweep_suites
 
 __all__ = [
-    "AVERAGE",
-    "DEFAULT_NODES",
-    "SCHEMES",
-    "SweepCell",
-    "SweepPoint",
-    "SweepResults",
     "SweepRun",
     "SweepSpec",
-    "collect",
-    "expand",
     "pipeline_label",
     "plan_text",
-    "render_report",
-    "report_tables",
     "run_sweep",
-    "save_csv",
-    "suite_contexts",
-    "to_csv",
-    "to_json_dict",
+    "sweep_suites",
 ]

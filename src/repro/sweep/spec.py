@@ -1,17 +1,17 @@
 """Declarative sweep specifications.
 
 A :class:`SweepSpec` names one design-space grid — benchmarks × workload
-scales × pipeline configurations × technology nodes — the way the
-paper's scaling study does (Figures 7-9 evaluate every benchmark at
-every node from 180 down to 70 nm).  Specs are plain frozen dataclasses
-with a JSON/dict round-trip, so ``sweep plan --save`` writes the file
-``sweep run --spec`` reads, and validation happens *up front*: an unknown
-benchmark or node fails when the spec is built, not hours into a run.
+scales × pipeline configurations — plus the registered suite
+experiments to run in every (scale, pipeline) context, the way the
+paper's scaling study runs Table 2 over the suite.  Specs are plain
+frozen dataclasses with a JSON/dict round-trip, so ``sweep plan --save``
+writes the file ``sweep run --spec`` reads, and validation happens *up
+front*: an unknown benchmark or experiment fails when the spec is built,
+not hours into a run.
 
 Only the (benchmark, scale, pipeline) axes cost simulation time; the
-technology-node axis is pure analysis over simulated interval
-populations, so adding nodes to a sweep is nearly free (see
-:mod:`repro.sweep.grid`).
+experiments price the simulated interval populations, and Table 2
+covers all four calibrated technology nodes from prefix sums.
 
 The JSON form mirrors the dataclass::
 
@@ -19,8 +19,8 @@ The JSON form mirrors the dataclass::
       "name": "scaling",
       "benchmarks": ["gzip", "ammp"],
       "scales": [0.25],
-      "nodes": [70, 100, 130, 180],
-      "pipelines": [null, {"width": 2, "base_cpi": 0.65}]
+      "pipelines": [null, {"width": 2, "base_cpi": 0.65}],
+      "experiments": ["table2", "figure8"]
     }
 
 ``pipelines`` entries are ``null`` for the default
@@ -40,19 +40,12 @@ from typing import Dict, Optional, Tuple
 
 from ..cpu.pipeline import PipelineConfig
 from ..errors import ConfigurationError, ReproError
-from ..power.technology import PAPER_INFLECTION_POINTS
+from ..experiments.runner import _SUITE
 from ..traces.registry import check_workload
 from ..workloads.benchmarks import BENCHMARK_NAMES
 
-#: The paper's four technology nodes, the default sweep node axis.
-DEFAULT_NODES: Tuple[int, ...] = (70, 100, 130, 180)
-
-#: Valid sweep names: filesystem-safe path components.
+#: Valid sweep names.
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-
-def _pipeline_to_dict(pipeline: Optional[PipelineConfig]) -> Optional[Dict]:
-    return None if pipeline is None else asdict(pipeline)
 
 
 def _pipeline_from_dict(value) -> Optional[PipelineConfig]:
@@ -82,19 +75,18 @@ class SweepSpec:
     Attributes
     ----------
     name:
-        Sweep identifier — titles the report and names the CSV export
-        (``sweep_<name>.csv``), so it must be a filesystem-safe path
-        component.
+        Sweep identifier — titles the report; letters, digits, '.', '_'
+        or '-'.
     benchmarks:
         Benchmark axis; defaults to the paper's full §4.1 suite.
     scales:
         Workload scale axis (positive floats), default ``(1.0,)``.
-    nodes:
-        Technology-node axis in nanometres; every entry must be one of
-        the paper's calibrated nodes (70/100/130/180).
     pipelines:
         Pipeline-configuration axis; ``None`` entries mean the default
         Alpha-21264-like timing model.
+    experiments:
+        Suite-consuming experiments (``run`` names such as ``table2`` or
+        ``figure8``) rendered in every (scale, pipeline) context.
     """
 
     name: str
@@ -102,8 +94,8 @@ class SweepSpec:
         default_factory=lambda: tuple(BENCHMARK_NAMES)
     )
     scales: Tuple[float, ...] = (1.0,)
-    nodes: Tuple[int, ...] = DEFAULT_NODES
     pipelines: Tuple[Optional[PipelineConfig], ...] = (None,)
+    experiments: Tuple[str, ...] = ("table2",)
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not _NAME_PATTERN.match(
@@ -117,13 +109,13 @@ class SweepSpec:
         object.__setattr__(
             self, "scales", tuple(float(s) for s in self.scales)
         )
-        object.__setattr__(self, "nodes", tuple(int(n) for n in self.nodes))
         object.__setattr__(self, "pipelines", tuple(self.pipelines))
+        object.__setattr__(self, "experiments", tuple(self.experiments))
         for axis, values in (
             ("benchmarks", self.benchmarks),
             ("scales", self.scales),
-            ("nodes", self.nodes),
             ("pipelines", self.pipelines),
+            ("experiments", self.experiments),
         ):
             if not values:
                 raise ConfigurationError(
@@ -148,12 +140,11 @@ class SweepSpec:
                 f"sweep {self.name!r}: scales must be positive, got "
                 f"{bad_scales}"
             )
-        known_nodes = sorted(PAPER_INFLECTION_POINTS)
-        bad_nodes = [n for n in self.nodes if n not in PAPER_INFLECTION_POINTS]
-        if bad_nodes:
+        bad_experiments = [e for e in self.experiments if e not in _SUITE]
+        if bad_experiments:
             raise ConfigurationError(
-                f"sweep {self.name!r}: unknown technology nodes {bad_nodes} "
-                f"nm; calibrated paper nodes: {known_nodes}"
+                f"sweep {self.name!r}: {bad_experiments} are not suite "
+                f"experiments; known: {list(_SUITE)}"
             )
         for pipeline in self.pipelines:
             if pipeline is not None and not isinstance(
@@ -173,8 +164,8 @@ class SweepSpec:
             "name": self.name,
             "benchmarks": list(self.benchmarks),
             "scales": list(self.scales),
-            "nodes": list(self.nodes),
-            "pipelines": [_pipeline_to_dict(p) for p in self.pipelines],
+            "pipelines": [p if p is None else asdict(p) for p in self.pipelines],
+            "experiments": list(self.experiments),
         }
 
     @classmethod
@@ -194,7 +185,7 @@ class SweepSpec:
         if "name" not in data:
             raise ConfigurationError("sweep spec needs a 'name' field")
         kwargs: Dict = {"name": data["name"]}
-        for axis in ("benchmarks", "scales", "nodes"):
+        for axis in ("benchmarks", "scales", "experiments"):
             if axis in data:
                 kwargs[axis] = tuple(data[axis])
         if "pipelines" in data:
@@ -203,37 +194,28 @@ class SweepSpec:
             )
         return cls(**kwargs)
 
-    def to_json(self) -> str:
-        """Canonical JSON text (sorted keys, trailing newline)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        try:
-            data = json.loads(text)
-        except ValueError as error:
-            raise ConfigurationError(
-                f"sweep spec is not valid JSON: {error}"
-            ) from None
-        return cls.from_dict(data)
-
     @classmethod
     def load(cls, path: os.PathLike) -> "SweepSpec":
         """Read a spec from a JSON file."""
         path = Path(path)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = json.loads(path.read_text(encoding="utf-8"))
         except OSError as error:
             raise ConfigurationError(
                 f"cannot read sweep spec {str(path)!r}: {error}"
             ) from None
-        return cls.from_json(text)
+        except ValueError as error:
+            raise ConfigurationError(
+                f"sweep spec {str(path)!r} is not valid JSON: {error}"
+            ) from None
+        return cls.from_dict(data)
 
     def save(self, path: os.PathLike) -> str:
-        """Write the spec as JSON; returns the path written."""
+        """Write the spec as canonical JSON; returns the path written."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json(), encoding="utf-8")
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     # ------------------------------------------------------------------
@@ -242,8 +224,8 @@ class SweepSpec:
     def fingerprint(self) -> str:
         """SHA-256 over the canonical spec — the sweep's identity.
 
-        Printed in the report header and the JSON export, so a report
-        names the exact grid it was computed from.
+        Printed in the report header, so a report names the exact grid
+        it was computed from.
         """
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -253,17 +235,11 @@ class SweepSpec:
         """Simulation grid size: benchmarks × scales × pipelines."""
         return len(self.benchmarks) * len(self.scales) * len(self.pipelines)
 
-    @property
-    def analysis_points(self) -> int:
-        """Analysis grid size: simulation points × nodes × 2 caches."""
-        return self.simulation_points * len(self.nodes) * 2
-
     def describe(self) -> str:
         """One-line human summary for ``sweep plan`` and logs."""
         return (
             f"sweep {self.name!r}: {len(self.benchmarks)} benchmark(s) x "
             f"{len(self.scales)} scale(s) x {len(self.pipelines)} "
             f"pipeline(s) = {self.simulation_points} simulation job(s); "
-            f"{len(self.nodes)} node(s) -> {self.analysis_points} "
-            f"analysis point(s)"
+            f"experiments: {' '.join(self.experiments)}"
         )

@@ -68,12 +68,6 @@ class TestFromAccessTimes:
 
 
 class TestViewsAndStats:
-    def test_merge(self):
-        merged = IntervalSet.merge(
-            [IntervalSet([1, 2]), IntervalSet.empty(), IntervalSet([3])]
-        )
-        assert list(merged.lengths) == [1, 2, 3]
-
     def test_of_kind_and_live_only(self):
         ivs = IntervalSet([1, 2, 3], kinds=[0, 1, 2])
         assert list(ivs.live_only().lengths) == [1]

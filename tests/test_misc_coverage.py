@@ -1,4 +1,4 @@
-"""Remaining-surface tests: stats merging, trace edges, describe paths."""
+"""Remaining-surface tests: stats counters, trace edges, describe paths."""
 
 import numpy as np
 import pytest
@@ -10,15 +10,6 @@ from repro.workloads import BENCHMARK_NAMES, Phase, Visit, Workload, make_benchm
 
 
 class TestCacheStats:
-    def test_merge_adds_counters(self):
-        a = CacheStats(name="L1", accesses=10, hits=7, misses=3, evictions=1)
-        b = CacheStats(accesses=5, hits=5, misses=0)
-        merged = a.merge(b)
-        assert merged.name == "L1"
-        assert merged.accesses == 15
-        assert merged.hits == 12
-        assert merged.evictions == 1
-
     def test_rates_with_zero_accesses(self):
         empty = CacheStats()
         assert empty.miss_rate == 0.0

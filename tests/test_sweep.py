@@ -1,13 +1,13 @@
-"""Parameter sweeps: spec, grid, and one engine run to the report.
+"""Parameter sweeps: spec, suite contexts, and one engine run to the report.
 
-The contract under test: a sweep spec expands into a deterministic grid
-whose jobs share cache entries with single runs, and ``sweep run``
-simulates every point once in one engine run — so the report is
-byte-identical to the pinned golden, survives injected faults and
-evicted entries, and a warm rerun simulates nothing.
+The contract under test: a sweep spec expands into one suite per
+(scale, pipeline) whose jobs share cache entries with single runs, and
+``sweep run`` simulates every job once in one engine run, then renders
+the spec's experiments per context exactly as ``run`` does — so the
+report is byte-identical to the pinned golden, survives injected faults
+and evicted entries, and a warm rerun simulates nothing.
 """
 
-import json
 from pathlib import Path
 
 import pytest
@@ -18,15 +18,7 @@ from repro.cpu.pipeline import PipelineConfig
 from repro.engine import ExecutionEngine, NullStore, ResultStore
 from repro.errors import ConfigurationError
 from repro.experiments.suite import SuiteRunner
-from repro.sweep import (
-    SweepSpec,
-    expand,
-    pipeline_label,
-    plan_text,
-    run_sweep,
-    to_csv,
-    to_json_dict,
-)
+from repro.sweep import SweepSpec, pipeline_label, plan_text, run_sweep, sweep_suites
 
 GOLDEN = Path(__file__).parent / "golden" / "sweep_small.txt"
 
@@ -37,7 +29,7 @@ SUITE = ("gzip", "ammp")
 
 
 def small_spec(name="test-sweep", **overrides):
-    kwargs = dict(benchmarks=SUITE, scales=(SMALL,), nodes=(70, 180))
+    kwargs = dict(benchmarks=SUITE, scales=(SMALL,))
     kwargs.update(overrides)
     return SweepSpec(name, **kwargs)
 
@@ -57,6 +49,7 @@ class TestSweepSpec:
         spec = small_spec(
             scales=(SMALL, 0.05),
             pipelines=(None, PipelineConfig(width=2, base_cpi=0.65)),
+            experiments=("table2", "figure8"),
         )
         clone = SweepSpec.from_dict(spec.to_dict())
         assert clone == spec
@@ -73,13 +66,16 @@ class TestSweepSpec:
         assert spec.benchmarks == ("ammp", "applu", "gcc", "gzip", "mesa",
                                    "vortex")
         assert spec.scales == (1.0,)
-        assert spec.nodes == (70, 100, 130, 180)
         assert spec.pipelines == (None,)
+        # Table 2 prices all four calibrated paper nodes.
+        assert spec.experiments == ("table2",)
 
     def test_fingerprint_depends_on_axes(self):
         base = small_spec()
         assert base.fingerprint() == small_spec().fingerprint()
-        assert base.fingerprint() != small_spec(nodes=(70,)).fingerprint()
+        assert base.fingerprint() != small_spec(
+            experiments=("table2", "figure8")
+        ).fingerprint()
         reordered = small_spec(benchmarks=tuple(reversed(SUITE)))
         assert base.fingerprint() != reordered.fingerprint()
 
@@ -91,8 +87,11 @@ class TestSweepSpec:
             {"benchmarks": ("nosuchbench",)},
             {"scales": (0.0,)},
             {"scales": (-1.0,)},
-            {"nodes": (65,)},
+            {"experiments": ("table1",)},
             {"pipelines": ("not-a-pipeline",)},
+            {"experiments": ("nosuchexperiment",)},
+            {"experiments": ()},
+            {"experiments": ("table2", "table2")},
         ],
     )
     def test_invalid_axes_rejected(self, overrides):
@@ -104,10 +103,11 @@ class TestSweepSpec:
             small_spec(name="../escape")
 
     def test_unknown_fields_rejected(self):
-        data = small_spec().to_dict()
-        data["typo"] = True
-        with pytest.raises(ConfigurationError):
-            SweepSpec.from_dict(data)
+        # ``nodes`` is a stale axis: Table 2 prices every paper node.
+        for stale in ({"typo": True}, {"nodes": [70, 180]}):
+            data = dict(small_spec().to_dict(), **stale)
+            with pytest.raises(ConfigurationError, match="unknown fields"):
+                SweepSpec.from_dict(data)
 
     def test_unknown_pipeline_fields_rejected(self):
         data = small_spec().to_dict()
@@ -118,21 +118,30 @@ class TestSweepSpec:
     def test_grid_sizes(self):
         spec = small_spec(scales=(SMALL, 0.05))
         assert spec.simulation_points == 4  # 2 benchmarks x 2 scales
-        assert spec.analysis_points == 16  # x 2 nodes x 2 caches
 
 
 # ----------------------------------------------------------------------
-# Grid: deterministic expansion, cache sharing with single runs
+# Grid: one suite per (scale, pipeline), cache sharing with single runs
 # ----------------------------------------------------------------------
+def job_keys(spec):
+    return [
+        suite.job_for(name).key()
+        for suite in sweep_suites(spec)
+        for name in suite.benchmark_names
+    ]
+
+
 class TestGridExpansion:
     def test_order_is_scales_then_pipelines_then_benchmarks(self):
         spec = small_spec(
             scales=(SMALL, 0.05),
             pipelines=(None, PipelineConfig(width=2, base_cpi=0.65)),
         )
-        points = expand(spec)
-        observed = [(p.scale, pipeline_label(p.pipeline), p.benchmark)
-                    for p in points]
+        observed = [
+            (suite.scale, pipeline_label(suite.pipeline), name)
+            for suite in sweep_suites(spec)
+            for name in suite.benchmark_names
+        ]
         expected = [
             (scale, pipeline_label(pipeline), name)
             for scale in spec.scales
@@ -140,48 +149,44 @@ class TestGridExpansion:
             for name in spec.benchmarks
         ]
         assert observed == expected
-        assert [p.index for p in points] == list(range(len(points)))
 
     def test_expansion_is_reproducible(self):
         spec = small_spec()
-        assert [p.key() for p in expand(spec)] == [
-            p.key() for p in expand(spec)
-        ]
+        assert job_keys(spec) == job_keys(spec)
 
     def test_keys_are_unique(self):
         spec = small_spec(scales=(SMALL, 0.05))
-        points = expand(spec)
-        keys = {point.key() for point in points}
-        assert len(keys) == len(points) == spec.simulation_points
+        keys = job_keys(spec)
+        assert len(set(keys)) == len(keys) == spec.simulation_points
 
     def test_jobs_share_cache_keys_with_single_runs(self):
         # The exact property that lets sweeps warm single runs: a sweep
-        # point's content address equals the suite runner's for the same
-        # (benchmark, scale, pipeline).
+        # context's content addresses equal the suite runner's for the
+        # same (benchmark, scale, pipeline).
         spec = small_spec()
         suite = SuiteRunner(scale=SMALL, benchmarks=list(SUITE))
         expected = {suite.job_for(name).key() for name in SUITE}
-        assert {p.key() for p in expand(spec)} == expected
+        assert set(job_keys(spec)) == expected
 
-    def test_nodes_do_not_multiply_simulation_jobs(self):
-        few = small_spec(nodes=(70,))
-        many = small_spec(nodes=(70, 100, 130, 180))
-        assert [p.key() for p in expand(few)] == [
-            p.key() for p in expand(many)
-        ]
-        assert many.analysis_points == 4 * few.analysis_points
+    def test_experiments_do_not_multiply_simulation_jobs(self):
+        few = small_spec()
+        many = small_spec(experiments=("table2", "figure8", "distributions"))
+        assert job_keys(few) == job_keys(many)
+        assert many.simulation_points == few.simulation_points
 
 
 # ----------------------------------------------------------------------
-# Planning: every point listed, one run for the whole grid
+# Planning: every job listed, one run for the whole grid
 # ----------------------------------------------------------------------
 class TestCoordinator:
     def test_plan_lists_every_point_with_its_shard(self):
-        spec = small_spec()
+        spec = small_spec(scales=(SMALL, 0.05))
         text = plan_text(spec)
         assert f"spec fingerprint: {spec.fingerprint()}" in text
-        for point in expand(spec):
-            assert f"  {point.describe()}" in text
+        for suite in sweep_suites(spec):
+            assert f"scale={suite.scale:g}, pipeline=default:" in text
+            for name in SUITE:
+                assert f"  {suite.job_for(name).describe()}" in text
         # The one engine run is the only shard: no split is shown.
         assert "shard" not in text
 
@@ -195,15 +200,22 @@ def engine_for(cache_dir, jobs=2):
 
 class TestSweepEndToEnd:
     def test_each_point_simulated_exactly_once(self):
-        spec = small_spec(scales=(SMALL, 0.03), nodes=(70,))
+        # Two experiments per context still simulate each job once.
+        spec = small_spec(
+            scales=(SMALL, 0.03), experiments=("table2", "figure8")
+        )
         run = run_sweep(spec, ExecutionEngine(jobs=2, store=NullStore()))
         assert run.telemetry.jobs == spec.simulation_points
         assert run.telemetry.simulated == spec.simulation_points
+        for scale in spec.scales:
+            assert f"=== scale={scale:g}, pipeline=default ===" in run.report
+        assert run.report.count("== table2:") == 2
+        assert run.report.count("== figure8:") == 2
 
     def test_rerunning_finished_shards_simulates_nothing(self, tmp_path):
         # The whole grid is one engine run, so a finished sweep is one
         # finished shard: rerunning it against the same cache is all hits.
-        spec = small_spec(nodes=(70,))
+        spec = small_spec()
         first = run_sweep(spec, engine_for(tmp_path / "cache"))
         rerun = run_sweep(spec, engine_for(tmp_path / "cache", jobs=1))
         assert first.telemetry.simulated == spec.simulation_points
@@ -212,28 +224,26 @@ class TestSweepEndToEnd:
         assert rerun.report == first.report
 
     def test_merge_is_idempotent(self, tmp_path):
-        # Aggregation (what ``merge`` used to do) is a pure function of
-        # the spec and the cached outcomes: every artifact repeats.
-        spec = small_spec(nodes=(70,))
+        # Rendering is a pure function of the spec and the cached
+        # outcomes: the report repeats.
+        spec = small_spec()
         cache = tmp_path / "cache"
         run_sweep(spec, engine_for(cache))
         first = run_sweep(spec, engine_for(cache))
         second = run_sweep(spec, engine_for(cache))
         assert second.report == first.report
-        assert to_csv(second.results) == to_csv(first.results)
-        assert to_json_dict(second.results) == to_json_dict(first.results)
 
     def test_evicted_entry_is_recomputed(self, tmp_path):
-        spec = small_spec(nodes=(70,))
+        spec = small_spec()
         cache = tmp_path / "cache"
         first = run_sweep(spec, engine_for(cache))
-        ResultStore(cache).evict(expand(spec)[0].key())
+        ResultStore(cache).evict(job_keys(spec)[0])
         rerun = run_sweep(spec, engine_for(cache))
         assert rerun.telemetry.simulated == 1
         assert rerun.report == first.report
 
     def test_report_survives_injected_faults(self, tmp_path):
-        spec = small_spec(nodes=(70,))
+        spec = small_spec()
         clean = run_sweep(spec, engine_for(tmp_path / "clean"))
 
         # gzip's worker attempt raises; its in-process rerun succeeds.
@@ -243,7 +253,7 @@ class TestSweepEndToEnd:
         assert faulty.report == clean.report
 
     def test_killed_worker_publishes_each_entry_once(self, tmp_path):
-        spec = small_spec(nodes=(70, 180))
+        spec = small_spec()
         solo = run_sweep(spec, engine_for(tmp_path / "solo", jobs=1))
 
         # gzip's worker dies mid-run; gzip reruns in-process.
@@ -254,22 +264,10 @@ class TestSweepEndToEnd:
         with broken_workers(gzip="crash"):
             killed = run_sweep(spec, engine)
         assert killed.telemetry.manifest()["totals"]["fallbacks"] == 1
-        # Two benchmarks at one scale: the node axis reuses the same
-        # simulation, so exactly 2 content-addressed entries exist.
+        # Two benchmarks at one scale: exactly 2 content-addressed
+        # entries exist.
         assert len(list(cache.glob("*.pkl"))) == 2
         assert killed.report == solo.report
-
-    def test_csv_and_json_exports_cover_every_cell(self, tmp_path):
-        spec = small_spec(nodes=(70, 180))
-        outcome = run_sweep(spec, engine_for(tmp_path / "cache"))
-        # benchmarks+average x schemes x nodes x caches
-        expected_cells = (len(SUITE) + 1) * 3 * 2 * 2
-        assert len(outcome.results.cells) == expected_cells
-        csv_text = to_csv(outcome.results)
-        assert len(csv_text.splitlines()) == expected_cells + 1
-        document = to_json_dict(outcome.results)
-        assert document["spec_fingerprint"] == spec.fingerprint()
-        assert len(document["cells"]) == expected_cells
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +278,6 @@ class TestSweepCli:
         "--sweep-name", "cli-sweep",
         "--benchmarks", *SUITE,
         "--scales", str(SMALL),
-        "--nodes", "70",
     ]
 
     def test_plan_previews_without_running(self, capsys):
@@ -317,6 +314,9 @@ class TestSweepCli:
             ["sweep", "merge", "--sweep-name", "x"],
             ["sweep", "run", "--sweep-name", "x", "--shard-index", "0"],
             ["sweep", "plan", "--sweep-name", "x", "--shard-count", "2"],
+            ["sweep", "plan", "--sweep-name", "x", "--nodes", "70"],
+            ["sweep", "run", "--sweep-name", "x", "--csv", "out"],
+            ["sweep", "run", "--sweep-name", "x", "--json", "cells.json"],
         ],
     )
     def test_coordination_verbs_and_flags_are_gone(self, argv, capsys):
@@ -327,19 +327,30 @@ class TestSweepCli:
         report_file = tmp_path / "report.txt"
         assert main(["sweep", "run", "--sweep-name", "small",
                      "--benchmarks", *SUITE, "--scales", str(SMALL),
-                     "--nodes", "70", "180",
                      "--output", str(report_file)]) == 0
         capsys.readouterr()
         assert report_file.read_bytes() == GOLDEN.read_bytes()
         assert not (tmp_path / "cache" / "sweeps").exists()
+
+    def test_context_section_is_run_table2_stdout(self, capsys):
+        assert main(["sweep", "run", *self.SPEC_FLAGS]) == 0
+        swept = capsys.readouterr().out
+        header = f"=== scale={SMALL:g}, pipeline=default ===\n\n"
+        assert swept.count(header) == 1
+        assert main(["run", "table2", "--scale", str(SMALL),
+                     "--benchmarks", *SUITE]) == 0
+        single = capsys.readouterr()
+        # The sweep warmed the cache the single run reads.
+        assert "0 simulated" in single.err
+        assert swept.split(header, 1)[1] == single.out
 
     def test_run_status_merge_cycle(self, capsys):
         # The run/status/merge cycle is one verb now: ``sweep run``
         # prints the merged report, and rerunning it is all cache hits.
         assert main(["sweep", "run", *self.SPEC_FLAGS, "--jobs", "2"]) == 0
         first = capsys.readouterr()
-        assert "leakage-savings grid" in first.out
-        assert "suite-average" in first.out
+        assert "== sweep cli-sweep ==" in first.out
+        assert "Table 2 — icache optimal savings" in first.out
         assert "2 simulated" in first.err
 
         assert main(["cache", "info"]) == 0
@@ -364,16 +375,10 @@ class TestSweepCli:
         assert len(errors) == 1 and "job gzip" in errors[0]
 
     def test_merge_artifacts_written(self, tmp_path, capsys):
-        # ``--output``/``--csv``/``--json`` moved from ``merge`` to ``run``.
+        # ``--output`` is the sweep's only artifact; ``run --csv``
+        # exports each experiment's tables.
         report_file = tmp_path / "report.txt"
-        json_file = tmp_path / "cells.json"
         assert main(["sweep", "run", *self.SPEC_FLAGS, "--jobs", "2",
-                     "--output", str(report_file),
-                     "--csv", str(tmp_path),
-                     "--json", str(json_file)]) == 0
+                     "--output", str(report_file)]) == 0
         out = capsys.readouterr().out
         assert report_file.read_text(encoding="utf-8") == out
-        csv_file = tmp_path / "sweep_cli-sweep.csv"
-        assert csv_file.exists()
-        document = json.loads(json_file.read_text(encoding="utf-8"))
-        assert document["sweep"] == "cli-sweep"

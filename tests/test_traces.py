@@ -726,7 +726,7 @@ class TestTraceCli:
         assert report["instructions"] == 4
         assert out.exists()
         argv = ["sweep", "run", "--sweep-name", "gem5-sample",
-                "--benchmarks", f"trace:{out}", "--nodes", "70"]
+                "--benchmarks", f"trace:{out}", "--experiments", "distributions"]
         assert main(argv) == 0
         assert f"trace:{out}" in capsys.readouterr().out
 
