@@ -5,6 +5,7 @@ experiments run on, so regressions in the hot loops are visible.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,16 @@ def test_annotating_simulator_throughput(benchmark):
 
     result = benchmark.pedantic(run, rounds=10, iterations=1)
     assert result.result.instructions > 50_000
+    # One more run, untimed, for its traced memory peak: the simulator
+    # folds intervals into rows, so the peak follows the chunk and the
+    # distinct rows, not the trace.
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mb"] = round(peak / 2**20, 2)
 
 
 def test_engine_parallel_throughput(benchmark):

@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from repro.core import ModeEnergyModel, inflection_points
+from repro.core import IntervalKind, ModeEnergyModel, inflection_points
 from repro.cpu import TraceChunk
 from repro.power import paper_nodes
 from repro.prefetch import annotate_workload_trace
@@ -53,10 +53,10 @@ def main() -> None:
     for inner_trips in (2, 40, 400, 4000, 40_000):
         result = annotate_workload_trace(two_level_loop(inner_trips)).result
         # The `add` line is the frame holding block 0x8000 >> 6 = 0x200.
-        intervals = result.l1i_intervals.live_only()
+        live = result.l1i_intervals.of_kind(IntervalKind.NORMAL)
         # Its re-access interval ~= inner loop duration; take the median
         # of the population's larger intervals as the add-line interval.
-        lengths = np.sort(intervals.lengths)
+        lengths = np.repeat(live.lengths, live.counts)  # rows sort by length
         add_interval = int(np.median(lengths[-11:]))  # 11 outer re-accesses
         mode = points.classify(add_interval)
         print(f"{inner_trips:>12,d} {add_interval:>15,d} cy {mode.value:>13s}")

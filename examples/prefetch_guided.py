@@ -36,7 +36,7 @@ def main() -> None:
     annotated = annotate_workload_trace(workload.chunks())
 
     for cache in ("l1i", "l1d"):
-        view = annotated.annotated_for(cache).reduced().as_normal()
+        view = annotated.annotated_for(cache).as_normal()
         summary = prefetchability_summary(view, model)
         print(f"=== {cache.upper()} ===")
         print(f"prefetchability: next-line {100 * summary['nextline']:.1f}%, "

@@ -45,8 +45,9 @@ def main() -> None:
         ("instruction cache", result.l1i_intervals),
         ("data cache", result.l1d_intervals),
     ):
-        # Reduce once: every policy then prices the same (length, class) rows.
-        intervals = intervals.reduced().as_normal()
+        # The simulator returns (length, class) rows; every policy prices
+        # the same rows, here with the live/dead distinction dropped.
+        intervals = intervals.as_normal()
         print(f"\n{label}: {len(intervals):,} access intervals")
         for policy in standard_policies(model):
             report = evaluate_policy(policy, intervals)

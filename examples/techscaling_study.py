@@ -70,7 +70,7 @@ def main() -> None:
     print(f"\nsimulating '{workload.name}' "
           f"({workload.total_instructions:,} instructions) ...")
     result = annotate_workload_trace(workload.chunks()).result
-    intervals = result.l1d_intervals.reduced().as_normal()
+    intervals = result.l1d_intervals.as_normal()
 
     print("\nD-cache optimal savings (%) — Table 2 extended to 45 nm:")
     print("scheme      " + "".join(f"{nodes[nm].name:>8s}" for nm in sorted(nodes)))

@@ -31,7 +31,12 @@ FIXTURE = Path(__file__).resolve().parent / "data" / "gem5_exec_sample.txt"
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.05
-    workdir = Path(tempfile.mkdtemp(prefix="trace-pipeline-"))
+    with tempfile.TemporaryDirectory(prefix="trace-pipeline-") as tmp:
+        pipeline(scale, Path(tmp))
+
+
+def pipeline(scale: float, workdir: Path) -> None:
+    """Record, convert and sweep inside ``workdir``."""
     engine = ExecutionEngine(jobs=1, store=ResultStore(workdir / "cache"))
 
     # 1. Record a scaled benchmark: synthetic chunks -> chunked, checksummed

@@ -19,7 +19,7 @@ for name, wl in paper_suite(scale).items():
     t0 = time.time()
     res = annotate_workload_trace(wl.chunks()).result
     for label, ivs in (("I", res.l1i_intervals), ("D", res.l1d_intervals)):
-        ivs = ivs.reduced().as_normal()
+        ivs = ivs.as_normal()
         mass = ivs.cycle_mass_by_class([6, 1057, 10000])
         savs = [evaluate_policy(p, ivs).saving_fraction for p in policies()]
         rows[label].append(savs)

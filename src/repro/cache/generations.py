@@ -18,14 +18,16 @@ Interval kinds produced:
 * the gap from the final access to the end of simulation — ``DEAD`` (the
   oracle knows the program ends; data is never needed again).
 
-Intervals are stored in preallocated, doubling numpy buffers rather than
-Python lists: the scalar :meth:`GenerationTracker.on_hit`/:meth:`on_fill`
-path appends one record at a time, while the batched kernel
-(:mod:`repro.cache.kernel`) lands whole chunks at once through
-:meth:`GenerationTracker.extend`.
+The tracker serves the scalar per-access path, the oracle: it keeps one
+record per interval, in preallocated, doubling numpy buffers.  The
+batched kernel (:mod:`repro.cache.kernel`) never writes into it; it hands
+each chunk's intervals to the annotators, which fold them into rows, and
+closes its frames with the same :func:`closing_intervals`.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -34,6 +36,32 @@ from ..core.intervals import IntervalKind, IntervalSet
 
 #: Initial capacity of the interval buffers (doubles as needed).
 _INITIAL_CAPACITY = 1024
+
+
+def closing_intervals(
+    last_access: np.ndarray, start_time: int, end_time: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lengths, kinds)`` of the intervals that close every frame at
+    ``end_time``, in frame order.
+
+    A frame last touched at ``t`` rests ``DEAD`` from ``t`` on; a frame
+    never touched (``-1``) rests ``COLD`` from ``start_time``.  Empty
+    intervals are dropped.
+    """
+    last = np.asarray(last_access, dtype=np.int64)
+    if bool(np.any(last > end_time)):
+        frame = int(np.argmax(last > end_time))
+        raise SimulationError(
+            f"end_time {end_time} precedes last access {int(last[frame])} "
+            f"on frame {frame}"
+        )
+    cold = last == -1
+    gaps = np.where(cold, end_time - start_time, end_time - last)
+    kinds = np.where(
+        cold, np.uint8(IntervalKind.COLD), np.uint8(IntervalKind.DEAD)
+    )
+    keep = gaps > 0
+    return gaps[keep], kinds[keep]
 
 
 class GenerationTracker:
@@ -123,60 +151,23 @@ class GenerationTracker:
         self._last_access[frame] = time
 
     # ------------------------------------------------------------------
-    # Batched intake (used by the kernel)
-    # ------------------------------------------------------------------
-
-    def extend(self, lengths: np.ndarray, kinds: np.ndarray) -> None:
-        """Append a block of already-computed intervals in event order.
-
-        The caller (the batched kernel) guarantees the records are exactly
-        the ones the scalar event path would have appended, in the same
-        order; only positive lengths may be supplied.
-        """
-        if self._finished:
-            raise SimulationError("tracker already finished")
-        count = len(lengths)
-        if count == 0:
-            return
-        self._reserve(count)
-        self._lengths[self._n : self._n + count] = lengths
-        self._kinds[self._n : self._n + count] = kinds
-        self._n += count
-
-    def set_last_access(self, last_access: np.ndarray) -> None:
-        """Overwrite the per-frame last-access times (kernel sync point)."""
-        if last_access.shape != (self.n_frames,):
-            raise SimulationError(
-                "last-access array does not match the tracked frame count"
-            )
-        self._last_access[:] = last_access
-
-    # ------------------------------------------------------------------
     # Finalization
     # ------------------------------------------------------------------
 
     def finish(self, end_time: int) -> None:
         """Close every frame's timeline at ``end_time``.
 
-        Idempotent only in the sense that it may be called once; further
-        events are rejected afterwards.
+        May be called once; further events are rejected afterwards.
         """
         if self._finished:
             raise SimulationError("tracker already finished")
-        last = self._last_access
-        if bool(np.any(last > end_time)):
-            frame = int(np.argmax(last > end_time))
-            raise SimulationError(
-                f"end_time {end_time} precedes last access {int(last[frame])} "
-                f"on frame {frame}"
-            )
-        cold = last == -1
-        gaps = np.where(cold, end_time - self.start_time, end_time - last)
-        kinds = np.where(
-            cold, np.uint8(IntervalKind.COLD), np.uint8(IntervalKind.DEAD)
+        gaps, kinds = closing_intervals(
+            self._last_access, self.start_time, end_time
         )
-        keep = gaps > 0
-        self.extend(gaps[keep], kinds[keep])
+        self._reserve(len(gaps))
+        self._lengths[self._n : self._n + len(gaps)] = gaps
+        self._kinds[self._n : self._n + len(gaps)] = kinds
+        self._n += len(gaps)
         self._finished = True
 
     def intervals(self) -> IntervalSet:

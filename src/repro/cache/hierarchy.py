@@ -2,8 +2,9 @@
 
 L1 instruction and data caches backed by a unified L2, which is backed by
 main memory.  An L1 miss costs :meth:`MemoryHierarchy.fill_latency`; the
-L1 caches carry generation trackers so per-frame access intervals can be
-extracted after a run.
+L1 caches carry generation trackers so the scalar simulation path can
+extract per-frame access intervals after a run (the batched kernel folds
+its intervals as they close and leaves the trackers alone).
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class MemoryHierarchy:
         self.l2 = SetAssociativeCache(
             self.config.l2, replacement, track_generations=track_l2
         )
-        self._finished = False
 
     def fill_latency(self, block: int, time: int) -> int:
         """Latency in cycles of an L1 miss on ``block`` at ``time``.
@@ -92,7 +92,6 @@ class MemoryHierarchy:
         self.l1d.finish(end_time)
         if self.l2.tracker is not None:
             self.l2.finish(end_time)
-        self._finished = True
 
     def stats(self) -> HierarchyStats:
         """Per-level statistics."""

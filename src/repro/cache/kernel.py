@@ -34,8 +34,11 @@ issue time ``(i * cpi_fp) >> CPI_FP_BITS``, fast-path accesses never miss
 and therefore never stall, so the stall prefix at every instruction is
 determined by the residual stream alone.  Access times for the fast path
 are reconstructed vectorially afterwards from the residual stall records,
-and interval records are emitted to the
-:class:`~repro.cache.generations.GenerationTracker` in exact event order.
+and each chunk's closed intervals go, in exact event order, to the
+observers that annotate and fold them.  The kernel keeps no interval: a
+run holds one chunk's arrays plus per-frame, per-set and per-block
+state, and the L1s' :class:`~repro.cache.generations.GenerationTracker`
+belongs to the scalar path alone.
 
 Replacement-policy exactness: folding a run of same-block accesses into
 one deferred ``last-touch`` update is exact for LRU (only the final touch
@@ -52,7 +55,7 @@ import os
 import time as _time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +65,7 @@ from ..cpu.trace import NO_ACCESS, STORE, TraceChunk
 from ..errors import ConfigurationError, SimulationError, TraceValidationError
 from . import native
 from .cache import INVALID, SetAssociativeCache
+from .generations import closing_intervals
 from .hierarchy import MemoryHierarchy
 from .replacement import FifoPolicy, LruPolicy, RandomPolicy
 
@@ -221,7 +225,6 @@ class _Lane:
         self.n_sets = config.n_sets
         self.tags = cache._tags  # shared list: scalar ops in the loop
         self.blocks_seen = cache._blocks_seen
-        self.tracker = cache.tracker
         self.start_time = cache.tracker.start_time if cache.tracker else 0
         self.frame_last = [-1] * config.n_lines
         policy = cache.replacement
@@ -279,7 +282,7 @@ class _Lane:
 
         A residual event whose same-set predecessor is a fast-path access
         ends that run; before the event touches the set it must apply the
-        run's final access time to the replacement and tracker state.
+        run's final access time to the replacement and frame state.
         Returns ``-1`` where there is nothing to catch up.
         """
         out = np.full(len(res_idx), -1, dtype=np.int64)
@@ -310,32 +313,20 @@ class _Lane:
             if lru_touch is not None:
                 lru_touch[frame] = stamp
 
-    def sync_tracker(self) -> None:
-        """Write the folded per-frame last-access times back."""
-        if self.tracker is not None:
-            self.tracker.set_last_access(
-                np.asarray(self.frame_last, dtype=np.int64)
-            )
 
-
-def _emit_intervals(lane: _Lane, count, fast_idx, fast_gaps, res_at,
-                    res_gaps, res_kinds) -> np.ndarray:
-    """Append one chunk's intervals to the tracker in event order.
+def _chunk_intervals(count, fast_idx, fast_gaps, res_at, res_gaps, res_kinds):
+    """One chunk's intervals as per-event ``(gaps, kinds)`` columns.
 
     Scatters the fast-path gaps and the residual records (at event
-    indices ``res_at``) into one per-event gap column and returns it:
-    ``gaps[k]`` is the length of the interval event ``k`` closes, 0 if
-    it closes none.
+    indices ``res_at``): ``gaps[k]`` is the length of the interval event
+    ``k`` closes, 0 if it closes none, and ``kinds[k]`` its kind.
     """
     gaps = np.zeros(count, dtype=np.int64)
     gaps[fast_idx] = fast_gaps
     gaps[res_at] = res_gaps
-    if lane.tracker is not None:
-        kinds = np.full(count, _NORMAL, dtype=np.uint8)
-        kinds[res_at] = res_kinds
-        closed = gaps > 0
-        lane.tracker.extend(gaps[closed], kinds[closed])
-    return gaps
+    kinds = np.full(count, _NORMAL, dtype=np.uint8)
+    kinds[res_at] = res_kinds
+    return gaps, kinds
 
 
 def _compiled_timed_chunk(
@@ -404,12 +395,18 @@ def _compiled_timed_chunk(
 
 @dataclass(frozen=True)
 class BatchedRunResult:
-    """Timing outcome of :func:`run_batched` (intervals land in-place)."""
+    """Timing outcome of :func:`run_batched`, plus the end-of-run tails.
+
+    ``tails`` holds, for the L1I and then the L1D, the ``(lengths,
+    kinds)`` of the intervals no access closes (see
+    :func:`~repro.cache.generations.closing_intervals`).
+    """
 
     cycles: int
     instructions: int
     stall_cycles: int
     profile: SimulationProfile
+    tails: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
 def validate_chunk(chunk: TraceChunk, index: Optional[int] = None) -> TraceChunk:
@@ -487,14 +484,11 @@ def _assemble_chunk(
 ):
     """Assembly stage of :func:`run_batched` for one chunk.
 
-    Reconstructs every access time, emits intervals in event order, rolls
-    the carries, and feeds the annotation observers.  Residual records
-    ``(keys, gaps, kinds)`` may be python lists (pure-python residual) or
-    numpy arrays (compiled residual); the two produce identical output.
-
-    An observer's window of an event opens at the previous touch of the
-    frame it accesses: the event's time minus the gap of the interval it
-    closes (its own time when it closes none).
+    Reconstructs every access time and the interval each access closes,
+    rolls the carries, and feeds the annotation observers.  Residual
+    records ``(keys, gaps, kinds)`` may be python lists (pure-python
+    residual) or numpy arrays (compiled residual); the two produce
+    identical output.
     """
     t_start = perf()
     for lane, pos, blocks, records, observer in (
@@ -522,8 +516,8 @@ def _assemble_chunk(
             lane.set_last_time[sets[fast_idx]],
         )
         keys_out, gaps_out, kinds_out = records
-        gaps = _emit_intervals(
-            lane, len(blocks), fast_idx, t_ev[fast_idx] - prev_times,
+        gaps, interval_kinds = _chunk_intervals(
+            len(blocks), fast_idx, t_ev[fast_idx] - prev_times,
             np.searchsorted(pos, np.asarray(keys_out, dtype=np.int64)),
             np.asarray(gaps_out, dtype=np.int64),
             np.asarray(kinds_out, dtype=np.uint8),
@@ -539,13 +533,14 @@ def _assemble_chunk(
         lane.set_last_block[ssets[last_of_set]] = sblocks[last_of_set]
         lane.set_last_time[ssets[last_of_set]] = t_ev[last_idx]
         lane.close_trailing_runs(sets, t_ev, last_idx[fast[last_idx]])
-        windows = t_ev - gaps
         stage["assembly"] += perf() - t_start
         t_start = perf()
         if lane is lane_d:
-            observer(blocks, windows, t_ev, pcs[pos], addrs[pos], dstores)
+            observer(
+                blocks, t_ev, gaps, interval_kinds, pcs[pos], addrs[pos], dstores
+            )
         else:
-            observer(blocks, windows, t_ev)
+            observer(blocks, t_ev, gaps, interval_kinds)
         stage["annotate"] += perf() - t_start
         t_start = perf()
     stage["assembly"] += perf() - t_start
@@ -561,19 +556,20 @@ def run_batched(
 ) -> BatchedRunResult:
     """Drive a full hierarchy through the batched kernel.
 
-    Consumes the trace chunk by chunk, mirrors every observable side
-    effect of the scalar simulation path (cache statistics, replacement
-    and tracker state, L2 accesses, the issue clock), calls
-    ``hierarchy.finish`` and syncs ``clock``, returning the timing totals
-    plus the run profile.
+    Consumes the trace chunk by chunk, mirrors the cache statistics,
+    replacement state, L2 accesses and issue clock of the scalar
+    simulation path, and syncs ``clock``, returning the timing totals,
+    the run profile and each L1's end-of-run tail intervals.  It leaves
+    the L1 generation trackers alone: the intervals go to the observers
+    instead (a tracked L2 still records and closes its own).
 
-    ``i_observer(blocks, windows, times)`` and ``d_observer(blocks,
-    windows, times, pcs, addresses, stores)`` are invoked once per chunk
-    with per-access arrays in event order — the prefetchability annotator
-    hooks in here without perturbing the kernel.  ``windows[k]`` is when
-    the interval closed by access ``k`` opened (the previous touch of its
-    frame, or the run start for a cold frame); it equals ``times[k]``
-    when the access closes no interval.
+    ``i_observer(blocks, times, gaps, kinds)`` and ``d_observer(blocks,
+    times, gaps, kinds, pcs, addresses, stores)`` are invoked once per
+    chunk with per-access arrays in event order — the prefetchability
+    annotator hooks in here without perturbing the kernel.  ``gaps[k]``
+    is the length of the interval access ``k`` closes (since the previous
+    touch of its frame, or the run start for a cold frame), 0 when it
+    closes none, and ``kinds[k]`` is that interval's kind.
     """
     if not kernel_supported(hierarchy):
         raise SimulationError("hierarchy is not supported by the batched kernel")
@@ -670,7 +666,7 @@ def run_batched(
         # ------------------------------------------------------------------
         # Residual loop: the only per-event Python in the batched path.
         # Mirrors SetAssociativeCache.access_block_ex plus the simulator's
-        # stall rules, with the policy/tracker state folded per run.
+        # stall rules, with the policy and frame state folded per run.
         # ------------------------------------------------------------------
         t_start = perf()
         chunk_start_stalls = stalls
@@ -733,7 +729,7 @@ def run_batched(
             lru_touch = lane.lru_touch
             if catch_pos >= 0:
                 # Close the fast run this event ends: its final access
-                # time lands on the replacement and tracker state first.
+                # time lands on the replacement and frame state first.
                 record = bisect_left(stall_positions, catch_pos)
                 run_time = catch_base + (
                     stall_totals[record - 1] if record else chunk_start_stalls
@@ -822,16 +818,15 @@ def run_batched(
         )
         instructions += n
 
-    # Close the run: sync the clock and the trackers, then finish.
+    # Close the run: sync the clock, then close every frame's timeline.
     total_cycles = ((instructions * cpi_fp) >> CPI_FP_BITS) + stalls
     clock.cycle = total_cycles
     clock.instructions = instructions
     clock.stall_cycles = stalls
     clock._cpi_accumulator = (instructions * cpi_fp) & ((1 << CPI_FP_BITS) - 1)
-    lane_i.sync_tracker()
-    lane_d.sync_tracker()
     end_time = total_cycles + 1
-    hierarchy.finish(end_time)
+    if hierarchy.l2.tracker is not None:  # fed by its scalar access path
+        hierarchy.l2.finish(end_time)
     profile = SimulationProfile(
         mode="batched",
         fast_path_accesses=lane_i.fast_accesses + lane_d.fast_accesses,
@@ -844,4 +839,8 @@ def run_batched(
         instructions=instructions,
         stall_cycles=stalls,
         profile=profile,
+        tails=tuple(
+            closing_intervals(lane.frame_last, lane.start_time, end_time)
+            for lane in (lane_i, lane_d)
+        ),
     )

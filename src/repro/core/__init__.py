@@ -9,7 +9,8 @@ The public surface:
 
 * :class:`~repro.core.intervals.IntervalSet` — raw intervals, as tracked;
   :class:`~repro.core.intervals.IntervalPopulation` — their (length,
-  class, count) reduction, which every analysis reads.
+  class, count) reduction, which every analysis reads, folded chunk by
+  chunk into an :class:`~repro.core.intervals.IntervalRows`.
 * :class:`~repro.core.energy.ModeEnergyModel` /
   :class:`~repro.core.energy.TransitionDurations` — Equations 1 and 2.
 * :func:`~repro.core.inflection.inflection_points` — Equation 3 / Table 1.
@@ -55,6 +56,7 @@ _EXPORTS = {
         (
             "IntervalKind",
             "IntervalPopulation",
+            "IntervalRows",
             "IntervalSet",
         ),
         "intervals",

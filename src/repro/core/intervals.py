@@ -18,13 +18,14 @@ interval ablation):
 * ``COLD`` — from the start of observation until a frame's first fill.
   The frame can rest unpowered at no cost; no entry ramp or re-fetch.
 
-For efficiency on multi-million-access traces, intervals are held
-column-wise in an :class:`IntervalSet` (numpy arrays) rather than as
-object lists.  An :class:`IntervalSet` is what the cache tracker emits; every
-analysis works on its :class:`IntervalPopulation` — the distinct
+Every analysis works on an :class:`IntervalPopulation` — the distinct
 (length, class) rows with counts, a sufficient statistic for the whole
 limit study — and policies are priced from prefix sums over the
-population's rows (its :class:`PricingView`).
+population's rows (its :class:`PricingView`).  A simulator folds its
+intervals into an :class:`IntervalRows` as they close, so it never holds
+one entry per interval; :class:`IntervalSet` holds raw intervals
+column-wise (numpy arrays) where a per-interval view is wanted: the
+scalar path's cache tracker and the tests.
 """
 
 from __future__ import annotations
@@ -133,8 +134,9 @@ class IntervalPopulation:
     flags (:mod:`repro.prefetch.analysis`).  Rows are sorted by length,
     then class, and no two are alike.  An interval's length and class are
     all the limit study reads of it, so every count, statistic, Figure 9
-    breakdown and policy price comes from these rows: a simulation job
-    returns this reduction and never its raw intervals.
+    breakdown and policy price comes from these rows: the simulator
+    returns this reduction, folded as the run goes
+    (:class:`IntervalRows`), and never its raw intervals.
 
     The :class:`PricingView` policies are priced on is built on first
     use and then reused; it is never pickled — a population pickles as
@@ -155,31 +157,11 @@ class IntervalPopulation:
         stride: np.ndarray | None = None,
         tail: np.ndarray | None = None,
     ) -> "IntervalPopulation":
-        """Reduce per-interval columns (absent kinds are NORMAL, absent
-        flags False)."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        keys = lengths << CLASS_BITS
-        for column, shift in (
-            (kinds, KIND_SHIFT),
-            (nextline, 2),
-            (stride, 1),
-            (tail, 0),
-        ):
-            if column is None:
-                continue
-            column = np.asarray(column)
-            if column.shape != lengths.shape:
-                raise IntervalError(
-                    f"a class column of shape {column.shape} does not align "
-                    f"with {lengths.shape[0]} interval(s)"
-                )
-            keys |= column.astype(np.int64) << shift
-        distinct, counts = np.unique(keys, return_counts=True)
-        return cls(
-            lengths=distinct >> CLASS_BITS,
-            classes=(distinct & CLASS_MASK).astype(np.uint8),
-            counts=counts.astype(np.int64),
-        )
+        """Reduce per-interval columns in one fold (see
+        :meth:`IntervalRows.fold`)."""
+        rows = IntervalRows()
+        rows.fold(lengths, kinds, nextline, stride, tail)
+        return rows.population()
 
     def __reduce__(self):
         # Views are derived data: pickle the three columns only.
@@ -282,6 +264,88 @@ class IntervalPopulation:
         if total == 0:
             return [0.0] * len(mass)
         return [float(v) / total for v in mass]
+
+
+#: Keys an :class:`IntervalRows` buffers before it merges them into its
+#: rows (more once the rows outnumber them).
+_FOLD_BUFFER = 1 << 18
+
+
+class IntervalRows:
+    """A running :class:`IntervalPopulation` that intervals fold into.
+
+    A simulator folds each chunk's closed intervals as it goes, so its
+    memory holds the distinct rows plus one bounded buffer of keys, never
+    one entry per interval of the run.  Buffered keys merge into the rows
+    once they outnumber both the rows and ``_FOLD_BUFFER``, which keeps
+    the merges amortized.
+
+    Every fold is checked first: class columns aligned with the lengths,
+    lengths positive, next-line and stride flags disjoint.  A violation
+    raises :class:`~repro.errors.IntervalError`, since once folded a
+    misaligned flag can no longer be told from a real class.
+    """
+
+    def __init__(self) -> None:
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._buffer: List[np.ndarray] = []
+        self._buffered = 0
+
+    def fold(
+        self,
+        lengths: Sequence[int] | np.ndarray,
+        kinds: Sequence[int] | np.ndarray | None = None,
+        nextline: np.ndarray | None = None,
+        stride: np.ndarray | None = None,
+        tail: np.ndarray | None = None,
+    ) -> None:
+        """Fold per-interval columns in (absent kinds are NORMAL, absent
+        flags False)."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.size and int(lengths.min()) <= 0:
+            raise IntervalError("interval lengths must be positive")
+        keys = lengths << CLASS_BITS
+        for label, column, shift in (
+            ("kinds", kinds, KIND_SHIFT),
+            ("next-line flags", nextline, 2),
+            ("stride flags", stride, 1),
+            ("tail flags", tail, 0),
+        ):
+            if column is None:
+                continue
+            column = np.asarray(column)
+            if column.shape != lengths.shape:
+                raise IntervalError(
+                    f"{label} misaligned with the {lengths.size} interval(s)"
+                )
+            keys |= column.astype(np.int64) << shift
+        if bool(np.any((keys & (NEXTLINE | STRIDE)) == NEXTLINE | STRIDE)):
+            raise IntervalError("next-line and stride flags overlap")
+        if keys.size:
+            self._buffer.append(keys)
+            self._buffered += keys.size
+            if self._buffered > max(_FOLD_BUFFER, self._keys.size):
+                self._merge_buffer()
+
+    def _merge_buffer(self) -> None:
+        if not self._buffer:
+            return
+        keys, counts = np.unique(np.concatenate(self._buffer), return_counts=True)
+        self._buffer, self._buffered = [], 0
+        self._keys, self._counts = _merge(
+            np.concatenate((self._keys, keys)),
+            np.concatenate((self._counts, counts.astype(np.int64))),
+        )
+
+    def population(self) -> IntervalPopulation:
+        """Everything folded so far, as population rows."""
+        self._merge_buffer()
+        return IntervalPopulation(
+            lengths=self._keys >> CLASS_BITS,
+            classes=(self._keys & CLASS_MASK).astype(np.uint8),
+            counts=self._counts,
+        )
 
 
 class IntervalSet:

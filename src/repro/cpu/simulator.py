@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..cache.stats import HierarchyStats
-from ..core.intervals import IntervalPopulation, IntervalSet
+from ..core.intervals import IntervalPopulation
 
 if TYPE_CHECKING:
     from ..cache.kernel import SimulationProfile
@@ -29,16 +29,15 @@ if TYPE_CHECKING:
 class SimulationResult:
     """Everything a limit-study experiment needs from one run.
 
-    A simulator fills the interval fields with the trackers' raw
-    :class:`IntervalSet`; a simulation job's result holds their
-    :class:`IntervalPopulation` reduction instead (same ``len``).
+    The interval fields hold each L1's :class:`IntervalPopulation`:
+    (length, class, count) rows, never raw intervals.
     """
 
     cycles: int
     instructions: int
     stall_cycles: int
-    l1i_intervals: IntervalSet | IntervalPopulation
-    l1d_intervals: IntervalSet | IntervalPopulation
+    l1i_intervals: IntervalPopulation
+    l1d_intervals: IntervalPopulation
     stats: HierarchyStats
     #: Where the run's accesses and wall time went.  Excluded from
     #: equality: a batched and a scalar run of the same trace compare

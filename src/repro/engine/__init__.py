@@ -69,9 +69,7 @@ _EXPORTS = {
         ("MANIFEST_VERSION", "JobRecord", "RunTelemetry", "Stopwatch"),
         "telemetry",
     ),
-    **dict.fromkeys(
-        ("InvalidResultError", "check_raw", "check_result"), "validate"
-    ),
+    **dict.fromkeys(("InvalidResultError", "check_result"), "validate"),
 }
 
 

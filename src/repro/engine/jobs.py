@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 from ..cpu.pipeline import PipelineConfig
-from ..errors import EngineError, ReproError
+from ..errors import EngineError, IntervalError, ReproError
 from ..prefetch.analysis import AnnotatedSimulationResult, AnnotatingSimulator
 from ..traces.registry import (
     check_workload,
@@ -27,7 +27,7 @@ from ..traces.registry import (
     workload_chunks,
     workload_identity,
 )
-from .validate import InvalidResultError, check_raw
+from .validate import InvalidResultError
 
 #: Version of the pickled result payload *and* of the simulation
 #: substrate's observable behaviour.  Bump it whenever a change to the
@@ -141,15 +141,17 @@ class JobOutcome:
 def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
     """Simulate one job; deterministic in the job parameters.
 
-    The result is :meth:`~repro.prefetch.analysis.AnnotatedSimulationResult.reduced`:
-    each cache's annotated intervals collapse to their (length, class)
-    population rows, after :func:`~repro.engine.validate.check_raw` has checked
-    the raw arrays, which never leave this function.
+    The result holds each cache's (length, class, count) population rows.
+    The simulator folds every chunk's intervals into those rows as they
+    close, after checking the chunk (the first half of the validation
+    gate, :mod:`~repro.engine.validate`), so no per-interval array
+    outlives its chunk.  A chunk that fails the check fails the job with
+    :class:`~repro.engine.validate.InvalidResultError`.
 
     Recorded traces are *streamed*: :func:`workload_chunks` hands back a
     chunk iterator backed by the on-disk reader, which decodes one chunk ahead
-    of the simulation, so peak memory stays bounded by two chunks
-    however large the trace file is.  When the dispatching parent
+    of the simulation, so the trace's share of peak memory stays bounded
+    by two chunks however large the trace file is.  When the dispatching parent
     published the trace into an opt-in zero-copy arena
     (:mod:`repro.engine.transport`), the worker attaches to it instead
     of re-reading the file — the chunks carry identical content either
@@ -162,14 +164,13 @@ def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
         chunks = overlay_chunks(parse_trace_ref(job.benchmark))
     if chunks is None:
         chunks = workload_chunks(job.benchmark, job.scale)
-    annotated = AnnotatingSimulator(pipeline=job.pipeline).run(chunks)
-    violations = check_raw(annotated)
-    if violations:
+    try:
+        return AnnotatingSimulator(pipeline=job.pipeline).run(chunks)
+    except IntervalError as error:
         raise InvalidResultError(
-            f"raw intervals of {job.describe()} failed the validation "
-            f"gate: {violations[0]}"
-        )
-    return annotated.reduced()
+            f"intervals of {job.describe()} failed the validation gate: "
+            f"{error}"
+        ) from None
 
 
 def job_result_payload(job: SimulationJob, annotated) -> Dict:

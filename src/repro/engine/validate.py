@@ -1,10 +1,15 @@
 """Result-integrity guardrails: the invariant-validation gate.
 
-The gate has two halves.  Inside the job, :func:`check_raw` checks the
-simulator's raw interval arrays just before
-:func:`~repro.engine.jobs.execute_job` reduces them to (length, class)
-population rows: lengths positive, annotation flags aligned with the intervals,
-next-line and stride flags disjoint.  Raw arrays never leave the job.
+The gate has two halves.  Inside the job, the first half runs on every
+chunk: before the simulator folds a chunk's intervals into (length,
+class) population rows (:meth:`~repro.core.intervals.IntervalRows.fold`),
+it checks that the annotation flags align with the chunk's intervals,
+that the lengths are positive, and that next-line and stride flags are
+disjoint.  Once folded, a misaligned flag can no longer be told from a
+real class.  A violation
+raises :class:`~repro.errors.IntervalError`, which
+:func:`~repro.engine.jobs.execute_job` turns into
+:class:`InvalidResultError`.
 
 In the parent, every fresh result — whatever backend produced it —
 passes through :func:`check_result` before it is cached or handed to an
@@ -134,38 +139,6 @@ def _check(annotated) -> List[str]:
         violations.extend(
             _check_cache(cache_name, level, population, result, cycles)
         )
-    return violations
-
-
-def check_raw(annotated) -> List[str]:
-    """Validate a simulator's raw annotated intervals; returns violations.
-
-    Runs inside the job, on the arrays the reduction is about to
-    collapse: once reduced, a misaligned flag can no longer be told
-    from a real class.
-    """
-    violations: List[str] = []
-    for cache_name in ("l1i", "l1d"):
-        annotations = annotated.annotated_for(cache_name)
-        lengths = np.asarray(annotations.intervals.lengths)
-        flags = {
-            label: np.asarray(getattr(annotations, label))
-            for label in ("nextline", "stride", "tail")
-        }
-        misaligned = [
-            label for label, column in flags.items()
-            if column.shape != lengths.shape
-        ]
-        if misaligned:
-            violations.append(
-                f"{cache_name}: {', '.join(misaligned)} flags misaligned "
-                f"with the {len(lengths)} interval(s)"
-            )
-            continue
-        if len(lengths) and int(lengths.min()) <= 0:
-            violations.append(f"{cache_name}: interval lengths must be positive")
-        if bool(np.any(flags["nextline"] & flags["stride"])):
-            violations.append(f"{cache_name}: next-line and stride flags overlap")
     return violations
 
 

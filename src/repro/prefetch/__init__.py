@@ -6,7 +6,6 @@ retrospect), and the Prefetch-A / Prefetch-B leakage schemes of Table 3.
 """
 
 from .analysis import (
-    AnnotatedIntervals,
     AnnotatedSimulationResult,
     AnnotatingSimulator,
     annotate_workload_trace,
@@ -25,7 +24,6 @@ from .schemes import (
 from .stride import CONFIRMATIONS_REQUIRED, StrideEntry, StridePredictor
 
 __all__ = [
-    "AnnotatedIntervals",
     "AnnotatedSimulationResult",
     "AnnotatingSimulator",
     "CONFIRMATIONS_REQUIRED",

@@ -13,26 +13,38 @@ the interval, hiding the sleep/drowsy exit penalty:
 
 Intervals no longer than the active-drowsy point are always kept active,
 need no prefetch, and are counted non-prefetchable, as in the paper.
+The stride flag only marks intervals *not already* caught by next-line,
+so the two are disjoint (Figure 9 reports them as separate shaded
+areas).  A third flag, *tail*, marks the end-of-run intervals no access
+closes: a tail has no closing access to delay, so any policy can gate it
+at zero performance risk — charging Prefetch-A full active power for it
+would only measure the finite length of the simulation.  The three flags
+are class bits of the :class:`~repro.core.intervals.IntervalPopulation`
+rows every analysis reads.
 
 :class:`AnnotatingSimulator` is the trace simulator: it times a trace
-through the pipeline model and the memory hierarchy and classifies every
-interval as it closes, in one pass.
+through the pipeline model and the memory hierarchy, classifies every
+interval as it closes, and returns each L1's population, in one pass.
 
 It has two execution paths with bit-identical results.  The scalar path
 walks every access through the caches, a :class:`_CacheAnnotator` per
 cache and a :class:`~repro.prefetch.stride.StridePredictor`; it is the
-oracle.  The batched kernel (:func:`~repro.cache.kernel.run_batched`)
-hands each chunk's event arrays to :class:`_ChunkAnnotator` and
-:class:`_StrideTable`, which resolve the whole chunk with sorts and
-searches, carrying only per-block and stride-table state across chunks.
+oracle, and reduces its trackers' raw intervals once at the end.  The
+batched kernel (:func:`~repro.cache.kernel.run_batched`) hands each
+chunk's events to :class:`_ChunkAnnotator` and :class:`_StrideTable`,
+which resolve the whole chunk with sorts and searches and fold its
+intervals into an :class:`~repro.core.intervals.IntervalRows`, carrying
+only per-block, stride-table and row state across chunks: a run's
+memory follows the chunk and the distinct rows, not the trace.
 ``tests/test_kernel_equivalence.py`` and
-``tests/test_annotation_oracle.py`` pin the two together.
+``tests/test_annotation_oracle.py`` pin the two together, interval by
+interval.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -46,7 +58,7 @@ from ..cache.kernel import (
     stable_order,
     validated_chunks,
 )
-from ..core.intervals import IntervalPopulation, IntervalSet
+from ..core.intervals import IntervalPopulation, IntervalRows, IntervalSet
 from ..cpu.pipeline import IssueClock, PipelineConfig
 from ..cpu.simulator import SimulationResult
 from ..cpu.trace import NO_ACCESS, STORE, TraceChunk
@@ -56,55 +68,6 @@ from .stride import CONFIRMATIONS_REQUIRED, StridePredictor
 #: Intervals at or below this length are kept active and never counted
 #: prefetchable (the active-drowsy point of the paper's parameters).
 DEFAULT_ACTIVE_FLOOR = 6
-
-
-@dataclass(frozen=True)
-class AnnotatedIntervals:
-    """An interval population with per-interval prefetchability flags.
-
-    This is the annotators' raw output and the oracle's input.
-    ``nextline`` and ``stride`` are aligned with ``intervals``; ``stride``
-    only marks intervals *not already* caught by next-line, so the two
-    are disjoint (Figure 9 reports them as separate shaded areas).
-    ``tail`` marks the end-of-run intervals no access closes: a tail has
-    no closing access to delay, so any policy can gate it at zero
-    performance risk — charging Prefetch-A full active power for it
-    would only measure the finite length of the simulation.
-
-    Every analysis runs on :meth:`reduced`, which keeps the three flags
-    as class bits.
-    """
-
-    intervals: IntervalSet
-    nextline: np.ndarray
-    stride: np.ndarray
-    tail: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.intervals)
-        for flags in (self.nextline, self.stride, self.tail):
-            if flags.shape != (n,):
-                raise SimulationError(
-                    "annotation flags must align with the interval population"
-                )
-        if bool(np.any(self.nextline & self.stride)):
-            raise SimulationError("next-line and stride flags must be disjoint")
-
-    @property
-    def prefetchable(self) -> np.ndarray:
-        """Mask of intervals coverable without a performance penalty:
-        next-line or stride covered, or a tail."""
-        return self.nextline | self.stride | self.tail
-
-    def reduced(self) -> IntervalPopulation:
-        """The population's (length, class) rows, flags included."""
-        return IntervalPopulation.of(
-            self.intervals.lengths,
-            self.intervals.kinds,
-            self.nextline,
-            self.stride,
-            self.tail,
-        )
 
 
 class _CacheAnnotator:
@@ -140,32 +103,20 @@ class _CacheAnnotator:
         self._frame_last[frame] = time
         self._block_last[block] = time
 
-    def finish(self, intervals: IntervalSet) -> AnnotatedIntervals:
-        """Flag the end-of-run tail intervals and package up."""
-        return _package(
-            intervals,
-            np.array(self._nextline, dtype=bool),
-            np.array(self._stride, dtype=bool),
+    def population(self, intervals: IntervalSet) -> IntervalPopulation:
+        """Reduce the tracker's ``intervals`` with the recorded flags.
+
+        The intervals past the recorded ones are the end-of-run tails.
+        """
+        recorded = len(self._nextline)
+        pad = np.zeros(max(len(intervals) - recorded, 0), dtype=bool)
+        return IntervalPopulation.of(
+            intervals.lengths,
+            intervals.kinds,
+            np.concatenate([np.array(self._nextline, dtype=bool), pad]),
+            np.concatenate([np.array(self._stride, dtype=bool), pad]),
+            np.concatenate([np.zeros(recorded, dtype=bool), ~pad]),
         )
-
-
-def _package(
-    intervals: IntervalSet, nextline: np.ndarray, stride: np.ndarray
-) -> AnnotatedIntervals:
-    """Pad recorded flags to the population; the unrecorded rest is tail."""
-    recorded = len(nextline)
-    missing = len(intervals) - recorded
-    if missing < 0:
-        raise SimulationError("annotator recorded more intervals than the tracker")
-    pad = np.zeros(missing, dtype=bool)
-    tail = np.zeros(len(intervals), dtype=bool)
-    tail[recorded:] = True
-    return AnnotatedIntervals(
-        intervals,
-        np.concatenate([nextline, pad]),
-        np.concatenate([stride, pad]),
-        tail,
-    )
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -179,40 +130,54 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 class _ChunkAnnotator:
     """Chunk-vectorised twin of :class:`_CacheAnnotator` (batched kernel).
 
-    Takes one chunk's events at a time and produces exactly the flags the
-    scalar annotator would.  Each event arrives with its window start,
-    which the kernel already knows (the time minus the gap of the interval
-    the event closes); a stable sort by block finds the last earlier touch
-    of ``block - 1``.  Only events whose window opened before the chunk
-    consult the carried per-block last-touch times.
+    Takes one chunk's events at a time, computes exactly the flags the
+    scalar annotator would, and folds the chunk's intervals into
+    :attr:`rows`.  Each event arrives with the gap of the interval it
+    closes, so its window opens at its time minus that gap; a stable sort
+    by block finds the last earlier touch of ``block - 1``.  Only events
+    whose window opened before the chunk consult the carried per-block
+    last-touch times.
     """
 
     def __init__(self, floor: int) -> None:
         self.floor = floor
+        self.rows = IntervalRows()
         self._block_last: dict = {}
         self._last_time = -1  # latest event time of the earlier chunks
-        self._nextline: List[np.ndarray] = []
-        self._stride: List[np.ndarray] = []
 
     def observe(
         self,
         blocks: np.ndarray,
-        windows: np.ndarray,
         times: np.ndarray,
+        gaps: np.ndarray,
+        kinds: np.ndarray,
         stride_hits: Optional[np.ndarray] = None,
     ) -> None:
-        """Record the intervals closed by one chunk of events.
+        """Flag and fold the intervals closed by one chunk of events.
 
-        ``windows[k]`` is the previous touch of event ``k``'s frame (the
-        run start for a cold frame), so ``times - windows`` are the gaps
-        of the intervals the events close; a zero gap closes none.
+        ``gaps[k]`` is the length of the interval event ``k`` closes
+        (since the previous touch of its frame, or the run start for a
+        cold frame) and ``kinds[k]`` its kind; a zero gap closes none.
+        """
+        if len(blocks) == 0:
+            return
+        closed = gaps > 0
+        nextline, stride = self.flags(blocks, times, gaps, stride_hits)
+        self.rows.fold(gaps[closed], kinds[closed], nextline, stride)
+
+    def flags(
+        self,
+        blocks: np.ndarray,
+        times: np.ndarray,
+        gaps: np.ndarray,
+        stride_hits: Optional[np.ndarray] = None,
+    ):
+        """``(nextline, stride)`` flags of the intervals one chunk closes.
+
+        One flag pair per event with a positive gap, in event order; the
+        carried per-block state moves on to the end of the chunk.
         """
         n = len(blocks)
-        if n == 0:
-            return
-        gaps = times - windows
-        keep = gaps > 0
-
         # Last earlier in-chunk touch of block - 1 for every probed event:
         # the key just below (previous distinct block, event index) is one
         # iff its block is block - 1.  Probing in (block, index) order
@@ -230,7 +195,7 @@ class _ChunkAnnotator:
         neighbor = np.where(earlier, times[border[at]], -1)
         # Events without one fall back on the carried touch times, which
         # can only reach windows opening at or before the previous chunk.
-        probe_window = windows[probe]
+        probe_window = times[probe] - gaps[probe]
         carried = np.flatnonzero(~earlier & (probe_window <= self._last_time))
         if len(carried):
             get = self._block_last.get
@@ -243,8 +208,6 @@ class _ChunkAnnotator:
         if stride_hits is not None:
             stride[probe] = stride_hits[probe]
             stride &= ~nextline
-        self._nextline.append(nextline[keep])
-        self._stride.append(stride[keep])
 
         blast = np.empty(n, dtype=bool)
         blast[-1] = True
@@ -253,14 +216,8 @@ class _ChunkAnnotator:
             zip(sblocks[blast].tolist(), times[border[blast]].tolist())
         )
         self._last_time = int(times.max())
-
-    def finish(self, intervals: IntervalSet) -> AnnotatedIntervals:
-        """Flag the end-of-run tail intervals and package up."""
-        return _package(
-            intervals,
-            np.concatenate(self._nextline or [np.zeros(0, dtype=bool)]),
-            np.concatenate(self._stride or [np.zeros(0, dtype=bool)]),
-        )
+        closed = gaps > 0
+        return nextline[closed], stride[closed]
 
 
 class _StrideTable:
@@ -371,29 +328,22 @@ class _StrideTable:
 class AnnotatedSimulationResult:
     """A :class:`SimulationResult` plus prefetchability annotations.
 
-    The simulator returns raw :class:`AnnotatedIntervals`; a simulation
-    job returns :meth:`reduced`, where ``l1i``/``l1d`` and the result's
-    interval fields are the same :class:`IntervalPopulation` objects.
+    ``l1i``/``l1d`` and the result's interval fields are the same
+    :class:`IntervalPopulation` objects, prefetch flags included.
     """
 
     result: SimulationResult
-    l1i: AnnotatedIntervals | IntervalPopulation
-    l1d: AnnotatedIntervals | IntervalPopulation
+    l1i: IntervalPopulation
+    l1d: IntervalPopulation
 
-    def annotated_for(self, which: str) -> AnnotatedIntervals | IntervalPopulation:
-        """Annotated intervals by cache name (``'l1i'`` or ``'l1d'``)."""
+    def annotated_for(self, which: str) -> IntervalPopulation:
+        """Annotated population by cache name (``'l1i'`` or ``'l1d'``)."""
         key = which.lower()
         if key in ("l1i", "icache", "i"):
             return self.l1i
         if key in ("l1d", "dcache", "d"):
             return self.l1d
         raise SimulationError(f"unknown cache selector {which!r}")
-
-    def reduced(self) -> "AnnotatedSimulationResult":
-        """Both caches reduced to populations; the scalars stay as they are."""
-        l1i, l1d = self.l1i.reduced(), self.l1d.reduced()
-        result = replace(self.result, l1i_intervals=l1i, l1d_intervals=l1d)
-        return AnnotatedSimulationResult(result=result, l1i=l1i, l1d=l1d)
 
 
 class AnnotatingSimulator:
@@ -455,44 +405,45 @@ class AnnotatingSimulator:
     ) -> AnnotatedSimulationResult:
         """Kernel timing plus chunk-vectorised annotation.
 
-        The kernel hands each chunk's (block, window, time) event stream —
-        the window being the frame's previous touch, read off the interval
-        the event closes — to observers that annotate the whole chunk at
-        once with :class:`_ChunkAnnotator` and :class:`_StrideTable`, the
-        exact array twins of the scalar annotator and stride predictor.
+        The kernel hands each chunk's (block, time, gap, kind) event
+        stream to observers that flag and fold the whole chunk at once
+        with :class:`_ChunkAnnotator` and :class:`_StrideTable`, the exact
+        array twins of the scalar annotator and stride predictor.  The
+        end-of-run tails fold in last.
         """
         hierarchy = self.hierarchy
         i_annotator = _ChunkAnnotator(DEFAULT_ACTIVE_FLOOR)
         d_annotator = _ChunkAnnotator(DEFAULT_ACTIVE_FLOOR)
         table = _StrideTable(self.stride_table_capacity)
 
-        def d_observer(blocks, windows, times, pcs, addrs, stores):
+        def d_observer(blocks, times, gaps, kinds, pcs, addrs, stores):
             loads = ~stores
             stride_hits = np.zeros(len(blocks), dtype=bool)
             stride_hits[loads] = table.hits(pcs[loads], addrs[loads])
-            d_annotator.observe(blocks, windows, times, stride_hits)
+            d_annotator.observe(blocks, times, gaps, kinds, stride_hits)
 
         outcome = run_batched(
             hierarchy, self.clock, trace, i_annotator.observe, d_observer,
             residual="compiled" if mode == "compiled" else "python",
         )
-        l1i_intervals = hierarchy.l1i.intervals()
-        l1d_intervals = hierarchy.l1d.intervals()
         started = _time.perf_counter()
-        l1i = i_annotator.finish(l1i_intervals)
-        l1d = d_annotator.finish(l1d_intervals)
-        # The profile was sealed inside the kernel; packaging the flags is
+        annotators = (i_annotator, d_annotator)
+        for annotator, (lengths, kinds) in zip(annotators, outcome.tails):
+            tail = np.ones(len(lengths), dtype=bool)
+            annotator.rows.fold(lengths, kinds, tail=tail)
+        l1i, l1d = (annotator.rows.population() for annotator in annotators)
+        # The profile was sealed inside the kernel; folding the tails is
         # annotation work too.
-        stage_seconds = dict(outcome.profile.stage_seconds)
-        stage_seconds["annotate"] += _time.perf_counter() - started
+        profile = outcome.profile
+        profile.stage_seconds["annotate"] += _time.perf_counter() - started
         result = SimulationResult(
             cycles=outcome.cycles,
             instructions=outcome.instructions,
             stall_cycles=outcome.stall_cycles,
-            l1i_intervals=l1i_intervals,
-            l1d_intervals=l1d_intervals,
+            l1i_intervals=l1i,
+            l1d_intervals=l1d,
             stats=hierarchy.stats(),
-            profile=replace(outcome.profile, stage_seconds=stage_seconds),
+            profile=profile,
         )
         return AnnotatedSimulationResult(result=result, l1i=l1i, l1d=l1d)
 
@@ -560,12 +511,14 @@ class AnnotatingSimulator:
         end_time = clock.cycle + 1
         hierarchy.finish(end_time)
         accesses = l1i.stats.accesses + l1d.stats.accesses - accesses_before
+        l1i_population = i_annotator.population(l1i.intervals())
+        l1d_population = d_annotator.population(l1d.intervals())
         result = SimulationResult(
             cycles=end_time,
             instructions=clock.instructions,
             stall_cycles=clock.stall_cycles,
-            l1i_intervals=l1i.intervals(),
-            l1d_intervals=l1d.intervals(),
+            l1i_intervals=l1i_population,
+            l1d_intervals=l1d_population,
             stats=hierarchy.stats(),
             profile=SimulationProfile(
                 mode="scalar",
@@ -576,9 +529,7 @@ class AnnotatingSimulator:
             ),
         )
         return AnnotatedSimulationResult(
-            result=result,
-            l1i=i_annotator.finish(result.l1i_intervals),
-            l1d=d_annotator.finish(result.l1d_intervals),
+            result=result, l1i=l1i_population, l1d=l1d_population
         )
 
 

@@ -16,9 +16,9 @@ Both are expressed as :class:`~repro.core.policy.Policy` subclasses
 whose length cuts differ by prefetch class, so the standard Figure 5
 evaluation prices them, and the wake-up stalls B accepts are reported
 separately as a performance-cost estimate.  Every
-function here takes an :class:`~repro.core.intervals.IntervalPopulation`
-(a simulation job's reduced result, or
-:meth:`~repro.prefetch.analysis.AnnotatedIntervals.reduced`).
+function here takes an :class:`~repro.core.intervals.IntervalPopulation`,
+as :class:`~repro.prefetch.analysis.AnnotatingSimulator` returns one per
+cache.
 """
 
 from __future__ import annotations

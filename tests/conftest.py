@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 # Allow running the tests without installing the package.
@@ -125,3 +125,92 @@ def damage_entry(store, key, how):
     else:
         raw = raw[: len(raw) // 3]
     path.write_bytes(raw)
+
+
+@dataclass(eq=False)
+class RawIntervals:
+    """One cache's intervals as a simulator folded them, in fold order."""
+
+    lengths: np.ndarray
+    kinds: np.ndarray
+    nextline: np.ndarray
+    stride: np.ndarray
+    tail: np.ndarray
+
+    @property
+    def prefetchable(self):
+        return self.nextline | self.stride | self.tail
+
+    def columns(self):
+        return tuple(getattr(self, field.name) for field in fields(self))
+
+    def population(self):
+        from repro.core.intervals import IntervalPopulation
+
+        return IntervalPopulation.of(*self.columns())
+
+    def assert_same(self, other, label=""):
+        """Column for column, interval for interval."""
+        for field, mine, theirs in zip(fields(self), self.columns(), other.columns()):
+            assert np.array_equal(mine, theirs), (label, field.name)
+
+
+#: The columns of a fold that folded nothing, with their dtypes.
+_NO_FOLD = RawIntervals(
+    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8),
+    *(np.zeros(0, dtype=bool) for _ in range(3)),
+)
+
+
+@contextmanager
+def folded_intervals():
+    """Record every fold into an ``IntervalRows`` inside the block.
+
+    Yields a list that gains one :class:`RawIntervals` per
+    ``population()`` call, in call order: a simulator run adds its L1I's,
+    then its L1D's.
+    """
+    from repro.core.intervals import IntervalRows
+
+    fold, population = IntervalRows.fold, IntervalRows.population
+    parts, recorded = {}, []
+
+    def recording_fold(
+        self, lengths, kinds=None, nextline=None, stride=None, tail=None
+    ):
+        fold(self, lengths, kinds, nextline, stride, tail)
+        parts.setdefault(self, []).append(
+            tuple(
+                np.zeros(len(lengths), dtype=empty.dtype)
+                if column is None
+                else np.asarray(column).astype(empty.dtype)
+                for column, empty in zip(
+                    (lengths, kinds, nextline, stride, tail), _NO_FOLD.columns()
+                )
+            )
+        )
+
+    def recording_population(self):
+        folds = [_NO_FOLD.columns(), *parts.pop(self, [])]
+        recorded.append(RawIntervals(*map(np.concatenate, zip(*folds))))
+        return population(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IntervalRows, "fold", recording_fold)
+        patch.setattr(IntervalRows, "population", recording_population)
+        yield recorded
+
+
+def run_recorded(simulator, trace):
+    """``(result, {cache: RawIntervals})`` of one simulator run.
+
+    Each cache's recorded intervals reduce to exactly the population the
+    run returned for it.
+    """
+    with folded_intervals() as recorded:
+        annotated = simulator.run(trace)
+    assert len(recorded) == 2
+    raw = dict(zip(("l1i", "l1d"), recorded))
+    for cache, intervals in raw.items():
+        assert intervals.population() == annotated.annotated_for(cache)
+    return annotated, raw

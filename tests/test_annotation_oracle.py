@@ -10,6 +10,7 @@ boundary traces, under any chunking, and on random traces.
 
 import numpy as np
 import pytest
+from conftest import run_recorded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,32 +50,26 @@ def _strided(pc, start, stride, count):
     return [(pc, start + i * stride) for i in range(count)]
 
 
-def _flags(annotated):
-    return {
-        cache: tuple(
-            getattr(annotated.annotated_for(cache), name)
-            for name in ("nextline", "stride", "tail")
-        )
-        for cache in ("l1i", "l1d")
-    }
-
-
 def _assert_same_flags(a, b):
-    for cache, flags in _flags(a).items():
-        for x, y in zip(flags, _flags(b)[cache]):
-            assert np.array_equal(x, y), cache
+    """Every interval and its flags, in fold order, and the populations."""
+    (x, x_raw), (y, y_raw) = a, b
+    for cache in ("l1i", "l1d"):
+        x_raw[cache].assert_same(y_raw[cache], cache)
+        assert x.annotated_for(cache) == y.annotated_for(cache)
 
 
 def _run(kernel, chunks, capacity):
-    return AnnotatingSimulator(
-        kernel=kernel, stride_table_capacity=capacity
-    ).run(chunks)
+    """``(result, raw intervals)`` of one run."""
+    return run_recorded(
+        AnnotatingSimulator(kernel=kernel, stride_table_capacity=capacity),
+        chunks,
+    )
 
 
 def _both_paths(chunks, capacity=4096):
     scalar = _run("scalar", chunks, capacity)
     batched = _run("batched", chunks, capacity)
-    assert scalar.result == batched.result
+    assert scalar[0].result == batched[0].result
     return scalar, batched
 
 
@@ -90,7 +85,7 @@ class TestPaperSuite:
         assert len(load_pcs) > 4096
         scalar, batched = _both_paths(chunks)
         _assert_same_flags(scalar, batched)
-        assert batched.l1d.stride.any()
+        assert batched[0].l1d.stride.any()
 
 
 class TestStrideTableBoundaries:
@@ -195,7 +190,7 @@ class TestCraftedTraces:
         scalar, batched = _both_paths(_split(_crafted_trace(), 500), capacity)
         _assert_same_flags(scalar, batched)
         if capacity is None or capacity >= 8:
-            assert batched.l1d.stride.any()
+            assert batched[0].l1d.stride.any()
 
     def test_rechunking_invariance(self):
         parts = list(make_benchmark("gzip", scale=0.02).chunks())
@@ -213,14 +208,15 @@ class TestCraftedTraces:
         _assert_same_flags(_run("scalar", [whole], 64), runs[0])
 
 
-def _windows(frames, times):
-    """Per event, the previous touch of its frame (0 for a cold frame)."""
+def _gaps(frames, times):
+    """Per event, the time since the previous touch of its frame (since 0
+    for a cold frame)."""
     last = {}
-    windows = []
+    gaps = []
     for frame, when in zip(frames.tolist(), times.tolist()):
-        windows.append(last.get(frame, 0))
+        gaps.append(when - last.get(frame, 0))
         last[frame] = when
-    return np.array(windows, dtype=np.int64)
+    return np.array(gaps, dtype=np.int64)
 
 
 @st.composite
@@ -263,17 +259,22 @@ class TestRandomStreams:
             ref.observe(block, frame, when, hit)
         vec = _ChunkAnnotator(floor)
         table = _StrideTable(capacity)
-        windows = _windows(frames, times)
+        gaps = _gaps(frames, times)
+        nextline, stride = [], []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             loads = ~stores[lo:hi]
             hits = np.zeros(hi - lo, dtype=bool)
             hits[loads] = table.hits(pcs[lo:hi][loads], addrs[lo:hi][loads])
-            vec.observe(blocks[lo:hi], windows[lo:hi], times[lo:hi], hits)
+            chunk_nextline, chunk_stride = vec.flags(
+                blocks[lo:hi], times[lo:hi], gaps[lo:hi], hits
+            )
+            nextline.append(chunk_nextline)
+            stride.append(chunk_stride)
         assert np.array_equal(
-            np.concatenate(vec._nextline), np.array(ref._nextline, dtype=bool)
+            np.concatenate(nextline), np.array(ref._nextline, dtype=bool)
         )
         assert np.array_equal(
-            np.concatenate(vec._stride), np.array(ref._stride, dtype=bool)
+            np.concatenate(stride), np.array(ref._stride, dtype=bool)
         )
 
     @settings(max_examples=25, deadline=None)

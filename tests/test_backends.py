@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import broken_in_process, broken_workers
+from conftest import broken_in_process, broken_workers, run_recorded
 
 from repro.cli import main
 from repro.engine import (
@@ -43,10 +43,16 @@ from repro.engine import (
     resolve_cache_dir,
     run_workers,
 )
-from repro.core.intervals import KIND_SHIFT, NEXTLINE, PREFETCH_FLAGS, STRIDE
-from repro.engine.validate import check_raw
+from repro.core.intervals import (
+    KIND_SHIFT,
+    NEXTLINE,
+    PREFETCH_FLAGS,
+    STRIDE,
+    IntervalRows,
+)
+from repro.engine.jobs import execute_job
 from repro.errors import EngineError
-from repro.prefetch.analysis import annotate_workload_trace
+from repro.prefetch.analysis import AnnotatingSimulator, _ChunkAnnotator
 from repro.workloads import make_benchmark
 
 #: Small enough that one simulation takes well under a second.
@@ -569,14 +575,13 @@ class TestValidationGate:
         from repro.core.oracle import oracle_energy
         from repro.engine.validate import _gate_context, _gate_energies
 
-        annotated = annotate_workload_trace(
-            make_benchmark("gzip", scale=0.05).chunks()
+        annotated, raw = run_recorded(
+            AnnotatingSimulator(), make_benchmark("gzip", scale=0.05).chunks()
         )
         model, _ = _gate_context()
         for cache in ("l1i", "l1d"):
-            intervals = annotated.annotated_for(cache).intervals
-            lengths = intervals.lengths
-            baseline, oracle = _gate_energies(intervals.reduced())
+            lengths = raw[cache].lengths
+            baseline, oracle = _gate_energies(annotated.annotated_for(cache))
             assert baseline == pytest.approx(
                 float(model.active_energy_array(lengths).sum()), rel=1e-9
             )
@@ -653,24 +658,37 @@ class TestValidationGate:
         cached = ResultStore(tmp_path).get(job.key())
         assert cached is not None and check_result(cached) == []
 
-    def test_clean_raw_result_passes_the_job_gate(self):
-        raw = annotate_workload_trace(make_benchmark("gzip", scale=SMALL).chunks())
-        assert check_raw(raw) == []
+    def test_clean_raw_result_passes_the_job_gate(self, monkeypatch):
+        # Every chunk's intervals pass the per-chunk checks, then fold.
+        fold = IntervalRows.fold
+        folded = []
+
+        def counting(self, lengths, *columns, **flags):
+            fold(self, lengths, *columns, **flags)
+            folded.append(len(lengths))
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setattr(IntervalRows, "fold", counting)
+        annotated = execute_job(SimulationJob("gzip", scale=SMALL))
+        # Both caches chunk by chunk, then their tails.
+        assert len(folded) > 4
+        assert sum(folded) == len(annotated.l1i) + len(annotated.l1d)
+        assert check_result(annotated) == []
 
     def test_misaligned_raw_flags_raise_in_the_job(self, monkeypatch):
-        import repro.engine.jobs as jobs
+        flags = _ChunkAnnotator.flags
 
-        simulate = jobs.AnnotatingSimulator.run
+        def dropping(self, *args):
+            # A buggy annotator: one next-line flag short.
+            nextline, stride = flags(self, *args)
+            return nextline[:-1], stride
 
-        def misaligned(self, trace):
-            raw = simulate(self, trace)
-            # Constructors forbid this; a buggy annotator could not.
-            object.__setattr__(raw.l1d, "tail", raw.l1d.tail[:-1])
-            return raw
-
-        monkeypatch.setattr(jobs.AnnotatingSimulator, "run", misaligned)
-        with pytest.raises(InvalidResultError, match="tail flags misaligned"):
-            jobs.execute_job(SimulationJob("gzip", scale=SMALL))
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setattr(_ChunkAnnotator, "flags", dropping)
+        with pytest.raises(
+            InvalidResultError, match="next-line flags misaligned"
+        ):
+            execute_job(SimulationJob("gzip", scale=SMALL))
 
     def test_garbage_result_quarantined_and_retried(self, reference, tmp_path):
         # The worker's result is garbage; the in-process rerun is clean.

@@ -84,7 +84,7 @@ class TestEndToEnd:
         from repro.core import DecaySleep
 
         for view in (gzip_annotated.l1i, gzip_annotated.l1d):
-            view = view.reduced().as_normal()
+            view = view.as_normal()
             decay = evaluate_policy(DecaySleep(model70, 10_000), view).saving_fraction
             hybrid = evaluate_policy(OptHybrid(model70), view).saving_fraction
             b = evaluate_prefetch_scheme(view, model70, power_first=True)

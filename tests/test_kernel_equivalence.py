@@ -2,14 +2,15 @@
 
 The batched kernel (``repro.cache.kernel``) exists purely for speed; its
 contract is that every observable quantity — cache statistics, eviction
-counts, interval populations (lengths *and* kinds, in order), timing,
-annotation flags — matches the scalar per-access path exactly.  These
-tests drive random streams and real workloads through both paths and
-compare everything.
+counts, timing, interval populations, and every interval's length, kind
+and annotation flags in the order the two paths fold them — matches the
+scalar per-access path exactly.  These tests drive random streams and
+real workloads through both paths and compare everything.
 """
 
 import numpy as np
 import pytest
+from conftest import run_recorded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,10 +65,12 @@ def _random_chunks(rng, n_chunks: int = 4, chunk_len: int = 3200):
 
 
 def _run_small(chunks, policy, associativity, kernel):
-    """One run of ``chunks`` on the small hierarchy under ``kernel``."""
-    return AnnotatingSimulator(
-        _small_hierarchy(associativity, policy), kernel=kernel
-    ).run(chunks)
+    """``(result, raw intervals)`` of one run of ``chunks`` on the small
+    hierarchy under ``kernel``."""
+    return run_recorded(
+        AnnotatingSimulator(_small_hierarchy(associativity, policy), kernel=kernel),
+        chunks,
+    )
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -80,6 +83,7 @@ class TestBatchedCacheKernel:
         scalar = _run_small(chunks, policy, associativity, "scalar")
         batched = _run_small(chunks, policy, associativity, "batched")
         _assert_bit_identical(scalar, batched)
+        scalar, batched = scalar[0], batched[0]
         for level in ("l1i", "l1d", "l2"):
             assert (
                 batched.result.stats.level(level).evictions
@@ -88,7 +92,9 @@ class TestBatchedCacheKernel:
         assert batched.result.profile.residual_impl == "python"
 
     def test_fast_path_engages(self, rng, policy, associativity):
-        batched = _run_small(_random_chunks(rng), policy, associativity, "batched")
+        batched, _ = _run_small(
+            _random_chunks(rng), policy, associativity, "batched"
+        )
         profile, stats = batched.result.profile, batched.result.stats
         assert profile.mode == "batched"
         assert profile.fast_path_accesses > 0
@@ -124,26 +130,31 @@ class TestCompiledResidualKernel:
         compiled = _run_small(chunks, policy, associativity, "compiled")
         _assert_bit_identical(scalar, compiled)
         expected = "compiled" if native.native_available() else "python"
-        assert compiled.result.profile.residual_impl == expected
+        assert compiled[0].result.profile.residual_impl == expected
 
 
 def _simulate(kernel, policy="lru", pipeline=None, benchmark="gzip"):
-    return AnnotatingSimulator(
-        MemoryHierarchy(HierarchyConfig.paper(), replacement=policy),
-        pipeline,
-        kernel=kernel,
-    ).run(make_benchmark(benchmark, scale=0.02).chunks())
+    """``(result, raw intervals)`` of one paper-hierarchy run."""
+    return run_recorded(
+        AnnotatingSimulator(
+            MemoryHierarchy(HierarchyConfig.paper(), replacement=policy),
+            pipeline,
+            kernel=kernel,
+        ),
+        make_benchmark(benchmark, scale=0.02).chunks(),
+    )
 
 
 def _assert_bit_identical(a, b):
-    """Timing, statistics, intervals and every annotation flag agree."""
+    """Timing, statistics, populations, and every interval's length, kind
+    and flags, in fold order, agree."""
+    (x, x_raw), (y, y_raw) = a, b
     # Cycles, statistics and both interval populations; the profile is
     # excluded from equality.
-    assert a.result == b.result
+    assert x.result == y.result
     for cache in ("l1i", "l1d"):
-        x, y = a.annotated_for(cache), b.annotated_for(cache)
-        for name in ("nextline", "stride", "tail"):
-            assert np.array_equal(getattr(x, name), getattr(y, name)), (cache, name)
+        assert x.annotated_for(cache) == y.annotated_for(cache)
+        x_raw[cache].assert_same(y_raw[cache], cache)
 
 
 #: The paper pipeline under every policy, plus the non-default pipelines
@@ -161,7 +172,9 @@ _MATRIX = [pytest.param(policy, None, id=policy) for policy in POLICIES] + [
 @pytest.mark.parametrize("policy", POLICIES)
 class TestSimulatorEquivalence:
     def test_batched_run_is_bit_identical(self, policy):
-        scalar, batched = _simulate("scalar", policy), _simulate("batched", policy)
+        (scalar, _), (batched, _) = (
+            _simulate("scalar", policy), _simulate("batched", policy)
+        )
         assert scalar.result == batched.result  # profile is excluded from equality
         assert scalar.result.l1i_intervals == batched.result.l1i_intervals
         assert scalar.result.l1d_intervals == batched.result.l1d_intervals
@@ -175,12 +188,13 @@ class TestResidualImplMatrix:
 
     @pytest.mark.parametrize("policy, pipeline", _MATRIX)
     def test_three_way_bit_identical(self, policy, pipeline):
-        scalar, batched, compiled = (
+        runs = scalar, batched, compiled = [
             _simulate(kernel, policy, pipeline)
             for kernel in ("scalar", "batched", "compiled")
-        )
+        ]
         _assert_bit_identical(scalar, batched)
         _assert_bit_identical(scalar, compiled)
+        scalar, batched, compiled = (run for run, _ in runs)
         assert batched.l1d.stride.any()
         # The profile reports which path and residual loop actually ran.
         assert scalar.result.profile.mode == "scalar"

@@ -2,21 +2,34 @@
 
 A simulation job returns each cache's
 :class:`~repro.core.intervals.IntervalPopulation` — (length, class,
-count) rows — while the simulator itself still returns raw
-:class:`~repro.prefetch.analysis.AnnotatedIntervals`.  For all six paper
+count) rows — that the simulator folded chunk by chunk into an
+:class:`~repro.core.intervals.IntervalRows`; the raw intervals exist only
+as the columns of each fold, which these tests record.  For all six paper
 benchmarks at scale 0.05 and both caches, every count, statistic,
 length spectrum and Figure 9 number read off the reduction must equal the
-per-interval computation on the raw arrays exactly, and every policy
+per-interval computation on the raw columns exactly, and every policy
 price must agree with per-interval pricing within 1e-12 relative.
+Folding in any chunk split must equal reducing the concatenation at once.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import run_recorded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import intervals as intervals_module
 from repro.core.inflection import solve_sleep_drowsy_point
-from repro.core.intervals import IntervalKind, IntervalPopulation
+from repro.core.intervals import (
+    CLASS_BITS,
+    CLASS_MASK,
+    IntervalKind,
+    IntervalPopulation,
+    IntervalRows,
+)
+from repro.errors import IntervalError
 from repro.core.policy import CODE_MODES, OptHybrid, trio_policies
 from repro.core.savings import evaluate_policy
 from repro.engine import ExecutionEngine, ResultStore, SimulationJob, execute_job
@@ -37,20 +50,22 @@ CACHES = ("l1i", "l1d")
 
 @pytest.fixture(scope="module", params=BENCHMARK_NAMES)
 def pair(request):
-    """(reduced job result, raw simulator result) for one benchmark."""
+    """(job result, simulator result, {cache: the intervals it folded})."""
     name = request.param
     reduced = execute_job(SimulationJob(name, scale=SCALE))
-    raw = AnnotatingSimulator().run(make_benchmark(name, scale=SCALE).chunks())
-    return reduced, raw
+    simulated, raw = run_recorded(
+        AnnotatingSimulator(), make_benchmark(name, scale=SCALE).chunks()
+    )
+    return reduced, simulated, raw
 
 
 def views(pair, cache):
     """(population, lengths, kinds, raw flags) — as stored, and as_normal."""
-    reduced, raw = pair
+    reduced, _, raw = pair
     population = reduced.annotated_for(cache)
-    annotated = raw.annotated_for(cache)
-    lengths = annotated.intervals.lengths
-    kinds = annotated.intervals.kinds
+    annotated = raw[cache]
+    lengths = annotated.lengths
+    kinds = annotated.kinds
     yield population, lengths, kinds, annotated
     yield population.as_normal(), lengths, np.zeros_like(kinds), annotated
 
@@ -74,9 +89,11 @@ def assert_same_spectrum(got, expected):
 @pytest.mark.parametrize("cache", CACHES)
 class TestReducedAgainstRaw:
     def test_result_scalars_carry_over(self, pair, cache):
-        reduced, raw = pair
+        reduced, simulated, _ = pair
         for field in ("cycles", "instructions", "stall_cycles", "stats"):
-            assert getattr(reduced.result, field) == getattr(raw.result, field)
+            assert getattr(reduced.result, field) == getattr(
+                simulated.result, field
+            )
         intervals = getattr(reduced.result, f"{cache}_intervals")
         assert intervals is reduced.annotated_for(cache)
 
@@ -212,6 +229,112 @@ class TestWeightedStatistics:
     def test_empty(self):
         population = IntervalPopulation.of([])
         assert (len(population), population.total_cycles) == (0, 0)
+
+
+def _fold_columns(draw, n):
+    """Random per-interval columns: lengths with repeats, kinds, and flags
+    that never set next-line and stride together."""
+    pool = draw(st.lists(st.integers(1, 10**7), min_size=1, max_size=8))
+    lengths = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    flags = draw(
+        st.lists(
+            st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)]),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    flags = np.array(flags, dtype=bool).reshape(n, 3)
+    return (
+        np.array(lengths, dtype=np.int64),
+        np.array(kinds, dtype=np.uint8),
+        flags[:, 0],
+        flags[:, 1],
+        flags[:, 2],
+    )
+
+
+@st.composite
+def split_columns(draw):
+    n = draw(st.integers(0, 200))
+    columns = _fold_columns(draw, n)
+    cuts = draw(st.lists(st.integers(0, n), max_size=6))
+    return columns, sorted(set(cuts) | {0, n})
+
+
+class TestFoldedRows:
+    """Folding chunk by chunk equals reducing the concatenation at once."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=split_columns(), buffer=st.sampled_from([1, 5, 1 << 18]))
+    def test_random_chunk_splits(self, case, buffer):
+        columns, cuts = case
+        with pytest.MonkeyPatch.context() as patch:
+            # Small buffers merge into the rows between folds.
+            patch.setattr(intervals_module, "_FOLD_BUFFER", buffer)
+            rows = IntervalRows()
+            for lo, hi in zip(cuts, cuts[1:]):
+                rows.fold(*(column[lo:hi] for column in columns))
+            folded = rows.population()
+        assert folded == IntervalPopulation.of(*columns)
+        lengths, kinds, nextline, stride, tail = columns
+        keys = (
+            (lengths << CLASS_BITS)
+            | (kinds.astype(np.int64) << 3)
+            | (nextline.astype(np.int64) << 2)
+            | (stride.astype(np.int64) << 1)
+            | tail.astype(np.int64)
+        )
+        distinct, counts = np.unique(keys, return_counts=True)
+        assert np.array_equal(folded.lengths, distinct >> CLASS_BITS)
+        assert np.array_equal(folded.classes, distinct & CLASS_MASK)
+        assert np.array_equal(folded.counts, counts)
+        # The dtypes a stored result pickles with.
+        assert (folded.lengths.dtype, folded.classes.dtype, folded.counts.dtype) == (
+            np.int64, np.uint8, np.int64,
+        )
+
+    def test_a_chunk_is_checked_before_it_folds(self):
+        rows = IntervalRows()
+        rows.fold([4, 9], kinds=[0, 1])
+        for columns, message in (
+            (([4, 0],), "positive"),
+            (([4, 9], [0]), "kinds misaligned"),
+            (([4, 9], None, [True, False], [True, False]), "overlap"),
+            (([4, 9], None, None, None, [True]), "tail flags misaligned"),
+        ):
+            with pytest.raises(IntervalError, match=message):
+                rows.fold(*columns)
+        # A rejected chunk leaves the rows as they were.
+        assert rows.population() == IntervalPopulation.of([4, 9], kinds=[0, 1])
+
+
+class TestJobMemory:
+    """A job's memory follows its chunks and distinct rows, not its trace."""
+
+    @staticmethod
+    def traced_peak_mb(scale):
+        """(traced peak in MB, interval count) of one gzip job."""
+        tracemalloc.start()
+        try:
+            annotated = execute_job(SimulationJob("gzip", scale=scale))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / 2**20, len(annotated.l1i) + len(annotated.l1d)
+
+    def test_peak_does_not_follow_the_interval_count(self, monkeypatch):
+        # The batched kernels fold as they go; the scalar oracle keeps
+        # every interval by design.
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        execute_job(SimulationJob("gzip", scale=0.01))  # one-time set-up
+        small, small_count = self.traced_peak_mb(0.25)
+        large, large_count = self.traced_peak_mb(1.0)
+        assert large_count > 3 * small_count
+        # CPython 3.11, numpy 2.x: holding one entry per interval grew
+        # the peak by about 19 MB (11.3 -> 30.7 MB); folding, by about
+        # 5 MB (9.1 -> 13.7 MB).
+        assert large - small < 10.0, (small, large)
 
 
 def _arrays(value, seen=None):

@@ -2,15 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import RawIntervals, run_recorded
 
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import IntervalPopulation
 from repro.cpu.trace import TraceChunk
-from repro.errors import PolicyError, SimulationError
-from repro.prefetch.analysis import (
-    AnnotatedIntervals,
-    AnnotatingSimulator,
-    annotate_workload_trace,
-)
+from repro.errors import IntervalError, PolicyError, SimulationError
+from repro.prefetch.analysis import AnnotatingSimulator
 from repro.prefetch.schemes import (
     PrefetchGuidedPolicy,
     evaluate_prefetch_scheme,
@@ -71,42 +68,46 @@ class TestStridePredictor:
 class TestAnnotatedIntervals:
     def _make(self, lengths, nl, st, tail=None):
         n = len(lengths)
-        return AnnotatedIntervals(
-            IntervalSet(lengths),
-            np.array(nl, dtype=bool),
-            np.array(st, dtype=bool),
-            np.array(tail if tail is not None else [False] * n, dtype=bool),
+        return IntervalPopulation.of(
+            lengths,
+            nextline=np.array(nl, dtype=bool),
+            stride=np.array(st, dtype=bool),
+            tail=np.array(tail if tail is not None else [False] * n, dtype=bool),
         )
 
     def test_flag_alignment_enforced(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(IntervalError):
             self._make([10, 20], [True], [False, False])
 
     def test_nl_stride_disjointness_enforced(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(IntervalError):
             self._make([10], [True], [True])
 
     def test_prefetchability_fraction(self):
-        annotated = self._make([10, 20, 30, 40], [True, False, False, False],
-                               [False, True, False, False])
-        assert annotated.reduced().prefetchability == pytest.approx(0.5)
+        population = self._make([10, 20, 30, 40], [True, False, False, False],
+                                [False, True, False, False])
+        assert population.prefetchability == pytest.approx(0.5)
 
 
 class TestAnnotatingSimulator:
     def test_flags_align_with_intervals(self):
-        annotated = annotate_workload_trace(make_gzip(scale=0.05).chunks())
-        for view in (annotated.l1i, annotated.l1d):
-            assert view.nextline.shape == (len(view.intervals),)
+        annotated, raw = run_recorded(
+            AnnotatingSimulator(), make_gzip(scale=0.05).chunks()
+        )
+        for cache, view in raw.items():
+            assert view.nextline.shape == view.lengths.shape
             assert not np.any(view.nextline & view.stride)
+            population = annotated.annotated_for(cache)
+            assert not np.any(population.nextline & population.stride)
 
     def test_sequential_code_is_nextline_prefetchable(self):
         # A straight-line loop: every line's re-fetch follows its
         # predecessor's fetch, so long intervals are NL-covered.
         body = np.arange(1024, dtype=np.int64) * 4  # 4KB straight-line loop
         trace = TraceChunk(np.tile(body, 50))
-        annotated = AnnotatingSimulator().run(trace)
-        view = annotated.l1i
-        eligible = (view.intervals.lengths > 6) & ~view.tail
+        _, raw = run_recorded(AnnotatingSimulator(), trace)
+        view = raw["l1i"]
+        eligible = (view.lengths > 6) & ~view.tail
         assert float(view.nextline[eligible].mean()) > 0.9
 
     def test_strided_loads_are_stride_prefetchable(self):
@@ -118,7 +119,7 @@ class TestAnnotatingSimulator:
         trace = TraceChunk(pcs, addrs)
         annotated = AnnotatingSimulator().run(trace)
         view = annotated.l1d
-        flagged = int(view.stride.sum())
+        flagged = int(view.counts[view.stride].sum())
         assert flagged > 50
 
     def test_single_use(self):
@@ -128,12 +129,12 @@ class TestAnnotatingSimulator:
             simulator.run(TraceChunk(np.zeros(10, dtype=np.int64)))
 
     def test_tail_flags_cover_unclosed_intervals(self):
-        annotated = AnnotatingSimulator().run(
-            TraceChunk(np.zeros(10, dtype=np.int64))
+        _, raw = run_recorded(
+            AnnotatingSimulator(), TraceChunk(np.zeros(10, dtype=np.int64))
         )
         # Every frame's final interval is a tail; exactly n_frames of them.
-        assert int(annotated.l1i.tail.sum()) == 1024
-        assert int(annotated.l1d.tail.sum()) == 1024
+        assert int(raw["l1i"].tail.sum()) == 1024
+        assert int(raw["l1d"].tail.sum()) == 1024
 
 
 class TestPrefetchSchemes:
@@ -142,8 +143,8 @@ class TestPrefetchSchemes:
         nl = [False, True, False, True, False, False]
         st = [False, False, False, False, False, False]
         tail = [False, False, False, False, False, True]
-        return AnnotatedIntervals(
-            IntervalSet(lengths),
+        return RawIntervals(
+            np.array(lengths, dtype=np.int64), np.zeros(6, dtype=np.uint8),
             np.array(nl), np.array(st), np.array(tail),
         )
 
@@ -151,7 +152,7 @@ class TestPrefetchSchemes:
         annotated = self._annotated(model70)
         policy = PrefetchGuidedPolicy(model70, power_first=False)
         codes = policy.with_flags(annotated.prefetchable).modes(
-            annotated.intervals.lengths
+            annotated.lengths
         )
         # NP intervals (index 2 and 4) stay active; P intervals get modes.
         assert list(codes) == [0, 1, 0, 2, 0, 2]
@@ -160,18 +161,18 @@ class TestPrefetchSchemes:
         annotated = self._annotated(model70)
         policy = PrefetchGuidedPolicy(model70, power_first=True)
         codes = policy.with_flags(annotated.prefetchable).modes(
-            annotated.intervals.lengths
+            annotated.lengths
         )
         assert list(codes) == [0, 1, 1, 2, 1, 2]
 
     def test_b_saves_at_least_a(self, model70):
-        population = self._annotated(model70).reduced()
+        population = self._annotated(model70).population()
         a = evaluate_prefetch_scheme(population, model70, power_first=False)
         b = evaluate_prefetch_scheme(population, model70, power_first=True)
         assert b.savings.saving_fraction >= a.savings.saving_fraction
 
     def test_a_has_no_wakeup_stalls(self, model70):
-        population = self._annotated(model70).reduced()
+        population = self._annotated(model70).population()
         a = evaluate_prefetch_scheme(population, model70, power_first=False)
         b = evaluate_prefetch_scheme(population, model70, power_first=True)
         assert a.wakeup_stall_cycles == 0
@@ -186,7 +187,7 @@ class TestPrefetchSchemes:
             policy.modes(np.array([10, 20]))  # bound to no flags at all
 
     def test_breakdown_ranges(self, model70):
-        population = self._annotated(model70).reduced()
+        population = self._annotated(model70).population()
         rows = prefetchability_breakdown(population, model70)
         assert len(rows) == 3
         assert rows[0].total == 1           # the length-3 interval
@@ -195,7 +196,7 @@ class TestPrefetchSchemes:
         assert sum(r.nextline for r in rows) == 2
 
     def test_summary_fractions(self, model70):
-        population = self._annotated(model70).reduced()
+        population = self._annotated(model70).population()
         summary = prefetchability_summary(population, model70)
         assert summary["nextline"] == pytest.approx(2 / 6)
         assert summary["stride"] == pytest.approx(0.0)

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import RawIntervals
 
-from repro.core.intervals import IntervalSet
 from repro.core.savings import evaluate_policy
 from repro.errors import PolicyError
-from repro.prefetch.analysis import AnnotatedIntervals
 from repro.prefetch.schemes import (
     PrefetchGuidedPolicy,
     PrefetchTradeoff,
@@ -21,8 +20,9 @@ from repro.prefetch.schemes import (
 def annotated():
     lengths = [3, 50, 50, 2000, 2000, 80_000, 80_000]
     nl = [False, True, False, True, False, True, False]
-    return AnnotatedIntervals(
-        IntervalSet(lengths),
+    return RawIntervals(
+        np.array(lengths, dtype=np.int64),
+        np.zeros(7, dtype=np.uint8),
         np.array(nl, dtype=bool),
         np.zeros(7, dtype=bool),
         np.zeros(7, dtype=bool),
@@ -34,7 +34,7 @@ class TestEndpoints:
         flags = annotated.prefetchable
         tradeoff = PrefetchTradeoff(model70, np_threshold=6).with_flags(flags)
         b_policy = PrefetchGuidedPolicy(model70, power_first=True).with_flags(flags)
-        lengths = annotated.intervals.lengths
+        lengths = annotated.lengths
         assert np.array_equal(tradeoff.modes(lengths), b_policy.modes(lengths))
         assert tradeoff.wakeup_stall_cycles(lengths) == b_policy.wakeup_stall_cycles(
             lengths
@@ -44,7 +44,7 @@ class TestEndpoints:
         flags = annotated.prefetchable
         tradeoff = PrefetchTradeoff(model70, np_threshold=math.inf).with_flags(flags)
         a_policy = PrefetchGuidedPolicy(model70, power_first=False).with_flags(flags)
-        lengths = annotated.intervals.lengths
+        lengths = annotated.lengths
         assert np.array_equal(tradeoff.modes(lengths), a_policy.modes(lengths))
         assert tradeoff.wakeup_stall_cycles(lengths) == 0
 
@@ -52,7 +52,7 @@ class TestEndpoints:
 class TestFrontier:
     def test_savings_and_stalls_both_monotone(self, model70, annotated):
         curve = prefetch_tradeoff_curve(
-            annotated.reduced(), model70, [6, 100, 2000, 50_000, math.inf]
+            annotated.population(), model70, [6, 100, 2000, 50_000, math.inf]
         )
         savings = [p.saving_fraction for p in curve]
         stalls = [p.stall_overhead for p in curve]
@@ -62,13 +62,13 @@ class TestFrontier:
 
     def test_intermediate_point_is_strictly_between(self, model70, annotated):
         curve = prefetch_tradeoff_curve(
-            annotated.reduced(), model70, [6, 2000, math.inf]
+            annotated.population(), model70, [6, 2000, math.inf]
         )
         b_point, mid, a_point = curve
         assert a_point.saving_fraction < mid.saving_fraction < b_point.saving_fraction
 
     def test_matches_scheme_evaluations(self, model70, annotated):
-        population = annotated.reduced()
+        population = annotated.population()
         curve = prefetch_tradeoff_curve(population, model70, [6, math.inf])
         b_report = evaluate_prefetch_scheme(population, model70, power_first=True)
         a_report = evaluate_prefetch_scheme(population, model70, power_first=False)
@@ -96,5 +96,5 @@ class TestValidation:
 
     def test_evaluable_through_standard_machinery(self, model70, annotated):
         policy = PrefetchTradeoff(model70, np_threshold=2000)
-        report = evaluate_policy(policy, annotated.reduced())
+        report = evaluate_policy(policy, annotated.population())
         assert 0.0 < report.saving_fraction < 1.0

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run_recorded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,20 +132,21 @@ def assert_priced_like_oracle(
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=BENCHMARK_NAMES)
 def annotated(request):
-    """One benchmark's raw annotated intervals at scale 0.05."""
-    return AnnotatingSimulator().run(
-        make_benchmark(request.param, scale=0.05).chunks()
+    """One benchmark's result and raw annotated intervals at scale 0.05."""
+    return run_recorded(
+        AnnotatingSimulator(), make_benchmark(request.param, scale=0.05).chunks()
     )
 
 
 @pytest.mark.parametrize("cache", ["l1i", "l1d"])
 def test_report_policies_match_oracle(annotated, cache):
-    intervals = annotated.annotated_for(cache)
-    lengths = intervals.intervals.lengths
+    result, raw = annotated
+    intervals = raw[cache]
+    lengths = intervals.lengths
     prefetchable = intervals.prefetchable
-    population = intervals.reduced()
+    population = result.annotated_for(cache)
     normal = population.as_normal()
-    zeros = np.zeros_like(intervals.intervals.kinds)
+    zeros = np.zeros_like(intervals.kinds)
     for policy in report_policies():
         assert_priced_like_oracle(
             policy, normal, lengths, zeros, prefetchable, dead_aware=False
@@ -157,7 +159,7 @@ def test_report_policies_match_oracle(annotated, cache):
                 policy,
                 population,
                 lengths,
-                intervals.intervals.kinds,
+                intervals.kinds,
                 prefetchable,
                 dead_aware=True,
             )
