@@ -12,7 +12,7 @@ import pytest
 
 from repro.cache import native
 from repro.core.energy import ModeEnergyModel
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import IntervalPopulation
 from repro.core.policy import OptHybrid
 from repro.core.savings import evaluate_policy
 from repro.cpu.trace import TraceChunk
@@ -247,7 +247,7 @@ def test_policy_evaluation_first_call(benchmark):
     policy = OptHybrid(model)
 
     def fresh():
-        return (policy, IntervalSet(lengths).reduced()), {}
+        return (policy, IntervalPopulation.of(lengths)), {}
 
     result = benchmark.pedantic(evaluate_policy, setup=fresh, rounds=10)
     assert 0.9 < result.saving_fraction < 1.0
@@ -256,7 +256,7 @@ def test_policy_evaluation_first_call(benchmark):
 def test_policy_evaluation_repeat_call(benchmark):
     """Figure 5 accumulation on a population already priced once."""
     model = ModeEnergyModel(paper_nodes()[70])
-    population = IntervalSet(_policy_population()).reduced()
+    population = IntervalPopulation.of(_policy_population())
     policy = OptHybrid(model)
     evaluate_policy(policy, population)
     result = benchmark.pedantic(evaluate_policy, args=(policy, population), rounds=100)
@@ -274,6 +274,7 @@ def test_functional_decay_cache(benchmark):
     from repro.cache.decay import DecayCache
     from repro.core.policy import DecaySleep
     from repro.core.savings import evaluate_policy
+    from repro.prefetch.analysis import _CacheAnnotator
 
     rng = np.random.default_rng(7)
     config = CacheConfig("decay", 64 * 1024, 64, 2, 1)
@@ -295,11 +296,12 @@ def test_functional_decay_cache(benchmark):
     report_ = benchmark.pedantic(run, rounds=5, iterations=1)
 
     tracked = SetAssociativeCache(config)
+    collector = _CacheAnnotator(config.n_lines, floor=6)
     for block, t in events:
-        tracked.access_block(block, t)
-    tracked.finish(end_time)
+        hit, frame = tracked.access_block_ex(block, t)
+        collector.observe(block, frame, t, hit, False)
     analytic = evaluate_policy(
         DecaySleep(model, 10_000, counter_overhead=0.0),
-        tracked.intervals().as_normal(),
+        collector.population(end_time).as_normal(),
     )
     assert abs(report_.saving_fraction - analytic.saving_fraction) < 0.02

@@ -1,4 +1,4 @@
-"""Cache substrate: set-associative caches, hierarchy, generation tracking.
+"""Cache substrate: set-associative caches, the hierarchy, the batched kernel.
 
 This subpackage stands in for the memory system of the paper's
 SimpleScalar/Alpha-21264 setup (§4.1): 64 KB 2-way L1I (1-cycle), 64 KB
@@ -28,7 +28,6 @@ _EXPORTS = {
         ),
         "config",
     ),
-    "GenerationTracker": "generations",
     **dict.fromkeys(("HierarchyConfig", "MemoryHierarchy"), "hierarchy"),
     **dict.fromkeys(
         (

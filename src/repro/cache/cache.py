@@ -1,9 +1,11 @@
-"""A set-associative cache with generation tracking.
+"""A set-associative cache.
 
 This is the structural substrate under the whole study: it turns an
-address/time stream into hits, misses, evictions, and — through an
-attached :class:`~repro.cache.generations.GenerationTracker` — the
-per-frame access intervals the limit analysis consumes.
+address/time stream into hits, misses, evictions and the frame each
+access touched.  The scalar simulation path feeds those (hit, frame,
+time) events to its interval collectors
+(:class:`~repro.prefetch.analysis._CacheAnnotator`); the cache itself
+keeps no interval.
 
 The implementation favours a tight inner loop (the simulator calls
 :meth:`SetAssociativeCache.access_block` millions of times) while keeping
@@ -12,11 +14,10 @@ replacement pluggable.
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Set, Tuple
 
 from ..errors import SimulationError
 from .config import CacheConfig
-from .generations import GenerationTracker
 from .replacement import ReplacementPolicy, make_replacement_policy
 from .stats import CacheStats
 
@@ -33,18 +34,12 @@ class SetAssociativeCache:
         Geometry and timing.
     replacement:
         Replacement policy name (``lru``/``fifo``/``random``) or instance.
-    track_generations:
-        When True, every access/fill is fed to a
-        :class:`GenerationTracker` so intervals can be extracted after the
-        run.  Disable for levels whose leakage is not under study (the L2
-        in the paper's experiments) to save time and memory.
     """
 
     def __init__(
         self,
         config: CacheConfig,
         replacement: str | ReplacementPolicy = "lru",
-        track_generations: bool = True,
     ) -> None:
         self.config = config
         if isinstance(replacement, str):
@@ -60,9 +55,6 @@ class SetAssociativeCache:
             )
         self.replacement = replacement
         self.stats = CacheStats(name=config.name)
-        self.tracker: Optional[GenerationTracker] = (
-            GenerationTracker(config.n_lines) if track_generations else None
-        )
         self._tags = [INVALID] * config.n_lines
         self._blocks_seen: Set[int] = set()
         self._assoc = config.associativity
@@ -88,8 +80,8 @@ class SetAssociativeCache:
     def access_block_ex(self, block: int, time: int) -> Tuple[bool, int]:
         """Like :meth:`access_block`, also returning the frame touched.
 
-        Used by observers (e.g. the prefetchability annotator) that track
-        per-frame state of their own.
+        Used by observers (the scalar path's interval collectors) that
+        track per-frame state of their own.
         """
         set_index = block & self._set_mask
         base = set_index * self._assoc
@@ -101,8 +93,6 @@ class SetAssociativeCache:
             if tags[base + way] == block:
                 stats.hits += 1
                 self.replacement.on_access(set_index, way, time)
-                if self.tracker is not None:
-                    self.tracker.on_hit(base + way, time)
                 return True, base + way
         # Miss: find an empty way or evict the victim.
         stats.misses += 1
@@ -119,8 +109,6 @@ class SetAssociativeCache:
             stats.evictions += 1
         tags[base + victim] = block
         self.replacement.on_access(set_index, victim, time)
-        if self.tracker is not None:
-            self.tracker.on_fill(base + victim, time)
         return False, base + victim
 
     def probe(self, block: int) -> bool:
@@ -132,25 +120,12 @@ class SetAssociativeCache:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def finish(self, end_time: int) -> None:
-        """Close the generation tracker's timelines at ``end_time``."""
-        if self.tracker is not None:
-            self.tracker.finish(end_time)
-
-    def intervals(self):
-        """Interval population of this cache (after :meth:`finish`)."""
-        if self.tracker is None:
-            raise SimulationError(
-                f"cache {self.config.name!r} was built without generation tracking"
-            )
-        return self.tracker.intervals()
-
     def flush(self) -> None:
         """Invalidate every frame and reset replacement state.
 
-        Statistics and any already-collected intervals are preserved; the
-        tracker, if present, sees no event (a flush is not an access), so
-        flushing mid-run is only meaningful for functional tests.
+        Statistics are preserved, and a flush is not an access: no
+        observer sees it, so flushing mid-run is only meaningful for
+        functional tests.
         """
         self._tags = [INVALID] * self.config.n_lines
         self.replacement.reset()

@@ -85,7 +85,7 @@ class DecayCache:
         self.model = model
         self.decay_interval = decay_interval
         self.tick_period = decay_interval // COUNTER_LIMIT
-        self.cache = SetAssociativeCache(config, track_generations=False)
+        self.cache = SetAssociativeCache(config)
         n = config.n_lines
         self._last_access = [-1] * n
         self._gated_at = [-1] * n

@@ -1,10 +1,9 @@
 """The paper's three-level memory hierarchy (§4.1).
 
 L1 instruction and data caches backed by a unified L2, which is backed by
-main memory.  An L1 miss costs :meth:`MemoryHierarchy.fill_latency`; the
-L1 caches carry generation trackers so the scalar simulation path can
-extract per-frame access intervals after a run (the batched kernel folds
-its intervals as they close and leaves the trackers alone).
+main memory.  An L1 miss costs :meth:`MemoryHierarchy.fill_latency`.
+The hierarchy keeps no intervals: the simulation paths close and fold
+the L1s' intervals themselves (:mod:`repro.prefetch.analysis`).
 """
 
 from __future__ import annotations
@@ -57,23 +56,17 @@ class MemoryHierarchy:
     ----------
     config:
         Geometry/timing for all levels; defaults to the paper's.
-    track_l2:
-        Track L2 generations too (off by default: the paper studies L1
-        leakage, and L2 tracking costs time and memory).
     """
 
     def __init__(
         self,
         config: HierarchyConfig | None = None,
         replacement: str = "lru",
-        track_l2: bool = False,
     ) -> None:
         self.config = config if config is not None else HierarchyConfig.paper()
         self.l1i = SetAssociativeCache(self.config.l1i, replacement)
         self.l1d = SetAssociativeCache(self.config.l1d, replacement)
-        self.l2 = SetAssociativeCache(
-            self.config.l2, replacement, track_generations=track_l2
-        )
+        self.l2 = SetAssociativeCache(self.config.l2, replacement)
 
     def fill_latency(self, block: int, time: int) -> int:
         """Latency in cycles of an L1 miss on ``block`` at ``time``.
@@ -85,13 +78,6 @@ class MemoryHierarchy:
         if self.l2.access_block(block, time):
             return self.config.l2.hit_latency
         return self.config.l2.hit_latency + self.config.memory_latency
-
-    def finish(self, end_time: int) -> None:
-        """Close all generation timelines at the end of simulation."""
-        self.l1i.finish(end_time)
-        self.l1d.finish(end_time)
-        if self.l2.tracker is not None:
-            self.l2.finish(end_time)
 
     def stats(self) -> HierarchyStats:
         """Per-level statistics."""

@@ -37,8 +37,7 @@ are reconstructed vectorially afterwards from the residual stall records,
 and each chunk's closed intervals go, in exact event order, to the
 observers that annotate and fold them.  The kernel keeps no interval: a
 run holds one chunk's arrays plus per-frame, per-set and per-block
-state, and the L1s' :class:`~repro.cache.generations.GenerationTracker`
-belongs to the scalar path alone.
+state.
 
 Replacement-policy exactness: folding a run of same-block accesses into
 one deferred ``last-touch`` update is exact for LRU (only the final touch
@@ -225,7 +224,6 @@ class _Lane:
         self.n_sets = config.n_sets
         self.tags = cache._tags  # shared list: scalar ops in the loop
         self.blocks_seen = cache._blocks_seen
-        self.start_time = cache.tracker.start_time if cache.tracker else 0
         self.frame_last = [-1] * config.n_lines
         policy = cache.replacement
         self.lru_touch = policy._last_touch if isinstance(policy, LruPolicy) else None
@@ -559,9 +557,8 @@ def run_batched(
     Consumes the trace chunk by chunk, mirrors the cache statistics,
     replacement state, L2 accesses and issue clock of the scalar
     simulation path, and syncs ``clock``, returning the timing totals,
-    the run profile and each L1's end-of-run tail intervals.  It leaves
-    the L1 generation trackers alone: the intervals go to the observers
-    instead (a tracked L2 still records and closes its own).
+    the run profile and each L1's end-of-run tail intervals.  It keeps
+    no interval: each chunk's intervals go to the observers.
 
     ``i_observer(blocks, times, gaps, kinds)`` and ``d_observer(blocks,
     times, gaps, kinds, pcs, addresses, stores)`` are invoked once per
@@ -778,7 +775,7 @@ def run_batched(
                 tags[frame] = block
                 last = frame_last[frame]
                 if last == -1:
-                    gap = now - lane.start_time
+                    gap = now
                     kind = _COLD
                 else:
                     gap = now - last
@@ -825,8 +822,6 @@ def run_batched(
     clock.stall_cycles = stalls
     clock._cpi_accumulator = (instructions * cpi_fp) & ((1 << CPI_FP_BITS) - 1)
     end_time = total_cycles + 1
-    if hierarchy.l2.tracker is not None:  # fed by its scalar access path
-        hierarchy.l2.finish(end_time)
     profile = SimulationProfile(
         mode="batched",
         fast_path_accesses=lane_i.fast_accesses + lane_d.fast_accesses,
@@ -840,7 +835,7 @@ def run_batched(
         stall_cycles=stalls,
         profile=profile,
         tails=tuple(
-            closing_intervals(lane.frame_last, lane.start_time, end_time)
+            closing_intervals(lane.frame_last, end_time)
             for lane in (lane_i, lane_d)
         ),
     )

@@ -262,7 +262,7 @@ class LaneBridge:
         self.struct = NativeLane()
         self.struct.lane_id = lane_id
         self.struct.assoc = int(lane.assoc)
-        self.struct.start_time = int(lane.start_time)
+        self.struct.start_time = 0  # every run starts at cycle 0
         self.struct.tags = ptr_i64(self.tags)
         self.struct.frame_last = ptr_i64(self.frame_last)
         self.struct.lru_touch = ptr_i64(self.lru)

@@ -7,10 +7,10 @@ sleep (Gated-Vdd) and drowsy modes save?
 
 The public surface:
 
-* :class:`~repro.core.intervals.IntervalSet` — raw intervals, as tracked;
-  :class:`~repro.core.intervals.IntervalPopulation` — their (length,
-  class, count) reduction, which every analysis reads, folded chunk by
-  chunk into an :class:`~repro.core.intervals.IntervalRows`.
+* :class:`~repro.core.intervals.IntervalPopulation` — the (length,
+  class, count) rows of an interval population, which every analysis
+  reads, folded from per-interval columns by an
+  :class:`~repro.core.intervals.IntervalRows`.
 * :class:`~repro.core.energy.ModeEnergyModel` /
   :class:`~repro.core.energy.TransitionDurations` — Equations 1 and 2.
 * :func:`~repro.core.inflection.inflection_points` — Equation 3 / Table 1.
@@ -57,7 +57,6 @@ _EXPORTS = {
             "IntervalKind",
             "IntervalPopulation",
             "IntervalRows",
-            "IntervalSet",
         ),
         "intervals",
     ),

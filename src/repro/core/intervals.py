@@ -21,11 +21,12 @@ interval ablation):
 Every analysis works on an :class:`IntervalPopulation` — the distinct
 (length, class) rows with counts, a sufficient statistic for the whole
 limit study — and policies are priced from prefix sums over the
-population's rows (its :class:`PricingView`).  A simulator folds its
-intervals into an :class:`IntervalRows` as they close, so it never holds
-one entry per interval; :class:`IntervalSet` holds raw intervals
-column-wise (numpy arrays) where a per-interval view is wanted: the
-scalar path's cache tracker and the tests.
+population's rows (its :class:`PricingView`).  Populations are built
+only by folding per-interval columns into an :class:`IntervalRows`
+(:meth:`IntervalPopulation.of` folds once): the batched kernel folds
+each chunk's intervals as they close, the scalar oracle folds its
+collected intervals at the end of the run, and tests fold whatever
+intervals they construct.
 """
 
 from __future__ import annotations
@@ -280,10 +281,11 @@ class IntervalRows:
     once they outnumber both the rows and ``_FOLD_BUFFER``, which keeps
     the merges amortized.
 
-    Every fold is checked first: class columns aligned with the lengths,
-    lengths positive, next-line and stride flags disjoint.  A violation
-    raises :class:`~repro.errors.IntervalError`, since once folded a
-    misaligned flag can no longer be told from a real class.
+    Every fold is checked first: lengths one-dimensional and positive,
+    class columns aligned with them, kinds :class:`IntervalKind` values,
+    flags 0 or 1, next-line and stride flags disjoint.  A violation raises
+    :class:`~repro.errors.IntervalError`, since once folded a misaligned
+    or out-of-range column can no longer be told from a real class.
     """
 
     def __init__(self) -> None:
@@ -303,14 +305,18 @@ class IntervalRows:
         """Fold per-interval columns in (absent kinds are NORMAL, absent
         flags False)."""
         lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1:
+            raise IntervalError(
+                f"lengths must be one-dimensional, got shape {lengths.shape}"
+            )
         if lengths.size and int(lengths.min()) <= 0:
             raise IntervalError("interval lengths must be positive")
         keys = lengths << CLASS_BITS
-        for label, column, shift in (
-            ("kinds", kinds, KIND_SHIFT),
-            ("next-line flags", nextline, 2),
-            ("stride flags", stride, 1),
-            ("tail flags", tail, 0),
+        for label, column, shift, top in (
+            ("kinds", kinds, KIND_SHIFT, max(IntervalKind)),
+            ("next-line flags", nextline, 2, 1),
+            ("stride flags", stride, 1, 1),
+            ("tail flags", tail, 0, 1),
         ):
             if column is None:
                 continue
@@ -319,7 +325,10 @@ class IntervalRows:
                 raise IntervalError(
                     f"{label} misaligned with the {lengths.size} interval(s)"
                 )
-            keys |= column.astype(np.int64) << shift
+            column = column.astype(np.int64)
+            if column.size and (column.min() < 0 or column.max() > top):
+                raise IntervalError(f"{label} outside 0..{int(top)}")
+            keys |= column << shift
         if bool(np.any((keys & (NEXTLINE | STRIDE)) == NEXTLINE | STRIDE)):
             raise IntervalError("next-line and stride flags overlap")
         if keys.size:
@@ -346,156 +355,3 @@ class IntervalRows:
             classes=(self._keys & CLASS_MASK).astype(np.uint8),
             counts=self._counts,
         )
-
-
-class IntervalSet:
-    """Column-wise collection of intervals.
-
-    Parameters
-    ----------
-    lengths:
-        Positive interval durations in cycles.
-    kinds:
-        Optional parallel array of :class:`IntervalKind` values; defaults
-        to all ``NORMAL``.
-    """
-
-    def __init__(
-        self,
-        lengths: Sequence[int] | np.ndarray,
-        kinds: Sequence[int] | np.ndarray | None = None,
-    ) -> None:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.ndim != 1:
-            raise IntervalError(
-                f"lengths must be one-dimensional, got shape {lengths.shape}"
-            )
-        if lengths.size and int(lengths.min()) <= 0:
-            raise IntervalError("all interval lengths must be positive")
-        if kinds is None:
-            kinds = np.zeros(lengths.shape, dtype=np.uint8)
-        else:
-            kinds = np.asarray(kinds, dtype=np.uint8)
-            if kinds.shape != lengths.shape:
-                raise IntervalError(
-                    f"kinds shape {kinds.shape} does not match lengths "
-                    f"shape {lengths.shape}"
-                )
-            if kinds.size and int(kinds.max()) > max(IntervalKind):
-                raise IntervalError("kinds contains an unknown IntervalKind value")
-        self.lengths = lengths
-        self.kinds = kinds
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        """An interval set with no intervals."""
-        return cls(np.empty(0, dtype=np.int64))
-
-    @classmethod
-    def from_access_times(
-        cls,
-        times: Sequence[int] | np.ndarray,
-        start: int | None = None,
-        end: int | None = None,
-    ) -> "IntervalSet":
-        """Build one frame's intervals from its sorted access cycle stamps.
-
-        Gaps between consecutive accesses become ``NORMAL`` intervals
-        (zero-length gaps — multiple accesses in the same cycle — are
-        dropped, as no mode decision exists for them).  When ``start`` is
-        given, the gap from ``start`` to the first access becomes a
-        ``COLD`` interval; when ``end`` is given, the gap from the last
-        access to ``end`` becomes a ``DEAD`` interval.
-        """
-        times = np.asarray(times, dtype=np.int64)
-        if times.ndim != 1:
-            raise IntervalError("access times must be one-dimensional")
-        if times.size == 0:
-            if start is not None and end is not None and end > start:
-                return cls(
-                    np.array([end - start], dtype=np.int64),
-                    np.array([IntervalKind.COLD], dtype=np.uint8),
-                )
-            return cls.empty()
-        if times.size > 1 and bool(np.any(np.diff(times) < 0)):
-            raise IntervalError("access times must be sorted non-decreasing")
-        gaps = np.diff(times)
-        gaps = gaps[gaps > 0]
-        lengths: List[np.ndarray] = [gaps]
-        kinds: List[np.ndarray] = [np.zeros(gaps.shape, dtype=np.uint8)]
-        if start is not None:
-            if start > int(times[0]):
-                raise IntervalError(
-                    f"start={start} is after the first access at {int(times[0])}"
-                )
-            cold = int(times[0]) - start
-            if cold > 0:
-                lengths.insert(0, np.array([cold], dtype=np.int64))
-                kinds.insert(0, np.array([IntervalKind.COLD], dtype=np.uint8))
-        if end is not None:
-            if end < int(times[-1]):
-                raise IntervalError(
-                    f"end={end} is before the last access at {int(times[-1])}"
-                )
-            dead = end - int(times[-1])
-            if dead > 0:
-                lengths.append(np.array([dead], dtype=np.int64))
-                kinds.append(np.array([IntervalKind.DEAD], dtype=np.uint8))
-        return cls(np.concatenate(lengths), np.concatenate(kinds))
-
-    # ------------------------------------------------------------------
-    # Container protocol
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return int(self.lengths.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntervalSet):
-            return NotImplemented
-        return bool(
-            np.array_equal(self.lengths, other.lengths)
-            and np.array_equal(self.kinds, other.kinds)
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"IntervalSet(n={len(self)}, total={self.total_cycles}, "
-            f"dead={int(np.sum(self.kinds == IntervalKind.DEAD))})"
-        )
-
-    # ------------------------------------------------------------------
-    # Views and statistics
-    # ------------------------------------------------------------------
-
-    @property
-    def total_cycles(self) -> int:
-        """Sum of all interval lengths — the all-active baseline exposure."""
-        return int(self.lengths.sum())
-
-    def of_kind(self, kind: IntervalKind) -> "IntervalSet":
-        """The subset of intervals of one kind."""
-        mask = self.kinds == int(kind)
-        return IntervalSet(self.lengths[mask], self.kinds[mask])
-
-    def live_only(self) -> "IntervalSet":
-        """Only ``NORMAL`` intervals — the paper's default view (§3.1)."""
-        return self.of_kind(IntervalKind.NORMAL)
-
-    def as_normal(self) -> "IntervalSet":
-        """All intervals re-labelled ``NORMAL``.
-
-        This is the paper's simplification: 'we ignore the effect of live
-        and dead intervals, and instead concentrate on the durations'.
-        """
-        return IntervalSet(self.lengths, np.zeros(self.lengths.shape, dtype=np.uint8))
-
-    def reduced(self) -> IntervalPopulation:
-        """This set's :class:`IntervalPopulation` (no prefetch flags), on
-        which every count and statistic is read."""
-        return IntervalPopulation.of(self.lengths, self.kinds)
-

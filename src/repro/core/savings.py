@@ -1,7 +1,7 @@
 """The optimal leakage-saving accumulation (the paper's Figure 5).
 
-Given a set of intervals and a policy, total leakage saving is the sum of
-per-interval savings versus the all-active baseline::
+Given an interval population and a policy, total leakage saving is the
+sum of per-interval savings versus the all-active baseline::
 
     saving = 1 - (policy energy + bookkeeping overhead) / baseline energy
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import IntervalError
 from .energy import ModeEnergyModel
-from .intervals import IntervalPopulation, IntervalSet
+from .intervals import IntervalPopulation
 from .modes import Mode
 from .policy import CODE_MODES, TRIO_SCHEMES, Policy, trio_policies
 
@@ -79,7 +79,7 @@ class SavingsReport:
 
 def evaluate_policy(
     policy: Policy,
-    population: IntervalPopulation | IntervalSet,
+    population: IntervalPopulation,
     dead_aware: bool = False,
 ) -> SavingsReport:
     """Run the Figure 5 accumulation for one policy.
@@ -98,15 +98,11 @@ def evaluate_policy(
     policy:
         A bound policy (carries its energy model and inflection points).
     population:
-        The interval population (typically merged over all cache frames);
-        a raw :class:`~repro.core.intervals.IntervalSet` is priced on its
-        reduction.
+        The interval population (typically merged over all cache frames).
     dead_aware:
         When True, slept dead/cold intervals are not charged re-fetch
         energy (the ablation of §3.1); the paper's default is False.
     """
-    if isinstance(population, IntervalSet):
-        population = population.reduced()
     view = population.pricing_view()
     if not view.counts[-1]:
         raise IntervalError("cannot evaluate a policy over zero intervals")
@@ -159,15 +155,13 @@ def evaluate_policy(
 
 
 def trio_savings(
-    models: Sequence[ModeEnergyModel], population: IntervalPopulation | IntervalSet
+    models: Sequence[ModeEnergyModel], population: IntervalPopulation
 ) -> np.ndarray:
     """Saving fractions of Table 2's oracle trio under every model.
 
     ``grid[i, j]`` is scheme ``TRIO_SCHEMES[i]`` under ``models[j]``; all
     cells share the population's pricing view.
     """
-    if isinstance(population, IntervalSet):
-        population = population.reduced()
     grid = np.empty((len(TRIO_SCHEMES), len(models)))
     for column, model in enumerate(models):
         for row, policy in enumerate(trio_policies(model)):

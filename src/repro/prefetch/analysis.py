@@ -29,13 +29,15 @@ interval as it closes, and returns each L1's population, in one pass.
 It has two execution paths with bit-identical results.  The scalar path
 walks every access through the caches, a :class:`_CacheAnnotator` per
 cache and a :class:`~repro.prefetch.stride.StridePredictor`; it is the
-oracle, and reduces its trackers' raw intervals once at the end.  The
-batched kernel (:func:`~repro.cache.kernel.run_batched`) hands each
-chunk's events to :class:`_ChunkAnnotator` and :class:`_StrideTable`,
-which resolve the whole chunk with sorts and searches and fold its
-intervals into an :class:`~repro.core.intervals.IntervalRows`, carrying
-only per-block, stride-table and row state across chunks: a run's
-memory follows the chunk and the distinct rows, not the trace.
+oracle.  Its annotators are the one place it closes intervals: they
+classify and flag each interval as it ends, then fold them with the
+end-of-run tails once the trace is done.  The batched kernel
+(:func:`~repro.cache.kernel.run_batched`) hands each chunk's events to
+:class:`_ChunkAnnotator` and :class:`_StrideTable`, which resolve the
+whole chunk with sorts and searches and fold its intervals into an
+:class:`~repro.core.intervals.IntervalRows`, carrying only per-block,
+stride-table and row state across chunks: a run's memory follows the
+chunk and the distinct rows, not the trace.
 ``tests/test_kernel_equivalence.py`` and
 ``tests/test_annotation_oracle.py`` pin the two together, interval by
 interval.
@@ -44,11 +46,13 @@ interval.
 from __future__ import annotations
 
 import time as _time
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
+from ..cache.generations import closing_intervals
 from ..cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..cache.kernel import (
     SimulationProfile,
@@ -58,7 +62,7 @@ from ..cache.kernel import (
     stable_order,
     validated_chunks,
 )
-from ..core.intervals import IntervalPopulation, IntervalRows, IntervalSet
+from ..core.intervals import IntervalKind, IntervalPopulation, IntervalRows
 from ..cpu.pipeline import IssueClock, PipelineConfig
 from ..cpu.simulator import SimulationResult
 from ..cpu.trace import NO_ACCESS, STORE, TraceChunk
@@ -69,54 +73,70 @@ from .stride import CONFIRMATIONS_REQUIRED, StridePredictor
 #: prefetchable (the active-drowsy point of the paper's parameters).
 DEFAULT_ACTIVE_FLOOR = 6
 
+_NORMAL, _DEAD, _COLD = (
+    int(IntervalKind.NORMAL), int(IntervalKind.DEAD), int(IntervalKind.COLD)
+)
+
 
 class _CacheAnnotator:
-    """Streams one cache's accesses into annotated intervals."""
+    """One cache's scalar interval collector: the oracle's closing rule.
 
-    def __init__(self, n_frames: int, floor: int, start_time: int = 0) -> None:
-        self.n_frames = n_frames
+    Every access closes the interval its frame rested since the frame's
+    previous access (or since cycle 0 for a frame never filled): NORMAL
+    on a hit, COLD on a frame's first fill, DEAD on a refill.  Intervals
+    of zero cycles are dropped.  Each kept interval is flagged as it
+    closes and buffered in compact columns; :meth:`population` folds them
+    with the end-of-run tails.
+    """
+
+    def __init__(self, n_frames: int, floor: int) -> None:
         self.floor = floor
-        self.start_time = start_time
         self._frame_last = [-1] * n_frames
         self._block_last: dict = {}
-        self._nextline: List[bool] = []
-        self._stride: List[bool] = []
+        self._lengths = array("q")
+        self._kinds = bytearray()
+        self._nextline = bytearray()
+        self._stride = bytearray()
 
-    def observe(self, block: int, frame: int, time: int, stride_hit: bool) -> None:
-        """Record the interval (if any) closed by this access.
-
-        Must mirror :class:`~repro.cache.generations.GenerationTracker`'s
-        append conditions exactly: one flag pair per recorded interval.
-        """
+    def observe(
+        self, block: int, frame: int, time: int, hit: bool, stride_hit: bool
+    ) -> None:
+        """Close and flag the interval (if any) this access ends."""
         last = self._frame_last[frame]
-        gap = time - (last if last >= 0 else self.start_time)
+        if last < 0:
+            start, kind = 0, _COLD
+        elif time < last:
+            raise SimulationError(
+                f"time moved backwards on frame {frame}: {last} -> {time}"
+            )
+        else:
+            start, kind = last, _NORMAL if hit else _DEAD
+        gap = time - start
         if gap > 0:
-            if gap <= self.floor:
-                self._nextline.append(False)
-                self._stride.append(False)
-            else:
-                window_start = last if last >= 0 else self.start_time
-                neighbor = self._block_last.get(block - 1, -1)
-                nextline = neighbor >= window_start
-                self._nextline.append(nextline)
-                self._stride.append(stride_hit and not nextline)
+            nextline = stride = False
+            if gap > self.floor:
+                nextline = self._block_last.get(block - 1, -1) >= start
+                stride = stride_hit and not nextline
+            self._lengths.append(gap)
+            self._kinds.append(kind)
+            self._nextline.append(nextline)
+            self._stride.append(stride)
         self._frame_last[frame] = time
         self._block_last[block] = time
 
-    def population(self, intervals: IntervalSet) -> IntervalPopulation:
-        """Reduce the tracker's ``intervals`` with the recorded flags.
-
-        The intervals past the recorded ones are the end-of-run tails.
-        """
-        recorded = len(self._nextline)
-        pad = np.zeros(max(len(intervals) - recorded, 0), dtype=bool)
-        return IntervalPopulation.of(
-            intervals.lengths,
-            intervals.kinds,
-            np.concatenate([np.array(self._nextline, dtype=bool), pad]),
-            np.concatenate([np.array(self._stride, dtype=bool), pad]),
-            np.concatenate([np.zeros(recorded, dtype=bool), ~pad]),
+    def population(self, end_time: int) -> IntervalPopulation:
+        """Every closed interval plus the frames' tails at ``end_time``,
+        as population rows."""
+        rows = IntervalRows()
+        rows.fold(
+            np.frombuffer(self._lengths, np.int64),
+            np.frombuffer(self._kinds, np.uint8),
+            np.frombuffer(self._nextline, np.bool_),
+            np.frombuffer(self._stride, np.bool_),
         )
+        lengths, kinds = closing_intervals(self._frame_last, end_time)
+        rows.fold(lengths, kinds, tail=np.ones(len(lengths), dtype=bool))
+        return rows.population()
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -490,7 +510,7 @@ class AnnotatingSimulator:
                     prev_igroup = igroup
                     iblock = pc >> offset_bits
                     hit, frame = l1i.access_block_ex(iblock, now)
-                    i_annotator.observe(iblock, frame, now, stride_hit=False)
+                    i_annotator.observe(iblock, frame, now, hit, False)
                     if not hit:
                         # Front-end misses stall the in-order fetch fully.
                         stall(fill_latency(iblock, now) - l1i_hit)
@@ -501,7 +521,7 @@ class AnnotatingSimulator:
                     is_store = kind == STORE
                     stride_hit = False if is_store else stride_access(pc, address)
                     hit, frame = l1d.access_block_ex(block, now)
-                    d_annotator.observe(block, frame, now, stride_hit)
+                    d_annotator.observe(block, frame, now, hit, stride_hit)
                     if not hit:
                         latency = fill_latency(block, now)
                         if not (is_store and store_buffer):
@@ -509,10 +529,9 @@ class AnnotatingSimulator:
                             stall(-(-(latency - l1d_hit) // load_mlp))
 
         end_time = clock.cycle + 1
-        hierarchy.finish(end_time)
         accesses = l1i.stats.accesses + l1d.stats.accesses - accesses_before
-        l1i_population = i_annotator.population(l1i.intervals())
-        l1d_population = d_annotator.population(l1d.intervals())
+        l1i_population = i_annotator.population(end_time)
+        l1d_population = d_annotator.population(end_time)
         result = SimulationResult(
             cycles=end_time,
             instructions=clock.instructions,

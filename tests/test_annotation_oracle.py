@@ -255,8 +255,8 @@ class TestRandomStreams:
             blocks.tolist(), frames.tolist(), times.tolist(),
             pcs.tolist(), addrs.tolist(), stores.tolist(),
         ):
-            hit = False if store else predictor.access(pc, address)
-            ref.observe(block, frame, when, hit)
+            stride_hit = False if store else predictor.access(pc, address)
+            ref.observe(block, frame, when, False, stride_hit)
         vec = _ChunkAnnotator(floor)
         table = _StrideTable(capacity)
         gaps = _gaps(frames, times)

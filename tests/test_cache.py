@@ -1,4 +1,4 @@
-"""Tests for repro.cache — configs, replacement, the cache, generations."""
+"""Tests for repro.cache — configs, replacement, the cache, interval closing."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.cache.config import (
     paper_l1i_config,
     paper_l2_config,
 )
-from repro.cache.generations import GenerationTracker
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.cache.replacement import (
     FifoPolicy,
@@ -22,7 +21,7 @@ from repro.core.intervals import IntervalKind
 from repro.cpu.pipeline import PipelineConfig
 from repro.cpu.trace import TraceChunk
 from repro.errors import ConfigurationError, SimulationError
-from repro.prefetch.analysis import annotate_workload_trace
+from repro.prefetch.analysis import _CacheAnnotator, annotate_workload_trace
 
 
 class TestCacheConfig:
@@ -139,72 +138,72 @@ class TestSetAssociativeCache:
         tiny.access(0x100, 0)
         assert tiny.probe(0x100 >> 6)
 
-    def test_intervals_require_tracking(self):
-        cache = SetAssociativeCache(
-            CacheConfig("x", 512, 64, 2, 1), track_generations=False
+class TestIntervalCollector:
+    """The scalar path's interval-closing rule, fed by a cache's events."""
+
+    @staticmethod
+    def _rows(population):
+        return list(
+            zip(
+                population.lengths.tolist(),
+                [IntervalKind(k) for k in population.kinds],
+                population.counts.tolist(),
+            )
         )
-        with pytest.raises(SimulationError):
-            cache.intervals()
 
-
-class TestGenerationTracker:
     def test_hits_produce_normal_intervals(self):
-        tracker = GenerationTracker(n_frames=1)
-        tracker.on_fill(0, 10)
-        tracker.on_hit(0, 15)
-        tracker.on_hit(0, 40)
-        tracker.finish(100)
-        ivs = tracker.intervals()
-        assert list(ivs.lengths) == [10, 5, 25, 60]
-        assert [IntervalKind(k) for k in ivs.kinds] == [
+        collector = _CacheAnnotator(n_frames=1, floor=6)
+        collector.observe(0, 0, 10, False, False)
+        collector.observe(0, 0, 15, True, False)
+        collector.observe(0, 0, 40, True, False)
+        assert list(collector._lengths) == [10, 5, 25]
+        assert [IntervalKind(k) for k in collector._kinds] == [
             IntervalKind.COLD,
             IntervalKind.NORMAL,
             IntervalKind.NORMAL,
-            IntervalKind.DEAD,
+        ]
+        assert self._rows(collector.population(100)) == [
+            (5, IntervalKind.NORMAL, 1),
+            (10, IntervalKind.COLD, 1),
+            (25, IntervalKind.NORMAL, 1),
+            (60, IntervalKind.DEAD, 1),
         ]
 
     def test_refill_produces_dead_interval(self):
-        tracker = GenerationTracker(n_frames=1)
-        tracker.on_fill(0, 0)
-        tracker.on_hit(0, 5)
-        tracker.on_fill(0, 30)  # eviction + new generation
-        tracker.finish(40)
-        ivs = tracker.intervals()
-        assert list(ivs.lengths) == [5, 25, 10]
-        assert IntervalKind(ivs.kinds[1]) == IntervalKind.DEAD
+        collector = _CacheAnnotator(n_frames=1, floor=6)
+        collector.observe(0, 0, 0, False, False)
+        collector.observe(0, 0, 5, True, False)
+        collector.observe(1, 0, 30, False, False)  # eviction + new generation
+        assert list(collector._lengths) == [5, 25]
+        assert IntervalKind(collector._kinds[1]) == IntervalKind.DEAD
+        assert self._rows(collector.population(40)) == [
+            (5, IntervalKind.NORMAL, 1),
+            (10, IntervalKind.DEAD, 1),
+            (25, IntervalKind.DEAD, 1),
+        ]
 
     def test_unused_frame_is_one_cold_interval(self):
-        tracker = GenerationTracker(n_frames=2)
-        tracker.on_fill(0, 10)
-        tracker.finish(50)
-        ivs = tracker.intervals()
-        cold = ivs.of_kind(IntervalKind.COLD)
-        assert sorted(cold.lengths) == [10, 50]
+        collector = _CacheAnnotator(n_frames=2, floor=6)
+        collector.observe(0, 0, 10, False, False)
+        cold = collector.population(50).of_kind(IntervalKind.COLD)
+        assert self._rows(cold) == [
+            (10, IntervalKind.COLD, 1),
+            (50, IntervalKind.COLD, 1),
+        ]
 
     def test_total_cycles_is_frames_times_span(self):
-        tracker = GenerationTracker(n_frames=3)
-        tracker.on_fill(0, 5)
-        tracker.on_hit(0, 20)
-        tracker.on_fill(1, 7)
-        tracker.finish(100)
-        assert tracker.intervals().total_cycles == 3 * 100
+        cache = SetAssociativeCache(CacheConfig("x", 256, 64, 1, 1))  # 4 frames
+        collector = _CacheAnnotator(cache.config.n_lines, floor=6)
+        for time, block in ((5, 0), (7, 1), (20, 0), (30, 5), (31, 2)):
+            hit, frame = cache.access_block_ex(block, time)
+            collector.observe(block, frame, time, hit, False)
+        assert collector.population(100).total_cycles == 4 * 100
 
     def test_time_reversal_rejected(self):
-        tracker = GenerationTracker(n_frames=1)
-        tracker.on_fill(0, 10)
+        collector = _CacheAnnotator(n_frames=1, floor=6)
+        collector.observe(0, 0, 10, False, False)
         with pytest.raises(SimulationError):
-            tracker.on_hit(0, 5)
-
-    def test_finish_is_single_use(self):
-        tracker = GenerationTracker(n_frames=1)
-        tracker.finish(10)
-        with pytest.raises(SimulationError):
-            tracker.finish(20)
-
-    def test_intervals_require_finish(self):
-        tracker = GenerationTracker(n_frames=1)
-        with pytest.raises(SimulationError):
-            tracker.intervals()
+            collector.observe(0, 0, 5, True, False)
 
 
 class TestHierarchy:
@@ -246,14 +245,6 @@ class TestHierarchy:
                 paper_l1d_config(),
                 CacheConfig("L2", 2 * 1024 * 1024, 128, 1, 7),
             )
-
-    def test_finish_collects_both_l1_interval_sets(self):
-        hierarchy = MemoryHierarchy()
-        hierarchy.l1i.access_block(0, 0)
-        hierarchy.l1d.access_block(0x4000 >> 6, 0)
-        hierarchy.finish(10)
-        assert hierarchy.l1i.intervals().total_cycles == 1024 * 10
-        assert hierarchy.l1d.intervals().total_cycles == 1024 * 10
 
     def test_stats_levels(self):
         hierarchy = MemoryHierarchy()

@@ -4,7 +4,6 @@ The key test cross-validates the mechanism against the analytic
 DecaySleep pricing on identical access streams.
 """
 
-import numpy as np
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
@@ -13,6 +12,7 @@ from repro.cache.decay import DecayCache
 from repro.core.policy import DecaySleep
 from repro.core.savings import evaluate_policy
 from repro.errors import ConfigurationError, SimulationError
+from repro.prefetch.analysis import _CacheAnnotator
 
 
 @pytest.fixture()
@@ -75,6 +75,15 @@ class TestCrossValidation:
             events.append((int(rng.integers(0, 64)), time))
         return events
 
+    def _intervals(self, config, events, end_time):
+        """A plain cache's intervals, closed by the scalar path's collector."""
+        cache = SetAssociativeCache(config)
+        collector = _CacheAnnotator(config.n_lines, floor=6)
+        for block, time in events:
+            hit, frame = cache.access_block_ex(block, time)
+            collector.observe(block, frame, time, hit, False)
+        return collector.population(end_time)
+
     def test_savings_match_analytic_decay_sleep(self, config, model70, rng):
         events = self._stream(rng)
         end_time = events[-1][1] + 1
@@ -85,11 +94,7 @@ class TestCrossValidation:
         functional.finish(end_time)
         report = functional.energy_report()
 
-        tracked = SetAssociativeCache(config)
-        for block, time in events:
-            tracked.access_block(block, time)
-        tracked.finish(end_time)
-        intervals = tracked.intervals().as_normal()
+        intervals = self._intervals(config, events, end_time).as_normal()
         analytic = evaluate_policy(
             DecaySleep(model70, 10_000, counter_overhead=0.0), intervals
         )
@@ -110,17 +115,8 @@ class TestCrossValidation:
             functional.access(block, time)
         functional.finish(end_time)
 
-        tracked = SetAssociativeCache(config)
-        for block, time in events:
-            tracked.access_block(block, time)
-        tracked.finish(end_time)
-        intervals = tracked.intervals()
+        intervals = self._intervals(config, events, end_time)
         # Induced misses = hits whose frame gap exceeded the decay
         # interval = NORMAL intervals longer than the decay interval.
-        long_normals = int(
-            np.sum(
-                (intervals.lengths > 10_000)
-                & (intervals.kinds == 0)
-            )
-        )
-        assert functional.induced_misses == long_normals
+        long_normals = (intervals.lengths > 10_000) & (intervals.kinds == 0)
+        assert functional.induced_misses == int(intervals.counts[long_normals].sum())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.energy import ModeEnergyModel
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import IntervalPopulation
 from repro.core.model import StateMachineModel, Transition
 from repro.core.modes import Mode
 from repro.core.policy import TRIO_SCHEMES
@@ -106,7 +106,7 @@ class TestTechnologySweep:
         return [dict(zip(TRIO_SCHEMES, grid[:, j])) for j in range(len(models))]
 
     def test_sweep_produces_table2_structure(self):
-        intervals = IntervalSet([5, 500, 5_000, 500_000] * 10)
+        intervals = IntervalPopulation.of([5, 500, 5_000, 500_000] * 10)
         rows = self.sweep((70, 180), intervals)
         assert len(rows) == 2
         for savings in rows:
@@ -117,11 +117,11 @@ class TestTechnologySweep:
     def test_drowsy_beats_sleep_at_180nm(self):
         # The paper's Table 2 finding: at 180nm the inflection point is so
         # high that drowsy mode leads.
-        intervals = IntervalSet([500, 5_000, 50_000] * 20)
+        intervals = IntervalPopulation.of([500, 5_000, 50_000] * 20)
         (savings,) = self.sweep((180,), intervals)
         assert savings["OPT-Drowsy"] > savings["OPT-Sleep"]
 
     def test_sleep_beats_drowsy_at_70nm(self):
-        intervals = IntervalSet([500, 5_000, 50_000] * 20)
+        intervals = IntervalPopulation.of([500, 5_000, 50_000] * 20)
         (savings,) = self.sweep((70,), intervals)
         assert savings["OPT-Sleep"] > savings["OPT-Drowsy"]

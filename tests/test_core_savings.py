@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import IntervalPopulation
 from repro.core.modes import Mode
 from repro.core.policy import AlwaysActive, DecaySleep, OptDrowsy, OptHybrid
 from repro.core.savings import ModeBreakdown, evaluate_policy
@@ -11,7 +11,7 @@ from repro.errors import IntervalError
 
 @pytest.fixture()
 def intervals(rng):
-    return IntervalSet(rng.integers(1, 10**6, size=5000))
+    return IntervalPopulation.of(rng.integers(1, 10**6, size=5000))
 
 
 class TestEvaluatePolicy:
@@ -58,10 +58,10 @@ class TestEvaluatePolicy:
 
     def test_empty_population_rejected(self, model70):
         with pytest.raises(IntervalError):
-            evaluate_policy(OptHybrid(model70), IntervalSet.empty())
+            evaluate_policy(OptHybrid(model70), IntervalPopulation.of([]))
 
     def test_cycles_in_accessor(self, model70):
-        intervals = IntervalSet([3, 100, 50_000])
+        intervals = IntervalPopulation.of([3, 100, 50_000])
         report = evaluate_policy(OptHybrid(model70), intervals)
         assert report.breakdown[Mode.ACTIVE].cycles == 3
         assert report.breakdown[Mode.DROWSY].cycles == 100
@@ -89,7 +89,8 @@ class TestCycleShare:
 
     def test_share_of_known_split(self, model70):
         # 3 active + 100 drowsy + 50 000 sleep cycles under OPT-Hybrid.
-        report = evaluate_policy(OptHybrid(model70), IntervalSet([3, 100, 50_000]))
+        intervals = IntervalPopulation.of([3, 100, 50_000])
+        report = evaluate_policy(OptHybrid(model70), intervals)
         total = 50_103
         assert report.breakdown[Mode.ACTIVE].cycle_share == pytest.approx(3 / total)
         assert report.breakdown[Mode.SLEEP].cycle_share == pytest.approx(
@@ -107,18 +108,18 @@ class TestKnownValues:
     """Hand-computed miniature populations."""
 
     def test_single_long_interval(self, model70):
-        intervals = IntervalSet([100_000])
+        intervals = IntervalPopulation.of([100_000])
         report = evaluate_policy(OptHybrid(model70), intervals)
         expected = 1.0 - model70.sleep_energy(100_000) / 100_000.0
         assert report.saving_fraction == pytest.approx(expected)
 
     def test_single_short_interval_saves_nothing(self, model70):
-        report = evaluate_policy(OptHybrid(model70), IntervalSet([5]))
+        report = evaluate_policy(OptHybrid(model70), IntervalPopulation.of([5]))
         assert report.saving_fraction == pytest.approx(0.0)
 
     def test_drowsy_only_population_approaches_two_thirds(self, model70):
         # Very long drowsy intervals asymptote to 1 - drowsy_ratio.
-        intervals = IntervalSet([1_000_000])
+        intervals = IntervalPopulation.of([1_000_000])
         report = evaluate_policy(OptDrowsy(model70), intervals)
         assert report.saving_fraction == pytest.approx(
             1.0 - model70.node.drowsy_ratio, abs=1e-4

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cache.stats import CacheStats, HierarchyStats
-from repro.core.intervals import IntervalSet
 from repro.cpu.trace import TraceChunk
 from repro.workloads import BENCHMARK_NAMES, Phase, Visit, Workload, make_benchmark
 
@@ -56,9 +55,3 @@ class TestBenchmarkDescriptions:
         # The (6, 1057] drowsy band needs at least one small-body region.
         workload = make_benchmark(name, scale=0.05)
         assert any(p.body_instructions <= 1280 for p in workload.phases)
-
-
-class TestIntervalSetExtra:
-    def test_repr_mentions_counts(self):
-        ivs = IntervalSet([5, 10], kinds=[0, 1])
-        assert "n=2" in repr(ivs)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.energy import ModeEnergyModel, TransitionDurations
 from repro.core.inflection import inflection_points, solve_sleep_drowsy_point
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import IntervalPopulation
 from repro.core.oracle import assignment_energy, oracle_energy, oracle_modes
 from repro.core.policy import OptHybrid
 from repro.core.savings import evaluate_policy
@@ -140,7 +140,7 @@ class TestEnergyInvariants:
         self, node70, refetch_lo, refetch_hi, lengths
     ):
         assume(refetch_lo < refetch_hi)
-        intervals = IntervalSet(np.array(lengths, dtype=np.int64))
+        intervals = IntervalPopulation.of(np.array(lengths, dtype=np.int64))
         cheap = ModeEnergyModel(node70.with_refetch_energy(refetch_lo))
         costly = ModeEnergyModel(node70.with_refetch_energy(refetch_hi))
         saving_cheap = evaluate_policy(OptHybrid(cheap), intervals).saving_fraction
@@ -148,19 +148,10 @@ class TestEnergyInvariants:
         assert saving_cheap >= saving_costly - 1e-9
 
 
-class TestIntervalSetProperties:
+class TestIntervalPopulationProperties:
     @given(lengths=st.lists(st.integers(1, 10**6), min_size=1, max_size=100))
     @settings(max_examples=100, deadline=None)
     def test_mass_by_class_partitions(self, lengths):
-        ivs = IntervalSet(np.array(lengths, dtype=np.int64)).reduced()
+        ivs = IntervalPopulation.of(np.array(lengths, dtype=np.int64))
         mass = ivs.cycle_mass_by_class([6, 1057, 10_000])
         assert sum(mass) == pytest.approx(1.0)
-
-    @given(
-        times=st.lists(st.integers(0, 10**6), min_size=2, max_size=60),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_access_time_gaps_reconstruct_span(self, times):
-        times = sorted(times)
-        ivs = IntervalSet.from_access_times(times)
-        assert ivs.total_cycles == times[-1] - times[0]

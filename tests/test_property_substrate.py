@@ -2,7 +2,7 @@
 
 A reference-model check for the set-associative cache (a naive dict/list
 LRU model must agree access for access), plus conservation invariants of
-the generation tracker and timing model under random stimulus.
+the scalar interval collector and timing model under random stimulus.
 """
 
 from collections import OrderedDict
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
-from repro.cache.generations import GenerationTracker
 from repro.core.intervals import IntervalKind
 from repro.cpu.pipeline import (
     CPI_FP_BITS,
@@ -22,7 +21,7 @@ from repro.cpu.pipeline import (
     cpi_fixed_point,
 )
 from repro.cpu.trace import TraceChunk
-from repro.prefetch.analysis import annotate_workload_trace
+from repro.prefetch.analysis import _CacheAnnotator, annotate_workload_trace
 
 
 class ReferenceLruCache:
@@ -57,9 +56,7 @@ class TestCacheAgainstReferenceModel:
     @settings(max_examples=150, deadline=None)
     def test_hit_miss_stream_matches_reference(self, blocks):
         # 8 sets x 2 ways of 64B lines.
-        cache = SetAssociativeCache(
-            CacheConfig("x", 1024, 64, 2, 1), track_generations=False
-        )
+        cache = SetAssociativeCache(CacheConfig("x", 1024, 64, 2, 1))
         reference = ReferenceLruCache(n_sets=8, assoc=2)
         for time, block in enumerate(blocks):
             assert cache.access_block(block, time) == reference.access(block)
@@ -67,9 +64,7 @@ class TestCacheAgainstReferenceModel:
     @given(blocks=access_sequences(), assoc=st.sampled_from([1, 2, 4]))
     @settings(max_examples=50, deadline=None)
     def test_statistics_are_consistent(self, blocks, assoc):
-        cache = SetAssociativeCache(
-            CacheConfig("x", 64 * 16, 64, assoc, 1), track_generations=False
-        )
+        cache = SetAssociativeCache(CacheConfig("x", 64 * 16, 64, assoc, 1))
         for time, block in enumerate(blocks):
             cache.access_block(block, time)
         stats = cache.stats
@@ -79,6 +74,8 @@ class TestCacheAgainstReferenceModel:
 
 
 class TestTrackerConservation:
+    """Conservation under the scalar path's interval collector."""
+
     @given(
         events=st.lists(
             st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(1, 50)),
@@ -88,22 +85,15 @@ class TestTrackerConservation:
     )
     @settings(max_examples=100, deadline=None)
     def test_total_cycles_equals_frames_times_span(self, events):
-        tracker = GenerationTracker(n_frames=4)
+        collector = _CacheAnnotator(n_frames=4, floor=6)
         time = 0
         for frame, is_fill, delta in events:
             time += delta
-            if is_fill:
-                tracker.on_fill(frame, time)
-            else:
-                # A "hit" on an empty frame is really a fill; the tracker
-                # is driven by the cache, which guarantees fills first.
-                if tracker._last_access[frame] == -1:
-                    tracker.on_fill(frame, time)
-                else:
-                    tracker.on_hit(frame, time)
+            # A "hit" on an empty frame closes its COLD interval like a
+            # fill; the cache guarantees fills first anyway.
+            collector.observe(frame, frame, time, not is_fill, False)
         end = time + 10
-        tracker.finish(end)
-        assert tracker.intervals().total_cycles == 4 * end
+        assert collector.population(end).total_cycles == 4 * end
 
     @given(
         times=st.lists(st.integers(1, 10_000), min_size=1, max_size=50),
@@ -111,16 +101,23 @@ class TestTrackerConservation:
     @settings(max_examples=100, deadline=None)
     def test_single_frame_kinds_structure(self, times):
         times = sorted(set(times))
-        tracker = GenerationTracker(n_frames=1)
-        tracker.on_fill(0, times[0])
-        for t in times[1:]:
-            tracker.on_hit(0, t)
-        tracker.finish(times[-1] + 5)
-        kinds = [IntervalKind(k) for k in tracker.intervals().kinds]
-        # First interval is the cold lead-in, last is the dead tail.
-        assert kinds[0] == IntervalKind.COLD
-        assert kinds[-1] == IntervalKind.DEAD
-        assert all(k == IntervalKind.NORMAL for k in kinds[1:-1])
+        collector = _CacheAnnotator(n_frames=1, floor=6)
+        for index, t in enumerate(times):
+            collector.observe(0, 0, t, index > 0, False)
+        population = collector.population(times[-1] + 5)
+        counts = {
+            IntervalKind(kind): int(population.counts[population.kinds == kind].sum())
+            for kind in IntervalKind
+        }
+        # One cold lead-in, one dead tail, and a NORMAL gap per re-access.
+        assert counts == {
+            IntervalKind.NORMAL: len(times) - 1,
+            IntervalKind.DEAD: 1,
+            IntervalKind.COLD: 1,
+        }
+        assert list(collector._kinds) == [IntervalKind.COLD] + [
+            IntervalKind.NORMAL
+        ] * (len(times) - 1)
 
 
 class TestTimingProperties:

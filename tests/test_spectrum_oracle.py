@@ -13,16 +13,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import RawIntervals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.energy import ModeEnergyModel
-from repro.core.intervals import (
-    NEXTLINE,
-    TAIL,
-    IntervalPopulation,
-    IntervalSet,
-)
+from repro.core.intervals import NEXTLINE, TAIL, IntervalPopulation
 from repro.core.policy import (
     CODE_MODES,
     TRIO_SCHEMES,
@@ -99,11 +95,10 @@ def populations(draw):
         draw(st.lists(st.sampled_from(FLAG_CHOICES), min_size=n, max_size=n)),
         dtype=bool,
     ).reshape(n, 3)
-    intervals = IntervalSet(picks, kinds)
-    population = IntervalPopulation.of(
-        intervals.lengths, intervals.kinds, flags[:, 0], flags[:, 1], flags[:, 2]
+    intervals = RawIntervals(
+        np.array(picks, dtype=np.int64), np.array(kinds, dtype=np.uint8), *flags.T
     )
-    return intervals, flags.any(axis=1), population
+    return intervals, intervals.prefetchable, intervals.population()
 
 
 models = st.sampled_from(sorted(MODELS)).map(MODELS.get)
@@ -164,9 +159,12 @@ def test_stalls_match_per_interval_count(data):
 class TestTrioSavings:
     def test_grid_matches_oracle_on_every_node(self, rng):
         lengths = rng.integers(1, 300_000, size=20_000).astype(np.int64)
-        intervals = IntervalSet(lengths)
+        intervals = RawIntervals(
+            lengths, np.zeros(lengths.size, dtype=np.uint8),
+            *np.zeros((3, lengths.size), dtype=bool),
+        )
         models = list(MODELS.values())
-        grid = trio_savings(models, intervals)
+        grid = trio_savings(models, intervals.population())
         assert grid.shape == (len(TRIO_SCHEMES), len(models))
         for column, model in enumerate(models):
             for row, policy in enumerate(trio_policies(model)):
@@ -178,10 +176,9 @@ class TestLengthSpectrum:
     """The population's rows: each distinct (length, class) once, counted."""
 
     def test_rows_are_distinct_classes_with_counts(self):
-        intervals = IntervalSet([5, 9, 5, 5, 9], kinds=[0, 0, 1, 0, 0])
         population = IntervalPopulation.of(
-            intervals.lengths,
-            intervals.kinds,
+            [5, 9, 5, 5, 9],
+            kinds=[0, 0, 1, 0, 0],
             nextline=np.array([1, 0, 0, 0, 0], dtype=bool),
             tail=np.array([0, 0, 0, 1, 0], dtype=bool),
         )
@@ -190,7 +187,7 @@ class TestLengthSpectrum:
         assert population.kinds.tolist() == [0, 0, 1, 0]
         assert population.prefetchable.tolist() == [True, True, False, False]
         assert population.counts.tolist() == [1, 1, 1, 2]
-        assert population.total_cycles == intervals.total_cycles
+        assert population.total_cycles == 33
 
     def test_built_once_per_population_and_mask(self):
         # The pricing view is built on first use, reused, and never
