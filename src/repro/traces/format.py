@@ -26,9 +26,14 @@ The reader is streaming: :meth:`TraceRecording.chunks` decodes at most
 one chunk ahead of its consumer, on a helper thread, so peak memory is
 bounded by two chunks no matter how large the trace file is.  Every
 read walks the whole file, so the whole-trace digest is always checked.
+The writer mirrors it: :class:`TraceWriter` compresses and checksums up
+to :data:`WRITE_BEHIND` chunks behind its producer on helper threads and
+writes their frames in index order, so the file's bytes do not depend
+on thread timing.
 
-Compression codecs: ``none`` and ``gzip`` (zlib).  A header naming any
-other codec fails with a :class:`~repro.errors.ConfigurationError`.
+Compression codecs: ``none`` and ``gzip`` (zlib, written at
+:data:`GZIP_LEVEL`; any level reads back).  A header naming any other
+codec fails with a :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -42,14 +47,15 @@ import os
 import struct
 import tempfile
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Deque, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..cpu.trace import TraceChunk, merge_chunks
+from ..cpu.trace import TraceChunk
 from ..errors import ConfigurationError, TraceError, TraceFormatError
 
 MAGIC = b"RTRC0001"
@@ -74,9 +80,22 @@ logger = logging.getLogger(__name__)
 _MMAP_WARNED = False
 
 
-_CODECS: Dict[str, Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {
+#: zlib level of the ``gzip`` codec.  On the 181 MB of raw chunk payloads
+#: in the six paper traces, level 4 compresses in 1.9-2.8 s against level
+#: 6's 5.0-5.5 s, to 29.40 MB against 29.33, and inflates no slower;
+#: levels 1-2 save up to 0.8 s more but write files 6-8 % larger, which
+#: inflate no faster.
+GZIP_LEVEL = 4
+
+#: Helper threads, and chunks in flight, behind a :class:`TraceWriter`.
+#: Recording the six benchmarks at a non-paper seed on a 2-vCPU host took
+#: 3.8 s serially at level 4, 2.7 s with one helper and 1.9 s with two:
+#: one helper compresses slower than the producer generates and encodes.
+WRITE_BEHIND = 2
+
+_CODECS: Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
     "none": (lambda raw: raw, lambda buf: buf),
-    "gzip": (lambda raw: zlib.compress(raw, 6), zlib.decompress),
+    "gzip": (lambda raw: zlib.compress(raw, GZIP_LEVEL), zlib.decompress),
 }
 
 
@@ -151,14 +170,6 @@ def _read_frame_meta(fh: BinaryIO, path: Path, context: str) -> Dict[str, Any]:
     return meta
 
 
-def _encode_chunk(chunk: TraceChunk) -> bytes:
-    rec = np.empty(len(chunk), dtype=RECORD_DTYPE)
-    rec["pc"] = chunk.pcs
-    rec["daddr"] = chunk.data_addresses
-    rec["kind"] = chunk.data_kinds
-    return rec.tobytes()
-
-
 def _decode_chunk(raw, path: Path, index: int, copy: bool = True) -> TraceChunk:
     """Columns of a verified chunk payload.
 
@@ -203,11 +214,19 @@ def _read_ahead(source: Iterator[TraceChunk]) -> Iterator[TraceChunk]:
 class TraceWriter:
     """Stream trace chunks to disk in the native recorded format.
 
-    The writer re-chunks its input: appended chunks are buffered and
-    emitted as exact ``chunk_instructions``-sized chunks (the final
-    chunk may be shorter), so the on-disk chunking is independent of
-    how the producer happened to batch its accesses.  Output goes to a
-    temporary file in the destination directory and is atomically
+    The writer re-chunks its input: appended accesses are encoded
+    straight into the current chunk's record buffer, and each full
+    buffer is emitted as an exact ``chunk_instructions``-sized chunk
+    (the final chunk may be shorter), so the on-disk chunking is
+    independent of how the producer happened to batch its accesses.
+
+    Emitted chunks are compressed and checksummed behind the producer
+    by :data:`WRITE_BEHIND` helper threads (zlib and hashlib release the
+    GIL); at most that many chunks are in flight, and their frames are
+    written in index order, so the file's bytes do not depend on thread
+    timing.  A helper's error is raised by the next :meth:`append` or by
+    :meth:`close`, after the writer has aborted itself.  Output goes to
+    a temporary file in the destination directory and is atomically
     renamed into place on :meth:`close`; an aborted writer leaves
     nothing behind.
     """
@@ -237,8 +256,13 @@ class TraceWriter:
         )
         self._tmp_path = Path(tmp)
         self._fh: Optional[BinaryIO] = os.fdopen(fd, "wb")
-        self._pending: List[TraceChunk] = []
-        self._buffered = 0
+        self._record = np.empty(self._chunk_instructions, dtype=RECORD_DTYPE)
+        self._filled = 0
+        self._helpers = ThreadPoolExecutor(
+            max_workers=WRITE_BEHIND, thread_name_prefix="rtr-write-behind"
+        )
+        #: ``(instructions, future of (payload, sha256))`` per chunk in flight.
+        self._in_flight: Deque[Tuple[int, Future]] = deque()
         self._chunks = 0
         self._instructions = 0
         self._digest = hashlib.sha256()
@@ -262,49 +286,73 @@ class TraceWriter:
     def append(self, chunk: TraceChunk) -> None:
         if self._fh is None:
             raise TraceError(f"trace writer for {self._final_path} is already closed")
-        if len(chunk) == 0:
-            return
-        self._pending.append(chunk)
-        self._buffered += len(chunk)
-        while self._buffered >= self._chunk_instructions:
-            merged = merge_chunks(self._pending)
-            self._emit(merged.slice(0, self._chunk_instructions))
-            rest = merged.slice(self._chunk_instructions, len(merged))
-            self._pending = [rest] if len(rest) else []
-            self._buffered = len(rest)
+        self._drain(WRITE_BEHIND)
+        start, total = 0, len(chunk)
+        while start < total:
+            take = min(total - start, self._chunk_instructions - self._filled)
+            into = slice(self._filled, self._filled + take)
+            taken = slice(start, start + take)
+            self._record["pc"][into] = chunk.pcs[taken]
+            self._record["daddr"][into] = chunk.data_addresses[taken]
+            self._record["kind"][into] = chunk.data_kinds[taken]
+            self._filled += take
+            start += take
+            if self._filled == self._chunk_instructions:
+                self._emit()
 
     def extend(self, chunks: Iterable[TraceChunk]) -> None:
         for chunk in chunks:
             self.append(chunk)
 
-    def _emit(self, chunk: TraceChunk) -> None:
-        assert self._fh is not None
-        raw = _encode_chunk(chunk)
+    def _emit(self) -> None:
+        """Hand the filled record buffer to a helper and start a new one."""
+        raw = memoryview(self._record[: self._filled].view(np.uint8))
         self._digest.update(raw)
-        payload = self._compress(raw)
-        _write_frame(
-            self._fh,
-            {
-                "kind": "chunk",
-                "index": self._chunks,
-                "instructions": len(chunk),
-                "payload_bytes": len(payload),
-                "sha256": hashlib.sha256(raw).hexdigest(),
-            },
-            payload,
-        )
-        self._chunks += 1
-        self._instructions += len(chunk)
+        self._drain(WRITE_BEHIND - 1)
+        self._in_flight.append((self._filled, self._helpers.submit(self._seal, raw)))
+        self._record = np.empty(self._chunk_instructions, dtype=RECORD_DTYPE)
+        self._filled = 0
+
+    def _seal(self, raw: memoryview) -> Tuple[Any, str]:
+        """Helper-thread work on one chunk: its payload and raw checksum."""
+        return self._compress(raw), hashlib.sha256(raw).hexdigest()
+
+    def _drain(self, keep: int) -> None:
+        """Write finished chunk frames in index order, waiting until at
+        most ``keep`` chunks are in flight."""
+        while self._in_flight and (
+            len(self._in_flight) > keep or self._in_flight[0][1].done()
+        ):
+            instructions, sealed = self._in_flight.popleft()
+            try:
+                payload, sha256 = sealed.result()
+            except BaseException:
+                self.abort()
+                raise
+            assert self._fh is not None
+            _write_frame(
+                self._fh,
+                {
+                    "kind": "chunk",
+                    "index": self._chunks,
+                    "instructions": instructions,
+                    "payload_bytes": len(payload),
+                    "sha256": sha256,
+                },
+                payload,
+            )
+            self._chunks += 1
+            self._instructions += instructions
 
     def close(self) -> TraceInfo:
         """Flush buffered accesses, seal the file and rename it into place."""
 
         if self._fh is None:
             raise TraceError(f"trace writer for {self._final_path} is already closed")
-        if self._pending:
-            self._emit(merge_chunks(self._pending))
-            self._pending = []
-            self._buffered = 0
+        if self._filled:
+            self._emit()
+        self._drain(0)
+        self._helpers.shutdown(wait=True)
         fh = self._fh
         end_offset = fh.tell()
         digest = self._digest.hexdigest()
@@ -336,8 +384,10 @@ class TraceWriter:
         )
 
     def abort(self) -> None:
-        """Discard the partially written file."""
+        """Cancel queued chunks, join the helpers and discard the file."""
 
+        self._helpers.shutdown(wait=True, cancel_futures=True)
+        self._in_flight.clear()
         if self._fh is not None:
             self._fh.close()
             self._fh = None

@@ -9,11 +9,15 @@ a trace file is detected and named before it can poison a simulation.
 """
 
 import gc
+import hashlib
 import json
 import re
 import struct
+import sys
 import threading
 import time
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -189,20 +193,25 @@ class TestFormat:
 # ----------------------------------------------------------------------
 # One-chunk read-ahead of the buffered reader
 # ----------------------------------------------------------------------
-def _payload_spans(path):
-    """``(start, stop)`` byte offsets of every chunk payload in a trace."""
+def _frames(path):
+    """``(metadata, payload start, payload stop)`` of every frame in a trace."""
     data = Path(path).read_bytes()
     pos = len(trace_format.MAGIC)
-    spans = []
+    frames = []
     while True:
         (length,) = struct.unpack_from("<I", data, pos)
         meta = json.loads(data[pos + 4 : pos + 4 + length])
         pos += 4 + length
+        stop = pos + meta.get("payload_bytes", 0)
+        frames.append((meta, pos, stop))
         if meta["kind"] == "end":
-            return spans
-        if meta["kind"] == "chunk":
-            spans.append((pos, pos + meta["payload_bytes"]))
-            pos += meta["payload_bytes"]
+            return frames
+        pos = stop
+
+
+def _payload_spans(path):
+    """``(start, stop)`` byte offsets of every chunk payload in a trace."""
+    return [(start, stop) for meta, start, stop in _frames(path) if meta["kind"] == "chunk"]
 
 
 def _helper_threads():
@@ -352,6 +361,147 @@ class TestReadAhead:
                 if index == 2:
                     raise RuntimeError("consumer failed")
         assert _helper_threads() == []
+
+
+# ----------------------------------------------------------------------
+# Write-behind compression of the writer
+# ----------------------------------------------------------------------
+def _raw_chunks(chunks, chunk_instructions):
+    """The raw record bytes of each chunk the writer should emit."""
+    merged = merge_chunks(chunks)
+    rec = np.empty(len(merged), dtype=trace_format.RECORD_DTYPE)
+    rec["pc"] = merged.pcs
+    rec["daddr"] = merged.data_addresses
+    rec["kind"] = merged.data_kinds
+    return [
+        rec[start : start + chunk_instructions].tobytes()
+        for start in range(0, len(rec), chunk_instructions)
+    ]
+
+
+def _writer_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("rtr-write-behind")]
+
+
+def _synthetic_chunk(accesses):
+    pcs = (np.arange(accesses, dtype=np.int64) * 4) % (1 << 20)
+    addrs = np.where(pcs % 8 == 0, pcs * 3 + 1, -1).astype(np.int64)
+    return TraceChunk(pcs, addrs, np.where(addrs >= 0, LOAD, NO_ACCESS).astype(np.uint8))
+
+
+class TestWriteBehind:
+    CHUNK = 4_000
+
+    @pytest.fixture(autouse=True)
+    def no_writer_leaks(self):
+        yield
+        assert _writer_threads() == []
+
+    @pytest.fixture
+    def expected(self, gzip_chunks):
+        return _raw_chunks(gzip_chunks, self.CHUNK)
+
+    def test_payloads_are_zlib_at_the_writer_level_in_index_order(
+        self, tmp_path, gzip_chunks, expected
+    ):
+        info = record_chunks(gzip_chunks, tmp_path / "wb.rtr", chunk_instructions=self.CHUNK)
+        data = Path(info.path).read_bytes()
+        chunks = [(m, data[a:b]) for m, a, b in _frames(info.path) if m["kind"] == "chunk"]
+        assert [meta["index"] for meta, _ in chunks] == list(range(len(expected)))
+        for (meta, payload), raw in zip(chunks, expected):
+            assert payload == zlib.compress(raw, trace_format.GZIP_LEVEL)
+            assert meta["sha256"] == hashlib.sha256(raw).hexdigest()
+            assert meta["instructions"] * trace_format.RECORD_DTYPE.itemsize == len(raw)
+
+    def test_frames_stay_in_order_under_thread_churn(self, tmp_path, monkeypatch, gzip_chunks):
+        # More helpers than cores, tiny chunks and a short switch interval:
+        # a frame written out of order or a lost digest update would show.
+        monkeypatch.setattr(trace_format, "WRITE_BEHIND", 8)
+        expected = _raw_chunks(gzip_chunks, 257)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            info = record_chunks(gzip_chunks, tmp_path / "churn.rtr", chunk_instructions=257)
+        finally:
+            sys.setswitchinterval(interval)
+        data = Path(info.path).read_bytes()
+        assert [data[a:b] for a, b in _payload_spans(info.path)] == [
+            zlib.compress(raw, trace_format.GZIP_LEVEL) for raw in expected
+        ]
+        assert info.digest == hashlib.sha256(b"".join(expected)).hexdigest()
+
+    def test_end_digest_is_sha256_over_the_raw_chunks(self, tmp_path, gzip_chunks, expected):
+        info = record_chunks(gzip_chunks, tmp_path / "wb.rtr", chunk_instructions=self.CHUNK)
+        end = _frames(info.path)[-1][0]
+        assert end["digest"] == info.digest == hashlib.sha256(b"".join(expected)).hexdigest()
+        assert end["chunks"] == len(expected)
+
+    @pytest.mark.parametrize("usage", ["bare", "context"])
+    def test_helper_error_surfaces_and_leaves_nothing(
+        self, tmp_path, monkeypatch, gzip_chunks, expected, usage
+    ):
+        def compress(raw):
+            if bytes(raw) == expected[3]:
+                raise zlib.error("Error -2 while compressing data")
+            return zlib.compress(raw, trace_format.GZIP_LEVEL)
+
+        monkeypatch.setitem(trace_format._CODECS, "gzip", (compress, zlib.decompress))
+        out = tmp_path / "out"
+        with pytest.raises(zlib.error, match="^Error -2 while compressing data$"):
+            if usage == "context":
+                record_chunks(gzip_chunks, out / "bad.rtr", chunk_instructions=self.CHUNK)
+            else:
+                writer = TraceWriter(out / "bad.rtr", chunk_instructions=self.CHUNK)
+                for chunk in gzip_chunks:
+                    writer.append(chunk)
+                writer.close()
+        assert list(out.iterdir()) == []
+        assert _writer_threads() == []
+
+    def test_level6_file_reads_back_the_same_chunks_and_digest(
+        self, tmp_path, monkeypatch, gzip_chunks, expected
+    ):
+        current = record_chunks(gzip_chunks, tmp_path / "l4.rtr", chunk_instructions=self.CHUNK)
+        monkeypatch.setattr(trace_format, "GZIP_LEVEL", 6)
+        old = record_chunks(gzip_chunks, tmp_path / "l6.rtr", chunk_instructions=self.CHUNK)
+        monkeypatch.undo()
+        data = Path(old.path).read_bytes()
+        spans = _payload_spans(old.path)
+        assert [data[a:b] for a, b in spans] == [zlib.compress(raw, 6) for raw in expected]
+        assert TraceRecording(old.path).validate().digest == current.digest
+        restored = list(TraceRecording(old.path).chunks())
+        reference = list(TraceRecording(current.path).chunks())
+        assert len(restored) == len(reference) == len(expected)
+        for a, b in zip(restored, reference):
+            for column in ("pcs", "data_addresses", "data_kinds"):
+                assert np.array_equal(getattr(a, column), getattr(b, column))
+
+    @pytest.mark.parametrize("codec", available_codecs())
+    def test_one_big_append_writes_the_same_bytes_as_many_small_ones(
+        self, tmp_path, codec
+    ):
+        big = _synthetic_chunk(10 * 65_536 + 123)
+        one = record_chunks([big], tmp_path / "one.rtr", codec=codec)
+        assert one.chunks == 11
+        for piece in (65_536, 7_919):
+            small = [big.slice(start, start + piece) for start in range(0, len(big), piece)]
+            many = record_chunks(small, tmp_path / f"many-{piece}.rtr", codec=codec)
+            assert Path(one.path).read_bytes() == Path(many.path).read_bytes()
+
+    def test_big_append_copies_each_access_once(self, tmp_path):
+        big = _synthetic_chunk(32 * 65_536)
+        chunk_bytes = 65_536 * trace_format.RECORD_DTYPE.itemsize
+        writer = TraceWriter(tmp_path / "big.rtr", codec="none")
+        tracemalloc.start()
+        try:
+            writer.append(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            writer.close()
+        # The record buffer being filled, the chunks in flight and one
+        # spare: never a copy of the 32-chunk input.
+        assert peak < (trace_format.WRITE_BEHIND + 2) * chunk_bytes
 
 
 # ----------------------------------------------------------------------
