@@ -130,12 +130,12 @@ def test_residual_compiled_throughput(benchmark):
 
 @pytest.fixture(scope="module")
 def dispatch_traces(tmp_path_factory):
-    """codec-none traces of ~1e5 and ~1e6 accesses for transport benches."""
+    """Traces of ~1e5 and ~1e6 accesses for transport benches."""
     directory = tmp_path_factory.mktemp("dispatch")
     paths = {}
     for label, scale in (("small", 0.022), ("large", 0.22)):
         path = directory / f"gzip-{label}.rtr"
-        record_benchmark("gzip", path, scale=scale, codec="none")
+        record_benchmark("gzip", path, scale=scale)
         paths[label] = str(path)
     return paths
 
@@ -203,9 +203,9 @@ def test_dispatch_first_result_shm(benchmark, dispatch_traces):
 
 @pytest.fixture(scope="module")
 def stream_trace(tmp_path_factory):
-    """The gzip workload recorded with the gzip codec (456k accesses)."""
+    """The gzip workload recorded to a trace (456k accesses)."""
     path = tmp_path_factory.mktemp("stream") / "gzip.rtr"
-    return record_benchmark("gzip", path, scale=0.2, codec="gzip")
+    return record_benchmark("gzip", path, scale=0.2)
 
 
 def test_trace_stream_throughput(benchmark, stream_trace):

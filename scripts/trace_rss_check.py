@@ -10,16 +10,13 @@ and its write-behind compression helpers) and streaming pass.
 
 Usage::
 
-    python scripts/trace_rss_check.py                 # ~1.3 GB trace, 128 MB budget
+    python scripts/trace_rss_check.py                 # ~1.3 GB decoded, 128 MB budget
     python scripts/trace_rss_check.py --accesses 80000000 --budget-mb 128
-    python scripts/trace_rss_check.py --codec gzip    # write-behind and read-ahead paths
 
 The generator writes synthetic chunks directly through the recording
-writer, so producing the gigabyte-scale input takes about ten seconds
-(``none``) to half a minute (``gzip``, on two cores), not a full
-workload simulation.  Codec ``none`` checks the mmap reader; a
-compressed codec checks the buffered reader, which decodes one chunk
-ahead on a helper thread.
+writer, so producing the gigabyte-scale input takes about 25 seconds on
+two cores, not a full workload simulation.  The reading child checks
+the trace reader, which decodes one chunk ahead on a helper thread.
 """
 
 import argparse
@@ -33,12 +30,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
-#: Bytes one decoded access occupies (RECORD_DTYPE; on disk with codec
-#: ``none``).
+#: Bytes one decoded access occupies (RECORD_DTYPE).
 BYTES_PER_ACCESS = 17
 
 
-def generate(path: Path, accesses: int, codec: str) -> int:
+def generate(path: Path, accesses: int) -> int:
     """Write ``accesses`` synthetic records to ``path``; returns file bytes."""
     import numpy as np
 
@@ -53,7 +49,7 @@ def generate(path: Path, accesses: int, codec: str) -> int:
     ).astype(np.int64)
     kinds = np.where(addrs >= 0, 1, 0).astype(np.uint8)
     chunk = TraceChunk(pcs, addrs, kinds)
-    with TraceWriter(path, codec=codec) as writer:
+    with TraceWriter(path) as writer:
         written = 0
         while written < accesses:
             take = min(block, accesses - written)
@@ -77,9 +73,9 @@ def check_own_rss(role: str, done: str, budget_mb: float) -> int:
     return 0
 
 
-def write_child(path: str, accesses: int, codec: str, budget_mb: float) -> int:
+def write_child(path: str, accesses: int, budget_mb: float) -> int:
     """Child mode: write the trace, then check our own peak RSS."""
-    file_mb = generate(Path(path), accesses, codec) / (1024 * 1024)
+    file_mb = generate(Path(path), accesses) / (1024 * 1024)
     return check_own_rss(
         "writer", f"wrote {accesses} accesses to a {file_mb:.0f} MB trace", budget_mb
     )
@@ -109,11 +105,6 @@ def main() -> int:
         help="trace length in accesses (default 80M, ~1.3 GB decoded)",
     )
     parser.add_argument(
-        "--codec", default="none",
-        help="codec to record with (default none: the mmap reader; gzip "
-        "exercises the buffered read-ahead reader)",
-    )
-    parser.add_argument(
         "--budget-mb", type=float, default=128.0,
         help="peak-RSS budget for the writing and the streaming child "
         "(default 128 MB; measured about 62 MB writing and 35-40 MB "
@@ -127,9 +118,7 @@ def main() -> int:
     )
     arguments = parser.parse_args()
     if arguments.write_child is not None:
-        return write_child(
-            arguments.write_child, arguments.accesses, arguments.codec, arguments.budget_mb
-        )
+        return write_child(arguments.write_child, arguments.accesses, arguments.budget_mb)
     if arguments.read_child is not None:
         return read_child(arguments.read_child, arguments.budget_mb)
 
@@ -148,7 +137,7 @@ def main() -> int:
         path = Path(tmp) / "huge.rtr"
         print(
             f"generating {arguments.accesses} accesses "
-            f"(~{decoded_bytes / 2**20:.0f} MB decoded, codec {arguments.codec}) ..."
+            f"(~{decoded_bytes / 2**20:.0f} MB decoded) ..."
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = (
@@ -159,7 +148,6 @@ def main() -> int:
         common = [
             sys.executable, __file__,
             "--accesses", str(arguments.accesses),
-            "--codec", arguments.codec,
             "--budget-mb", str(arguments.budget_mb),
         ]
         for role in ("--write-child", "--read-child"):

@@ -14,8 +14,8 @@ the answer rests on:
   energy models, the four paper technology nodes (calibrated so the
   Table 1 inflection points reproduce exactly), and the ITRS projection.
 * :mod:`repro.cache` / :mod:`repro.cpu` — the Alpha-21264-like simulation
-  substrate: a 64 KB/64 KB/2 MB hierarchy with generation tracking, the
-  batched simulation kernel and a width-limited timing model.
+  substrate: a 64 KB/64 KB/2 MB hierarchy, the batched simulation
+  kernel and a width-limited timing model.
 * :mod:`repro.workloads` — six SPEC2000-like synthetic benchmarks.
 * :mod:`repro.prefetch` — the trace simulator (timing, interval
   populations and their next-line and stride prefetchability in one

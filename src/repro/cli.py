@@ -106,7 +106,7 @@ def _normalize_argv(argv: List[str]) -> List[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (``run`` / ``cache`` / ``sweep``)."""
+    """The CLI argument parser (``run`` / ``cache`` / ``sweep`` / ``trace``)."""
     parser = _BackCompatParser(
         prog="repro-leakage",
         description=(
@@ -329,7 +329,7 @@ def _add_sweep_parser(commands) -> None:
 def _add_trace_parser(commands) -> None:
     trace = commands.add_parser(
         "trace",
-        help="record, inspect, convert and cluster workload traces",
+        help="record, inspect, validate and convert workload traces",
         description=(
             "Recorded-trace tooling.  Traces use the native chunked format "
             "(streaming, checksummed, compressed) and are referenced "
@@ -355,14 +355,6 @@ def _add_trace_parser(commands) -> None:
         "--output", default=None, metavar="FILE",
         help="trace file to write (default: <cache>/traces/"
         "<benchmark>-s<scale>.rtr)",
-    )
-    record.add_argument(
-        "--codec", default=None, metavar="NAME",
-        help="compression codec: none or gzip (default)",
-    )
-    record.add_argument(
-        "--chunk-instructions", type=int, default=None, metavar="N",
-        help="on-disk chunk size in instructions (default 65536)",
     )
     record.add_argument(
         "--json", action="store_true", help="machine-readable summary"
@@ -395,14 +387,6 @@ def _add_trace_parser(commands) -> None:
     convert.add_argument(
         "--output", default=None, metavar="FILE",
         help="trace file to write (default: <cache>/traces/<source>.rtr)",
-    )
-    convert.add_argument(
-        "--codec", default=None, metavar="NAME",
-        help="compression codec (as in 'record')",
-    )
-    convert.add_argument(
-        "--chunk-instructions", type=int, default=None, metavar="N",
-        help="on-disk chunk size in instructions (default 65536)",
     )
     convert.add_argument(
         "--json", action="store_true", help="machine-readable report"
@@ -528,20 +512,6 @@ def _print_trace_info(info, json_out: bool) -> None:
     print(f"ref:          trace:{info.path}")
 
 
-def _trace_format_kwargs(args) -> dict:
-    kwargs = {}
-    if args.codec is not None:
-        kwargs["codec"] = args.codec
-    if args.chunk_instructions is not None:
-        if args.chunk_instructions <= 0:
-            raise ReproError(
-                f"--chunk-instructions must be positive, "
-                f"got {args.chunk_instructions}"
-            )
-        kwargs["chunk_instructions"] = args.chunk_instructions
-    return kwargs
-
-
 def trace_record_command(args) -> int:
     from .traces import TRACE_SUFFIX, record_benchmark
 
@@ -556,9 +526,7 @@ def trace_record_command(args) -> int:
         args.output, f"{name}-s{args.scale:g}{TRACE_SUFFIX}"
     )
     try:
-        info = record_benchmark(
-            name, dest, scale=args.scale, **_trace_format_kwargs(args)
-        )
+        info = record_benchmark(name, dest, scale=args.scale)
     except ReproError as error:
         return _fail(str(error))
     except OSError as error:
@@ -603,9 +571,7 @@ def trace_convert_command(args) -> int:
         args.output, f"{Path(args.source).stem}{TRACE_SUFFIX}"
     )
     try:
-        report = convert_gem5_text(
-            args.source, dest, **_trace_format_kwargs(args)
-        )
+        report = convert_gem5_text(args.source, dest)
     except ReproError as error:
         return _fail(str(error))
     except OSError as error:

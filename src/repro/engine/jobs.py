@@ -82,7 +82,7 @@ class SimulationJob:
         A trace recorded from a paper benchmark fingerprints
         *identically* to the synthetic original (same content address →
         same cache entry), and a foreign trace is keyed by its
-        chunking/codec-independent content digest.
+        content digest, which does not depend on its chunking.
         """
         try:
             identity = workload_identity(self.benchmark, self.scale)

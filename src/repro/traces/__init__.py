@@ -22,14 +22,12 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "DEFAULT_CHUNK_INSTRUCTIONS",
-            "DEFAULT_CODEC",
             "FORMAT_VERSION",
             "RECORD_DTYPE",
             "TRACE_SUFFIX",
             "TraceInfo",
             "TraceRecording",
             "TraceWriter",
-            "available_codecs",
             "record_benchmark",
             "record_chunks",
         ),

@@ -27,12 +27,7 @@ import numpy as np
 
 from ..cpu.trace import LOAD, NO_ACCESS, STORE, TraceChunk
 from ..errors import TraceError
-from .format import (
-    DEFAULT_CHUNK_INSTRUCTIONS,
-    DEFAULT_CODEC,
-    TraceInfo,
-    TraceWriter,
-)
+from .format import DEFAULT_CHUNK_INSTRUCTIONS, TraceInfo, TraceWriter
 
 #: ``<tick>: <cpu> [Tn :] 0x<pc>`` — the prefix of a gem5 Exec line.
 _EXEC_LINE = re.compile(
@@ -92,7 +87,6 @@ def convert_gem5_text(
     source: Path | str,
     dest: Path | str,
     *,
-    codec: str = DEFAULT_CODEC,
     chunk_instructions: int = DEFAULT_CHUNK_INSTRUCTIONS,
 ) -> ConversionReport:
     """Convert a gem5 Exec-style text trace into the native format."""
@@ -124,7 +118,6 @@ def convert_gem5_text(
 
     with TraceWriter(
         dest,
-        codec=codec,
         chunk_instructions=chunk_instructions,
         provenance={"adapter": "gem5-text", "source": source.name},
     ) as writer:

@@ -15,34 +15,32 @@ optional binary payload whose size the metadata declares::
 Chunk payloads are fixed-dtype numpy record arrays (``pc`` int64,
 ``daddr`` int64 with ``-1`` meaning "no data access", ``kind`` uint8 —
 the same column contract as :class:`repro.cpu.trace.TraceChunk`),
-optionally compressed.  Each chunk frame carries the SHA-256 of its
+zlib-compressed.  Each chunk frame carries the SHA-256 of its
 *uncompressed* payload so corruption is detected per chunk, and the end
 frame carries a running SHA-256 over all uncompressed chunk payloads in
-order — a codec- and chunking-independent identity for the trace
-content.  The fixed trailer lets :meth:`TraceRecording.info` seek
+order — an identity for the trace content that does not depend on its
+chunking or compression level.  The fixed trailer lets :meth:`TraceRecording.info` seek
 straight to the end frame without scanning the file.
 
-The reader is streaming: :meth:`TraceRecording.chunks` decodes at most
-one chunk ahead of its consumer, on a helper thread, so peak memory is
-bounded by two chunks no matter how large the trace file is.  Every
-read walks the whole file, so the whole-trace digest is always checked.
+There is one reader, and it streams: :meth:`TraceRecording.chunks`
+walks the frames and decodes at most one chunk ahead of its consumer,
+on a helper thread, so peak memory is bounded by two chunks no matter
+how large the trace file is.  Every read walks the whole file, so the
+whole-trace digest is always checked.
 The writer mirrors it: :class:`TraceWriter` compresses and checksums up
 to :data:`WRITE_BEHIND` chunks behind its producer on helper threads and
 writes their frames in index order, so the file's bytes do not depend
 on thread timing.
 
-Compression codecs: ``none`` and ``gzip`` (zlib, written at
-:data:`GZIP_LEVEL`; any level reads back).  A header naming any other
-codec fails with a :class:`~repro.errors.ConfigurationError`.
+The header names the codec ``gzip``: zlib, written at :data:`GZIP_LEVEL`
+(any level reads back).  A header naming any other codec fails with a
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import logging
-import mmap
 import os
 import struct
 import tempfile
@@ -51,7 +49,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Deque, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, BinaryIO, Deque, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -63,7 +61,7 @@ END_MAGIC = b"RTRCEND1"
 FORMAT_VERSION = 1
 TRACE_SUFFIX = ".rtr"
 DEFAULT_CHUNK_INSTRUCTIONS = 65_536
-DEFAULT_CODEC = "gzip"
+_CODEC = "gzip"
 
 #: Record layout of one access in a chunk payload (17 bytes/access).
 RECORD_DTYPE = np.dtype([("pc", "<i8"), ("daddr", "<i8"), ("kind", "u1")])
@@ -74,13 +72,7 @@ _LEN_STRUCT = struct.Struct("<I")
 _TRAILER_STRUCT = struct.Struct("<Q8s")
 _MAX_META_BYTES = 1 << 20  # sanity bound on a metadata frame
 
-logger = logging.getLogger(__name__)
-
-#: Whether the mmap-fallback warning has been emitted (once per process).
-_MMAP_WARNED = False
-
-
-#: zlib level of the ``gzip`` codec.  On the 181 MB of raw chunk payloads
+#: zlib level of every chunk payload.  On the 181 MB of raw chunk payloads
 #: in the six paper traces, level 4 compresses in 1.9-2.8 s against level
 #: 6's 5.0-5.5 s, to 29.40 MB against 29.33, and inflates no slower;
 #: levels 1-2 save up to 0.8 s more but write files 6-8 % larger, which
@@ -93,26 +85,10 @@ GZIP_LEVEL = 4
 #: one helper compresses slower than the producer generates and encodes.
 WRITE_BEHIND = 2
 
-_CODECS: Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
-    "none": (lambda raw: raw, lambda buf: buf),
-    "gzip": (lambda raw: zlib.compress(raw, GZIP_LEVEL), zlib.decompress),
-}
 
-
-def available_codecs() -> Tuple[str, ...]:
-    """Names of the compression codecs this reader and writer support."""
-
-    return tuple(sorted(_CODECS))
-
-
-def _codec_for(name: str) -> Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]:
-    try:
-        return _CODECS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown trace codec {name!r}; available on this host: "
-            f"{list(available_codecs())}"
-        ) from None
+def _compress(raw) -> bytes:
+    """One chunk payload, compressed at the current :data:`GZIP_LEVEL`."""
+    return zlib.compress(raw, GZIP_LEVEL)
 
 
 @dataclass(frozen=True)
@@ -170,17 +146,10 @@ def _read_frame_meta(fh: BinaryIO, path: Path, context: str) -> Dict[str, Any]:
     return meta
 
 
-def _decode_chunk(raw, path: Path, index: int, copy: bool = True) -> TraceChunk:
-    """Columns of a verified chunk payload.
-
-    ``copy`` makes each column a contiguous array; without it the columns
-    are zero-copy strided views into ``raw`` (the mmap reader's page
-    cache), which the kernel consumes directly.
-    """
+def _decode_chunk(raw, path: Path, index: int) -> TraceChunk:
+    """Columns of a verified chunk payload, each a contiguous array."""
     rec = np.frombuffer(raw, dtype=RECORD_DTYPE)
-    columns = (rec["pc"], rec["daddr"], rec["kind"])
-    if copy:
-        columns = tuple(np.ascontiguousarray(column) for column in columns)
+    columns = (np.ascontiguousarray(rec[name]) for name in ("pc", "daddr", "kind"))
     try:
         return TraceChunk(*columns)
     except TraceError as error:
@@ -235,7 +204,6 @@ class TraceWriter:
         self,
         path: Path | str,
         *,
-        codec: str = DEFAULT_CODEC,
         chunk_instructions: int = DEFAULT_CHUNK_INSTRUCTIONS,
         provenance: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -243,8 +211,6 @@ class TraceWriter:
             raise ConfigurationError(
                 f"chunk_instructions must be positive, got {chunk_instructions}"
             )
-        self._compress, _ = _codec_for(codec)
-        self._codec = codec
         self._chunk_instructions = int(chunk_instructions)
         self._provenance = dict(provenance) if provenance is not None else None
         self._final_path = Path(path)
@@ -272,7 +238,7 @@ class TraceWriter:
             {
                 "kind": "header",
                 "version": FORMAT_VERSION,
-                "codec": self._codec,
+                "codec": _CODEC,
                 "chunk_instructions": self._chunk_instructions,
                 "columns": _COLUMNS,
                 "provenance": self._provenance,
@@ -315,7 +281,7 @@ class TraceWriter:
 
     def _seal(self, raw: memoryview) -> Tuple[Any, str]:
         """Helper-thread work on one chunk: its payload and raw checksum."""
-        return self._compress(raw), hashlib.sha256(raw).hexdigest()
+        return _compress(raw), hashlib.sha256(raw).hexdigest()
 
     def _drain(self, keep: int) -> None:
         """Write finished chunk frames in index order, waiting until at
@@ -374,7 +340,7 @@ class TraceWriter:
         return TraceInfo(
             path=str(self._final_path),
             version=FORMAT_VERSION,
-            codec=self._codec,
+            codec=_CODEC,
             chunk_instructions=self._chunk_instructions,
             chunks=self._chunks,
             instructions=self._instructions,
@@ -416,7 +382,6 @@ class TraceRecording:
             raise TraceError(f"trace file {self.path} does not exist")
         with self.path.open("rb") as fh:
             self._header = self._read_header(fh)
-        self._decompress = _codec_for(self._header["codec"])[1]
 
     def _read_header(self, fh: BinaryIO) -> Dict[str, Any]:
         magic = fh.read(len(MAGIC))
@@ -440,17 +405,17 @@ class TraceRecording:
         codec = meta.get("codec")
         if not isinstance(codec, str):
             raise TraceFormatError(f"{self.path}: header has no codec")
-        _codec_for(codec)  # raises ConfigurationError if unusable on this host
+        if codec != _CODEC:
+            raise ConfigurationError(
+                f"{self.path}: unknown trace codec {codec!r}; "
+                f"this reader reads {_CODEC!r} only"
+            )
         chunk_instructions = meta.get("chunk_instructions")
         if not isinstance(chunk_instructions, int) or chunk_instructions <= 0:
             raise TraceFormatError(
                 f"{self.path}: invalid chunk_instructions {chunk_instructions!r}"
             )
         return meta
-
-    @property
-    def codec(self) -> str:
-        return str(self._header["codec"])
 
     @property
     def chunk_instructions(self) -> int:
@@ -485,7 +450,7 @@ class TraceRecording:
         return TraceInfo(
             path=str(self.path),
             version=int(self._header["version"]),
-            codec=self.codec,
+            codec=_CODEC,
             chunk_instructions=self.chunk_instructions,
             chunks=int(end["chunks"]),
             instructions=int(end["instructions"]),
@@ -494,13 +459,11 @@ class TraceRecording:
             file_bytes=size,
         )
 
-    def _payloads(self, fh, read: Callable[[int], Any]) -> Iterator[Tuple[int, Any]]:
-        """Walk the frames of ``fh`` (a file or an mmap), verifying each check.
+    def _payloads(self, fh: BinaryIO) -> Iterator[Tuple[int, bytes]]:
+        """Walk the frames of ``fh``, verifying each check.
 
         Yields ``(index, raw payload)`` for every chunk frame, in order,
-        and checks the whole-trace digest at the end frame.  Payloads
-        come from ``read``, so the mmap reader can hand out zero-copy
-        slices.
+        and checks the whole-trace digest at the end frame.
         """
         fh.seek(0)
         self._read_header(fh)
@@ -532,12 +495,12 @@ class TraceRecording:
                 raise TraceFormatError(f"{self.path}: chunk {index} metadata incomplete")
             if not isinstance(declared, int) or declared < 0:
                 raise TraceFormatError(f"{self.path}: chunk {index} declares no payload size")
-            raw = self._check_payload(read(declared), meta, index)
+            raw = self._check_payload(fh.read(declared), meta, index)
             running.update(raw)
             yield index, raw
             index += 1
 
-    def _check_payload(self, payload, meta: Dict[str, Any], index: int):
+    def _check_payload(self, payload: bytes, meta: Dict[str, Any], index: int) -> bytes:
         """Decompress one chunk payload and verify its size and checksum."""
         declared = meta["payload_bytes"]
         if len(payload) != declared:
@@ -546,7 +509,7 @@ class TraceRecording:
                 f"(expected {declared} payload bytes, got {len(payload)})"
             )
         try:
-            raw = self._decompress(payload)
+            raw = zlib.decompress(payload)
         except zlib.error as error:
             raise TraceFormatError(
                 f"{self.path}: chunk {index} failed to decompress ({error}); "
@@ -571,7 +534,7 @@ class TraceRecording:
     def chunks(self) -> Iterator[TraceChunk]:
         """Yield the trace's chunks in order, verifying every checksum.
 
-        Buffered reads decode one chunk ahead on a helper thread, so
+        The reader decodes one chunk ahead on a helper thread, so
         decompression and checksumming overlap the consumer's work
         (zlib, sha256 and numpy copies release the GIL).  Peak memory
         is bounded by two chunks: the one last yielded and the one read
@@ -580,68 +543,12 @@ class TraceRecording:
         closing or abandoning the generator joins the helper.  The
         running whole-trace digest is checked against the end frame, so
         a fully consumed stream is guaranteed intact.
-
-        Uncompressed traces (codec ``none``) are memory-mapped when the
-        filesystem allows it: chunks become zero-copy views into the
-        page cache (checksums still verified) instead of materialized
-        copies.  When mmap fails the reader falls back to buffered
-        reads — logged once — with identical results.
         """
 
-        if self.codec == "none":
-            mapped = self._open_mmap()
-            if mapped is not None:
-                yield from self._mapped_chunks(mapped)
-                return
         with self.path.open("rb") as fh:
             yield from _read_ahead(
-                _decode_chunk(raw, self.path, index)
-                for index, raw in self._payloads(fh, fh.read)
+                _decode_chunk(raw, self.path, index) for index, raw in self._payloads(fh)
             )
-
-    def _open_mmap(self) -> Optional[mmap.mmap]:
-        """Map the file read-only; ``None`` (logged once) when mmap fails."""
-        global _MMAP_WARNED
-        try:
-            with self.path.open("rb") as fh:
-                return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError, OverflowError) as error:
-            if not _MMAP_WARNED:
-                _MMAP_WARNED = True
-                logger.warning(
-                    "mmap of %s failed (%s); falling back to buffered "
-                    "trace reads for this process",
-                    self.path, error,
-                )
-            return None
-
-    def _mapped_chunks(self, mapped: mmap.mmap) -> Iterator[TraceChunk]:
-        """:meth:`chunks` over a mapping: chunks are zero-copy views into it."""
-        view = memoryview(mapped)
-
-        def read(size: int) -> memoryview:
-            pos = mapped.tell()
-            mapped.seek(min(pos + size, len(mapped)))
-            return view[pos : pos + size]
-
-        released = 0
-        try:
-            for index, raw in self._payloads(mapped, read):
-                yield _decode_chunk(raw, self.path, index, copy=False)
-                # The consumer is done with this chunk: drop its pages from
-                # the resident set, or RSS grows to the file's size.  They
-                # stay in the page cache, and a view still held faults its
-                # pages back in from the file.
-                end = mapped.tell() - mapped.tell() % mmap.PAGESIZE
-                mapped.madvise(mmap.MADV_DONTNEED, released, end - released)
-                released = end
-        finally:
-            view.release()
-            # Chunk views handed to a still-running consumer keep the
-            # mapping alive; close() then raises BufferError and the map
-            # is released when the last view is garbage-collected.
-            with contextlib.suppress(BufferError):
-                mapped.close()
 
     def validate(self) -> TraceInfo:
         """Walk the whole file verifying every checksum and the trailer."""
@@ -665,14 +572,13 @@ def record_chunks(
     chunks: Iterable[TraceChunk],
     path: Path | str,
     *,
-    codec: str = DEFAULT_CODEC,
     chunk_instructions: int = DEFAULT_CHUNK_INSTRUCTIONS,
     provenance: Optional[Dict[str, Any]] = None,
 ) -> TraceInfo:
     """Record an iterable of trace chunks to ``path``, returning its info."""
 
     with TraceWriter(
-        path, codec=codec, chunk_instructions=chunk_instructions, provenance=provenance
+        path, chunk_instructions=chunk_instructions, provenance=provenance
     ) as writer:
         writer.extend(chunks)
         return writer.close()
@@ -683,7 +589,6 @@ def record_benchmark(
     path: Path | str,
     *,
     scale: float = 1.0,
-    codec: str = DEFAULT_CODEC,
     chunk_instructions: int = DEFAULT_CHUNK_INSTRUCTIONS,
 ) -> TraceInfo:
     """Record a synthetic benchmark workload to disk.
@@ -701,7 +606,6 @@ def record_benchmark(
     return record_chunks(
         workload.chunks(),
         path,
-        codec=codec,
         chunk_instructions=chunk_instructions,
         provenance={"benchmark": workload.name, "scale": float(scale)},
     )

@@ -22,8 +22,8 @@ and a trace recorded from one (provenance in the header) gets the
 `SimulationJob.key()`, hits the same cache entries, and coalesces with
 inline submissions of the original benchmark.  A foreign trace (e.g.
 converted from a gem5 dump) is identified by its content digest, which
-is independent of chunking and codec: re-compressing or re-chunking a
-trace does not change its content address.
+is independent of chunking and compression level: re-recording a trace
+with other chunks does not change its content address.
 """
 
 from __future__ import annotations

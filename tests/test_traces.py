@@ -43,7 +43,6 @@ from repro.traces import (
     ConversionReport,
     TraceRecording,
     TraceWriter,
-    available_codecs,
     check_workload,
     convert_gem5_text,
     format_trace_ref,
@@ -89,34 +88,26 @@ def serial_engine(tmp_path):
 # On-disk format
 # ----------------------------------------------------------------------
 class TestFormat:
-    @pytest.mark.parametrize("codec", available_codecs())
-    def test_round_trip_is_byte_identical_per_codec(
-        self, tmp_path, gzip_chunks, codec
-    ):
-        path = tmp_path / f"rt-{codec}.rtr"
-        info = record_chunks(gzip_chunks, path, codec=codec)
+    def test_round_trip_is_byte_identical(self, tmp_path, gzip_chunks):
+        path = tmp_path / "rt.rtr"
+        info = record_chunks(gzip_chunks, path)
         original = merge_chunks(gzip_chunks)
         restored = merge_chunks(TraceRecording(path).chunks())
         assert np.array_equal(original.pcs, restored.pcs)
         assert np.array_equal(original.data_addresses, restored.data_addresses)
         assert np.array_equal(original.data_kinds, restored.data_kinds)
-        assert info.codec == codec
+        assert info.codec == "gzip"
         assert info.instructions == len(original)
         assert info.file_bytes == path.stat().st_size
 
-    def test_gzip_is_available_everywhere(self):
-        assert "none" in available_codecs()
-        assert "gzip" in available_codecs()
-
     def test_digest_is_independent_of_chunking_and_codec(
-        self, tmp_path, gzip_chunks
+        self, tmp_path, gzip_chunks, monkeypatch
     ):
-        a = record_chunks(
-            gzip_chunks, tmp_path / "a.rtr", codec="none", chunk_instructions=7_000
-        )
-        b = record_chunks(
-            gzip_chunks, tmp_path / "b.rtr", codec="gzip", chunk_instructions=50_000
-        )
+        # The compression level stands in for the codec: the digest is
+        # over the uncompressed payloads.
+        a = record_chunks(gzip_chunks, tmp_path / "a.rtr", chunk_instructions=7_000)
+        monkeypatch.setattr(trace_format, "GZIP_LEVEL", 1)
+        b = record_chunks(gzip_chunks, tmp_path / "b.rtr", chunk_instructions=50_000)
         assert a.digest == b.digest
         assert a.instructions == b.instructions
         assert a.chunks != b.chunks
@@ -164,9 +155,9 @@ class TestFormat:
             TraceRecording(cut).info()
 
     def test_corrupt_chunk_payload_is_detected(self, tmp_path, gzip_chunks):
-        # Uncompressed payloads dominate the file, so a flipped byte in
-        # the middle lands in chunk data and trips the per-chunk digest.
-        info = record_chunks(gzip_chunks, tmp_path / "flip.rtr", codec="none")
+        # Payloads dominate the file, so a flipped byte in the middle
+        # lands in chunk data and fails to inflate or trips its digest.
+        info = record_chunks(gzip_chunks, tmp_path / "flip.rtr")
         data = bytearray(Path(info.path).read_bytes())
         data[len(data) // 2] ^= 0xFF
         Path(info.path).write_bytes(bytes(data))
@@ -179,15 +170,15 @@ class TestFormat:
         assert info.instructions == recorded.instructions
 
     def test_unknown_codec_is_a_config_error(self, tmp_path, gzip_chunks):
-        with pytest.raises(ConfigurationError):
-            record_chunks(gzip_chunks, tmp_path / "x.rtr", codec="brotli")
-        # A header naming a codec this reader lacks (zstd was dropped).
-        path = Path(record_chunks(gzip_chunks, tmp_path / "z.rtr", codec="none").path)
+        # A header naming any codec but gzip, such as zstd or the
+        # uncompressed none, is refused before any chunk is read.
+        path = Path(record_chunks(gzip_chunks, tmp_path / "z.rtr").path)
         data = path.read_bytes()
-        assert data.count(b'"codec":"none"') == 1
-        path.write_bytes(data.replace(b'"codec":"none"', b'"codec":"zstd"'))
-        with pytest.raises(ConfigurationError, match="unknown trace codec 'zstd'"):
-            TraceRecording(path)
+        assert data.count(b'"codec":"gzip"') == 1
+        for codec in ("zstd", "none"):
+            path.write_bytes(data.replace(b'"codec":"gzip"', f'"codec":"{codec}"'.encode()))
+            with pytest.raises(ConfigurationError, match=f"unknown trace codec '{codec}'"):
+                TraceRecording(path)
 
 
 # ----------------------------------------------------------------------
@@ -223,29 +214,8 @@ class TestReadAhead:
 
     @pytest.fixture
     def gzip_trace(self, tmp_path, gzip_chunks):
-        info = record_chunks(
-            gzip_chunks, tmp_path / "ra.rtr", codec="gzip", chunk_instructions=self.CHUNK
-        )
+        info = record_chunks(gzip_chunks, tmp_path / "ra.rtr", chunk_instructions=self.CHUNK)
         return Path(info.path)
-
-    @pytest.fixture
-    def codec_traces(self, tmp_path, gzip_chunks):
-        """One trace per reader: ``gzip`` is read ahead, ``none`` memory-mapped.
-
-        The corruption tests loop over both in one body, so each reader
-        is held to the same error at the same chunk.
-        """
-        return [
-            Path(
-                record_chunks(
-                    gzip_chunks,
-                    tmp_path / f"ra-{codec}.rtr",
-                    codec=codec,
-                    chunk_instructions=self.CHUNK,
-                ).path
-            )
-            for codec in ("gzip", "none")
-        ]
 
     @pytest.fixture(autouse=True)
     def no_helper_leaks(self):
@@ -259,10 +229,7 @@ class TestReadAhead:
         self, tmp_path, gzip_chunks, chunk_instructions
     ):
         info = record_chunks(
-            gzip_chunks,
-            tmp_path / "seq.rtr",
-            codec="gzip",
-            chunk_instructions=chunk_instructions,
+            gzip_chunks, tmp_path / "seq.rtr", chunk_instructions=chunk_instructions
         )
         merged = merge_chunks(gzip_chunks)
         chunks = list(TraceRecording(info.path).chunks())
@@ -277,51 +244,50 @@ class TestReadAhead:
                 assert np.array_equal(actual, reference)
 
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
-    def test_corrupt_chunk_raises_after_exactly_k_chunks(self, codec_traces, position):
-        for path in codec_traces:
-            spans = _payload_spans(path)
-            k = {"first": 0, "middle": len(spans) // 2, "last": len(spans) - 1}[position]
-            start, stop = spans[k]
-            data = bytearray(path.read_bytes())
-            data[(start + stop) // 2] ^= 0xFF
-            path.write_bytes(bytes(data))
-            # A plain sequential walk of the file (no read-ahead, no
-            # mmap) names the error.
-            with pytest.raises(TraceFormatError) as sequential, path.open("rb") as fh:
-                list(TraceRecording(path)._payloads(fh, fh.read))
-            yielded = 0
-            with pytest.raises(TraceFormatError) as streamed:
-                for _ in TraceRecording(path).chunks():
-                    yielded += 1
-            assert yielded == k, path.name
-            assert str(streamed.value) == str(sequential.value)
-            assert f"chunk {k} " in str(streamed.value)
+    def test_corrupt_chunk_raises_after_exactly_k_chunks(self, gzip_trace, position):
+        path = gzip_trace
+        spans = _payload_spans(path)
+        k = {"first": 0, "middle": len(spans) // 2, "last": len(spans) - 1}[position]
+        start, stop = spans[k]
+        data = bytearray(path.read_bytes())
+        data[(start + stop) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        # A plain sequential walk of the file (no read-ahead) names the error.
+        with pytest.raises(TraceFormatError) as sequential, path.open("rb") as fh:
+            list(TraceRecording(path)._payloads(fh))
+        yielded = 0
+        with pytest.raises(TraceFormatError) as streamed:
+            for _ in TraceRecording(path).chunks():
+                yielded += 1
+        assert yielded == k
+        assert str(streamed.value) == str(sequential.value)
+        assert f"chunk {k} " in str(streamed.value)
 
-    def test_truncated_file_still_raises(self, codec_traces):
-        for path in codec_traces:
-            spans = _payload_spans(path)
-            k = len(spans) // 2
-            data = path.read_bytes()
-            path.write_bytes(data[: spans[k][0] + 3])
-            yielded = 0
-            with pytest.raises(TraceFormatError, match=f"chunk {k} truncated"):
-                for _ in TraceRecording(path).chunks():
-                    yielded += 1
-            assert yielded == k, path.name
+    def test_truncated_file_still_raises(self, gzip_trace):
+        path = gzip_trace
+        spans = _payload_spans(path)
+        k = len(spans) // 2
+        data = path.read_bytes()
+        path.write_bytes(data[: spans[k][0] + 3])
+        yielded = 0
+        with pytest.raises(TraceFormatError, match=f"chunk {k} truncated"):
+            for _ in TraceRecording(path).chunks():
+                yielded += 1
+        assert yielded == k
 
-    def test_whole_trace_digest_mismatch_still_raises(self, codec_traces):
-        for path in codec_traces:
-            recording = TraceRecording(path)
-            digest = recording.info().digest
-            forged = ("0" if digest[0] != "0" else "1") + digest[1:]
-            data = path.read_bytes()
-            assert data.count(digest.encode()) == 1
-            path.write_bytes(data.replace(digest.encode(), forged.encode()))
-            yielded = 0
-            with pytest.raises(TraceFormatError, match="whole-trace digest mismatch"):
-                for _ in TraceRecording(path).chunks():
-                    yielded += 1
-            assert yielded == recording.info().chunks, path.name
+    def test_whole_trace_digest_mismatch_still_raises(self, gzip_trace):
+        path = gzip_trace
+        recording = TraceRecording(path)
+        digest = recording.info().digest
+        forged = ("0" if digest[0] != "0" else "1") + digest[1:]
+        data = path.read_bytes()
+        assert data.count(digest.encode()) == 1
+        path.write_bytes(data.replace(digest.encode(), forged.encode()))
+        yielded = 0
+        with pytest.raises(TraceFormatError, match="whole-trace digest mismatch"):
+            for _ in TraceRecording(path).chunks():
+                yielded += 1
+        assert yielded == recording.info().chunks
 
     def test_decodes_at_most_one_chunk_ahead(self, gzip_trace, monkeypatch):
         calls = []
@@ -445,7 +411,7 @@ class TestWriteBehind:
                 raise zlib.error("Error -2 while compressing data")
             return zlib.compress(raw, trace_format.GZIP_LEVEL)
 
-        monkeypatch.setitem(trace_format._CODECS, "gzip", (compress, zlib.decompress))
+        monkeypatch.setattr(trace_format, "_compress", compress)
         out = tmp_path / "out"
         with pytest.raises(zlib.error, match="^Error -2 while compressing data$"):
             if usage == "context":
@@ -476,22 +442,22 @@ class TestWriteBehind:
             for column in ("pcs", "data_addresses", "data_kinds"):
                 assert np.array_equal(getattr(a, column), getattr(b, column))
 
-    @pytest.mark.parametrize("codec", available_codecs())
-    def test_one_big_append_writes_the_same_bytes_as_many_small_ones(
-        self, tmp_path, codec
-    ):
+    def test_one_big_append_writes_the_same_bytes_as_many_small_ones(self, tmp_path):
         big = _synthetic_chunk(10 * 65_536 + 123)
-        one = record_chunks([big], tmp_path / "one.rtr", codec=codec)
+        one = record_chunks([big], tmp_path / "one.rtr")
         assert one.chunks == 11
         for piece in (65_536, 7_919):
             small = [big.slice(start, start + piece) for start in range(0, len(big), piece)]
-            many = record_chunks(small, tmp_path / f"many-{piece}.rtr", codec=codec)
+            many = record_chunks(small, tmp_path / f"many-{piece}.rtr")
             assert Path(one.path).read_bytes() == Path(many.path).read_bytes()
 
-    def test_big_append_copies_each_access_once(self, tmp_path):
+    def test_big_append_copies_each_access_once(self, tmp_path, monkeypatch):
+        # Stored payloads: the compressed ones in flight are not the
+        # copies this bound is about.
+        monkeypatch.setattr(trace_format, "_compress", lambda raw: raw)
         big = _synthetic_chunk(32 * 65_536)
         chunk_bytes = 65_536 * trace_format.RECORD_DTYPE.itemsize
-        writer = TraceWriter(tmp_path / "big.rtr", codec="none")
+        writer = TraceWriter(tmp_path / "big.rtr")
         tracemalloc.start()
         try:
             writer.append(big)
@@ -534,13 +500,9 @@ class TestRegistry:
         self, tmp_path, gzip_chunks
     ):
         # No provenance: the identity must come from the content digest,
-        # so re-encoding with a different codec/chunking keeps the key.
-        a = record_chunks(
-            gzip_chunks, tmp_path / "fa.rtr", codec="none", chunk_instructions=9_000
-        )
-        b = record_chunks(
-            gzip_chunks, tmp_path / "fb.rtr", codec="gzip", chunk_instructions=30_000
-        )
+        # so re-chunking keeps the key.
+        a = record_chunks(gzip_chunks, tmp_path / "fa.rtr", chunk_instructions=9_000)
+        b = record_chunks(gzip_chunks, tmp_path / "fb.rtr", chunk_instructions=30_000)
         job_a = SimulationJob(format_trace_ref(a.path))
         job_b = SimulationJob(format_trace_ref(b.path))
         assert job_a.key() == job_b.key()
@@ -602,9 +564,7 @@ class TestContentAddresses:
         assert SimulationJob(format_trace_ref(recorded.path)).key() == self.GZIP_002
 
     def test_foreign_trace_is_keyed_by_digest(self, tmp_path, gzip_chunks):
-        info = record_chunks(
-            gzip_chunks, tmp_path / "foreign.rtr", codec="none", chunk_instructions=9_000
-        )
+        info = record_chunks(gzip_chunks, tmp_path / "foreign.rtr", chunk_instructions=9_000)
         assert info.digest == (
             "d98a1643a0402fe916fbe5a04daa8b094b385c9fd1bc8554a35b2cdb0095f859"
         )
@@ -644,9 +604,7 @@ class TestStreamingEquality:
         engine = serial_engine(tmp_path)
         synthetic = SimulationJob("gzip", scale=SMALL)
         clean = engine.run_one(synthetic)
-        info = record_benchmark(
-            "gzip", tmp_path / "damaged.rtr", scale=SMALL, codec="none"
-        )
+        info = record_benchmark("gzip", tmp_path / "damaged.rtr", scale=SMALL)
         data = bytearray(Path(info.path).read_bytes())
         data[len(data) // 2] ^= 0xFF
         Path(info.path).write_bytes(bytes(data))
@@ -885,6 +843,21 @@ class TestTraceCli:
         record_benchmark("gzip", out, scale=SMALL)
         assert main(["run", "distributions", "--benchmarks", f"trace:{out}"]) == 0
         assert f"trace:{out}" in capsys.readouterr().out
+
+    def test_run_rejects_a_codec_none_recording(self, tmp_path, capsys):
+        # Recordings whose header names the uncompressed codec none are
+        # refused before any job runs; they must be recorded again.
+        out = tmp_path / "none.rtr"
+        record_benchmark("gzip", out, scale=SMALL)
+        out.write_bytes(out.read_bytes().replace(b'"codec":"gzip"', b'"codec":"none"'))
+        code = main(["run", "figure9", "--jobs", "1", "--benchmarks", f"trace:{out}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert captured.err.startswith("error:")
+        assert "unknown trace codec 'none'" in captured.err
+        assert list((tmp_path / "cache").rglob("*.pkl")) == []
 
     def test_run_rejects_unknown_refs_cleanly(self, tmp_path, capsys):
         code = main(

@@ -1,8 +1,8 @@
-"""Zero-copy trace transport and the mmap trace-reader path.
+"""Zero-copy trace transport.
 
 The transport layer (:mod:`repro.engine.transport`) is opt-in and *advisory*: every
 test here asserts two things at once — that the fast path (shared-memory
-or on-disk arenas, mmap chunk views) produces bit-identical chunks to
+or on-disk arenas) produces bit-identical chunks to
 the buffered reader, and that every failure mode falls back to the
 reader instead of surfacing.  The lifecycle tests pin the ownership
 rule: the publishing parent unlinks segments when a dispatch completes,
@@ -32,10 +32,9 @@ SMALL = 0.03
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    """A codec-none gzip trace recorded once for the module (read-only)."""
+    """A gzip trace recorded once for the module (read-only)."""
     path = tmp_path_factory.mktemp("transport") / "gzip.rtr"
-    record_benchmark("gzip", path, scale=SMALL, chunk_instructions=20_000,
-                     codec="none")
+    record_benchmark("gzip", path, scale=SMALL, chunk_instructions=20_000)
     return path
 
 
@@ -163,40 +162,6 @@ class TestWorkerFallback:
             assert transport.REGISTRY.acquire(str(missing), "shm") is None
         assert transport.REGISTRY.active_segments() == []
         assert any("publishing" in r.message for r in caplog.records)
-
-
-class TestMmapReader:
-    def test_codec_none_chunks_match_gzip_codec(self, recorded, tmp_path,
-                                                reference_chunks):
-        gz = tmp_path / "gzip.rtr"
-        record_benchmark("gzip", gz, scale=SMALL, chunk_instructions=20_000,
-                         codec="gzip")
-        assert_chunks_equal(
-            reference_chunks, list(TraceRecording(gz).chunks())
-        )
-
-    def test_chunks_are_zero_copy_views(self, reference_chunks):
-        # Strided views into the record array, not materialized copies:
-        # the element stride equals the 17-byte on-disk record size.
-        assert reference_chunks[0].pcs.strides == (17,)
-
-    def test_mmap_failure_falls_back_identically(self, recorded, monkeypatch,
-                                                 reference_chunks, caplog):
-        from repro.traces import format as fmt
-
-        def refuse(*args, **kwargs):
-            raise OSError("mmap disabled for the test")
-
-        monkeypatch.setattr(fmt.mmap, "mmap", refuse)
-        monkeypatch.setattr(fmt, "_MMAP_WARNED", False)
-        with caplog.at_level(logging.WARNING, logger="repro.traces.format"):
-            first = list(TraceRecording(recorded).chunks())
-            second = list(TraceRecording(recorded).chunks())
-        assert_chunks_equal(first, reference_chunks)
-        assert_chunks_equal(second, reference_chunks)
-        # Logged once per process, not once per read.
-        warnings = [r for r in caplog.records if "falling back" in r.message]
-        assert len(warnings) == 1
 
 
 class TestEngineEndToEnd:
