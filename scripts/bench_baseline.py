@@ -40,7 +40,6 @@ def run_benchmarks(out: Path, keyword: str | None) -> int:
         str(REPO_ROOT / "benchmarks" / "bench_traces.py"),
         str(REPO_ROOT / "benchmarks" / "bench_remote.py"),
         "-q",
-        "--benchmark-only",
         f"--benchmark-json={out}",
     ]
     if keyword:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -43,10 +42,6 @@ from ..errors import ConfigurationError, ReproError
 from ..experiments.runner import _SUITE
 from ..traces.registry import check_workload
 from ..workloads.benchmarks import BENCHMARK_NAMES
-
-#: Valid sweep names.
-_NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
 
 def _pipeline_from_dict(value) -> Optional[PipelineConfig]:
     if value is None:
@@ -75,8 +70,8 @@ class SweepSpec:
     Attributes
     ----------
     name:
-        Sweep identifier — titles the report; letters, digits, '.', '_'
-        or '-'.
+        Sweep identifier: titles the report header and the telemetry
+        context, so any non-empty single-line string.
     benchmarks:
         Benchmark axis; defaults to the paper's full §4.1 suite.
     scales:
@@ -98,12 +93,9 @@ class SweepSpec:
     experiments: Tuple[str, ...] = ("table2",)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not _NAME_PATTERN.match(
-            self.name
-        ):
+        if not isinstance(self.name, str) or not self.name or "\n" in self.name:
             raise ConfigurationError(
-                f"sweep name {self.name!r} must be letters, digits, '.', "
-                "'_' or '-' (and start with a letter or digit)"
+                f"sweep name {self.name!r} must be a non-empty single-line string"
             )
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         object.__setattr__(

@@ -21,6 +21,21 @@ from repro.core.energy import ModeEnergyModel, TransitionDurations
 from repro.power.technology import make_paper_node, paper_nodes
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_dir(tmp_path_factory):
+    """One result cache for the whole session, never the developer's.
+
+    Set before any store is built, so a test that reads the default cache
+    simulates with the code under test instead of reading entries an
+    older checkout left in ``~/.cache``.  Tests that need a cache of
+    their own still point ``REPRO_CACHE_DIR`` at a per-test directory.
+    """
+    directory = tmp_path_factory.mktemp("repro-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(directory))
+        yield directory
+
+
 @pytest.fixture(scope="session")
 def nodes():
     """The four calibrated paper technology nodes."""

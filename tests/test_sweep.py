@@ -99,8 +99,12 @@ class TestSweepSpec:
             small_spec(**overrides)
 
     def test_invalid_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            small_spec(name="../escape")
+        # The name only titles the report and the telemetry context: no
+        # file is named after it, so any one-line string will do.
+        assert small_spec(name="../escape").name == "../escape"
+        for bad in ("", "two\nlines", None, 7):
+            with pytest.raises(ConfigurationError):
+                small_spec(name=bad)
 
     def test_unknown_fields_rejected(self):
         # ``nodes`` is a stale axis: Table 2 prices every paper node.
