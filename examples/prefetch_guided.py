@@ -9,6 +9,7 @@ Prefetch-B's (tiny) wake-up stall cost.
 Run:  python examples/prefetch_guided.py  [benchmark] [scale]
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -17,8 +18,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core import DecaySleep, ModeEnergyModel, OptHybrid, evaluate_policy
 from repro.power import paper_nodes
 from repro.prefetch import (
+    PrefetchGuidedPolicy,
     annotate_workload_trace,
-    evaluate_prefetch_scheme,
     prefetchability_breakdown,
     prefetchability_summary,
 )
@@ -29,6 +30,8 @@ def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "ammp"
     scale = float(sys.argv[2]) if len(sys.argv) > 2 else 0.25
     model = ModeEnergyModel(paper_nodes()[70])
+    prefetch_a = PrefetchGuidedPolicy(model, math.inf)
+    prefetch_b = PrefetchGuidedPolicy(model, model.drowsy_min_length)
 
     workload = make_benchmark(name, scale=scale)
     print(f"annotating {workload.total_instructions:,} instructions of "
@@ -48,8 +51,8 @@ def main() -> None:
 
         decay = evaluate_policy(DecaySleep(model, 10_000), view)
         hybrid = evaluate_policy(OptHybrid(model), view)
-        a = evaluate_prefetch_scheme(view, model, power_first=False)
-        b = evaluate_prefetch_scheme(view, model, power_first=True)
+        a = prefetch_a.price(view)
+        b = prefetch_b.price(view)
         print(f"  Sleep(10K) decay : {100 * decay.saving_fraction:5.1f}%")
         print(f"  Prefetch-A       : {100 * a.savings.saving_fraction:5.1f}%  "
               f"(no stalls)")

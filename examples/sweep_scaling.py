@@ -26,14 +26,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.engine import ExecutionEngine, ResultStore
 from repro.sweep import SweepSpec, plan_text, run_sweep
 
-SCALE = float(sys.argv[1]) if len(sys.argv) > 1 else 0.05
-
 
 def main() -> None:
+    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.05
     spec = SweepSpec(
         "scaling-demo",
         benchmarks=("gzip", "ammp", "mesa"),
-        scales=(SCALE,),
+        scales=(scale,),
         experiments=("table2", "figure8"),
     )
 

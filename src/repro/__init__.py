@@ -15,7 +15,7 @@ the answer rests on:
   Table 1 inflection points reproduce exactly), and the ITRS projection.
 * :mod:`repro.cache` / :mod:`repro.cpu` — the Alpha-21264-like simulation
   substrate: a 64 KB/64 KB/2 MB hierarchy, the batched simulation
-  kernel and a width-limited timing model.
+  kernel and a base-CPI timing model with miss stalls.
 * :mod:`repro.workloads` — six SPEC2000-like synthetic benchmarks.
 * :mod:`repro.prefetch` — the trace simulator (timing, interval
   populations and their next-line and stride prefetchability in one

@@ -84,19 +84,30 @@ class Policy:
         """
         return ()
 
-    def modes(self, lengths: np.ndarray) -> np.ndarray:
-        """Return an array of mode codes, one per interval length."""
+    def modes(
+        self, lengths: np.ndarray, prefetchable: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Return an array of mode codes, one per interval length.
+
+        ``prefetchable`` flags each length's prefetch class; a policy
+        whose cuts tell the classes apart cannot assign modes without it.
+        """
         lengths = np.asarray(lengths)
+        if prefetchable is None and self.cuts(True) == self.cuts(False):
+            prefetchable = np.zeros(lengths.shape, dtype=bool)
+        if prefetchable is None or np.shape(prefetchable) != lengths.shape:
+            raise PolicyError(
+                f"policy {self.name!r} needs prefetch flags aligned with the "
+                f"{lengths.size} length(s) it assigns; price it on a "
+                "population or pass them as prefetchable"
+            )
+        flags = np.asarray(prefetchable, dtype=bool)
         codes = np.zeros(lengths.shape, dtype=np.uint8)
-        for prefetchable, rows in self._flag_rows(lengths):
-            for mode, threshold, inclusive in self.cuts(prefetchable):
+        for flag, rows in ((False, ~flags), (True, flags)):
+            for mode, threshold, inclusive in self.cuts(flag):
                 above = lengths >= threshold if inclusive else lengths > threshold
                 codes[rows & above] = MODE_CODES[mode]
         return codes
-
-    def _flag_rows(self, lengths: np.ndarray):
-        """``(prefetchable, row mask)`` pairs that cover ``lengths``."""
-        return ((False, True),)
 
     def floor(self, mode: Mode) -> float:
         """The shortest interval this policy may put into ``mode``."""
@@ -131,17 +142,19 @@ class Policy:
         self,
         lengths: np.ndarray,
         kinds: np.ndarray | None = None,
+        prefetchable: np.ndarray | None = None,
         dead_aware: bool = False,
     ) -> np.ndarray:
         """Per-interval energies under this policy's assignment.
 
+        ``prefetchable`` is passed on to :meth:`modes`.
         With ``dead_aware=True``, slept ``DEAD`` and ``COLD`` intervals are
         not charged the induced-miss re-fetch (no live data was lost), and
         ``COLD`` intervals also skip the power-down ramp (the frame was
         never powered).
         """
         lengths = np.asarray(lengths, dtype=np.int64)
-        codes = self.modes(lengths)
+        codes = self.modes(lengths, prefetchable)
         self._validate_feasibility(lengths, codes)
         energy = self.model.active_energy_array(lengths)
         drowsy_mask = codes == DROWSY

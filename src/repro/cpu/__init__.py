@@ -1,8 +1,8 @@
 """CPU substrate: traces, pipeline timing and the simulation result.
 
 The reproduction's substitute for SimpleScalar's sim-alpha (DESIGN.md
-§3.4): traces of retired instructions are timed by a 4-wide in-order
-issue model and driven through the cache hierarchy to produce the
+§3.4): traces of retired instructions are timed by a base-CPI issue clock
+with miss stalls (:mod:`repro.cpu.pipeline`) and driven through the cache hierarchy to produce the
 per-frame access-interval populations the limit study consumes.  The
 simulator itself is :class:`repro.prefetch.AnnotatingSimulator`.
 """

@@ -1,14 +1,17 @@
 """Pipeline timing model.
 
 The paper times its traces on a SimpleScalar model of the Alpha 21264 — a
-4-wide superscalar.  The limit analysis consumes only the *cycle stamps*
-of L1 accesses, so this substrate approximates the machine with an
-in-order, width-limited issue model:
+4-wide out-of-order superscalar.  The limit analysis consumes only the
+*cycle stamps* of L1 accesses, so this substrate approximates the machine
+with a base-CPI issue clock plus miss stalls:
 
-* up to ``width`` instructions issue per cycle;
-* an L1 miss stalls the stream for the extra latency beyond the L1 hit
-  time (the hit latency itself is pipelined away);
-* instruction and data misses do not overlap (in-order assumption).
+* every instruction costs ``base_cpi`` cycles (at least 1/4, the
+  21264's issue width);
+* an instruction-fetch miss stalls the stream for the extra latency
+  beyond the L1 hit time (the hit latency itself is pipelined away);
+* a load miss stalls for that extra latency divided by ``load_mlp``,
+  standing in for the misses an out-of-order core overlaps;
+* stores retire through a store buffer and never stall.
 
 This perturbs interval lengths by small constants relative to an
 out-of-order model — negligible against inflection points of 10^3..10^5
@@ -31,6 +34,10 @@ from ..errors import ConfigurationError
 #: part per million, invisible next to the model's own approximations.
 CPI_FP_BITS = 20
 
+#: Instructions the 21264 issues per cycle: ``base_cpi`` may not go below
+#: its reciprocal.
+ISSUE_WIDTH = 4
+
 
 def cpi_fixed_point(base_cpi: float) -> int:
     """``base_cpi`` in fixed-point accumulator units (2**-CPI_FP_BITS)."""
@@ -43,13 +50,12 @@ class PipelineConfig:
 
     Attributes
     ----------
-    width: instructions issued per cycle (4 matches the 21264).
     base_cpi: cycles per instruction charged by the core itself —
         dependency chains, branch mispredictions and issue-slot
         fragmentation that keep real machines far from their peak width.
         The 21264 sustains roughly 1.5 IPC on SPEC2000, so the default is
         0.65 CPI; memory stalls come on top.  Must be at least
-        ``1/width``.
+        ``1/ISSUE_WIDTH``.
     stall_on_miss: charge miss latencies as stalls; disabling yields a
         fixed-IPC clock, useful for deterministic unit tests.
     load_mlp: memory-level-parallelism divisor applied to load-miss
@@ -65,7 +71,6 @@ class PipelineConfig:
         touched four times as a sequential run passes through it.
     """
 
-    width: int = 4
     base_cpi: float = 0.65
     stall_on_miss: bool = True
     load_mlp: int = 4
@@ -73,10 +78,6 @@ class PipelineConfig:
     fetch_group_bytes: int = 16
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ConfigurationError(
-                f"pipeline width must be positive, got {self.width!r}"
-            )
         if self.fetch_group_bytes <= 0 or (
             self.fetch_group_bytes & (self.fetch_group_bytes - 1)
         ):
@@ -84,10 +85,10 @@ class PipelineConfig:
                 "fetch group size must be a positive power of two, got "
                 f"{self.fetch_group_bytes!r}"
             )
-        if self.base_cpi < 1.0 / self.width:
+        if self.base_cpi < 1.0 / ISSUE_WIDTH:
             raise ConfigurationError(
                 f"base CPI {self.base_cpi!r} is below the issue-width bound "
-                f"1/{self.width}"
+                f"1/{ISSUE_WIDTH}"
             )
         if self.load_mlp <= 0:
             raise ConfigurationError(

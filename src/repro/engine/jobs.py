@@ -61,7 +61,9 @@ class SimulationJob:
     ``benchmark`` is a workload ref (:mod:`repro.traces.registry`): a
     paper benchmark name (``"gzip"``) or a recorded trace ref
     (``"trace:/path/file.rtr"``).  Recorded traces run at scale 1.0 —
-    they carry their own length.
+    they carry their own length.  ``pipeline=None`` is the default
+    timing; an all-default :class:`PipelineConfig` is stored as ``None``,
+    so both share one content address.
     """
 
     benchmark: str
@@ -75,6 +77,8 @@ class SimulationJob:
             raise EngineError(str(error)) from None
         if not self.scale > 0:
             raise EngineError(f"scale must be positive, got {self.scale!r}")
+        if self.pipeline == PipelineConfig():
+            object.__setattr__(self, "pipeline", None)
 
     def fingerprint(self) -> Dict:
         """Canonical, JSON-stable parameter record this job is keyed by.

@@ -8,15 +8,16 @@ limits).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List
 
 import numpy as np
 
 from ..core.energy import ModeEnergyModel
-from ..core.policy import DecaySleep, OptDrowsy, OptHybrid, OptSleep
+from ..core.policy import standard_policies
 from ..core.savings import evaluate_policy
 from ..power.technology import paper_nodes
-from ..prefetch.schemes import evaluate_prefetch_scheme
+from ..prefetch.schemes import PrefetchGuidedPolicy
 from . import paper_values
 from .reporting import ExperimentResult, Table, fmt_pct
 from .suite import SuiteRunner
@@ -38,31 +39,19 @@ def compute(
     """Savings per cache, benchmark and scheme (plus the average row)."""
     node = paper_nodes()[feature_nm]
     model = ModeEnergyModel(node)
+    policies = standard_policies(model) + [
+        PrefetchGuidedPolicy(model, math.inf),  # Prefetch-A
+        PrefetchGuidedPolicy(model, model.drowsy_min_length),  # Prefetch-B
+    ]
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
     for cache in ("icache", "dcache"):
-        per_benchmark: Dict[str, Dict[str, float]] = {}
-        for name, population in suite.intervals_by_benchmark(cache).items():
-            row = {
-                "OPT-Drowsy": evaluate_policy(
-                    OptDrowsy(model, name="OPT-Drowsy"), population
-                ).saving_fraction,
-                "Sleep(10K)": evaluate_policy(
-                    DecaySleep(model, 10_000), population
-                ).saving_fraction,
-                "OPT-Sleep(10K)": evaluate_policy(
-                    OptSleep(model, 10_000), population
-                ).saving_fraction,
-                "OPT-Hybrid": evaluate_policy(
-                    OptHybrid(model), population
-                ).saving_fraction,
-                "Prefetch-A": evaluate_prefetch_scheme(
-                    population, model, power_first=False
-                ).savings.saving_fraction,
-                "Prefetch-B": evaluate_prefetch_scheme(
-                    population, model, power_first=True
-                ).savings.saving_fraction,
+        per_benchmark: Dict[str, Dict[str, float]] = {
+            name: {
+                policy.name: evaluate_policy(policy, population).saving_fraction
+                for policy in policies
             }
-            per_benchmark[name] = row
+            for name, population in suite.intervals_by_benchmark(cache).items()
+        }
         per_benchmark["average"] = {
             scheme: float(np.mean([row[scheme] for row in per_benchmark.values()]))
             for scheme in SCHEMES

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.energy import ModeEnergyModel
 from ..power.technology import paper_nodes
-from ..prefetch.schemes import TradeoffPoint, prefetch_tradeoff_curve
+from ..prefetch.schemes import PrefetchGuidedPolicy
 from .reporting import ExperimentResult, Table, fmt_pct
 from .suite import SuiteRunner
 
@@ -30,27 +30,27 @@ def compute(
     suite: SuiteRunner,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
     feature_nm: int = 70,
-) -> Dict[str, List[TradeoffPoint]]:
-    """Suite-average frontier per cache."""
+) -> Dict[str, Dict[str, List[float]]]:
+    """Suite-average savings and stall overhead per cache and threshold."""
     model = ModeEnergyModel(paper_nodes()[feature_nm])
-    out: Dict[str, List[TradeoffPoint]] = {}
+    policies = [PrefetchGuidedPolicy(model, threshold) for threshold in thresholds]
+    out: Dict[str, Dict[str, List[float]]] = {}
     for cache in ("icache", "dcache"):
-        curves = [
-            prefetch_tradeoff_curve(population, model, list(thresholds))
+        per_benchmark = [
+            [policy.price(population) for policy in policies]
             for population in suite.intervals_by_benchmark(cache).values()
         ]
-        out[cache] = [
-            TradeoffPoint(
-                np_threshold=float(thresholds[i]),
-                saving_fraction=float(
-                    np.mean([curve[i].saving_fraction for curve in curves])
-                ),
-                stall_overhead=float(
-                    np.mean([curve[i].stall_overhead for curve in curves])
-                ),
-            )
-            for i in range(len(thresholds))
-        ]
+        by_threshold = list(zip(*per_benchmark))
+        out[cache] = {
+            "savings": [
+                float(np.mean([r.savings.saving_fraction for r in reports]))
+                for reports in by_threshold
+            ],
+            "stall_overhead": [
+                float(np.mean([r.stall_overhead for r in reports]))
+                for reports in by_threshold
+            ],
+        }
     return out
 
 
@@ -58,23 +58,20 @@ def run(suite: SuiteRunner | None = None) -> ExperimentResult:
     """Regenerate the A-to-B frontier for both caches."""
     suite = suite if suite is not None else SuiteRunner()
     measured = compute(suite)
+    a = ModeEnergyModel(paper_nodes()[70]).drowsy_min_length
     tables = []
     for cache in ("icache", "dcache"):
         rows = []
-        for point in measured[cache]:
+        series = measured[cache]
+        for threshold, saving, stalls in zip(
+            DEFAULT_THRESHOLDS, series["savings"], series["stall_overhead"]
+        ):
             label = (
                 "inf (Prefetch-A)"
-                if math.isinf(point.np_threshold)
-                else f"{point.np_threshold:g}"
-                + (" (Prefetch-B)" if point.np_threshold == 6 else "")
+                if math.isinf(threshold)
+                else f"{threshold:g}" + (" (Prefetch-B)" if threshold == a else "")
             )
-            rows.append(
-                [
-                    label,
-                    fmt_pct(point.saving_fraction),
-                    f"{1e6 * point.stall_overhead:.1f}",
-                ]
-            )
+            rows.append([label, fmt_pct(saving), f"{1e6 * stalls:.1f}"])
         tables.append(
             Table(
                 title=f"Prefetch trade-off — {cache}",

@@ -1,7 +1,7 @@
 """Plain-text rendering for experiment results.
 
 Every experiment produces one or more :class:`Table` objects; the
-renderer prints them as aligned ASCII tables so the benchmark harness
+renderer prints them as aligned ASCII tables, so ``repro-leakage run``
 regenerates the paper's tables and figure series directly on stdout and
 into EXPERIMENTS.md.
 """

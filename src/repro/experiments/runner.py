@@ -1,8 +1,8 @@
 """Experiment registry and runner.
 
 Every table/figure reproduction and ablation is registered by name so
-the CLI (``python -m repro`` / ``repro-leakage``) and the benchmark
-harness can run them uniformly.  Experiments that consume the benchmark
+the CLI (``python -m repro`` / ``repro-leakage``), the sweep driver and
+the tests can run them uniformly.  Experiments that consume the benchmark
 suite accept a shared :class:`~repro.experiments.suite.SuiteRunner`, so
 one session simulates the six benchmarks exactly once.
 """

@@ -2,7 +2,8 @@
 
 The per-static-load stride predictor, the interval prefetchability
 analysis behind Figure 9 (next-line and stride flags, judged in
-retrospect), and the Prefetch-A / Prefetch-B leakage schemes of Table 3.
+retrospect), and the one prefetch-guided leakage policy behind Table 3's
+Prefetch-A / Prefetch-B and the trade-off between them.
 """
 
 from .analysis import (
@@ -13,11 +14,7 @@ from .analysis import (
 from .schemes import (
     PrefetchGuidedPolicy,
     PrefetchSchemeReport,
-    PrefetchTradeoff,
     PrefetchabilityRow,
-    TradeoffPoint,
-    evaluate_prefetch_scheme,
-    prefetch_tradeoff_curve,
     prefetchability_breakdown,
     prefetchability_summary,
 )
@@ -29,14 +26,10 @@ __all__ = [
     "CONFIRMATIONS_REQUIRED",
     "PrefetchGuidedPolicy",
     "PrefetchSchemeReport",
-    "PrefetchTradeoff",
     "PrefetchabilityRow",
     "StrideEntry",
     "StridePredictor",
-    "TradeoffPoint",
     "annotate_workload_trace",
-    "evaluate_prefetch_scheme",
-    "prefetch_tradeoff_curve",
     "prefetchability_breakdown",
     "prefetchability_summary",
 ]

@@ -12,18 +12,21 @@ approximations of the oracle:
   small wake-up stall (``d3`` cycles) the drowsy literature shows to be
   tolerable.
 
-Both are expressed as :class:`~repro.core.policy.Policy` subclasses
-whose length cuts differ by prefetch class, so the standard Figure 5
-evaluation prices them, and the wake-up stalls B accepts are reported
-separately as a performance-cost estimate.  Every
-function here takes an :class:`~repro.core.intervals.IntervalPopulation`,
-as :class:`~repro.prefetch.analysis.AnnotatingSimulator` returns one per
+The two differ only in what a non-prefetchable interval does, so one
+:class:`PrefetchGuidedPolicy` states both, and the continuum between
+them that the paper leaves as future work: a non-prefetchable interval
+goes drowsy when it is longer than ``np_threshold`` (``inf`` for A, the
+active-drowsy point ``a`` for B).  Its length cuts differ by prefetch
+class, so the standard Figure 5 evaluation prices it, and
+:meth:`PrefetchGuidedPolicy.price` reports the wake-up stalls it accepts
+as a performance-cost estimate.  Every function here takes an
+:class:`~repro.core.intervals.IntervalPopulation`, as
+:class:`~repro.prefetch.analysis.AnnotatingSimulator` returns one per
 cache.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -45,39 +48,39 @@ class PrefetchGuidedPolicy(Policy):
     ----------
     model:
         The bound energy model (supplies the inflection points).
-    power_first:
-        False = Prefetch-A (non-prefetchable stays active);
-        True = Prefetch-B (non-prefetchable goes drowsy when feasible).
+    np_threshold:
+        Non-prefetchable intervals longer than this go drowsy; shorter
+        ones stay active.  ``math.inf`` is Prefetch-A, the active-drowsy
+        point ``a`` is Prefetch-B, and anything between is
+        ``Prefetch-T(x)``: short busy intervals, whose wake-up stalls
+        recur most often, stay active.
 
     Pricing a population reads the prefetchable bit of its pricing
-    classes; :meth:`modes` and :meth:`energies` read the per-length flags
-    :meth:`with_flags` binds, e.g. per-interval flags for an oracle.
+    classes; :meth:`modes` and :meth:`energies` take per-length flags as
+    their ``prefetchable`` argument.
     """
-
-    #: Prefetchability aligned with the lengths :meth:`modes` is asked
-    #: about; unset on a policy that is not bound to any rows yet.
-    prefetchable: np.ndarray | None = None
 
     def __init__(
         self,
         model: ModeEnergyModel,
-        power_first: bool,
+        np_threshold: float,
         name: str | None = None,
     ) -> None:
         super().__init__(model, name)
-        self.power_first = bool(power_first)
-        #: Non-prefetchable intervals longer than this go drowsy.
-        self.np_threshold = (
-            float(self.points.active_drowsy) if power_first else math.inf
-        )
+        a = self.points.active_drowsy
+        if np_threshold < a:
+            raise PolicyError(
+                f"NP drowsy threshold {np_threshold!r} is below the "
+                f"active-drowsy point {a}"
+            )
+        self.np_threshold = float(np_threshold)
         if name is None:
-            self.name = "Prefetch-B" if power_first else "Prefetch-A"
-
-    def with_flags(self, prefetchable: np.ndarray) -> "PrefetchGuidedPolicy":
-        """A copy whose :meth:`modes` read ``prefetchable``."""
-        bound = copy.copy(self)
-        bound.prefetchable = np.asarray(prefetchable, dtype=bool)
-        return bound
+            if math.isinf(self.np_threshold):
+                self.name = "Prefetch-A"
+            elif self.np_threshold == a:
+                self.name = "Prefetch-B"
+            else:
+                self.name = f"Prefetch-T({np_threshold:g})"
 
     def cuts(self, prefetchable: bool) -> Tuple[Tuple[Mode, float, bool], ...]:
         if prefetchable:
@@ -87,18 +90,11 @@ class PrefetchGuidedPolicy(Policy):
             )
         return ((Mode.DROWSY, self.np_threshold, False),)
 
-    def _flag_rows(self, lengths: np.ndarray):
-        mask = self.prefetchable
-        if mask is None or mask.shape != lengths.shape:
-            raise PolicyError(
-                f"policy {self.name!r} needs prefetch flags aligned with the "
-                f"{lengths.shape[0]} length(s) it assigns; price it on a "
-                "population or bind flags with with_flags()"
-            )
-        return ((False, ~mask), (True, mask))
-
     def wakeup_stall_cycles(
-        self, lengths: np.ndarray, counts: np.ndarray | None = None
+        self,
+        lengths: np.ndarray,
+        prefetchable: np.ndarray,
+        counts: np.ndarray | None = None,
     ) -> int:
         """Estimated stall cycles from unhidden drowsy wake-ups.
 
@@ -106,17 +102,18 @@ class PrefetchGuidedPolicy(Policy):
         stall); non-prefetchable drowsy intervals each pay the ``d3``
         ramp on their closing access.  Prefetch-A never stalls.  With
         ``counts``, entry ``i`` stands for ``counts[i]`` intervals.  This
-        reads the bound flags per length; :meth:`price` reads the same
-        count off its population's pricing.
+        is the per-length oracle; :meth:`price` reads the same count off
+        its population's pricing.
         """
-        lengths = np.asarray(lengths)
-        unhidden = (~self.prefetchable) & (lengths > self.np_threshold)
+        unhidden = ~np.asarray(prefetchable, dtype=bool) & (
+            np.asarray(lengths) > self.np_threshold
+        )
         stalled = unhidden.sum() if counts is None else counts[unhidden].sum()
         return int(stalled) * self.model.durations.d3
 
     def price(
         self, population: IntervalPopulation, dead_aware: bool = False
-    ) -> Tuple[SavingsReport, int]:
+    ) -> PrefetchSchemeReport:
         """Savings and wake-up stall cycles over one population.
 
         The stalled intervals are the non-prefetchable drowsy band, read
@@ -125,7 +122,11 @@ class PrefetchGuidedPolicy(Policy):
         savings = evaluate_policy(self, population, dead_aware=dead_aware)
         drowsy = savings.breakdown.get(Mode.DROWSY)
         stalled = drowsy.interval_count - drowsy.prefetchable_count if drowsy else 0
-        return savings, stalled * self.model.durations.d3
+        return PrefetchSchemeReport(
+            savings=savings,
+            wakeup_stall_cycles=stalled * self.model.durations.d3,
+            total_cycles=population.total_cycles,
+        )
 
 
 @dataclass(frozen=True)
@@ -142,22 +143,6 @@ class PrefetchSchemeReport:
         return (
             self.wakeup_stall_cycles / self.total_cycles if self.total_cycles else 0.0
         )
-
-
-def evaluate_prefetch_scheme(
-    population: IntervalPopulation,
-    model: ModeEnergyModel,
-    power_first: bool,
-    dead_aware: bool = False,
-) -> PrefetchSchemeReport:
-    """Price Prefetch-A (``power_first=False``) or Prefetch-B over a run."""
-    policy = PrefetchGuidedPolicy(model, power_first)
-    savings, stalls = policy.price(population, dead_aware=dead_aware)
-    return PrefetchSchemeReport(
-        savings=savings,
-        wakeup_stall_cycles=stalls,
-        total_cycles=population.total_cycles,
-    )
 
 
 @dataclass(frozen=True)
@@ -218,70 +203,3 @@ def prefetchability_summary(
     nl = float(counts[population.nextline].sum()) / total
     st = float(counts[population.stride].sum()) / total
     return {"nextline": nl, "stride": st, "total": nl + st}
-
-
-class PrefetchTradeoff(PrefetchGuidedPolicy):
-    """The A-to-B continuum the paper leaves as future work (§5.2 end).
-
-    Prefetch-A and Prefetch-B differ only in what happens to
-    non-prefetchable intervals: A keeps them active (no stalls), B puts
-    them all into drowsy mode (maximum savings, one ``d3`` stall each).
-    The best design point "is somewhere in between": this policy drowses
-    a non-prefetchable interval only when it is longer than
-    ``np_threshold`` cycles, so short busy intervals — the ones whose
-    wake-up stalls recur most often — stay active.
-
-    ``np_threshold = a`` reproduces Prefetch-B; ``np_threshold = inf``
-    reproduces Prefetch-A.
-    """
-
-    def __init__(
-        self,
-        model: ModeEnergyModel,
-        np_threshold: float,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(model, power_first=True, name=name)
-        if np_threshold < self.points.active_drowsy:
-            raise PolicyError(
-                f"NP drowsy threshold {np_threshold!r} is below the "
-                f"active-drowsy point {self.points.active_drowsy}"
-            )
-        self.np_threshold = float(np_threshold)
-        if name is None:
-            self.name = f"Prefetch-T({np_threshold:g})"
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """One point of the Prefetch-A..B power/performance frontier."""
-
-    np_threshold: float
-    saving_fraction: float
-    stall_overhead: float
-
-
-def prefetch_tradeoff_curve(
-    population: IntervalPopulation,
-    model: ModeEnergyModel,
-    thresholds: "List[float]",
-) -> "List[TradeoffPoint]":
-    """Sweep the NP drowsy threshold from B-like to A-like.
-
-    Returns one :class:`TradeoffPoint` per threshold: as the threshold
-    rises, wake-up stalls fall monotonically and so do the savings — the
-    power/performance frontier the paper's §5.2 sketches.
-    """
-    points = []
-    total = population.total_cycles
-    for threshold in thresholds:
-        policy = PrefetchTradeoff(model, threshold)
-        report, stalls = policy.price(population)
-        points.append(
-            TradeoffPoint(
-                np_threshold=float(threshold),
-                saving_fraction=report.saving_fraction,
-                stall_overhead=stalls / total if total else 0.0,
-            )
-        )
-    return points

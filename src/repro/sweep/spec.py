@@ -19,7 +19,7 @@ The JSON form mirrors the dataclass::
       "name": "scaling",
       "benchmarks": ["gzip", "ammp"],
       "scales": [0.25],
-      "pipelines": [null, {"width": 2, "base_cpi": 0.65}],
+      "pipelines": [null, {"base_cpi": 0.8}],
       "experiments": ["table2", "figure8"]
     }
 
@@ -77,7 +77,8 @@ class SweepSpec:
     scales:
         Workload scale axis (positive floats), default ``(1.0,)``.
     pipelines:
-        Pipeline-configuration axis; ``None`` entries mean the default
+        Pipeline-configuration axis; ``None`` entries (and all-default
+        configs, which are stored as ``None``) mean the default
         Alpha-21264-like timing model.
     experiments:
         Suite-consuming experiments (``run`` names such as ``table2`` or
@@ -101,7 +102,11 @@ class SweepSpec:
         object.__setattr__(
             self, "scales", tuple(float(s) for s in self.scales)
         )
-        object.__setattr__(self, "pipelines", tuple(self.pipelines))
+        object.__setattr__(
+            self,
+            "pipelines",
+            tuple(None if p == PipelineConfig() else p for p in self.pipelines),
+        )
         object.__setattr__(self, "experiments", tuple(self.experiments))
         for axis, values in (
             ("benchmarks", self.benchmarks),

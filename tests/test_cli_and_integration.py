@@ -13,7 +13,7 @@ from repro.core import (
     inflection_points,
 )
 from repro.power import paper_nodes
-from repro.prefetch import annotate_workload_trace, evaluate_prefetch_scheme
+from repro.prefetch import PrefetchGuidedPolicy, annotate_workload_trace
 from repro.workloads import make_benchmark
 
 
@@ -87,7 +87,7 @@ class TestEndToEnd:
             view = view.as_normal()
             decay = evaluate_policy(DecaySleep(model70, 10_000), view).saving_fraction
             hybrid = evaluate_policy(OptHybrid(model70), view).saving_fraction
-            b = evaluate_prefetch_scheme(view, model70, power_first=True)
+            b = PrefetchGuidedPolicy(model70, model70.drowsy_min_length).price(view)
             assert decay - 0.02 <= b.savings.saving_fraction <= hybrid + 1e-9
 
     def test_technology_scaling_direction(self, gzip_run):

@@ -152,7 +152,7 @@ class TestIssueClock:
 
     def test_cpi_below_width_bound_rejected(self):
         with pytest.raises(ConfigurationError):
-            PipelineConfig(width=4, base_cpi=0.1)
+            PipelineConfig(base_cpi=0.1)
 
     def test_fetch_group_must_be_power_of_two(self):
         with pytest.raises(ConfigurationError):

@@ -72,9 +72,14 @@ class TestJobs:
             SimulationJob("gzip", 0.5).key(),
             SimulationJob("gzip", 0.25).key(),
             SimulationJob("ammp", 0.5).key(),
-            SimulationJob("gzip", 0.5, PipelineConfig(width=2, base_cpi=0.65)).key(),
+            SimulationJob("gzip", 0.5, PipelineConfig(base_cpi=0.8)).key(),
         }
         assert len(keys) == 4
+
+    def test_default_pipeline_keys_like_none(self):
+        job = SimulationJob("gzip", 0.5, PipelineConfig())
+        assert job.pipeline is None
+        assert job.key() == SimulationJob("gzip", 0.5).key()
 
     def test_jobs_are_hashable_cache_keys(self):
         assert SimulationJob("gzip", 0.5) == SimulationJob("gzip", 0.5)

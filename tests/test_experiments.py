@@ -254,8 +254,8 @@ class TestFutureWork:
 
         measured = compute(suite)
         for cache in ("icache", "dcache"):
-            savings = [p.saving_fraction for p in measured[cache]]
-            stalls = [p.stall_overhead for p in measured[cache]]
+            savings = measured[cache]["savings"]
+            stalls = measured[cache]["stall_overhead"]
             assert savings == sorted(savings, reverse=True)
             assert stalls == sorted(stalls, reverse=True)
             assert stalls[-1] == 0.0

@@ -12,6 +12,7 @@ price must agree with per-interval pricing within 1e-12 relative.
 Folding in any chunk split must equal reducing the concatenation at once.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -36,7 +37,6 @@ from repro.engine import ExecutionEngine, ResultStore, SimulationJob, execute_jo
 from repro.prefetch.analysis import AnnotatingSimulator
 from repro.prefetch.schemes import (
     PrefetchGuidedPolicy,
-    PrefetchTradeoff,
     prefetchability_breakdown,
     prefetchability_summary,
 )
@@ -158,9 +158,9 @@ class TestReducedAgainstRaw:
         stored, normal = views(pair, cache)
         policies = [
             *trio_policies(model70),
-            PrefetchGuidedPolicy(model70, power_first=False),
-            PrefetchGuidedPolicy(model70, power_first=True),
-            PrefetchTradeoff(model70, np_threshold=2000),
+            PrefetchGuidedPolicy(model70, math.inf),  # Prefetch-A
+            PrefetchGuidedPolicy(model70, model70.drowsy_min_length),  # Prefetch-B
+            PrefetchGuidedPolicy(model70, np_threshold=2000),
         ]
         for policy in policies:
             assert_priced_like_raw(policy, *normal, dead_aware=False)
@@ -170,13 +170,12 @@ class TestReducedAgainstRaw:
 def assert_priced_like_raw(policy, population, lengths, kinds, annotated, dead_aware):
     """Spectrum pricing of ``population`` against per-interval pricing."""
     report = evaluate_policy(policy, population, dead_aware=dead_aware)
-    per_interval = policy
+    flags = annotated.prefetchable
     if isinstance(policy, PrefetchGuidedPolicy):
-        per_interval = policy.with_flags(annotated.prefetchable)
-        _, stalls = policy.price(population, dead_aware=dead_aware)
-        assert stalls == per_interval.wakeup_stall_cycles(lengths)
-    energies = per_interval.energies(lengths, kinds, dead_aware=dead_aware)
-    codes = per_interval.modes(lengths)
+        stalls = policy.price(population, dead_aware=dead_aware).wakeup_stall_cycles
+        assert stalls == policy.wakeup_stall_cycles(lengths, flags)
+    energies = policy.energies(lengths, kinds, flags, dead_aware=dead_aware)
+    codes = policy.modes(lengths, flags)
     for code, mode in CODE_MODES.items():
         mask = codes == code
         entry = report.breakdown.get(mode)

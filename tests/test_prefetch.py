@@ -1,5 +1,7 @@
 """Tests for repro.prefetch — predictors, annotation, A/B schemes."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import RawIntervals, run_recorded
@@ -10,7 +12,6 @@ from repro.errors import IntervalError, PolicyError, SimulationError
 from repro.prefetch.analysis import AnnotatingSimulator
 from repro.prefetch.schemes import (
     PrefetchGuidedPolicy,
-    evaluate_prefetch_scheme,
     prefetchability_breakdown,
     prefetchability_summary,
 )
@@ -148,43 +149,45 @@ class TestPrefetchSchemes:
             np.array(nl), np.array(st), np.array(tail),
         )
 
+    @staticmethod
+    def _schemes(model):
+        """Prefetch-A and Prefetch-B."""
+        return (
+            PrefetchGuidedPolicy(model, math.inf),
+            PrefetchGuidedPolicy(model, model.drowsy_min_length),
+        )
+
     def test_prefetch_a_keeps_np_active(self, model70):
         annotated = self._annotated(model70)
-        policy = PrefetchGuidedPolicy(model70, power_first=False)
-        codes = policy.with_flags(annotated.prefetchable).modes(
-            annotated.lengths
-        )
+        policy, _ = self._schemes(model70)
+        codes = policy.modes(annotated.lengths, annotated.prefetchable)
         # NP intervals (index 2 and 4) stay active; P intervals get modes.
         assert list(codes) == [0, 1, 0, 2, 0, 2]
 
     def test_prefetch_b_drowsies_np(self, model70):
         annotated = self._annotated(model70)
-        policy = PrefetchGuidedPolicy(model70, power_first=True)
-        codes = policy.with_flags(annotated.prefetchable).modes(
-            annotated.lengths
-        )
+        _, policy = self._schemes(model70)
+        codes = policy.modes(annotated.lengths, annotated.prefetchable)
         assert list(codes) == [0, 1, 1, 2, 1, 2]
 
     def test_b_saves_at_least_a(self, model70):
         population = self._annotated(model70).population()
-        a = evaluate_prefetch_scheme(population, model70, power_first=False)
-        b = evaluate_prefetch_scheme(population, model70, power_first=True)
+        a, b = (policy.price(population) for policy in self._schemes(model70))
         assert b.savings.saving_fraction >= a.savings.saving_fraction
 
     def test_a_has_no_wakeup_stalls(self, model70):
         population = self._annotated(model70).population()
-        a = evaluate_prefetch_scheme(population, model70, power_first=False)
-        b = evaluate_prefetch_scheme(population, model70, power_first=True)
+        a, b = (policy.price(population) for policy in self._schemes(model70))
         assert a.wakeup_stall_cycles == 0
         assert b.wakeup_stall_cycles == 2 * model70.durations.d3
         assert b.stall_overhead > 0
 
     def test_mask_alignment_enforced(self, model70):
-        policy = PrefetchGuidedPolicy(model70, power_first=True)
+        _, policy = self._schemes(model70)
         with pytest.raises(PolicyError):
-            policy.with_flags(np.array([True])).modes(np.array([10, 20]))
+            policy.modes(np.array([10, 20]), np.array([True]))
         with pytest.raises(PolicyError):
-            policy.modes(np.array([10, 20]))  # bound to no flags at all
+            policy.modes(np.array([10, 20]))  # no flags at all
 
     def test_breakdown_ranges(self, model70):
         population = self._annotated(model70).population()

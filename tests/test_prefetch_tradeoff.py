@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 from conftest import RawIntervals
 
+from repro.core.policy import ACTIVE, DROWSY, SLEEP
 from repro.core.savings import evaluate_policy
 from repro.errors import PolicyError
-from repro.prefetch.schemes import (
-    PrefetchGuidedPolicy,
-    PrefetchTradeoff,
-    evaluate_prefetch_scheme,
-    prefetch_tradeoff_curve,
-)
+from repro.prefetch.schemes import PrefetchGuidedPolicy
 
 
 @pytest.fixture()
@@ -29,72 +25,84 @@ def annotated():
     )
 
 
+def frontier(model, population, thresholds):
+    """(saving fraction, stall overhead) per NP drowsy threshold."""
+    reports = [PrefetchGuidedPolicy(model, t).price(population) for t in thresholds]
+    return (
+        [r.savings.saving_fraction for r in reports],
+        [r.stall_overhead for r in reports],
+    )
+
+
 class TestEndpoints:
     def test_threshold_a_reproduces_prefetch_b(self, model70, annotated):
-        flags = annotated.prefetchable
-        tradeoff = PrefetchTradeoff(model70, np_threshold=6).with_flags(flags)
-        b_policy = PrefetchGuidedPolicy(model70, power_first=True).with_flags(flags)
-        lengths = annotated.lengths
-        assert np.array_equal(tradeoff.modes(lengths), b_policy.modes(lengths))
-        assert tradeoff.wakeup_stall_cycles(lengths) == b_policy.wakeup_stall_cycles(
-            lengths
+        policy = PrefetchGuidedPolicy(model70, model70.drowsy_min_length)
+        assert policy.name == "Prefetch-B"
+        lengths, flags = annotated.lengths, annotated.prefetchable
+        # Every feasible non-prefetchable interval goes drowsy and stalls.
+        assert policy.modes(lengths, flags).tolist() == [
+            ACTIVE, DROWSY, DROWSY, SLEEP, DROWSY, SLEEP, DROWSY,
+        ]
+        assert policy.wakeup_stall_cycles(lengths, flags) == (
+            3 * model70.durations.d3
         )
 
     def test_infinite_threshold_reproduces_prefetch_a(self, model70, annotated):
-        flags = annotated.prefetchable
-        tradeoff = PrefetchTradeoff(model70, np_threshold=math.inf).with_flags(flags)
-        a_policy = PrefetchGuidedPolicy(model70, power_first=False).with_flags(flags)
-        lengths = annotated.lengths
-        assert np.array_equal(tradeoff.modes(lengths), a_policy.modes(lengths))
-        assert tradeoff.wakeup_stall_cycles(lengths) == 0
+        policy = PrefetchGuidedPolicy(model70, math.inf)
+        assert policy.name == "Prefetch-A"
+        lengths, flags = annotated.lengths, annotated.prefetchable
+        # Non-prefetchable intervals stay active, so nothing stalls.
+        assert policy.modes(lengths, flags).tolist() == [
+            ACTIVE, DROWSY, ACTIVE, SLEEP, ACTIVE, SLEEP, ACTIVE,
+        ]
+        assert policy.wakeup_stall_cycles(lengths, flags) == 0
 
 
 class TestFrontier:
     def test_savings_and_stalls_both_monotone(self, model70, annotated):
-        curve = prefetch_tradeoff_curve(
-            annotated.population(), model70, [6, 100, 2000, 50_000, math.inf]
+        savings, stalls = frontier(
+            model70, annotated.population(), [6, 100, 2000, 50_000, math.inf]
         )
-        savings = [p.saving_fraction for p in curve]
-        stalls = [p.stall_overhead for p in curve]
         assert savings == sorted(savings, reverse=True)
         assert stalls == sorted(stalls, reverse=True)
         assert stalls[-1] == 0.0
 
     def test_intermediate_point_is_strictly_between(self, model70, annotated):
-        curve = prefetch_tradeoff_curve(
-            annotated.population(), model70, [6, 2000, math.inf]
-        )
-        b_point, mid, a_point = curve
-        assert a_point.saving_fraction < mid.saving_fraction < b_point.saving_fraction
+        savings, _ = frontier(model70, annotated.population(), [6, 2000, math.inf])
+        b_point, mid, a_point = savings
+        assert a_point < mid < b_point
 
     def test_matches_scheme_evaluations(self, model70, annotated):
         population = annotated.population()
-        curve = prefetch_tradeoff_curve(population, model70, [6, math.inf])
-        b_report = evaluate_prefetch_scheme(population, model70, power_first=True)
-        a_report = evaluate_prefetch_scheme(population, model70, power_first=False)
-        assert curve[0].saving_fraction == pytest.approx(
-            b_report.savings.saving_fraction
-        )
-        assert curve[1].saving_fraction == pytest.approx(
-            a_report.savings.saving_fraction
-        )
+        lengths, flags = annotated.lengths, annotated.prefetchable
+        for threshold in (6, 2000, math.inf):
+            policy = PrefetchGuidedPolicy(model70, threshold)
+            report = policy.price(population)
+            energies = policy.energies(lengths, prefetchable=flags)
+            baseline = float(model70.active_energy_array(lengths).sum())
+            assert report.savings.saving_fraction == pytest.approx(
+                1.0 - float(energies.sum()) / baseline
+            )
+            stalls = policy.wakeup_stall_cycles(lengths, flags)
+            assert report.wakeup_stall_cycles == stalls
+            assert report.stall_overhead == stalls / int(lengths.sum())
 
 
 class TestValidation:
     def test_threshold_below_a_rejected(self, model70, annotated):
         with pytest.raises(PolicyError):
-            PrefetchTradeoff(model70, np_threshold=3)
+            PrefetchGuidedPolicy(model70, np_threshold=3)
 
     def test_mask_alignment_enforced(self, model70):
-        policy = PrefetchTradeoff(model70, np_threshold=100)
+        policy = PrefetchGuidedPolicy(model70, np_threshold=100)
         with pytest.raises(PolicyError):
-            policy.with_flags(np.array([True])).modes(np.array([10, 20]))
+            policy.modes(np.array([10, 20]), np.array([True]))
 
     def test_name(self, model70, annotated):
-        policy = PrefetchTradeoff(model70, np_threshold=2000)
+        policy = PrefetchGuidedPolicy(model70, np_threshold=2000)
         assert policy.name == "Prefetch-T(2000)"
 
     def test_evaluable_through_standard_machinery(self, model70, annotated):
-        policy = PrefetchTradeoff(model70, np_threshold=2000)
+        policy = PrefetchGuidedPolicy(model70, np_threshold=2000)
         report = evaluate_policy(policy, annotated.population())
         assert 0.0 < report.saving_fraction < 1.0

@@ -39,7 +39,7 @@ from repro.errors import PolicyError
 from repro.experiments import figure7, futurework
 from repro.power.technology import paper_nodes
 from repro.prefetch.analysis import AnnotatingSimulator
-from repro.prefetch.schemes import PrefetchGuidedPolicy, PrefetchTradeoff
+from repro.prefetch.schemes import PrefetchGuidedPolicy
 from repro.workloads.benchmarks import BENCHMARK_NAMES, make_benchmark
 
 REL = 1e-12
@@ -65,16 +65,15 @@ def report_policies():
             OptDrowsy(model),
             OptSleep(model, 10_000),
             OptHybrid(model),
-            PrefetchGuidedPolicy(model, power_first=False),
-            PrefetchGuidedPolicy(model, power_first=True),
             *(DecaySleep(model, 10_000, overhead) for overhead in COUNTER_OVERHEADS),
             *(OptHybrid(model, b * factor) for factor in B_FACTORS),
         ]
         for threshold in figure7.DEFAULT_THRESHOLDS:
             threshold = max(float(threshold), b)
             policies += [OptSleep(model, threshold), OptHybrid(model, threshold)]
+        # Prefetch-B (a), Prefetch-T(x) and Prefetch-A (inf).
         policies += [
-            PrefetchTradeoff(model, threshold)
+            PrefetchGuidedPolicy(model, threshold)
             for threshold in futurework.DEFAULT_THRESHOLDS
         ]
     return policies
@@ -86,10 +85,8 @@ def model_b(model):
 
 def oracle(policy, lengths, kinds, prefetchable, dead_aware):
     """Per-interval Figure 5 accumulation: (per-mode stats, saving)."""
-    if isinstance(policy, PrefetchGuidedPolicy):
-        policy = policy.with_flags(prefetchable)
-    energies = policy.energies(lengths, kinds, dead_aware=dead_aware)
-    codes = policy.modes(lengths)
+    energies = policy.energies(lengths, kinds, prefetchable, dead_aware=dead_aware)
+    codes = policy.modes(lengths, prefetchable)
     stats = {}
     for code, mode in CODE_MODES.items():
         mask = codes == code
@@ -121,10 +118,11 @@ def assert_priced_like_oracle(
         assert entry.energy == pytest.approx(energy, rel=REL), (policy.name, mode)
     assert report.saving_fraction == pytest.approx(saving, rel=REL, abs=REL)
     if isinstance(policy, PrefetchGuidedPolicy):
-        _, stalls = policy.price(population, dead_aware=dead_aware)
-        assert stalls == policy.with_flags(prefetchable).wakeup_stall_cycles(lengths)
-        rows = policy.with_flags(population.prefetchable)
-        assert stalls == rows.wakeup_stall_cycles(population.lengths, population.counts)
+        stalls = policy.price(population, dead_aware=dead_aware).wakeup_stall_cycles
+        assert stalls == policy.wakeup_stall_cycles(lengths, prefetchable)
+        assert stalls == policy.wakeup_stall_cycles(
+            population.lengths, population.prefetchable, population.counts
+        )
 
 
 # ----------------------------------------------------------------------
@@ -213,12 +211,9 @@ def cut_cases(draw):
         OptSleep(model, theta),
         OptHybrid(model, theta),
         DecaySleep(model, decay, draw(st.sampled_from(COUNTER_OVERHEADS))),
-        PrefetchGuidedPolicy(model, power_first=False),
-        PrefetchGuidedPolicy(model, power_first=True),
-        PrefetchTradeoff(
-            model,
-            draw(st.sampled_from([float(model.drowsy_min_length), theta, math.inf])),
-        ),
+        PrefetchGuidedPolicy(model, math.inf),  # Prefetch-A
+        PrefetchGuidedPolicy(model, model.drowsy_min_length),  # Prefetch-B
+        PrefetchGuidedPolicy(model, theta),  # Prefetch-T(theta)
     ]
     population = IntervalPopulation.of(
         lengths, kinds, flags[:, 0], flags[:, 1], flags[:, 2]

@@ -31,7 +31,7 @@ from repro.core.policy import (
 from repro.core.savings import evaluate_policy, trio_savings
 from repro.errors import IntervalError, PolicyError
 from repro.power.technology import paper_nodes
-from repro.prefetch.schemes import PrefetchGuidedPolicy, PrefetchTradeoff
+from repro.prefetch.schemes import PrefetchGuidedPolicy
 
 MODELS = {nm: ModeEnergyModel(node) for nm, node in paper_nodes().items()}
 REL = 1e-12
@@ -39,11 +39,9 @@ REL = 1e-12
 
 def oracle(policy, intervals, dead_aware, prefetchable=None):
     """Per-interval Figure 5 accumulation: (per-mode stats, saving)."""
-    if isinstance(policy, PrefetchGuidedPolicy):
-        policy = policy.with_flags(prefetchable)
     lengths, kinds = intervals.lengths, intervals.kinds
-    energies = policy.energies(lengths, kinds, dead_aware=dead_aware)
-    codes = policy.modes(lengths)
+    energies = policy.energies(lengths, kinds, prefetchable, dead_aware=dead_aware)
+    codes = policy.modes(lengths, prefetchable)
     stats = {}
     for code, mode in CODE_MODES.items():
         mask = codes == code
@@ -124,13 +122,12 @@ def policies(draw):
         )
     if choice == 3:
         return OptHybrid(model, draw(st.floats(b, 10 * b)))
-    if choice in (4, 5):
-        return PrefetchGuidedPolicy(model, power_first=choice == 5)
-    threshold = draw(
-        st.sampled_from([math.inf, float(model.drowsy_min_length)])
-        | st.floats(model.drowsy_min_length, 300_000.0)
-    )
-    return PrefetchTradeoff(model, threshold)
+    if choice == 4:
+        return PrefetchGuidedPolicy(model, math.inf)  # Prefetch-A
+    if choice == 5:
+        return PrefetchGuidedPolicy(model, model.drowsy_min_length)  # Prefetch-B
+    threshold = draw(st.floats(model.drowsy_min_length, 300_000.0))
+    return PrefetchGuidedPolicy(model, threshold)  # Prefetch-T(threshold)
 
 
 @settings(max_examples=300, deadline=None)
@@ -148,12 +145,11 @@ def test_stalls_match_per_interval_count(data):
     policy = data.draw(policies())
     if not isinstance(policy, PrefetchGuidedPolicy):
         return
-    _, stalls = policy.price(population)
-    assert stalls == policy.with_flags(prefetchable).wakeup_stall_cycles(
-        intervals.lengths
+    stalls = policy.price(population).wakeup_stall_cycles
+    assert stalls == policy.wakeup_stall_cycles(intervals.lengths, prefetchable)
+    assert stalls == policy.wakeup_stall_cycles(
+        population.lengths, population.prefetchable, population.counts
     )
-    rows = policy.with_flags(population.prefetchable)
-    assert stalls == rows.wakeup_stall_cycles(population.lengths, population.counts)
 
 
 class TestTrioSavings:
@@ -204,9 +200,9 @@ class TestLengthSpectrum:
         assert copy.pricing_view() is not view
 
     def test_misaligned_prefetch_policy_raises(self, model70):
-        policy = PrefetchGuidedPolicy(model70, power_first=True)
+        policy = PrefetchGuidedPolicy(model70, model70.drowsy_min_length)
         with pytest.raises(PolicyError):
-            policy.with_flags(np.array([True])).energies(np.array([10, 20]))
+            policy.energies(np.array([10, 20]), prefetchable=np.array([True]))
 
     def test_empty_spectrum(self, model70):
         population = IntervalPopulation.of(

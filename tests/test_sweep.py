@@ -48,7 +48,7 @@ class TestSweepSpec:
     def test_dict_round_trip(self):
         spec = small_spec(
             scales=(SMALL, 0.05),
-            pipelines=(None, PipelineConfig(width=2, base_cpi=0.65)),
+            pipelines=(None, PipelineConfig(base_cpi=0.8)),
             experiments=("table2", "figure8"),
         )
         clone = SweepSpec.from_dict(spec.to_dict())
@@ -119,6 +119,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError):
             SweepSpec.from_dict(data)
 
+    def test_default_pipeline_is_a_duplicate_of_null(self):
+        # ``{}`` is the default timing, the same simulation as ``null``.
+        data = small_spec().to_dict()
+        data["pipelines"] = [None, {}]
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            SweepSpec.from_dict(data)
+
     def test_grid_sizes(self):
         spec = small_spec(scales=(SMALL, 0.05))
         assert spec.simulation_points == 4  # 2 benchmarks x 2 scales
@@ -139,7 +146,7 @@ class TestGridExpansion:
     def test_order_is_scales_then_pipelines_then_benchmarks(self):
         spec = small_spec(
             scales=(SMALL, 0.05),
-            pipelines=(None, PipelineConfig(width=2, base_cpi=0.65)),
+            pipelines=(None, PipelineConfig(base_cpi=0.8)),
         )
         observed = [
             (suite.scale, pipeline_label(suite.pipeline), name)

@@ -553,10 +553,10 @@ class TestContentAddresses:
 
     def test_scaled_benchmark_with_a_pipeline(self):
         job = SimulationJob(
-            "gzip", scale=0.5, pipeline=PipelineConfig(width=2, base_cpi=0.65)
+            "gzip", scale=0.5, pipeline=PipelineConfig(base_cpi=0.8)
         )
         assert job.key() == (
-            "177fc8e26fc9319374d5e51f4f1fa58a05e89c351d7a1edd16dfbdf3bdfdfba4"
+            "a98c93e4b930316827a0f76d6915f5b21f3cac9d1eed669cde502b2f8c3cd587"
         )
 
     def test_recorded_trace_keeps_the_synthetic_key(self, recorded):
