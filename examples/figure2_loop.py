@@ -25,7 +25,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from repro.core import IntervalKind, ModeEnergyModel, inflection_points
+from repro.core import IntervalKind, ModeEnergyModel, OptHybrid, inflection_points
+from repro.core.policy import CODE_MODES
 from repro.cpu import TraceChunk
 from repro.power import paper_nodes
 from repro.prefetch import annotate_workload_trace
@@ -46,6 +47,7 @@ def two_level_loop(inner_trips: int, outer_trips: int = 12) -> TraceChunk:
 def main() -> None:
     model = ModeEnergyModel(paper_nodes()[70])
     points = inflection_points(model)
+    policy = OptHybrid(model)
     print(f"inflection points: a={points.active_drowsy}, "
           f"b={points.drowsy_sleep_cycles} cycles\n")
 
@@ -58,7 +60,7 @@ def main() -> None:
         # of the population's larger intervals as the add-line interval.
         lengths = np.repeat(live.lengths, live.counts)  # rows sort by length
         add_interval = int(np.median(lengths[-11:]))  # 11 outer re-accesses
-        mode = points.classify(add_interval)
+        mode = CODE_MODES[int(policy.modes([add_interval])[0])]
         print(f"{inner_trips:>12,d} {add_interval:>15,d} cy {mode.value:>13s}")
 
     print("\nTight inner ranges sit at the active/drowsy boundary; medium"

@@ -40,7 +40,7 @@ def main() -> None:
 
     for cache in ("l1i", "l1d"):
         view = annotated.annotated_for(cache).as_normal()
-        summary = prefetchability_summary(view, model)
+        summary = prefetchability_summary(view)
         print(f"=== {cache.upper()} ===")
         print(f"prefetchability: next-line {100 * summary['nextline']:.1f}%, "
               f"stride {100 * summary['stride']:.1f}% of intervals")

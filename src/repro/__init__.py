@@ -28,12 +28,8 @@ the answer rests on:
 * :mod:`repro.traces` — the ``.rtr`` recorded-trace format and the
   ``trace:<path>`` workload refs.
 
-Quickstart::
-
-    from repro import quick_limits
-    print(quick_limits())          # the headline 70nm limits
-
-or, for the full pipeline::
+The paper's numbers come from one command, ``repro-leakage run all``.
+To price one benchmark by hand::
 
     from repro.workloads import make_gzip
     from repro.prefetch import annotate_workload_trace
@@ -102,35 +98,8 @@ __all__ = [
     "experiments",
     "power",
     "prefetch",
-    "quick_limits",
     "sweep",
     "traces",
     "workloads",
 ]
 
-
-def quick_limits(scale: float = 0.2, feature_nm: int = 70) -> str:
-    """One-call demo: the OPT-Hybrid limits on a reduced-scale suite.
-
-    Runs the gzip benchmark at the requested scale and reports the
-    instruction- and data-cache hybrid limits at one technology node —
-    a fast taste of the full Figure 8 experiment.
-    """
-    from .core import ModeEnergyModel, OptHybrid, evaluate_policy
-    from .power import paper_nodes
-    from .prefetch import annotate_workload_trace
-    from .workloads import make_gzip
-
-    result = annotate_workload_trace(make_gzip(scale=scale).chunks()).result
-    model = ModeEnergyModel(paper_nodes()[feature_nm])
-    lines = [f"gzip @ {feature_nm}nm (scale {scale:g}):"]
-    for cache_name, intervals in (
-        ("I-cache", result.l1i_intervals),
-        ("D-cache", result.l1d_intervals),
-    ):
-        report = evaluate_policy(OptHybrid(model), intervals.as_normal())
-        lines.append(
-            f"  {cache_name} OPT-Hybrid saves {100 * report.saving_fraction:.1f}% "
-            "of leakage energy"
-        )
-    return "\n".join(lines)

@@ -12,17 +12,18 @@ The public surface:
   reads, folded from per-interval columns by an
   :class:`~repro.core.intervals.IntervalRows`.
 * :class:`~repro.core.energy.ModeEnergyModel` /
-  :class:`~repro.core.energy.TransitionDurations` — Equations 1 and 2.
+  :class:`~repro.core.energy.TransitionDurations` — Equations 1 and 2,
+  stated once in :meth:`~repro.core.energy.ModeEnergyModel.energy`.
 * :func:`~repro.core.inflection.inflection_points` — Equation 3 / Table 1.
 * Policies (:class:`~repro.core.policy.OptHybrid` et al.) — Figures 7/8.
 * :func:`~repro.core.savings.evaluate_policy` — the Figure 5 algorithm.
 * :class:`~repro.core.model.StateMachineModel` — the §3.3 generalized
   model, the cycle-by-cycle reference for Equations 1 and 2.
-* :mod:`~repro.core.envelope` / :mod:`~repro.core.oracle` — Figure 10 and
-  the Theorem 1 optimality machinery.
+* :mod:`~repro.core.envelope` — Figure 10's lower envelope and its
+  per-interval argmin, the Theorem 1 oracle.
 
 Every name is re-exported lazily, on first use: a run that only prices
-policies never loads the §3.3 model or the optimality oracle.
+policies never loads the §3.3 model.
 """
 
 from __future__ import annotations
@@ -35,11 +36,8 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "envelope_array",
-            "envelope_energy",
-            "envelope_mode",
+            "envelope_modes",
             "envelope_series",
-            "verify_envelope_matches_policy",
-            "verify_lemma1",
         ),
         "envelope",
     ),
@@ -62,15 +60,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(("StateMachineModel", "Transition"), "model"),
     "Mode": "modes",
-    **dict.fromkeys(
-        (
-            "assignment_energy",
-            "is_optimal_assignment",
-            "oracle_energy",
-            "oracle_modes",
-        ),
-        "oracle",
-    ),
     **dict.fromkeys(
         (
             "AlwaysActive",

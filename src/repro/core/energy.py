@@ -146,7 +146,7 @@ class ModeEnergyModel:
         self.drowsy_constant = (ramp_dd - self.p_drowsy) * d.drowsy_overhead
 
     # ------------------------------------------------------------------
-    # Feasibility
+    # Interval energies (Equations 1 and 2)
     # ------------------------------------------------------------------
 
     @property
@@ -159,79 +159,6 @@ class ModeEnergyModel:
         """Shortest interval that can be spent in sleep mode."""
         return self.durations.sleep_overhead
 
-    def feasible(self, mode: Mode, length: float) -> bool:
-        """Whether ``mode`` can be applied to an interval of ``length``."""
-        if mode is Mode.ACTIVE:
-            return length > 0
-        if mode is Mode.DROWSY:
-            return length >= self.drowsy_min_length
-        return length >= self.sleep_min_length
-
-    # ------------------------------------------------------------------
-    # Scalar energies (Equations 1 and 2)
-    # ------------------------------------------------------------------
-
-    def active_energy(self, length: float) -> float:
-        """Energy of an interval left fully powered."""
-        self._check_length(length)
-        return self.p_active * length
-
-    def drowsy_energy(self, length: float) -> float:
-        """Energy of an interval spent in drowsy mode (Equation 2)."""
-        self._check_length(length)
-        if length < self.drowsy_min_length:
-            raise PolicyError(
-                f"interval of {length} cycles is too short for drowsy mode "
-                f"(needs >= {self.drowsy_min_length})"
-            )
-        return self.p_drowsy * length + self.drowsy_constant
-
-    def sleep_energy(self, length: float) -> float:
-        """Energy of an interval spent in sleep mode (Equation 1).
-
-        Includes the dynamic energy of the induced miss that re-fetches the
-        line from L2 just in time for the closing access.
-        """
-        self._check_length(length)
-        if length < self.sleep_min_length:
-            raise PolicyError(
-                f"interval of {length} cycles is too short for sleep mode "
-                f"(needs >= {self.sleep_min_length})"
-            )
-        return self.p_sleep * length + self.sleep_constant
-
-    def decay_sleep_energy(self, length: float, wait: float) -> float:
-        """Energy of a *decay*-style sleep: stay active ``wait`` cycles first.
-
-        Models the cache-decay scheme (Sleep(10K) in the paper): the line
-        cannot be slept at the start of the interval because the policy has
-        no oracle — it waits out the decay interval at full power and only
-        then gates Vdd.  The closing re-fetch is still charged.
-        """
-        self._check_length(length)
-        if wait < 0:
-            raise PolicyError(f"decay wait must be non-negative, got {wait!r}")
-        if length - wait < self.sleep_min_length:
-            raise PolicyError(
-                f"interval of {length} cycles leaves {length - wait} after a "
-                f"{wait}-cycle decay wait; sleep needs >= {self.sleep_min_length}"
-            )
-        return self.p_active * wait + self.sleep_energy(length - wait)
-
-    def energy(self, mode: Mode, length: float) -> float:
-        """Dispatch to the per-mode energy function."""
-        if mode is Mode.ACTIVE:
-            return self.active_energy(length)
-        if mode is Mode.DROWSY:
-            return self.drowsy_energy(length)
-        if mode is Mode.SLEEP:
-            return self.sleep_energy(length)
-        raise PolicyError(f"unknown mode {mode!r}")
-
-    def saving(self, mode: Mode, length: float) -> float:
-        """Energy saved versus leaving the line active for the interval."""
-        return self.active_energy(length) - self.energy(mode, length)
-
     def affine(self, mode: Mode) -> Tuple[float, float]:
         """``(slope, intercept)`` of ``mode``'s energy, ``slope * L + intercept``."""
         if mode is Mode.ACTIVE:
@@ -240,37 +167,46 @@ class ModeEnergyModel:
             return self.p_drowsy, self.drowsy_constant
         return self.p_sleep, self.sleep_constant
 
-    # ------------------------------------------------------------------
-    # Vectorized energies (the per-interval pricing oracle)
-    # ------------------------------------------------------------------
+    def energy(self, mode: Mode, lengths, wait: float = 0):
+        """Energy of intervals of ``lengths`` cycles spent in ``mode``.
 
-    def active_energy_array(self, lengths: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`active_energy`."""
-        return self.p_active * np.asarray(lengths, dtype=np.float64)
+        ``lengths`` is one length (the result is a float) or an array of
+        them (the result is an array).  The line first idles ``wait``
+        cycles at full power, then enters ``mode`` for the rest of the
+        interval: a decay policy (Sleep(10K)) has no oracle, so it waits
+        out its decay interval before gating Vdd.  A slept interval
+        includes the dynamic energy of the induced miss that re-fetches
+        the line from L2 just in time for the closing access.
 
-    def drowsy_energy_array(self, lengths: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`drowsy_energy` (caller guarantees feasibility)."""
-        lengths = np.asarray(lengths, dtype=np.float64)
-        return self.p_drowsy * lengths + self.drowsy_constant
-
-    def sleep_energy_array(self, lengths: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`sleep_energy` (caller guarantees feasibility)."""
-        lengths = np.asarray(lengths, dtype=np.float64)
-        return self.p_sleep * lengths + self.sleep_constant
-
-    def decay_sleep_energy_array(
-        self, lengths: np.ndarray, wait: float
-    ) -> np.ndarray:
-        """Vectorized :meth:`decay_sleep_energy` (caller guarantees feasibility)."""
-        lengths = np.asarray(lengths, dtype=np.float64)
-        return self.p_active * wait + self.sleep_energy_array(lengths - wait)
-
-    @staticmethod
-    def _check_length(length: float) -> None:
-        if length <= 0:
+        Raises :class:`PolicyError` on a non-positive length, a negative
+        wait, or an interval whose remainder after the wait is shorter
+        than the mode's transition time.
+        """
+        slope, intercept = self.affine(mode)
+        if np.ndim(lengths):
+            lengths = np.asarray(lengths, dtype=np.float64)
+            shortest = lengths.min(initial=np.inf)
+        else:
+            shortest = lengths
+        if shortest <= 0:
             raise PolicyError(
-                f"interval length must be positive, got {length!r} cycles"
+                f"interval length must be positive, got {shortest:g} cycles"
             )
+        if wait < 0:
+            raise PolicyError(f"decay wait must be non-negative, got {wait:g}")
+        floor = {
+            Mode.DROWSY: self.drowsy_min_length,
+            Mode.SLEEP: self.sleep_min_length,
+        }.get(mode, 0)
+        if shortest - wait < floor:
+            raise PolicyError(
+                f"an interval of {shortest:g} cycles is too short for "
+                f"{mode.value} mode after a {wait:g}-cycle wait (the "
+                f"transition time is {floor} cycles)"
+            )
+        if wait:
+            return self.p_active * wait + (slope * (lengths - wait) + intercept)
+        return slope * lengths + intercept
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

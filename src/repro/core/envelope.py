@@ -6,6 +6,11 @@ modes — is what Theorem 1's optimal policy achieves.  The envelope is
 piecewise linear with slopes ``P_active``, ``P_drowsy``, ``P_sleep`` over
 the three regions split by the inflection points ``a`` and ``b``.
 
+:func:`envelope_modes` takes that minimum per interval straight from
+:meth:`~repro.core.energy.ModeEnergyModel.energy`, with no inflection
+points involved, so the tests can check Theorem 1 by comparing it with
+:class:`~repro.core.policy.OptHybrid`'s region assignment.
+
 One boundary subtlety is worth recording: the paper assigns ``(0, a]`` to
 active mode for *access latency* reasons (a line cannot ramp down and back
 up inside fewer than ``d1 + d3`` cycles), not because active is cheaper in
@@ -20,53 +25,42 @@ from typing import List, Tuple
 import numpy as np
 
 from .energy import ModeEnergyModel
-from .inflection import inflection_points
 from .modes import Mode
+from .policy import DROWSY, SLEEP
 
 
-def feasible_modes(model: ModeEnergyModel, length: float) -> List[Mode]:
-    """All modes that can physically be applied to an interval."""
-    return [mode for mode in Mode if model.feasible(mode, length)]
+def _envelope(
+    model: ModeEnergyModel, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-interval argmin mode codes and the minimum energies."""
+    lengths = np.asarray(lengths, dtype=np.float64)
+    codes = np.zeros(lengths.shape, dtype=np.uint8)
+    best = model.energy(Mode.ACTIVE, lengths)
+    for code, mode, floor in (
+        (DROWSY, Mode.DROWSY, model.drowsy_min_length),
+        (SLEEP, Mode.SLEEP, model.sleep_min_length),
+    ):
+        feasible = lengths >= floor
+        if np.any(feasible):
+            energy = np.full(lengths.shape, np.inf)
+            energy[feasible] = model.energy(mode, lengths[feasible])
+            codes[energy < best] = code
+            np.minimum(best, energy, out=best)
+    return codes, best
 
 
-def envelope_energy(model: ModeEnergyModel, length: float) -> float:
-    """Minimum energy over feasible modes at one interval length."""
-    return min(model.energy(mode, length) for mode in feasible_modes(model, length))
+def envelope_modes(model: ModeEnergyModel, lengths: np.ndarray) -> np.ndarray:
+    """Per-interval energy-argmin mode codes (feasibility respected).
 
-
-def envelope_mode(model: ModeEnergyModel, length: float) -> Mode:
-    """The energy-minimizing feasible mode at one interval length.
-
-    Ties break toward the mode Theorem 1's region policy would pick
-    (active < drowsy < sleep by increasing region), matching the paper's
-    half-open region boundaries.
+    Ties break toward the less aggressive mode (active over drowsy over
+    sleep), mirroring the paper's half-open region boundaries.
     """
-    best = Mode.ACTIVE
-    best_energy = float("inf")
-    for mode in (Mode.ACTIVE, Mode.DROWSY, Mode.SLEEP):
-        if not model.feasible(mode, length):
-            continue
-        energy = model.energy(mode, length)
-        if energy < best_energy:
-            best, best_energy = mode, energy
-    return best
+    return _envelope(model, lengths)[0]
 
 
 def envelope_array(model: ModeEnergyModel, lengths: np.ndarray) -> np.ndarray:
-    """Vectorized lower envelope over an array of interval lengths."""
-    lengths = np.asarray(lengths, dtype=np.float64)
-    energy = model.active_energy_array(lengths)
-    drowsy_ok = lengths >= model.drowsy_min_length
-    if np.any(drowsy_ok):
-        energy[drowsy_ok] = np.minimum(
-            energy[drowsy_ok], model.drowsy_energy_array(lengths[drowsy_ok])
-        )
-    sleep_ok = lengths >= model.sleep_min_length
-    if np.any(sleep_ok):
-        energy[sleep_ok] = np.minimum(
-            energy[sleep_ok], model.sleep_energy_array(lengths[sleep_ok])
-        )
-    return energy
+    """The lower envelope at each of an array of interval lengths."""
+    return _envelope(model, lengths)[1]
 
 
 def envelope_series(
@@ -85,47 +79,16 @@ def envelope_series(
     rows = []
     for length in grid:
         length = int(length)
-        active = model.active_energy(length)
+        active = model.energy(Mode.ACTIVE, length)
         drowsy = (
-            model.drowsy_energy(length)
+            model.energy(Mode.DROWSY, length)
             if length >= model.drowsy_min_length
             else float("nan")
         )
         sleep = (
-            model.sleep_energy(length)
+            model.energy(Mode.SLEEP, length)
             if length >= model.sleep_min_length
             else float("nan")
         )
         rows.append((float(length), active, drowsy, sleep))
     return rows
-
-
-def region_slopes(model: ModeEnergyModel) -> Tuple[float, float, float]:
-    """Slopes P1, P2, P3 of the envelope over the three Theorem 1 regions."""
-    return (model.p_active, model.p_drowsy, model.p_sleep)
-
-
-def verify_lemma1(model: ModeEnergyModel) -> bool:
-    """Lemma 1: ``a < b`` for any physically-valid parameterization."""
-    points = inflection_points(model)
-    return points.active_drowsy < points.drowsy_sleep
-
-
-def verify_envelope_matches_policy(
-    model: ModeEnergyModel, lengths: np.ndarray, tolerance: float = 1e-9
-) -> bool:
-    """Theorem 1 check: the region policy achieves the lower envelope.
-
-    True when, for every length strictly above the active-drowsy point,
-    the mode chosen by the inflection-point classification attains the
-    envelope energy (within ``tolerance``).
-    """
-    points = inflection_points(model)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    lengths = lengths[lengths > points.active_drowsy]
-    envelope = envelope_array(model, lengths)
-    for length, env in zip(lengths, envelope):
-        assigned = points.classify(float(length))
-        if model.energy(assigned, float(length)) > env + tolerance:
-            return False
-    return True

@@ -46,17 +46,6 @@ class InflectionPoints:
         """The sleep-drowsy point rounded to whole cycles (Table 1 form)."""
         return int(round(self.drowsy_sleep))
 
-    def classify(self, length: float) -> Mode:
-        """Map an interval length to its optimal mode (Theorem 1 policy).
-
-        ``(0, a]`` -> active, ``(a, b]`` -> drowsy, ``(b, inf)`` -> sleep.
-        """
-        if length <= self.active_drowsy:
-            return Mode.ACTIVE
-        if length <= self.drowsy_sleep:
-            return Mode.DROWSY
-        return Mode.SLEEP
-
 
 def solve_sleep_drowsy_point(model: ModeEnergyModel) -> float:
     """Solve Equation 3 (``E_S = E_D``) for the interval length.
@@ -93,7 +82,7 @@ def solve_sleep_drowsy_point_bisect(
     lo = float(model.sleep_min_length)
 
     def difference(length: float) -> float:
-        return model.sleep_energy(length) - model.drowsy_energy(length)
+        return model.energy(Mode.SLEEP, length) - model.energy(Mode.DROWSY, length)
 
     f_lo = difference(lo)
     if f_lo <= 0:

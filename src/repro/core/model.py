@@ -2,24 +2,21 @@
 
 The paper abstracts its limit analysis into a three-state machine —
 Active, Drowsy, Sleep — where each state carries a static power and each
-edge a transition energy and duration.  All circuit assumptions (from
+edge a transition duration, its energy the ramp's power integrated over
+that duration.  All circuit assumptions (from
 CACTI, HotLeakage, and the interval trace from the simulator) enter as
 parameters.  Table 2's saving percentages are priced from the closed
-forms in :mod:`repro.core.savings`; this module is their reference.
-
-Two evaluation paths are provided and must agree:
-
-* the closed forms inherited from :class:`~repro.core.energy.ModeEnergyModel`
-  (affine in interval length), and
-* :meth:`StateMachineModel.simulate_schedule`, a discrete cycle-by-cycle
-  walk of the state machine that integrates power numerically — the
-  cross-check the test suite uses to validate every closed form.
+forms of :meth:`~repro.core.energy.ModeEnergyModel.energy` (Equations 1
+and 2, affine in the interval length); this module is their reference.
+:meth:`StateMachineModel.simulate_interval` walks the state machine
+cycle by cycle and integrates its power numerically, and the test suite
+checks every closed form against that walk, for both ramp shapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..errors import ConfigurationError, PolicyError
 from .energy import ModeEnergyModel
@@ -33,13 +30,12 @@ class Transition:
     source: Mode
     target: Mode
     duration: int
-    energy: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0 or self.energy < 0:
+        if self.duration < 0:
             raise ConfigurationError(
                 f"transition {self.source}->{self.target} has negative "
-                f"duration or energy: {(self.duration, self.energy)!r}"
+                f"duration {self.duration!r}"
             )
 
 
@@ -47,10 +43,9 @@ class StateMachineModel:
     """The parameterized Figure 6 model.
 
     States carry static powers (``state_power``); edges carry transition
-    durations and energies (``transitions``).  The model knows how to
-    price a whole access interval spent in each mode, reproducing
-    Equations 1 and 2, and how to numerically simulate an arbitrary mode
-    schedule for validation.
+    durations (``transitions``).  ``trapezoidal_ramps`` gives the power
+    along an edge: the linear ramp between its endpoint powers, or (when
+    False) the step model's higher endpoint power for the whole ramp.
     """
 
     def __init__(
@@ -59,6 +54,7 @@ class StateMachineModel:
         transitions: Dict[Tuple[Mode, Mode], Transition],
         refetch_energy: float,
         ready_cycles: int = 0,
+        trapezoidal_ramps: bool = True,
     ) -> None:
         for mode in Mode:
             if mode not in state_power:
@@ -74,6 +70,7 @@ class StateMachineModel:
         self.refetch_energy = refetch_energy
         # Cycles at full power awaiting the re-fetched data (s4).
         self.ready_cycles = ready_cycles
+        self.trapezoidal_ramps = bool(trapezoidal_ramps)
 
     # ------------------------------------------------------------------
     # Construction from the circuit-level model
@@ -81,52 +78,29 @@ class StateMachineModel:
 
     @classmethod
     def from_energy_model(cls, model: ModeEnergyModel) -> "StateMachineModel":
-        """Derive states and edges from a :class:`ModeEnergyModel`.
-
-        Edge energies integrate the (trapezoidal or step) ramp power over
-        the corresponding duration, so the state machine and the closed
-        forms describe the same physics.
-        """
+        """Derive states, edges and ramp shape from a :class:`ModeEnergyModel`."""
         d = model.durations
         power = {
             Mode.ACTIVE: model.p_active,
             Mode.DROWSY: model.p_drowsy,
             Mode.SLEEP: model.p_sleep,
         }
-
-        def ramp_energy(p_from: float, p_to: float, cycles: int) -> float:
-            if model.trapezoidal_ramps:
-                return 0.5 * (p_from + p_to) * cycles
-            return max(p_from, p_to) * cycles
-
         transitions = {
-            (Mode.ACTIVE, Mode.DROWSY): Transition(
-                Mode.ACTIVE, Mode.DROWSY, d.d1,
-                ramp_energy(model.p_active, model.p_drowsy, d.d1),
-            ),
-            (Mode.DROWSY, Mode.ACTIVE): Transition(
-                Mode.DROWSY, Mode.ACTIVE, d.d3,
-                ramp_energy(model.p_drowsy, model.p_active, d.d3),
-            ),
-            (Mode.ACTIVE, Mode.SLEEP): Transition(
-                Mode.ACTIVE, Mode.SLEEP, d.s1,
-                ramp_energy(model.p_active, model.p_sleep, d.s1),
-            ),
-            (Mode.SLEEP, Mode.ACTIVE): Transition(
-                Mode.SLEEP, Mode.ACTIVE, d.s3,
-                ramp_energy(model.p_sleep, model.p_active, d.s3),
-            ),
+            (source, target): Transition(source, target, duration)
+            for source, target, duration in (
+                (Mode.ACTIVE, Mode.DROWSY, d.d1),
+                (Mode.DROWSY, Mode.ACTIVE, d.d3),
+                (Mode.ACTIVE, Mode.SLEEP, d.s1),
+                (Mode.SLEEP, Mode.ACTIVE, d.s3),
+            )
         }
         return cls(
             state_power=power,
             transitions=transitions,
             refetch_energy=model.refetch_energy,
             ready_cycles=d.s4,
+            trapezoidal_ramps=model.trapezoidal_ramps,
         )
-
-    # ------------------------------------------------------------------
-    # Interval pricing (must reproduce Equations 1 and 2)
-    # ------------------------------------------------------------------
 
     def transition(self, source: Mode, target: Mode) -> Transition:
         """The edge from ``source`` to ``target``."""
@@ -137,38 +111,6 @@ class StateMachineModel:
                 f"no transition defined from {source} to {target}"
             ) from None
 
-    def interval_energy(self, mode: Mode, length: int) -> float:
-        """Energy of one access interval spent in ``mode``.
-
-        The interval starts and ends at Active (accesses require full
-        power): Active -> mode -> ... -> Active, with the induced-miss
-        re-fetch and the ``s4`` full-power ready window charged when the
-        resting state is Sleep.
-        """
-        if length <= 0:
-            raise PolicyError(f"interval length must be positive, got {length!r}")
-        if mode is Mode.ACTIVE:
-            return self.state_power[Mode.ACTIVE] * length
-        down = self.transition(Mode.ACTIVE, mode)
-        up = self.transition(mode, Mode.ACTIVE)
-        ready = self.ready_cycles if mode is Mode.SLEEP else 0
-        rest = length - down.duration - up.duration - ready
-        if rest < 0:
-            raise PolicyError(
-                f"interval of {length} cycles cannot host a round trip "
-                f"through {mode} ({down.duration + up.duration + ready} "
-                "cycles of transitions)"
-            )
-        energy = (
-            down.energy
-            + self.state_power[mode] * rest
-            + up.energy
-            + self.state_power[Mode.ACTIVE] * ready
-        )
-        if mode is Mode.SLEEP:
-            energy += self.refetch_energy
-        return energy
-
     # ------------------------------------------------------------------
     # Discrete validation path
     # ------------------------------------------------------------------
@@ -176,11 +118,12 @@ class StateMachineModel:
     def simulate_interval(self, mode: Mode, length: int) -> float:
         """Cycle-by-cycle numerical pricing of one interval in ``mode``.
 
-        Walks the same phases the closed form integrates analytically —
+        Walks the same phases Equations 1 and 2 integrate analytically —
         entry ramp, resting state, exit ramp, full-power ready window,
-        re-fetch for sleep — sampling the ramp power at cycle midpoints
-        (exact for linear ramps).  Must agree with :meth:`interval_energy`
-        to floating-point precision; the test suite enforces this.
+        re-fetch for sleep — sampling a linear ramp's power at cycle
+        midpoints (exact for linear ramps).  Must agree with
+        :meth:`~repro.core.energy.ModeEnergyModel.energy` to
+        floating-point precision; the test suite enforces this.
         """
         if length <= 0:
             raise PolicyError(f"interval length must be positive, got {length!r}")
@@ -204,20 +147,14 @@ class StateMachineModel:
             total += self.refetch_energy
         return total
 
-    def simulate_schedule(self, schedule: Sequence[Tuple[Mode, int]]) -> float:
-        """Price a whole mode schedule: intervals in sequence.
-
-        Each ``(mode, cycles)`` entry is one access interval priced with
-        :meth:`simulate_interval`; the line returns to Active at every
-        access between entries.
-        """
-        return sum(self.simulate_interval(mode, cycles) for mode, cycles in schedule)
-
     def _walk_ramp(self, source: Mode, target: Mode, duration: int) -> float:
         p_from = self.state_power[source]
         p_to = self.state_power[target]
         total = 0.0
         for k in range(duration):
-            frac = (k + 0.5) / duration
-            total += p_from + (p_to - p_from) * frac
+            if self.trapezoidal_ramps:
+                frac = (k + 0.5) / duration
+                total += p_from + (p_to - p_from) * frac
+            else:
+                total += max(p_from, p_to)
         return total

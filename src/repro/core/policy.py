@@ -155,15 +155,14 @@ class Policy:
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         codes = self.modes(lengths, prefetchable)
-        self._validate_feasibility(lengths, codes)
-        energy = self.model.active_energy_array(lengths)
+        energy = self.model.energy(Mode.ACTIVE, lengths)
         drowsy_mask = codes == DROWSY
         if np.any(drowsy_mask):
-            energy[drowsy_mask] = self.model.drowsy_energy_array(lengths[drowsy_mask])
+            energy[drowsy_mask] = self.model.energy(Mode.DROWSY, lengths[drowsy_mask])
         sleep_mask = codes == SLEEP
         if np.any(sleep_mask):
-            energy[sleep_mask] = self.model.decay_sleep_energy_array(
-                lengths[sleep_mask], self.sleep_wait
+            energy[sleep_mask] = self.model.energy(
+                Mode.SLEEP, lengths[sleep_mask], self.sleep_wait
             )
             if dead_aware and kinds is not None:
                 kinds = np.asarray(kinds)
@@ -181,11 +180,6 @@ class Policy:
         model = self.model
         ramp = 0.5 if model.trapezoidal_ramps else 1.0
         return ramp * (model.p_active - model.p_sleep) * model.durations.s1
-
-    def _validate_feasibility(self, lengths: np.ndarray, codes: np.ndarray) -> None:
-        for mode in (Mode.DROWSY, Mode.SLEEP):
-            if np.any((codes == MODE_CODES[mode]) & (lengths < self.floor(mode))):
-                raise self.infeasible()
 
     def infeasible(self) -> PolicyError:
         """The error for an interval too short for its assigned mode."""

@@ -147,7 +147,7 @@ def evaluate_policy(
     }
     return SavingsReport(
         policy_name=policy.name,
-        baseline_energy=policy.model.active_energy(total_cycles),
+        baseline_energy=policy.model.energy(Mode.ACTIVE, total_cycles),
         policy_energy=sum(entry.energy for entry in breakdown.values()),
         overhead_energy=policy.overhead_power_fraction * float(total_cycles),
         breakdown=breakdown,

@@ -225,10 +225,11 @@ def _gate_energies(population):
     :func:`~repro.core.savings.evaluate_policy` reads.
     """
     from ..core.envelope import envelope_array
+    from ..core.modes import Mode
 
     model, _ = _gate_context()
     lengths, counts = population.lengths, population.counts
-    baseline = float((model.active_energy_array(lengths) * counts).sum())
+    baseline = float((model.energy(Mode.ACTIVE, lengths) * counts).sum())
     oracle = float((envelope_array(model, lengths) * counts).sum())
     return baseline, oracle
 

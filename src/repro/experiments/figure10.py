@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..core.energy import ModeEnergyModel
-from ..core.envelope import envelope_series, region_slopes, verify_lemma1
+from ..core.envelope import envelope_series
 from ..core.inflection import inflection_points
 from ..power.technology import paper_nodes
 from .reporting import ExperimentResult, Table, fmt_ratio
@@ -34,14 +34,14 @@ def run(feature_nm: int = 70, n_points: int = 16) -> ExperimentResult:
         headers=["interval", "active", "drowsy", "sleep", "envelope"],
         rows=rows,
     )
-    slopes = region_slopes(model)
     return ExperimentResult(
         name="figure10",
         description="Energy consumption of the three operating modes and their lower envelope",
         tables=[table],
         notes=[
             f"inflection points: a={points.active_drowsy}, b={points.drowsy_sleep:.0f}",
-            f"region slopes P1={slopes[0]:.3f}, P2={slopes[1]:.3f}, P3={slopes[2]:.4f}",
-            f"Lemma 1 (a < b) holds: {verify_lemma1(model)}",
+            f"region slopes P1={model.p_active:.3f}, P2={model.p_drowsy:.3f}, "
+            f"P3={model.p_sleep:.4f}",
+            f"Lemma 1 (a < b) holds: {points.active_drowsy < points.drowsy_sleep}",
         ],
     )

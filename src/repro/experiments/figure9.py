@@ -14,13 +14,12 @@ from .reporting import ExperimentResult, Table, fmt_pct
 from .suite import SuiteRunner
 
 
-def compute(suite: SuiteRunner, feature_nm: int = 70) -> Dict[str, Dict[str, float]]:
+def compute(suite: SuiteRunner) -> Dict[str, Dict[str, float]]:
     """Suite-average P-NL / P-stride fractions per cache."""
-    model = ModeEnergyModel(paper_nodes()[feature_nm])
     out: Dict[str, Dict[str, float]] = {}
     for cache in ("icache", "dcache"):
         summaries = [
-            prefetchability_summary(population, model)
+            prefetchability_summary(population)
             for population in suite.intervals_by_benchmark(cache).values()
         ]
         out[cache] = {

@@ -192,9 +192,7 @@ def prefetchability_breakdown(
     ]
 
 
-def prefetchability_summary(
-    population: IntervalPopulation, model: ModeEnergyModel
-) -> Dict[str, float]:
+def prefetchability_summary(population: IntervalPopulation) -> Dict[str, float]:
     """Total P-NL / P-stride fractions (the Figure 9 headline numbers)."""
     total = len(population)
     if not total:

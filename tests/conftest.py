@@ -229,3 +229,18 @@ def run_recorded(simulator, trace):
     for cache, intervals in raw.items():
         assert intervals.population() == annotated.annotated_for(cache)
     return annotated, raw
+
+
+def assignment_cost(model, lengths, codes):
+    """Total energy of a per-interval mode assignment, priced per mode.
+
+    What no assignment may beat: Theorem 1 puts the envelope
+    (``envelope_array``) below every one.
+    """
+    from repro.core.policy import CODE_MODES
+
+    return sum(
+        float(model.energy(mode, lengths[codes == code]).sum())
+        for code, mode in CODE_MODES.items()
+        if np.any(codes == code)
+    )

@@ -572,7 +572,8 @@ class TestValidationGate:
         assert check_result(reference[job].annotated) == []
 
     def test_spectrum_priced_energies_match_raw_sums(self):
-        from repro.core.oracle import oracle_energy
+        from repro.core.envelope import envelope_array
+        from repro.core.modes import Mode
         from repro.engine.validate import _gate_context, _gate_energies
 
         annotated, raw = run_recorded(
@@ -583,10 +584,10 @@ class TestValidationGate:
             lengths = raw[cache].lengths
             baseline, oracle = _gate_energies(annotated.annotated_for(cache))
             assert baseline == pytest.approx(
-                float(model.active_energy_array(lengths).sum()), rel=1e-9
+                float(model.energy(Mode.ACTIVE, lengths).sum()), rel=1e-9
             )
             assert oracle == pytest.approx(
-                oracle_energy(model, lengths), rel=1e-9
+                float(envelope_array(model, lengths).sum()), rel=1e-9
             )
 
     def test_never_raises_on_alien_payloads(self):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import quick_limits
 from repro.cli import build_parser, main
 from repro.core import (
     ModeEnergyModel,
@@ -40,12 +39,6 @@ class TestCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["table1"])
         assert args.scale == 1.0 and args.benchmarks is None
-
-
-class TestQuickstart:
-    def test_quick_limits_reports_both_caches(self):
-        text = quick_limits(scale=0.05)
-        assert "I-cache" in text and "D-cache" in text
 
 
 class TestEndToEnd:
@@ -108,5 +101,8 @@ class TestEndToEnd:
         lengths = gzip_run.l1i_intervals.lengths[:1000]
         codes = policy.modes(lengths)
         for length, code in zip(lengths, codes):
-            expected = points.classify(float(length))
-            assert code == {"active": 0, "drowsy": 1, "sleep": 2}[expected.value]
+            # (0, a] active, (a, b] drowsy, (b, inf) sleep.
+            expected = int(length > points.active_drowsy) + int(
+                length > points.drowsy_sleep
+            )
+            assert code == expected

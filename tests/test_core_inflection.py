@@ -14,6 +14,7 @@ from repro.core.inflection import (
     solve_sleep_drowsy_point_bisect,
 )
 from repro.core.modes import Mode
+from repro.core.policy import CODE_MODES, OptHybrid
 from repro.errors import PowerModelError
 from repro.power.technology import PAPER_INFLECTION_POINTS
 
@@ -47,12 +48,15 @@ class TestSolver:
 
     def test_energies_equal_at_the_point(self, model70):
         b = solve_sleep_drowsy_point(model70)
-        assert model70.sleep_energy(b) == pytest.approx(model70.drowsy_energy(b))
+        assert model70.energy(Mode.SLEEP, b) == pytest.approx(
+            model70.energy(Mode.DROWSY, b)
+        )
 
     def test_sleep_wins_above_drowsy_wins_below(self, model70):
         b = solve_sleep_drowsy_point(model70)
-        assert model70.sleep_energy(b + 10) < model70.drowsy_energy(b + 10)
-        assert model70.sleep_energy(b - 10) > model70.drowsy_energy(b - 10)
+        for length, sleep_wins in ((b + 10, True), (b - 10, False)):
+            sleep = model70.energy(Mode.SLEEP, length)
+            assert (sleep < model70.energy(Mode.DROWSY, length)) is sleep_wins
 
     def test_no_crossing_without_leakage_gap(self, node70):
         degenerate = dataclasses.replace(
@@ -70,13 +74,16 @@ class TestSolver:
 
 class TestClassification:
     def test_classify_regions(self, model70):
-        points = inflection_points(model70)
-        assert points.classify(1) is Mode.ACTIVE
-        assert points.classify(6) is Mode.ACTIVE
-        assert points.classify(7) is Mode.DROWSY
-        assert points.classify(1057) is Mode.DROWSY
-        assert points.classify(1058) is Mode.SLEEP
-        assert points.classify(10**7) is Mode.SLEEP
+        # Theorem 1's regions: (0, a] active, (a, b] drowsy, (b, inf) sleep.
+        codes = OptHybrid(model70).modes([1, 6, 7, 1057, 1058, 10**7])
+        assert [CODE_MODES[int(code)] for code in codes] == [
+            Mode.ACTIVE,
+            Mode.ACTIVE,
+            Mode.DROWSY,
+            Mode.DROWSY,
+            Mode.SLEEP,
+            Mode.SLEEP,
+        ]
 
     def test_lemma1_sanity(self, model70):
         # Lemma 1: the active-drowsy point lies below the sleep-drowsy one.

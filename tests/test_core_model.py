@@ -43,57 +43,65 @@ class TestConstruction:
 
     def test_negative_transition_rejected(self):
         with pytest.raises(ConfigurationError):
-            Transition(Mode.ACTIVE, Mode.SLEEP, duration=-1, energy=0.0)
+            Transition(Mode.ACTIVE, Mode.SLEEP, duration=-1)
 
     def test_unknown_edge_raises(self, machine):
         with pytest.raises(PolicyError):
             machine.transition(Mode.DROWSY, Mode.SLEEP)
 
 
+def walk_and_closed_form(node, trapezoidal_ramps, mode, length):
+    """``(cycle walk, Equations 1-2)`` energies of one interval."""
+    model = ModeEnergyModel(node, trapezoidal_ramps=trapezoidal_ramps)
+    machine = StateMachineModel.from_energy_model(model)
+    return machine.simulate_interval(mode, length), model.energy(mode, length)
+
+
 class TestEquationAgreement:
-    """The state machine must reproduce Equations 1 and 2 exactly."""
+    """The cycle walk must reproduce Equations 1 and 2 at the paper's points."""
 
     @pytest.mark.parametrize("length", [50, 1057, 5000, 123_456])
     def test_drowsy_interval(self, machine, model70, length):
-        assert machine.interval_energy(Mode.DROWSY, length) == pytest.approx(
-            model70.drowsy_energy(length)
+        assert machine.simulate_interval(Mode.DROWSY, length) == pytest.approx(
+            model70.energy(Mode.DROWSY, length)
         )
 
     @pytest.mark.parametrize("length", [40, 1057, 5000, 123_456])
     def test_sleep_interval(self, machine, model70, length):
-        assert machine.interval_energy(Mode.SLEEP, length) == pytest.approx(
-            model70.sleep_energy(length)
+        assert machine.simulate_interval(Mode.SLEEP, length) == pytest.approx(
+            model70.energy(Mode.SLEEP, length)
         )
 
     def test_active_interval(self, machine, model70):
-        assert machine.interval_energy(Mode.ACTIVE, 777) == pytest.approx(
-            model70.active_energy(777)
+        assert machine.simulate_interval(Mode.ACTIVE, 777) == pytest.approx(
+            model70.energy(Mode.ACTIVE, 777)
         )
 
     def test_too_short_interval_rejected(self, machine):
         with pytest.raises(PolicyError):
-            machine.interval_energy(Mode.SLEEP, 36)
+            machine.simulate_interval(Mode.SLEEP, 36)
         with pytest.raises(PolicyError):
-            machine.interval_energy(Mode.DROWSY, 5)
+            machine.simulate_interval(Mode.DROWSY, 5)
         with pytest.raises(PolicyError):
-            machine.interval_energy(Mode.ACTIVE, 0)
+            machine.simulate_interval(Mode.ACTIVE, 0)
 
 
 class TestDiscreteSimulation:
-    """Cycle-by-cycle integration must agree with the closed forms."""
+    """Cycle-by-cycle integration must agree with the closed forms under
+    both ramp shapes: trapezoidal (the paper's) and step (the ramp
+    ablation's)."""
 
     @pytest.mark.parametrize("mode", [Mode.ACTIVE, Mode.DROWSY, Mode.SLEEP])
     @pytest.mark.parametrize("length", [100, 2000, 50_000])
-    def test_simulated_interval_matches_closed_form(self, machine, mode, length):
-        assert machine.simulate_interval(mode, length) == pytest.approx(
-            machine.interval_energy(mode, length), rel=1e-12
-        )
+    def test_simulated_interval_matches_closed_form(self, node70, mode, length):
+        walk, closed = walk_and_closed_form(node70, True, mode, length)
+        assert walk == pytest.approx(closed, rel=1e-12)
 
-    def test_schedule_is_sum_of_intervals(self, machine):
-        schedule = [(Mode.ACTIVE, 10), (Mode.DROWSY, 100), (Mode.SLEEP, 5000)]
-        assert machine.simulate_schedule(schedule) == pytest.approx(
-            sum(machine.interval_energy(m, c) for m, c in schedule)
-        )
+    @pytest.mark.parametrize("mode", [Mode.ACTIVE, Mode.DROWSY, Mode.SLEEP])
+    @pytest.mark.parametrize("length", [100, 2000, 50_000])
+    def test_step_ramp_walk_matches_closed_form(self, node70, mode, length):
+        walk, closed = walk_and_closed_form(node70, False, mode, length)
+        assert walk == pytest.approx(closed, rel=1e-12)
 
 
 class TestTechnologySweep:

@@ -30,7 +30,7 @@ class TestAlwaysActive:
     def test_energies_equal_baseline(self, model70):
         policy = AlwaysActive(model70)
         np.testing.assert_allclose(
-            policy.energies(LENGTHS), model70.active_energy_array(LENGTHS)
+            policy.energies(LENGTHS), model70.energy(Mode.ACTIVE, LENGTHS)
         )
 
 
@@ -71,7 +71,7 @@ class TestDecaySleep:
     def test_energy_charges_full_power_wait(self, model70):
         policy = DecaySleep(model70, decay_interval=10_000, counter_overhead=0.0)
         lengths = np.array([50_000])
-        expected = model70.decay_sleep_energy(50_000, 10_000)
+        expected = model70.energy(Mode.SLEEP, 50_000, 10_000)
         assert policy.energies(lengths)[0] == pytest.approx(expected)
 
     def test_decay_never_beats_opt_sleep(self, model70):

@@ -110,7 +110,7 @@ class TestKnownValues:
     def test_single_long_interval(self, model70):
         intervals = IntervalPopulation.of([100_000])
         report = evaluate_policy(OptHybrid(model70), intervals)
-        expected = 1.0 - model70.sleep_energy(100_000) / 100_000.0
+        expected = 1.0 - model70.energy(Mode.SLEEP, 100_000) / 100_000.0
         assert report.saving_fraction == pytest.approx(expected)
 
     def test_single_short_interval_saves_nothing(self, model70):

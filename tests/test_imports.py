@@ -73,10 +73,10 @@ def test_in_process_run_leaves_the_worker_backend_unloaded(tmp_path):
 
 def test_cached_run_leaves_the_oracles_unloaded(tmp_path):
     # A cached run only prices policies: it never calls the generalized
-    # model, the optimality oracle or the decay cache.
+    # model or the decay cache.
     run_figure9(tmp_path)
     loaded = run_figure9(tmp_path)
-    for name in ("repro.core.model", "repro.core.oracle", "repro.cache.decay"):
+    for name in ("repro.core.model", "repro.cache.decay"):
         assert name not in loaded, name
     out = run_python(
         "import repro.cache, repro.core; "
@@ -88,7 +88,7 @@ def test_cached_run_leaves_the_oracles_unloaded(tmp_path):
 def test_package_attributes_resolve_lazily():
     out = run_python(
         "import repro; "
-        "print(repro.core.OptHybrid.__name__, repro.quick_limits.__name__, "
+        "print(repro.core.OptHybrid.__name__, repro.core.envelope_modes.__name__, "
         "repro.experiments.__name__); "
         "from repro import engine, ConfigurationError; "
         "from repro.engine import ExecutionEngine, BACKEND_NAMES; "
@@ -96,7 +96,7 @@ def test_package_attributes_resolve_lazily():
         "print(repro.sweep.SweepSpec.__name__, repro.traces.TraceRecording.__name__)"
     )
     assert out.split("\n")[:3] == [
-        "OptHybrid quick_limits repro.experiments",
+        "OptHybrid envelope_modes repro.experiments",
         "ExecutionEngine ('pool', 'subprocess')",
         "SweepSpec TraceRecording",
     ]

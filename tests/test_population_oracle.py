@@ -30,6 +30,7 @@ from repro.core.intervals import (
     IntervalPopulation,
     IntervalRows,
 )
+from repro.core.modes import Mode
 from repro.errors import IntervalError
 from repro.core.policy import CODE_MODES, OptHybrid, trio_policies
 from repro.core.savings import evaluate_policy
@@ -145,7 +146,7 @@ class TestReducedAgainstRaw:
             n = len(lengths)
             nextline = float(annotated.nextline.sum()) / n
             stride = float(annotated.stride.sum()) / n
-            assert prefetchability_summary(population, model70) == {
+            assert prefetchability_summary(population) == {
                 "nextline": nextline,
                 "stride": stride,
                 "total": nextline + stride,
@@ -185,7 +186,7 @@ def assert_priced_like_raw(policy, population, lengths, kinds, annotated, dead_a
         assert entry.interval_count == int(mask.sum())
         assert entry.cycles == int(lengths[mask].sum())
         assert entry.energy == pytest.approx(float(energies[mask].sum()), rel=REL)
-    baseline = float(policy.model.active_energy_array(lengths).sum())
+    baseline = float(policy.model.energy(Mode.ACTIVE, lengths).sum())
     saving = 1.0 - (
         float(energies.sum()) + policy.overhead_power_fraction * float(lengths.sum())
     ) / baseline

@@ -200,6 +200,6 @@ class TestPrefetchSchemes:
 
     def test_summary_fractions(self, model70):
         population = self._annotated(model70).population()
-        summary = prefetchability_summary(population, model70)
+        summary = prefetchability_summary(population)
         assert summary["nextline"] == pytest.approx(2 / 6)
         assert summary["stride"] == pytest.approx(0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import RawIntervals
 
+from repro.core.modes import Mode
 from repro.core.policy import ACTIVE, DROWSY, SLEEP
 from repro.core.savings import evaluate_policy
 from repro.errors import PolicyError
@@ -79,7 +80,7 @@ class TestFrontier:
             policy = PrefetchGuidedPolicy(model70, threshold)
             report = policy.price(population)
             energies = policy.energies(lengths, prefetchable=flags)
-            baseline = float(model70.active_energy_array(lengths).sum())
+            baseline = float(model70.energy(Mode.ACTIVE, lengths).sum())
             assert report.savings.saving_fraction == pytest.approx(
                 1.0 - float(energies.sum()) / baseline
             )

@@ -97,7 +97,7 @@ def oracle(policy, lengths, kinds, prefetchable, dead_aware):
                 float(energies[mask].sum()),
                 int((mask & prefetchable).sum()),
             )
-    baseline = float(policy.model.active_energy_array(lengths).sum())
+    baseline = float(policy.model.energy(Mode.ACTIVE, lengths).sum())
     total = float(energies.sum()) + policy.overhead_power_fraction * float(
         lengths.sum()
     )

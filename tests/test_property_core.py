@@ -15,10 +15,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import assignment_cost
 from repro.core.energy import ModeEnergyModel, TransitionDurations
+from repro.core.envelope import envelope_array, envelope_modes
 from repro.core.inflection import inflection_points, solve_sleep_drowsy_point
 from repro.core.intervals import IntervalPopulation
-from repro.core.oracle import assignment_energy, oracle_energy, oracle_modes
+from repro.core.modes import Mode
 from repro.core.policy import OptHybrid
 from repro.core.savings import evaluate_policy
 from repro.errors import PowerModelError
@@ -57,6 +59,10 @@ durations_strategy = st.builds(
 ).filter(lambda d: d.d1 < d.s1 and d.d3 < d.s3)
 
 
+def envelope_total(model, lengths):
+    return float(envelope_array(model, lengths).sum())
+
+
 def try_model(node, durations):
     """Build a model whose inflection point exists, or skip the case."""
     model = ModeEnergyModel(node, durations=durations)
@@ -82,7 +88,7 @@ class TestTheorem1:
         lengths=st.lists(st.integers(1, 10**7), min_size=1, max_size=50),
     )
     @settings(max_examples=100, deadline=None)
-    def test_region_policy_attains_oracle_energy(self, node, lengths):
+    def test_region_policy_attains_the_envelope(self, node, lengths):
         model = try_model(node, TransitionDurations())
         lengths = np.array(lengths, dtype=np.int64)
         # At exactly L = a the paper mandates active mode for access
@@ -91,7 +97,7 @@ class TestTheorem1:
         lengths = lengths[lengths != model.drowsy_min_length]
         assume(lengths.size > 0)
         policy = OptHybrid(model)
-        assert float(policy.energies(lengths).sum()) <= oracle_energy(
+        assert float(policy.energies(lengths).sum()) <= envelope_total(
             model, lengths
         ) + 1e-6
 
@@ -102,7 +108,7 @@ class TestTheorem1:
     @settings(max_examples=100, deadline=None)
     def test_no_assignment_beats_the_oracle(self, model70, lengths, flips):
         lengths = np.array(lengths, dtype=np.int64)
-        codes = oracle_modes(model70, lengths)
+        codes = envelope_modes(model70, lengths)
         for i, flip in enumerate(flips[: len(lengths)]):
             if flip == 1 and lengths[i] >= model70.drowsy_min_length:
                 codes[i] = 1
@@ -110,7 +116,7 @@ class TestTheorem1:
                 codes[i] = 2
             elif flip == 0:
                 codes[i] = 0
-        assert assignment_energy(model70, lengths, codes) >= oracle_energy(
+        assert assignment_cost(model70, lengths, codes) >= envelope_total(
             model70, lengths
         ) - 1e-9
 
@@ -120,15 +126,14 @@ class TestEnergyInvariants:
     @settings(max_examples=200, deadline=None)
     def test_drowsy_always_beats_active_beyond_a(self, node, length):
         model = ModeEnergyModel(node)
-        assert model.drowsy_energy(length) < model.active_energy(length)
+        assert model.energy(Mode.DROWSY, length) < model.energy(Mode.ACTIVE, length)
 
     @given(node=node_strategy, length=st.integers(1, 10**7))
     @settings(max_examples=200, deadline=None)
     def test_envelope_never_exceeds_active(self, node, length):
-        from repro.core.envelope import envelope_energy
-
         model = ModeEnergyModel(node)
-        assert envelope_energy(model, length) <= model.active_energy(length) + 1e-9
+        (envelope,) = envelope_array(model, [length])
+        assert envelope <= model.energy(Mode.ACTIVE, length) + 1e-9
 
     @given(
         refetch_lo=st.floats(0.0, 1_000.0),

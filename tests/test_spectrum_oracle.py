@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.energy import ModeEnergyModel
 from repro.core.intervals import NEXTLINE, TAIL, IntervalPopulation
+from repro.core.modes import Mode
 from repro.core.policy import (
     CODE_MODES,
     TRIO_SCHEMES,
@@ -51,7 +52,7 @@ def oracle(policy, intervals, dead_aware, prefetchable=None):
                 int(lengths[mask].sum()),
                 float(energies[mask].sum()),
             )
-    baseline = float(policy.model.active_energy_array(lengths).sum())
+    baseline = float(policy.model.energy(Mode.ACTIVE, lengths).sum())
     total = float(energies.sum()) + policy.overhead_power_fraction * float(
         lengths.sum()
     )
