@@ -36,6 +36,9 @@ def test_annotating_simulator_throughput(benchmark):
 
     result = benchmark.pedantic(run, rounds=10, iterations=1)
     assert result.result.instructions > 50_000
+    # The last round's split across the kernel stages and annotation.
+    for stage, seconds in result.result.profile.stage_seconds.items():
+        benchmark.extra_info[f"{stage}_s"] = round(seconds, 5)
     # One more run, untimed, for its traced memory peak: the simulator
     # folds intervals into rows, so the peak follows the chunk and the
     # distinct rows, not the trace.
@@ -46,6 +49,19 @@ def test_annotating_simulator_throughput(benchmark):
     finally:
         tracemalloc.stop()
     benchmark.extra_info["tracemalloc_peak_mb"] = round(peak / 2**20, 2)
+
+
+def test_workload_generation_throughput(benchmark):
+    """Instructions per second out of the workload generator (phase
+    emission and data patterns), on a freshly built workload per round."""
+
+    def generate(workload):
+        return sum(len(chunk) for chunk in workload.chunks())
+
+    instructions = benchmark.pedantic(
+        generate, setup=lambda: ((make_gzip(scale=0.05),), {}), rounds=20
+    )
+    assert instructions == make_gzip(scale=0.05).total_instructions
 
 
 def test_engine_parallel_throughput(benchmark):

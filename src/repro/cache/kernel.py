@@ -135,25 +135,27 @@ def resolve_residual_impl(residual: Optional[str] = None) -> str:
 def stable_order(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for integer keys, without timsort.
 
-    Packs ``(key - min) << bits | index`` into one int64 per element, so
-    every packed value is distinct and an unstable ``np.sort`` yields the
-    stable order.  Keys whose span does not fit beside the index fall
-    back on the stable argsort.
+    Packs ``(key - min) << bits | index`` into one integer per element,
+    32-bit when it fits, so every packed value is distinct and an
+    unstable ``np.sort`` yields the stable order.  Keys whose span does
+    not fit beside the index fall back on the stable argsort.
     """
     count = len(keys)
     if count == 0:
         return np.zeros(0, dtype=np.intp)
     low = int(keys.min())
     bits = (count - 1).bit_length()
-    if (int(keys.max()) - low).bit_length() + bits > 63:
+    width = (int(keys.max()) - low).bit_length() + bits
+    if width > 63:
         return np.argsort(keys, kind="stable")
-    packed = keys.astype(np.int64)
-    packed -= low
+    packed = np.subtract(keys, low, dtype=np.int64)
+    if width <= 31:
+        packed = packed.astype(np.int32)
     packed <<= bits
-    packed |= np.arange(count)
+    packed |= np.arange(count, dtype=packed.dtype)
     packed.sort()
     packed &= (1 << bits) - 1
-    return packed
+    return packed.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -304,9 +306,10 @@ class _Lane:
         frame_last = self.frame_last
         lru_touch = self.lru_touch
         set_last_frame = self.set_last_frame
-        for event in trailing_idx.tolist():
-            frame = set_last_frame[sets[event]]
-            stamp = int(t_ev[event])
+        for set_index, stamp in zip(
+            sets[trailing_idx].tolist(), t_ev[trailing_idx].tolist()
+        ):
+            frame = set_last_frame[set_index]
             frame_last[frame] = stamp
             if lru_touch is not None:
                 lru_touch[frame] = stamp
@@ -455,12 +458,14 @@ def validate_chunk(chunk: TraceChunk, index: Optional[int] = None) -> TraceChunk
                 f"{label}: unknown data kind {int(kinds.max())}; kinds must "
                 f"be NO_ACCESS (0), LOAD (1) or STORE (2)"
             )
-        if bool(np.any((kinds != NO_ACCESS) & (addrs < 0))):
-            raise TraceValidationError(
-                f"{label}: load/store instructions must carry a data address "
-                "(data_addresses >= 0)"
-            )
-        if bool(np.any((kinds == NO_ACCESS) & (addrs >= 0))):
+        # A row has an address iff it has a data kind; find which way a
+        # mismatch goes only once there is one.
+        if bool(np.any((kinds == NO_ACCESS) != (addrs < 0))):
+            if bool(np.any((kinds != NO_ACCESS) & (addrs < 0))):
+                raise TraceValidationError(
+                    f"{label}: load/store instructions must carry a data "
+                    "address (data_addresses >= 0)"
+                )
             raise TraceValidationError(
                 f"{label}: non-memory instructions must use data address -1 "
                 "(an address is present but the kind says NO_ACCESS)"
@@ -497,12 +502,9 @@ def _assemble_chunk(
             continue
         sets, order, ssets, sblocks, fast, pred, _, _ = plans[id(lane)]
         if len(stall_pos_arr):
-            record_index = np.searchsorted(stall_pos_arr, pos, side="left")
-            stall_prefix = np.where(
-                record_index > 0,
-                stall_tot_arr[np.maximum(record_index - 1, 0)],
-                chunk_start_stalls,
-            )
+            # Stalls before each event: the chunk's start, then each record.
+            totals = np.concatenate(([chunk_start_stalls], stall_tot_arr))
+            stall_prefix = totals[np.searchsorted(stall_pos_arr, pos, side="left")]
         else:
             stall_prefix = chunk_start_stalls
         t_ev = (((instructions + pos) * cpi_fp) >> CPI_FP_BITS) + stall_prefix
@@ -534,8 +536,11 @@ def _assemble_chunk(
         stage["assembly"] += perf() - t_start
         t_start = perf()
         if lane is lane_d:
+            loads = ~dstores
+            load_pos = pos[loads]
             observer(
-                blocks, t_ev, gaps, interval_kinds, pcs[pos], addrs[pos], dstores
+                blocks, t_ev, gaps, interval_kinds,
+                pcs[load_pos], addrs[load_pos], loads,
             )
         else:
             observer(blocks, t_ev, gaps, interval_kinds)
@@ -561,12 +566,15 @@ def run_batched(
     no interval: each chunk's intervals go to the observers.
 
     ``i_observer(blocks, times, gaps, kinds)`` and ``d_observer(blocks,
-    times, gaps, kinds, pcs, addresses, stores)`` are invoked once per
-    chunk with per-access arrays in event order — the prefetchability
-    annotator hooks in here without perturbing the kernel.  ``gaps[k]``
-    is the length of the interval access ``k`` closes (since the previous
-    touch of its frame, or the run start for a cold frame), 0 when it
-    closes none, and ``kinds[k]`` is that interval's kind.
+    times, gaps, kinds, load_pcs, load_addresses, loads)`` are invoked
+    once per chunk with per-access arrays in event order — the
+    prefetchability annotator hooks in here without perturbing the
+    kernel.  ``gaps[k]`` is the length of the interval access ``k``
+    closes (since the previous touch of its frame, or the run start for
+    a cold frame), 0 when it closes none, and ``kinds[k]`` is that
+    interval's kind.  ``loads`` marks the data accesses that are loads;
+    ``load_pcs`` and ``load_addresses`` hold the PC and address of each
+    of them, in order.
     """
     if not kernel_supported(hierarchy):
         raise SimulationError("hierarchy is not supported by the batched kernel")

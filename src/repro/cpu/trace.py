@@ -55,9 +55,11 @@ class TraceChunk:
             data_kinds = np.asarray(data_kinds, dtype=np.uint8)
         if data_addresses.shape != pcs.shape or data_kinds.shape != pcs.shape:
             raise TraceError("trace columns must share one shape")
-        if bool(np.any((data_kinds != NO_ACCESS) & (data_addresses < 0))):
-            raise TraceError("a load/store row must carry a data address")
-        if bool(np.any((data_kinds == NO_ACCESS) & (data_addresses >= 0))):
+        # A row has an address iff it has a data kind; find which way a
+        # mismatch goes only once there is one.
+        if bool(np.any((data_kinds == NO_ACCESS) != (data_addresses < 0))):
+            if bool(np.any((data_kinds != NO_ACCESS) & (data_addresses < 0))):
+                raise TraceError("a load/store row must carry a data address")
             raise TraceError("a no-access row cannot carry a data address")
         if data_kinds.size and int(data_kinds.max()) > STORE:
             raise TraceError("data_kinds contains an unknown code")

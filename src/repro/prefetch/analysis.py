@@ -34,7 +34,8 @@ classify and flag each interval as it ends, then fold them with the
 end-of-run tails once the trace is done.  The batched kernel
 (:func:`~repro.cache.kernel.run_batched`) hands each chunk's events to
 :class:`_ChunkAnnotator` and :class:`_StrideTable`, which resolve the
-whole chunk with sorts and searches and fold its intervals into an
+whole chunk with one sort each (events by block, loads by PC) and one
+search, and fold its intervals into an
 :class:`~repro.core.intervals.IntervalRows`, carrying only per-block,
 stride-table and row state across chunks: a run's memory follows the
 chunk and the distinct rows, not the trace.
@@ -147,16 +148,45 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return first
 
 
+def _block_keys(blocks: np.ndarray, probed: np.ndarray):
+    """``(keys, shift)``: a sentinel below every key, then the sorted keys
+    ``rel << shift | index << 1 | probed`` of all events, with each block
+    as a small non-negative ``rel``.  The keys are 32-bit when they fit.
+
+    ``rel`` keeps block adjacency: ``rel[j] == rel[k] - 1`` iff
+    ``blocks[j] == blocks[k] - 1``.  It is ``blocks - min(blocks)`` unless
+    that span does not fit beside the index; then the distinct blocks are
+    renumbered, one apart where they are adjacent and two apart where not.
+    """
+    count = len(blocks)
+    shift = count.bit_length() + 1
+    rel = blocks - blocks.min()
+    bits = int(rel.max()).bit_length() + shift
+    if bits > 62:
+        values, inverse = np.unique(blocks, return_inverse=True)
+        steps = np.minimum(np.diff(values), 2)
+        rel = np.concatenate(([0], np.cumsum(steps)))[inverse]
+    dtype = np.int32 if bits <= 30 else np.int64
+    keys = np.empty(count + 1, dtype=dtype)
+    keys[0] = np.iinfo(dtype).min
+    np.left_shift(rel, shift, out=keys[1:], casting="unsafe")
+    keys[1:] |= probed
+    keys[1:] |= np.arange(0, 2 * count, 2, dtype=dtype)
+    keys[1:].sort()
+    return keys, shift
+
+
 class _ChunkAnnotator:
     """Chunk-vectorised twin of :class:`_CacheAnnotator` (batched kernel).
 
     Takes one chunk's events at a time, computes exactly the flags the
     scalar annotator would, and folds the chunk's intervals into
     :attr:`rows`.  Each event arrives with the gap of the interval it
-    closes, so its window opens at its time minus that gap; a stable sort
-    by block finds the last earlier touch of ``block - 1``.  Only events
-    whose window opened before the chunk consult the carried per-block
-    last-touch times.
+    closes, so its window opens at its time minus that gap; one sort of
+    the events by (block, index) and one search of the probed events'
+    ``(block - 1, index)`` keys find the last earlier touch of
+    ``block - 1``.  Only events whose window opened before the chunk
+    consult the carried per-block last-touch times.
     """
 
     def __init__(self, floor: int) -> None:
@@ -198,43 +228,39 @@ class _ChunkAnnotator:
         carried per-block state moves on to the end of the chunk.
         """
         n = len(blocks)
-        # Last earlier in-chunk touch of block - 1 for every probed event:
-        # the key just below (previous distinct block, event index) is one
-        # iff its block is block - 1.  Probing in (block, index) order
-        # keeps the search ascending.
-        border = stable_order(blocks)
-        sblocks = blocks[border]
-        bfirst = _run_starts(sblocks)
-        rank = np.cumsum(bfirst) - 1
-        keys = rank * n + border  # (block, event index), strictly ascending
-        probed = (gaps > self.floor)[border]
-        probe = border[probed]
-        targets = sblocks[probed] - 1
-        at = np.searchsorted(keys, (rank[probed] - 1) * n + probe) - 1
-        earlier = (at >= 0) & (sblocks[at] == targets)
-        neighbor = np.where(earlier, times[border[at]], -1)
+        # Every event's (block, index, probed) key, sorted: the key just
+        # below (block - 1, k) is the last earlier touch of block - 1
+        # before event k, if it belongs to that block at all.
+        keys, shift = _block_keys(blocks, gaps > self.floor)
+        index = (1 << shift - 1) - 1
+        probed = keys[np.flatnonzero(keys & 1)]
+        probe = probed >> 1 & index
+        below = probed - (1 << shift)
+        key = keys[np.searchsorted(keys, below) - 1]
+        earlier = key >= (below & -(1 << shift))
+        neighbor = np.where(earlier, times[key >> 1 & index], -1)
         # Events without one fall back on the carried touch times, which
         # can only reach windows opening at or before the previous chunk.
-        probe_window = times[probe] - gaps[probe]
-        carried = np.flatnonzero(~earlier & (probe_window <= self._last_time))
+        window = times[probe] - gaps[probe]
+        carried = np.flatnonzero((neighbor < 0) & (window <= self._last_time))
         if len(carried):
             get = self._block_last.get
             neighbor[carried] = [
-                get(block, -1) for block in targets[carried].tolist()
+                get(block, -1) for block in (blocks[probe[carried]] - 1).tolist()
             ]
+        covered = neighbor >= window
         nextline = np.zeros(n, dtype=bool)
-        nextline[probe] = neighbor >= probe_window
+        nextline[probe] = covered
         stride = np.zeros(n, dtype=bool)
         if stride_hits is not None:
-            stride[probe] = stride_hits[probe]
-            stride &= ~nextline
+            stride[probe] = stride_hits[probe] & ~covered
 
-        blast = np.empty(n, dtype=bool)
-        blast[-1] = True
-        blast[:-1] = bfirst[1:]
-        self._block_last.update(
-            zip(sblocks[blast].tolist(), times[border[blast]].tolist())
-        )
+        # Each block's last touch: the last key of its run (the first run
+        # boundary is the sentinel's).
+        run_block = keys >> shift
+        last = np.flatnonzero(run_block[1:] != run_block[:-1])[1:]
+        last = keys[np.append(last, n)] >> 1 & index
+        self._block_last.update(zip(blocks[last].tolist(), times[last].tolist()))
         self._last_time = int(times.max())
         closed = gaps > 0
         return nextline[closed], stride[closed]
@@ -247,101 +273,161 @@ class _StrideTable:
     entry is present and was confirmed twice, i.e. the PC's last three
     strides since the entry was created are equal.  The entry is present
     iff fewer than ``capacity`` distinct other load PCs were loaded since
-    the PC's previous load.
+    the PC's previous load, so the table always holds the ``capacity``
+    most recently loaded PCs.
 
-    Each chunk's loads are appended to the carried entries (one position
-    each, least recently used first), so distinct counts over windows of
-    that sequence equal those over the whole run and memory stays bounded
-    by the chunk.  Reuses at most ``capacity`` positions apart are present
-    trivially.  New PCs and longer reuses are resolved in order against a
-    pointer ``lru``: the table is exactly the positions ``>= lru`` that are
-    still their PC's latest load, so a miss on a full table evicts by
-    advancing ``lru`` past the oldest such position.
+    The carried entries are kept least recently used first, with a
+    PC-sorted index to look them up.  A chunk sorts only its own loads by
+    PC and sees a sequence of positions: the carried entries' LRU ranks,
+    then ``carried + i`` for its ``i``-th load.  Distinct counts over
+    windows of that sequence equal those over the whole run, and memory
+    stays bounded by the chunk.  Reuses at most ``capacity`` positions
+    apart are present trivially, first loads of new PCs are misses, and
+    only reuses further back need the eviction order (:meth:`_revive`).
     """
 
     def __init__(self, capacity: Optional[int] = 4096) -> None:
         self.capacity = capacity
         empty = np.zeros(0, dtype=np.int64)
-        # The carried entries, least recently used first.
-        self._pcs = empty
-        self._addrs = empty
-        self._strides = empty
-        self._confs = empty
+        # The carried entries, least recently used first: PC, last
+        # address, stride and confirmations (saturated at two); and the
+        # PC-sorted order of the entries with their sorted PCs.
+        self._table = (empty, empty, empty, np.zeros(0, dtype=np.int8))
+        self._by_pc = self._sorted_pcs = empty
 
     def hits(self, pcs: np.ndarray, addrs: np.ndarray) -> np.ndarray:
         """Stride-hit flags for one chunk's loads; trains the table."""
         count = len(pcs)
         if count == 0:
             return np.zeros(0, dtype=bool)
-        carried = len(self._pcs)
-        size = carried + count
-        seq_pcs = np.concatenate([self._pcs, pcs])
-        seq_addrs = np.concatenate([self._addrs, addrs])
-        order = stable_order(seq_pcs)
-        first = _run_starts(seq_pcs[order])
-        prev = np.full(size, -1, dtype=np.int64)  # previous same-PC position
-        prev[order[1:]] = np.where(first[1:], -1, order[:-1])
-        later = np.full(size, size, dtype=np.int64)  # next same-PC position
-        later[order[:-1]] = np.where(first[1:], size, order[1:])
+        table = self._table
+        carried = len(table[0])
+        # The chunk's loads in (PC, position) order; everything below
+        # works in that order.
+        order = stable_order(pcs)
+        spcs = pcs[order]
+        saddrs = addrs[order]
+        spos = order + carried
+        starts = np.flatnonzero(_run_starts(spcs))
+        ends = np.empty(len(starts), dtype=np.int64)
+        ends[:-1] = starts[1:] - 1
+        ends[-1] = count - 1
+        # The carried entry (LRU rank) each PC's first load continues.
+        at = np.searchsorted(self._sorted_pcs, spcs[starts])
+        found = at < carried
+        found[found] = self._sorted_pcs[at[found]] == spcs[starts[found]]
+        entry = self._by_pc[at[found]]
+        heads = starts[found]
+        last_addrs, last_strides, last_confs = (column[entry] for column in table[1:])
 
-        # Entry presence at each of this chunk's loads.
-        back = prev[carried:]
+        # The previous same-PC position of every load, and whether its
+        # PC's entry is still present.
+        sprev = np.empty(count, dtype=np.int64)
+        sprev[1:] = spos[:-1]
+        sprev[starts] = -1
+        sprev[heads] = entry
+        present = sprev >= 0
+        if self.capacity is not None:
+            present &= spos - sprev <= self.capacity
+            self._revive(spos, sprev, ends, present, entry, heads)
+
+        # Stride and confirmation count after every load; a created entry
+        # starts at stride 0 with no confirmations, a PC's first load
+        # continues its carried entry.  Counts saturate at two, which is
+        # all a hit reads: one once the entry exists, two once its stride
+        # has repeated since.
+        before = np.empty(count, dtype=np.int64)
+        before[1:] = saddrs[:-1]
+        before[heads] = last_addrs
+        strides = saddrs - before
+        strides[~present] = 0
+        before[1:] = strides[:-1]
+        before[heads] = last_strides
+        equal = present & (strides == before)
+        existed = np.empty(count, dtype=bool)
+        existed[1:] = present[:-1]
+        existed[heads] = last_confs >= 1
+        confs = present.astype(np.int8)
+        confs += equal & existed
+        prior = np.empty(count, dtype=np.int8)
+        prior[1:] = confs[:-1]
+        prior[heads] = last_confs
+        flags = np.empty(count, dtype=bool)
+        flags[order] = equal & (prior >= CONFIRMATIONS_REQUIRED)
+
+        # Carry the entries least recently used first: the carried ones
+        # this chunk did not reload, then each PC's last load, keeping the
+        # ``capacity`` most recent.
+        untouched = np.ones(carried, dtype=bool)
+        untouched[entry] = False
+        kept = np.flatnonzero(untouched)
+        last = ends[np.argsort(spos[ends])]
+        if self.capacity is not None:
+            excess = len(kept) + len(last) - self.capacity
+            if excess > 0:
+                last = last[max(excess - len(kept), 0) :]
+                kept = kept[excess:]
+        table = tuple(
+            np.concatenate((column[kept], chunk[last]))
+            for column, chunk in zip(table, (spcs, saddrs, strides, confs))
+        )
+        self._table = table
+        self._by_pc = np.argsort(table[0])
+        self._sorted_pcs = table[0][self._by_pc]
+        return flags
+
+    def _revive(self, spos, sprev, ends, present, entry, heads):
+        """Mark the loads whose entry outlived a reuse more than
+        ``capacity`` positions back as present."""
+        far = np.flatnonzero(~present & (sprev >= 0))
+        if not len(far):
+            return
+        capacity = self.capacity
+        carried = len(self._table[0])
+        reuse, load = sprev[far], spos[far]
+        head_at = spos[heads]
+        by_position = np.argsort(head_at)
+        if reuse.max() < carried and np.all(np.diff(entry[by_position]) > 0):
+            # Carried PCs come back in their LRU order, so the distinct PCs
+            # loaded since a carried entry's last use are the entries
+            # above it, the new PCs loaded before, and the carried PCs
+            # reloaded before (all of them below it).
+            distinct = (
+                (carried - 1 - reuse)
+                + np.searchsorted(np.sort(spos[sprev < 0]), load)
+                + np.searchsorted(head_at[by_position], load)
+            )
+            present[far] = distinct < capacity
+            return
+        # Otherwise replay the misses in position order up to the last far
+        # reuse: the table is exactly the positions ``>= lru`` that are
+        # still their PC's latest load, so a miss on a full table evicts by
+        # advancing ``lru`` past the oldest of them.
+        walk = np.flatnonzero(~present)
+        walk = walk[np.argsort(spos[walk])]
+        walk = walk[: np.flatnonzero(sprev[walk] >= 0)[-1] + 1]
+        size = carried + len(spos)
+        # The next same-PC position of every position.
+        later = np.full(size, size, dtype=np.int64)
+        later[entry] = head_at
+        snext = np.empty(len(spos), dtype=np.int64)
+        snext[:-1] = spos[1:]
+        snext[ends] = size
+        later[spos] = snext
+        later_at = memoryview(later)
         lru = 0
-        if self.capacity is None:
-            present = back >= 0
-        else:
-            capacity = self.capacity
-            positions = np.arange(carried, size)
-            present = (back >= 0) & (positions - back <= capacity)
-            later_list = later.tolist()
-            entries = carried
-            revived = []
-            walk = np.flatnonzero(~present)
-            for q, p in zip(positions[walk].tolist(), back[walk].tolist()):
-                if p >= lru:
-                    revived.append(q)
-                elif entries < capacity:
-                    entries += 1
-                else:
-                    while later_list[lru] <= q:  # reloaded since: not an entry
-                        lru += 1
-                    lru += 1  # evict the least recently used entry
-            present[np.asarray(revived, dtype=np.int64) - carried] = True
-
-        # Stride and confirmation count after every load, in (PC, position)
-        # order; a created entry starts at stride 0 with no confirmations.
-        from_table = order < carried
-        created = np.zeros(size, dtype=bool)
-        created[carried:] = ~present
-        follows = ~created[order]
-        follows[first] = False
-        saddrs = seq_addrs[order]
-        strides = np.zeros(size, dtype=np.int64)
-        strides[1:] = saddrs[1:] - saddrs[:-1]
-        strides[~follows] = 0
-        strides[from_table] = self._strides[order[from_table]]
-        equal = np.zeros(size, dtype=bool)
-        equal[1:] = follows[1:] & (strides[1:] == strides[:-1])
-        base = follows.astype(np.int64)
-        base[from_table] = self._confs[order[from_table]]
-        index = np.arange(size)
-        run_start = np.where(equal, 0, index)
-        np.maximum.accumulate(run_start, out=run_start)
-        confs = base[run_start] + (index - run_start)
-        hit = np.zeros(size, dtype=bool)
-        hit[1:] = equal[1:] & (confs[:-1] >= CONFIRMATIONS_REQUIRED)
-        flags = np.empty(size, dtype=bool)
-        flags[order] = hit
-
-        # Carry the table's entries, least recently used first.
-        live = np.flatnonzero(later[lru:] == size) + lru
-        rank = np.empty(size, dtype=np.int64)
-        rank[order] = index
-        self._pcs = seq_pcs[live]
-        self._addrs = seq_addrs[live]
-        self._strides = strides[rank[live]]
-        self._confs = confs[rank[live]]
-        return flags[carried:]
+        entries = carried
+        revived = []
+        for k, q, p in zip(walk.tolist(), spos[walk].tolist(), sprev[walk].tolist()):
+            if p >= lru:
+                revived.append(k)
+            elif entries < capacity:
+                entries += 1
+            else:
+                while later_at[lru] <= q:  # reloaded since: not an entry
+                    lru += 1
+                lru += 1  # evict the least recently used entry
+        present[revived] = True
 
 
 @dataclass(frozen=True)
@@ -436,10 +522,9 @@ class AnnotatingSimulator:
         d_annotator = _ChunkAnnotator(DEFAULT_ACTIVE_FLOOR)
         table = _StrideTable(self.stride_table_capacity)
 
-        def d_observer(blocks, times, gaps, kinds, pcs, addrs, stores):
-            loads = ~stores
+        def d_observer(blocks, times, gaps, kinds, load_pcs, load_addrs, loads):
             stride_hits = np.zeros(len(blocks), dtype=bool)
-            stride_hits[loads] = table.hits(pcs[loads], addrs[loads])
+            stride_hits[loads] = table.hits(load_pcs, load_addrs)
             d_annotator.observe(blocks, times, gaps, kinds, stride_hits)
 
         outcome = run_batched(

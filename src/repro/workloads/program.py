@@ -25,7 +25,10 @@ static load) is designed to catch, while positions bound to irregular
 structures stay unpredictable.
 
 Everything is generated in vectorized batches and is deterministic given
-the workload seed.
+the workload seed.  A phase lays out one loop iteration in execution
+order once; each visit is then slices of that layout tiled over the
+bodies it spans, with every pattern component drawing one address per
+position bound to it.
 """
 
 from __future__ import annotations
@@ -141,7 +144,6 @@ class Phase:
         kinds = np.zeros(body, dtype=np.uint8)
         kinds[is_load] = LOAD
         kinds[is_store] = STORE
-        self._body_kinds = kinds
         component_of = np.full(body, -1, dtype=np.int64)
         mem_positions = np.flatnonzero(kinds != NO_ACCESS)
         if mem_positions.size and self.components:
@@ -149,7 +151,6 @@ class Phase:
             component_of[mem_positions] = rng.choice(
                 len(self.components), size=mem_positions.size, p=weights
             )
-        self._component_of = component_of
         # Execution order: a fixed shuffle of basic blocks (taken branches).
         if self.block_instructions and self.block_instructions < body:
             n_blocks = -(-body // self.block_instructions)
@@ -166,7 +167,15 @@ class Phase:
             )
         else:
             exec_order = np.arange(body, dtype=np.int64)
-        self._exec_order = exec_order
+        # One loop iteration in execution order: each slot's PC and kind,
+        # and, per pattern component, the slots bound to it.
+        self._pcs = self.code_base + exec_order * INSTRUCTION_BYTES
+        self._kinds = kinds[exec_order]
+        component_of = component_of[exec_order]
+        self._component_slots = [
+            np.flatnonzero(component_of == index)
+            for index in range(len(self.components))
+        ]
 
     @property
     def code_bytes(self) -> int:
@@ -179,25 +188,26 @@ class Phase:
         The loop body resumes where the previous visit left off, so split
         visits still walk the body seamlessly; each pattern component
         advances only by the accesses of its own positions, keeping
-        per-PC strides coherent.
+        per-PC strides coherent.  The columns are slices of the
+        execution-order layout tiled over the bodies the visit spans.
         """
         if n_instructions <= 0:
             raise ConfigurationError(f"cannot emit {n_instructions!r} instructions")
         body = self.body_instructions
-        slots = (
-            self._body_offset + np.arange(n_instructions, dtype=np.int64)
-        ) % body
-        self._body_offset = int((self._body_offset + n_instructions) % body)
-        positions = self._exec_order[slots]
-        pcs = self.code_base + positions * INSTRUCTION_BYTES
-        kinds = self._body_kinds[positions]
+        start = self._body_offset
+        stop = start + n_instructions
+        self._body_offset = stop % body
+        # The visit covers execution slots start..stop of the body
+        # repeated ``bodies`` times.
+        bodies = -(-stop // body)
+        pcs = np.tile(self._pcs, bodies)[start:stop]
+        kinds = np.tile(self._kinds, bodies)[start:stop]
         addresses = np.full(n_instructions, -1, dtype=np.int64)
-        component_of = self._component_of[positions]
-        for index, (pattern, _) in enumerate(self.components):
-            mask = component_of == index
-            count = int(mask.sum())
-            if count:
-                addresses[mask] = pattern.addresses(count)
+        for (pattern, _), slots in zip(self.components, self._component_slots):
+            repeated = (slots + body * np.arange(bodies)[:, None]).ravel()
+            lo, hi = np.searchsorted(repeated, (start, stop))
+            if hi > lo:
+                addresses[repeated[lo:hi] - start] = pattern.addresses(hi - lo)
         return TraceChunk(pcs, addresses, kinds)
 
 

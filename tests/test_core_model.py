@@ -58,24 +58,7 @@ def walk_and_closed_form(node, trapezoidal_ramps, mode, length):
 
 
 class TestEquationAgreement:
-    """The cycle walk must reproduce Equations 1 and 2 at the paper's points."""
-
-    @pytest.mark.parametrize("length", [50, 1057, 5000, 123_456])
-    def test_drowsy_interval(self, machine, model70, length):
-        assert machine.simulate_interval(Mode.DROWSY, length) == pytest.approx(
-            model70.energy(Mode.DROWSY, length)
-        )
-
-    @pytest.mark.parametrize("length", [40, 1057, 5000, 123_456])
-    def test_sleep_interval(self, machine, model70, length):
-        assert machine.simulate_interval(Mode.SLEEP, length) == pytest.approx(
-            model70.energy(Mode.SLEEP, length)
-        )
-
-    def test_active_interval(self, machine, model70):
-        assert machine.simulate_interval(Mode.ACTIVE, 777) == pytest.approx(
-            model70.energy(Mode.ACTIVE, 777)
-        )
+    """The cycle walk rejects the intervals Equations 1 and 2 cannot price."""
 
     def test_too_short_interval_rejected(self, machine):
         with pytest.raises(PolicyError):
@@ -91,11 +74,22 @@ class TestDiscreteSimulation:
     both ramp shapes: trapezoidal (the paper's) and step (the ramp
     ablation's)."""
 
-    @pytest.mark.parametrize("mode", [Mode.ACTIVE, Mode.DROWSY, Mode.SLEEP])
-    @pytest.mark.parametrize("length", [100, 2000, 50_000])
+    @pytest.mark.parametrize(
+        "length, mode",
+        [
+            (length, mode)
+            for length in (100, 2000, 50_000)
+            for mode in (Mode.ACTIVE, Mode.DROWSY, Mode.SLEEP)
+        ]
+        # The paper's points: both sides of the inflection points.
+        + [(length, Mode.DROWSY) for length in (50, 1057, 5000, 123_456)]
+        + [(length, Mode.SLEEP) for length in (40, 1057, 5000, 123_456)]
+        + [(777, Mode.ACTIVE)],
+    )
     def test_simulated_interval_matches_closed_form(self, node70, mode, length):
         walk, closed = walk_and_closed_form(node70, True, mode, length)
-        assert walk == pytest.approx(closed, rel=1e-12)
+        # The walk sums one float per cycle: its rounding grows with length.
+        assert walk == pytest.approx(closed, rel=1e-12 * max(1, length / 50_000))
 
     @pytest.mark.parametrize("mode", [Mode.ACTIVE, Mode.DROWSY, Mode.SLEEP])
     @pytest.mark.parametrize("length", [100, 2000, 50_000])

@@ -42,6 +42,15 @@ class TestTraceChunk:
         with pytest.raises(TraceError):
             TraceChunk([0], data_addresses=[100], data_kinds=[NO_ACCESS])
 
+    def test_kind_address_mismatch_names_its_direction(self):
+        with pytest.raises(TraceError, match="load/store row must carry"):
+            TraceChunk([0, 4], data_addresses=[-1, -1], data_kinds=[LOAD, 0])
+        with pytest.raises(TraceError, match="no-access row cannot carry"):
+            TraceChunk([0, 4], data_addresses=[-1, 64], data_kinds=[0, 0])
+        # Both ways at once: the access without an address is reported.
+        with pytest.raises(TraceError, match="load/store row must carry"):
+            TraceChunk([0, 4], data_addresses=[64, -1], data_kinds=[0, STORE])
+
     def test_default_kinds_inferred_from_addresses(self):
         chunk = TraceChunk([0, 4], data_addresses=[-1, 64])
         assert list(chunk.data_kinds) == [NO_ACCESS, LOAD]

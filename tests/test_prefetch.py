@@ -123,6 +123,25 @@ class TestAnnotatingSimulator:
         flagged = int(view.counts[view.stride].sum())
         assert flagged > 50
 
+    def test_wide_block_span_matches_the_scalar_replay(self):
+        # Data blocks 2^55 apart do not pack beside the event index, so
+        # the batched annotator renumbers them: adjacent blocks must stay
+        # adjacent (11 after 10) and no others may become so (40 after 12).
+        rng = np.random.default_rng(3)
+        far = 1 << 55
+        blocks = rng.choice(
+            np.array([10, 11, 12, 40, far + 7, far + 8, far + 30]), size=3000
+        )
+        pcs = 0x1000 + 4 * (np.arange(3000, dtype=np.int64) % 64)
+        trace = TraceChunk(pcs, blocks * 64)
+        scalar, scalar_raw = run_recorded(AnnotatingSimulator(kernel="scalar"), trace)
+        batched, batched_raw = run_recorded(
+            AnnotatingSimulator(kernel="batched"), trace
+        )
+        batched_raw["l1d"].assert_same(scalar_raw["l1d"], "l1d")
+        assert batched.l1d == scalar.l1d
+        assert batched.l1d.nextline.any()
+
     def test_single_use(self):
         simulator = AnnotatingSimulator()
         simulator.run(TraceChunk(np.zeros(10, dtype=np.int64)))

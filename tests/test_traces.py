@@ -674,6 +674,22 @@ class TestKernelValidation:
         with pytest.raises(TraceValidationError):
             validate_chunk(chunk)
 
+    def test_address_without_access(self):
+        chunk = self.good_chunk()
+        chunk.data_addresses = chunk.data_addresses.copy()
+        chunk.data_addresses[1] = 4096  # kind stays NO_ACCESS
+        with pytest.raises(TraceValidationError, match="non-memory instructions"):
+            validate_chunk(chunk)
+
+    def test_access_without_address_is_reported_first(self):
+        chunk = self.good_chunk()
+        chunk.data_addresses = chunk.data_addresses.copy()
+        chunk.data_kinds = chunk.data_kinds.copy()
+        chunk.data_addresses[1] = 4096  # an address without an access
+        chunk.data_kinds[2] = LOAD  # and an access without an address
+        with pytest.raises(TraceValidationError, match="must carry a data"):
+            validate_chunk(chunk)
+
     def test_negative_pc(self):
         chunk = self.good_chunk()
         chunk.pcs = chunk.pcs.copy()

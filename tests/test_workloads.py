@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cpu.trace import LOAD, NO_ACCESS
+from repro.cpu.trace import LOAD, NO_ACCESS, TraceChunk
 from repro.errors import ConfigurationError
 from repro.workloads.benchmarks import (
     BENCHMARK_NAMES,
@@ -151,6 +151,75 @@ class TestPhase:
         with pytest.raises(ConfigurationError):
             Phase("p", 0, 10, load_fraction=0.8, store_fraction=0.4,
                   pattern=SequentialStream(0))
+
+
+def _gathered(phase, offset, n):
+    """``(chunk, next offset)`` of one visit by the gather formula: the
+    visit runs slots ``(offset + arange(n)) % body`` of one iteration in
+    execution order, and each component's positions draw their addresses
+    in order."""
+    body = phase.body_instructions
+    component_of = np.full(body, -1)
+    for index, slots in enumerate(phase._component_slots):
+        component_of[slots] = index
+    slots = (offset + np.arange(n)) % body
+    components = component_of[slots]
+    addresses = np.full(n, -1, dtype=np.int64)
+    for index, (pattern, _) in enumerate(phase.components):
+        mask = components == index
+        if mask.any():
+            addresses[mask] = pattern.addresses(int(mask.sum()))
+    chunk = TraceChunk(phase._pcs[slots], addresses, phase._kinds[slots])
+    return chunk, (offset + n) % body
+
+
+def _assert_same_chunk(emitted, gathered):
+    assert np.array_equal(emitted.pcs, gathered.pcs)
+    assert np.array_equal(emitted.data_addresses, gathered.data_addresses)
+    assert np.array_equal(emitted.data_kinds, gathered.data_kinds)
+
+
+class TestEmissionOracle:
+    """``Phase.emit`` slices what the gather formula indexes."""
+
+    def _phase(self):
+        a = SequentialStream(0, 8)
+        b = ZipfReuse(1 << 30, n_lines=32, seed=5)
+        return Phase(
+            "p", 0x4000, 300, load_fraction=0.3, store_fraction=0.1,
+            pattern=[(a, 0.6), (b, 0.4)], block_instructions=16, seed=8,
+        )
+
+    @pytest.mark.parametrize(
+        "visits",
+        [
+            [100, 100, 100],  # one body split three ways
+            [250, 120],  # the second visit wraps the body
+            [1050, 7, 600],  # several bodies, from mid-body
+            [299, 1, 1, 301],  # the last slot, the first, then a body + 1
+        ],
+    )
+    def test_visits_match_the_gather_formula(self, visits):
+        emitting, gathering = self._phase(), self._phase()
+        offset = 0
+        for n in visits:
+            gathered, offset = _gathered(gathering, offset, n)
+            _assert_same_chunk(emitting.emit(n), gathered)
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_paper_benchmarks_match_the_gather_formula(self, name):
+        emitting = make_benchmark(name, scale=0.02)
+        gathering = make_benchmark(name, scale=0.02)
+        offsets = [0] * len(gathering.phases)
+        emitted = emitting.chunks()
+        for _ in range(gathering.rounds):
+            for visit in gathering.schedule:
+                index = visit.phase_index
+                gathered, offsets[index] = _gathered(
+                    gathering.phases[index], offsets[index], visit.instructions
+                )
+                _assert_same_chunk(next(emitted), gathered)
+        assert next(emitted, None) is None
 
 
 class TestWorkload:
